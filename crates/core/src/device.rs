@@ -10,17 +10,23 @@ use middle_nn::{NetScratch, OptimizerKind, Sequential};
 use middle_tensor::random::{derive_seed, rng};
 use middle_tensor::Tensor;
 use rand::rngs::StdRng;
+use std::cell::RefCell;
 
-/// Persistent per-device training workspace: batch-gather buffers, the
-/// network scratch for the train and evaluation passes, the per-sample
-/// loss buffer, and a cached optimizer. After the first participation a
-/// device's local training allocates nothing in steady state.
+/// Training workspace: batch-gather buffers, the network scratch for the
+/// train and evaluation passes, the per-sample loss buffer, and a cached
+/// optimizer. Owned by the *thread* that trains ([`SCRATCH`]), not by the
+/// device: memory is threads × scratch, and in steady state a device's
+/// local training allocates nothing, first participation included.
 ///
-/// The scratch holds no semantic state: the cached optimizer is reset on
-/// every participation (bitwise-equivalent to a fresh build — see the
-/// `optimizer_reset_matches_fresh_build` property test), and every buffer
-/// is fully overwritten before being read. Checkpoints therefore never
-/// capture it.
+/// One scratch therefore serves every device — of any simulation, task,
+/// architecture or optimizer — that its thread happens to train, so it
+/// holds no semantic state and assumes nothing about its last user:
+/// every buffer is sized from the model and batch at hand (grow-only
+/// capacity) and fully overwritten before it is read, and the cached
+/// optimizer is reset on every participation (bitwise-equivalent to a
+/// fresh build — see the `optimizer_reset_matches_fresh_build` property
+/// test — with its state re-sized from the parameters it then steps).
+/// Checkpoints never capture it.
 struct TrainScratch {
     net: NetScratch,
     eval: NetScratch,
@@ -31,18 +37,16 @@ struct TrainScratch {
     opt: Option<(OptimizerKind, Box<dyn Optimizer>)>,
 }
 
-impl TrainScratch {
-    fn new() -> Self {
-        TrainScratch {
-            net: NetScratch::new(),
-            eval: NetScratch::new(),
-            batch_idx: Vec::new(),
-            batch_x: Tensor::zeros([0]),
-            batch_y: Vec::new(),
-            losses: Vec::new(),
-            opt: None,
-        }
-    }
+thread_local! {
+    static SCRATCH: RefCell<TrainScratch> = RefCell::new(TrainScratch {
+        net: NetScratch::new(),
+        eval: NetScratch::new(),
+        batch_idx: Vec::new(),
+        batch_x: Tensor::zeros([0]),
+        batch_y: Vec::new(),
+        losses: Vec::new(),
+        opt: None,
+    });
 }
 
 /// One mobile device.
@@ -69,7 +73,13 @@ pub struct Device {
     data: Dataset,
     rng: StdRng,
     flat: FlatView,
-    scratch: TrainScratch,
+}
+
+/// Oort statistical utility `|B_m| · sqrt(mean(loss_i²))` from the
+/// per-sample losses of a device's `|B_m|` local samples.
+fn oort_utility(losses: &[f32]) -> f32 {
+    let mean_sq = losses.iter().map(|l| l * l).sum::<f32>() / losses.len() as f32;
+    losses.len() as f32 * mean_sq.sqrt()
 }
 
 impl Device {
@@ -85,7 +95,6 @@ impl Device {
             data,
             rng: rng(derive_seed(seed, 0xD0_0000 + id as u64)),
             flat,
-            scratch: TrainScratch::new(),
         }
     }
 
@@ -144,37 +153,42 @@ impl Device {
     ) -> f32 {
         assert!(local_steps > 0, "need at least one local step");
         let bs = batch_size.min(self.data.len()).max(1);
-        let TrainScratch {
-            net,
-            batch_idx,
-            batch_x,
-            batch_y,
-            opt: opt_slot,
-            ..
-        } = &mut self.scratch;
-        // Optimizer state must not persist across participations
-        // (momentum/Adam state is meaningless after the model is replaced
-        // by aggregation), so the cached optimizer is reset — which is
-        // bitwise-equivalent to a fresh `build` — and rebuilt only when
-        // the configured kind changes.
-        let opt = match opt_slot {
-            Some((kind, o)) if kind == optimizer => {
-                o.reset();
-                o
+        let loss = SCRATCH.with_borrow_mut(|scratch| {
+            let TrainScratch {
+                net,
+                eval,
+                batch_idx,
+                batch_x,
+                batch_y,
+                losses,
+                opt: opt_slot,
+            } = scratch;
+            // Optimizer state must not persist across participations
+            // (momentum/Adam state is meaningless after the model is
+            // replaced by aggregation), so the cached optimizer is reset —
+            // which is bitwise-equivalent to a fresh `build` — and rebuilt
+            // only when the configured kind changes.
+            let opt = match opt_slot {
+                Some((kind, o)) if kind == optimizer => {
+                    o.reset();
+                    o
+                }
+                slot => &mut slot.insert((*optimizer, optimizer.build())).1,
+            };
+            let mut loss = 0.0f32;
+            for _ in 0..local_steps {
+                random_batch_into(&self.data, bs, &mut self.rng, batch_idx, batch_x, batch_y);
+                loss = self
+                    .model
+                    .train_batch_ws(batch_x, batch_y, opt.as_mut(), net);
             }
-            slot => {
-                *slot = Some((*optimizer, optimizer.build()));
-                &mut slot.as_mut().expect("just stored").1
-            }
-        };
-        let mut loss = 0.0f32;
-        for _ in 0..local_steps {
-            random_batch_into(&self.data, bs, &mut self.rng, batch_idx, batch_x, batch_y);
-            loss = self
-                .model
-                .train_batch_ws(batch_x, batch_y, opt.as_mut(), net);
-        }
-        self.refresh_oort_utility_ws();
+            // The Oort utility of `refresh_oort_utility`, through the
+            // evaluation workspace: bitwise-identical, no allocation.
+            let logits = self.model.infer_ws(self.data.inputs(), eval);
+            per_sample_cross_entropy_into(logits, self.data.labels(), losses);
+            self.oort_utility = Some(oort_utility(losses));
+            loss
+        });
         self.last_participation = Some(time_step);
         self.flat.refresh(&self.model);
         loss
@@ -206,27 +220,12 @@ impl Device {
         loss
     }
 
-    /// Recomputes the Oort statistical utility
-    /// `|B_m| · sqrt(mean(loss_i²))` over the device's local samples with
-    /// the current carried model.
+    /// Recomputes the Oort statistical utility over the device's local
+    /// samples with the current carried model.
     pub fn refresh_oort_utility(&mut self) {
         let logits = self.model.infer(self.data.inputs());
         let losses = per_sample_cross_entropy(&logits, self.data.labels());
-        let mean_sq = losses.iter().map(|l| l * l).sum::<f32>() / losses.len() as f32;
-        self.oort_utility = Some(self.data.len() as f32 * mean_sq.sqrt());
-    }
-
-    /// [`refresh_oort_utility`](Self::refresh_oort_utility) through the
-    /// persistent evaluation workspace — bitwise-identical result, zero
-    /// allocations in steady state.
-    fn refresh_oort_utility_ws(&mut self) {
-        let logits = self
-            .model
-            .infer_ws(self.data.inputs(), &mut self.scratch.eval);
-        per_sample_cross_entropy_into(logits, self.data.labels(), &mut self.scratch.losses);
-        let losses = &self.scratch.losses;
-        let mean_sq = losses.iter().map(|l| l * l).sum::<f32>() / losses.len() as f32;
-        self.oort_utility = Some(self.data.len() as f32 * mean_sq.sqrt());
+        self.oort_utility = Some(oort_utility(&losses));
     }
 
     /// Steps since the device last participated (`None` if never).

@@ -131,6 +131,64 @@ fn resume_matches_straight_run(cfg: SimConfig) {
     assert_eq!(reference.active_steps, resumed.active_steps);
 }
 
+/// The JSON writer as it was while every number went through a `String`
+/// of its own (`format!`, then a scan for a decimal point): the byte-level
+/// reference for what `to_json` writes straight into its output.
+fn write_json_reference(v: &serde::Value, out: &mut String) {
+    use serde::Value;
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::Float(f) if !f.is_finite() => out.push_str("null"),
+        Value::Float(f) => {
+            let s = format!("{f}");
+            out.push_str(&s);
+            if !s.contains(['.', 'e', 'E']) {
+                out.push_str(".0");
+            }
+        }
+        Value::Str(s) => out.push_str(&serde_json::to_string(s).unwrap()),
+        Value::Seq(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_json_reference(item, out);
+            }
+            out.push(']');
+        }
+        Value::Map(entries) => {
+            out.push('{');
+            for (i, (k, val)) in entries.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&serde_json::to_string(k).unwrap());
+                out.push(':');
+                write_json_reference(val, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+#[test]
+fn checkpoint_json_is_byte_equal_to_the_reference_writer() {
+    use serde::Serialize;
+    let mut sim = SimulationBuilder::new(faulty()).build().unwrap();
+    for _ in 0..3 {
+        sim.tick(StepMode::Fast);
+    }
+    let ck = sim.checkpoint();
+    let mut expected = String::new();
+    write_json_reference(&ck.to_value(), &mut expected);
+    let json = ck.to_json();
+    assert!(json.len() > 10_000, "a real checkpoint, not a stub");
+    assert!(json == expected, "checkpoint JSON bytes changed");
+}
+
 #[test]
 fn checkpoint_resume_is_bitwise_identical() {
     resume_matches_straight_run(tiny());

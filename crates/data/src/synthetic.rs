@@ -21,7 +21,7 @@
 
 use crate::dataset::Dataset;
 use middle_nn::InputSpec;
-use middle_tensor::random::{derive_seed, rng};
+use middle_tensor::random::{derive_seed, noisy_rows_into, rng};
 use middle_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -197,16 +197,18 @@ impl SyntheticSource {
         let n: usize = counts.iter().sum();
         let flen = spec.features();
         let mut data = vec![0.0f32; n * flen];
-        let mut labels = Vec::with_capacity(n);
+        let labels: Vec<usize> = counts
+            .iter()
+            .enumerate()
+            .flat_map(|(c, &k)| std::iter::repeat_n(c, k))
+            .collect();
         let mut r = rng(derive_seed(self.seed, sample_seed ^ 0xDA7A));
-        let mut off = 0usize;
-        for (c, &k) in counts.iter().enumerate() {
-            for _ in 0..k {
-                self.sample_into(c, &mut r, &mut data[off..off + flen]);
-                labels.push(c);
-                off += flen;
-            }
-        }
+        // `sample_into` for every row, from the same stream, with the
+        // arithmetic fanned out over the pool.
+        let noise = Normal::new(0.0f32, self.task.noise_std()).expect("valid std");
+        noisy_rows_into(&mut data, flen, &noise, &mut r, |i, g| {
+            (1.0 + 0.1 * g, &self.prototypes[labels[i]])
+        });
         let shape = Shape::new(vec![n, spec.channels, spec.height, spec.width]);
         Dataset::new(Tensor::from_vec(shape, data), labels, spec.classes)
     }
@@ -300,6 +302,48 @@ mod tests {
         let d = src.generate_counts(&counts, 7);
         assert_eq!(d.len(), 10);
         assert_eq!(d.class_counts(), counts.to_vec());
+    }
+
+    #[test]
+    fn generate_counts_is_the_per_sample_loop() {
+        for task in Task::ALL {
+            let src = SyntheticSource::new(task, 31);
+            let spec = task.spec();
+            // Uneven, with empty classes; 8xx samples is more than one
+            // block of the staged sampler for every task, and not a
+            // whole number of them for any.
+            let counts: Vec<usize> = (0..spec.classes)
+                .map(|c| {
+                    if c % 4 == 3 {
+                        0
+                    } else {
+                        (c * 37 + 11) % 97 * 3
+                    }
+                })
+                .collect();
+            let fast = src.generate_counts(&counts, 5);
+
+            let flen = spec.features();
+            let mut r = rng(derive_seed(31, 5 ^ 0xDA7A));
+            let mut data = vec![0.0f32; fast.len() * flen];
+            let mut labels = Vec::new();
+            for (c, &k) in counts.iter().enumerate() {
+                for _ in 0..k {
+                    let off = labels.len() * flen;
+                    src.sample_into(c, &mut r, &mut data[off..off + flen]);
+                    labels.push(c);
+                }
+            }
+            assert_eq!(fast.labels(), labels, "{}", task.name());
+            let same = fast
+                .inputs()
+                .data()
+                .iter()
+                .zip(&data)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{} samples differ from sample_into", task.name());
+            assert!(fast.len() > 600, "{} samples", fast.len());
+        }
     }
 
     #[test]

@@ -24,15 +24,17 @@ pub trait Optimizer: Send + Sync {
     /// `η_t = 2/(μ(γ+t))` schedule of Theorem 1).
     fn set_learning_rate(&mut self, lr: f32);
 
-    /// Restores the freshly-built state (zero momentum/moment buffers,
-    /// step counter 0) without reallocating.
+    /// Restores the freshly-built state (no momentum/moment buffers, step
+    /// counter 0) while keeping their allocations.
     ///
     /// After `reset()` an optimizer behaves bitwise-identically to a new
-    /// [`OptimizerKind::build`] of the same kind: the lazily-initialised
-    /// state vectors start at zero either way. This is what lets the
-    /// zero-alloc train path keep one optimizer per device across
-    /// participations while matching the fresh-optimizer-per-participation
-    /// semantics.
+    /// [`OptimizerKind::build`] of the same kind — including for a model
+    /// of a different shape than the one it last stepped: the state
+    /// vectors are emptied here and zero-filled to the parameters' sizes
+    /// on the next step either way. This is what lets the zero-alloc
+    /// train path keep one optimizer per training thread across devices
+    /// and participations while matching the
+    /// fresh-optimizer-per-participation semantics.
     fn reset(&mut self) {}
 }
 
@@ -66,6 +68,23 @@ impl OptimizerKind {
             OptimizerKind::Momentum { lr, momentum } => Box::new(MomentumSgd::new(lr, momentum)),
             OptimizerKind::Adam { lr } => Box::new(Adam::new(lr)),
         }
+    }
+}
+
+/// Sizes lazily-initialised optimizer `state` for `params`: one vector
+/// per parameter, an empty one (fresh, or emptied by `reset`) zero-filled
+/// to its parameter's length. A different parameter count restarts all
+/// of them. Capacity is kept, so steady state allocates nothing.
+fn size_state(state: &mut Vec<Vec<f32>>, params: &[&mut Param]) {
+    if state.len() != params.len() {
+        state.iter_mut().for_each(Vec::clear);
+        state.resize_with(params.len(), Vec::new);
+    }
+    for (s, p) in state.iter_mut().zip(params) {
+        if s.is_empty() {
+            s.resize(p.len(), 0.0);
+        }
+        assert_eq!(s.len(), p.len(), "parameter shape changed under optimizer");
     }
 }
 
@@ -126,11 +145,8 @@ impl MomentumSgd {
 
 impl Optimizer for MomentumSgd {
     fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.len() != params.len() {
-            self.velocity = params.iter().map(|p| vec![0.0; p.len()]).collect();
-        }
+        size_state(&mut self.velocity, params);
         for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            assert_eq!(v.len(), p.len(), "parameter shape changed under optimizer");
             let (lr, mu) = (self.lr, self.momentum);
             for ((w, g), vel) in p
                 .value
@@ -155,9 +171,7 @@ impl Optimizer for MomentumSgd {
     }
 
     fn reset(&mut self) {
-        for v in &mut self.velocity {
-            v.fill(0.0);
-        }
+        self.velocity.iter_mut().for_each(Vec::clear);
     }
 }
 
@@ -192,15 +206,14 @@ impl Adam {
 impl Optimizer for Adam {
     fn step(&mut self, params: &mut [&mut Param]) {
         if self.m.len() != params.len() {
-            self.m = params.iter().map(|p| vec![0.0; p.len()]).collect();
-            self.v = params.iter().map(|p| vec![0.0; p.len()]).collect();
             self.t = 0;
         }
+        size_state(&mut self.m, params);
+        size_state(&mut self.v, params);
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
-            assert_eq!(m.len(), p.len(), "parameter shape changed under optimizer");
             let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
             for (((w, g), mi), vi) in p
                 .value
@@ -229,12 +242,8 @@ impl Optimizer for Adam {
     }
 
     fn reset(&mut self) {
-        for m in &mut self.m {
-            m.fill(0.0);
-        }
-        for v in &mut self.v {
-            v.fill(0.0);
-        }
+        self.m.iter_mut().for_each(Vec::clear);
+        self.v.iter_mut().for_each(Vec::clear);
         self.t = 0;
     }
 }

@@ -51,16 +51,43 @@ impl std::fmt::Display for ParamError {
 
 impl std::error::Error for ParamError {}
 
-/// One standard-normal draw via the Marsaglia polar method.
-fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
-    loop {
+/// An accepted draw of the Marsaglia polar method: `(u, s)` with
+/// `s = u² + v²` inside the open unit disc.
+pub type PolarPair = (f64, f64);
+
+/// Stage 1 of the polar method for a whole buffer: fills `out` with the
+/// accepted pairs of the next `out.len()` normal draws, consuming exactly
+/// the random words those draws would. Everything sequential about
+/// sampling is here; stage 2, [`Normal::from_pair`] (the `ln`, `sqrt` and
+/// divide), can then run over `out` in any order, on any thread.
+pub fn polar_pairs<R: RngCore + ?Sized>(rng: &mut R, out: &mut [PolarPair]) {
+    let mut filled = 0;
+    while filled < out.len() {
         let u = 2.0 * rng.gen::<f64>() - 1.0;
         let v = 2.0 * rng.gen::<f64>() - 1.0;
         let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
-        }
+        // Branch-free rejection (about one draw in five): a rejected pair
+        // is overwritten by the next one.
+        out[filled] = (u, s);
+        filled += usize::from(s > 0.0 && s < 1.0);
     }
+}
+
+/// The standard-normal value of an accepted pair.
+fn polar_value((u, s): PolarPair) -> f64 {
+    u * (-2.0 * s.ln() / s).sqrt()
+}
+
+/// The accepted pair of one normal draw.
+fn polar_pair<R: RngCore + ?Sized>(rng: &mut R) -> PolarPair {
+    let mut pair = [(0.0, 0.0)];
+    polar_pairs(rng, &mut pair);
+    pair[0]
+}
+
+/// One standard-normal draw via the Marsaglia polar method.
+fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+    polar_value(polar_pair(rng))
 }
 
 /// Normal distribution `N(mean, std_dev²)`.
@@ -80,12 +107,17 @@ impl<F: Float> Normal<F> {
         }
         Ok(Normal { mean, std_dev })
     }
+
+    /// Stage 2 of the polar method: the value [`Distribution::sample`]
+    /// returns when its draw accepts `pair` (see [`polar_pairs`]).
+    pub fn from_pair(&self, pair: PolarPair) -> F {
+        F::from_f64(self.mean.to_f64() + self.std_dev.to_f64() * polar_value(pair))
+    }
 }
 
 impl<F: Float> Distribution<F> for Normal<F> {
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> F {
-        let z = standard_normal(rng);
-        F::from_f64(self.mean.to_f64() + self.std_dev.to_f64() * z)
+        self.from_pair(polar_pair(rng))
     }
 }
 
@@ -168,6 +200,20 @@ mod tests {
         let var = draws.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!((mean - 2.0).abs() < 0.1, "mean {mean}");
         assert!((var - 9.0).abs() < 0.5, "var {var}");
+    }
+
+    #[test]
+    fn two_stage_sampling_is_the_same_stream() {
+        let dist = Normal::new(0.5f32, 1.5).unwrap();
+        let mut one_by_one = StdRng::seed_from_u64(9);
+        let mut staged = one_by_one.clone();
+        let expected: Vec<f32> = (0..1000).map(|_| dist.sample(&mut one_by_one)).collect();
+        let mut pairs = vec![(0.0, 0.0); 1000];
+        polar_pairs(&mut staged, &mut pairs);
+        let got: Vec<f32> = pairs.iter().map(|&p| dist.from_pair(p)).collect();
+        assert_eq!(got, expected);
+        // Both consumed the same number of random words.
+        assert_eq!(staged.gen::<u64>(), one_by_one.gen::<u64>());
     }
 
     #[test]

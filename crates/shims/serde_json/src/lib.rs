@@ -8,6 +8,7 @@
 //! and `null` for non-finite floats.
 
 use serde::{Deserialize, Serialize, Value};
+use std::fmt::Write;
 
 /// Parse or serialisation error: a message with position context.
 #[derive(Debug, Clone)]
@@ -75,7 +76,7 @@ fn write_value(v: &Value, out: &mut String) {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::Int(i) => write!(out, "{i}").expect("writing to a String cannot fail"),
         Value::Float(f) => write_float(*f, out),
         Value::Str(s) => write_string(s, out),
         Value::Seq(items) => {
@@ -109,11 +110,15 @@ fn write_float(f: f64, out: &mut String) {
         out.push_str("null");
         return;
     }
-    // Rust's shortest-round-trip formatting; add a decimal point when
-    // absent so the value reads back as a float, matching serde_json.
-    let s = format!("{f}");
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
+    // Rust's shortest-round-trip formatting, straight into `out`; add a
+    // decimal point when the digits just written have none, so the value
+    // reads back as a float, matching serde_json.
+    let start = out.len();
+    write!(out, "{f}").expect("writing to a String cannot fail");
+    if !out.as_bytes()[start..]
+        .iter()
+        .any(|b| matches!(b, b'.' | b'e' | b'E'))
+    {
         out.push_str(".0");
     }
 }
@@ -365,6 +370,30 @@ mod tests {
         assert_eq!(from_str::<f32>("1.5").unwrap(), 1.5);
         assert_eq!(from_str::<f32>("7").unwrap(), 7.0);
         assert!(from_str::<bool>(" true ").unwrap());
+    }
+
+    #[test]
+    fn numbers_are_written_byte_for_byte() {
+        let doc = Value::Seq(vec![
+            Value::Float(2.0),
+            Value::Float(-0.0),
+            Value::Float(0.1f32 as f64),
+            Value::Float(1e21),
+            Value::Float(1.5e-7),
+            Value::Float(-123456.75),
+            Value::Float(f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Int(0),
+            Value::Int(-17),
+            Value::Int(i128::from(u64::MAX)),
+        ]);
+        let mut out = String::from("x");
+        write_value(&doc, &mut out);
+        assert_eq!(
+            out,
+            "x[2.0,-0.0,0.10000000149011612,1000000000000000000000.0,0.00000015,\
+             -123456.75,null,null,0,-17,18446744073709551615]"
+        );
     }
 
     #[test]

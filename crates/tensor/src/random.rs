@@ -7,7 +7,8 @@
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Normal};
+use rand_distr::{polar_pairs, Distribution, Normal};
+use rayon::prelude::*;
 
 /// Creates a deterministic RNG from a 64-bit seed.
 pub fn rng(seed: u64) -> StdRng {
@@ -51,6 +52,50 @@ pub fn normal(
     let dist = Normal::new(mean, std).expect("std must be finite and non-negative");
     let data = (0..n).map(|_| dist.sample(rng)).collect();
     Tensor::from_vec(shape, data)
+}
+
+/// Accepted polar pairs [`noisy_rows_into`] draws per block: 512 KiB, so
+/// the block is still in L2 when the parallel stage reads it back.
+const PAIR_BLOCK: usize = 32 * 1024;
+
+/// Fills the rows of `out` (each `row_len` long) with
+/// `gain_r · base_r[j] + z_rj`, consuming from `rng` exactly what a loop
+/// of `noise.sample(rng)` calls in row order would: per row one lead
+/// draw `g_r` — handed to `row(r, g_r)`, which returns `(gain_r, base_r)`
+/// — then `row_len` noise draws `z_rj`.
+///
+/// Only the rejection sampling is sequential ([`polar_pairs`], into a
+/// reused block buffer); the `ln`/`sqrt`/divide per draw and the fill run
+/// as a parallel region over each block's rows. The result is bitwise
+/// independent of block size and thread count.
+pub fn noisy_rows_into<'a>(
+    out: &mut [f32],
+    row_len: usize,
+    noise: &Normal<f32>,
+    rng: &mut StdRng,
+    row: impl Fn(usize, f32) -> (f32, &'a [f32]) + Sync,
+) {
+    assert!(row_len > 0, "rows must not be empty");
+    assert_eq!(out.len() % row_len, 0, "out must hold whole rows");
+    let draws_per_row = row_len + 1;
+    let block_rows = (PAIR_BLOCK / draws_per_row).max(1);
+    let mut pairs = vec![(0.0, 0.0); block_rows.min(out.len() / row_len) * draws_per_row];
+    for (block, out_rows) in out.chunks_mut(block_rows * row_len).enumerate() {
+        let pairs = &mut pairs[..out_rows.len() / row_len * draws_per_row];
+        polar_pairs(rng, pairs);
+        let pairs = &*pairs;
+        out_rows
+            .par_chunks_mut(row_len)
+            .enumerate()
+            .for_each(|(i, out_row)| {
+                let draws = &pairs[i * draws_per_row..][..draws_per_row];
+                let (gain, base) = row(block * block_rows + i, noise.from_pair(draws[0]));
+                assert_eq!(base.len(), row_len, "base row length");
+                for ((o, &b), &pair) in out_row.iter_mut().zip(base).zip(&draws[1..]) {
+                    *o = gain * b + noise.from_pair(pair);
+                }
+            });
+    }
 }
 
 /// Xavier/Glorot uniform initialisation for a layer with the given fan-in
@@ -123,6 +168,29 @@ mod tests {
             / t.len() as f32;
         assert!((mean - 1.0).abs() < 0.1, "mean {mean}");
         assert!((var - 4.0).abs() < 0.3, "var {var}");
+    }
+
+    #[test]
+    fn noisy_rows_match_the_per_draw_loop_across_blocks() {
+        let noise = Normal::new(0.0f32, 0.7).unwrap();
+        let bases = [vec![0.5f32; 300], vec![-1.25f32; 300]];
+        // 300 rows of 301 draws: two full blocks of 108 rows and a part.
+        let rows = 300;
+        let mut expected = vec![0.0f32; rows * 300];
+        let mut serial = rng(77);
+        for (r, out_row) in expected.chunks_mut(300).enumerate() {
+            let gain = 1.0 + 0.1 * noise.sample(&mut serial);
+            for (o, &b) in out_row.iter_mut().zip(&bases[r % 2]) {
+                *o = gain * b + noise.sample(&mut serial);
+            }
+        }
+        let mut got = vec![0.0f32; rows * 300];
+        let mut staged = rng(77);
+        noisy_rows_into(&mut got, 300, &noise, &mut staged, |r, g| {
+            (1.0 + 0.1 * g, &bases[r % 2])
+        });
+        assert_eq!(got, expected);
+        assert_eq!(staged.gen::<u64>(), serial.gen::<u64>());
     }
 
     #[test]

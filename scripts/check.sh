@@ -61,6 +61,16 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 if [[ "$CI" -eq 1 ]]; then
+    # The shims sit outside the workspace (`exclude`), so --workspace
+    # never reaches their tests.
+    echo "==> shim tests (scheduler rules, two-stage sampling, JSON number bytes)"
+    cargo test -q -p rayon -p rand_distr -p serde_json
+
+    # One CPU is the pool's no-worker path: every FNV pin must hold
+    # there exactly as it just did on all cores.
+    echo "==> FNV pins on one thread (taskset -c 0)"
+    taskset -c 0 cargo test -q -p middle-core --test hotpath_equiv --test population_plane
+
     echo "==> cargo doc --workspace --no-deps (warnings denied)"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 fi
