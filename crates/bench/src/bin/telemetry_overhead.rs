@@ -4,8 +4,8 @@
 //! flaking on machine load. Absolute step times on a shared machine
 //! swing far more than any useful tolerance, so the gate compares
 //! *ratios*: it re-measures the zero-copy `step` against the
-//! clone-based `step_reference` interleaved (identical load hits both
-//! sides) and fails when the best observed step-to-reference ratio has
+//! clone-based `StepMode::Reference` step interleaved (identical load
+//! hits both sides) and fails when the best observed step-to-reference ratio has
 //! degraded by more than the tolerance (default 5%, override with
 //! `MIDDLE_OVERHEAD_TOL=<fraction>`) relative to the `full_sim_step`
 //! ratio recorded in `BENCH_hotpath.json` — i.e. when something made
@@ -47,7 +47,7 @@ fn median(mut times: Vec<f64>) -> f64 {
 }
 
 /// One warmed-up step timing: `step(1)` with the given telemetry
-/// switch, or `step_reference(1)` when `reference` is set.
+/// switch, or `advance(1, StepMode::Reference)` when `reference` is set.
 fn time_step(reference: bool, telemetry: bool) -> f64 {
     let mut cfg = sim_config();
     cfg.telemetry = telemetry;

@@ -623,7 +623,7 @@ impl AlgorithmPolicy for FedLeccPolicy {
         );
         // Highest utility (loss) first; device id breaks exact ties so
         // the ranking is a pure function of (utility, id) in both step
-        // paths.
+        // modes.
         self.ranked
             .sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         let n = self.ranked.len();

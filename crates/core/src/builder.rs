@@ -3,10 +3,9 @@
 //! dataset/partition/trace construction once per unique input key
 //! instead of once per scenario.
 //!
-//! [`crate::Simulation::new`] predates this module and panics on an
-//! invalid configuration; it remains only as a deprecated compatibility
-//! wrapper. New code — and every example, test and bench bin in-tree —
-//! goes through the builder:
+//! The builder is the only construction path — every example, test and
+//! bench bin in-tree goes through it — and an invalid configuration is
+//! a typed [`SimError::InvalidConfig`], never a panic:
 //!
 //! ```
 //! use middle_core::{Algorithm, SimConfig, SimulationBuilder};

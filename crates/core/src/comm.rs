@@ -101,14 +101,6 @@ impl CommStats {
         self.wireless_total() + self.wan_total()
     }
 
-    /// Total bytes for a model with `param_count` f32 parameters,
-    /// assuming every payload is dense.
-    #[deprecated(note = "assumes full-f32 payloads; use payload_total_bytes() \
-                (exact, compression-aware) instead")]
-    pub fn total_bytes(&self, param_count: usize) -> u64 {
-        self.total() * 4 * param_count as u64
-    }
-
     /// Charges one version-deduped cloud→device broadcast: `receivers`
     /// devices receive the same dense model version. The ledger counts
     /// per-receiver units/bytes — identical to charging each device
@@ -246,14 +238,6 @@ mod tests {
         assert_eq!(s.wireless_total(), 28);
         assert_eq!(s.wan_total(), 4);
         assert_eq!(s.total(), 32);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn bytes_scale_with_model_size() {
-        let s = stats();
-        assert_eq!(s.total_bytes(1000), 32 * 4000);
-        assert_eq!(s.total_bytes(0), 0);
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!   delta computation and **no** allocation — the simulation is bitwise
 //!   identical to one without the plane (gated by
 //!   `tests/hotpath_equiv.rs`);
-//! * `step` and `step_reference` share the compressed aggregation
-//!   helpers in [`crate::Simulation`], so the two stay interchangeable
-//!   under compression.
+//! * the compressed aggregation arms live in [`crate::Simulation`]'s
+//!   one round skeleton, outside its `StepMode` dispatch points, so
+//!   fast and reference mode stay interchangeable under compression.
 //!
 //! Conservation contract: for every coordinate, the transmitted grid
 //! value `t` and the sender-side residual `r` satisfy `t + r == delta`

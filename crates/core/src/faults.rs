@@ -33,8 +33,9 @@
 //! (`derive_seed(seed, 9)`) owned by [`FaultPlane`], never from the
 //! selection or availability streams — so a config with every fault
 //! disabled is *bitwise identical* to a simulation without the plane,
-//! and `step` / `step_reference` stay interchangeable under faults
-//! (both consume the fault stream in the same order). The disabled
+//! and `StepMode::Fast` / `StepMode::Reference` stay interchangeable
+//! under faults (every fault draw sits in the round skeleton they
+//! share, outside its kernel dispatch points). The disabled
 //! plane performs no RNG draw, no allocation and no timer call; the
 //! hot-path contract of DESIGN.md §6 is untouched.
 
@@ -344,8 +345,8 @@ impl FaultPlane {
     /// Advances every device's reachability process by one step. Draws
     /// exactly one uniform per device when dropout is active (i.i.d.
     /// and Markov alike), zero otherwise — the draw count never depends
-    /// on the chain state, so `step` and `step_reference` stay in
-    /// lockstep on the fault stream.
+    /// on the chain state, so every execution mode stays in lockstep on
+    /// the fault stream.
     pub fn advance_dropout(&mut self) {
         match self.cfg.dropout {
             DropoutModel::None => {}

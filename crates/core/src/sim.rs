@@ -18,7 +18,7 @@ use crate::aggregation::{
     on_device_init_into,
 };
 use crate::algorithms::{AlgorithmPolicy, MoveAction};
-use crate::builder::{SharedInputs, SimError, SimulationBuilder};
+use crate::builder::{SharedInputs, SimError};
 use crate::checkpoint::{
     config_digest, DeviceCheckpoint, EdgeCheckpoint, FaultPlaneCheckpoint, RngStateCheckpoint,
     SimCheckpoint, SIM_CHECKPOINT_SCHEMA_VERSION,
@@ -203,9 +203,9 @@ pub struct Simulation {
     faults: FaultPlane,
     // The resolved algorithm-policy object ([`SimConfig::algorithm`]
     // via `AlgorithmConfig::resolve`): selection source, on-move
-    // verdicts and any cross-round state. Both step implementations
-    // drive it through the same hooks at the same points, so stateful
-    // algorithms evolve identically in fast and reference mode.
+    // verdicts and any cross-round state. The one round skeleton fires
+    // its hooks, so stateful algorithms evolve identically in fast and
+    // reference mode, lockstep and event-driven.
     policy: Box<dyn AlgorithmPolicy>,
     // Uplink compression (quantization + top-K sparsification with
     // error feedback) and its aggregation scratch buffer. Inert — no
@@ -220,11 +220,10 @@ pub struct Simulation {
     selection_scratch: SelectionScratch,
     candidates: Vec<usize>,
     selected_per_edge: Vec<Vec<usize>>,
-    participating: Vec<bool>,
     // Per-step inverted edge index and the explicit participant id list
     // (strictly ascending after the selection phase) — the training
     // gather walks exactly the K·E participants instead of re-scanning
-    // all N devices through the boolean mask.
+    // all N devices.
     index: StepIndex,
     participants: Vec<usize>,
     // Lazy-mode scratch: per-live-version similarity scores against the
@@ -252,46 +251,6 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds the simulation: synthesises data, partitions it across
-    /// devices, generates the mobility trace and initialises every model
-    /// from the same seed-derived starting point.
-    ///
-    /// Compatibility wrapper over [`SimulationBuilder`], which is the
-    /// Result-based construction path new code should use.
-    ///
-    /// # Panics
-    /// Panics when the configuration fails [`SimConfig::validate`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SimulationBuilder::new(config).build() and handle the Result"
-    )]
-    pub fn new(config: SimConfig) -> Self {
-        match SimulationBuilder::new(config).build() {
-            Ok(sim) => sim,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`Simulation::new`] but with a caller-supplied mobility
-    /// trace (e.g. the Figure 2 scripted device swap, or an imported
-    /// ONE-simulator trace).
-    ///
-    /// Compatibility wrapper over [`SimulationBuilder::with_trace`].
-    ///
-    /// # Panics
-    /// Panics when the trace's device/edge counts or horizon disagree
-    /// with the configuration.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SimulationBuilder::new(config).with_trace(trace).build() and handle the Result"
-    )]
-    pub fn with_trace(config: SimConfig, trace: Trace) -> Self {
-        match SimulationBuilder::new(config).with_trace(trace).build() {
-            Ok(sim) => sim,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Assembles the per-run mutable state from validated, possibly
     /// cache-shared immutable inputs. Only [`SimulationBuilder`] calls
     /// this; per-run state is *cloned* out of the inputs, so a cache
@@ -313,7 +272,6 @@ impl Simulation {
         let cloud_flat = FlatView::of(&init);
         let selected_per_edge = (0..config.num_edges).map(|_| Vec::new()).collect();
         let delivered_per_edge = (0..config.num_edges).map(|_| Vec::new()).collect();
-        let participating = vec![false; config.num_devices];
         let telemetry = Telemetry::from_config(&config);
         let faults = FaultPlane::new(config.faults, config.num_devices, seed);
         let policy = config.algorithm.resolve(config.num_devices);
@@ -345,7 +303,6 @@ impl Simulation {
             selection_scratch: SelectionScratch::new(),
             candidates: Vec::new(),
             selected_per_edge,
-            participating,
             index: StepIndex::default(),
             participants: Vec::new(),
             version_scores: Vec::new(),
@@ -454,58 +411,103 @@ impl Simulation {
         cloud_aggregate(&models, &weights)
     }
 
-    /// Fault-plane work at step begin, shared by [`Simulation::step`]
-    /// and `Simulation::step_reference` so both consume the fault RNG
-    /// stream identically: apply the stale merges queued by last step's
-    /// deadline misses (the late upload finally lands and is blended
-    /// into its edge with Eq. 9's similarity weighting — a stale update
-    /// that still agrees with the edge keeps weight, a diverged one is
-    /// discounted), then advance every device's dropout chain. No-op
-    /// (no draw, no timer) while the plane is disabled.
+    /// Fault-plane work at step begin, run by every execution mode: apply
+    /// the stale merges queued by last step's deadline misses (the late
+    /// upload finally lands and is blended into its edge with Eq. 9's
+    /// similarity weighting — a stale update that still agrees with the
+    /// edge keeps weight, a diverged one is discounted), then advance
+    /// every device's dropout chain. No-op (no draw, no timer) while the
+    /// plane is disabled.
     fn fault_step_begin(&mut self, probe: &mut StepProbe) {
         if !self.faults.enabled() {
             return;
         }
         probe.start();
         for p in self.faults.take_pending() {
-            let edge = &mut self.edges[p.edge];
-            let u = similarity_utility_cached(&p.flat, p.norm_sq, edge.flat(), edge.flat_norm_sq());
-            let (edge_w, stale_w) = aggregation_weights(u);
-            let mut blend = p.flat;
-            for (v, &e) in blend.iter_mut().zip(edge.flat()) {
-                *v = edge_w * e + stale_w * *v;
-            }
-            middle_nn::params::unflatten(&mut edge.model, &blend);
-            edge.refresh_flat();
             // The late upload is charged when it arrives, not when it
             // was scheduled — at the (possibly compressed) payload size
             // recorded when the deadline was missed.
             self.comm.device_to_edge += 1;
             self.comm.device_to_edge_bytes += p.payload_bytes;
-            self.comm.stale_uploads += 1;
             probe.uploads(1);
-            probe.stale_merge();
-            // A stale merge is still an edge aggregation of this
-            // device's update, so stateful algorithms observe it.
-            self.policy
-                .after_edge_aggregate(p.edge, std::slice::from_ref(&p.device));
+            self.blend_late_upload(p.edge, p.device, p.flat, p.norm_sq, probe);
         }
         self.faults.advance_dropout();
         probe.stop(Phase::FaultRecovery);
     }
 
-    /// Runs every selected device's upload through the fault plane
-    /// (shared by both step implementations; the per-device draw order
-    /// — deadline first, then loss/retry attempts — is fixed). Fills
-    /// `delivered_per_edge` with the cohorts that actually reached
-    /// their edge: deadline-missed uploads are snapshotted for a stale
-    /// merge next step, lost uploads are retried with exponential
-    /// backoff and abandoned after the retry budget, and every
-    /// transmission attempt is charged to [`CommStats`].
-    fn fault_upload_pass(&mut self, selected_per_edge: &[Vec<usize>], probe: &mut StepProbe) {
+    /// Blends a late upload into its edge with Eq. 9's
+    /// similarity-discounted weighting — the lockstep stale merge and
+    /// the event engine's arrival for an already-closed wave. Charging
+    /// the transfer is the caller's business (on arrival in lockstep,
+    /// at send time in the event engine); only the staleness counter
+    /// moves here.
+    fn blend_late_upload(
+        &mut self,
+        edge: usize,
+        device: usize,
+        mut flat: Vec<f32>,
+        norm_sq: f32,
+        probe: &mut StepProbe,
+    ) {
+        let e = &mut self.edges[edge];
+        let u = similarity_utility_cached(&flat, norm_sq, e.flat(), e.flat_norm_sq());
+        let (edge_w, stale_w) = aggregation_weights(u);
+        for (v, &ew) in flat.iter_mut().zip(e.flat()) {
+            *v = edge_w * ew + stale_w * *v;
+        }
+        middle_nn::params::unflatten(&mut e.model, &flat);
+        e.refresh_flat();
+        self.comm.stale_uploads += 1;
+        probe.stale_merge();
+        // A stale merge is still an edge aggregation of this device's
+        // update, so stateful algorithms observe it.
+        self.policy
+            .after_edge_aggregate(edge, std::slice::from_ref(&device));
+    }
+
+    /// Runs device `m`'s upload to edge `n` through the fault plane's
+    /// loss/retry process, charging every transmission attempt to
+    /// [`CommStats`]; lost uploads are retried with exponential backoff
+    /// and abandoned after the retry budget. Returns whether the upload
+    /// was delivered.
+    fn attempt_upload(&mut self, n: usize, m: usize, probe: &mut StepProbe) -> bool {
+        let o = self.faults.upload_attempts();
+        self.comm.device_to_edge += u64::from(o.attempts);
+        self.comm.device_to_edge_bytes += u64::from(o.attempts) * self.compression.payload_bytes();
+        self.comm.upload_retransmissions += u64::from(o.attempts - 1);
+        self.comm.retry_backoff_slots += o.backoff_slots;
+        probe.uploads(u64::from(o.attempts));
+        probe.upload_retries(u64::from(o.attempts - 1), !o.delivered);
+        if !o.delivered {
+            self.comm.lost_uploads += 1;
+            if self.compression.lossy_active() {
+                // Sender-side error feedback: the device did compress
+                // and transmit — the loss happens on the wire — so its
+                // residual and the RNG advance even though no edge
+                // consumes the reconstruction.
+                let _ = self.compression.compress_device_upload(
+                    m,
+                    self.population.get(m).flat(),
+                    self.edges[n].flat(),
+                );
+                probe.compressed_uploads(1);
+            }
+        }
+        o.delivered
+    }
+
+    /// Runs every selected device's upload through the fault plane (the
+    /// per-device draw order — deadline first, then loss/retry attempts
+    /// — is fixed). Fills `delivered_per_edge` with the cohorts that
+    /// actually reached their edge: deadline-missed uploads are
+    /// snapshotted for a stale merge next step, the rest go through
+    /// [`Simulation::attempt_upload`].
+    fn fault_upload_pass(&mut self, probe: &mut StepProbe) {
         probe.start();
         let lossy = self.compression.lossy_active();
         let payload = self.compression.payload_bytes();
+        let selected_per_edge = std::mem::take(&mut self.selected_per_edge);
         for (n, selected) in selected_per_edge.iter().enumerate() {
             self.delivered_per_edge[n].clear();
             for &m in selected {
@@ -536,32 +538,8 @@ impl Simulation {
                             payload,
                         );
                     }
-                    continue;
-                }
-                let o = self.faults.upload_attempts();
-                self.comm.device_to_edge += u64::from(o.attempts);
-                self.comm.device_to_edge_bytes += u64::from(o.attempts) * payload;
-                self.comm.upload_retransmissions += u64::from(o.attempts - 1);
-                self.comm.retry_backoff_slots += o.backoff_slots;
-                probe.uploads(u64::from(o.attempts));
-                probe.upload_retries(u64::from(o.attempts - 1), !o.delivered);
-                if o.delivered {
+                } else if self.attempt_upload(n, m, probe) {
                     self.delivered_per_edge[n].push(m);
-                } else {
-                    self.comm.lost_uploads += 1;
-                    if lossy {
-                        // Sender-side error feedback: the device did
-                        // compress and transmit — the loss happens on
-                        // the wire — so its residual and the RNG
-                        // advance even though no edge consumes the
-                        // reconstruction.
-                        let _ = self.compression.compress_device_upload(
-                            m,
-                            self.population.get(m).flat(),
-                            self.edges[n].flat(),
-                        );
-                        probe.compressed_uploads(1);
-                    }
                 }
             }
             // Graceful degradation: an edge whose whole cohort failed
@@ -570,12 +548,13 @@ impl Simulation {
                 probe.empty_cohort();
             }
         }
+        self.selected_per_edge = selected_per_edge;
         probe.stop(Phase::FaultRecovery);
     }
 
-    /// Cloud synchronisation under WAN outages, shared by both step
-    /// implementations (equivalence under faults holds by
-    /// construction). Each edge's WAN link is drawn independently; down
+    /// Cloud synchronisation under WAN outages, one body for every
+    /// execution mode (equivalence under faults holds by construction).
+    /// Each edge's WAN link is drawn independently; down
     /// edges neither upload nor receive the broadcast (their sample
     /// window keeps accumulating and folds into the next successful
     /// sync), and devices currently parked under a down edge miss the
@@ -647,57 +626,94 @@ impl Simulation {
         true
     }
 
-    /// Edge aggregation (Eq. 6) through the lossy compression plane,
-    /// shared by both step implementations so the compression RNG and
-    /// residual updates are consumed identically: each cohort member's
-    /// upload is compressed against its edge's pre-aggregation model
-    /// `w_n^t` and the edge FedAvg-aggregates the *reconstructions*
-    /// with the same `d_m / d` weighting as the dense path. Only called
-    /// while [`CompressionPlane::lossy_active`].
-    fn compressed_edge_pass(&mut self, cohorts: &[Vec<usize>], probe: &mut StepProbe) {
+    /// Edge aggregation (Eq. 6) of one cohort into edge `n` — the single
+    /// phase-3 body, called by the lockstep step for each edge and by
+    /// the event engine for each wave. Three arms:
+    ///
+    /// * async waves (`snapshots` holds send-time payloads) FedAvg the
+    ///   snapshots — already compressed when the plane is lossy;
+    /// * under a lossy compression plane each member's upload is
+    ///   compressed against the edge's pre-aggregation model `w_n^t`
+    ///   (one compression-RNG / residual advance per member, in cohort
+    ///   order) and the edge FedAvgs the *reconstructions*;
+    /// * otherwise the live device models are aggregated by the
+    ///   mode-dispatched kernel.
+    ///
+    /// All three weight by `d_m / d`, with `d_m` read from the partition
+    /// (equal to `Device::num_samples` by construction) so the weights
+    /// never depend on residency: in lazy mode a cloud broadcast may
+    /// have demoted a sender whose upload was still in flight.
+    fn aggregate_cohort(
+        &mut self,
+        n: usize,
+        cohort: &[usize],
+        snapshots: &[Option<Vec<f32>>],
+        mode: StepMode,
+        probe: &mut StepProbe,
+    ) {
+        if cohort.is_empty() {
+            return;
+        }
         probe.start();
-        for (n, cohort) in cohorts.iter().enumerate() {
-            if cohort.is_empty() {
-                continue;
+        let in_flight = snapshots.iter().any(|s| s.is_some());
+        let lossy = self.compression.lossy_active();
+        let partition = &self.partition;
+        let total: usize = cohort.iter().map(|&m| partition.device_len(m)).sum();
+        if in_flight || lossy {
+            let total_f = total as f32;
+            self.agg_scratch.clear();
+            self.agg_scratch.resize(self.cloud_flat.flat().len(), 0.0);
+            for (i, &m) in cohort.iter().enumerate() {
+                let w = partition.device_len(m) as f32 / total_f;
+                let flat: &[f32] = match snapshots.get(i).and_then(Option::as_ref) {
+                    Some(s) => s,
+                    None if in_flight => self.population.get(m).flat(),
+                    None => {
+                        probe.compressed_uploads(1);
+                        self.compression.compress_device_upload(
+                            m,
+                            self.population.get(m).flat(),
+                            self.edges[n].flat(),
+                        )
+                    }
+                };
+                for (a, &r) in self.agg_scratch.iter_mut().zip(flat) {
+                    *a += w * r;
+                }
             }
-            self.compressed_edge_aggregate_one(n, cohort, probe);
-        }
-        probe.stop(Phase::Compress);
-    }
-
-    /// Aggregates one edge's cohort through the lossy compression plane
-    /// — the per-edge body of [`Simulation::compressed_edge_pass`],
-    /// also used wave-by-wave by the event engine. The caller owns the
-    /// `Phase::Compress` timing window.
-    fn compressed_edge_aggregate_one(&mut self, n: usize, cohort: &[usize], probe: &mut StepProbe) {
-        let len = self.cloud_flat.flat().len();
-        let total: usize = cohort
-            .iter()
-            .map(|&m| self.population.get(m).num_samples())
-            .sum();
-        let total_f = total as f32;
-        self.agg_scratch.clear();
-        self.agg_scratch.resize(len, 0.0);
-        for &m in cohort {
-            let w = self.population.get(m).num_samples() as f32 / total_f;
-            let recon = self.compression.compress_device_upload(
-                m,
-                self.population.get(m).flat(),
-                self.edges[n].flat(),
-            );
-            probe.compressed_uploads(1);
-            for (a, &r) in self.agg_scratch.iter_mut().zip(recon) {
-                *a += w * r;
+            let norm_sq = dot_slices(&self.agg_scratch, &self.agg_scratch);
+            self.edges[n].load_flat(&self.agg_scratch, norm_sq);
+        } else {
+            let population = &self.population;
+            let edge = &mut self.edges[n];
+            match mode {
+                StepMode::Fast => edge_aggregate_into(
+                    &mut edge.model,
+                    cohort
+                        .iter()
+                        .map(|&m| (&population.get(m).model, partition.device_len(m))),
+                ),
+                StepMode::Reference => {
+                    let models: Vec<&Sequential> =
+                        cohort.iter().map(|&m| &population.get(m).model).collect();
+                    let counts: Vec<usize> =
+                        cohort.iter().map(|&m| partition.device_len(m)).collect();
+                    edge.model = edge_aggregate(&models, &counts);
+                }
             }
+            edge.refresh_flat();
         }
-        let norm_sq = dot_slices(&self.agg_scratch, &self.agg_scratch);
-        self.edges[n].load_flat(&self.agg_scratch, norm_sq);
         self.edges[n].window_samples += total as f64;
         self.policy.after_edge_aggregate(n, cohort);
+        probe.stop(if lossy && !in_flight {
+            Phase::Compress
+        } else {
+            Phase::EdgeAggregation
+        });
     }
 
     /// Cloud synchronisation (Eq. 7 + broadcast) through the lossy
-    /// compression plane, shared by both step implementations. Each
+    /// compression plane, one body for every execution mode. Each
     /// participating edge's sync upload is compressed against the
     /// current cloud model and the cloud aggregates the
     /// *reconstructions* with the dense path's `d̂_n`-weighting
@@ -771,33 +787,34 @@ impl Simulation {
         probe.stop(Phase::CloudSync);
     }
 
-    /// Executes one time step `t` of Algorithm 1 with the chosen
-    /// implementation — the single entry point behind which the
-    /// fast/reference duality lives. [`Simulation::step`] is shorthand
-    /// for `advance(t, StepMode::Fast)`.
-    pub fn advance(&mut self, t: usize, mode: StepMode) {
-        match mode {
-            StepMode::Fast => self.step(t),
-            StepMode::Reference => self.step_reference(t),
-        }
-    }
-
-    /// Executes one time step `t` of Algorithm 1 (0-based; syncs with the
-    /// cloud after every `cloud_interval`-th step).
+    /// Executes one lockstep time step `t` of Algorithm 1 (0-based; syncs
+    /// with the cloud after every `cloud_interval`-th step). There is one
+    /// round skeleton; `mode` only picks the kernels at its dispatch
+    /// points (score + select, init, train, Eq. 6, Eq. 7), so hook
+    /// order, comm charging and telemetry are the same code in both
+    /// modes. [`Simulation::step`] is shorthand for
+    /// `advance(t, StepMode::Fast)`.
     ///
-    /// The steady-state loop is allocation-free: candidate sets, scores
-    /// and winner lists land in persistent scratch buffers, device inits
-    /// are written straight into each participating device's carried
-    /// model (no staged `Vec<Option<Sequential>>`), aggregation runs in
-    /// place on the edge/cloud parameter tensors, and the cloud broadcast
-    /// copies parameters instead of cloning models. Numerically the step
-    /// tracks `Simulation::step_reference` ([`StepMode::Reference`]); the
-    /// equivalence tests pin the two together.
-    pub fn step(&mut self, t: usize) {
+    /// In [`StepMode::Fast`] the steady-state loop is allocation-free:
+    /// candidate sets, scores and winner lists land in persistent scratch
+    /// buffers, device inits are written straight into each participating
+    /// device's carried model, aggregation runs in place on the edge/cloud
+    /// parameter tensors, and the cloud broadcast copies parameters
+    /// instead of cloning models. [`StepMode::Reference`] runs the
+    /// original clone-based kernels (fresh cloud flatten, full-sort
+    /// selection, allocating init / aggregation, clone broadcast) as the
+    /// semantic oracle; both consume every rng stream in the same order,
+    /// and the equivalence tests pin the two together bit for bit.
+    pub fn advance(&mut self, t: usize, mode: StepMode) {
         let mut probe = self.telemetry.begin_step();
         self.begin_step(t, &mut probe);
-        let active = self.phase_select_train_fast(t, &mut probe);
-        self.finish_step_fast(t, active, probe);
+        let active = self.phase_select_train(t, mode, &mut probe);
+        self.finish_step(t, active, mode, probe);
+    }
+
+    /// [`Simulation::advance`] with the production kernels.
+    pub fn step(&mut self, t: usize) {
+        self.advance(t, StepMode::Fast);
     }
 
     /// Step-begin work shared by every execution mode: rebuild the step
@@ -813,7 +830,8 @@ impl Simulation {
     /// once per step; every stub of a version then shares that score
     /// bitwise, exactly as idle dense devices holding the same broadcast
     /// would. No-op for selection policies that don't rank by update
-    /// similarity.
+    /// similarity. Only the fast scorer reads the scores; the reference
+    /// kernel rescores each stub from its version's flat.
     fn refresh_version_scores(&mut self) {
         if matches!(
             self.policy.selection(),
@@ -829,18 +847,18 @@ impl Simulation {
         }
     }
 
-    /// Fast-mode phases 1 + 2 — in-edge device selection, in-place
-    /// device init, then Rayon-parallel local training over the
-    /// participants. Fills `self.selected_per_edge` and returns whether
-    /// any edge selected a non-empty cohort (accruing `active_steps`).
-    /// Shared by the lockstep step and the event engine's step-boundary
-    /// handler.
-    fn phase_select_train_fast(&mut self, t: usize, probe: &mut StepProbe) -> bool {
+    /// Phases 1 + 2 — in-edge device selection, device init, then
+    /// Rayon-parallel local training over the participants. `mode` picks
+    /// the kernels at three points (score + select, init, train);
+    /// everything around them is written once. Fills
+    /// `self.selected_per_edge` and returns whether any edge selected a
+    /// non-empty cohort (accruing `active_steps`). Shared by the
+    /// lockstep step and the event engine's step-boundary handler.
+    fn phase_select_train(&mut self, t: usize, mode: StepMode, probe: &mut StepProbe) -> bool {
         self.refresh_version_scores();
         // Phase 1 — in-edge device selection, then write each selected
         // device's initial model (moved devices aggregate on device,
         // stationary ones download the edge model into place).
-        self.participating.fill(false);
         self.participants.clear();
         for n in 0..self.edges.len() {
             probe.start();
@@ -875,29 +893,58 @@ impl Simulation {
             }
             {
                 let population = &self.population;
-                let version_scores = &self.version_scores;
-                let (cloud_flat, cloud_norm_sq) =
-                    (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
-                let similarity = |m: usize| match population.view(m) {
-                    DeviceRef::Resident(dev) => update_similarity(dev, cloud_flat, cloud_norm_sq),
-                    DeviceRef::Stub(v) => version_scores[v as usize],
-                };
                 let oort = |m: usize| population.oort_utility(m).unwrap_or(f32::INFINITY);
                 let policy = &self.policy;
                 let cluster = |m: usize| policy.cluster_of(m);
-                select_devices_scored(
-                    policy.selection(),
-                    self.config.devices_per_edge,
-                    &self.candidates,
-                    &CandidateScorers {
-                        similarity: &similarity,
-                        oort: &oort,
-                        cluster: Some(&cluster),
-                    },
-                    &mut self.rng,
-                    &mut self.selection_scratch,
-                    &mut self.selected_per_edge[n],
-                );
+                match mode {
+                    StepMode::Fast => {
+                        let version_scores = &self.version_scores;
+                        let (cloud_flat, cloud_norm_sq) =
+                            (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
+                        let similarity = |m: usize| match population.view(m) {
+                            DeviceRef::Resident(dev) => {
+                                update_similarity(dev, cloud_flat, cloud_norm_sq)
+                            }
+                            DeviceRef::Stub(v) => version_scores[v as usize],
+                        };
+                        select_devices_scored(
+                            policy.selection(),
+                            self.config.devices_per_edge,
+                            &self.candidates,
+                            &CandidateScorers {
+                                similarity: &similarity,
+                                oort: &oort,
+                                cluster: Some(&cluster),
+                            },
+                            &mut self.rng,
+                            &mut self.selection_scratch,
+                            &mut self.selected_per_edge[n],
+                        );
+                    }
+                    StepMode::Reference => {
+                        let cloud_flat = flatten(&self.cloud);
+                        let similarity = |m: usize| match population.view(m) {
+                            DeviceRef::Resident(dev) => {
+                                update_similarity_reference(dev, &cloud_flat)
+                            }
+                            DeviceRef::Stub(v) => update_similarity_reference_flat(
+                                population.version_flat(v),
+                                &cloud_flat,
+                            ),
+                        };
+                        self.selected_per_edge[n] = select_devices_reference_scored(
+                            policy.selection(),
+                            self.config.devices_per_edge,
+                            &self.candidates,
+                            &CandidateScorers {
+                                similarity: &similarity,
+                                oort: &oort,
+                                cluster: Some(&cluster),
+                            },
+                            &mut self.rng,
+                        );
+                    }
+                }
             }
             probe.stop(Phase::Selection);
 
@@ -924,34 +971,44 @@ impl Simulation {
                 // init touches the carried model (no-op when dense or
                 // already resident).
                 self.population.ensure_resident(m);
-                if self.index.moved(m) {
+                self.participants.push(m);
+                // A stationary device downloads the edge model, which
+                // is exactly the `EdgeModel` init.
+                let on_device = if self.index.moved(m) {
                     probe.moved_init();
                     match self.policy.on_move(m, self.index.prev[m], n) {
-                        MoveAction::Blend(on_device) => {
-                            if !matches!(on_device, OnDevicePolicy::KeepLocal) {
-                                downloads += 1;
-                            }
-                            on_device_init_into(
-                                on_device,
-                                self.population.get_mut(m),
-                                &edge.model,
-                                edge.flat(),
-                                edge.flat_norm_sq(),
-                            );
-                        }
+                        MoveAction::Blend(on_device) => on_device,
                         // FedFly hand-off: the carried model continues
                         // untouched while the in-flight update rides the
                         // inter-edge backhaul (charged below).
-                        MoveAction::Migrate => migrations += 1,
+                        MoveAction::Migrate => {
+                            migrations += 1;
+                            continue;
+                        }
                     }
                 } else {
+                    OnDevicePolicy::EdgeModel
+                };
+                if !matches!(on_device, OnDevicePolicy::KeepLocal) {
                     downloads += 1;
-                    self.population
-                        .get_mut(m)
-                        .load_flat(edge.flat(), edge.flat_norm_sq());
                 }
-                self.participating[m] = true;
-                self.participants.push(m);
+                // Nothing in phase 1 reads a selected device's model
+                // again (a device sits under exactly one edge per step),
+                // so both modes install the init straight away.
+                let dev = self.population.get_mut(m);
+                match mode {
+                    StepMode::Fast => on_device_init_into(
+                        on_device,
+                        dev,
+                        &edge.model,
+                        edge.flat(),
+                        edge.flat_norm_sq(),
+                    ),
+                    StepMode::Reference => {
+                        dev.model = on_device_init(on_device, &edge.model, &dev.model);
+                        dev.invalidate_flat();
+                    }
+                }
             }
             self.comm.edge_to_device += downloads;
             self.comm.edge_to_device_bytes += downloads * self.compression.dense_payload_bytes();
@@ -968,7 +1025,8 @@ impl Simulation {
         // Phase 2 — parallel local training over the participating set
         // only, so the work splits across exactly K·E training jobs
         // instead of one no-op task per idle device. Each participant
-        // owns its slot; no shared mutable state. The explicit
+        // owns its slot; no shared mutable state (and its own rng, so
+        // the gather order cannot affect numerics). The explicit
         // participant id list (sorted to strictly ascending — a device
         // is attached to exactly one edge per step, so ids are distinct)
         // replaces the old full-population boolean-mask re-scan.
@@ -981,7 +1039,12 @@ impl Simulation {
         self.participants.sort_unstable();
         let mut participants = self.population.gather_mut(&self.participants);
         participants.par_iter_mut().for_each(|dev| {
-            dev.local_train(local_steps, batch_size, &optimizer, t);
+            match mode {
+                StepMode::Fast => dev.local_train(local_steps, batch_size, &optimizer, t),
+                StepMode::Reference => {
+                    dev.local_train_reference(local_steps, batch_size, &optimizer, t)
+                }
+            };
         });
         drop(participants);
         probe.stop(Phase::LocalTraining);
@@ -994,79 +1057,43 @@ impl Simulation {
         active
     }
 
-    /// Fast-mode phases 3 + 4 — the fault-plane upload pass, edge
-    /// aggregation and the scheduled cloud sync — closing the step's
-    /// telemetry. Split from [`Simulation::step`] so the event engine
-    /// can reuse the front half with its own upload and aggregation
-    /// schedule.
-    fn finish_step_fast(&mut self, t: usize, active: bool, mut probe: StepProbe) {
+    /// Phases 3 + 4 — the fault-plane upload pass, edge aggregation and
+    /// the scheduled cloud sync — closing the step's telemetry. Split
+    /// from [`Simulation::advance`] so the event engine can reuse the
+    /// front half with its own upload and aggregation schedule.
+    fn finish_step(&mut self, t: usize, active: bool, mode: StepMode, mut probe: StepProbe) {
         // Fault plane: run every upload through the deadline and
         // loss/retry processes, producing the delivered cohorts.
         if self.faults.enabled() {
-            let selected = std::mem::take(&mut self.selected_per_edge);
-            self.fault_upload_pass(&selected, &mut probe);
-            self.selected_per_edge = selected;
+            self.fault_upload_pass(&mut probe);
         }
 
-        // Phase 3 — edge aggregation (Eq. 6), in place on the edge model.
-        // Under a lossy compression plane the shared compressed pass
-        // aggregates reconstructed uploads instead.
-        if self.compression.lossy_active() {
-            let cohorts = if self.faults.enabled() {
-                std::mem::take(&mut self.delivered_per_edge)
-            } else {
-                std::mem::take(&mut self.selected_per_edge)
-            };
-            self.compressed_edge_pass(&cohorts, &mut probe);
-            if self.faults.enabled() {
-                self.delivered_per_edge = cohorts;
-            } else {
-                self.selected_per_edge = cohorts;
-            }
-        } else {
-            probe.start();
-            let population = &self.population;
-            let cohorts: &[Vec<usize>] = if self.faults.enabled() {
-                &self.delivered_per_edge
-            } else {
-                &self.selected_per_edge
-            };
-            for (edge, cohort) in self.edges.iter_mut().zip(cohorts) {
-                if cohort.is_empty() {
-                    continue;
-                }
-                edge_aggregate_into(
-                    &mut edge.model,
-                    cohort.iter().map(|&m| {
-                        let dev = population.get(m);
-                        (&dev.model, dev.num_samples())
-                    }),
-                );
-                edge.window_samples += cohort
-                    .iter()
-                    .map(|&m| population.get(m).num_samples())
-                    .sum::<usize>() as f64;
-                edge.refresh_flat();
-            }
-            for (n, cohort) in cohorts.iter().enumerate() {
-                if !cohort.is_empty() {
-                    self.policy.after_edge_aggregate(n, cohort);
-                }
-            }
-            probe.stop(Phase::EdgeAggregation);
+        // Phase 3 — edge aggregation (Eq. 6), edge by edge.
+        let cohorts = std::mem::take(self.cohorts_mut());
+        for (n, cohort) in cohorts.iter().enumerate() {
+            self.aggregate_cohort(n, cohort, &[], mode, &mut probe);
         }
+        *self.cohorts_mut() = cohorts;
 
         // Phase 4 — periodic cloud synchronisation (Eq. 7 + broadcast).
-        // The broadcast copies the cloud's flat parameters (and their
-        // cached norm) into every edge and device — no model clones.
         let scheduled = (t + 1).is_multiple_of(self.config.cloud_interval);
-        let synced = scheduled && self.cloud_sync_now(StepMode::Fast, &mut probe);
+        let synced = scheduled && self.cloud_sync_now(mode, &mut probe);
         self.telemetry.end_step(t, active, synced, probe);
     }
 
+    /// The per-edge cohorts whose uploads reached their edge this step:
+    /// the delivered ones under the fault plane, else everyone selected.
+    fn cohorts_mut(&mut self) -> &mut Vec<Vec<usize>> {
+        if self.faults.enabled() {
+            &mut self.delivered_per_edge
+        } else {
+            &mut self.selected_per_edge
+        }
+    }
+
     /// Performs a cloud synchronisation *now* (Eq. 7 + broadcast) —
-    /// phase 4 without the lockstep schedule check, shared by both
-    /// lockstep steps (gated on `cloud_interval`) and the event engine
+    /// phase 4 without the lockstep schedule check, shared by the
+    /// lockstep step (gated on `cloud_interval`) and the event engine
     /// (fired by `CloudSync` events). The plain arm dispatches on the
     /// fast/reference duality; the fault and compression arms are the
     /// shared helpers either way. Returns whether a sync actually
@@ -1142,224 +1169,6 @@ impl Simulation {
         self.policy.after_cloud_sync(None, &self.index.cur);
         probe.stop(Phase::CloudSync);
         true
-    }
-
-    /// Reference implementation of [`Simulation::step`]: the original
-    /// clone-based phases (fresh cloud flatten, staged init models, full
-    /// sort selection, allocating aggregation, clone broadcast), kept as
-    /// the semantic oracle for the hot path. Consumes the rng streams in
-    /// exactly the same order as `step`, so a run may interleave the two
-    /// and the equivalence tests can compare them step for step.
-    /// Reached through [`Simulation::advance`] with
-    /// [`StepMode::Reference`].
-    fn step_reference(&mut self, t: usize) {
-        let mut probe = self.telemetry.begin_step();
-        self.begin_step(t, &mut probe);
-        let active = self.phase_select_train_reference(t, &mut probe);
-        self.finish_step_reference(t, active, probe);
-    }
-
-    /// Reference-mode phases 1 + 2 — the allocating oracle's
-    /// counterpart to [`Simulation::phase_select_train_fast`]: staged
-    /// initial models, full-sort selection, clone-based init. Fills
-    /// `self.selected_per_edge` and returns whether any edge selected a
-    /// non-empty cohort.
-    fn phase_select_train_reference(&mut self, t: usize, probe: &mut StepProbe) -> bool {
-        let cloud_flat = flatten(&self.cloud);
-
-        // Phase 1 — selection + staged initial models, keyed by device
-        // id (the participant list replaces the old per-device Option
-        // array; training later walks exactly the participants).
-        let mut staged: Vec<(usize, Option<Sequential>)> = Vec::new();
-        for (n, edge) in self.edges.iter().enumerate() {
-            probe.start();
-            let mut candidates = self.index.devices_at(n).to_vec();
-            let seen = candidates.len();
-            if self.config.availability < 1.0 {
-                candidates
-                    .retain(|_| self.availability_rng.gen::<f64>() < self.config.availability);
-            }
-            probe.candidates(seen, seen - candidates.len());
-            if self.faults.dropout_active() {
-                let before = candidates.len();
-                candidates.retain(|&m| !self.faults.is_down(m));
-                probe.dropout_drops(before - candidates.len());
-            }
-            // In-flight exclusion, identical to the fast path (inert in
-            // lockstep mode and at zero delay).
-            if self.timeline.busy_any() {
-                let timeline = &self.timeline;
-                candidates.retain(|&m| !timeline.is_busy(m));
-            }
-            if candidates.is_empty() {
-                self.selected_per_edge[n].clear();
-                probe.stop(Phase::Selection);
-                continue;
-            }
-            let selected = {
-                let population = &self.population;
-                let similarity = |m: usize| match population.view(m) {
-                    DeviceRef::Resident(dev) => update_similarity_reference(dev, &cloud_flat),
-                    DeviceRef::Stub(v) => {
-                        update_similarity_reference_flat(population.version_flat(v), &cloud_flat)
-                    }
-                };
-                let oort = |m: usize| population.oort_utility(m).unwrap_or(f32::INFINITY);
-                let policy = &self.policy;
-                let cluster = |m: usize| policy.cluster_of(m);
-                select_devices_reference_scored(
-                    policy.selection(),
-                    self.config.devices_per_edge,
-                    &candidates,
-                    &CandidateScorers {
-                        similarity: &similarity,
-                        oort: &oort,
-                        cluster: Some(&cluster),
-                    },
-                    &mut self.rng,
-                )
-            };
-            probe.stop(Phase::Selection);
-
-            probe.start();
-            probe.selected(selected.len());
-            // Same download accounting as `step`: moved devices under
-            // KeepLocal never consume the edge model. With the fault
-            // plane on, uploads are charged in the upload pass instead.
-            if !self.faults.enabled() {
-                self.comm.device_to_edge += selected.len() as u64;
-                self.comm.device_to_edge_bytes +=
-                    selected.len() as u64 * self.compression.payload_bytes();
-                probe.uploads(selected.len() as u64);
-            }
-            let mut downloads = 0u64;
-            let mut migrations = 0u64;
-            for &m in &selected {
-                self.population.ensure_resident(m);
-                let init = if self.index.moved(m) {
-                    probe.moved_init();
-                    match self.policy.on_move(m, self.index.prev[m], n) {
-                        MoveAction::Blend(on_device) => {
-                            if !matches!(on_device, OnDevicePolicy::KeepLocal) {
-                                downloads += 1;
-                            }
-                            on_device_init(on_device, &edge.model, &self.population.get(m).model)
-                        }
-                        MoveAction::Migrate => {
-                            // The carried model continues untouched —
-                            // the allocating oracle stages a clone of
-                            // it, bitwise-equal to the fast path's
-                            // leave-in-place.
-                            migrations += 1;
-                            self.population.get(m).model.clone()
-                        }
-                    }
-                } else {
-                    downloads += 1;
-                    edge.model.clone()
-                };
-                staged.push((m, Some(init)));
-            }
-            self.comm.edge_to_device += downloads;
-            self.comm.edge_to_device_bytes += downloads * self.compression.dense_payload_bytes();
-            self.comm.edge_to_edge += migrations;
-            self.comm.edge_to_edge_bytes += migrations * self.compression.dense_payload_bytes();
-            probe.downloads(downloads);
-            probe.stop(Phase::DeviceInit);
-            self.selected_per_edge[n] = selected;
-        }
-        let active = self.selected_per_edge.iter().any(|s| !s.is_empty());
-        if active {
-            self.active_steps += 1;
-        }
-
-        // Phase 2 — parallel local training on the staged models, over
-        // the participants only (each device trains independently with
-        // its own rng, so the gather order cannot affect numerics).
-        probe.start();
-        let (local_steps, batch_size, optimizer) = (
-            self.config.local_steps,
-            self.config.batch_size,
-            self.config.optimizer,
-        );
-        staged.sort_unstable_by_key(|&(m, _)| m);
-        let ids: Vec<usize> = staged.iter().map(|&(m, _)| m).collect();
-        let mut participants = self.population.gather_mut(&ids);
-        participants
-            .par_iter_mut()
-            .zip(staged.par_iter_mut())
-            .for_each(|(dev, (_, slot))| {
-                let init = slot.take().expect("staged init for participant");
-                dev.model = init;
-                dev.invalidate_flat();
-                dev.local_train_reference(local_steps, batch_size, &optimizer, t);
-            });
-        drop(participants);
-        probe.stop(Phase::LocalTraining);
-        {
-            let population = &self.population;
-            let utility = |m: usize| population.oort_utility(m);
-            self.policy.observe_participants(&ids, &utility);
-        }
-        active
-    }
-
-    /// Reference-mode phases 3 + 4, closing the step (the allocating
-    /// counterpart of [`Simulation::finish_step_fast`]).
-    fn finish_step_reference(&mut self, t: usize, active: bool, mut probe: StepProbe) {
-        // Fault plane: identical upload pass (shared helper, same RNG
-        // draw order) as `step`.
-        let selected_per_edge = std::mem::take(&mut self.selected_per_edge);
-        if self.faults.enabled() {
-            self.fault_upload_pass(&selected_per_edge, &mut probe);
-        }
-
-        // Phase 3 — edge aggregation (Eq. 6). Under a lossy compression
-        // plane both implementations share `compressed_edge_pass`, so
-        // equivalence holds by construction.
-        let faults_enabled = self.faults.enabled();
-        if self.compression.lossy_active() {
-            if faults_enabled {
-                let cohorts = std::mem::take(&mut self.delivered_per_edge);
-                self.compressed_edge_pass(&cohorts, &mut probe);
-                self.delivered_per_edge = cohorts;
-            } else {
-                self.compressed_edge_pass(&selected_per_edge, &mut probe);
-            }
-        } else {
-            probe.start();
-            for (n, selected) in selected_per_edge.iter().enumerate() {
-                let cohort = if faults_enabled {
-                    &self.delivered_per_edge[n]
-                } else {
-                    selected
-                };
-                if cohort.is_empty() {
-                    continue;
-                }
-                let models: Vec<&Sequential> = cohort
-                    .iter()
-                    .map(|&m| &self.population.get(m).model)
-                    .collect();
-                let counts: Vec<usize> = cohort
-                    .iter()
-                    .map(|&m| self.population.get(m).num_samples())
-                    .collect();
-                self.edges[n].model = edge_aggregate(&models, &counts);
-                self.edges[n].window_samples += counts.iter().sum::<usize>() as f64;
-                self.edges[n].refresh_flat();
-                self.policy.after_edge_aggregate(n, cohort);
-            }
-            probe.stop(Phase::EdgeAggregation);
-        }
-        self.selected_per_edge = selected_per_edge;
-
-        // Phase 4 — periodic cloud synchronisation (Eq. 7 + broadcast).
-        // Under WAN faults both step implementations share
-        // `fault_cloud_sync`, so equivalence holds by construction.
-        let scheduled = (t + 1).is_multiple_of(self.config.cloud_interval);
-        let synced = scheduled && self.cloud_sync_now(StepMode::Reference, &mut probe);
-        self.telemetry.end_step(t, active, synced, probe);
     }
 
     // ------------------------------------------------------------------
@@ -1473,10 +1282,7 @@ impl Simulation {
     fn event_step_boundary(&mut self, t: usize, mode: StepMode) {
         let mut probe = self.telemetry.begin_step();
         self.begin_step(t, &mut probe);
-        let active = match mode {
-            StepMode::Fast => self.phase_select_train_fast(t, &mut probe),
-            StepMode::Reference => self.phase_select_train_reference(t, &mut probe),
-        };
+        let active = self.phase_select_train(t, mode, &mut probe);
         self.timeline.step_active = active;
         let now = self.timeline.clock();
         let mut sync_at = now;
@@ -1492,16 +1298,10 @@ impl Simulation {
                 // irrelevant here: every upload of the round pops before
                 // its wave's aggregate event.
                 if self.faults.enabled() {
-                    let selected = std::mem::take(&mut self.selected_per_edge);
-                    self.fault_upload_pass(&selected, &mut probe);
-                    self.selected_per_edge = selected;
+                    self.fault_upload_pass(&mut probe);
                 }
                 for n in 0..self.edges.len() {
-                    let cohort = if self.faults.enabled() {
-                        self.delivered_per_edge[n].clone()
-                    } else {
-                        self.selected_per_edge[n].clone()
-                    };
+                    let cohort = self.cohorts_mut()[n].clone();
                     let trigger = self.config.timeline.edge_threshold.unwrap_or(cohort.len());
                     // Zero delay: every wave aggregates within its own
                     // round, so there is never a remainder to flush.
@@ -1550,8 +1350,8 @@ impl Simulation {
     /// then rides the event queue as a real in-flight latency — there is
     /// no deadline and no stale path; a slow upload simply arrives late
     /// (and blends like a stale merge if its wave has already closed).
-    /// Loss/retry draws and comm charges are identical to
-    /// [`Simulation::fault_upload_pass`]. With the fault plane disabled
+    /// Loss/retry draws and comm charges are those of the lockstep pass
+    /// ([`Simulation::attempt_upload`]). With the fault plane disabled
     /// the upload was already charged at selection and arrives with
     /// zero delay. Returns the latest scheduled arrival time of this
     /// round's delivered uploads (the boundary's own timestamp when
@@ -1561,7 +1361,6 @@ impl Simulation {
         let now = self.timeline.clock();
         let mut last_arrival = now;
         let lossy = self.compression.lossy_active();
-        let payload = self.compression.payload_bytes();
         probe.start();
         for n in 0..self.edges.len() {
             let selected = std::mem::take(&mut self.selected_per_edge[n]);
@@ -1572,30 +1371,8 @@ impl Simulation {
                     continue;
                 }
                 let delay = self.faults.sample_upload_delay();
-                let o = self.faults.upload_attempts();
-                self.comm.device_to_edge += u64::from(o.attempts);
-                self.comm.device_to_edge_bytes += u64::from(o.attempts) * payload;
-                self.comm.upload_retransmissions += u64::from(o.attempts - 1);
-                self.comm.retry_backoff_slots += o.backoff_slots;
-                probe.uploads(u64::from(o.attempts));
-                probe.upload_retries(u64::from(o.attempts - 1), !o.delivered);
-                if o.delivered {
+                if self.attempt_upload(n, m, probe) {
                     delivered.push((m, delay));
-                } else {
-                    self.comm.lost_uploads += 1;
-                    if lossy {
-                        // Sender-side error feedback: the device did
-                        // compress and transmit — the loss happens on
-                        // the wire — so its residual and the RNG advance
-                        // even though no edge consumes the
-                        // reconstruction.
-                        let _ = self.compression.compress_device_upload(
-                            m,
-                            self.population.get(m).flat(),
-                            self.edges[n].flat(),
-                        );
-                        probe.compressed_uploads(1);
-                    }
                 }
             }
             if !selected.is_empty() && delivered.is_empty() {
@@ -1608,7 +1385,7 @@ impl Simulation {
             let trigger = self.config.timeline.edge_threshold.unwrap_or(members.len());
             if let Some((cohort, snaps)) = self.timeline.open_wave(n, members, trigger) {
                 probe.stop(Phase::FaultRecovery);
-                self.event_aggregate_cohort(n, &cohort, &snaps, mode, probe);
+                self.aggregate_cohort(n, &cohort, &snaps, mode, probe);
                 self.timeline.aggs_since_sync += 1;
                 probe.start();
             }
@@ -1648,8 +1425,9 @@ impl Simulation {
     /// `DeviceUpload` arrival: record it in its edge's wave; the
     /// trigger-hitting arrival schedules the wave's `EdgeAggregate`.
     /// Arrivals for an already-aggregated (or superseded) wave are
-    /// *late*: the update blends into the edge with the same
-    /// similarity-discounted weighting as a lockstep stale merge.
+    /// *late*: the update blends into the edge like a lockstep stale
+    /// merge ([`Simulation::blend_late_upload`]) — its transfer was
+    /// already charged at send time.
     fn event_upload_arrival(
         &mut self,
         edge: usize,
@@ -1660,7 +1438,10 @@ impl Simulation {
         let snapshot = self.timeline.take_in_flight(device);
         if !self.timeline.wave_accepts(edge, device, wave) {
             if let Some(flat) = snapshot {
-                self.event_late_blend(edge, device, &flat, probe);
+                probe.start();
+                let norm_sq = dot_slices(&flat, &flat);
+                self.blend_late_upload(edge, device, flat, norm_sq, probe);
+                probe.stop(Phase::FaultRecovery);
             }
             return;
         }
@@ -1671,39 +1452,10 @@ impl Simulation {
         }
     }
 
-    /// Blend a late async upload into its edge with Eq. 9's
-    /// similarity-discounted weighting — the event engine's counterpart
-    /// of the lockstep stale merge in `fault_step_begin`. The transfer
-    /// was already charged at send time, so only the staleness counter
-    /// moves.
-    fn event_late_blend(
-        &mut self,
-        edge: usize,
-        device: usize,
-        flat: &[f32],
-        probe: &mut StepProbe,
-    ) {
-        probe.start();
-        let norm_sq = dot_slices(flat, flat);
-        let e = &mut self.edges[edge];
-        let u = similarity_utility_cached(flat, norm_sq, e.flat(), e.flat_norm_sq());
-        let (edge_w, stale_w) = aggregation_weights(u);
-        let mut blend = flat.to_vec();
-        for (v, &ew) in blend.iter_mut().zip(e.flat()) {
-            *v = edge_w * ew + stale_w * *v;
-        }
-        middle_nn::params::unflatten(&mut e.model, &blend);
-        e.refresh_flat();
-        self.comm.stale_uploads += 1;
-        probe.stale_merge();
-        self.policy
-            .after_edge_aggregate(edge, std::slice::from_ref(&device));
-        probe.stop(Phase::FaultRecovery);
-    }
-
     /// `EdgeAggregate`: consume the wave's arrived cohort and aggregate
-    /// it into the edge (Eq. 6). A stale wave id (superseded before the
-    /// event popped) is a no-op.
+    /// it into the edge (Eq. 6) — at zero delay (no snapshots) that is
+    /// the lockstep phase-3 call verbatim. A stale wave id (superseded
+    /// before the event popped) is a no-op.
     fn event_edge_aggregate(
         &mut self,
         edge: usize,
@@ -1712,94 +1464,9 @@ impl Simulation {
         probe: &mut StepProbe,
     ) {
         if let Some((cohort, snaps)) = self.timeline.take_ready(edge, wave) {
-            self.event_aggregate_cohort(edge, &cohort, &snaps, mode, probe);
+            self.aggregate_cohort(edge, &cohort, &snaps, mode, probe);
             self.timeline.aggs_since_sync += 1;
         }
-    }
-
-    /// Aggregate one cohort into `edge`. At zero delay (`snapshots` all
-    /// `None`) this is exactly the lockstep phase-3 per-edge arm — live
-    /// device models, mode-dispatched fast / reference / compressed
-    /// aggregation. Async waves FedAvg their send-time snapshots with
-    /// the same `d_m / d` weighting instead.
-    fn event_aggregate_cohort(
-        &mut self,
-        edge: usize,
-        cohort: &[usize],
-        snapshots: &[Option<Vec<f32>>],
-        mode: StepMode,
-        probe: &mut StepProbe,
-    ) {
-        if cohort.is_empty() {
-            return;
-        }
-        if snapshots.iter().any(|s| s.is_some()) {
-            probe.start();
-            let len = self.cloud_flat.flat().len();
-            let total: usize = cohort
-                .iter()
-                .map(|&m| self.population.get(m).num_samples())
-                .sum();
-            let total_f = total as f32;
-            self.agg_scratch.clear();
-            self.agg_scratch.resize(len, 0.0);
-            for (i, &m) in cohort.iter().enumerate() {
-                let w = self.population.get(m).num_samples() as f32 / total_f;
-                let flat: &[f32] = match &snapshots[i] {
-                    Some(s) => s,
-                    None => self.population.get(m).flat(),
-                };
-                for (a, &r) in self.agg_scratch.iter_mut().zip(flat) {
-                    *a += w * r;
-                }
-            }
-            let norm_sq = dot_slices(&self.agg_scratch, &self.agg_scratch);
-            self.edges[edge].load_flat(&self.agg_scratch, norm_sq);
-            self.edges[edge].window_samples += total as f64;
-            self.policy.after_edge_aggregate(edge, cohort);
-            probe.stop(Phase::EdgeAggregation);
-            return;
-        }
-        if self.compression.lossy_active() {
-            probe.start();
-            self.compressed_edge_aggregate_one(edge, cohort, probe);
-            probe.stop(Phase::Compress);
-            return;
-        }
-        probe.start();
-        match mode {
-            StepMode::Fast => {
-                let population = &self.population;
-                let e = &mut self.edges[edge];
-                edge_aggregate_into(
-                    &mut e.model,
-                    cohort.iter().map(|&m| {
-                        let dev = population.get(m);
-                        (&dev.model, dev.num_samples())
-                    }),
-                );
-                e.window_samples += cohort
-                    .iter()
-                    .map(|&m| population.get(m).num_samples())
-                    .sum::<usize>() as f64;
-                e.refresh_flat();
-            }
-            StepMode::Reference => {
-                let models: Vec<&Sequential> = cohort
-                    .iter()
-                    .map(|&m| &self.population.get(m).model)
-                    .collect();
-                let counts: Vec<usize> = cohort
-                    .iter()
-                    .map(|&m| self.population.get(m).num_samples())
-                    .collect();
-                self.edges[edge].model = edge_aggregate(&models, &counts);
-                self.edges[edge].window_samples += counts.iter().sum::<usize>() as f64;
-                self.edges[edge].refresh_flat();
-            }
-        }
-        self.policy.after_edge_aggregate(edge, cohort);
-        probe.stop(Phase::EdgeAggregation);
     }
 
     /// `CloudSync`: timer syncs reschedule themselves every
@@ -2002,8 +1669,9 @@ impl Simulation {
     ///
     /// # Errors
     /// [`SimError::CheckpointMismatch`] when the schema version, config
-    /// digest, population shape or model architecture disagree; the
-    /// simulation is left unmodified in the version/digest/shape cases.
+    /// digest, population shape, plane state or model architecture
+    /// disagree; the simulation is left unmodified in every case but a
+    /// payload that fails to decode (architecture, rng, heap contents).
     pub fn restore(&mut self, ck: &SimCheckpoint) -> Result<(), SimError> {
         let mismatch = |message: String| SimError::CheckpointMismatch { message };
         if ck.schema_version != SIM_CHECKPOINT_SCHEMA_VERSION {
@@ -2035,6 +1703,39 @@ impl Simulation {
         if ck.faults.device_down.len() != self.population.len() {
             return Err(mismatch("fault-plane device count".into()));
         }
+        // Each optional plane's state must be present iff the plane is
+        // active here — checked before the first mutation, so a rejected
+        // checkpoint leaves the simulation untouched.
+        let plane = |active: bool, present: bool, absent: &str, stray: &str| match (active, present)
+        {
+            (true, false) => Err(mismatch(absent.into())),
+            (false, true) => Err(mismatch(stray.into())),
+            _ => Ok(()),
+        };
+        plane(
+            self.compression.lossy_active(),
+            ck.compression.is_some(),
+            "checkpoint lacks compression state but the plane is lossy-active",
+            "checkpoint carries compression state but the plane is inert",
+        )?;
+        plane(
+            self.policy.state().is_some(),
+            ck.algorithm.is_some(),
+            "configured algorithm carries cross-round state but the checkpoint has none",
+            "checkpoint carries algorithm state but the configured algorithm is stateless",
+        )?;
+        plane(
+            self.config.timeline.event_mode(),
+            ck.timeline.is_some(),
+            "checkpoint is from a lockstep run but the simulation is event-driven",
+            "checkpoint is from an event-driven run but the simulation is lockstep",
+        )?;
+        plane(
+            !self.population.is_dense(),
+            ck.population.is_some(),
+            "checkpoint lacks population state but the simulation is lazy-mode",
+            "population checkpoint applied to a dense simulation",
+        )?;
         ck.cloud.restore(&mut self.cloud).map_err(&mismatch)?;
         self.cloud_flat.refresh(&self.cloud);
         for (edge, eck) in self.edges.iter_mut().zip(&ck.edges) {
@@ -2045,11 +1746,6 @@ impl Simulation {
         match &ck.population {
             Some(pck) => self.population.restore(pck).map_err(&mismatch)?,
             None => {
-                if !self.population.is_dense() {
-                    return Err(mismatch(
-                        "checkpoint lacks population state but the simulation is lazy-mode".into(),
-                    ));
-                }
                 for (dev, dck) in self
                     .population
                     .dense_slice_mut()
@@ -2071,59 +1767,22 @@ impl Simulation {
             ck.faults.device_down.clone(),
             ck.faults.pending.clone(),
         );
-        match (self.compression.lossy_active(), &ck.compression) {
-            (true, Some(c)) => self.compression.restore_state(c).map_err(&mismatch)?,
-            (false, None) => {}
-            (true, None) => {
-                return Err(mismatch(
-                    "checkpoint lacks compression state but the plane is lossy-active".into(),
-                ))
-            }
-            (false, Some(_)) => {
-                return Err(mismatch(
-                    "checkpoint carries compression state but the plane is inert".into(),
-                ))
-            }
+        if let Some(c) = &ck.compression {
+            self.compression.restore_state(c).map_err(&mismatch)?;
         }
-        match (&ck.algorithm, self.policy.state().is_some()) {
-            (Some(state), true) => self.policy.restore_state(state).map_err(&mismatch)?,
-            (None, false) => {}
-            (Some(_), false) => {
-                return Err(mismatch(
-                    "checkpoint carries algorithm state but the configured algorithm is stateless"
-                        .into(),
-                ))
-            }
-            (None, true) => {
-                return Err(mismatch(
-                    "configured algorithm carries cross-round state but the checkpoint has none"
-                        .into(),
-                ))
-            }
+        if let Some(state) = &ck.algorithm {
+            self.policy.restore_state(state).map_err(&mismatch)?;
         }
-        match (self.config.timeline.event_mode(), &ck.timeline) {
-            (true, Some(tck)) => {
-                self.timeline = Timeline::restore(tck, self.edges.len(), self.population.len())
-                    .map_err(&mismatch)?;
-                // A timer sync can fire before the first post-restore
-                // step boundary rebuilds the step index; give it the
-                // index of the last executed step so its broadcast mask
-                // sees the same occupancy it did pre-checkpoint.
-                if self.timeline.started && ck.next_step > 0 {
-                    self.index
-                        .build(&self.trace, ck.next_step - 1, self.edges.len());
-                }
-            }
-            (false, None) => {}
-            (true, None) => {
-                return Err(mismatch(
-                    "checkpoint is from a lockstep run but the simulation is event-driven".into(),
-                ))
-            }
-            (false, Some(_)) => {
-                return Err(mismatch(
-                    "checkpoint is from an event-driven run but the simulation is lockstep".into(),
-                ))
+        if let Some(tck) = &ck.timeline {
+            self.timeline = Timeline::restore(tck, self.edges.len(), self.population.len())
+                .map_err(&mismatch)?;
+            // A timer sync can fire before the first post-restore
+            // step boundary rebuilds the step index; give it the
+            // index of the last executed step so its broadcast mask
+            // sees the same occupancy it did pre-checkpoint.
+            if self.timeline.started && ck.next_step > 0 {
+                self.index
+                    .build(&self.trace, ck.next_step - 1, self.edges.len());
             }
         }
         self.comm = ck.comm;
@@ -2356,14 +2015,5 @@ mod tests {
             assert!(!record.points.is_empty());
             assert!(record.points.iter().all(|p| p.global_accuracy.is_finite()));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid SimConfig")]
-    #[allow(deprecated)]
-    fn invalid_config_panics() {
-        let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::middle());
-        cfg.steps = 0;
-        Simulation::new(cfg);
     }
 }

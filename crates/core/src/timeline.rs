@@ -17,7 +17,9 @@
 //!
 //! This module owns the deterministic data structures (event ordering,
 //! the scheduler heap, per-edge wave state, checkpoint forms); the event
-//! *processing* lives in `sim.rs` next to the lockstep phases it mirrors.
+//! *processing* lives in `sim.rs`, where the handlers schedule the same
+//! round bodies (front half, per-cohort aggregation, cloud sync) the
+//! lockstep step calls in a plain loop.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -188,10 +188,16 @@ fn restore_rejects_a_stateless_checkpoint_into_a_stateful_algorithm() {
     let mut ck = sim.checkpoint();
     ck.algorithm = None; // what a pre-policy-API writer would have produced
     let mut fresh = built(cfg);
+    let before = fresh.checkpoint().to_json();
     let err = fresh
         .restore(&ck)
         .expect_err("missing state must be rejected");
     assert!(err.to_string().contains("checkpoint has none"), "{err}");
+    assert_eq!(
+        fresh.checkpoint().to_json(),
+        before,
+        "a rejected restore must leave the target untouched"
+    );
 }
 
 #[test]
@@ -206,8 +212,14 @@ fn restore_rejects_foreign_algorithm_state_into_a_stateless_algorithm() {
         clusters: Vec::new(),
     });
     let mut fresh = built(cfg);
+    let before = fresh.checkpoint().to_json();
     let err = fresh
         .restore(&ck)
         .expect_err("foreign state must be rejected");
     assert!(err.to_string().contains("stateless"), "{err}");
+    assert_eq!(
+        fresh.checkpoint().to_json(),
+        before,
+        "a rejected restore must leave the target untouched"
+    );
 }

@@ -2,8 +2,8 @@
 //! (retry accounting, deadline exclusion + stale merges, empty-cohort
 //! degradation, WAN outages) on seeded scenarios, plus the two
 //! bitwise-identity properties the plane must preserve — all-zero fault
-//! rates reproduce the fault-free trace, and `step` / `step_reference`
-//! stay interchangeable with faults enabled.
+//! rates reproduce the fault-free trace, and `StepMode::Fast` /
+//! `StepMode::Reference` stay interchangeable with faults enabled.
 
 use middle_core::{
     Algorithm, DelayModel, DropoutModel, FaultConfig, SimConfig, Simulation, SimulationBuilder,

@@ -189,9 +189,10 @@ fn freshly_synced_device_scores_exact_zero_on_both_paths() {
     assert!(cosine_similarity_slices(&cloud, &cloud) > 0.99);
 }
 
-/// The end-to-end gate: 20 steps of the zero-copy `step` produce exactly
-/// the same simulation state and evaluation curve as 20 steps of the
-/// clone-based `step_reference`, for the full MIDDLE algorithm across
+/// The end-to-end gate: 20 steps of the zero-copy `StepMode::Fast`
+/// produce exactly the same simulation state and evaluation curve as 20
+/// steps of the clone-based `StepMode::Reference`, for the full MIDDLE
+/// algorithm across
 /// train → edge-aggregate → cloud-sync boundaries (`cloud_interval = 4`
 /// exercises five sync/broadcast cycles and the cache invalidation in
 /// between).
@@ -504,8 +505,8 @@ fn lossless_compression_run_is_bitwise_identical_to_off() {
 }
 
 /// Lossy compression consumes its RNG stream and rewrites every uplink
-/// identically on both step implementations (shared
-/// `compressed_edge_pass` / `compressed_cloud_sync` helpers), so a
+/// identically in both step modes (the lossy arms of `aggregate_cohort`
+/// and `compressed_cloud_sync` sit outside the mode dispatch), so a
 /// quantized + sparsified run must stay bitwise identical step for
 /// step.
 #[test]

@@ -2,14 +2,14 @@
 //! simulation (stubs + version table + streaming trace) must reproduce
 //! the dense simulation bit for bit — every evaluation point, the full
 //! communication ledger, and the effective parameters of every device,
-//! under every fault model and with compression on — while keeping the
-//! number of resident replicas bounded by the active set, not the
-//! population.
+//! under every fault model, with compression on and under the event
+//! engine with real in-flight latencies — while keeping the number of
+//! resident replicas bounded by the active set, not the population.
 
 use middle_core::checkpoint::DeviceSlotCheckpoint;
 use middle_core::{
-    Algorithm, DelayModel, DeviceRef, DropoutModel, PopulationMode, RunRecord, SimConfig,
-    Simulation, SimulationBuilder, StepMode,
+    Algorithm, DelayModel, DeviceRef, DropoutModel, ExecutionMode, LatencyModel, PopulationMode,
+    RunRecord, SimCheckpoint, SimConfig, Simulation, SimulationBuilder, StepMode,
 };
 use middle_data::Task;
 use middle_nn::params::flatten;
@@ -47,15 +47,22 @@ fn effective_device_bits(sim: &Simulation, m: usize) -> Vec<u32> {
     }
 }
 
+/// The bits of every model in the system: cloud, edges, then each
+/// device's effective parameters.
+fn model_bits(sim: &Simulation) -> Vec<Vec<u32>> {
+    let mut models = vec![bits(&flatten(sim.cloud_model()))];
+    models.extend(sim.edges().iter().map(|e| bits(&flatten(&e.model))));
+    models.extend((0..sim.population().len()).map(|m| effective_device_bits(sim, m)));
+    models
+}
+
 /// Runs `cfg` to completion and fingerprints everything the plane must
 /// preserve: the run record's points/ledger/counters plus the bits of
 /// every model in the system.
 fn fingerprint(cfg: &SimConfig, mode: StepMode) -> (RunRecord, Vec<Vec<u32>>) {
     let mut sim = built(cfg.clone());
     let record = sim.run_with(mode);
-    let mut models = vec![bits(&flatten(sim.cloud_model()))];
-    models.extend(sim.edges().iter().map(|e| bits(&flatten(&e.model))));
-    models.extend((0..cfg.num_devices).map(|m| effective_device_bits(&sim, m)));
+    let models = model_bits(&sim);
     (record, models)
 }
 
@@ -63,6 +70,7 @@ fn assert_modes_equivalent(cfg: SimConfig, mode: StepMode) {
     let (dense_record, dense_models) = fingerprint(&cfg, mode);
     let (lazy_record, lazy_models) = fingerprint(&lazy(cfg), mode);
     assert_records_equal(&dense_record, &lazy_record);
+    assert_eq!(dense_record.event_seconds, lazy_record.event_seconds);
     assert_eq!(dense_models, lazy_models);
 }
 
@@ -125,6 +133,78 @@ fn lazy_matches_dense_with_compression() {
     cfg.compression.quantize_bits = 8;
     cfg.compression.top_frac = 0.5;
     assert_modes_equivalent(cfg, StepMode::Fast);
+}
+
+/// The event engine with real latencies: exponential stragglers ride
+/// the heap as in-flight uploads (20 % of them lost and retried), and
+/// with a sync every other round a cloud broadcast lands while uploads
+/// are still in flight — in lazy mode it demotes their senders to
+/// stubs, so nothing downstream of the send may read the replica.
+fn async_config() -> SimConfig {
+    let mut cfg = base_config();
+    cfg.cloud_interval = 2;
+    cfg.faults.straggler_delay = DelayModel::Exponential { mean_s: 1.0 };
+    cfg.faults.upload_loss = 0.2;
+    cfg.faults.upload_retries = 2;
+    cfg.timeline.mode = ExecutionMode::EventDriven;
+    cfg.timeline.latency = LatencyModel::Faults;
+    cfg
+}
+
+/// Whether some device's upload is in flight while the device itself is
+/// a stub — a broadcast demoted the sender after it sent.
+fn has_demoted_sender_in_flight(sim: &Simulation) -> bool {
+    let ck = sim.checkpoint();
+    let tck = ck.timeline.as_ref().expect("event-driven checkpoint");
+    tck.in_flight.iter().enumerate().any(|(m, snapshot)| {
+        snapshot.is_some() && matches!(sim.population().view(m), DeviceRef::Stub(_))
+    })
+}
+
+/// Lazy == dense bitwise under the event engine with real latencies,
+/// plain and through the lossy compression plane (whose in-flight
+/// payloads are send-time reconstructions). That the hostile regime
+/// actually occurs on this config is asserted by the checkpoint test
+/// below, which cuts the run at its first occurrence.
+#[test]
+fn lazy_matches_dense_event_driven_with_real_latencies() {
+    assert_modes_equivalent(async_config(), StepMode::Fast);
+    assert_modes_equivalent(async_config(), StepMode::Reference);
+    let mut lossy = async_config();
+    lossy.compression.enabled = true;
+    lossy.compression.quantize_bits = 8;
+    lossy.compression.top_frac = 0.5;
+    assert_modes_equivalent(lossy, StepMode::Fast);
+}
+
+/// Kill the lazy async run at a tick where a demoted sender's upload is
+/// still in flight, round-trip the checkpoint through JSON, and the
+/// resumed run must finish bitwise-identical to the uninterrupted one.
+#[test]
+fn lazy_async_checkpoint_resumes_bitwise_mid_heap() {
+    let cfg = lazy(async_config());
+    let mut straight = built(cfg.clone());
+    let reference = straight.run();
+
+    let mut first = built(cfg.clone());
+    while !has_demoted_sender_in_flight(&first) {
+        assert!(
+            !first.is_finished(),
+            "no broadcast ever demoted an in-flight sender"
+        );
+        first.tick(StepMode::Fast);
+    }
+    let json = first.checkpoint().to_json();
+    drop(first);
+
+    let ck = SimCheckpoint::from_json(&json).expect("round trip");
+    let mut second = built(cfg);
+    second.restore(&ck).expect("restore");
+    let resumed = second.run();
+
+    assert_records_equal(&reference, &resumed);
+    assert_eq!(reference.event_seconds, resumed.event_seconds);
+    assert_eq!(model_bits(&straight), model_bits(&second));
 }
 
 /// A mid-run lazy checkpoint (live stubs, multiple live versions,

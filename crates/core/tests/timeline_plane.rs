@@ -2,7 +2,7 @@
 //! zero-delay corner the event engine must reproduce the lockstep
 //! scheduler bit for bit — identical run record, identical
 //! cloud/edge/device parameters — across every fault regime and in
-//! both step implementations. Lockstep is the oracle; the event engine
+//! both step modes. Lockstep is the oracle; the event engine
 //! earns its asynchrony by collapsing onto it exactly when every
 //! latency is zero. On top of the differential matrix: heap ordering
 //! properties (pop order is insertion-invariant, so any event-arrival
@@ -359,23 +359,37 @@ fn restore_rejects_execution_mode_mismatch_both_ways() {
     // Event-driven restore, checkpoint stripped of its timeline.
     let mut stripped = event_ck.clone();
     stripped.timeline = None;
-    let err = built(event_cfg)
+    let mut target = built(event_cfg);
+    let before = target.checkpoint().to_json();
+    let err = target
         .restore(&stripped)
         .expect_err("a timeline-less checkpoint must not restore into an event-driven run");
     assert!(
         err.to_string().contains("lockstep"),
         "unexpected error: {err}"
     );
+    assert_eq!(
+        target.checkpoint().to_json(),
+        before,
+        "a rejected restore must leave the target untouched"
+    );
 
     // Lockstep restore, checkpoint carrying a grafted timeline.
     let mut grafted = lock_ck.clone();
     grafted.timeline = event_ck.timeline.clone();
-    let err = built(lock_cfg)
+    let mut target = built(lock_cfg);
+    let before = target.checkpoint().to_json();
+    let err = target
         .restore(&grafted)
         .expect_err("a pending-event heap must not restore into a lockstep run");
     assert!(
         err.to_string().contains("event-driven"),
         "unexpected error: {err}"
+    );
+    assert_eq!(
+        target.checkpoint().to_json(),
+        before,
+        "a rejected restore must leave the target untouched"
     );
 }
 

@@ -69,7 +69,8 @@ if [[ "$CI" -eq 1 ]]; then
     # One CPU is the pool's no-worker path: every FNV pin must hold
     # there exactly as it just did on all cores.
     echo "==> FNV pins on one thread (taskset -c 0)"
-    taskset -c 0 cargo test -q -p middle-core --test hotpath_equiv --test population_plane
+    taskset -c 0 cargo test -q -p middle-core --test hotpath_equiv --test population_plane \
+        --test timeline_plane --test algo_zoo
 
     echo "==> cargo doc --workspace --no-deps (warnings denied)"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
