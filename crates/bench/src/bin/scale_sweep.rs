@@ -10,9 +10,13 @@
 //! memory baseline the lazy plane is measured against.
 //!
 //! ```sh
-//! cargo run -p middle-bench --release --bin scale_sweep            # full, writes BENCH_scale.json
-//! cargo run -p middle-bench --release --bin scale_sweep -- --smoke # 1k/5k only, CI-sized
+//! cargo run -p middle-bench --release --bin scale_sweep   # writes BENCH_scale.json
 //! ```
+//!
+//! This is the one host-time instrument outside `perf`: it stays until
+//! `perf` has a 1M-device workload (ROADMAP item 3(b) reads these
+//! numbers). Dense ≡ lazy and the `peak_resident` bound at CI size are
+//! held by `crates/core/tests/population_plane.rs`.
 //!
 //! Dropout faults are deliberately absent here: the fault plane's
 //! dropout chain advances per device per step (O(N)) and would dominate
@@ -215,40 +219,23 @@ fn main() {
         run_one(devices, edges, mode);
         return;
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    // Smoke keeps CI fast and still crosses a dense/lazy pair; the full
-    // sweep adds the 100k and 1M lazy points (dense at those scales is
-    // exactly the O(N) residency the plane removes).
-    let grid: Vec<(usize, usize, PopulationMode)> = if smoke {
-        vec![
-            (1_000, 10, PopulationMode::Dense),
-            (1_000, 10, PopulationMode::Lazy),
-            (5_000, 20, PopulationMode::Lazy),
-        ]
-    } else {
-        vec![
-            (10_000, 100, PopulationMode::Dense),
-            (10_000, 100, PopulationMode::Lazy),
-            (100_000, 100, PopulationMode::Lazy),
-            (1_000_000, 100, PopulationMode::Lazy),
-        ]
-    };
-    let mut rows: Vec<String> = grid
-        .into_iter()
-        .filter_map(|(n, e, mode)| spawn_one(n, e, mode))
-        .collect();
-    if !smoke {
-        eprintln!("[scale_sweep] verifying 10k dense == lazy records bitwise ...");
-        let ok = verify_dense_lazy_10k();
-        rows.push(format!("{{\"dense_lazy_10k_records_bitwise\":{ok}}}"));
-        assert!(ok, "10k dense and lazy runs must produce identical records");
-    }
+    // Dense only at 10k: at the larger scales it is exactly the O(N)
+    // residency the lazy plane removes.
+    let mut rows: Vec<String> = [
+        (10_000, 100, PopulationMode::Dense),
+        (10_000, 100, PopulationMode::Lazy),
+        (100_000, 100, PopulationMode::Lazy),
+        (1_000_000, 100, PopulationMode::Lazy),
+    ]
+    .into_iter()
+    .filter_map(|(n, e, mode)| spawn_one(n, e, mode))
+    .collect();
+    eprintln!("[scale_sweep] verifying 10k dense == lazy records bitwise ...");
+    let ok = verify_dense_lazy_10k();
+    rows.push(format!("{{\"dense_lazy_10k_records_bitwise\":{ok}}}"));
+    assert!(ok, "10k dense and lazy runs must produce identical records");
     let json = format!("[\n  {}\n]\n", rows.join(",\n  "));
-    let path = if smoke {
-        "BENCH_scale_smoke.json"
-    } else {
-        "BENCH_scale.json"
-    };
+    let path = "BENCH_scale.json";
     match std::fs::write(path, &json) {
         Ok(()) => eprintln!("[scale_sweep] wrote {path}"),
         Err(e) => {

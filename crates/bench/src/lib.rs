@@ -1,14 +1,17 @@
 //! # middle-bench
 //!
-//! Benchmark harness regenerating every table and figure of the MIDDLE
+//! Experiment harness regenerating every table and figure of the MIDDLE
 //! paper (see DESIGN.md §4 for the experiment index). Each figure has a
 //! binary (`fig1_motivation`, …, `theorem1_bound`) that prints the
 //! figure's series as aligned text plus CSV, and writes the CSV under
-//! `results/`.
+//! `results/`. The `sweeps` binary holds the four scientific sweep
+//! presets behind the committed `BENCH_*.json` (DESIGN.md §17); host
+//! time is measured by `perf/`, not here.
 //!
-//! Scale control: the binaries read the `MIDDLE_SCALE` environment
-//! variable (default `1.0`); values below 1 shrink step counts for smoke
-//! runs (e.g. `MIDDLE_SCALE=0.1` in CI), values above stretch them.
+//! Scale control: the figure binaries read the `MIDDLE_SCALE`
+//! environment variable (default `1.0`); values below 1 shrink step
+//! counts for smoke runs (e.g. `MIDDLE_SCALE=0.1`), values above stretch
+//! them. `sweeps` has one size and ignores it.
 //!
 //! Telemetry: the switches are [`SimulationBuilder::telemetry`] and
 //! [`SimulationBuilder::telemetry_jsonl`] (or the corresponding

@@ -10,8 +10,8 @@
 use serde::{Deserialize, Serialize};
 
 /// Reference seconds for one model transfer on a device↔edge wireless
-/// link, shared by the examples and the `fault_sweep` bench so the two
-/// wall-clock models cannot drift.
+/// link, shared by the examples and `middle-bench`'s `sweeps` presets
+/// so the two wall-clock models cannot drift.
 pub const WIRELESS_SECS_PER_TRANSFER: f64 = 1.0;
 
 /// Reference seconds for one model transfer on the edge↔cloud WAN.

@@ -28,10 +28,11 @@
 //!
 //! Results aggregate into a versioned, serde-serialisable
 //! [`SweepReport`]: one [`ScenarioRecord`] per scenario plus cross-seed
-//! mean/std/95%-CI [`AggregatePoint`]s per grid cell. The
-//! `crates/bench/src/bin/sweep.rs` bin emits it as `BENCH_sweep.json`
-//! together with the measured caching + sharding speedup over serial
-//! cold runs.
+//! mean/std/95%-CI [`AggregatePoint`]s per grid cell. The committed
+//! `BENCH_{faults,algos,compress,async}.json` are the
+//! [`SweepReport::deterministic_json`] of `middle-bench`'s
+//! `sweeps <preset>` grids; what caching and sharding cost and save is
+//! `perf`'s `sweep_grid` workload.
 //!
 //! # Multi-process fleets (`middle-sweepd`)
 //!
@@ -61,9 +62,9 @@ use crate::config::{MobilitySource, SimConfig};
 use crate::faults::FaultConfig;
 use crate::metrics::RunRecord;
 use crate::sim::StepMode;
-use crate::timeline::TimelineConfig;
+use crate::timeline::{ExecutionMode, TimelineConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -213,8 +214,11 @@ impl ScenarioGrid {
     /// Sweeps execution-mode settings ([`TimelineConfig`] — lockstep vs
     /// event-driven, latency model, thresholds, timers). An unset axis
     /// inherits the base config's timeline and leaves scenario labels
-    /// unchanged; swept scenarios gain an `-xevent` / `-xlock` label
-    /// segment.
+    /// unchanged; swept scenarios gain an `-xlock` / `-xevent` label
+    /// segment, the latter suffixed `-k<edge_threshold>` and
+    /// `-t<cloud_timer>` when those are set (`-xevent-k2-t10`). Entries
+    /// that differ only in a field the label does not carry (latency
+    /// model, step duration) collide and fail expansion.
     pub fn with_execution_modes(mut self, modes: impl Into<Vec<TimelineConfig>>) -> Self {
         self.execution = modes.into();
         self
@@ -227,8 +231,10 @@ impl ScenarioGrid {
     ///
     /// # Errors
     /// [`SimError::InvalidConfig`] when the mobility axis is set on a
-    /// base without a `P` knob, or when any derived config fails
-    /// [`SimConfig::validate`].
+    /// base without a `P` knob, when any derived config fails
+    /// [`SimConfig::validate`], or when two scenarios share a label
+    /// (an axis lists a value twice, or two presets share a name) —
+    /// the cross-seed aggregation would pool them as seeds of one cell.
     pub fn scenarios(&self) -> Result<Vec<Scenario>, SimError> {
         if !self.mobility_ps.is_empty()
             && !matches!(
@@ -338,8 +344,7 @@ impl ScenarioGrid {
                                         let a = algo
                                             .map(|a| format!("-a{}", a.name.to_lowercase()))
                                             .unwrap_or_default();
-                                        let execution =
-                                            exec.map(|e| execution_label(e).to_string());
+                                        let execution = exec.map(execution_label);
                                         let x = execution
                                             .as_ref()
                                             .map(|x| format!("-x{x}"))
@@ -384,6 +389,18 @@ impl ScenarioGrid {
                 }
             }
         }
+        let mut seen = HashSet::with_capacity(out.len());
+        for s in &out {
+            if !seen.insert(s.label.as_str()) {
+                return Err(SimError::InvalidConfig {
+                    message: format!(
+                        "scenario {}: label appears twice (an axis lists one value or \
+                         preset name more than once)",
+                        s.label
+                    ),
+                });
+            }
+        }
         Ok(out)
     }
 
@@ -398,12 +415,20 @@ impl ScenarioGrid {
     }
 }
 
-/// Label segment for a swept execution mode (`-x<label>`).
-fn execution_label(t: &TimelineConfig) -> &'static str {
-    match t.mode {
-        crate::timeline::ExecutionMode::Lockstep => "lock",
-        crate::timeline::ExecutionMode::EventDriven => "event",
-    }
+/// Label segment for a swept execution mode (`-x<label>`), derived from
+/// the config: `lock` / `event`, plus `-k<edge_threshold>` and
+/// `-t<cloud_timer>` for the event variants that set them.
+fn execution_label(t: &TimelineConfig) -> String {
+    let mode = match t.mode {
+        ExecutionMode::Lockstep => "lock",
+        ExecutionMode::EventDriven => "event",
+    };
+    let k = t
+        .edge_threshold
+        .map(|k| format!("-k{k}"))
+        .unwrap_or_default();
+    let timer = t.cloud_timer.map(|s| format!("-t{s}")).unwrap_or_default();
+    format!("{mode}{k}{timer}")
 }
 
 fn scenarios_digest(scenarios: &[Scenario]) -> u64 {
@@ -1669,6 +1694,37 @@ mod tests {
         SimConfig::tiny(Task::Mnist, Algorithm::middle())
     }
 
+    /// A record of the `k2-tc4-base` cell with no optional axis swept
+    /// and an empty run; tests override the fields they exercise.
+    fn bare_record(label: &str, seed: u64) -> ScenarioRecord {
+        ScenarioRecord {
+            index: 0,
+            label: label.to_string(),
+            p: None,
+            k: 2,
+            sync_period: 4,
+            seed,
+            preset: "base".to_string(),
+            compression: None,
+            algorithm: None,
+            execution: None,
+            record: RunRecord {
+                schema_version: RUN_RECORD_SCHEMA_VERSION,
+                algorithm: "MIDDLE".to_string(),
+                task: "mnist".to_string(),
+                points: Vec::new(),
+                empirical_mobility: 0.5,
+                wall_seconds: 0.0,
+                comm: CommStats::default(),
+                syncs: 0,
+                active_steps: 0,
+                param_count: 0,
+                telemetry: None,
+                event_seconds: None,
+            },
+        }
+    }
+
     #[test]
     fn empty_axes_expand_to_the_base_scenario() {
         let grid = ScenarioGrid::new(tiny());
@@ -1759,45 +1815,90 @@ mod tests {
 
     #[test]
     fn algorithm_cells_aggregate_separately() {
-        let mk = |algo: Option<&str>, seed: u64| ScenarioRecord {
-            index: 0,
-            label: match algo {
-                Some(a) => format!("k2-tc4-base-a{}-s{seed}", a.to_lowercase()),
-                None => format!("k2-tc4-base-s{seed}"),
-            },
-            p: None,
-            k: 2,
-            sync_period: 4,
-            seed,
-            preset: "base".to_string(),
-            compression: None,
-            algorithm: algo.map(str::to_string),
-            execution: None,
-            record: RunRecord {
-                schema_version: RUN_RECORD_SCHEMA_VERSION,
-                algorithm: algo.unwrap_or("MIDDLE").to_string(),
-                task: "mnist".to_string(),
-                points: Vec::new(),
-                empirical_mobility: 0.5,
-                wall_seconds: 0.0,
-                comm: CommStats::default(),
-                syncs: 0,
-                active_steps: 0,
-                param_count: 0,
-                telemetry: None,
-                event_seconds: None,
-            },
+        let mk = |algo: &str, seed: u64| ScenarioRecord {
+            algorithm: Some(algo.to_string()),
+            ..bare_record(
+                &format!("k2-tc4-base-a{}-s{seed}", algo.to_lowercase()),
+                seed,
+            )
         };
-        let records = vec![
-            mk(Some("MIDDLE"), 7),
-            mk(Some("MIDDLE"), 8),
-            mk(Some("FedFly"), 7),
-        ];
+        let records = vec![mk("MIDDLE", 7), mk("MIDDLE", 8), mk("FedFly", 7)];
         let aggs = aggregate(&records);
         assert_eq!(aggs.len(), 2);
         assert_eq!(aggs[0].label, "k2-tc4-base-amiddle");
         assert_eq!(aggs[0].seeds, 2);
         assert_eq!(aggs[1].algorithm.as_deref(), Some("FedFly"));
+    }
+
+    #[test]
+    fn execution_labels_derive_from_the_config() {
+        let event = TimelineConfig::event_driven_zero_delay();
+        let variant = |edge_threshold, cloud_timer| TimelineConfig {
+            edge_threshold,
+            cloud_timer,
+            ..event
+        };
+        let grid = ScenarioGrid::new(tiny()).with_execution_modes([
+            TimelineConfig::default(),
+            event,
+            variant(Some(2), None),
+            variant(None, Some(10.0)),
+            variant(Some(2), Some(10.0)),
+        ]);
+        let scenarios = grid.scenarios().unwrap();
+        let labels: Vec<&str> = scenarios.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                // The two default configs keep their pre-derivation labels.
+                "k2-tc4-base-xlock-s7",
+                "k2-tc4-base-xevent-s7",
+                "k2-tc4-base-xevent-k2-s7",
+                "k2-tc4-base-xevent-t10-s7",
+                "k2-tc4-base-xevent-k2-t10-s7",
+            ]
+        );
+        assert_eq!(scenarios[2].execution.as_deref(), Some("event-k2"));
+        assert_eq!(scenarios[2].config.timeline.edge_threshold, Some(2));
+
+        // Two event variants are two aggregate cells, not two seeds of one.
+        let records: Vec<ScenarioRecord> = scenarios[1..3]
+            .iter()
+            .map(|s| ScenarioRecord {
+                execution: s.execution.clone(),
+                ..bare_record(&s.label, s.seed)
+            })
+            .collect();
+        let aggs = aggregate(&records);
+        assert_eq!(aggs.len(), 2);
+        assert_eq!(aggs[0].label, "k2-tc4-base-xevent");
+        assert_eq!(aggs[1].label, "k2-tc4-base-xevent-k2");
+    }
+
+    #[test]
+    fn duplicate_labels_fail_expansion_on_every_axis() {
+        let dup = |grid: ScenarioGrid| {
+            let err = grid.scenarios().unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+            assert!(err.to_string().contains("label appears twice"), "{err}");
+        };
+        dup(ScenarioGrid::new(tiny()).with_seeds([7u64, 7]));
+        dup(ScenarioGrid::new(tiny()).with_selection_sizes([2usize, 2]));
+        dup(ScenarioGrid::new(tiny())
+            .with_fault_presets([FaultPreset::clean(), FaultPreset::clean()]));
+        dup(ScenarioGrid::new(tiny())
+            .with_compression_presets([CompressionPreset::dense(), CompressionPreset::dense()]));
+        dup(ScenarioGrid::new(tiny()).with_algorithms([Algorithm::middle(), Algorithm::middle()]));
+        // Event configs that differ only in a field the label does not
+        // carry are one label, hence rejected rather than pooled.
+        let event = TimelineConfig::event_driven_zero_delay();
+        dup(ScenarioGrid::new(tiny()).with_execution_modes([
+            event,
+            TimelineConfig {
+                step_duration: 2.0,
+                ..event
+            },
+        ]));
     }
 
     #[test]
@@ -1865,32 +1966,7 @@ mod tests {
         // Those fields are skipped on serialize, so deserialize must
         // default them — a ledger written by one worker has to parse in
         // every other process of the fleet.
-        let record = ScenarioRecord {
-            index: 0,
-            label: "k2-tc4-base-s7".to_string(),
-            p: None,
-            k: 2,
-            sync_period: 4,
-            seed: 7,
-            preset: "base".to_string(),
-            compression: None,
-            algorithm: None,
-            execution: None,
-            record: RunRecord {
-                schema_version: RUN_RECORD_SCHEMA_VERSION,
-                algorithm: "MIDDLE".to_string(),
-                task: "speech".to_string(),
-                points: Vec::new(),
-                empirical_mobility: 0.5,
-                wall_seconds: 0.0,
-                comm: CommStats::default(),
-                syncs: 1,
-                active_steps: 4,
-                param_count: 10,
-                telemetry: None,
-                event_seconds: None,
-            },
-        };
+        let record = bare_record("k2-tc4-base-s7", 7);
         let state = SweepState {
             schema_version: SWEEP_REPORT_SCHEMA_VERSION,
             grid_digest: 42,
@@ -1919,38 +1995,18 @@ mod tests {
 
     #[test]
     fn aggregates_group_across_seeds_only() {
-        let mk = |k: usize, seed: u64, acc: f32| ScenarioRecord {
-            index: 0,
-            label: format!("k{k}-tc4-base-s{seed}"),
-            p: None,
-            k,
-            sync_period: 4,
-            seed,
-            preset: "base".to_string(),
-            compression: None,
-            algorithm: None,
-            execution: None,
-            record: RunRecord {
-                schema_version: crate::metrics::RUN_RECORD_SCHEMA_VERSION,
-                algorithm: "MIDDLE".to_string(),
-                task: "mnist".to_string(),
-                points: vec![crate::metrics::EvalPoint {
-                    step: 1,
-                    global_accuracy: acc,
-                    global_loss: 0.0,
-                    edge_accuracy: Vec::new(),
-                    global_per_class: Vec::new(),
-                    edge0_per_class: Vec::new(),
-                }],
-                empirical_mobility: 0.5,
-                wall_seconds: 1.0,
-                comm: Default::default(),
-                syncs: 0,
-                active_steps: 0,
-                param_count: 0,
-                telemetry: None,
-                event_seconds: None,
-            },
+        let mk = |k: usize, seed: u64, acc: f32| {
+            let mut r = bare_record(&format!("k{k}-tc4-base-s{seed}"), seed);
+            r.k = k;
+            r.record.points.push(crate::metrics::EvalPoint {
+                step: 1,
+                global_accuracy: acc,
+                global_loss: 0.0,
+                edge_accuracy: Vec::new(),
+                global_per_class: Vec::new(),
+                edge0_per_class: Vec::new(),
+            });
+            r
         };
         let records = vec![mk(2, 7, 0.4), mk(2, 8, 0.6), mk(3, 7, 0.8)];
         let aggs = aggregate(&records);

@@ -24,8 +24,9 @@
 //! checks one boolean and returns. When enabled, all state lives in
 //! fixed-size arrays owned by the [`Telemetry`] value; the only
 //! allocation is the buffered JSONL sink, and only when a sink path is
-//! configured. `scripts/check.sh` gates the disabled-path step median
-//! against the recorded `BENCH_hotpath.json` baseline (±5%).
+//! configured. `tests/telemetry_plane.rs` holds both halves of the
+//! contract (disabled is a no-op, enabled is bitwise non-perturbing);
+//! what the enabled recorder costs is `perf`'s `telemetry.overhead_frac`.
 
 use crate::config::SimConfig;
 use crate::timeline::{EventKind, EVENT_KIND_COUNT, EVENT_KIND_LABELS};

@@ -33,7 +33,7 @@ fn zoo_config(algorithm: Algorithm, faults: FaultConfig) -> SimConfig {
 
 /// Everything-on regime: sticky Markov dropout, exponential stragglers
 /// against a deadline, lossy uploads with retry, WAN outages — the same
-/// shape as `algos_sweep`'s hostile cell.
+/// shape as the `sweeps algos` preset's hostile regime.
 fn hostile() -> FaultConfig {
     FaultConfig {
         dropout: DropoutModel::Markov {

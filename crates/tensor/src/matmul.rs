@@ -310,8 +310,7 @@ simd_dispatch!(
 );
 
 /// The pre-blocking `matmul_into` kernel, kept verbatim as the bitwise
-/// oracle for the blocked kernel (see the proptest battery and the
-/// `train_kernels` bench).
+/// oracle for the blocked kernel (see the proptest battery).
 pub fn matmul_into_reference(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "lhs buffer size");
     assert_eq!(b.len(), k * n, "rhs buffer size");

@@ -2,10 +2,12 @@
 # Repo gate: formatting, lints, and the tier-1 build + test suite.
 #
 #   scripts/check.sh           # everything
-#   scripts/check.sh --fast    # skip the release build and perf gates
-#   scripts/check.sh --ci      # everything + example builds, doc lints,
-#                              # bench smoke runs, fleet smoke, bench
-#                              # regression gate
+#   scripts/check.sh --fast    # skip the release build
+#   scripts/check.sh --ci      # everything + example builds, shim tests,
+#                              # one-thread FNV pins, doc lints, the
+#                              # benchmark's own suite, the scientific
+#                              # sweeps (regenerated and byte-compared)
+#                              # and the fleet smoke
 #
 # Flags combine (e.g. `--fast --ci` runs the CI extras without the
 # release build); unknown flags are rejected. Run from anywhere; the
@@ -16,9 +18,10 @@ cd "$(dirname "$0")/.."
 
 usage() {
     echo "usage: scripts/check.sh [--fast] [--ci]" >&2
-    echo "  --fast  skip the release build and perf gates" >&2
-    echo "  --ci    add example builds, doc lints, bench smoke runs," >&2
-    echo "          the fleet smoke and the bench regression gate" >&2
+    echo "  --fast  skip the release build" >&2
+    echo "  --ci    add example builds, shim tests, one-thread FNV pins," >&2
+    echo "          doc lints, the perf suite, the sweep artefact gate and" >&2
+    echo "          the fleet smoke" >&2
 }
 
 FAST=0
@@ -76,38 +79,24 @@ if [[ "$CI" -eq 1 ]]; then
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 fi
 
-if [[ "$FAST" -eq 0 ]]; then
-    echo "==> telemetry overhead gate (disabled recorder must stay a no-op)"
-    cargo run -q -p middle-bench --release --bin telemetry_overhead
-fi
-
 if [[ "$CI" -eq 1 ]]; then
-    echo "==> sweep engine smoke run (4 scenarios, writes BENCH_sweep.json)"
-    cargo run -q -p middle-bench --release --bin sweep -- --smoke
+    # perf/ is a package of its own: neither --workspace nor the root
+    # clippy reaches it.
+    echo "==> cargo test --manifest-path perf/Cargo.toml (the benchmark's own suite)"
+    cargo test -q --manifest-path perf/Cargo.toml
 
-    echo "==> compression smoke run (lossless identity + 4x uplink gate, writes BENCH_compress.json)"
-    cargo run -q -p middle-bench --release --bin compress_sweep -- --smoke
-
-    echo "==> train-kernel smoke run (speedup regression gate, writes BENCH_train.json)"
-    cargo run -q -p middle-bench --release --bin train_kernels -- --smoke
-
-    echo "==> population-scale smoke run (dense/lazy pair, writes BENCH_scale_smoke.json)"
-    cargo run -q -p middle-bench --release --bin scale_sweep -- --smoke
-
-    echo "==> algorithm-zoo smoke run (zoo x {clean,hostile}, writes BENCH_algos.json)"
-    cargo run -q -p middle-bench --release --bin algos_sweep -- --smoke
-
-    # Unlike the other bench baselines, the committed BENCH_async.json
-    # is a *full* run (the dominance gate needs the real horizon), so
-    # the smoke run writes to target/ instead of overwriting it.
-    echo "==> async-timeline smoke run (lockstep vs event-driven Pareto, writes target/BENCH_async_smoke.json)"
-    cargo run -q -p middle-bench --release --bin async_sweep -- target/BENCH_async_smoke.json --smoke
+    # Every scientific result is a pure function of its config, so the
+    # gate is exact: each preset asserts its claims (lossless == off and
+    # a >= 4x uplink cut, async dominance under hostile stragglers, every
+    # zoo cell present), then any byte of drift in an artefact fails.
+    echo "==> scientific sweeps (faults, algos, compress, async): regenerate and byte-compare"
+    for preset in faults algos compress async; do
+        cargo run -q -p middle-bench --release --bin sweeps -- "$preset"
+    done
+    git diff --exit-code -- BENCH_faults.json BENCH_algos.json BENCH_compress.json BENCH_async.json
 
     echo "==> fleet smoke (3 workers, SIGKILL one, bitwise merge vs serial)"
     scripts/fleet_smoke.sh
-
-    echo "==> bench regression gate (fresh smoke runs vs committed baselines)"
-    scripts/bench_compare.sh
 fi
 
 echo "All checks passed."
