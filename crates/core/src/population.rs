@@ -34,7 +34,7 @@ use crate::checkpoint::{
 use crate::device::Device;
 use crate::selection::update_similarity_flat;
 use middle_nn::params::FlatView;
-use middle_nn::serialize::Checkpoint;
+use middle_nn::serialize::{Checkpoint, Packed};
 use rand::rngs::StdRng;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -241,7 +241,7 @@ impl LazyPopulation {
                 .live_versions()
                 .map(|(id, s)| VersionCheckpoint {
                     id,
-                    flat: s.flat.clone(),
+                    flat: Packed(s.flat.clone()),
                     norm_sq: s.norm_sq,
                 })
                 .collect(),
@@ -297,7 +297,7 @@ impl LazyPopulation {
             .collect();
         for v in &ck.versions {
             let slot = &mut versions[v.id as usize];
-            slot.flat = v.flat.clone();
+            slot.flat = v.flat.0.clone();
             slot.norm_sq = v.norm_sq;
         }
         let mut resident: Vec<Option<Box<Device>>> = (0..ck.devices.len()).map(|_| None).collect();
@@ -568,7 +568,7 @@ impl Population {
 
     /// Captures the lazy population's state (`None` when dense — the
     /// dense path serialises its replicas in the checkpoint's `devices`
-    /// field, byte-identical to pre-plane checkpoints).
+    /// field).
     pub(crate) fn checkpoint(&self) -> Option<PopulationCheckpoint> {
         match self {
             Population::Dense(_) => None,

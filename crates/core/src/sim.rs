@@ -430,7 +430,7 @@ impl Simulation {
             self.comm.device_to_edge += 1;
             self.comm.device_to_edge_bytes += p.payload_bytes;
             probe.uploads(1);
-            self.blend_late_upload(p.edge, p.device, p.flat, p.norm_sq, probe);
+            self.blend_late_upload(p.edge, p.device, p.flat.0, p.norm_sq, probe);
         }
         self.faults.advance_dropout();
         probe.stop(Phase::FaultRecovery);

@@ -692,9 +692,18 @@ fn io_err(path: &Path, e: std::io::Error) -> SimError {
 /// kill mid-write never leaves a truncated state file behind. The tmp
 /// name embeds the pid: fleet processes sharing a directory must never
 /// interleave writes into one tmp file.
-fn write_atomic(path: &Path, contents: &str) -> Result<(), SimError> {
+///
+/// `unlink_old` removes the old file just before the rename: ext4 pushes
+/// a file renamed *onto* an existing one to the block device at once,
+/// which a snapshot that lives for milliseconds must not pay for
+/// (DESIGN.md §10.4). A kill in between leaves no file, so this is only
+/// for files whose absence the reader handles — never for the ledger.
+fn write_atomic(path: &Path, contents: &str, unlink_old: bool) -> Result<(), SimError> {
     let tmp = path.with_extension(format!("json.tmp.{}", std::process::id()));
     fs::write(&tmp, contents).map_err(|e| io_err(&tmp, e))?;
+    if unlink_old {
+        let _ = fs::remove_file(path);
+    }
     fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
     Ok(())
 }
@@ -804,7 +813,7 @@ impl Ledger {
     /// Atomically replaces the ledger with `state`, sealed.
     fn write(&self, state: &SweepState) -> Result<(), SimError> {
         let json = serde_json::to_string(state).expect("state serialisation cannot fail");
-        write_atomic(&self.path, &seal_json(&json))
+        write_atomic(&self.path, &seal_json(&json), false)
     }
 }
 
@@ -824,21 +833,14 @@ fn mean_std_ci(values: &[f64]) -> (f64, f64, f64) {
 fn aggregate(records: &[ScenarioRecord]) -> Vec<AggregatePoint> {
     let mut cells: Vec<(String, Vec<&ScenarioRecord>)> = Vec::new();
     for r in records {
-        let c = r
-            .compression
-            .as_ref()
-            .map(|c| format!("-c{c}"))
-            .unwrap_or_default();
-        let a = r
-            .algorithm
-            .as_ref()
-            .map(|a| format!("-a{}", a.to_lowercase()))
-            .unwrap_or_default();
-        let x = r
-            .execution
-            .as_ref()
-            .map(|x| format!("-x{x}"))
-            .unwrap_or_default();
+        // "-<axis><value>" for an axis the grid swept, nothing otherwise.
+        let axis = |tag: &str, value: &Option<String>| {
+            value
+                .as_ref()
+                .map_or(String::new(), |v| format!("-{tag}{v}"))
+        };
+        let (c, x) = (axis("c", &r.compression), axis("x", &r.execution));
+        let a = axis("a", &r.algorithm).to_lowercase();
         let key = match r.p {
             Some(p) => format!("p{p}-k{}-tc{}-{}{c}{a}{x}", r.k, r.sync_period, r.preset),
             None => format!("k{}-tc{}-{}{c}{a}{x}", r.k, r.sync_period, r.preset),
@@ -941,46 +943,56 @@ pub fn run_sweep(grid: &ScenarioGrid, opts: &SweepOptions) -> Result<SweepReport
     let scenarios = Arc::new(scenarios);
 
     thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
             let cache = Arc::clone(&cache);
             let scenarios = Arc::clone(&scenarios);
             let (cursor, todo, results, first_error) = (&cursor, &todo, &results, &first_error);
             let ledger = ledger.as_ref();
-            scope.spawn(move || loop {
+            workers.push(scope.spawn(move || loop {
                 let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                if claim >= todo.len() {
-                    return;
-                }
-                if first_error.lock().expect("error slot poisoned").is_some() {
+                if claim >= todo.len() || first_error.lock().expect("error slot poisoned").is_some()
+                {
                     return;
                 }
                 let scenario = &scenarios[todo[claim]];
-                match run_scenario(scenario, &cache, opts) {
-                    Ok(record) => {
-                        let mut recs = results.lock().expect("result slot poisoned");
-                        recs[scenario.index] = Some(record);
-                        if let Some(ledger) = ledger {
-                            let state = SweepState {
-                                schema_version: SWEEP_REPORT_SCHEMA_VERSION,
-                                grid_digest: digest,
-                                records: recs.clone(),
-                                leases: Vec::new(),
-                                shard_size: 1,
-                            };
-                            if let Err(e) = ledger.write(&state) {
-                                let mut slot = first_error.lock().expect("error slot poisoned");
-                                slot.get_or_insert(e);
-                                return;
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        let mut slot = first_error.lock().expect("error slot poisoned");
-                        slot.get_or_insert(e);
-                        return;
-                    }
+                // Nothing stops an in-process scenario early, so `record`
+                // is always `Some`.
+                let done = drive_scenario(
+                    scenario,
+                    &cache,
+                    opts.step_mode,
+                    opts.checkpoint_dir.as_deref(),
+                    opts.checkpoint_every,
+                    |_| Ok(true),
+                )
+                .and_then(|record| {
+                    let mut recs = results.lock().expect("result slot poisoned");
+                    recs[scenario.index] = record;
+                    ledger.map_or(Ok(()), |ledger| {
+                        ledger.write(&SweepState {
+                            schema_version: SWEEP_REPORT_SCHEMA_VERSION,
+                            grid_digest: digest,
+                            records: recs.clone(),
+                            leases: Vec::new(),
+                            shard_size: 1,
+                        })
+                    })
+                });
+                if let Err(e) = done {
+                    let mut slot = first_error.lock().expect("error slot poisoned");
+                    slot.get_or_insert(e);
+                    return;
                 }
-            });
+            }));
+        }
+        // Joined by handle: the scope only waits for the closures, a handle
+        // for the OS thread, and not until that is gone can the next
+        // sweep's workers reuse its allocator arena (DESIGN.md §10.4).
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 
@@ -1004,52 +1016,62 @@ pub fn run_sweep(grid: &ScenarioGrid, opts: &SweepOptions) -> Result<SweepReport
     })
 }
 
-/// Runs one scenario to completion: builds through the shared cache,
-/// resumes from an existing mid-run checkpoint when one matches, ticks
-/// with periodic snapshots, and removes the snapshot on completion.
-fn run_scenario(
+/// Runs one scenario, for [`run_sweep`] and the fleet worker alike:
+/// builds through the shared cache, resumes from the scenario's snapshot
+/// in `dir` when one applies, ticks to the end snapshotting every
+/// `checkpoint_every` steps (`0` = never), and removes the snapshot.
+/// `after_tick` is told whether the tick wrote a snapshot; when it
+/// returns `false` the scenario stops where it stands, snapshot kept,
+/// and the result is `None`.
+fn drive_scenario(
     scenario: &Scenario,
     cache: &Arc<InputCache>,
-    opts: &SweepOptions,
-) -> Result<ScenarioRecord, SimError> {
-    let mut sim = SimulationBuilder::new(scenario.config.clone())
-        .with_shared_inputs(Arc::clone(cache))
-        .build()
-        .map_err(|e| match e {
-            SimError::InvalidConfig { message } => SimError::InvalidConfig {
-                message: format!("scenario {}: {message}", scenario.label),
-            },
-            other => other,
-        })?;
-    let ckpt_path = opts
-        .checkpoint_dir
+    step_mode: StepMode,
+    dir: Option<&Path>,
+    checkpoint_every: usize,
+    mut after_tick: impl FnMut(bool) -> Result<bool, SimError>,
+) -> Result<Option<ScenarioRecord>, SimError> {
+    let build = || {
+        SimulationBuilder::new(scenario.config.clone())
+            .with_shared_inputs(Arc::clone(cache))
+            .build()
+            .map_err(|e| match e {
+                SimError::InvalidConfig { message } => SimError::InvalidConfig {
+                    message: format!("scenario {}: {message}", scenario.label),
+                },
+                other => other,
+            })
+    };
+    let mut sim = build()?;
+    let ckpt = dir.map(|d| d.join(format!("scenario_{}.ckpt.json", scenario.index)));
+    let found = ckpt
         .as_ref()
-        .map(|d| d.join(format!("scenario_{}.ckpt.json", scenario.index)));
-    if let Some(path) = &ckpt_path {
-        if let Ok(text) = fs::read_to_string(path) {
-            if let Ok(ck) = SimCheckpoint::from_json(&text) {
-                // A mismatching snapshot (different grid reusing the
-                // directory) is ignored: the scenario restarts cold.
-                let _ = sim.restore(&ck);
-            }
-        }
+        .and_then(|path| fs::read_to_string(path).ok())
+        .and_then(|text| SimCheckpoint::from_json(&text).ok());
+    // A snapshot that does not apply (another grid reusing the directory,
+    // an older schema, a damaged payload) is ignored and the scenario
+    // runs cold — from a fresh build, because a restore that fails while
+    // decoding has already overwritten part of the simulation.
+    if found.is_some_and(|ck| sim.restore(&ck).is_err()) {
+        sim = build()?;
     }
     while !sim.is_finished() {
-        sim.tick(opts.step_mode);
-        if let Some(path) = &ckpt_path {
-            if opts.checkpoint_every > 0
-                && sim.next_step() % opts.checkpoint_every == 0
-                && !sim.is_finished()
-            {
-                write_atomic(path, &sim.checkpoint().to_json())?;
-            }
+        sim.tick(step_mode);
+        let due = ckpt.as_ref().filter(|_| {
+            checkpoint_every > 0 && sim.next_step() % checkpoint_every == 0 && !sim.is_finished()
+        });
+        if let Some(path) = due {
+            write_atomic(path, &sim.checkpoint().to_json(), true)?;
+        }
+        if !after_tick(due.is_some())? {
+            return Ok(None);
         }
     }
     let record = sim.finish();
-    if let Some(path) = &ckpt_path {
+    if let Some(path) = &ckpt {
         let _ = fs::remove_file(path);
     }
-    Ok(ScenarioRecord {
+    Ok(Some(ScenarioRecord {
         index: scenario.index,
         label: scenario.label.clone(),
         p: scenario.p,
@@ -1061,7 +1083,7 @@ fn run_scenario(
         algorithm: scenario.algorithm.clone(),
         execution: scenario.execution.clone(),
         record,
-    })
+    }))
 }
 
 // --------------------------------------------------------------------
@@ -1369,9 +1391,9 @@ enum ScenarioOutcome {
     Killed,
 }
 
-/// Runs one scenario under a lease: resumes from its checkpoint if one
-/// exists, snapshots every `checkpoint_every` steps, renews the
-/// heartbeat every `heartbeat_ms`, and on completion streams the
+/// Runs one scenario under a lease: [`drive_scenario`] with the fleet's
+/// per-tick duties — count snapshots for the kill switch, renew the
+/// heartbeat every `heartbeat_ms` — and on completion streams the
 /// record (JSONL first, then the ledger — a kill between the two only
 /// costs a duplicate line the coordinator deduplicates).
 fn run_leased_scenario(
@@ -1379,63 +1401,40 @@ fn run_leased_scenario(
     scenario: &Scenario,
     shard: usize,
 ) -> Result<ScenarioOutcome, SimError> {
-    let mut sim = SimulationBuilder::new(scenario.config.clone())
-        .with_shared_inputs(Arc::clone(&ctx.cache))
-        .build()
-        .map_err(|e| match e {
-            SimError::InvalidConfig { message } => SimError::InvalidConfig {
-                message: format!("scenario {}: {message}", scenario.label),
-            },
-            other => other,
-        })?;
-    let ckpt_path = ctx
-        .dir
-        .join(format!("scenario_{}.ckpt.json", scenario.index));
-    if let Ok(text) = fs::read_to_string(&ckpt_path) {
-        if let Ok(ck) = SimCheckpoint::from_json(&text) {
-            // A mismatching snapshot (different grid reusing the
-            // directory) is ignored: the scenario restarts cold.
-            let _ = sim.restore(&ck);
-        }
-    }
+    let opts = ctx.opts;
     let mut last_beat = Instant::now();
-    while !sim.is_finished() {
-        sim.tick(ctx.opts.step_mode);
-        if ctx.opts.checkpoint_every > 0
-            && sim.next_step() % ctx.opts.checkpoint_every == 0
-            && !sim.is_finished()
-        {
-            write_atomic(&ckpt_path, &sim.checkpoint().to_json())?;
-            ctx.checkpoints_written += 1;
-            if ctx
-                .opts
-                .kill_after_checkpoints
-                .is_some_and(|k| ctx.checkpoints_written >= k)
+    let mut stopped = ScenarioOutcome::Done;
+    let record = drive_scenario(
+        scenario,
+        &ctx.cache,
+        opts.step_mode,
+        Some(ctx.dir),
+        opts.checkpoint_every,
+        |snapshot_written| {
+            if snapshot_written {
+                ctx.checkpoints_written += 1;
+                if opts
+                    .kill_after_checkpoints
+                    .is_some_and(|k| ctx.checkpoints_written >= k)
+                {
+                    stopped = ScenarioOutcome::Killed;
+                    return Ok(false);
+                }
+            }
+            if u64::try_from(last_beat.elapsed().as_millis()).unwrap_or(u64::MAX)
+                >= opts.heartbeat_ms
             {
-                return Ok(ScenarioOutcome::Killed);
+                if !renew_lease(&ctx.ledger, ctx.worker_id, shard)? {
+                    stopped = ScenarioOutcome::Abandoned;
+                    return Ok(false);
+                }
+                last_beat = Instant::now();
             }
-        }
-        if u64::try_from(last_beat.elapsed().as_millis()).unwrap_or(u64::MAX)
-            >= ctx.opts.heartbeat_ms
-        {
-            if !renew_lease(&ctx.ledger, ctx.worker_id, shard)? {
-                return Ok(ScenarioOutcome::Abandoned);
-            }
-            last_beat = Instant::now();
-        }
-    }
-    let record = ScenarioRecord {
-        index: scenario.index,
-        label: scenario.label.clone(),
-        p: scenario.p,
-        k: scenario.k,
-        sync_period: scenario.sync_period,
-        seed: scenario.seed,
-        preset: scenario.preset.clone(),
-        compression: scenario.compression.clone(),
-        algorithm: scenario.algorithm.clone(),
-        execution: scenario.execution.clone(),
-        record: sim.finish(),
+            Ok(true)
+        },
+    )?;
+    let Some(record) = record else {
+        return Ok(stopped);
     };
     append_jsonl(&ctx.jsonl, &record)?;
     record_completion(
@@ -1447,7 +1446,6 @@ fn run_leased_scenario(
         record,
         ctx.opts,
     )?;
-    let _ = fs::remove_file(&ckpt_path);
     Ok(ScenarioOutcome::Done)
 }
 

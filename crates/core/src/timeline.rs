@@ -24,6 +24,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use middle_nn::serialize::Packed;
 use serde::{Deserialize, Serialize};
 
 /// How the simulation advances time.
@@ -573,10 +574,10 @@ impl Timeline {
                     arrived: w.arrived.clone(),
                     trigger: w.trigger,
                     aggregated: w.aggregated,
-                    snapshots: w.snapshots.clone(),
+                    snapshots: pack_planes(&w.snapshots),
                 })
                 .collect(),
-            in_flight: self.in_flight.clone(),
+            in_flight: pack_planes(&self.in_flight),
             aggs_since_sync: self.aggs_since_sync,
             started: self.started,
         }
@@ -630,7 +631,7 @@ impl Timeline {
                 arrivals,
                 trigger: w.trigger,
                 aggregated: w.aggregated,
-                snapshots: w.snapshots.clone(),
+                snapshots: unpack_planes(&w.snapshots),
             };
         }
         if ck.in_flight.len() != num_devices {
@@ -640,7 +641,7 @@ impl Timeline {
                 num_devices
             ));
         }
-        tl.in_flight = ck.in_flight.clone();
+        tl.in_flight = unpack_planes(&ck.in_flight);
         tl.aggs_since_sync = ck.aggs_since_sync;
         tl.started = ck.started;
         Ok(tl)
@@ -737,6 +738,20 @@ impl EventCheckpoint {
     }
 }
 
+/// Send-time snapshots (a wave's, or the in-flight table) as the packed
+/// planes a checkpoint stores them as.
+fn pack_planes(planes: &[Option<Vec<f32>>]) -> Vec<Option<Packed<f32>>> {
+    planes.iter().map(|p| p.clone().map(Packed)).collect()
+}
+
+/// The inverse of [`pack_planes`].
+fn unpack_planes(planes: &[Option<Packed<f32>>]) -> Vec<Option<Vec<f32>>> {
+    planes
+        .iter()
+        .map(|p| p.as_ref().map(|p| p.0.clone()))
+        .collect()
+}
+
 /// Serialized wave state.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct WaveCheckpoint {
@@ -745,7 +760,7 @@ pub struct WaveCheckpoint {
     pub arrived: Vec<bool>,
     pub trigger: usize,
     pub aggregated: bool,
-    pub snapshots: Vec<Option<Vec<f32>>>,
+    pub snapshots: Vec<Option<Packed<f32>>>,
 }
 
 /// Full timeline state riding `SimCheckpoint` for event-driven runs.
@@ -756,7 +771,7 @@ pub struct TimelineCheckpoint {
     pub clock_bits: u64,
     pub waves: Vec<WaveCheckpoint>,
     /// Send-time snapshots of in-flight uploads, indexed by device.
-    pub in_flight: Vec<Option<Vec<f32>>>,
+    pub in_flight: Vec<Option<Packed<f32>>>,
     pub aggs_since_sync: usize,
     pub started: bool,
 }

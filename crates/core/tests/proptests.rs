@@ -3,7 +3,10 @@
 use middle_core::aggregation::on_device_init;
 use middle_core::similarity::{aggregation_weights, similarity_utility};
 use middle_core::theory::{BoundParams, QuadraticProblem};
-use middle_core::OnDevicePolicy;
+use middle_core::{
+    Algorithm, OnDevicePolicy, SimCheckpoint, SimConfig, SimError, SimulationBuilder, StepMode,
+};
+use middle_data::Task;
 use middle_nn::layers::Dense;
 use middle_nn::params::{flatten, unflatten};
 use middle_nn::Sequential;
@@ -108,5 +111,68 @@ proptest! {
         let w = q.optimum();
         let f_opt = q.global_loss(&w);
         prop_assert!(q.global_loss(&[probe]) >= f_opt - 1e-4);
+    }
+}
+
+/// A tiny dense simulation two ticks in, and its checkpoint text
+/// (built once for all cases).
+fn tiny_checkpoint() -> &'static (SimConfig, String) {
+    static CHECKPOINT: std::sync::OnceLock<(SimConfig, String)> = std::sync::OnceLock::new();
+    CHECKPOINT.get_or_init(|| {
+        let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::middle());
+        cfg.steps = 4;
+        let mut sim = SimulationBuilder::new(cfg.clone()).build().unwrap();
+        sim.tick(StepMode::Fast);
+        sim.tick(StepMode::Fast);
+        (cfg, sim.checkpoint().to_json())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Damage inside a checkpoint's packed planes never panics and never
+    /// resumes a different run quietly: a foreign byte or a cut through
+    /// a value fails `from_json`; a cut of whole values parses, and
+    /// `restore` rejects it with a typed mismatch (count ≠ layout).
+    #[test]
+    fn damaged_checkpoint_planes_fail_typed(
+        which in 0usize..1000,
+        at in 0usize..100_000,
+        with in 0x20u8..0x7f,
+        cut in 1usize..40,
+    ) {
+        let (cfg, json) = tiny_checkpoint();
+        // Every `"values":"<hex>"` plane of the document: cloud, edges,
+        // devices.
+        let planes: Vec<(usize, usize)> = json
+            .match_indices("\"values\":\"")
+            .map(|(i, key)| {
+                let start = i + key.len();
+                (start, start + json[start..].find('"').unwrap())
+            })
+            .collect();
+        prop_assert!(planes.len() >= 3);
+        let (start, end) = planes[which % planes.len()];
+        prop_assert!(end - start >= 8 * 40, "the plane holds a real model");
+
+        let mut damaged = json.clone().into_bytes();
+        damaged[start + at % (end - start)] = with;
+        let damaged = String::from_utf8(damaged).unwrap();
+        let is_hex = matches!(with, b'0'..=b'9' | b'a'..=b'f');
+        prop_assert_eq!(SimCheckpoint::from_json(&damaged).is_ok(), is_hex);
+
+        let short = format!("{}{}", &json[..end - cut], &json[end..]);
+        match SimCheckpoint::from_json(&short) {
+            Err(_) => prop_assert!(cut % 8 != 0),
+            Ok(ck) => {
+                prop_assert!(cut % 8 == 0);
+                let mut sim = SimulationBuilder::new(cfg.clone()).build().unwrap();
+                prop_assert!(matches!(
+                    sim.restore(&ck),
+                    Err(SimError::CheckpointMismatch { .. })
+                ));
+            }
+        }
     }
 }

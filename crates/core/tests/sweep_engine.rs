@@ -401,3 +401,45 @@ fn mid_scenario_checkpoints_resume_bitwise_too() {
     assert_eq!(resumed.deterministic_json(), reference.deterministic_json());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_snapshot_that_fails_mid_restore_is_discarded_whole() {
+    // A snapshot with the right version, digest and shape passes every
+    // presence check, so `restore()` starts overwriting — and only then
+    // meets the last device's plane, one value short of its layout. The
+    // sweep must not keep ticking that half-restored simulation (cloud,
+    // edges and the earlier devices from step 3, cursor at step 0): it
+    // runs the scenario cold and reports what an undisturbed sweep does.
+    let dir = scratch("franken");
+    std::fs::create_dir_all(&dir).unwrap();
+    let reference = run_sweep(&grid(), &SweepOptions::default()).unwrap();
+
+    let first = grid().scenarios().unwrap().remove(0);
+    let mut sim = SimulationBuilder::new(first.config.clone())
+        .build()
+        .unwrap();
+    for _ in 0..3 {
+        sim.tick(StepMode::Fast);
+    }
+    let mut ck = sim.checkpoint();
+    ck.devices.last_mut().unwrap().params.values.0.pop();
+    let mut fresh = SimulationBuilder::new(first.config).build().unwrap();
+    assert!(matches!(
+        fresh.restore(&ck),
+        Err(SimError::CheckpointMismatch { .. })
+    ));
+    std::fs::write(dir.join("scenario_0.ckpt.json"), ck.to_json()).unwrap();
+
+    let report = run_sweep(
+        &grid(),
+        &SweepOptions {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!(report.complete);
+    assert_eq!(report.deterministic_json(), reference.deterministic_json());
+    let _ = std::fs::remove_dir_all(&dir);
+}

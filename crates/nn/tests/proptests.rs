@@ -7,6 +7,7 @@ use middle_nn::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu, Tanh};
 use middle_nn::loss::softmax_cross_entropy;
 use middle_nn::optim::OptimizerKind;
 use middle_nn::params::{blend, delta, flatten, model_cosine, unflatten, weighted_average};
+use middle_nn::serialize::{Checkpoint, Packed};
 use middle_nn::{Layer, NetScratch, Sequential};
 use middle_tensor::conv::ConvGeometry;
 use middle_tensor::random::rng;
@@ -223,5 +224,61 @@ proptest! {
         for (d, u) in dx.data().iter().zip(g.data()) {
             prop_assert!(d.abs() <= u.abs() + 1e-6);
         }
+    }
+}
+
+/// Bit patterns a uniform draw all but never hits: ±0, ±inf, the
+/// smallest and largest subnormals, quiet and signalling NaNs with
+/// payloads, the largest finite value.
+const F32_CORNERS: [u32; 10] = [
+    0x0000_0000,
+    0x8000_0000,
+    0x7f80_0000,
+    0xff80_0000,
+    0x0000_0001,
+    0x807f_ffff,
+    0x7fc0_0000,
+    0xffc1_2345,
+    0x7f80_0001,
+    0x7f7f_ffff,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A packed `f32` plane is its values' bits: any pattern — NaN
+    /// payloads, infinities, `-0.0`, subnormals, all of which the
+    /// decimal writer lost or had to print digit by digit — survives
+    /// `to_json` → `from_json` exactly, at 8 hex digits per value.
+    #[test]
+    fn packed_f32_planes_round_trip_every_bit_pattern(
+        drawn in prop::collection::vec(0u32..=u32::MAX, 0..48),
+    ) {
+        let bits: Vec<u32> = drawn.into_iter().chain(F32_CORNERS).collect();
+        let ck = Checkpoint {
+            layout: vec![bits.len()],
+            values: Packed(bits.iter().map(|&b| f32::from_bits(b)).collect()),
+        };
+        let json = ck.to_json();
+        let back = Checkpoint::from_json(&json).unwrap();
+        prop_assert_eq!(back.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits.clone());
+        prop_assert_eq!(back.layout, ck.layout.clone());
+        prop_assert_eq!(json.len(), r#"{"layout":[],"values":""}"#.len()
+            + bits.len().to_string().len() + 8 * bits.len());
+    }
+
+    /// The same for `f64` planes (the compression residuals), 16 digits
+    /// per value.
+    #[test]
+    fn packed_f64_planes_round_trip_every_bit_pattern(
+        drawn in prop::collection::vec(0u64..=u64::MAX, 0..24),
+    ) {
+        let corners = F32_CORNERS.map(|b| u64::from(b) << 32 | u64::from(b & 0xffff));
+        let bits: Vec<u64> = drawn.into_iter().chain(corners).collect();
+        let plane = Packed(bits.iter().map(|&b| f64::from_bits(b)).collect::<Vec<f64>>());
+        let json = serde_json::to_string(&plane).unwrap();
+        prop_assert_eq!(json.len(), 2 + 16 * bits.len());
+        let back: Packed<f64> = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits);
     }
 }

@@ -125,20 +125,41 @@ fn write_float(f: f64, out: &mut String) {
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so cutting `s` around
+    // one always lands on a char boundary; the escape-free runs between
+    // them are copied whole (the mirror of `parse_string`'s fast path).
+    let escaped = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
+    let mut rest = s;
+    while let Some(i) = find_byte(rest.as_bytes(), escaped) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
+}
+
+/// Index of the first byte `stops` accepts. Whole blocks are tested
+/// without an early exit first, which the compiler vectorises: a long
+/// run with no such byte (a packed plane is megabytes of hex digits) is
+/// scanned at memory speed.
+fn find_byte(bytes: &[u8], stops: impl Fn(u8) -> bool) -> Option<usize> {
+    let skipped = bytes
+        .chunks_exact(32)
+        .take_while(|block| !block.iter().fold(false, |any, &b| any | stops(b)))
+        .count()
+        * 32;
+    bytes[skipped..]
+        .iter()
+        .position(|&b| stops(b))
+        .map(|i| skipped + i)
 }
 
 // ---------------------------------------------------------------------
@@ -265,12 +286,9 @@ impl Parser<'_> {
         loop {
             let start = self.pos;
             // Fast path over the unescaped run.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
+            let rest = &self.bytes[start..];
+            self.pos += find_byte(rest, |b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
             out.push_str(
                 std::str::from_utf8(&self.bytes[start..self.pos])
                     .map_err(|_| Error::new("invalid UTF-8 in string"))?,
@@ -423,6 +441,50 @@ mod tests {
         let json = to_string(&s).unwrap();
         assert_eq!(from_str::<String>(&json).unwrap(), s);
         assert_eq!(from_str::<String>("\"\\u0041\"").unwrap(), "A");
+    }
+
+    /// The writer as it was before escape-free runs were copied whole:
+    /// one `char` at a time.
+    fn write_string_per_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn long_strings_are_written_like_the_per_char_writer() {
+        // Longer than several scan blocks, with multi-byte characters so
+        // a cut inside one would panic, and escapes at the start, in the
+        // middle (on and off a block boundary), back to back and at the
+        // end.
+        let clean = "0123456789abcdef-é-日本-".repeat(9);
+        let cases = [
+            String::new(),
+            clean.clone(),
+            format!("\"{clean}"),
+            format!("{clean}\\"),
+            format!("{}\n{}", &clean[..32], &clean[32..]),
+            format!("{}\u{1}\u{1f}{}", &clean[..46], &clean[46..]),
+            format!("\t{clean}\r\"{clean}\\\\{clean}\u{0}"),
+            "\"\\\n\r\t\u{8}\u{c}".to_string(),
+        ];
+        for s in &cases {
+            let (mut fast, mut reference) = (String::from("x"), String::from("x"));
+            write_string(s, &mut fast);
+            write_string_per_char(s, &mut reference);
+            assert_eq!(fast, reference);
+            assert_eq!(&from_str::<String>(&fast[1..]).unwrap(), s);
+        }
     }
 
     #[test]

@@ -66,8 +66,8 @@ cargo test --workspace -q
 if [[ "$CI" -eq 1 ]]; then
     # The shims sit outside the workspace (`exclude`), so --workspace
     # never reaches their tests.
-    echo "==> shim tests (scheduler rules, two-stage sampling, JSON number bytes)"
-    cargo test -q -p rayon -p rand_distr -p serde_json
+    echo "==> shim tests (scheduler rules, two-stage sampling, Value round trips, JSON bytes)"
+    cargo test -q -p rayon -p rand_distr -p serde -p serde_json
 
     # One CPU is the pool's no-worker path: every FNV pin must hold
     # there exactly as it just did on all cores.

@@ -5,7 +5,7 @@
 use middle::core::quadratic_sim::{
     simulate_quadratic_hfl, two_cluster_problem, QuadraticHflConfig,
 };
-use middle::core::{OnDevicePolicy, SelectionPolicy};
+use middle::core::{OnDevicePolicy, SelectionPolicy, SimCheckpoint};
 use middle::data::partition::{partition, Scheme};
 use middle::data::synthetic::SyntheticSource;
 use middle::mobility::{generate_markov_hop, Trace};
@@ -93,6 +93,27 @@ fn training_beats_random_guessing() {
     );
 }
 
+fn cloud_bits(sim: &Simulation) -> Vec<u32> {
+    flatten(sim.cloud_model())
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// Two finished runs — record and final cloud parameters — are one
+/// trajectory, bit for bit.
+fn assert_same(a: &(RunRecord, Vec<u32>), b: &(RunRecord, Vec<u32>), what: &str) {
+    let points = |r: &RunRecord| -> Vec<(usize, u32, u32)> {
+        r.points
+            .iter()
+            .map(|p| (p.step, p.global_accuracy.to_bits(), p.global_loss.to_bits()))
+            .collect()
+    };
+    assert_eq!(points(&a.0), points(&b.0), "{what}: eval points diverged");
+    assert_eq!(a.0.comm, b.0.comm, "{what}: comm ledger diverged");
+    assert_eq!(a.1, b.1, "{what}: cloud parameters diverged");
+}
+
 /// The one round skeleton under each of its selectors: the reference
 /// kernels, the zero-delay event engine and the lazy population must
 /// each reproduce the default run bit for bit — with the fault plane and
@@ -103,19 +124,7 @@ fn round_skeleton_is_one_trajectory_under_every_selector() {
     fn run(cfg: SimConfig, mode: StepMode) -> (RunRecord, Vec<u32>) {
         let mut sim = built(cfg);
         let record = sim.run_with(mode);
-        let cloud = flatten(sim.cloud_model());
-        (record, cloud.iter().map(|v| v.to_bits()).collect())
-    }
-    fn assert_same(a: &(RunRecord, Vec<u32>), b: &(RunRecord, Vec<u32>), what: &str) {
-        let points = |r: &RunRecord| -> Vec<(usize, u32, u32)> {
-            r.points
-                .iter()
-                .map(|p| (p.step, p.global_accuracy.to_bits(), p.global_loss.to_bits()))
-                .collect()
-        };
-        assert_eq!(points(&a.0), points(&b.0), "{what}: eval points diverged");
-        assert_eq!(a.0.comm, b.0.comm, "{what}: comm ledger diverged");
-        assert_eq!(a.1, b.1, "{what}: cloud parameters diverged");
+        (record, cloud_bits(&sim))
     }
 
     // Speech is the conv-free task: four debug-build runs stay under a
@@ -140,6 +149,85 @@ fn round_skeleton_is_one_trajectory_under_every_selector() {
     let mut lazy = cfg;
     lazy.population = PopulationMode::Lazy;
     assert_same(&base, &run(lazy, StepMode::Fast), "lazy");
+}
+
+/// A killed run resumes bitwise: tick to a cut, checkpoint → JSON →
+/// parse → restore into a fresh build, and the finish equals the
+/// straight run's. The three configurations together put a non-empty
+/// plane at every packed site of the checkpoint, and each cut is taken
+/// only once the planes it is there for are populated.
+#[test]
+fn checkpoint_json_resume_is_bitwise_on_every_packed_plane() {
+    fn resume_at(what: &str, cfg: SimConfig, populated: impl Fn(&SimCheckpoint) -> bool) {
+        let mut straight = built(cfg.clone());
+        let reference = straight.run();
+
+        let mut first = built(cfg.clone());
+        let json = loop {
+            first.tick(StepMode::Fast);
+            assert!(!first.is_finished(), "{what}: never reached its cut");
+            let ck = first.checkpoint();
+            if populated(&ck) {
+                break ck.to_json();
+            }
+        };
+        drop(first);
+        let ck = SimCheckpoint::from_json(&json).expect("own checkpoint parses");
+        let mut second = built(cfg);
+        second.restore(&ck).expect("own checkpoint restores");
+        assert!(second.next_step() > 0);
+        let resumed = second.run();
+        assert_eq!(
+            reference.event_seconds.map(f64::to_bits),
+            resumed.event_seconds.map(f64::to_bits),
+            "{what}: simulated clock diverged"
+        );
+        assert_same(
+            &(reference, cloud_bits(&straight)),
+            &(resumed, cloud_bits(&second)),
+            what,
+        );
+    }
+
+    // Speech is the conv-free task, which keeps six debug-build runs
+    // within a couple of seconds.
+    let mut cfg = small_cfg(Task::Speech, Algorithm::middle());
+    cfg.cloud_interval = 2;
+    resume_at("dense lockstep", cfg.clone(), |ck| {
+        ck.next_step == 3 && ck.devices.iter().all(|d| !d.params.values.is_empty())
+    });
+
+    // Lockstep deadline misses queue stale uploads for the next step.
+    let mut stale = cfg.clone();
+    stale.faults.straggler_delay = DelayModel::Exponential { mean_s: 1.0 };
+    stale.faults.deadline_s = 1.0;
+    resume_at("stale uploads pending", stale, |ck| {
+        ck.faults.pending.iter().any(|p| !p.flat.is_empty())
+    });
+
+    // Lazy population × event engine × real upload latencies × lossy
+    // compression: live broadcast versions, send-time snapshots riding
+    // the heap, and error-feedback residuals, all at once. (This latency
+    // model has no deadline, hence the lockstep leg above.)
+    let mut hostile = cfg;
+    hostile.population = PopulationMode::Lazy;
+    hostile.timeline.mode = ExecutionMode::EventDriven;
+    hostile.timeline.latency = LatencyModel::Faults;
+    hostile.faults.straggler_delay = DelayModel::Exponential { mean_s: 1.0 };
+    hostile.compression.enabled = true;
+    hostile.compression.quantize_bits = 8;
+    hostile.compression.top_frac = 0.5;
+    resume_at("lazy, event-driven, lossy", hostile, |ck| {
+        let versions = &ck.population.as_ref().expect("lazy checkpoint").versions;
+        let timeline = ck.timeline.as_ref().expect("event-driven checkpoint");
+        let residuals = ck.compression.as_ref().expect("lossy checkpoint");
+        let some_plane = |planes: &[Option<_>]| planes.iter().any(Option::is_some);
+        versions.iter().any(|v| !v.flat.is_empty())
+            && (some_plane(&timeline.in_flight)
+                || timeline.waves.iter().any(|w| some_plane(&w.snapshots)))
+            && residuals.device_residuals.iter().any(|r| !r.is_empty())
+            && residuals.edge_residuals.iter().any(|r| !r.is_empty())
+    });
 }
 
 #[test]
