@@ -1,6 +1,7 @@
 //! A mobile device: local data, the carried local model, and local
 //! training (paper Eqs. 1 and 5).
 
+use crate::selection::update_similarity;
 use middle_data::batch::{random_batch, random_batch_into};
 use middle_data::Dataset;
 use middle_nn::loss::{per_sample_cross_entropy, per_sample_cross_entropy_into};
@@ -60,6 +61,12 @@ thread_local! {
 /// on-device aggregation hot paths never flatten per candidate. Code
 /// that mutates `model` directly must call [`Device::invalidate_flat`]
 /// (or [`Device::refresh_flat`]); the built-in mutators do so already.
+///
+/// The selection score `U(w_c, Δw_m)` is cached where the flat is
+/// ([`Device::cloud_score`]): it is a function of this flat and the
+/// cloud's, so it is tagged with the cloud epoch it was computed against
+/// and dropped by every mutator of the flat. Neither cache is ever
+/// checkpointed.
 pub struct Device {
     /// Stable device identifier (index into the simulation's device set).
     pub id: usize,
@@ -73,6 +80,12 @@ pub struct Device {
     data: Dataset,
     rng: StdRng,
     flat: FlatView,
+    cloud_score: Option<(u64, f32)>,
+}
+
+/// The device's private batch-sampling stream, derived from the run seed.
+fn device_rng(id: usize, seed: u64) -> StdRng {
+    rng(derive_seed(seed, 0xD0_0000 + id as u64))
 }
 
 /// Oort statistical utility `|B_m| · sqrt(mean(loss_i²))` from the
@@ -93,9 +106,30 @@ impl Device {
             oort_utility: None,
             last_participation: None,
             data,
-            rng: rng(derive_seed(seed, 0xD0_0000 + id as u64)),
+            rng: device_rng(id, seed),
             flat,
+            cloud_score: None,
         }
+    }
+
+    /// Re-purposes this replica as a never-trained device `id`: after
+    /// the caller loads parameters ([`Device::load_flat`] or an init that
+    /// overwrites every one) it is bitwise the device [`Device::new`]
+    /// builds and loads the same way — id, data, derived rng, no
+    /// utility, no participation, layer state reset
+    /// (`recycled_replica_is_a_fresh_one` in `tests/proptests.rs`). The
+    /// previous owner's parameters stay in place until then, behind a
+    /// dirty flat cache; gradients are zero, as every optimizer step
+    /// leaves them. The model must have the architecture `id` trains.
+    pub fn recycle(&mut self, id: usize, data: Dataset, seed: u64) {
+        assert!(!data.is_empty(), "device {id} has no data");
+        self.id = id;
+        self.data = data;
+        self.rng = device_rng(id, seed);
+        self.oort_utility = None;
+        self.last_participation = None;
+        self.model.reset_state();
+        self.invalidate_flat();
     }
 
     /// Number of local samples (`d_m`).
@@ -124,11 +158,13 @@ impl Device {
     /// Marks the flat cache stale after a direct mutation of `model`.
     pub fn invalidate_flat(&mut self) {
         self.flat.invalidate();
+        self.cloud_score = None;
     }
 
     /// Recomputes the flat cache from the current carried model.
     pub fn refresh_flat(&mut self) {
         self.flat.refresh(&self.model);
+        self.cloud_score = None;
     }
 
     /// Overwrites the carried model's parameters from a flat vector whose
@@ -137,6 +173,23 @@ impl Device {
     pub fn load_flat(&mut self, flat: &[f32], norm_sq: f32) {
         unflatten(&mut self.model, flat);
         self.flat.set_from_slice(flat, norm_sq);
+        self.cloud_score = None;
+    }
+
+    /// The cached selection score `U(w_c, Δw_m)` (Eqs. 10–11) against
+    /// the cloud model of `epoch`; `None` when the flat or the cloud
+    /// changed since it was computed.
+    pub fn cloud_score(&self, epoch: u64) -> Option<f32> {
+        self.cloud_score
+            .and_then(|(at, score)| (at == epoch).then_some(score))
+    }
+
+    /// Scores the carried model against the cloud model of `epoch`
+    /// ([`update_similarity`]) and caches the result until the flat or
+    /// the epoch next changes.
+    pub fn refresh_cloud_score(&mut self, epoch: u64, cloud_flat: &[f32], cloud_norm_sq: f32) {
+        let score = update_similarity(self, cloud_flat, cloud_norm_sq);
+        self.cloud_score = Some((epoch, score));
     }
 
     /// Runs `I` local SGD steps (Eq. 5) on the carried model in place
@@ -190,7 +243,7 @@ impl Device {
             loss
         });
         self.last_participation = Some(time_step);
-        self.flat.refresh(&self.model);
+        self.refresh_flat();
         loss
     }
 
@@ -216,7 +269,7 @@ impl Device {
         }
         self.refresh_oort_utility();
         self.last_participation = Some(time_step);
-        self.flat.refresh(&self.model);
+        self.refresh_flat();
         loss
     }
 

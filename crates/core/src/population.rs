@@ -8,15 +8,19 @@
 //!
 //! * [`PopulationMode::Dense`](crate::config::PopulationMode): the
 //!   original `Vec<Device>` — every device fully materialised.
-//! * [`PopulationMode::Lazy`](crate::config::PopulationMode): idle
-//!   devices are [`StubMeta`] records (a version id into a shared,
-//!   reference-counted [`VersionSlot`] table plus the device's carried
-//!   scalar state), materialised into real [`Device`]s only when
-//!   selected. A cloud broadcast pushes *one* new version slot and
-//!   retargets every reached stub at it — the per-device dense model
-//!   copy of the dense path becomes a version-id write — while reached
-//!   resident replicas are demoted back to stubs, freeing their model,
-//!   dataset and training scratch.
+//! * [`PopulationMode::Lazy`](crate::config::PopulationMode): an idle
+//!   device is a stub — a version id into a shared, reference-counted
+//!   [`VersionSlot`] table (one `u32` per device, the `slot` array) plus
+//!   its carried scalar state ([`StubMeta`]) — materialised into a real
+//!   [`Device`] only when selected. A cloud broadcast stores *one* new
+//!   version and retargets every reached stub at it — the per-device
+//!   dense model copy of the dense path becomes a version-id write —
+//!   while reached resident replicas are demoted back to stubs and
+//!   their replicas pooled for the next materialisation
+//!   ([`Device::recycle`]). Materialisation is split in two: phase 1 of
+//!   the round *reserves* a replica per selected stub, serially and
+//!   cheaply, and one parallel region after the last edge loads the
+//!   parameters and runs the inits (`Population::init_participants`).
 //!
 //! The invariant making this exact: the simulation only ever mutates a
 //! device's parameters while it participates, and every broadcast
@@ -26,13 +30,15 @@
 //! its stub's version slot stores. The `population_plane` integration
 //! tests pin dense and lazy runs to bitwise-identical RunRecords.
 
+use crate::algorithms::OnDevicePolicy;
 use crate::builder::SharedInputs;
 use crate::checkpoint::{
     DeviceCheckpoint, DeviceSlotCheckpoint, PopulationCheckpoint, RngStateCheckpoint,
     VersionCheckpoint,
 };
 use crate::device::Device;
-use crate::selection::update_similarity_flat;
+use crate::selection::{update_similarity, update_similarity_flat};
+use middle_data::Dataset;
 use middle_nn::params::FlatView;
 use middle_nn::serialize::{Checkpoint, Packed};
 use rand::rngs::StdRng;
@@ -70,12 +76,30 @@ pub enum DeviceRef<'a> {
     Stub(u32),
 }
 
-/// The carried state of a virtualized (non-resident) device.
+/// What phase 1 of the round records for one participant, consumed by
+/// [`Population::init_participants`].
+pub(crate) struct PendingInit {
+    /// The participant.
+    pub device: usize,
+    /// The broadcast version a replica reserved this step still has to
+    /// load ([`Population::reserve`]); `None` when the device was
+    /// already materialised.
+    pub version: Option<u32>,
+    /// The edge the device trains under this step.
+    pub edge: usize,
+    /// The on-device verdict; `None` when the carried model continues
+    /// untouched (a FedFly migration).
+    pub init: Option<OnDevicePolicy>,
+}
+
+/// `slot` value of a materialised device; every other value is the id of
+/// the broadcast version the stub carries.
+const RESIDENT: u32 = u32::MAX;
+
+/// The carried scalar state of a virtualized (non-resident) device. Its
+/// parameters are not here: they are version `slot[m]`'s flat.
 #[derive(Debug, Clone)]
 pub struct StubMeta {
-    /// Index into the version table; the device's parameters are
-    /// bitwise `versions[version].flat`.
-    pub version: u32,
     /// Oort statistical utility from the most recent participation.
     pub oort_utility: Option<f32>,
     /// Time step of the most recent participation.
@@ -100,21 +124,49 @@ impl VersionSlot {
     pub fn is_live(&self) -> bool {
         self.refs > 0
     }
+
+    /// Nobody carries this version any more: drop the payload but keep
+    /// its allocation for the broadcast that reuses the id.
+    fn tombstone(&mut self) {
+        self.refs = 0;
+        self.flat.clear();
+    }
 }
 
 /// Lazy population state: stubs, resident replicas and the shared
-/// version table.
+/// version table, laid out so that a step touches what it uses
+/// (DESIGN.md §13): the per-device word the hot paths read is `slot`,
+/// one `u32` each; a broadcast walks `residents`, not the population;
+/// a demoted replica waits in `pool` for the next materialisation.
 pub struct LazyPopulation {
     inputs: Arc<SharedInputs>,
     seed: u64,
-    /// Materialised replicas; `None` = virtualized.
+    /// Per device: the broadcast version its stub carries, or
+    /// [`RESIDENT`]. The one authority on residency.
+    slot: Vec<u32>,
+    /// The devices with `slot[m] == RESIDENT`, in no particular order.
+    residents: Vec<usize>,
+    /// Materialised replicas; `Some` exactly where `slot` says
+    /// [`RESIDENT`].
     resident: Vec<Option<Box<Device>>>,
     /// Per-device carried scalar state, authoritative only while the
     /// device is a stub (residents carry their own).
     meta: Vec<StubMeta>,
+    /// Broadcast versions by id. A slot nobody references is a
+    /// tombstone, and the tombstones are the free list: a broadcast
+    /// takes the lowest dead id, so the table never outgrows the most
+    /// versions ever live at once plus one, and a table restored from
+    /// live ids alone hands out the ids the uninterrupted run does.
     versions: Vec<VersionSlot>,
-    resident_count: usize,
+    /// Demoted replicas awaiting re-use. Replicas are never freed, so
+    /// `residents.len() + pool.len()` is the number ever allocated, and
+    /// one is only allocated while the pool is empty — the run's peak
+    /// residency bounds the sum. Boxed like `resident`, so a replica
+    /// changes hands without moving.
+    #[allow(clippy::vec_box)]
+    pool: Vec<Box<Device>>,
     peak_resident: usize,
+    fresh_replicas: usize,
 }
 
 impl LazyPopulation {
@@ -132,98 +184,162 @@ impl LazyPopulation {
         LazyPopulation {
             inputs,
             seed,
+            slot: vec![0; num_devices],
+            residents: Vec::new(),
             resident: (0..num_devices).map(|_| None).collect(),
-            meta: (0..num_devices)
-                .map(|_| StubMeta {
-                    version: 0,
+            meta: vec![
+                StubMeta {
                     oort_utility: None,
                     last_participation: None,
                     rng: None,
-                })
-                .collect(),
+                };
+                num_devices
+            ],
             versions,
-            resident_count: 0,
+            pool: Vec::new(),
             peak_resident: 0,
+            fresh_replicas: 0,
         }
     }
 
-    fn unref(&mut self, version: usize) {
-        let slot = &mut self.versions[version];
+    /// Device `m`'s local dataset, re-gathered from the shared base on
+    /// demand; `SharedInputs::build` skips the dense per-device
+    /// pre-gather in lazy mode.
+    fn device_data(&self, m: usize) -> Dataset {
+        match &self.inputs.base {
+            Some(base) => base.subset(&self.inputs.partition.assignments[m]),
+            None => self.inputs.device_data[m].clone(),
+        }
+    }
+
+    fn unref(&mut self, version: u32) {
+        let slot = &mut self.versions[version as usize];
         debug_assert!(slot.refs > 0, "version refcount underflow");
         slot.refs -= 1;
         if slot.refs == 0 {
-            // Tombstone: nobody carries this version any more; free the
-            // dense vector (the slot index stays, ids are stable).
-            slot.flat = Vec::new();
+            slot.tombstone();
         }
     }
 
-    fn materialize(&mut self, m: usize) {
-        if self.resident[m].is_some() {
-            return;
-        }
-        let meta = &self.meta[m];
-        let version = meta.version as usize;
-        // The device's local dataset is re-gathered from the shared base
-        // on demand; `SharedInputs::build` skips the dense per-device
-        // pre-gather in lazy mode.
-        let data = match &self.inputs.base {
-            Some(base) => base.subset(&self.inputs.partition.assignments[m]),
-            None => self.inputs.device_data[m].clone(),
+    /// Stores a broadcast under the lowest dead id (growing the table
+    /// only when every slot is live) with no references yet.
+    fn alloc_version(&mut self, flat: &[f32], norm_sq: f32) -> u32 {
+        let id = match self.versions.iter().position(|s| !s.is_live()) {
+            Some(id) => id,
+            None => {
+                self.versions.push(VersionSlot {
+                    flat: Vec::new(),
+                    norm_sq: 0.0,
+                    refs: 0,
+                });
+                self.versions.len() - 1
+            }
         };
-        let mut dev = Device::new(m, data, self.inputs.init.clone(), self.seed);
-        {
-            let slot = &self.versions[version];
-            debug_assert!(slot.is_live(), "stub references a tombstoned version");
-            dev.load_flat(&slot.flat, slot.norm_sq);
+        assert!(id < RESIDENT as usize, "version table outgrew its id space");
+        let slot = &mut self.versions[id];
+        slot.flat.clear();
+        slot.flat.extend_from_slice(flat);
+        slot.norm_sq = norm_sq;
+        id as u32
+    }
+
+    /// The serial half of materialisation: gives stub `m` a replica — a
+    /// pooled one re-purposed, a new one only while the pool is empty —
+    /// carrying its scalar state, and marks it resident. Returns the
+    /// version whose flat the replica must still load, with `m`'s
+    /// reference to it left in place so the flat outlives its readers
+    /// ([`Population::init_participants`] loads and releases). `None`
+    /// when `m` is already resident.
+    fn reserve(&mut self, m: usize) -> Option<u32> {
+        let version = self.slot[m];
+        if version == RESIDENT {
+            return None;
         }
+        let data = self.device_data(m);
+        let mut dev = match self.pool.pop() {
+            Some(mut dev) => {
+                dev.recycle(m, data, self.seed);
+                dev
+            }
+            None => {
+                self.fresh_replicas += 1;
+                Box::new(Device::new(m, data, self.inputs.init.clone(), self.seed))
+            }
+        };
+        let meta = &self.meta[m];
         dev.oort_utility = meta.oort_utility;
         dev.last_participation = meta.last_participation;
         if let Some(state) = meta.rng {
             dev.restore_rng(StdRng::from_state(state));
         }
-        self.resident[m] = Some(Box::new(dev));
-        self.resident_count += 1;
-        self.peak_resident = self.peak_resident.max(self.resident_count);
-        // Residents hold no version reference; their parameters live in
-        // the replica now.
-        self.unref(version);
+        self.resident[m] = Some(dev);
+        self.slot[m] = RESIDENT;
+        self.residents.push(m);
+        self.peak_resident = self.peak_resident.max(self.residents.len());
+        Some(version)
+    }
+
+    /// Demotes resident `m` to a stub of `version`: the broadcast
+    /// overwrote the replica's parameters with the shared version, so
+    /// the replica is redundant — its scalar state is saved and it goes
+    /// to the pool. The caller owns `residents` and the version's
+    /// reference count.
+    fn demote(&mut self, m: usize, version: u32) {
+        let dev = self.resident[m]
+            .take()
+            .expect("residents lists a virtualized device");
+        self.meta[m] = StubMeta {
+            oort_utility: dev.oort_utility,
+            last_participation: dev.last_participation,
+            rng: Some(dev.rng_ref().state()),
+        };
+        self.slot[m] = version;
+        self.pool.push(dev);
     }
 
     fn apply_broadcast(&mut self, flat: &[f32], norm_sq: f32, reached: &Reached<'_>) {
-        let id = self.versions.len();
-        let version = u32::try_from(id).expect("version id overflow");
-        self.versions.push(VersionSlot {
-            flat: flat.to_vec(),
-            norm_sq,
-            refs: 0,
-        });
-        for m in 0..self.meta.len() {
-            if !reached.hits(m) {
-                continue;
+        let mut residents = std::mem::take(&mut self.residents);
+        match reached {
+            // Everyone carries the new version afterwards: O(residents)
+            // demotions and one fill, no walk over the stubs.
+            Reached::All => {
+                self.versions.iter_mut().for_each(VersionSlot::tombstone);
+                let version = self.alloc_version(flat, norm_sq);
+                for m in residents.drain(..) {
+                    self.demote(m, version);
+                }
+                self.slot.fill(version);
+                self.versions[version as usize].refs = self.slot.len();
             }
-            if let Some(dev) = self.resident[m].take() {
-                // Demote: the broadcast overwrote the replica's
-                // parameters with the shared version, so the replica is
-                // redundant — save its scalar state and free it.
-                self.meta[m] = StubMeta {
-                    version,
-                    oort_utility: dev.oort_utility,
-                    last_participation: dev.last_participation,
-                    rng: Some(dev.rng_ref().state()),
-                };
-                self.resident_count -= 1;
-            } else {
-                let old = self.meta[m].version as usize;
-                self.meta[m].version = version;
-                self.unref(old);
+            Reached::Mask { .. } => {
+                let version = self.alloc_version(flat, norm_sq);
+                let mut refs = 0;
+                for m in 0..self.slot.len() {
+                    let old = self.slot[m];
+                    if old != RESIDENT && reached.hits(m) {
+                        self.slot[m] = version;
+                        self.unref(old);
+                        refs += 1;
+                    }
+                }
+                residents.retain(|&m| {
+                    let hit = reached.hits(m);
+                    if hit {
+                        self.demote(m, version);
+                        refs += 1;
+                    }
+                    !hit
+                });
+                // A mask that covered nobody leaves the slot dead, its
+                // payload already reusable.
+                let slot = &mut self.versions[version as usize];
+                slot.refs = refs;
+                if refs == 0 {
+                    slot.tombstone();
+                }
             }
-            self.versions[id].refs += 1;
         }
-        if self.versions[id].refs == 0 {
-            // The mask covered no devices; drop the payload immediately.
-            self.versions[id].flat = Vec::new();
-        }
+        self.residents = residents;
     }
 
     /// Live (still-referenced) version slots, as `(id, slot)`.
@@ -233,6 +349,54 @@ impl LazyPopulation {
             .enumerate()
             .filter(|(_, s)| s.is_live())
             .map(|(i, s)| (i as u32, s))
+    }
+
+    /// Length of the version table, tombstones included.
+    pub fn version_table_len(&self) -> usize {
+        self.versions.len()
+    }
+
+    /// Panics unless the plane's redundant state agrees with itself
+    /// between ticks: `slot`, `resident` and `residents` name the same
+    /// resident set, every version's count is the number of stubs
+    /// carrying it (so no stub carries a tombstone), and the replicas
+    /// held never exceed the peak residency.
+    fn check_invariants(&self) {
+        for (m, (&v, replica)) in self.slot.iter().zip(&self.resident).enumerate() {
+            assert_eq!(
+                v == RESIDENT,
+                replica.is_some(),
+                "device {m}: slot and replica disagree on residency"
+            );
+            assert!(replica.as_ref().is_none_or(|dev| dev.id == m));
+        }
+        let mut listed = self.residents.clone();
+        listed.sort_unstable();
+        let resident_slots: Vec<usize> = (0..self.slot.len())
+            .filter(|&m| self.slot[m] == RESIDENT)
+            .collect();
+        assert_eq!(
+            listed, resident_slots,
+            "residents list is not the resident set"
+        );
+        let mut refs = vec![0usize; self.versions.len()];
+        for &v in self.slot.iter().filter(|&&v| v != RESIDENT) {
+            refs[v as usize] += 1;
+        }
+        for (v, (slot, &carried)) in self.versions.iter().zip(&refs).enumerate() {
+            assert_eq!(slot.refs, carried, "version {v}: count is not its stubs");
+            assert!(
+                !slot.is_live() || !slot.flat.is_empty(),
+                "version {v} lost its payload"
+            );
+        }
+        assert!(
+            self.residents.len() + self.pool.len() <= self.peak_resident,
+            "{} residents + {} pooled replicas exceed the peak residency {}",
+            self.residents.len(),
+            self.pool.len(),
+            self.peak_resident
+        );
     }
 
     fn checkpoint(&self) -> PopulationCheckpoint {
@@ -258,7 +422,7 @@ impl LazyPopulation {
                     None => {
                         let meta = &self.meta[m];
                         DeviceSlotCheckpoint::Stub {
-                            version: meta.version,
+                            version: self.slot[m],
                             oort_utility: meta.oort_utility,
                             last_participation: meta.last_participation,
                             rng: meta.rng.map(|s| RngStateCheckpoint {
@@ -274,6 +438,9 @@ impl LazyPopulation {
         }
     }
 
+    /// Rebuilds the plane from a checkpoint. The pool and every score
+    /// cache are derived state and are not in it: the pool restarts
+    /// empty and the restored replicas are new allocations.
     fn restore(&mut self, ck: &PopulationCheckpoint) -> Result<(), String> {
         if ck.devices.len() != self.meta.len() {
             return Err(format!(
@@ -301,8 +468,9 @@ impl LazyPopulation {
             slot.norm_sq = v.norm_sq;
         }
         let mut resident: Vec<Option<Box<Device>>> = (0..ck.devices.len()).map(|_| None).collect();
+        let mut slots: Vec<u32> = Vec::with_capacity(ck.devices.len());
+        let mut residents: Vec<usize> = Vec::new();
         let mut meta: Vec<StubMeta> = Vec::with_capacity(ck.devices.len());
-        let mut resident_count = 0usize;
         for (m, slot) in ck.devices.iter().enumerate() {
             match slot {
                 DeviceSlotCheckpoint::Stub {
@@ -316,28 +484,25 @@ impl LazyPopulation {
                         return Err(format!("stub {m} references missing version {version}"));
                     }
                     versions[v].refs += 1;
+                    slots.push(*version);
                     meta.push(StubMeta {
-                        version: *version,
                         oort_utility: *oort_utility,
                         last_participation: *last_participation,
                         rng: rng.as_ref().map(|r| [r.s0, r.s1, r.s2, r.s3]),
                     });
                 }
                 DeviceSlotCheckpoint::Resident { device } => {
-                    let data = match &self.inputs.base {
-                        Some(base) => base.subset(&self.inputs.partition.assignments[m]),
-                        None => self.inputs.device_data[m].clone(),
-                    };
-                    let mut dev = Device::new(m, data, self.inputs.init.clone(), self.seed);
+                    let mut dev =
+                        Device::new(m, self.device_data(m), self.inputs.init.clone(), self.seed);
                     device.params.restore(&mut dev.model)?;
                     dev.refresh_flat();
                     dev.oort_utility = device.oort_utility;
                     dev.last_participation = device.last_participation;
                     dev.restore_rng(device.rng.restore());
                     resident[m] = Some(Box::new(dev));
-                    resident_count += 1;
+                    slots.push(RESIDENT);
+                    residents.push(m);
                     meta.push(StubMeta {
-                        version: 0,
                         oort_utility: None,
                         last_participation: None,
                         rng: None,
@@ -346,10 +511,13 @@ impl LazyPopulation {
             }
         }
         self.versions = versions;
+        self.slot = slots;
         self.resident = resident;
         self.meta = meta;
-        self.resident_count = resident_count;
-        self.peak_resident = resident_count;
+        self.pool.clear();
+        self.peak_resident = residents.len();
+        self.fresh_replicas = residents.len();
+        self.residents = residents;
         Ok(())
     }
 }
@@ -396,7 +564,7 @@ impl Population {
     pub fn resident_count(&self) -> usize {
         match self {
             Population::Dense(d) => d.len(),
-            Population::Lazy(p) => p.resident_count,
+            Population::Lazy(p) => p.residents.len(),
         }
     }
 
@@ -405,6 +573,17 @@ impl Population {
         match self {
             Population::Dense(d) => d.len(),
             Population::Lazy(p) => p.peak_resident,
+        }
+    }
+
+    /// Replicas allocated so far (equals `len()` when dense). Demoted
+    /// replicas are pooled and re-purposed, so over a run this stays at
+    /// or below [`Population::peak_resident`] however many devices
+    /// materialise.
+    pub fn fresh_replicas(&self) -> usize {
+        match self {
+            Population::Dense(d) => d.len(),
+            Population::Lazy(p) => p.fresh_replicas,
         }
     }
 
@@ -432,9 +611,13 @@ impl Population {
     pub fn view(&self, m: usize) -> DeviceRef<'_> {
         match self {
             Population::Dense(d) => DeviceRef::Resident(&d[m]),
-            Population::Lazy(p) => match &p.resident[m] {
-                Some(dev) => DeviceRef::Resident(dev),
-                None => DeviceRef::Stub(p.meta[m].version),
+            Population::Lazy(p) => match p.slot[m] {
+                RESIDENT => DeviceRef::Resident(
+                    p.resident[m]
+                        .as_deref()
+                        .expect("slot says resident but the replica is gone"),
+                ),
+                version => DeviceRef::Stub(version),
             },
         }
     }
@@ -480,12 +663,89 @@ impl Population {
         }
     }
 
-    /// Ensures device `m` is materialised (no-op when dense or already
-    /// resident).
-    pub fn ensure_resident(&mut self, m: usize) {
-        if let Population::Lazy(p) = self {
-            p.materialize(m);
+    /// Gives a selected device a replica before its init touches the
+    /// carried model: the serial half of materialisation (no-op when
+    /// dense or already resident). Returns the broadcast version the
+    /// replica still has to load, which
+    /// [`Population::init_participants`] does for every participant of
+    /// the step at once.
+    pub(crate) fn reserve(&mut self, m: usize) -> Option<u32> {
+        match self {
+            Population::Dense(_) => None,
+            Population::Lazy(p) => p.reserve(m),
         }
+    }
+
+    /// The parallel half of materialisation and device init, one region
+    /// over the step's participants (`pending`, ascending by device):
+    /// a replica reserved this step loads its pending version's flat —
+    /// unless its verdict is `EdgeModel`, which overwrites every
+    /// parameter and the flat cache anyway — then `kernel` writes the
+    /// device's initial model. The version references the reservations
+    /// kept are released serially afterwards, so no flat is tombstoned
+    /// under a reader.
+    pub(crate) fn init_participants<F>(&mut self, ids: &[usize], pending: &[PendingInit], kernel: F)
+    where
+        F: Fn(&mut Device, &PendingInit) + Sync,
+    {
+        debug_assert!(ids.iter().eq(pending.iter().map(|p| &p.device)));
+        let (mut devices, versions) = self.gather_parts(ids);
+        devices
+            .par_iter_mut()
+            .zip(pending.par_iter())
+            .for_each(|(dev, p)| {
+                if let Some(v) = p.version {
+                    if !matches!(p.init, Some(OnDevicePolicy::EdgeModel)) {
+                        let slot = &versions[v as usize];
+                        debug_assert!(slot.is_live(), "stub references a tombstoned version");
+                        dev.load_flat(&slot.flat, slot.norm_sq);
+                    }
+                }
+                kernel(dev, p);
+            });
+        drop(devices);
+        if let Population::Lazy(p) = self {
+            for version in pending.iter().filter_map(|p| p.version) {
+                p.unref(version);
+            }
+        }
+    }
+
+    /// Fills the cached selection score of every materialised device
+    /// whose cache is stale against the cloud model of `epoch`, in one
+    /// parallel region — all of a dense population after a sync,
+    /// residents a masked broadcast missed, anything after a restore;
+    /// nothing in the steady state, where the training job has already
+    /// scored every replica it touched. `stale` is scratch.
+    pub(crate) fn refresh_cloud_scores(
+        &mut self,
+        epoch: u64,
+        cloud_flat: &[f32],
+        cloud_norm_sq: f32,
+        stale: &mut Vec<usize>,
+    ) {
+        let is_stale = |dev: &Device| dev.cloud_score(epoch).is_none();
+        stale.clear();
+        match self {
+            Population::Dense(d) => {
+                stale.extend(d.iter().filter(|dev| is_stale(dev)).map(|dev| dev.id))
+            }
+            Population::Lazy(p) => {
+                stale.extend(
+                    p.residents
+                        .iter()
+                        .copied()
+                        .filter(|&m| is_stale(p.resident[m].as_deref().expect("listed resident"))),
+                );
+                stale.sort_unstable();
+            }
+        }
+        if stale.is_empty() {
+            return;
+        }
+        self.gather_mut(stale)
+            .par_iter_mut()
+            .for_each(|dev| dev.refresh_cloud_score(epoch, cloud_flat, cloud_norm_sq));
     }
 
     /// The materialised device `m`.
@@ -496,22 +756,7 @@ impl Population {
     pub fn get(&self, m: usize) -> &Device {
         match self {
             Population::Dense(d) => &d[m],
-            Population::Lazy(p) => p.resident[m]
-                .as_deref()
-                .expect("device not resident; ensure_resident first"),
-        }
-    }
-
-    /// Mutable access to the materialised device `m`.
-    ///
-    /// # Panics
-    /// Panics when `m` is virtualized.
-    pub fn get_mut(&mut self, m: usize) -> &mut Device {
-        match self {
-            Population::Dense(d) => &mut d[m],
-            Population::Lazy(p) => p.resident[m]
-                .as_deref_mut()
-                .expect("device not resident; ensure_resident first"),
+            Population::Lazy(p) => p.resident[m].as_deref().expect("device not resident"),
         }
     }
 
@@ -520,6 +765,12 @@ impl Population {
     /// parallelises over exactly the participants without re-scanning
     /// the population.
     pub fn gather_mut(&mut self, ids: &[usize]) -> Vec<&mut Device> {
+        self.gather_parts(ids).0
+    }
+
+    /// [`Population::gather_mut`] plus the version table (empty when
+    /// dense), which the borrow of the replicas would otherwise hide.
+    fn gather_parts(&mut self, ids: &[usize]) -> (Vec<&mut Device>, &[VersionSlot]) {
         assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
             "participant ids must be strictly ascending"
@@ -533,18 +784,46 @@ impl Population {
                 // SAFETY: the ids are strictly ascending (hence
                 // distinct) and in range, so every produced reference
                 // aliases a unique element.
-                ids.iter().map(|&m| unsafe { &mut *ptr.add(m) }).collect()
+                let devices = ids.iter().map(|&m| unsafe { &mut *ptr.add(m) }).collect();
+                (devices, &[])
             }
             Population::Lazy(p) => {
                 let ptr = p.resident.as_mut_ptr();
-                ids.iter()
+                let devices = ids
+                    .iter()
                     .map(|&m| {
                         // SAFETY: as above — distinct, in-range slots.
                         unsafe { &mut *ptr.add(m) }
                             .as_deref_mut()
                             .expect("participant not resident")
                     })
-                    .collect()
+                    .collect();
+                (devices, &p.versions)
+            }
+        }
+    }
+
+    /// Panics unless the population's derived state is consistent: the
+    /// lazy plane's tables ([`LazyPopulation::check_invariants`]) and,
+    /// in either mode, every score cached against the cloud model of
+    /// `epoch` equal to a fresh [`update_similarity`], bit for bit.
+    #[doc(hidden)]
+    pub fn check_invariants(&self, epoch: u64, cloud_flat: &[f32], cloud_norm_sq: f32) {
+        let check = |dev: &Device| {
+            if let Some(score) = dev.cloud_score(epoch) {
+                assert_eq!(
+                    score.to_bits(),
+                    update_similarity(dev, cloud_flat, cloud_norm_sq).to_bits(),
+                    "device {}: cached cloud score is stale",
+                    dev.id
+                );
+            }
+        };
+        match self {
+            Population::Dense(d) => d.iter().for_each(check),
+            Population::Lazy(p) => {
+                p.check_invariants();
+                p.resident.iter().flatten().for_each(|dev| check(dev));
             }
         }
     }

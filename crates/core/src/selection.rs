@@ -1,12 +1,18 @@
 //! In-edge device selection (paper §4.3, Eqs. 10–12, plus baselines).
 //!
-//! The hot path is allocation-free: candidate scores come from the
-//! devices' cached flat views ([`crate::device::Device::flat`]) through a
-//! fused identity-based kernel, candidates are scored in parallel into a
+//! The hot path is allocation-free and serial: one pass over the
+//! candidates draws each tie-break key and reads each score into a
 //! caller-owned [`SelectionScratch`], and the top-k cut uses an O(n)
-//! partial partition instead of a full sort. The `*_reference` functions
-//! keep the original allocating implementations as the numerical oracle
-//! for the equivalence tests.
+//! partial partition instead of a full sort. Scoring is not parallel
+//! here because in the simulation a score is a lookup — cached per
+//! device ([`crate::device::Device::cloud_score`]) and per broadcast
+//! version ([`crate::population::Population::version_scores`]); the
+//! fused identity-based kernel behind those caches
+//! ([`update_similarity`], over the cached flat views) runs in the
+//! training job and in the step's refresh pre-pass, which is where the
+//! parallelism lives. The `*_reference` functions keep the original
+//! allocating implementations, rescoring from scratch, as the numerical
+//! oracle for the equivalence tests.
 
 use crate::algorithms::SelectionPolicy;
 use crate::device::Device;
@@ -15,7 +21,6 @@ use middle_nn::params::flatten;
 use middle_tensor::ops::{combine_cosine, dot_slices};
 use rand::rngs::StdRng;
 use rand::Rng;
-use rayon::prelude::*;
 
 /// Reusable buffers for [`select_devices_into`]; create once and pass to
 /// every call so steady-state selection performs no heap allocation.
@@ -37,7 +42,7 @@ impl SelectionScratch {
 /// front doors build these from the dense device slice; the lazy
 /// population plane supplies closures that read resident devices or the
 /// shared per-version flats instead. Score functions consume no
-/// randomness and may be called from parallel scoring, hence `Sync`.
+/// randomness; each is called once per candidate, in candidate order.
 pub struct CandidateScorers<'a> {
     /// The MIDDLE update-similarity score `U(w_c, Δw_m)` for device `m`.
     pub similarity: &'a (dyn Fn(usize) -> f32 + Sync),
@@ -121,9 +126,9 @@ pub fn select_devices_into(
 }
 
 /// Population-agnostic core of [`select_devices_into`]: identical rng
-/// stream, parallel scoring and top-k cut, with candidate scores coming
-/// from caller-supplied [`CandidateScorers`] instead of a dense
-/// `&[Device]` slice.
+/// stream and top-k cut, with candidate scores coming from
+/// caller-supplied [`CandidateScorers`] instead of a dense `&[Device]`
+/// slice.
 pub fn select_devices_scored(
     policy: SelectionPolicy,
     k: usize,
@@ -143,34 +148,22 @@ pub fn select_devices_scored(
         sample_without_replacement_into(candidates, k, rng, out);
         return;
     }
-    // Tie-break keys are drawn serially in candidate order so the rng
-    // stream matches the reference implementation exactly; scores are
-    // then filled in parallel (score functions consume no randomness).
-    let scored = &mut scratch.scored;
-    scored.clear();
-    scored.extend(candidates.iter().map(|&m| (0.0f32, rng.gen::<u32>(), m)));
-    match policy {
+    // Tie-break keys are drawn in candidate order so the rng stream
+    // matches the reference implementation exactly (score functions
+    // consume no randomness).
+    let score = |m: usize| match policy {
         SelectionPolicy::Random => unreachable!("handled above"),
-        SelectionPolicy::LeastSimilarUpdate => {
-            scored.par_iter_mut().for_each(|slot| {
-                slot.0 = -(scorers.similarity)(slot.2);
-            });
-        }
-        SelectionPolicy::MostSimilarUpdate => {
-            scored.par_iter_mut().for_each(|slot| {
-                slot.0 = (scorers.similarity)(slot.2);
-            });
-        }
+        SelectionPolicy::LeastSimilarUpdate => -(scorers.similarity)(m),
+        SelectionPolicy::MostSimilarUpdate => (scorers.similarity)(m),
         // Never-trained devices get +inf utility: Oort-style
         // exploration of fresh clients, required here because moved
         // devices have no history at the new edge. Cluster-guided
         // selection ranks by the same utility within each cluster.
-        SelectionPolicy::OortUtility | SelectionPolicy::ClusterGuided { .. } => {
-            scored.par_iter_mut().for_each(|slot| {
-                slot.0 = (scorers.oort)(slot.2);
-            });
-        }
-    }
+        SelectionPolicy::OortUtility | SelectionPolicy::ClusterGuided { .. } => (scorers.oort)(m),
+    };
+    let scored = &mut scratch.scored;
+    scored.clear();
+    scored.extend(candidates.iter().map(|&m| (score(m), rng.gen::<u32>(), m)));
     if matches!(policy, SelectionPolicy::ClusterGuided { .. }) {
         cluster_round_robin_into(scored, scorers.cluster, k, out);
     } else {

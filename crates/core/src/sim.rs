@@ -29,11 +29,10 @@ use crate::config::{MobilitySource, PopulationMode, SimConfig};
 use crate::device::Device;
 use crate::faults::FaultPlane;
 use crate::metrics::{EvalPoint, RunRecord, RUN_RECORD_SCHEMA_VERSION};
-use crate::population::{DeviceRef, Population, Reached};
+use crate::population::{DeviceRef, PendingInit, Population, Reached};
 use crate::selection::{
-    select_devices_reference_scored, select_devices_scored, update_similarity,
-    update_similarity_reference, update_similarity_reference_flat, CandidateScorers,
-    SelectionScratch,
+    select_devices_reference_scored, select_devices_scored, update_similarity_reference,
+    update_similarity_reference_flat, CandidateScorers, SelectionScratch,
 };
 use crate::similarity::{aggregation_weights, similarity_utility_cached};
 use crate::telemetry::{Phase, StepProbe, Telemetry};
@@ -123,6 +122,39 @@ impl EdgeState {
     pub fn load_flat(&mut self, flat: &[f32], norm_sq: f32) {
         middle_nn::params::unflatten(&mut self.model, flat);
         self.flat.set_from_slice(flat, norm_sq);
+    }
+}
+
+/// The cloud model's cached flat view, and an epoch that counts its
+/// refreshes: a device's cached selection score
+/// ([`Device::cloud_score`]) is valid only against the epoch it was
+/// computed in, so the two move together here and nowhere else. The
+/// epoch is derived state — a restore starts a new one — and is never
+/// checkpointed.
+struct CloudView {
+    flat: FlatView,
+    epoch: u64,
+}
+
+impl CloudView {
+    fn of(cloud: &Sequential) -> Self {
+        CloudView {
+            flat: FlatView::of(cloud),
+            epoch: 0,
+        }
+    }
+
+    fn refresh(&mut self, cloud: &Sequential) {
+        self.flat.refresh(cloud);
+        self.epoch += 1;
+    }
+
+    fn flat(&self) -> &[f32] {
+        self.flat.flat()
+    }
+
+    fn norm_sq(&self) -> f32 {
+        self.flat.norm_sq()
     }
 }
 
@@ -216,7 +248,7 @@ pub struct Simulation {
     // Hot-path state: the cloud's cached flat view (refreshed only when
     // the cloud model actually changes) and per-step scratch buffers that
     // persist across steps so the steady-state loop never allocates.
-    cloud_flat: FlatView,
+    cloud_flat: CloudView,
     selection_scratch: SelectionScratch,
     candidates: Vec<usize>,
     selected_per_edge: Vec<Vec<usize>>,
@@ -226,10 +258,15 @@ pub struct Simulation {
     // all N devices.
     index: StepIndex,
     participants: Vec<usize>,
+    // What phase 1 decided for each participant, consumed by the step's
+    // one init region.
+    pending_inits: Vec<PendingInit>,
     // Lazy-mode scratch: per-live-version similarity scores against the
     // current cloud model, refilled each step before selection (empty
     // in dense mode or under non-similarity policies).
     version_scores: Vec<f32>,
+    // Scratch of the score pre-pass: the devices it found stale.
+    stale_scores: Vec<usize>,
     // Fault-plane scratch: per-edge delivered cohorts (selected minus
     // lost/late uploads) and per-edge WAN link state at a sync. Unused
     // (and untouched) while the fault plane is disabled.
@@ -269,7 +306,7 @@ impl Simulation {
         let edges: Vec<EdgeState> = (0..config.num_edges)
             .map(|_| EdgeState::new(init.clone()))
             .collect();
-        let cloud_flat = FlatView::of(&init);
+        let cloud_flat = CloudView::of(&init);
         let selected_per_edge = (0..config.num_edges).map(|_| Vec::new()).collect();
         let delivered_per_edge = (0..config.num_edges).map(|_| Vec::new()).collect();
         let telemetry = Telemetry::from_config(&config);
@@ -305,7 +342,9 @@ impl Simulation {
             selected_per_edge,
             index: StepIndex::default(),
             participants: Vec::new(),
+            pending_inits: Vec::new(),
             version_scores: Vec::new(),
+            stale_scores: Vec::new(),
             delivered_per_edge,
             wan_up: Vec::new(),
             next_step: 0,
@@ -826,24 +865,35 @@ impl Simulation {
         self.fault_step_begin(probe);
     }
 
-    /// Lazy mode scores each live broadcast version against the cloud
-    /// once per step; every stub of a version then shares that score
-    /// bitwise, exactly as idle dense devices holding the same broadcast
-    /// would. No-op for selection policies that don't rank by update
-    /// similarity. Only the fast scorer reads the scores; the reference
-    /// kernel rescores each stub from its version's flat.
-    fn refresh_version_scores(&mut self) {
-        if matches!(
+    /// Whether the selection policy ranks by update similarity — the
+    /// only case in which anything keeps `U(w_c, Δw_m)` scores.
+    fn ranks_by_similarity(&self) -> bool {
+        matches!(
             self.policy.selection(),
             SelectionPolicy::LeastSimilarUpdate | SelectionPolicy::MostSimilarUpdate
-        ) {
-            let mut scores = std::mem::take(&mut self.version_scores);
-            self.population.version_scores(
-                self.cloud_flat.flat(),
-                self.cloud_flat.norm_sq(),
-                &mut scores,
+        )
+    }
+
+    /// Makes every fast-mode selection score of the step a lookup. Lazy
+    /// mode scores each live broadcast version against the cloud once
+    /// per step; every stub of a version then shares that score bitwise,
+    /// exactly as idle dense devices holding the same broadcast would.
+    /// Materialised devices cache their own score beside their flat: the
+    /// training job fills it, and the pre-pass here scores whatever is
+    /// stale regardless. Only the fast scorer reads either; the
+    /// reference kernel rescores every candidate from scratch, which
+    /// makes fast == reference the caches' oracle.
+    fn refresh_selection_scores(&mut self) {
+        if self.ranks_by_similarity() {
+            let (flat, norm_sq) = (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
+            self.population
+                .version_scores(flat, norm_sq, &mut self.version_scores);
+            self.population.refresh_cloud_scores(
+                self.cloud_flat.epoch,
+                flat,
+                norm_sq,
+                &mut self.stale_scores,
             );
-            self.version_scores = scores;
         }
     }
 
@@ -855,11 +905,15 @@ impl Simulation {
     /// non-empty cohort (accruing `active_steps`). Shared by the
     /// lockstep step and the event engine's step-boundary handler.
     fn phase_select_train(&mut self, t: usize, mode: StepMode, probe: &mut StepProbe) -> bool {
-        self.refresh_version_scores();
-        // Phase 1 — in-edge device selection, then write each selected
-        // device's initial model (moved devices aggregate on device,
-        // stationary ones download the edge model into place).
+        probe.start();
+        self.refresh_selection_scores();
+        probe.stop(Phase::Selection);
+        // Phase 1 — in-edge device selection, edge by edge, deciding
+        // each selected device's initial model (moved devices aggregate
+        // on device, stationary ones download the edge model); the
+        // models are written after the last edge, in one region.
         self.participants.clear();
+        self.pending_inits.clear();
         for n in 0..self.edges.len() {
             probe.start();
             self.candidates.clear();
@@ -899,12 +953,11 @@ impl Simulation {
                 match mode {
                     StepMode::Fast => {
                         let version_scores = &self.version_scores;
-                        let (cloud_flat, cloud_norm_sq) =
-                            (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
+                        let epoch = self.cloud_flat.epoch;
                         let similarity = |m: usize| match population.view(m) {
-                            DeviceRef::Resident(dev) => {
-                                update_similarity(dev, cloud_flat, cloud_norm_sq)
-                            }
+                            DeviceRef::Resident(dev) => dev
+                                .cloud_score(epoch)
+                                .expect("the pre-pass scores every materialised device"),
                             DeviceRef::Stub(v) => version_scores[v as usize],
                         };
                         select_devices_scored(
@@ -965,50 +1018,39 @@ impl Simulation {
             }
             let mut downloads = 0u64;
             let mut migrations = 0u64;
-            let edge = &self.edges[n];
             for &m in selected {
-                // A selected device must be materialised before its
-                // init touches the carried model (no-op when dense or
-                // already resident).
-                self.population.ensure_resident(m);
+                // A selected device needs a replica before its init
+                // touches the carried model; reserving one is the
+                // serial, cheap half of materialisation (no-op when
+                // dense or already resident).
+                let version = self.population.reserve(m);
                 self.participants.push(m);
                 // A stationary device downloads the edge model, which
                 // is exactly the `EdgeModel` init.
-                let on_device = if self.index.moved(m) {
+                let init = if self.index.moved(m) {
                     probe.moved_init();
                     match self.policy.on_move(m, self.index.prev[m], n) {
-                        MoveAction::Blend(on_device) => on_device,
+                        MoveAction::Blend(on_device) => Some(on_device),
                         // FedFly hand-off: the carried model continues
                         // untouched while the in-flight update rides the
                         // inter-edge backhaul (charged below).
                         MoveAction::Migrate => {
                             migrations += 1;
-                            continue;
+                            None
                         }
                     }
                 } else {
-                    OnDevicePolicy::EdgeModel
+                    Some(OnDevicePolicy::EdgeModel)
                 };
-                if !matches!(on_device, OnDevicePolicy::KeepLocal) {
+                if init.is_some_and(|on_device| !matches!(on_device, OnDevicePolicy::KeepLocal)) {
                     downloads += 1;
                 }
-                // Nothing in phase 1 reads a selected device's model
-                // again (a device sits under exactly one edge per step),
-                // so both modes install the init straight away.
-                let dev = self.population.get_mut(m);
-                match mode {
-                    StepMode::Fast => on_device_init_into(
-                        on_device,
-                        dev,
-                        &edge.model,
-                        edge.flat(),
-                        edge.flat_norm_sq(),
-                    ),
-                    StepMode::Reference => {
-                        dev.model = on_device_init(on_device, &edge.model, &dev.model);
-                        dev.invalidate_flat();
-                    }
-                }
+                self.pending_inits.push(PendingInit {
+                    device: m,
+                    version,
+                    edge: n,
+                    init,
+                });
             }
             self.comm.edge_to_device += downloads;
             self.comm.edge_to_device_bytes += downloads * self.compression.dense_payload_bytes();
@@ -1022,21 +1064,54 @@ impl Simulation {
             self.active_steps += 1;
         }
 
-        // Phase 2 — parallel local training over the participating set
-        // only, so the work splits across exactly K·E training jobs
-        // instead of one no-op task per idle device. Each participant
-        // owns its slot; no shared mutable state (and its own rng, so
-        // the gather order cannot affect numerics). The explicit
-        // participant id list (sorted to strictly ascending — a device
-        // is attached to exactly one edge per step, so ids are distinct)
-        // replaces the old full-population boolean-mask re-scan.
+        // The explicit participant id list (sorted to strictly
+        // ascending — a device is attached to exactly one edge per
+        // step, so ids are distinct) lets the two regions below split
+        // over exactly the K·E participants instead of one no-op task
+        // per idle device.
+        probe.start();
+        self.participants.sort_unstable();
+        self.pending_inits.sort_unstable_by_key(|p| p.device);
+
+        // Every selected device's initial model, in one region: load
+        // what a replica reserved above still lacks, then the init.
+        // Nothing in phase 1 read a selected device's model after its
+        // selection (a device sits under exactly one edge per step), so
+        // deferring the writes to here changes no value.
+        let edges = &self.edges;
+        self.population
+            .init_participants(&self.participants, &self.pending_inits, |dev, p| {
+                let Some(on_device) = p.init else { return };
+                let edge = &edges[p.edge];
+                match mode {
+                    StepMode::Fast => on_device_init_into(
+                        on_device,
+                        dev,
+                        &edge.model,
+                        edge.flat(),
+                        edge.flat_norm_sq(),
+                    ),
+                    StepMode::Reference => {
+                        dev.model = on_device_init(on_device, &edge.model, &dev.model);
+                        dev.invalidate_flat();
+                    }
+                }
+            });
+        probe.stop(Phase::DeviceInit);
+
+        // Phase 2 — parallel local training. Each participant owns its
+        // slot; no shared mutable state (and its own rng, so the gather
+        // order cannot affect numerics). The job ends by scoring the
+        // device against the cloud while its flat is hot, so the next
+        // step's selection finds the score cached.
         probe.start();
         let (local_steps, batch_size, optimizer) = (
             self.config.local_steps,
             self.config.batch_size,
             self.config.optimizer,
         );
-        self.participants.sort_unstable();
+        let scored = self.ranks_by_similarity();
+        let cloud = &self.cloud_flat;
         let mut participants = self.population.gather_mut(&self.participants);
         participants.par_iter_mut().for_each(|dev| {
             match mode {
@@ -1045,6 +1120,9 @@ impl Simulation {
                     dev.local_train_reference(local_steps, batch_size, &optimizer, t)
                 }
             };
+            if scored {
+                dev.refresh_cloud_score(cloud.epoch, cloud.flat(), cloud.norm_sq());
+            }
         });
         drop(participants);
         probe.stop(Phase::LocalTraining);
@@ -1795,6 +1873,21 @@ impl Simulation {
             self.telemetry.restore_counters(*counters);
         }
         Ok(())
+    }
+
+    /// Panics unless the derived state the hot paths trust agrees with
+    /// the state it is derived from
+    /// ([`Population::check_invariants`]): the lazy plane's slot table,
+    /// residents list, version counts and replica pool, and every
+    /// device's cached selection score against the current cloud model.
+    /// Meant to be called between ticks by test batteries.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.population.check_invariants(
+            self.cloud_flat.epoch,
+            self.cloud_flat.flat(),
+            self.cloud_flat.norm_sq(),
+        );
     }
 
     /// Builds the evaluation point for time step `t`.

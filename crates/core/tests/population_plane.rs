@@ -8,8 +8,8 @@
 
 use middle_core::checkpoint::DeviceSlotCheckpoint;
 use middle_core::{
-    Algorithm, DelayModel, DeviceRef, DropoutModel, ExecutionMode, LatencyModel, PopulationMode,
-    RunRecord, SimCheckpoint, SimConfig, Simulation, SimulationBuilder, StepMode,
+    Algorithm, DelayModel, DeviceRef, DropoutModel, ExecutionMode, LatencyModel, Population,
+    PopulationMode, RunRecord, SimCheckpoint, SimConfig, Simulation, SimulationBuilder, StepMode,
 };
 use middle_data::Task;
 use middle_nn::params::flatten;
@@ -316,5 +316,153 @@ fn lazy_residency_bounded_by_active_set() {
         sim.population().resident_count(),
         0,
         "final sync step must demote every replica"
+    );
+}
+
+/// The version id each stub carries (`None` for residents), from the
+/// checkpoint — the only place ids are visible per device.
+fn stub_versions(sim: &Simulation) -> Vec<Option<u32>> {
+    let ck = sim.checkpoint();
+    let pck = ck.population.as_ref().expect("lazy checkpoint block");
+    pck.devices
+        .iter()
+        .map(|slot| match slot {
+            DeviceSlotCheckpoint::Stub { version, .. } => Some(*version),
+            DeviceSlotCheckpoint::Resident { .. } => None,
+        })
+        .collect()
+}
+
+/// A broadcast reuses the lowest tombstoned version id, so the table
+/// stays as small as the most versions ever live at once (plus the one
+/// being born) however many syncs a run makes — it used to grow by a
+/// slot per sync. WAN outages keep several versions live at a time, so
+/// ids are reused out of order. And because the id a broadcast takes
+/// depends on the live set alone, a run resumed from a checkpoint (whose
+/// table is rebuilt from live ids only) hands out the same ids as the
+/// uninterrupted one.
+#[test]
+fn version_table_reuses_tombstoned_ids_across_200_syncs() {
+    let mut cfg = lazy(SimConfig::tiny(Task::Speech, Algorithm::middle()));
+    cfg.num_devices = 24;
+    cfg.local_steps = 1;
+    cfg.cloud_interval = 1;
+    cfg.steps = 200;
+    cfg.eval_interval = 100;
+    cfg.faults.wan_outage = 0.4;
+
+    let table = |sim: &Simulation| match sim.population() {
+        Population::Lazy(p) => (p.live_versions().count(), p.version_table_len()),
+        Population::Dense(_) => unreachable!("lazy config"),
+    };
+    let mut straight = built(cfg.clone());
+    let mut first = built(cfg.clone());
+    let (mut most_live, mut json) = (1, None);
+    for t in 0..cfg.steps {
+        straight.tick(StepMode::Fast);
+        let (live, len) = table(&straight);
+        most_live = most_live.max(live);
+        assert!(len <= most_live + 1, "step {t}: {len} slots, {live} live");
+        if t < 77 {
+            first.tick(StepMode::Fast);
+        } else if json.is_none() {
+            assert!(
+                table(&first).0 < table(&first).1,
+                "cut with a tombstone in the table"
+            );
+            json = Some(first.checkpoint().to_json());
+        }
+    }
+    assert!(straight.syncs() >= 150, "{} syncs", straight.syncs());
+    assert!(most_live >= 3, "outages never kept versions alive together");
+    let reference = straight.finish();
+
+    let ck = SimCheckpoint::from_json(&json.expect("cut")).expect("round trip");
+    let mut second = built(cfg);
+    second.restore(&ck).expect("restore");
+    let resumed = second.run();
+    assert_records_equal(&reference, &resumed);
+    assert_eq!(model_bits(&straight), model_bits(&second));
+    assert_eq!(stub_versions(&straight), stub_versions(&second));
+}
+
+/// Ticks a lazy `cfg` to the end, checking after every tick that the
+/// plane's derived state — slot table, residents list, version counts,
+/// replica pool, cached selection scores — agrees with what it is
+/// derived from. `each_tick` sees the simulation after every check.
+fn assert_invariants_hold(cfg: SimConfig, mut each_tick: impl FnMut(&Simulation)) {
+    let mut sim = built(lazy(cfg));
+    sim.check_invariants();
+    while !sim.is_finished() {
+        sim.tick(StepMode::Fast);
+        sim.check_invariants();
+        each_tick(&sim);
+    }
+    assert!(sim.syncs() >= 4, "the run must cross several broadcasts");
+}
+
+/// Full broadcasts: every sync demotes the whole working set into the
+/// pool and the next window draws it back out.
+#[test]
+fn invariants_hold_under_full_broadcasts() {
+    let mut pooled = false;
+    assert_invariants_hold(base_config(), |sim| {
+        let p = sim.population();
+        pooled |= p.fresh_replicas() > p.resident_count();
+        assert!(p.fresh_replicas() <= p.peak_resident());
+    });
+    assert!(pooled, "no replica ever waited in the pool");
+}
+
+/// Masked broadcasts: residents under a down edge survive the sync, so
+/// the cloud epoch changes under their cached scores, and several
+/// versions are live at once.
+#[test]
+fn invariants_hold_under_wan_outage() {
+    let mut cfg = base_config();
+    cfg.faults.wan_outage = 0.5;
+    let mut survivors = false;
+    assert_invariants_hold(cfg.clone(), |sim| {
+        let synced_now = sim.next_step().is_multiple_of(cfg.cloud_interval);
+        survivors |= synced_now && sim.population().resident_count() > 0;
+    });
+    assert!(survivors, "no resident ever outlived a masked sync");
+}
+
+/// The lossy compression plane syncs through its own broadcast path.
+#[test]
+fn invariants_hold_with_compression() {
+    let mut cfg = base_config();
+    cfg.compression.enabled = true;
+    cfg.compression.quantize_bits = 8;
+    cfg.compression.top_frac = 0.5;
+    assert_invariants_hold(cfg, |_| {});
+}
+
+/// Lazy × event-driven × real latencies: a broadcast demotes senders
+/// whose uploads are still in flight. Their replicas go to the pool and
+/// must be unreachable from then on — `get` refuses a stub.
+#[test]
+fn invariants_hold_event_driven_and_pooled_replicas_are_unreachable() {
+    let mut demoted_in_flight = 0;
+    assert_invariants_hold(async_config(), |sim| {
+        let ck = sim.checkpoint();
+        let tck = ck.timeline.as_ref().expect("event-driven checkpoint");
+        for (m, _) in tck
+            .in_flight
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.is_some())
+        {
+            if matches!(sim.population().view(m), DeviceRef::Stub(_)) {
+                demoted_in_flight += 1;
+                let get = std::panic::AssertUnwindSafe(|| sim.population().get(m).id);
+                assert!(std::panic::catch_unwind(get).is_err(), "stub {m} reachable");
+            }
+        }
+    });
+    assert!(
+        demoted_in_flight > 0,
+        "no in-flight sender was ever demoted"
     );
 }

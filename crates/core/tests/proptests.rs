@@ -4,12 +4,15 @@ use middle_core::aggregation::on_device_init;
 use middle_core::similarity::{aggregation_weights, similarity_utility};
 use middle_core::theory::{BoundParams, QuadraticProblem};
 use middle_core::{
-    Algorithm, OnDevicePolicy, SimCheckpoint, SimConfig, SimError, SimulationBuilder, StepMode,
+    Algorithm, Device, OnDevicePolicy, SimCheckpoint, SimConfig, SimError, SimulationBuilder,
+    StepMode,
 };
+use middle_data::synthetic::SyntheticSource;
 use middle_data::Task;
-use middle_nn::layers::Dense;
+use middle_nn::layers::{Dense, Dropout, Flatten, Relu};
 use middle_nn::params::{flatten, unflatten};
-use middle_nn::Sequential;
+use middle_nn::{zoo, OptimizerKind, Sequential};
+use middle_tensor::ops::dot_slices;
 use middle_tensor::random::rng;
 use proptest::prelude::*;
 
@@ -111,6 +114,98 @@ proptest! {
         let w = q.optimum();
         let f_opt = q.global_loss(&w);
         prop_assert!(q.global_loss(&[probe]) >= f_opt - 1e-4);
+    }
+}
+
+/// Every architecture a replica pool can hold: the four zoo models and
+/// an MLP with a `Dropout` layer — the one layer whose state between
+/// batches (its rng) changes what training computes.
+fn pooled_architecture(which: usize) -> (Task, Sequential) {
+    let (task, build): (Task, fn(Task) -> Sequential) = match which {
+        0 => (Task::Mnist, |t| zoo::cnn2(&t.spec(), &mut rng(1))),
+        1 => (Task::Cifar10, |t| zoo::cnn3(&t.spec(), &mut rng(2))),
+        2 => (Task::Speech, |t| zoo::mlp(&t.spec(), 16, &mut rng(3))),
+        3 => (Task::Mnist, |t| zoo::logistic(&t.spec(), &mut rng(4))),
+        _ => (Task::Speech, |t| {
+            let spec = t.spec();
+            let mut r = rng(5);
+            Sequential::new()
+                .push(Flatten::new())
+                .push(Dense::new(spec.features(), 12, &mut r))
+                .push(Relu::new())
+                .push(Dropout::new(0.4, 99))
+                .push(Dense::new(12, spec.classes, &mut r))
+        }),
+    };
+    (task, build(task))
+}
+
+/// Everything about a device that a later step can observe.
+fn device_state(d: &Device) -> impl PartialEq + std::fmt::Debug {
+    let grads: Vec<u32> = d
+        .model
+        .params()
+        .iter()
+        .flat_map(|p| p.grad.data().iter().map(|g| g.to_bits()))
+        .collect();
+    (
+        (d.id, d.num_samples(), d.last_participation),
+        d.flat().iter().map(|v| v.to_bits()).collect::<Vec<u32>>(),
+        d.flat_norm_sq().to_bits(),
+        d.oort_utility.map(f32::to_bits),
+        d.rng_ref().state(),
+        grads,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A recycled replica is a fresh one: train device A for a while,
+    /// re-purpose it as device B (`Device::recycle`), load a broadcast
+    /// and train — every observable of the result is bitwise what
+    /// `Device::new(B)` gives after the same load and training, through
+    /// the workspace path and the reference path alike.
+    #[test]
+    fn recycled_replica_is_a_fresh_one(
+        which in 0usize..5,
+        reference in 0usize..2,
+        worn in 0usize..4,
+        steps in 1usize..3,
+        a in 0usize..50,
+        b in 50usize..100,
+        samples_a in 3usize..9,
+        samples_b in 3usize..9,
+        seed in 0u64..1000,
+        fill in -0.5f32..0.5,
+    ) {
+        let (task, init) = pooled_architecture(which);
+        let source = SyntheticSource::new(task, 11);
+        let data = |id: usize, n: usize| source.generate_balanced(n, id as u64);
+        let optimizer = OptimizerKind::Momentum { lr: 0.05, momentum: 0.9 };
+        let train = |d: &mut Device, steps: usize, t: usize| if reference == 1 {
+            d.local_train_reference(steps, 4, &optimizer, t)
+        } else {
+            d.local_train(steps, 4, &optimizer, t)
+        };
+        let broadcast: Vec<f32> = (0..init.param_count())
+            .map(|i| fill + 0.01 * ((i * 7 + 3) % 13) as f32)
+            .collect();
+        let norm_sq = dot_slices(&broadcast, &broadcast);
+
+        let mut recycled = Device::new(a, data(a, samples_a), init.clone(), seed);
+        if worn > 0 {
+            train(&mut recycled, worn, 0);
+        }
+        recycled.recycle(b, data(b, samples_b), seed);
+        let mut fresh = Device::new(b, data(b, samples_b), init.clone(), seed);
+        for dev in [&mut recycled, &mut fresh] {
+            dev.load_flat(&broadcast, norm_sq);
+        }
+        prop_assert_eq!(device_state(&recycled), device_state(&fresh));
+        let (loss, loss_fresh) = (train(&mut recycled, steps, 5), train(&mut fresh, steps, 5));
+        prop_assert_eq!(loss.to_bits(), loss_fresh.to_bits());
+        prop_assert_eq!(device_state(&recycled), device_state(&fresh));
     }
 }
 

@@ -114,6 +114,14 @@ pub trait Layer: Send + Sync {
     /// federated device).
     fn clone_box(&self) -> Box<dyn Layer>;
 
+    /// Returns the layer's non-parameter state to what
+    /// [`Layer::clone_box`] hands out: backward caches dropped, a
+    /// layer-owned rng re-seeded. Parameters and gradients are left
+    /// alone. A pooled model is re-purposed for another device through
+    /// this, so whatever a layer carries between batches besides its
+    /// parameters must be reset here.
+    fn reset_state(&mut self) {}
+
     /// Workspace-backed forward pass writing into caller-owned `out`.
     ///
     /// Bitwise-identical to [`Layer::forward`] but allocation-free when

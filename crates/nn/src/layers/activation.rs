@@ -62,6 +62,10 @@ impl Layer for Relu {
         Box::new(Relu { mask: None })
     }
 
+    fn reset_state(&mut self) {
+        self.mask = None;
+    }
+
     fn forward_into(&mut self, input: &Tensor, _train: bool, _ws: &mut LayerWs, out: &mut Tensor) {
         relu_into(input, out);
     }
@@ -153,6 +157,10 @@ impl Layer for Tanh {
         Box::new(Tanh {
             cached_output: None,
         })
+    }
+
+    fn reset_state(&mut self) {
+        self.cached_output = None;
     }
 }
 

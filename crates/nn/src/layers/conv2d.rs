@@ -99,6 +99,10 @@ impl Layer for Conv2d {
         Box::new(self.clone())
     }
 
+    fn reset_state(&mut self) {
+        self.cached_input = None;
+    }
+
     fn forward_into(&mut self, input: &Tensor, _train: bool, ws: &mut LayerWs, out: &mut Tensor) {
         let (scratch, _, _) = conv_ws(ws);
         conv2d_forward_into(

@@ -124,6 +124,10 @@ impl Layer for Dense {
         Box::new(self.clone())
     }
 
+    fn reset_state(&mut self) {
+        self.cached_input = None;
+    }
+
     fn forward_into(&mut self, input: &Tensor, _train: bool, _ws: &mut LayerWs, out: &mut Tensor) {
         self.affine_into(input, out);
     }

@@ -83,6 +83,11 @@ impl Layer for Dropout {
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(Dropout::new(self.p, self.seed))
     }
+
+    fn reset_state(&mut self) {
+        self.rng = rng(self.seed);
+        self.mask = None;
+    }
 }
 
 #[cfg(test)]

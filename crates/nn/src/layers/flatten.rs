@@ -49,6 +49,10 @@ impl Layer for Flatten {
         Box::new(Flatten { cached_shape: None })
     }
 
+    fn reset_state(&mut self) {
+        self.cached_shape = None;
+    }
+
     fn forward_into(&mut self, input: &Tensor, _train: bool, _ws: &mut LayerWs, out: &mut Tensor) {
         flatten_into(input, out);
     }

@@ -69,6 +69,10 @@ impl Layer for MaxPool2d {
         })
     }
 
+    fn reset_state(&mut self) {
+        self.cached = None;
+    }
+
     fn forward_into(&mut self, input: &Tensor, _train: bool, ws: &mut LayerWs, out: &mut Tensor) {
         maxpool2d_forward_into(input, self.window, out, pool_ws(ws));
     }

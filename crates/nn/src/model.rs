@@ -82,6 +82,15 @@ impl Sequential {
         }
     }
 
+    /// Resets every layer's non-parameter state ([`Layer::reset_state`]):
+    /// afterwards the model differs from a fresh clone of itself only in
+    /// its parameter values.
+    pub fn reset_state(&mut self) {
+        for layer in &mut self.layers {
+            layer.reset_state();
+        }
+    }
+
     /// One supervised training step on a classification batch:
     /// forward, cross-entropy, backward, optimizer step.
     ///

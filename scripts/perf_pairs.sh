@@ -7,23 +7,29 @@
 # exactly equal on both sides (the trajectory fingerprint, `sim_wall_s`,
 # `uplink_mb`) and on failed operations.
 #
-#   scripts/perf_pairs.sh <parent-ref> <workload> [pairs=10] [seed=2023]
+#   scripts/perf_pairs.sh <parent-ref> <workload[,workload...]|all> [pairs=10] [seed=2023]
+#
+# `all` is every workload the change's `perf` declares. Workloads run
+# one after another, each with its own pairs and its own table, so
+# "the claimed workload improved, the others did not move" is one
+# command; the exit status is non-zero if any table broke the rule
+# above.
 #
 # The parent is exported (`git archive`) under $TMPDIR, so nothing is
 # left in `.git`; the change is the working tree. Each side is built by
 # its own `perf/run.sh` into its own tree's `target/`. Every run's
-# metric lines are printed as they arrive, the table last; `tee` the
-# output to keep it. Run from anywhere.
+# metric lines are printed as they arrive, each workload's table after
+# its last pair; `tee` the output to keep it. Run from anywhere.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [[ $# -lt 2 || $# -gt 4 ]]; then
-    echo "usage: scripts/perf_pairs.sh <parent-ref> <workload> [pairs=10] [seed=2023]" >&2
+    echo "usage: scripts/perf_pairs.sh <parent-ref> <workload[,workload...]|all> [pairs=10] [seed=2023]" >&2
     exit 2
 fi
 REF=$1
-WORKLOAD=$2
+WORKLOADS=$2
 PAIRS=${3:-10}
 SEED=${4:-2023}
 
@@ -37,31 +43,28 @@ git archive "$REF" | tar -x -C "$WORK/parent"
 unset CARGO_TARGET_DIR
 echo "==> building parent ($REF) and change" >&2
 bash "$WORK/parent/perf/run.sh" manifest >/dev/null
-bash perf/run.sh manifest >/dev/null
+bash perf/run.sh manifest >"$WORK/manifest.json"
+if [[ "$WORKLOADS" == all ]]; then
+    # The `workloads` array is the manifest's first; its entries are the
+    # only ones whose `name` sits on a line of its own before a `why`.
+    WORKLOADS=$(sed -n '/"workloads": \[/,/^  \]/p' "$WORK/manifest.json" |
+        sed -n 's/^ *"name": "\([a-z_0-9]*\)",$/\1/p' | paste -sd, -)
+fi
 
 # One measured run of `side`; its lines go to stdout as
 # `<pair> <side> <line>`.
 measure() {
     local pair=$1 side=$2 tree=.
     [[ "$side" == parent ]] && tree="$WORK/parent"
-    echo "==> pair $pair/$PAIRS: $side" >&2
+    echo "==> $WORKLOAD pair $pair/$PAIRS: $side" >&2
     bash "$tree/perf/run.sh" --workload "$WORKLOAD" --seed "$SEED" --seconds 20 --trace 0 |
         sed "s/^/$pair $side /"
 }
 
-for pair in $(seq 1 "$PAIRS"); do
-    if ((pair % 2)); then
-        measure "$pair" parent
-        measure "$pair" change
-    else
-        measure "$pair" change
-        measure "$pair" parent
-    fi
-done | tee "$WORK/runs.txt" | grep --line-buffered -E '^[0-9]+ (parent|change) ([a-z_0-9.]+ [-0-9.e+]+ [^ ]+|fingerprint .*|ops .*)$'
-
-# `name value unit` lines are metrics; `fingerprint` and `ops` lines
-# carry what must be exact.
-awk '
+# The table of one workload's runs. `name value unit` lines are metrics;
+# `fingerprint` and `ops` lines carry what must be exact.
+table() {
+    awk '
 function quartile(side, name, q,    n, i, j, v, tmp, pos, lo) {
     n = 0
     for (i = 1; i <= runs[side]; i++) v[++n] = value[side, name, i] + 0
@@ -113,4 +116,22 @@ END {
         bad = 1
     }
     exit bad
-}' "$WORK/runs.txt"
+}' "$1"
+}
+
+status=0
+for WORKLOAD in ${WORKLOADS//,/ }; do
+    runs="$WORK/runs.$WORKLOAD.txt"
+    for pair in $(seq 1 "$PAIRS"); do
+        if ((pair % 2)); then
+            measure "$pair" parent
+            measure "$pair" change
+        else
+            measure "$pair" change
+            measure "$pair" parent
+        fi
+    done | tee "$runs" | grep --line-buffered -E '^[0-9]+ (parent|change) ([a-z_0-9.]+ [-0-9.e+]+ [^ ]+|fingerprint .*|ops .*)$'
+    printf '\n== %s: parent %s vs change, seed %s, %s pairs\n' "$WORKLOAD" "$REF" "$SEED" "$PAIRS"
+    table "$runs" || status=1
+done
+exit $status

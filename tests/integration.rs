@@ -151,6 +151,40 @@ fn round_skeleton_is_one_trajectory_under_every_selector() {
     assert_same(&base, &run(lazy, StepMode::Fast), "lazy");
 }
 
+/// Ticks `cfg` to the first cut where `populated` holds, checkpoint →
+/// JSON → parse → restore into a fresh build, and the finish must equal
+/// the straight run's, bit for bit.
+fn resume_at(what: &str, cfg: SimConfig, populated: impl Fn(&Simulation, &SimCheckpoint) -> bool) {
+    let mut straight = built(cfg.clone());
+    let reference = straight.run();
+
+    let mut first = built(cfg.clone());
+    let json = loop {
+        first.tick(StepMode::Fast);
+        assert!(!first.is_finished(), "{what}: never reached its cut");
+        let ck = first.checkpoint();
+        if populated(&first, &ck) {
+            break ck.to_json();
+        }
+    };
+    drop(first);
+    let ck = SimCheckpoint::from_json(&json).expect("own checkpoint parses");
+    let mut second = built(cfg);
+    second.restore(&ck).expect("own checkpoint restores");
+    assert!(second.next_step() > 0);
+    let resumed = second.run();
+    assert_eq!(
+        reference.event_seconds.map(f64::to_bits),
+        resumed.event_seconds.map(f64::to_bits),
+        "{what}: simulated clock diverged"
+    );
+    assert_same(
+        &(reference, cloud_bits(&straight)),
+        &(resumed, cloud_bits(&second)),
+        what,
+    );
+}
+
 /// A killed run resumes bitwise: tick to a cut, checkpoint → JSON →
 /// parse → restore into a fresh build, and the finish equals the
 /// straight run's. The three configurations together put a non-empty
@@ -158,42 +192,11 @@ fn round_skeleton_is_one_trajectory_under_every_selector() {
 /// only once the planes it is there for are populated.
 #[test]
 fn checkpoint_json_resume_is_bitwise_on_every_packed_plane() {
-    fn resume_at(what: &str, cfg: SimConfig, populated: impl Fn(&SimCheckpoint) -> bool) {
-        let mut straight = built(cfg.clone());
-        let reference = straight.run();
-
-        let mut first = built(cfg.clone());
-        let json = loop {
-            first.tick(StepMode::Fast);
-            assert!(!first.is_finished(), "{what}: never reached its cut");
-            let ck = first.checkpoint();
-            if populated(&ck) {
-                break ck.to_json();
-            }
-        };
-        drop(first);
-        let ck = SimCheckpoint::from_json(&json).expect("own checkpoint parses");
-        let mut second = built(cfg);
-        second.restore(&ck).expect("own checkpoint restores");
-        assert!(second.next_step() > 0);
-        let resumed = second.run();
-        assert_eq!(
-            reference.event_seconds.map(f64::to_bits),
-            resumed.event_seconds.map(f64::to_bits),
-            "{what}: simulated clock diverged"
-        );
-        assert_same(
-            &(reference, cloud_bits(&straight)),
-            &(resumed, cloud_bits(&second)),
-            what,
-        );
-    }
-
     // Speech is the conv-free task, which keeps six debug-build runs
     // within a couple of seconds.
     let mut cfg = small_cfg(Task::Speech, Algorithm::middle());
     cfg.cloud_interval = 2;
-    resume_at("dense lockstep", cfg.clone(), |ck| {
+    resume_at("dense lockstep", cfg.clone(), |_, ck| {
         ck.next_step == 3 && ck.devices.iter().all(|d| !d.params.values.is_empty())
     });
 
@@ -201,7 +204,7 @@ fn checkpoint_json_resume_is_bitwise_on_every_packed_plane() {
     let mut stale = cfg.clone();
     stale.faults.straggler_delay = DelayModel::Exponential { mean_s: 1.0 };
     stale.faults.deadline_s = 1.0;
-    resume_at("stale uploads pending", stale, |ck| {
+    resume_at("stale uploads pending", stale, |_, ck| {
         ck.faults.pending.iter().any(|p| !p.flat.is_empty())
     });
 
@@ -217,7 +220,7 @@ fn checkpoint_json_resume_is_bitwise_on_every_packed_plane() {
     hostile.compression.enabled = true;
     hostile.compression.quantize_bits = 8;
     hostile.compression.top_frac = 0.5;
-    resume_at("lazy, event-driven, lossy", hostile, |ck| {
+    resume_at("lazy, event-driven, lossy", hostile, |_, ck| {
         let versions = &ck.population.as_ref().expect("lazy checkpoint").versions;
         let timeline = ck.timeline.as_ref().expect("event-driven checkpoint");
         let residuals = ck.compression.as_ref().expect("lossy checkpoint");
@@ -227,6 +230,57 @@ fn checkpoint_json_resume_is_bitwise_on_every_packed_plane() {
                 || timeline.waves.iter().any(|w| some_plane(&w.snapshots)))
             && residuals.device_residuals.iter().any(|r| !r.is_empty())
             && residuals.edge_residuals.iter().any(|r| !r.is_empty())
+    });
+}
+
+/// The lazy plane's replica pool and score caches across cloud syncs:
+/// derived state that changes no bit and that a checkpoint does without.
+/// Over its syncs the run trains several times more participants than it
+/// ever holds replicas, so replicas are re-purposed rather than
+/// allocated; WAN outages make the broadcasts partial, so some residents
+/// outlive a sync with a score cached against the previous cloud model.
+#[test]
+fn lazy_pool_and_score_caches_change_no_bit_across_syncs_and_resume() {
+    let mut cfg = small_cfg(Task::Speech, Algorithm::middle());
+    cfg.num_edges = 3;
+    cfg.num_devices = 45;
+    cfg.cloud_interval = 2;
+    cfg.steps = 12;
+    cfg.eval_interval = 4;
+    cfg.faults.wan_outage = 0.3;
+    let mut dense = built(cfg.clone());
+    let dense_run = (dense.run(), cloud_bits(&dense));
+
+    cfg.population = PopulationMode::Lazy;
+    let mut lazy = built(cfg.clone());
+    let lazy_run = (lazy.run(), cloud_bits(&lazy));
+    assert!(lazy_run.0.syncs >= 3, "{} syncs", lazy_run.0.syncs);
+    assert_same(&dense_run, &lazy_run, "lazy");
+    let population = lazy.population();
+    let trained = lazy_run.0.comm.device_to_edge as usize;
+    assert!(
+        trained >= 3 * population.peak_resident(),
+        "{trained} participations against a peak of {} replicas",
+        population.peak_resident()
+    );
+    assert!(
+        population.fresh_replicas() <= population.peak_resident(),
+        "{} replicas allocated for a peak residency of {}",
+        population.fresh_replicas(),
+        population.peak_resident()
+    );
+
+    // Cut straight after a partial broadcast: the reached replicas wait
+    // in the pool, the survivors' cached scores are one cloud model
+    // behind. The resumed run starts with neither and must not differ.
+    let interval = cfg.cloud_interval;
+    resume_at("lazy, pooled, stale scores", cfg, |sim, ck| {
+        let population = sim.population();
+        let survivors = population.resident_count();
+        ck.next_step.is_multiple_of(interval)
+            && ck.syncs >= 2
+            && survivors > 0
+            && population.fresh_replicas() > survivors
     });
 }
 
