@@ -67,7 +67,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use std::{fs, thread};
@@ -690,8 +690,10 @@ fn io_err(path: &Path, e: std::io::Error) -> SimError {
 
 /// Writes `contents` to `path` atomically (tmp file + rename), so a
 /// kill mid-write never leaves a truncated state file behind. The tmp
-/// name embeds the pid: fleet processes sharing a directory must never
-/// interleave writes into one tmp file.
+/// name embeds the pid and a process-wide counter: neither fleet
+/// processes sharing a directory nor threads of one process writing the
+/// same path (two live workers that both reclaimed a shard) may share a
+/// tmp file — whoever renamed second would find it gone.
 ///
 /// `unlink_old` removes the old file just before the rename: ext4 pushes
 /// a file renamed *onto* an existing one to the block device at once,
@@ -699,7 +701,11 @@ fn io_err(path: &Path, e: std::io::Error) -> SimError {
 /// (DESIGN.md §10.4). A kill in between leaves no file, so this is only
 /// for files whose absence the reader handles — never for the ledger.
 fn write_atomic(path: &Path, contents: &str, unlink_old: bool) -> Result<(), SimError> {
-    let tmp = path.with_extension(format!("json.tmp.{}", std::process::id()));
+    // `Relaxed`: the counter only has to hand out distinct numbers; it
+    // publishes nothing.
+    static WRITER: AtomicU64 = AtomicU64::new(0);
+    let writer = WRITER.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("json.tmp.{}.{writer}", std::process::id()));
     fs::write(&tmp, contents).map_err(|e| io_err(&tmp, e))?;
     if unlink_old {
         let _ = fs::remove_file(path);
@@ -2013,5 +2019,60 @@ mod tests {
         assert!((aggs[0].final_mean - 0.5).abs() < 1e-6);
         assert_eq!(aggs[1].seeds, 1);
         assert_eq!(aggs[1].k, 3);
+    }
+
+    /// Threads of one process replacing one snapshot (two live fleet
+    /// workers that both reclaimed a shard) must each own their tmp
+    /// file: with a shared one, whoever renames second finds it gone.
+    #[test]
+    fn write_atomic_survives_concurrent_writers_of_one_path() {
+        const WRITERS: usize = 4;
+        const ROUNDS: usize = 200;
+        let dir = std::env::temp_dir().join(format!("middle_write_atomic_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("scenario_0.ckpt.json");
+        // Long enough that a torn file could not pass for a whole one.
+        let contents = |writer: usize, round: usize| format!("{writer} {round} ").repeat(4096);
+        let barrier = std::sync::Barrier::new(WRITERS);
+        // Failures are collected, not panicked on: a writer that left the
+        // loop would leave the others waiting at the barrier for ever.
+        let failures = Mutex::new(Vec::new());
+        thread::scope(|scope| {
+            for writer in 0..WRITERS {
+                let (path, dir, barrier, contents, failures) =
+                    (&path, &dir, &barrier, &contents, &failures);
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        barrier.wait();
+                        if let Err(e) = write_atomic(path, &contents(writer, round), true) {
+                            failures.lock().unwrap().push(format!("round {round}: {e}"));
+                        }
+                        if barrier.wait().is_leader() {
+                            let on_disk = fs::read_to_string(path).unwrap_or_default();
+                            if !(0..WRITERS).any(|w| on_disk == contents(w, round)) {
+                                failures
+                                    .lock()
+                                    .unwrap()
+                                    .push(format!("round {round}: not one writer's contents"));
+                            }
+                            let names: Vec<_> = fs::read_dir(dir)
+                                .unwrap()
+                                .map(|entry| entry.unwrap().file_name())
+                                .collect();
+                            if names != ["scenario_0.ckpt.json"] {
+                                failures
+                                    .lock()
+                                    .unwrap()
+                                    .push(format!("round {round}: litter {names:?}"));
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let failures = failures.into_inner().unwrap();
+        assert!(failures.is_empty(), "{failures:#?}");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

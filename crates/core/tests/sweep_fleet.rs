@@ -44,11 +44,14 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Fast-expiring options for single-threaded tests: any lease left
-/// behind by a killed worker is immediately reclaimable. Never use
-/// with concurrent live workers — an instantly-expired lease lets
-/// them reclaim each other's shards and duplicate work (the report
-/// stays bitwise-correct via first-wins dedup, but counts inflate).
+/// Fast-expiring options: any lease left behind by a killed worker is
+/// immediately reclaimable. With concurrent live workers an
+/// instantly-expired lease also lets them reclaim each other's shards
+/// and duplicate work — benign (every writer has its own tmp file, and
+/// first-wins dedup keeps the report bitwise), which is what
+/// `kill_mid_shard_then_fleet_matches_serial_bitwise` runs on purpose;
+/// only per-worker `completed` counts inflate, so tests that assert
+/// them use [`live_opts`].
 fn opts() -> FleetOptions {
     FleetOptions {
         step_mode: StepMode::Fast,

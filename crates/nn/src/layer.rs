@@ -50,7 +50,8 @@ pub enum LayerWs {
     None,
     /// Batched convolution workspace.
     Conv {
-        /// im2col/GEMM buffers shared between forward and backward.
+        /// The padded batch the forward leaves for the backward, and the
+        /// backward's own staging buffers.
         scratch: ConvScratch,
         /// Weight-gradient staging, added into [`Param::grad`] per batch.
         dw: Tensor,

@@ -10,7 +10,9 @@
 //! * elementwise / broadcast arithmetic, convex blends and cosine
 //!   similarity ([`ops`]) — the primitives of federated aggregation;
 //! * blocked, Rayon-parallel matrix multiplication ([`matmul`]);
-//! * im2col 2-D convolution and max pooling with exact adjoints ([`conv`]);
+//! * direct 2-D convolution (forward, weight and input gradients off
+//!   zero-bordered planes, no patch matrix) and max pooling, each held
+//!   bitwise to an im2col + GEMM oracle ([`conv`]);
 //! * seeded random initialisation with decorrelated child streams
 //!   ([`random`]);
 //! * axis reductions and numerically-stable softmax ([`reduce`]).

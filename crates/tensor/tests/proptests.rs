@@ -21,18 +21,23 @@ fn tensor1(len: usize) -> impl Strategy<Value = Tensor> {
     finite_vec(len).prop_map(move |v| Tensor::from_vec([len], v))
 }
 
-/// Deterministic values in [-1, 1] with exact zeros sprinkled in — the
-/// zeros exercise the reference kernel's `av != 0.0` skip, which the
-/// blocked kernel intentionally drops (adding a ±0.0 product to a finite
-/// accumulator is a bitwise no-op).
+/// Deterministic values in [-1, 1] with exact `+0.0`, `-0.0` and
+/// subnormals sprinkled in. The zeros exercise the reference kernels'
+/// `!= 0.0` skips, which the fast kernels intentionally drop (adding a
+/// ±0.0 product to an accumulator that started at `+0.0` is a bitwise
+/// no-op); the subnormals would expose a flush-to-zero or a reordered
+/// sum.
 fn mixed_vals(len: usize, seed: u64) -> Vec<f32> {
     let mut v = uniform([len.max(1)], -1.0, 1.0, &mut rng(seed))
         .data()
         .to_vec();
     v.truncate(len);
     for (i, x) in v.iter_mut().enumerate() {
-        if i % 5 == 3 {
-            *x = 0.0;
+        match i % 13 {
+            3 | 8 => *x = 0.0,
+            5 => *x = -0.0,
+            11 => *x = f32::from_bits((i as u32 % 2) << 31 | (1 + i as u32 * 7919 % 0x7f_ffff)),
+            _ => {}
         }
     }
     v
@@ -41,6 +46,34 @@ fn mixed_vals(len: usize, seed: u64) -> Vec<f32> {
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
+
+/// How many leading entries of `CONV_SHAPES` are the model zoo's layers.
+const ZOO_SHAPES: usize = 4;
+
+/// `[in_c, out_c, kernel, stride, pad, in_h, in_w]` of the shapes the conv
+/// battery walks: the zoo's four layers (cnn2 / cnn3; one 16-wide row, two
+/// 8-wide rows and four 4-wide rows to a vector, 8- and 16-channel
+/// gradient tiles), then kernels 5 and 1, no padding, `pad = k − 1` and
+/// padding as wide as the kernel (outputs that see only border), strides
+/// 2 and 3, non-square planes whose rows fill no vector, and channel
+/// counts that fill no tile.
+const CONV_SHAPES: &[[usize; 7]] = &[
+    [1, 8, 3, 1, 1, 16, 16],
+    [3, 8, 3, 1, 1, 16, 16],
+    [8, 16, 3, 1, 1, 8, 8],
+    [16, 16, 3, 1, 1, 4, 4],
+    [2, 8, 5, 1, 2, 8, 8],
+    [3, 12, 1, 1, 0, 6, 10],
+    [2, 24, 3, 1, 0, 6, 10],
+    [1, 3, 3, 1, 2, 5, 7],
+    [5, 12, 3, 2, 1, 8, 8],
+    [1, 8, 3, 3, 1, 5, 7],
+    [3, 24, 5, 2, 4, 6, 10],
+    [4, 3, 2, 1, 1, 4, 12],
+    [6, 5, 3, 1, 1, 16, 4],
+    [2, 5, 2, 1, 2, 5, 6],
+    [1, 4, 1, 2, 1, 4, 4],
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -201,49 +234,65 @@ proptest! {
         }
     }
 
-    /// Batched (whole-batch im2col + one GEMM) convolution forward and
-    /// backward are bitwise-identical to the per-sample oracle kernels,
-    /// including the input/weight/bias gradients.
+    /// The direct convolution forward and backward are bitwise-identical
+    /// to the per-sample oracle kernels, including the input/weight/bias
+    /// gradients — on the original 2→3 geometry (with the `stride` and
+    /// `n` inputs) and on every shape of `CONV_SHAPES`, walked from
+    /// `first` with ONE scratch: equal to the oracle after any other
+    /// shape's leftovers is equal to a fresh scratch.
     #[test]
     fn batched_conv_matches_per_sample_oracle_bitwise(
         n in 1usize..4,
         seed in 0u64..1000,
         stride in 1usize..3,
+        first in 0usize..CONV_SHAPES.len(),
     ) {
-        let g = ConvGeometry {
-            in_c: 2, out_c: 3, kernel: 3, stride, pad: 1, in_h: 5, in_w: 5,
-        };
-        let input = Tensor::from_vec(
-            [n, g.in_c, g.in_h, g.in_w],
-            mixed_vals(n * g.in_c * g.in_h * g.in_w, seed),
-        );
-        let weight = Tensor::from_vec(
-            [g.out_c, g.patch_len()],
-            mixed_vals(g.out_c * g.patch_len(), seed ^ 0xAB),
-        );
-        let bias = Tensor::from_vec([g.out_c], mixed_vals(g.out_c, seed ^ 0xCD));
-        let dout = Tensor::from_vec(
-            [n, g.out_c, g.out_h(), g.out_w()],
-            mixed_vals(n * g.out_c * g.out_h() * g.out_w(), seed ^ 0xEF),
-        );
-
-        let oracle_out = conv2d_forward(&input, &weight, &bias, &g);
-        let (odi, odw, odb) = conv2d_backward(&input, &weight, &dout, &g);
-
         let mut scratch = ConvScratch::default();
         let mut out = Tensor::zeros([0]);
         let mut dw = Tensor::zeros([0]);
         let mut db = Tensor::zeros([0]);
         let mut di = Tensor::zeros([0]);
-        conv2d_forward_into(&input, &weight, &bias, &g, &mut scratch, &mut out);
-        conv2d_backward_into(&input, &weight, &dout, &g, &mut scratch, &mut dw, &mut db, Some(&mut di));
+        for step in 0..=CONV_SHAPES.len() {
+            let (g, n) = if step == 0 {
+                let g = ConvGeometry {
+                    in_c: 2, out_c: 3, kernel: 3, stride, pad: 1, in_h: 5, in_w: 5,
+                };
+                (g, n)
+            } else {
+                let i = (first + step) % CONV_SHAPES.len();
+                let [in_c, out_c, kernel, stride, pad, in_h, in_w] = CONV_SHAPES[i];
+                let g = ConvGeometry { in_c, out_c, kernel, stride, pad, in_h, in_w };
+                // The zoo's layers also run at the paper's batch of 16.
+                (g, if i < ZOO_SHAPES { [1, 3, 16][n - 1] } else { n })
+            };
+            let seed = seed + 1000 * step as u64;
+            let input = Tensor::from_vec(
+                [n, g.in_c, g.in_h, g.in_w],
+                mixed_vals(n * g.in_c * g.in_h * g.in_w, seed),
+            );
+            let weight = Tensor::from_vec(
+                [g.out_c, g.patch_len()],
+                mixed_vals(g.out_c * g.patch_len(), seed ^ 0xAB),
+            );
+            let bias = Tensor::from_vec([g.out_c], mixed_vals(g.out_c, seed ^ 0xCD));
+            let dout = Tensor::from_vec(
+                [n, g.out_c, g.out_h(), g.out_w()],
+                mixed_vals(n * g.out_c * g.out_h() * g.out_w(), seed ^ 0xEF),
+            );
 
-        prop_assert_eq!(out.shape(), oracle_out.shape());
-        prop_assert_eq!(bits(&out), bits(&oracle_out));
-        prop_assert_eq!(bits(&dw), bits(&odw));
-        prop_assert_eq!(bits(&db), bits(&odb));
-        prop_assert_eq!(di.shape(), odi.shape());
-        prop_assert_eq!(bits(&di), bits(&odi));
+            let oracle_out = conv2d_forward(&input, &weight, &bias, &g);
+            let (odi, odw, odb) = conv2d_backward(&input, &weight, &dout, &g);
+
+            conv2d_forward_into(&input, &weight, &bias, &g, &mut scratch, &mut out);
+            conv2d_backward_into(&input, &weight, &dout, &g, &mut scratch, &mut dw, &mut db, Some(&mut di));
+
+            prop_assert_eq!(out.shape(), oracle_out.shape());
+            prop_assert_eq!(bits(&out), bits(&oracle_out));
+            prop_assert_eq!(bits(&dw), bits(&odw));
+            prop_assert_eq!(bits(&db), bits(&odb));
+            prop_assert_eq!(di.shape(), odi.shape());
+            prop_assert_eq!(bits(&di), bits(&odi));
+        }
     }
 
     /// Reusing one `ConvScratch` across batches of different sizes

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, lints, and the tier-1 build + test suite.
+# Every mode runs the workspace tests in debug and then the tensor and
+# nn suites again in release: the convolution's vector tiles exist only
+# in optimised builds (debug never vectorises, and `debug_assert`s vanish
+# in release), so only there do the kernels that ship meet their oracles.
 #
 #   scripts/check.sh           # everything
-#   scripts/check.sh --fast    # skip the release build
+#   scripts/check.sh --fast    # skip the release build of the workspace
 #   scripts/check.sh --ci      # everything + example builds, shim tests,
 #                              # one-thread FNV pins, doc lints, the
 #                              # benchmark's own suite, the scientific
@@ -18,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 usage() {
     echo "usage: scripts/check.sh [--fast] [--ci]" >&2
-    echo "  --fast  skip the release build" >&2
+    echo "  --fast  skip the release build of the workspace" >&2
     echo "  --ci    add example builds, shim tests, one-thread FNV pins," >&2
     echo "          doc lints, the perf suite, the sweep artefact gate and" >&2
     echo "          the fleet smoke" >&2
@@ -62,6 +66,10 @@ fi
 # package, silently skipping every member crate's gate suite.
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+# The kernels as they ship: optimised, vectorised, `debug_assert`s gone.
+echo "==> cargo test --release -q -p middle-tensor -p middle-nn"
+cargo test --release -q -p middle-tensor -p middle-nn
 
 if [[ "$CI" -eq 1 ]]; then
     # The shims sit outside the workspace (`exclude`), so --workspace

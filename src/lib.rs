@@ -7,7 +7,7 @@
 //! Re-exports the five workspace crates:
 //!
 //! * [`tensor`] (= `middle-tensor`) — dense f32 tensors, parallel matmul,
-//!   im2col convolution;
+//!   direct (patch-matrix-free) convolution;
 //! * [`nn`] (= `middle-nn`) — layers, losses, optimizers, the
 //!   [`nn::Sequential`] model and its flat parameter view;
 //! * [`data`] (= `middle-data`) — synthetic MNIST/EMNIST/CIFAR10/Speech
