@@ -273,6 +273,108 @@ pub fn two_cluster_problem(devices: usize, dim: usize, spread: f32) -> Quadratic
     QuadraticProblem::new(curvatures, centers, vec![1.0; devices])
 }
 
+/// The test-bed of the Theorem 1 experiment: the two-cluster problem on
+/// 20 devices, Algorithm 1's dynamics on 4 edges at `P = 0.5`, and the
+/// bound constants matched to them.
+pub fn theorem1_testbed() -> (QuadraticProblem, QuadraticHflConfig, BoundParams) {
+    let problem = two_cluster_problem(20, 2, 3.0);
+    let base = QuadraticHflConfig {
+        cloud_interval: 20,
+        ..Default::default()
+    };
+    let bound = BoundParams {
+        beta: problem.beta(),
+        mu: problem.mu(),
+        b: base.noise_std * base.noise_std,
+        g2: 25.0,
+        local_steps: base.local_steps,
+        alpha: base.alpha,
+        p: base.p as f32,
+        initial_gap: 20.0,
+    };
+    (problem, base, bound)
+}
+
+/// Mean and 95 % confidence half-width (`1.96·s/√n`, `s` the n−1 sample
+/// deviation; `0` for one value) — the estimator behind
+/// [`crate::AggregatePoint`]'s `*_ci95`, for per-seed values the sweep
+/// report does not aggregate itself.
+pub fn mean_ci95(values: &[f64]) -> (f64, f64) {
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    if values.len() < 2 {
+        return (mean, 0.0);
+    }
+    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
+    (mean, 1.96 * (var / n).sqrt())
+}
+
+/// One mobility level of the Remark 1 experiment ([`remark1_rows`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Remark1Row {
+    /// Global mobility probability `P`.
+    pub p: f64,
+    /// Seeds averaged.
+    pub seeds: usize,
+    /// Post-warm-up start-point divergence `Σ h_m‖ŵ_m − w̄‖²` (the
+    /// proof's Eq. 19 term): mean over seeds and CI95 half-width.
+    pub divergence: (f64, f64),
+    /// Post-warm-up optimality gap: mean over seeds and CI95 half-width.
+    pub gap: (f64, f64),
+    /// The bound's mobility term `8βI²G²/(μ²γ²α(1−α)P)`.
+    pub mobility_term: f32,
+    /// Its derivative in `P` (negative everywhere: Remark 1).
+    pub mobility_derivative: f32,
+}
+
+/// Remark 1 measured: for each `P`, the start-point divergence and gap
+/// of the [`theorem1_testbed`] under the dynamics the proof analyses —
+/// devices keep their local models between cloud syncs (`T_c = 30`),
+/// clustered by home edge, so the on-device blend upon movement is the
+/// only cross-device homogenisation — averaged over the steps after a
+/// 20-step warm-up and over 8 seeds, beside the analytic mobility term.
+pub fn remark1_rows() -> Vec<Remark1Row> {
+    const SEEDS: u64 = 8;
+    const WARM_UP: usize = 20;
+    let (problem, base, bound) = theorem1_testbed();
+    let settled = |series: &[f32]| {
+        f64::from(series[WARM_UP..].iter().sum::<f32>() / (series.len() - WARM_UP) as f32)
+    };
+    [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9]
+        .into_iter()
+        .map(|p| {
+            let (divergence, gap): (Vec<f64>, Vec<f64>) = (0..SEEDS)
+                .map(|s| {
+                    let cfg = QuadraticHflConfig {
+                        p,
+                        seed: 1000 + s,
+                        steps: 150,
+                        cloud_interval: 30,
+                        theorem_lr: false,
+                        download_each_step: false,
+                        homed: true,
+                        ..base
+                    };
+                    let run = simulate_quadratic_hfl(&problem, &cfg);
+                    (settled(&run.start_dispersion), settled(&run.gap_trajectory))
+                })
+                .unzip();
+            let at_p = BoundParams {
+                p: p as f32,
+                ..bound
+            };
+            Remark1Row {
+                p,
+                seeds: SEEDS as usize,
+                divergence: mean_ci95(&divergence),
+                gap: mean_ci95(&gap),
+                mobility_term: at_p.mobility_term(),
+                mobility_derivative: at_p.mobility_derivative(),
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

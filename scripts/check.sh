@@ -9,8 +9,11 @@
 #   scripts/check.sh --fast    # skip the release build of the workspace
 #   scripts/check.sh --ci      # everything + example builds, shim tests,
 #                              # one-thread FNV pins, doc lints, the
-#                              # benchmark's own suite, the scientific
-#                              # sweeps (regenerated and byte-compared)
+#                              # benchmark's own suite, every `sweeps`
+#                              # preset (BENCH_*.json and results/
+#                              # regenerated and byte-compared; the eight
+#                              # figure presets take 13 min on two cores,
+#                              # 7 + 7 + 0 + 0 + 63 + 174 + 330 + 204 s)
 #                              # and the fleet smoke
 #
 # Flags combine (e.g. `--fast --ci` runs the CI extras without the
@@ -24,8 +27,9 @@ usage() {
     echo "usage: scripts/check.sh [--fast] [--ci]" >&2
     echo "  --fast  skip the release build of the workspace" >&2
     echo "  --ci    add example builds, shim tests, one-thread FNV pins," >&2
-    echo "          doc lints, the perf suite, the sweep artefact gate and" >&2
-    echo "          the fleet smoke" >&2
+    echo "          doc lints, the perf suite, the sweep artefact gates" >&2
+    echo "          (BENCH_*.json, then results/: 13 min on two cores) and the" >&2
+    echo "          fleet smoke" >&2
 }
 
 FAST=0
@@ -102,6 +106,15 @@ if [[ "$CI" -eq 1 ]]; then
         cargo run -q -p middle-bench --release --bin sweeps -- "$preset"
     done
     git diff --exit-code -- BENCH_faults.json BENCH_algos.json BENCH_compress.json BENCH_async.json
+
+    # The paper's figures are what this commit computes: each preset
+    # asserts the claims that hold and records the ones that do not with
+    # their measured values, in the tables compared here.
+    echo "==> figure presets (fig1-3, fig6-8, ablation, theorem1): regenerate results/ and byte-compare"
+    for preset in fig1 fig2 fig3 theorem1 ablation fig6 fig7 fig8; do
+        cargo run -q -p middle-bench --release --bin sweeps -- "$preset"
+    done
+    git diff --exit-code -- results/
 
     echo "==> fleet smoke (3 workers, SIGKILL one, bitwise merge vs serial)"
     scripts/fleet_smoke.sh
