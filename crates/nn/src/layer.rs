@@ -102,13 +102,13 @@ pub trait Layer: Send + Sync {
     }
 
     /// Mutable access to this layer's trainable parameters (possibly none).
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
+    fn params_mut(&mut self) -> &mut [Param] {
+        &mut []
     }
 
     /// Shared access to this layer's trainable parameters (possibly none).
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
+    fn params(&self) -> &[Param] {
+        &[]
     }
 
     /// Clones the layer behind the trait object (models are cloned per

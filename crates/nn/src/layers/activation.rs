@@ -86,7 +86,7 @@ impl Layer for Relu {
         // input passed (out = x when x > 0, else exactly 0.0) — so no
         // stored mask is needed.
         assert_eq!(output.len(), grad_out.len(), "grad shape changed");
-        grad_in.resize(grad_out.shape().clone());
+        grad_in.resize(grad_out.shape());
         for ((gi, &go), &y) in grad_in
             .data_mut()
             .iter_mut()
@@ -105,7 +105,7 @@ impl Layer for Relu {
 /// `out = max(input, 0)` into caller-owned storage, elementwise-identical
 /// to the allocating forward/infer paths.
 fn relu_into(input: &Tensor, out: &mut Tensor) {
-    out.resize(input.shape().clone());
+    out.resize(input.shape());
     for (o, &x) in out.data_mut().iter_mut().zip(input.data()) {
         *o = if x > 0.0 { x } else { 0.0 };
     }

@@ -27,8 +27,9 @@ fn conv_ws(ws: &mut LayerWs) -> (&mut ConvScratch, &mut Tensor, &mut Tensor) {
 /// Convolution layer with square kernels, He-normal initialisation.
 pub struct Conv2d {
     geometry: ConvGeometry,
-    weight: Param,
-    bias: Param,
+    /// `[weight [out_c, patch_len], bias [out_c]]`, in canonical
+    /// parameter order.
+    params: [Param; 2],
     cached_input: Option<Tensor>,
 }
 
@@ -39,8 +40,10 @@ impl Conv2d {
         let weight = he_normal([geometry.out_c, fan_in], fan_in, rng);
         Conv2d {
             geometry,
-            weight: Param::new(weight),
-            bias: Param::new(Tensor::zeros([geometry.out_c])),
+            params: [
+                Param::new(weight),
+                Param::new(Tensor::zeros([geometry.out_c])),
+            ],
             cached_input: None,
         }
     }
@@ -49,14 +52,21 @@ impl Conv2d {
     pub fn geometry(&self) -> &ConvGeometry {
         &self.geometry
     }
+
+    fn weight(&self) -> &Tensor {
+        &self.params[0].value
+    }
+
+    fn bias(&self) -> &Tensor {
+        &self.params[1].value
+    }
 }
 
 impl Clone for Conv2d {
     fn clone(&self) -> Self {
         Conv2d {
             geometry: self.geometry,
-            weight: self.weight.clone(),
-            bias: self.bias.clone(),
+            params: self.params.clone(),
             cached_input: None,
         }
     }
@@ -69,11 +79,11 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         self.cached_input = Some(input.clone());
-        conv2d_forward(input, &self.weight.value, &self.bias.value, &self.geometry)
+        conv2d_forward(input, self.weight(), self.bias(), &self.geometry)
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        conv2d_forward(input, &self.weight.value, &self.bias.value, &self.geometry)
+        conv2d_forward(input, self.weight(), self.bias(), &self.geometry)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -81,18 +91,19 @@ impl Layer for Conv2d {
             .cached_input
             .as_ref()
             .expect("backward called before forward");
-        let (dx, dw, db) = conv2d_backward(input, &self.weight.value, grad_out, &self.geometry);
-        ops::add_inplace(&mut self.weight.grad, &dw);
-        ops::add_inplace(&mut self.bias.grad, &db);
+        let (dx, dw, db) = conv2d_backward(input, self.weight(), grad_out, &self.geometry);
+        let [weight, bias] = &mut self.params;
+        ops::add_inplace(&mut weight.grad, &dw);
+        ops::add_inplace(&mut bias.grad, &db);
         dx
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
+    fn params_mut(&mut self) -> &mut [Param] {
+        &mut self.params
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
+    fn params(&self) -> &[Param] {
+        &self.params
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -107,8 +118,8 @@ impl Layer for Conv2d {
         let (scratch, _, _) = conv_ws(ws);
         conv2d_forward_into(
             input,
-            &self.weight.value,
-            &self.bias.value,
+            self.weight(),
+            self.bias(),
             &self.geometry,
             scratch,
             out,
@@ -127,7 +138,7 @@ impl Layer for Conv2d {
         let (scratch, dw, db) = conv_ws(ws);
         conv2d_backward_into(
             input,
-            &self.weight.value,
+            self.weight(),
             grad_out,
             &self.geometry,
             scratch,
@@ -135,16 +146,17 @@ impl Layer for Conv2d {
             db,
             if need_grad_in { Some(grad_in) } else { None },
         );
-        ops::add_inplace(&mut self.weight.grad, dw);
-        ops::add_inplace(&mut self.bias.grad, db);
+        let [weight, bias] = &mut self.params;
+        ops::add_inplace(&mut weight.grad, dw);
+        ops::add_inplace(&mut bias.grad, db);
     }
 
     fn infer_into(&self, input: &Tensor, ws: &mut LayerWs, out: &mut Tensor) {
         let (scratch, _, _) = conv_ws(ws);
         conv2d_forward_into(
             input,
-            &self.weight.value,
-            &self.bias.value,
+            self.weight(),
+            self.bias(),
             &self.geometry,
             scratch,
             out,

@@ -26,8 +26,8 @@ fn dense_ws(ws: &mut LayerWs) -> (&mut Tensor, &mut Tensor) {
 /// Weights are stored `[out, in]` so the forward pass is a fused
 /// `matmul_bt` and the backward weight gradient is `dyᵀ · x`.
 pub struct Dense {
-    weight: Param,
-    bias: Param,
+    /// `[weight [out, in], bias [out]]`, in canonical parameter order.
+    params: [Param; 2],
     in_features: usize,
     out_features: usize,
     cached_input: Option<Tensor>,
@@ -38,8 +38,10 @@ impl Dense {
     pub fn new(in_features: usize, out_features: usize, rng: &mut StdRng) -> Self {
         let weight = xavier_uniform([out_features, in_features], in_features, out_features, rng);
         Dense {
-            weight: Param::new(weight),
-            bias: Param::new(Tensor::zeros([out_features])),
+            params: [
+                Param::new(weight),
+                Param::new(Tensor::zeros([out_features])),
+            ],
             in_features,
             out_features,
             cached_input: None,
@@ -55,13 +57,20 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
+
+    fn weight(&self) -> &Tensor {
+        &self.params[0].value
+    }
+
+    fn bias(&self) -> &Tensor {
+        &self.params[1].value
+    }
 }
 
 impl Clone for Dense {
     fn clone(&self) -> Self {
         Dense {
-            weight: self.weight.clone(),
-            bias: self.bias.clone(),
+            params: self.params.clone(),
             in_features: self.in_features,
             out_features: self.out_features,
             cached_input: None,
@@ -82,8 +91,8 @@ impl Layer for Dense {
             "dense input features mismatch"
         );
         self.cached_input = Some(input.clone());
-        let mut out = matmul_bt(input, &self.weight.value);
-        ops::add_inplace(&mut out, &self.bias.value);
+        let mut out = matmul_bt(input, self.weight());
+        ops::add_inplace(&mut out, self.bias());
         out
     }
 
@@ -94,8 +103,8 @@ impl Layer for Dense {
             self.in_features,
             "dense input features mismatch"
         );
-        let mut out = matmul_bt(input, &self.weight.value);
-        ops::add_inplace(&mut out, &self.bias.value);
+        let mut out = matmul_bt(input, self.weight());
+        ops::add_inplace(&mut out, self.bias());
         out
     }
 
@@ -104,20 +113,21 @@ impl Layer for Dense {
             .cached_input
             .as_ref()
             .expect("backward called before forward");
+        let [weight, bias] = &mut self.params;
         // dW = dyᵀ · x  ([out, N]·[N, in] = [out, in]), via matmul_at(dy, x).
         let dw = matmul_at(grad_out, input);
-        ops::add_inplace(&mut self.weight.grad, &dw);
-        ops::add_inplace(&mut self.bias.grad, &sum_axis0(grad_out));
+        ops::add_inplace(&mut weight.grad, &dw);
+        ops::add_inplace(&mut bias.grad, &sum_axis0(grad_out));
         // dx = dy · W  ([N, out]·[out, in]).
-        middle_tensor::matmul::matmul(grad_out, &self.weight.value)
+        middle_tensor::matmul::matmul(grad_out, &weight.value)
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
+    fn params_mut(&mut self) -> &mut [Param] {
+        &mut self.params
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
+    fn params(&self) -> &[Param] {
+        &self.params
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -144,12 +154,13 @@ impl Layer for Dense {
         let (dw, db) = dense_ws(ws);
         let n = grad_out.shape().dim(0);
         let (out_f, in_f) = (self.out_features, self.in_features);
+        let [weight, bias] = &mut self.params;
 
         // dW = dyᵀ · x, staged into ws then accumulated — the same
         // compute-then-add sequence as the allocating path.
         dw.resize([out_f, in_f]);
         matmul_at_into(grad_out.data(), input.data(), dw.data_mut(), out_f, n, in_f);
-        ops::add_inplace(&mut self.weight.grad, dw);
+        ops::add_inplace(&mut weight.grad, dw);
 
         // dbias = column sums of dy, with `sum_axis0`'s row-ascending order.
         db.resize([out_f]);
@@ -159,14 +170,14 @@ impl Layer for Dense {
                 *o += v;
             }
         }
-        ops::add_inplace(&mut self.bias.grad, db);
+        ops::add_inplace(&mut bias.grad, db);
 
         if need_grad_in {
             // dx = dy · W.
             grad_in.resize([n, in_f]);
             matmul_into(
                 grad_out.data(),
-                self.weight.value.data(),
+                weight.value.data(),
                 grad_in.data_mut(),
                 n,
                 out_f,
@@ -195,13 +206,13 @@ impl Dense {
         out.resize([n, self.out_features]);
         matmul_bt_into(
             input.data(),
-            self.weight.value.data(),
+            self.weight().data(),
             out.data_mut(),
             n,
             self.in_features,
             self.out_features,
         );
-        let bias = self.bias.value.data();
+        let bias = self.bias().data();
         for row in out.data_mut().chunks_mut(self.out_features) {
             for (v, &b) in row.iter_mut().zip(bias) {
                 *v += b;
@@ -219,8 +230,8 @@ mod tests {
     fn forward_matches_manual_affine() {
         let mut d = Dense::new(2, 3, &mut rng(1));
         // Overwrite with known weights.
-        d.weight.value = Tensor::from_vec([3, 2], vec![1., 0., 0., 1., 1., 1.]);
-        d.bias.value = Tensor::from_vec([3], vec![0.5, -0.5, 0.0]);
+        d.params[0].value = Tensor::from_vec([3, 2], vec![1., 0., 0., 1., 1., 1.]);
+        d.params[1].value = Tensor::from_vec([3], vec![0.5, -0.5, 0.0]);
         let x = Tensor::from_vec([1, 2], vec![2., 3.]);
         let y = d.forward(&x, true);
         assert_eq!(y.data(), &[2.5, 2.5, 5.0]);
@@ -249,12 +260,12 @@ mod tests {
         // Weight gradient (spot check).
         let wg = d.params()[0].grad.clone();
         for i in [0usize, 3, 5] {
-            let orig = d.weight.value.data()[i];
-            d.weight.value.data_mut()[i] = orig + eps;
+            let orig = d.params[0].value.data()[i];
+            d.params[0].value.data_mut()[i] = orig + eps;
             let lp = loss(&mut d, &x);
-            d.weight.value.data_mut()[i] = orig - eps;
+            d.params[0].value.data_mut()[i] = orig - eps;
             let lm = loss(&mut d, &x);
-            d.weight.value.data_mut()[i] = orig;
+            d.params[0].value.data_mut()[i] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!((fd - wg.data()[i]).abs() < 1e-2, "dw[{i}]");
         }

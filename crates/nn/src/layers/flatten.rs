@@ -69,7 +69,7 @@ impl Layer for Flatten {
         if !need_grad_in {
             return;
         }
-        grad_in.resize(input.shape().clone());
+        grad_in.resize(input.shape());
         grad_in.data_mut().copy_from_slice(grad_out.data());
     }
 

@@ -33,7 +33,7 @@ pub mod zoo;
 
 pub use layer::{Layer, LayerWs, Param};
 pub use model::Sequential;
-pub use optim::{Optimizer, OptimizerKind};
+pub use optim::{Optimizer, OptimizerKind, ParamSet};
 pub use schedule::Schedule;
 pub use scratch::NetScratch;
 pub use zoo::InputSpec;

@@ -1,6 +1,6 @@
 //! Loss functions: softmax cross-entropy and mean squared error.
 
-use middle_tensor::reduce::{logsumexp_rows, softmax_inplace, softmax_rows};
+use middle_tensor::reduce::{logsumexp_rows, softmax_rows};
 use middle_tensor::Tensor;
 
 /// Mean softmax cross-entropy over a batch.
@@ -42,6 +42,12 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
 /// [`softmax_cross_entropy`] writing the gradient into caller-owned
 /// storage. Bitwise-identical loss and gradient; `dlogits` is resized and
 /// fully overwritten.
+///
+/// One `exp` pass per row serves both halves: the terms
+/// `(v − max).exp()` are written into `dlogits` and summed in sequence,
+/// which is the log-sum-exp's `Iterator::sum` and `softmax_inplace`'s
+/// loop at once. Their sums start from different identities (`Sum`'s, and
+/// `0.0`), which cannot differ here: an `exp` term is never `-0.0`.
 pub fn softmax_cross_entropy_into(logits: &Tensor, labels: &[usize], dlogits: &mut Tensor) -> f32 {
     assert_eq!(logits.shape().rank(), 2, "logits must be [N, C]");
     let (n, c) = (logits.shape().dim(0), logits.shape().dim(1));
@@ -52,28 +58,31 @@ pub fn softmax_cross_entropy_into(logits: &Tensor, labels: &[usize], dlogits: &m
         "label out of range for {c} classes"
     );
 
-    // Same per-row reduction as `logsumexp_rows`, computed inline.
-    let mut loss = 0.0f32;
-    for (i, &y) in labels.iter().enumerate() {
-        let row = logits.row(i);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let lse = max + row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln();
-        loss += lse - row[y];
-    }
-    loss /= n as f32;
-
-    dlogits.resize(logits.shape().clone());
-    dlogits.data_mut().copy_from_slice(logits.data());
+    dlogits.resize(logits.shape());
     let inv_n = 1.0 / n as f32;
-    for (i, &y) in labels.iter().enumerate() {
-        let row = dlogits.row_mut(i);
-        softmax_inplace(row);
-        row[y] -= 1.0;
-        for v in row {
-            *v *= inv_n;
+    let mut loss = 0.0f32;
+    let rows = logits
+        .data()
+        .chunks_exact(c)
+        .zip(dlogits.data_mut().chunks_exact_mut(c));
+    for ((row, drow), &y) in rows.zip(labels) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for (d, &v) in drow.iter_mut().zip(row) {
+            *d = (v - max).exp();
+            sum += *d;
+        }
+        let lse = max + sum.ln();
+        loss += lse - row[y];
+        for d in drow.iter_mut() {
+            *d /= sum;
+        }
+        drow[y] -= 1.0;
+        for d in drow.iter_mut() {
+            *d *= inv_n;
         }
     }
-    loss
+    loss / n as f32
 }
 
 /// Per-sample softmax cross-entropy losses (no gradient) — used by the

@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, Param};
 use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_into};
-use crate::optim::Optimizer;
+use crate::optim::{Optimizer, ParamSet};
 use crate::scratch::NetScratch;
 use middle_tensor::reduce::argmax_rows;
 use middle_tensor::Tensor;
@@ -77,9 +77,7 @@ impl Sequential {
 
     /// Clears all accumulated gradients.
     pub fn zero_grad(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
+        self.visit(&mut |_, p| p.zero_grad());
     }
 
     /// Resets every layer's non-parameter state ([`Layer::reset_state`]):
@@ -104,7 +102,7 @@ impl Sequential {
         let logits = self.forward(inputs, true);
         let (loss, dlogits) = softmax_cross_entropy(&logits, labels);
         self.backward(&dlogits);
-        optimizer.step(&mut self.params_mut());
+        optimizer.step(self);
         loss
     }
 
@@ -115,6 +113,12 @@ impl Sequential {
     /// and reused across calls; layers with workspace kernels (conv,
     /// dense, relu, pool, flatten) run their batched `_into` paths and the
     /// rest fall back to the allocating trait defaults.
+    ///
+    /// The backward pass stops at the lowest layer with parameters, which
+    /// computes no input gradient: nothing below it has a gradient to
+    /// take (the Speech MLP's first `Dense` no longer computes a `dx` its
+    /// `Flatten` would drop). The skipped tensors are never read, so this
+    /// moves no bit.
     pub fn train_batch_ws(
         &mut self,
         inputs: &Tensor,
@@ -133,7 +137,12 @@ impl Sequential {
         }
         let loss =
             softmax_cross_entropy_into(&scratch.acts[depth - 1], labels, &mut scratch.dlogits);
-        for i in (0..depth).rev() {
+        let lowest = self
+            .layers
+            .iter()
+            .position(|l| !l.params().is_empty())
+            .unwrap_or(depth);
+        for i in (lowest..depth).rev() {
             let input = if i == 0 { inputs } else { &scratch.acts[i - 1] };
             let output = &scratch.acts[i];
             let (lo, hi) = scratch.grads.split_at_mut(i + 1);
@@ -148,10 +157,10 @@ impl Sequential {
                 grad_out,
                 &mut scratch.ws[i],
                 &mut lo[i],
-                i > 0,
+                i > lowest,
             );
         }
-        optimizer.step(&mut self.params_mut());
+        optimizer.step(self);
         loss
     }
 
@@ -192,6 +201,19 @@ impl Sequential {
     pub fn eval_loss(&self, inputs: &Tensor, labels: &[usize]) -> f32 {
         let logits = self.infer(inputs);
         softmax_cross_entropy(&logits, labels).0
+    }
+}
+
+impl ParamSet for Sequential {
+    fn count(&self) -> usize {
+        self.layers.iter().map(|l| l.params().len()).sum()
+    }
+
+    fn visit(&mut self, f: &mut dyn FnMut(usize, &mut Param)) {
+        let params = self.layers.iter_mut().flat_map(|l| l.params_mut());
+        for (i, p) in params.enumerate() {
+            f(i, p);
+        }
     }
 }
 

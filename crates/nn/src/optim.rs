@@ -8,14 +8,35 @@
 use crate::layer::Param;
 use serde::{Deserialize, Serialize};
 
+/// The parameters one optimizer step updates, visited in canonical model
+/// order without being collected — a step allocates nothing.
+/// [`crate::model::Sequential`] is one; a lone [`Param`] is another.
+pub trait ParamSet {
+    /// Number of parameter tensors.
+    fn count(&self) -> usize;
+
+    /// Calls `f` on every parameter tensor, in canonical order, with its
+    /// index in that order.
+    fn visit(&mut self, f: &mut dyn FnMut(usize, &mut Param));
+}
+
+impl ParamSet for Param {
+    fn count(&self) -> usize {
+        1
+    }
+
+    fn visit(&mut self, f: &mut dyn FnMut(usize, &mut Param)) {
+        f(0, self);
+    }
+}
+
 /// A first-order optimizer updating parameters from accumulated gradients.
 ///
 /// `Send + Sync` so a device can cache its optimizer while remaining
 /// shareable across threads during read-only phases (selection scoring).
 pub trait Optimizer: Send + Sync {
-    /// Applies one update step to `params` (in canonical model order) and
-    /// clears their gradients.
-    fn step(&mut self, params: &mut [&mut Param]);
+    /// Applies one update step to `params` and clears their gradients.
+    fn step(&mut self, params: &mut dyn ParamSet);
 
     /// Current learning rate.
     fn learning_rate(&self) -> f32;
@@ -71,21 +92,25 @@ impl OptimizerKind {
     }
 }
 
-/// Sizes lazily-initialised optimizer `state` for `params`: one vector
-/// per parameter, an empty one (fresh, or emptied by `reset`) zero-filled
-/// to its parameter's length. A different parameter count restarts all
-/// of them. Capacity is kept, so steady state allocates nothing.
-fn size_state(state: &mut Vec<Vec<f32>>, params: &[&mut Param]) {
-    if state.len() != params.len() {
+/// Sizes lazily-initialised optimizer `state` for `count` parameters: one
+/// vector per parameter, each zero-filled by [`param_state`] when its
+/// parameter is stepped. A different parameter count restarts all of
+/// them. Capacity is kept, so steady state allocates nothing.
+fn size_state(state: &mut Vec<Vec<f32>>, count: usize) {
+    if state.len() != count {
         state.iter_mut().for_each(Vec::clear);
-        state.resize_with(params.len(), Vec::new);
+        state.resize_with(count, Vec::new);
     }
-    for (s, p) in state.iter_mut().zip(params) {
-        if s.is_empty() {
-            s.resize(p.len(), 0.0);
-        }
-        assert_eq!(s.len(), p.len(), "parameter shape changed under optimizer");
+}
+
+/// `p`'s state vector, an empty one (fresh, or emptied by `reset`)
+/// zero-filled to `p`'s length first.
+fn param_state<'s>(s: &'s mut Vec<f32>, p: &Param) -> &'s mut [f32] {
+    if s.is_empty() {
+        s.resize(p.len(), 0.0);
     }
+    assert_eq!(s.len(), p.len(), "parameter shape changed under optimizer");
+    s
 }
 
 /// Plain SGD: `w ← w − lr · g`.
@@ -103,14 +128,14 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        for p in params.iter_mut() {
-            let lr = self.lr;
+    fn step(&mut self, params: &mut dyn ParamSet) {
+        let lr = self.lr;
+        params.visit(&mut |_, p| {
             for (w, g) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
                 *w -= lr * g;
             }
             p.zero_grad();
-        }
+        });
     }
 
     fn learning_rate(&self) -> f32 {
@@ -144,10 +169,12 @@ impl MomentumSgd {
 }
 
 impl Optimizer for MomentumSgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        size_state(&mut self.velocity, params);
-        for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            let (lr, mu) = (self.lr, self.momentum);
+    fn step(&mut self, params: &mut dyn ParamSet) {
+        size_state(&mut self.velocity, params.count());
+        let (lr, mu) = (self.lr, self.momentum);
+        let velocity = &mut self.velocity;
+        params.visit(&mut |i, p| {
+            let v = param_state(&mut velocity[i], p);
             for ((w, g), vel) in p
                 .value
                 .data_mut()
@@ -159,7 +186,7 @@ impl Optimizer for MomentumSgd {
                 *w -= lr * *vel;
             }
             p.zero_grad();
-        }
+        });
     }
 
     fn learning_rate(&self) -> f32 {
@@ -204,17 +231,21 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.m.len() != params.len() {
+    fn step(&mut self, params: &mut dyn ParamSet) {
+        let count = params.count();
+        if self.m.len() != count {
             self.t = 0;
         }
-        size_state(&mut self.m, params);
-        size_state(&mut self.v, params);
+        size_state(&mut self.m, count);
+        size_state(&mut self.v, count);
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
-            let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let (ms, vs) = (&mut self.m, &mut self.v);
+        params.visit(&mut |i, p| {
+            let m = param_state(&mut ms[i], p);
+            let v = param_state(&mut vs[i], p);
             for (((w, g), mi), vi) in p
                 .value
                 .data_mut()
@@ -230,7 +261,7 @@ impl Optimizer for Adam {
                 *w -= lr * mhat / (vhat.sqrt() + eps);
             }
             p.zero_grad();
-        }
+        });
     }
 
     fn learning_rate(&self) -> f32 {
@@ -270,13 +301,13 @@ impl WeightDecay {
 }
 
 impl Optimizer for WeightDecay {
-    fn step(&mut self, params: &mut [&mut Param]) {
+    fn step(&mut self, params: &mut dyn ParamSet) {
         let shrink = 1.0 - self.inner.learning_rate() * self.decay;
-        for p in params.iter_mut() {
+        params.visit(&mut |_, p| {
             for w in p.value.data_mut() {
                 *w *= shrink;
             }
-        }
+        });
         self.inner.step(params);
     }
 
@@ -314,19 +345,18 @@ impl GradClip {
 }
 
 impl Optimizer for GradClip {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        let total: f32 = params
-            .iter()
-            .map(|p| p.grad.data().iter().map(|g| g * g).sum::<f32>())
-            .sum();
+    fn step(&mut self, params: &mut dyn ParamSet) {
+        // `Iterator::sum` over the per-parameter sums, from its own start.
+        let mut total: f32 = std::iter::empty::<f32>().sum();
+        params.visit(&mut |_, p| total += p.grad.data().iter().map(|g| g * g).sum::<f32>());
         let norm = total.sqrt();
         if norm > self.max_norm {
             let scale = self.max_norm / norm;
-            for p in params.iter_mut() {
+            params.visit(&mut |_, p| {
                 for g in p.grad.data_mut() {
                     *g *= scale;
                 }
-            }
+            });
         }
         self.inner.step(params);
     }
@@ -359,7 +389,7 @@ mod tests {
     fn sgd_takes_gradient_step_and_clears() {
         let mut p = param(&[1.0, 2.0], &[0.5, -0.5]);
         let mut opt = Sgd::new(0.1);
-        opt.step(&mut [&mut p]);
+        opt.step(&mut p);
         assert_eq!(p.value.data(), &[0.95, 2.05]);
         assert_eq!(p.grad.data(), &[0.0, 0.0]);
     }
@@ -368,11 +398,11 @@ mod tests {
     fn momentum_accelerates_constant_gradient() {
         let mut p = param(&[0.0], &[1.0]);
         let mut opt = MomentumSgd::new(0.1, 0.9);
-        opt.step(&mut [&mut p]);
+        opt.step(&mut p);
         let step1 = -p.value.data()[0];
         p.grad.data_mut()[0] = 1.0;
         let before = p.value.data()[0];
-        opt.step(&mut [&mut p]);
+        opt.step(&mut p);
         let step2 = before - p.value.data()[0];
         assert!(
             step2 > step1,
@@ -388,7 +418,7 @@ mod tests {
         for scale in [0.001f32, 1.0, 1000.0] {
             let mut p = param(&[0.0], &[scale]);
             let mut opt = Adam::new(0.01);
-            opt.step(&mut [&mut p]);
+            opt.step(&mut p);
             assert!(
                 (p.value.data()[0] + 0.01).abs() < 1e-4,
                 "scale {scale}: {}",
@@ -413,7 +443,7 @@ mod tests {
             for _ in 0..200 {
                 let w = p.value.data()[0];
                 p.grad.data_mut()[0] = 2.0 * (w - 3.0);
-                opt.step(&mut [&mut p]);
+                opt.step(&mut p);
             }
             let w = p.value.data()[0];
             assert!((w - 3.0).abs() < 0.05, "{kind:?} ended at {w}");
@@ -425,7 +455,7 @@ mod tests {
         let mut opt = Sgd::new(0.1);
         opt.set_learning_rate(0.5);
         let mut p = param(&[1.0], &[1.0]);
-        opt.step(&mut [&mut p]);
+        opt.step(&mut p);
         assert_eq!(p.value.data(), &[0.5]);
     }
 
@@ -440,7 +470,7 @@ mod tests {
         // Zero gradient: only the decay acts.
         let mut p = param(&[2.0], &[0.0]);
         let mut opt = WeightDecay::new(Box::new(Sgd::new(0.1)), 0.5);
-        opt.step(&mut [&mut p]);
+        opt.step(&mut p);
         assert!((p.value.data()[0] - 2.0 * (1.0 - 0.05)).abs() < 1e-6);
     }
 
@@ -451,7 +481,7 @@ mod tests {
         let mut opt = WeightDecay::new(Box::new(Sgd::new(0.1)), 1.0);
         for _ in 0..200 {
             p.grad.data_mut()[0] = 0.0;
-            opt.step(&mut [&mut p]);
+            opt.step(&mut p);
         }
         assert!(p.value.data()[0].abs() < 1e-4);
     }
@@ -460,7 +490,7 @@ mod tests {
     fn grad_clip_caps_global_norm() {
         let mut p = param(&[0.0, 0.0], &[30.0, 40.0]); // norm 50
         let mut opt = GradClip::new(Box::new(Sgd::new(1.0)), 5.0);
-        opt.step(&mut [&mut p]);
+        opt.step(&mut p);
         // Clipped gradient = (3, 4); step of lr 1 moves to (-3, -4).
         assert!((p.value.data()[0] + 3.0).abs() < 1e-5);
         assert!((p.value.data()[1] + 4.0).abs() < 1e-5);
@@ -470,7 +500,7 @@ mod tests {
     fn grad_clip_passes_small_gradients_through() {
         let mut p = param(&[0.0], &[0.5]);
         let mut opt = GradClip::new(Box::new(Sgd::new(1.0)), 5.0);
-        opt.step(&mut [&mut p]);
+        opt.step(&mut p);
         assert!((p.value.data()[0] + 0.5).abs() < 1e-6);
     }
 

@@ -8,7 +8,7 @@ use middle_nn::loss::softmax_cross_entropy;
 use middle_nn::optim::OptimizerKind;
 use middle_nn::params::{blend, delta, flatten, model_cosine, unflatten, weighted_average};
 use middle_nn::serialize::{Checkpoint, Packed};
-use middle_nn::{Layer, NetScratch, Sequential};
+use middle_nn::{zoo, InputSpec, Layer, NetScratch, Optimizer, Sequential};
 use middle_tensor::conv::ConvGeometry;
 use middle_tensor::random::rng;
 use middle_tensor::Tensor;
@@ -52,6 +52,48 @@ fn mk_cnn(seed: u64) -> Sequential {
 
 fn param_bits(m: &Sequential) -> Vec<u32> {
     flatten(m).iter().map(|v| v.to_bits()).collect()
+}
+
+/// The speech task's input: a flat 64-vector, ten classes.
+const SPEECH: InputSpec = InputSpec {
+    channels: 1,
+    height: 1,
+    width: 64,
+    classes: 10,
+};
+
+/// Trains `ma` through `train_batch` and `mb` through `train_batch_ws` on
+/// the same batches of `bs[step]` samples of `shape` (behind the batch
+/// dimension), demanding equal losses and parameter bits after every
+/// step and equal inference afterwards.
+fn ws_matches_allocating(
+    ma: &mut Sequential,
+    mb: &mut Sequential,
+    (oa, ob): (&mut dyn Optimizer, &mut dyn Optimizer),
+    shape: [usize; 3],
+    classes: usize,
+    bs: &[usize],
+    data_seed: u64,
+) -> Result<(), String> {
+    let mut scratch = NetScratch::new();
+    let mut r = rng(data_seed);
+    let [c, h, w] = shape;
+    for &b in bs {
+        let x = middle_tensor::random::uniform([b, c, h, w], -1.0, 1.0, &mut r);
+        let labels: Vec<usize> = (0..b).map(|i| i % classes).collect();
+        let la = ma.train_batch(&x, &labels, oa);
+        let lb = mb.train_batch_ws(&x, &labels, ob, &mut scratch);
+        prop_assert_eq!(la.to_bits(), lb.to_bits());
+        prop_assert_eq!(param_bits(ma), param_bits(mb));
+    }
+    let x = middle_tensor::random::uniform([7, c, h, w], -1.0, 1.0, &mut r);
+    let via_infer = ma.infer(&x);
+    let via_ws = mb.infer_ws(&x, &mut scratch);
+    prop_assert_eq!(via_infer.shape(), via_ws.shape());
+    for (a, b) in via_infer.data().iter().zip(via_ws.data()) {
+        prop_assert_eq!(a.to_bits(), b.to_bits());
+    }
+    Ok(())
 }
 
 proptest! {
@@ -149,7 +191,12 @@ proptest! {
     /// `NetScratch`) is bitwise-identical to the allocating
     /// `train_batch` path: same losses, same parameter trajectories,
     /// same inference outputs afterwards — across varying batch sizes,
-    /// which forces mid-run scratch re-growth.
+    /// which forces mid-run scratch re-growth. Two models: a small CNN
+    /// under momentum, and the speech task's MLP under Adam at the
+    /// batches `lazy_100k` and `async_hostile` train it at (2 and 16),
+    /// which covers the dense kernels' both forward paths, the loss, the
+    /// skipped input gradient below the first `Dense` and the optimizer
+    /// hand-off.
     #[test]
     fn ws_train_path_matches_allocating_path_bitwise(
         seed in 0u64..500,
@@ -160,26 +207,17 @@ proptest! {
         let mut ma = mk_cnn(seed);
         let mut mb = ma.clone();
         let kind = OptimizerKind::Momentum { lr: 0.05, momentum: 0.9 };
-        let mut oa = kind.build();
-        let mut ob = kind.build();
-        let mut scratch = NetScratch::new();
-        let mut r = rng(data_seed);
-        for s in 0..steps {
-            let bs = bs0 + s % 2; // vary the batch size across steps
-            let x = middle_tensor::random::uniform([bs, 1, 6, 6], -1.0, 1.0, &mut r);
-            let labels: Vec<usize> = (0..bs).map(|i| i % 3).collect();
-            let la = ma.train_batch(&x, &labels, oa.as_mut());
-            let lb = mb.train_batch_ws(&x, &labels, ob.as_mut(), &mut scratch);
-            prop_assert_eq!(la.to_bits(), lb.to_bits());
-            prop_assert_eq!(param_bits(&ma), param_bits(&mb));
-        }
-        let x = middle_tensor::random::uniform([7, 1, 6, 6], -1.0, 1.0, &mut r);
-        let via_infer = ma.infer(&x);
-        let via_ws = mb.infer_ws(&x, &mut scratch);
-        prop_assert_eq!(via_infer.shape(), via_ws.shape());
-        for (a, b) in via_infer.data().iter().zip(via_ws.data()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let (mut oa, mut ob) = (kind.build(), kind.build());
+        // Vary the batch size across steps.
+        let bs: Vec<usize> = (0..steps).map(|s| bs0 + s % 2).collect();
+        ws_matches_allocating(&mut ma, &mut mb, (oa.as_mut(), ob.as_mut()), [1, 6, 6], 3, &bs, data_seed)?;
+
+        let mut ma = zoo::mlp(&SPEECH, 64, &mut rng(seed));
+        let mut mb = ma.clone();
+        let kind = OptimizerKind::Adam { lr: 0.001 };
+        let (mut oa, mut ob) = (kind.build(), kind.build());
+        let bs: Vec<usize> = (0..steps + 1).map(|s| [2, 16][(bs0 + s) % 2]).collect();
+        ws_matches_allocating(&mut ma, &mut mb, (oa.as_mut(), ob.as_mut()), [1, 1, 64], 10, &bs, data_seed)?;
     }
 
     /// `Optimizer::reset` restores fresh-build semantics bitwise: training

@@ -10,7 +10,7 @@
 //! im2col into the reference GEMM; they are the bitwise oracles the
 //! direct kernels are held to, reduction chain by reduction chain.
 
-use crate::matmul::{matmul_into_reference, simd_dispatch};
+use crate::matmul::{matmul_into_reference, mul_add_vectors, simd_dispatch, Vectors, LANES};
 use crate::tensor::Tensor;
 
 /// Static geometry of a convolution: shapes, stride and padding.
@@ -267,11 +267,6 @@ pub fn col2im(cols: &[f32], g: &ConvGeometry, img: &mut [f32]) {
     col2im_reference(cols, g, img);
 }
 
-/// Lanes of one register-tile vector in the direct kernels: a full
-/// AVX-512 register. Every lane is an independent output element, so the
-/// narrower clones just spend two or four registers per vector.
-const LANES: usize = 16;
-
 /// Reusable workspace for the direct convolution kernels. All buffers are
 /// grown on demand, retained across calls and fully overwritten before
 /// they are read — with one declared exception: after
@@ -370,19 +365,6 @@ fn copy_row(dst: &mut [f32], src: &[f32]) {
         8 => fixed::<8>(dst, src),
         4 => fixed::<4>(dst, src),
         _ => dst.copy_from_slice(src),
-    }
-}
-
-/// `VT` vectors of a register tile: `LANES` consecutive positions each.
-type Vectors<const VT: usize> = [[f32; LANES]; VT];
-
-/// `acc[v][l] += s · x[v][l]`: one scalar against `VT` vectors.
-#[inline(always)]
-fn mul_add_vectors<const VT: usize>(acc: &mut Vectors<VT>, s: f32, x: &Vectors<VT>) {
-    for (a, x) in acc.iter_mut().zip(x) {
-        for (a, &x) in a.iter_mut().zip(x) {
-            *a += s * x;
-        }
     }
 }
 
@@ -1037,7 +1019,7 @@ pub fn conv2d_backward_into(
         &mut scratch.dyt,
         &mut scratch.dwt,
     );
-    dweight.resize(weight.shape().clone());
+    dweight.resize(weight.shape());
     dbias.resize([g.out_c]);
     untile_gradients(&scratch.dwt, t, plen, dweight.data_mut(), dbias.data_mut());
 
@@ -1056,7 +1038,7 @@ pub fn conv2d_backward_into(
             g.stride,
         );
         window_offsets(g.in_h, g.in_w, 1, dw, &mut scratch.in_off);
-        dinput.resize(input.shape().clone());
+        dinput.resize(input.shape());
         dinput_dispatch(
             g,
             n,
@@ -1302,7 +1284,7 @@ pub fn maxpool2d_backward_into(
     dinput: &mut Tensor,
 ) {
     assert_eq!(dout.len(), arg.len(), "argmax table length mismatch");
-    dinput.resize(input_shape.clone());
+    dinput.resize(input_shape);
     let dd = dinput.data_mut();
     dd.fill(0.0);
     for (g, &i) in dout.data().iter().zip(arg) {
@@ -1313,6 +1295,7 @@ pub fn maxpool2d_backward_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matmul::tests::{bits, call_clone, host_clones, vals};
 
     fn geom(
         in_c: usize,
@@ -1477,58 +1460,6 @@ mod tests {
         let dout = Tensor::from_vec([1, 1, 1, 1], vec![5.0]);
         let dx = maxpool2d_backward(x.shape(), &dout, &arg);
         assert_eq!(dx.data(), &[0., 5., 0., 0.]);
-    }
-
-    /// Deterministic values in [-1, 1] with `±0.0` and a subnormal mixed in.
-    fn vals(len: usize, seed: u64) -> Vec<f32> {
-        let mut v = crate::random::uniform([len.max(1)], -1.0, 1.0, &mut crate::random::rng(seed))
-            .data()
-            .to_vec();
-        v.truncate(len);
-        for (i, x) in v.iter_mut().enumerate() {
-            match i % 11 {
-                3 => *x = 0.0,
-                6 => *x = -0.0,
-                9 => *x = f32::from_bits(1 + i as u32),
-                _ => {}
-            }
-        }
-        v
-    }
-
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// Every compiled clone of a dispatched kernel the host can run.
-    fn host_clones() -> Vec<&'static str> {
-        let mut clones = vec!["baseline"];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                clones.push("avx2");
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                clones.push("avx512");
-            }
-        }
-        clones
-    }
-
-    /// Calls the clone of `$body` that `host_clones` named.
-    macro_rules! call_clone {
-        ($body:ident, $clone:expr, ($($arg:expr),*)) => {
-            match $clone {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `host_clones` lists a clone only after probing
-                // the feature it was compiled for.
-                "avx2" => unsafe { $body::avx2($($arg),*) },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: as above.
-                "avx512" => unsafe { $body::avx512($($arg),*) },
-                _ => $body($($arg),*),
-            }
-        };
     }
 
     /// The dispatcher runs one clone per host (and one gradient tile

@@ -153,8 +153,8 @@ pub fn dot_slices_reference(a: &[f32], b: &[f32]) -> f32 {
 /// serialise on float-add latency for short vectors. Interleaving `T`
 /// independent dots (4·T chains in flight) makes the reduction
 /// throughput-bound while leaving every per-output accumulation order
-/// untouched — the pattern behind the batched conv weight-gradient and
-/// the dense-layer GEMT kernels.
+/// untouched — the dense forward's kernel for blocks of fewer than four
+/// rows, and the pattern the tiled conv and dense kernels widen.
 #[inline(always)]
 pub fn dot_slices_many<const T: usize>(a: &[f32], rows: [&[f32]; T]) -> [f32; T] {
     let len = a.len();
@@ -182,80 +182,6 @@ pub fn dot_slices_many<const T: usize>(a: &[f32], rows: [&[f32]; T]) -> [f32; T]
         }
         out[t] = acc[t][0] + acc[t][1] + acc[t][2] + acc[t][3] + tail;
     }
-    out
-}
-
-/// True when [`dot_slices_8_transposed`] runs its vector implementation
-/// on this host. Callers use this to decide whether transposing a reused
-/// 8-row tile up front pays off; on other hosts the untransposed
-/// [`dot_slices_many`] tile is the better layout.
-#[inline]
-pub fn dots8_transposed_fast() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Eight inner products against a pre-transposed right-hand tile:
-/// `rt[j * 8 + t]` holds element `j` of row `t`. Requires
-/// `a.len() % 4 == 0` and `rt.len() == a.len() * 8`.
-///
-/// Bitwise-identical to eight [`dot_slices`] calls by construction:
-/// output `t`'s lane `l = j % 4` receives the products `a[j] * rt[j*8+t]`
-/// in ascending `j` — the same values in the same order as `dot_slices`'
-/// four-lane split — and the final reduce is the same
-/// `((acc0 + acc1) + acc2) + acc3 + 0.0` chain (the `+ 0.0` is the empty
-/// tail, kept because it rewrites a `-0.0` sum to `+0.0` exactly like the
-/// scalar kernel). Unlike the four-lane kernels, whose fixed serial lanes
-/// cap them at 128-bit vectors, the eight *outputs* here are independent,
-/// so the vector implementation runs one 8-wide lane per accumulator row.
-pub fn dot_slices_8_transposed(a: &[f32], rt: &[f32]) -> [f32; 8] {
-    assert_eq!(a.len() % 4, 0, "transposed-tile dots need len % 4 == 0");
-    assert_eq!(rt.len(), a.len() * 8, "transposed tile size");
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: probe above; slice bounds asserted above.
-        return unsafe { dots8_transposed_avx2(a, rt) };
-    }
-    let mut acc = [[0.0f32; 4]; 8];
-    for (i, av) in a.chunks_exact(4).enumerate() {
-        for l in 0..4 {
-            let j = i * 4 + l;
-            let rrow = &rt[j * 8..(j + 1) * 8];
-            for t in 0..8 {
-                acc[t][l] += av[l] * rrow[t];
-            }
-        }
-    }
-    std::array::from_fn(|t| acc[t][0] + acc[t][1] + acc[t][2] + acc[t][3] + 0.0)
-}
-
-/// Vector body of [`dot_slices_8_transposed`]: four 8-wide accumulator
-/// rows (one per `j % 4` lane), each vector lane a distinct output.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dots8_transposed_avx2(a: &[f32], rt: &[f32]) -> [f32; 8] {
-    use std::arch::x86_64::*;
-    let mut acc = [_mm256_setzero_ps(); 4];
-    for (i, av) in a.chunks_exact(4).enumerate() {
-        for (l, accl) in acc.iter_mut().enumerate() {
-            let j = i * 4 + l;
-            let avv = _mm256_set1_ps(av[l]);
-            let rv = _mm256_loadu_ps(rt.as_ptr().add(j * 8));
-            *accl = _mm256_add_ps(*accl, _mm256_mul_ps(avv, rv));
-        }
-    }
-    let s = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), acc[2]), acc[3]);
-    // The scalar kernel's `+ tail` with an empty tail: adds +0.0, which
-    // canonicalises a -0.0 sum to +0.0.
-    let s = _mm256_add_ps(s, _mm256_setzero_ps());
-    let mut out = [0.0f32; 8];
-    _mm256_storeu_ps(out.as_mut_ptr(), s);
     out
 }
 

@@ -85,6 +85,12 @@ impl Shape {
         off
     }
 
+    /// Overwrites the extents with `dims`, reusing this shape's buffer.
+    pub(crate) fn set_dims(&mut self, dims: &[usize]) {
+        self.0.clear();
+        self.0.extend_from_slice(dims);
+    }
+
     /// Whether two shapes are broadcast-compatible in the restricted sense
     /// used by this crate: identical, or `other` is a suffix of `self`
     /// (e.g. a bias vector `[C]` broadcast over `[N, C]`).
@@ -106,6 +112,12 @@ impl fmt::Debug for Shape {
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:?}", self.0)
+    }
+}
+
+impl AsRef<[usize]> for Shape {
+    fn as_ref(&self) -> &[usize] {
+        &self.0
     }
 }
 

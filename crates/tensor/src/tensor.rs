@@ -148,17 +148,17 @@ impl Tensor {
         self.clone().reshape(shape)
     }
 
-    /// Re-shapes in place, growing or shrinking the backing buffer while
-    /// keeping its capacity (the scratch-reuse primitive of the zero-alloc
-    /// train path).
+    /// Re-shapes in place to `dims`, growing or shrinking the backing
+    /// buffer while keeping its capacity and the shape's own (the
+    /// scratch-reuse primitive of the zero-alloc train path: in steady
+    /// state it allocates nothing).
     ///
     /// Element values are unspecified after a resize — surviving elements
     /// keep their old values and grown elements are zero — so callers must
     /// fully overwrite the tensor before reading it.
-    pub fn resize(&mut self, shape: impl Into<Shape>) {
-        let shape = shape.into();
-        self.data.resize(shape.len(), 0.0);
-        self.shape = shape;
+    pub fn resize(&mut self, dims: impl AsRef<[usize]>) {
+        self.shape.set_dims(dims.as_ref());
+        self.data.resize(self.shape.len(), 0.0);
     }
 
     /// Row `i` of a rank-2 tensor as a slice.

@@ -6,7 +6,10 @@ use middle_tensor::conv::{
     col2im, conv2d_backward, conv2d_backward_into, conv2d_forward, conv2d_forward_into, im2col,
     ConvGeometry, ConvScratch,
 };
-use middle_tensor::matmul::{matmul, matmul_at, matmul_bt, matmul_into, matmul_into_reference};
+use middle_tensor::matmul::{
+    matmul, matmul_at, matmul_at_into, matmul_at_into_reference, matmul_bt, matmul_bt_into,
+    matmul_into, matmul_into_reference,
+};
 use middle_tensor::ops;
 use middle_tensor::random::{rng, uniform};
 use middle_tensor::reduce;
@@ -44,7 +47,49 @@ fn mixed_vals(len: usize, seed: u64) -> Vec<f32> {
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
-    t.data().iter().map(|v| v.to_bits()).collect()
+    slice_bits(t.data())
+}
+
+fn slice_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `(in, out)` of the model zoo's dense layers.
+const DENSE_SHAPES: [(usize, usize); 5] = [(256, 64), (64, 64), (64, 32), (32, 10), (64, 10)];
+
+/// A gradient after a ReLU: the entries whose unit did not fire are
+/// exactly `+0.0` (about half), the rest `mixed_vals`.
+fn relu_masked(len: usize, seed: u64) -> Vec<f32> {
+    let fired = mixed_vals(len, seed ^ 0xF1);
+    mixed_vals(len, seed)
+        .into_iter()
+        .zip(fired)
+        .map(|(v, f)| if f > 0.0 { v } else { 0.0 })
+        .collect()
+}
+
+/// A dense layer's forward (`matmul_bt_into`) and weight gradient
+/// (`matmul_at_into`) at batch `m`, `k` inputs and `n` outputs, each held
+/// bitwise to its oracle; the outputs start poisoned.
+fn dense_kernels_match_oracles(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
+    let x = mixed_vals(m * k, seed);
+    let w = mixed_vals(n * k, seed ^ 0x5EED);
+    let want = matmul_bt(
+        &Tensor::from_vec([m, k], x.clone()),
+        &Tensor::from_vec([n, k], w.clone()),
+    );
+    let mut y = vec![f32::NAN; m * n];
+    matmul_bt_into(&x, &w, &mut y, m, k, n);
+    prop_assert_eq!(slice_bits(&y), bits(&want));
+
+    for dy in [mixed_vals(m * n, seed ^ 0xD7), relu_masked(m * n, seed)] {
+        let mut fast = vec![f32::NAN; n * k];
+        let mut oracle = vec![f32::NAN; n * k];
+        matmul_at_into(&dy, &x, &mut fast, n, m, k);
+        matmul_at_into_reference(&dy, &x, &mut oracle, n, m, k);
+        prop_assert_eq!(slice_bits(&fast), slice_bits(&oracle));
+    }
+    Ok(())
 }
 
 /// How many leading entries of `CONV_SHAPES` are the model zoo's layers.
@@ -232,6 +277,30 @@ proptest! {
         for (x, y) in fast.iter().zip(&refc) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    /// The dense forward and weight gradient are bitwise-identical to
+    /// their oracles (`matmul_bt`'s per-element `dot_slices_reference`,
+    /// the pre-tiling `matmul_at_into_reference`) at every batch from 1
+    /// to 20 and 40 — blocks that take the row-by-row path, sample groups
+    /// the batch fills partly, one and two and a half groups — every
+    /// width from 1 to 70 and 256 (tails of every length mod 4, lane
+    /// slabs of every width) and every output count from 1 to 70, on
+    /// `±0.0`, subnormals and a ReLU-masked `dy`; and at the same batch,
+    /// on one of the zoo's dense layers.
+    #[test]
+    fn dense_kernels_match_their_oracles_bitwise(
+        m in 1usize..=21,
+        k in 1usize..=71,
+        n in 1usize..=70,
+        zoo in 0usize..DENSE_SHAPES.len(),
+        seed in 0u64..1000,
+    ) {
+        let m = if m == 21 { 40 } else { m };
+        let k = if k == 71 { 256 } else { k };
+        dense_kernels_match_oracles(m, k, n, seed)?;
+        let (zk, zn) = DENSE_SHAPES[zoo];
+        dense_kernels_match_oracles(m, zk, zn, seed ^ 0x200)?;
     }
 
     /// The direct convolution forward and backward are bitwise-identical

@@ -420,3 +420,47 @@ fn moved_devices_actually_blend_models_under_middle() {
     assert_eq!(flatten(&general_init), flatten(&edge));
     assert_ne!(flatten(&middle_init), flatten(&edge));
 }
+
+/// The workspace train path — the tiled dense kernels, the direct
+/// convolutions, the one-pass loss, the skipped input gradient, the
+/// optimizer hand-off — trains the zoo's models to the same parameter
+/// bits as the allocating path, which runs the per-element oracles:
+/// `cnn2` on mnist at the paper's batch under momentum, the speech MLP
+/// under Adam at the batches `lazy_100k` and `async_hostile` train it at.
+#[test]
+fn workspace_training_matches_the_oracle_kernels_bitwise() {
+    use middle::nn::{zoo, NetScratch};
+    use middle::tensor::random::{rng, uniform};
+    let momentum = OptimizerKind::Momentum {
+        lr: 0.01,
+        momentum: 0.9,
+    };
+    let adam = OptimizerKind::Adam { lr: 0.001 };
+    for (task, batch, kind) in [
+        (Task::Mnist, 16, momentum),
+        (Task::Speech, 2, adam),
+        (Task::Speech, 16, adam),
+    ] {
+        let spec = task.spec();
+        let mut oracle = zoo::model_for_task(task.name(), &spec, &mut rng(3));
+        let mut fast = oracle.clone();
+        let (mut opt_o, mut opt_f) = (kind.build(), kind.build());
+        let mut scratch = NetScratch::new();
+        let mut r = rng(4);
+        for step in 0..3 {
+            let x = uniform(
+                [batch, spec.channels, spec.height, spec.width],
+                -1.0,
+                1.0,
+                &mut r,
+            );
+            let labels: Vec<usize> = (0..batch).map(|i| (i + step) % spec.classes).collect();
+            let lo = oracle.train_batch(&x, &labels, opt_o.as_mut());
+            let lf = fast.train_batch_ws(&x, &labels, opt_f.as_mut(), &mut scratch);
+            let bits = |m: &Sequential| flatten(m).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let what = format!("{} batch {batch} step {step}", task.name());
+            assert_eq!(lo.to_bits(), lf.to_bits(), "loss, {what}");
+            assert_eq!(bits(&oracle), bits(&fast), "parameters, {what}");
+        }
+    }
+}
