@@ -22,7 +22,9 @@
 //! dropout chain advances per device per step (O(N)) and would dominate
 //! the idle-population cost this sweep isolates.
 
-use middle_core::{Algorithm, MobilitySource, PopulationMode, SimConfig, SimulationBuilder};
+use middle_core::{
+    Algorithm, MobilitySource, PopulationMode, SimConfig, SimulationBuilder, StepMode,
+};
 use middle_data::Task;
 use std::time::Instant;
 
@@ -150,9 +152,9 @@ fn run_one(devices: usize, edges: usize, mode: PopulationMode) {
     let build_seconds = t0.elapsed().as_secs_f64();
     let mut total_ms = 0.0f64;
     let mut max_ms = 0.0f64;
-    for t in 0..steps {
+    for _ in 0..steps {
         let s0 = Instant::now();
-        sim.step(t);
+        sim.tick(StepMode::Fast);
         let ms = s0.elapsed().as_secs_f64() * 1e3;
         total_ms += ms;
         max_ms = max_ms.max(ms);

@@ -35,9 +35,10 @@
 //! disabled is *bitwise identical* to a simulation without the plane,
 //! and `StepMode::Fast` / `StepMode::Reference` stay interchangeable
 //! under faults (every fault draw sits in the round skeleton they
-//! share, outside its kernel dispatch points). The disabled
-//! plane performs no RNG draw, no allocation and no timer call; the
-//! hot-path contract of DESIGN.md §6 is untouched.
+//! share, outside its kernel dispatch points). The round runs the same
+//! upload pass and cloud sync whatever the config; the disabled plane
+//! only makes them draw nothing and allocate nothing, so the hot-path
+//! contract of DESIGN.md §6 is untouched.
 
 use middle_nn::serialize::Packed;
 use middle_tensor::random::{derive_seed, rng};
@@ -157,16 +158,6 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Whether any failure model is active. When `false`, the plane
-    /// draws no randomness and the simulation is bitwise identical to
-    /// a fault-free run.
-    pub fn any_enabled(&self) -> bool {
-        self.dropout_active()
-            || self.straggler_active()
-            || self.upload_loss_active()
-            || self.wan_active()
-    }
-
     /// Whether the dropout process is active.
     pub fn dropout_active(&self) -> bool {
         !matches!(self.dropout, DropoutModel::None)
@@ -292,7 +283,6 @@ pub struct PendingStale {
 #[derive(Debug)]
 pub struct FaultPlane {
     cfg: FaultConfig,
-    enabled: bool,
     rng: StdRng,
     device_down: Vec<bool>,
     pending: Vec<PendingStale>,
@@ -303,10 +293,8 @@ impl FaultPlane {
     /// master seed (stream 9 — disjoint from every other stream the
     /// simulation derives).
     pub fn new(cfg: FaultConfig, num_devices: usize, seed: u64) -> Self {
-        let enabled = cfg.any_enabled();
         FaultPlane {
             cfg,
-            enabled,
             rng: rng(derive_seed(seed, 9)),
             device_down: vec![false; num_devices],
             pending: Vec::new(),
@@ -321,11 +309,6 @@ impl FaultPlane {
     /// The active configuration.
     pub fn config(&self) -> &FaultConfig {
         &self.cfg
-    }
-
-    /// Whether any failure model is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Whether the dropout process is active.
@@ -486,8 +469,8 @@ impl FaultPlane {
     }
 
     /// Overwrites the plane's mutable state (RNG stream, dropout chain
-    /// state and pending stale queue) from a checkpoint. The config —
-    /// and hence `enabled` — is construction-time state and stays.
+    /// state and pending stale queue) from a checkpoint. The config is
+    /// construction-time state and stays.
     pub fn restore_state(
         &mut self,
         rng: StdRng,
@@ -512,10 +495,8 @@ mod tests {
     #[test]
     fn default_config_disables_everything() {
         let cfg = FaultConfig::default();
-        assert!(!cfg.any_enabled());
         assert!(cfg.validate().is_ok());
         let mut plane = FaultPlane::new(cfg, 8, 7);
-        assert!(!plane.enabled());
         // The disabled plane never draws: identical planes stay
         // identical through arbitrary call sequences.
         plane.advance_dropout();

@@ -60,7 +60,7 @@ pub enum Reached<'a> {
 }
 
 impl Reached<'_> {
-    fn hits(&self, m: usize) -> bool {
+    pub(crate) fn hits(&self, m: usize) -> bool {
         match self {
             Reached::All => true,
             Reached::Mask { up, edge_of } => up[edge_of[m]],

@@ -56,7 +56,7 @@ use rand::Rng;
 use rayon::prelude::*;
 use std::time::Instant;
 
-/// Which step implementation [`Simulation::advance`] executes.
+/// Which kernels [`Simulation::tick`] runs.
 ///
 /// The zero-copy fast path and the allocating reference oracle consume
 /// every RNG stream in the same order, so a run may interleave modes
@@ -267,9 +267,9 @@ pub struct Simulation {
     version_scores: Vec<f32>,
     // Scratch of the score pre-pass: the devices it found stale.
     stale_scores: Vec<usize>,
-    // Fault-plane scratch: per-edge delivered cohorts (selected minus
-    // lost/late uploads) and per-edge WAN link state at a sync. Unused
-    // (and untouched) while the fault plane is disabled.
+    // Round scratch: the per-edge delivered cohorts Eq. 6 aggregates
+    // (selected minus lost/late uploads) and the per-edge WAN link state
+    // at a sync (empty unless WAN outages are on).
     delivered_per_edge: Vec<Vec<usize>>,
     wan_up: Vec<bool>,
     // Run cursor: the next step `tick` executes, the evaluation points
@@ -455,12 +455,9 @@ impl Simulation {
     /// upload finally lands and is blended into its edge with Eq. 9's
     /// similarity weighting — a stale update that still agrees with the
     /// edge keeps weight, a diverged one is discounted), then advance
-    /// every device's dropout chain. No-op (no draw, no timer) while the
-    /// plane is disabled.
+    /// every device's dropout chain. Draws nothing while the plane is
+    /// disabled: the queue is empty and the dropout chain is off.
     fn fault_step_begin(&mut self, probe: &mut StepProbe) {
-        if !self.faults.enabled() {
-            return;
-        }
         probe.start();
         for p in self.faults.take_pending() {
             // The late upload is charged when it arrives, not when it
@@ -538,11 +535,13 @@ impl Simulation {
 
     /// Runs every selected device's upload through the fault plane (the
     /// per-device draw order — deadline first, then loss/retry attempts
-    /// — is fixed). Fills `delivered_per_edge` with the cohorts that
-    /// actually reached their edge: deadline-missed uploads are
-    /// snapshotted for a stale merge next step, the rest go through
-    /// [`Simulation::attempt_upload`].
-    fn fault_upload_pass(&mut self, probe: &mut StepProbe) {
+    /// — is fixed) and charges it. Fills `delivered_per_edge` with the
+    /// cohorts that actually reached their edge: deadline-missed uploads
+    /// are snapshotted for a stale merge next step, the rest go through
+    /// [`Simulation::attempt_upload`]. With the plane disabled nothing
+    /// is drawn and every selected upload is delivered on its first
+    /// attempt.
+    fn upload_pass(&mut self, probe: &mut StepProbe) {
         probe.start();
         let lossy = self.compression.lossy_active();
         let payload = self.compression.payload_bytes();
@@ -589,80 +588,6 @@ impl Simulation {
         }
         self.selected_per_edge = selected_per_edge;
         probe.stop(Phase::FaultRecovery);
-    }
-
-    /// Cloud synchronisation under WAN outages, one body for every
-    /// execution mode (equivalence under faults holds by construction).
-    /// Each edge's WAN link is drawn independently; down
-    /// edges neither upload nor receive the broadcast (their sample
-    /// window keeps accumulating and folds into the next successful
-    /// sync), and devices currently parked under a down edge miss the
-    /// device-level broadcast. When every edge is down the sync is
-    /// skipped entirely. Returns whether a sync was performed.
-    fn fault_cloud_sync(&mut self, probe: &mut StepProbe) -> bool {
-        probe.start();
-        self.wan_up.clear();
-        for _ in 0..self.edges.len() {
-            let up = self.faults.wan_is_up();
-            self.wan_up.push(up);
-            if !up {
-                probe.wan_outage();
-            }
-        }
-        let up_edges = self.wan_up.iter().filter(|&&u| u).count() as u64;
-        if up_edges == 0 {
-            probe.stop(Phase::CloudSync);
-            return false;
-        }
-        self.syncs += 1;
-        self.comm.edge_to_cloud += up_edges;
-        self.comm.edge_to_cloud_bytes += up_edges * self.compression.payload_bytes();
-        self.comm.cloud_to_edge += up_edges;
-        self.comm.cloud_to_edge_bytes += up_edges * self.compression.dense_payload_bytes();
-        if self.compression.lossy_active() {
-            probe.stop(Phase::CloudSync);
-            let wan_up = std::mem::take(&mut self.wan_up);
-            self.compressed_cloud_sync(Some(&wan_up), probe);
-            self.wan_up = wan_up;
-            return true;
-        }
-        let wan_up = &self.wan_up;
-        cloud_aggregate_into(
-            &mut self.cloud,
-            self.edges
-                .iter()
-                .zip(wan_up)
-                .filter(|&(_, &up)| up)
-                .map(|(e, _)| (&e.model, e.window_samples)),
-        );
-        self.cloud_flat.refresh(&self.cloud);
-        let (flat, norm_sq) = (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
-        for (edge, &up) in self.edges.iter_mut().zip(wan_up) {
-            if up {
-                edge.load_flat(flat, norm_sq);
-                edge.window_samples = 0.0;
-            }
-        }
-        // Devices under an up edge receive the broadcast; the count is
-        // an O(E) occupancy sum over the step index, integer-equal to
-        // the old per-device scan.
-        let reached = (0..self.edges.len())
-            .filter(|&n| wan_up[n])
-            .map(|n| self.index.occupancy(n))
-            .sum::<usize>() as u64;
-        self.comm
-            .charge_broadcast(reached, self.compression.dense_payload_bytes());
-        self.population.apply_broadcast(
-            flat,
-            norm_sq,
-            Reached::Mask {
-                up: wan_up,
-                edge_of: &self.index.cur,
-            },
-        );
-        self.policy.after_cloud_sync(Some(wan_up), &self.index.cur);
-        probe.stop(Phase::CloudSync);
-        true
     }
 
     /// Edge aggregation (Eq. 6) of one cohort into edge `n` — the single
@@ -751,88 +676,13 @@ impl Simulation {
         });
     }
 
-    /// Cloud synchronisation (Eq. 7 + broadcast) through the lossy
-    /// compression plane, one body for every execution mode. Each
-    /// participating edge's sync upload is compressed against the
-    /// current cloud model and the cloud aggregates the
-    /// *reconstructions* with the dense path's `d̂_n`-weighting
-    /// (uniform when every window is empty). `wan_up` masks the edges
-    /// whose WAN link is up (`None` = no fault plane, everyone
-    /// participates); down edges keep their window and miss the
-    /// broadcast, exactly like [`Simulation::fault_cloud_sync`]. The
-    /// caller has already charged the sync's edge↔cloud transfers.
-    fn compressed_cloud_sync(&mut self, wan_up: Option<&[bool]>, probe: &mut StepProbe) {
-        let up = |n: usize| wan_up.is_none_or(|w| w[n]);
-        probe.start();
-        let len = self.cloud_flat.flat().len();
-        let up_count = (0..self.edges.len()).filter(|&n| up(n)).count();
-        let total: f64 = self
-            .edges
-            .iter()
-            .enumerate()
-            .filter(|&(n, _)| up(n))
-            .map(|(_, e)| e.window_samples)
-            .sum();
-        self.agg_scratch.clear();
-        self.agg_scratch.resize(len, 0.0);
-        for n in 0..self.edges.len() {
-            if !up(n) {
-                continue;
-            }
-            let w = if total > 0.0 {
-                (self.edges[n].window_samples / total) as f32
-            } else {
-                (1.0 / up_count as f64) as f32
-            };
-            let recon = self.compression.compress_edge_sync(
-                n,
-                self.edges[n].flat(),
-                self.cloud_flat.flat(),
-            );
-            probe.compressed_syncs(1);
-            for (a, &r) in self.agg_scratch.iter_mut().zip(recon) {
-                *a += w * r;
-            }
-        }
-        probe.stop(Phase::Compress);
-        probe.start();
-        middle_nn::params::unflatten(&mut self.cloud, &self.agg_scratch);
-        self.cloud_flat.refresh(&self.cloud);
-        let (flat, norm_sq) = (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
-        for (n, edge) in self.edges.iter_mut().enumerate() {
-            if up(n) {
-                edge.load_flat(flat, norm_sq);
-                edge.window_samples = 0.0;
-            }
-        }
-        let reached = (0..self.edges.len())
-            .filter(|&n| up(n))
-            .map(|n| self.index.occupancy(n))
-            .sum::<usize>() as u64;
-        self.comm
-            .charge_broadcast(reached, self.compression.dense_payload_bytes());
-        self.population.apply_broadcast(
-            flat,
-            norm_sq,
-            match wan_up {
-                Some(up) => Reached::Mask {
-                    up,
-                    edge_of: &self.index.cur,
-                },
-                None => Reached::All,
-            },
-        );
-        self.policy.after_cloud_sync(wan_up, &self.index.cur);
-        probe.stop(Phase::CloudSync);
-    }
-
-    /// Executes one lockstep time step `t` of Algorithm 1 (0-based; syncs
-    /// with the cloud after every `cloud_interval`-th step). There is one
-    /// round skeleton; `mode` only picks the kernels at its dispatch
-    /// points (score + select, init, train, Eq. 6, Eq. 7), so hook
-    /// order, comm charging and telemetry are the same code in both
-    /// modes. [`Simulation::step`] is shorthand for
-    /// `advance(t, StepMode::Fast)`.
+    /// One lockstep round `t` of Algorithm 1 (0-based; syncs with the
+    /// cloud after every `cloud_interval`-th step): the shared front
+    /// half, the upload pass, Eq. 6 per edge over the delivered cohorts,
+    /// then the cadence sync. `mode` only picks the kernels at the
+    /// skeleton's dispatch points (score + select, init, train, Eq. 6,
+    /// Eq. 7), so hook order, comm charging and telemetry are the same
+    /// code in both modes.
     ///
     /// In [`StepMode::Fast`] the steady-state loop is allocation-free:
     /// candidate sets, scores and winner lists land in persistent scratch
@@ -844,16 +694,19 @@ impl Simulation {
     /// selection, allocating init / aggregation, clone broadcast) as the
     /// semantic oracle; both consume every rng stream in the same order,
     /// and the equivalence tests pin the two together bit for bit.
-    pub fn advance(&mut self, t: usize, mode: StepMode) {
+    fn tick_lockstep(&mut self, t: usize, mode: StepMode) {
         let mut probe = self.telemetry.begin_step();
         self.begin_step(t, &mut probe);
         let active = self.phase_select_train(t, mode, &mut probe);
-        self.finish_step(t, active, mode, probe);
-    }
-
-    /// [`Simulation::advance`] with the production kernels.
-    pub fn step(&mut self, t: usize) {
-        self.advance(t, StepMode::Fast);
+        self.upload_pass(&mut probe);
+        let cohorts = std::mem::take(&mut self.delivered_per_edge);
+        for (n, cohort) in cohorts.iter().enumerate() {
+            self.aggregate_cohort(n, cohort, &[], mode, &mut probe);
+        }
+        self.delivered_per_edge = cohorts;
+        let scheduled = (t + 1).is_multiple_of(self.config.cloud_interval);
+        let synced = scheduled && self.cloud_sync_now(mode, &mut probe);
+        self.telemetry.end_step(t, active, synced, probe);
     }
 
     /// Step-begin work shared by every execution mode: rebuild the step
@@ -1004,18 +857,9 @@ impl Simulation {
             probe.start();
             let selected = &self.selected_per_edge[n];
             probe.selected(selected.len());
-            // Every selected device uploads after training; downloads
-            // are counted below only when the edge model is actually
-            // consumed (a moved device under KeepLocal never downloads).
-            // With the fault plane on, uploads are charged in the
-            // post-training upload pass instead (retries, losses and
-            // deadline misses change the count).
-            if !self.faults.enabled() {
-                self.comm.device_to_edge += selected.len() as u64;
-                self.comm.device_to_edge_bytes +=
-                    selected.len() as u64 * self.compression.payload_bytes();
-                probe.uploads(selected.len() as u64);
-            }
+            // Downloads are counted only when the edge model is actually
+            // consumed (a moved device under KeepLocal never downloads);
+            // uploads are charged by the post-training upload pass.
             let mut downloads = 0u64;
             let mut migrations = 0u64;
             for &m in selected {
@@ -1135,117 +979,139 @@ impl Simulation {
         active
     }
 
-    /// Phases 3 + 4 — the fault-plane upload pass, edge aggregation and
-    /// the scheduled cloud sync — closing the step's telemetry. Split
-    /// from [`Simulation::advance`] so the event engine can reuse the
-    /// front half with its own upload and aggregation schedule.
-    fn finish_step(&mut self, t: usize, active: bool, mode: StepMode, mut probe: StepProbe) {
-        // Fault plane: run every upload through the deadline and
-        // loss/retry processes, producing the delivered cohorts.
-        if self.faults.enabled() {
-            self.fault_upload_pass(&mut probe);
-        }
-
-        // Phase 3 — edge aggregation (Eq. 6), edge by edge.
-        let cohorts = std::mem::take(self.cohorts_mut());
-        for (n, cohort) in cohorts.iter().enumerate() {
-            self.aggregate_cohort(n, cohort, &[], mode, &mut probe);
-        }
-        *self.cohorts_mut() = cohorts;
-
-        // Phase 4 — periodic cloud synchronisation (Eq. 7 + broadcast).
-        let scheduled = (t + 1).is_multiple_of(self.config.cloud_interval);
-        let synced = scheduled && self.cloud_sync_now(mode, &mut probe);
-        self.telemetry.end_step(t, active, synced, probe);
-    }
-
-    /// The per-edge cohorts whose uploads reached their edge this step:
-    /// the delivered ones under the fault plane, else everyone selected.
-    fn cohorts_mut(&mut self) -> &mut Vec<Vec<usize>> {
-        if self.faults.enabled() {
-            &mut self.delivered_per_edge
-        } else {
-            &mut self.selected_per_edge
-        }
-    }
-
-    /// Performs a cloud synchronisation *now* (Eq. 7 + broadcast) —
-    /// phase 4 without the lockstep schedule check, shared by the
-    /// lockstep step (gated on `cloud_interval`) and the event engine
-    /// (fired by `CloudSync` events). The plain arm dispatches on the
-    /// fast/reference duality; the fault and compression arms are the
-    /// shared helpers either way. Returns whether a sync actually
-    /// happened (false only when the WAN fault plane finds every edge
-    /// down).
+    /// Cloud synchronisation *now* (Eq. 7 + broadcast) — phase 4 without
+    /// the lockstep schedule check, the one sync body for every execution
+    /// mode and plane setting: the lockstep round calls it on the
+    /// `cloud_interval` cadence, the event engine on `CloudSync` events.
+    ///
+    /// Under WAN outages each edge's link is drawn first; down edges
+    /// neither upload nor receive the broadcast (their sample window keeps
+    /// accumulating and folds into the next successful sync), devices
+    /// parked under a down edge miss the device-level broadcast, and a
+    /// sync that finds every edge down is skipped. The up edges aggregate
+    /// with the `d̂_n` weighting (uniform when every window is empty): a
+    /// lossy compression plane compresses each edge's sync upload against
+    /// the current cloud model and aggregates the reconstructions,
+    /// otherwise `mode` picks the kernel; `mode` also picks the
+    /// broadcast. Returns whether a sync happened.
     fn cloud_sync_now(&mut self, mode: StepMode, probe: &mut StepProbe) -> bool {
-        if self.faults.wan_active() {
-            return self.fault_cloud_sync(probe);
-        }
-        if self.compression.lossy_active() {
-            self.syncs += 1;
-            let edges = self.edges.len() as u64;
-            self.comm.edge_to_cloud += edges;
-            self.comm.edge_to_cloud_bytes += edges * self.compression.payload_bytes();
-            self.comm.cloud_to_edge += edges;
-            self.comm.cloud_to_edge_bytes += edges * self.compression.dense_payload_bytes();
-            self.compressed_cloud_sync(None, probe);
-            return true;
-        }
         probe.start();
+        let mut wan_up = std::mem::take(&mut self.wan_up);
+        wan_up.clear();
+        if self.faults.wan_active() {
+            for _ in 0..self.edges.len() {
+                let up = self.faults.wan_is_up();
+                if !up {
+                    probe.wan_outage();
+                }
+                wan_up.push(up);
+            }
+        }
+        let mask = self.faults.wan_active().then_some(&wan_up[..]);
+        let up = |n: usize| mask.is_none_or(|m| m[n]);
+        let up_edges = (0..self.edges.len()).filter(|&n| up(n)).count() as u64;
+        if up_edges == 0 {
+            probe.stop(Phase::CloudSync);
+            self.wan_up = wan_up;
+            return false;
+        }
         self.syncs += 1;
         let dense = self.compression.dense_payload_bytes();
-        self.comm.edge_to_cloud += self.edges.len() as u64;
-        self.comm.edge_to_cloud_bytes += self.edges.len() as u64 * dense;
-        self.comm.cloud_to_edge += self.edges.len() as u64;
-        self.comm.cloud_to_edge_bytes += self.edges.len() as u64 * dense;
-        self.comm
-            .charge_broadcast(self.population.len() as u64, dense);
-        match mode {
-            StepMode::Fast => {
-                cloud_aggregate_into(
-                    &mut self.cloud,
-                    self.edges.iter().map(|e| (&e.model, e.window_samples)),
-                );
-                self.cloud_flat.refresh(&self.cloud);
-                let (flat, norm_sq) = (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
-                for edge in &mut self.edges {
-                    edge.load_flat(flat, norm_sq);
-                    edge.window_samples = 0.0;
-                }
-                self.population.apply_broadcast(flat, norm_sq, Reached::All);
-            }
-            StepMode::Reference => {
-                let models: Vec<&Sequential> = self.edges.iter().map(|e| &e.model).collect();
-                let weights: Vec<f64> = self.edges.iter().map(|e| e.window_samples).collect();
-                self.cloud = cloud_aggregate(&models, &weights);
-                self.cloud_flat.refresh(&self.cloud);
-                for edge in &mut self.edges {
-                    edge.model = self.cloud.clone();
-                    edge.window_samples = 0.0;
-                    edge.refresh_flat();
-                }
-                if self.population.is_dense() {
-                    // The clone-based broadcast is the reference oracle
-                    // for dense runs; `refresh_flat` and `load_flat`
-                    // compute the same dot product, so the lazy arm
-                    // below is bitwise equal (pinned by the dense==lazy
-                    // equivalence tests).
-                    let cloud = &self.cloud;
-                    self.population
-                        .dense_slice_mut()
-                        .par_iter_mut()
-                        .for_each(|d| {
-                            d.model = cloud.clone();
-                            d.refresh_flat();
-                        });
+        self.comm.edge_to_cloud += up_edges;
+        self.comm.edge_to_cloud_bytes += up_edges * self.compression.payload_bytes();
+        self.comm.cloud_to_edge += up_edges;
+        self.comm.cloud_to_edge_bytes += up_edges * dense;
+
+        if self.compression.lossy_active() {
+            probe.stop(Phase::CloudSync);
+            probe.start();
+            let total: f64 = (0..self.edges.len())
+                .filter(|&n| up(n))
+                .map(|n| self.edges[n].window_samples)
+                .sum();
+            self.agg_scratch.clear();
+            self.agg_scratch.resize(self.cloud_flat.flat().len(), 0.0);
+            for n in (0..self.edges.len()).filter(|&n| up(n)) {
+                let w = if total > 0.0 {
+                    (self.edges[n].window_samples / total) as f32
                 } else {
-                    let (flat, norm_sq) = (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
-                    self.population.apply_broadcast(flat, norm_sq, Reached::All);
+                    (1.0 / up_edges as f64) as f32
+                };
+                let recon = self.compression.compress_edge_sync(
+                    n,
+                    self.edges[n].flat(),
+                    self.cloud_flat.flat(),
+                );
+                probe.compressed_syncs(1);
+                for (a, &r) in self.agg_scratch.iter_mut().zip(recon) {
+                    *a += w * r;
+                }
+            }
+            probe.stop(Phase::Compress);
+            probe.start();
+            middle_nn::params::unflatten(&mut self.cloud, &self.agg_scratch);
+        } else {
+            let parts = (self.edges.iter().enumerate())
+                .filter(|&(n, _)| up(n))
+                .map(|(_, e)| (&e.model, e.window_samples));
+            match mode {
+                StepMode::Fast => cloud_aggregate_into(&mut self.cloud, parts),
+                StepMode::Reference => {
+                    let (models, weights): (Vec<&Sequential>, Vec<f64>) = parts.unzip();
+                    self.cloud = cloud_aggregate(&models, &weights);
                 }
             }
         }
-        self.policy.after_cloud_sync(None, &self.index.cur);
+        self.cloud_flat.refresh(&self.cloud);
+
+        let reached = match mask {
+            Some(up) => Reached::Mask {
+                up,
+                edge_of: &self.index.cur,
+            },
+            None => Reached::All,
+        };
+        let (flat, norm_sq) = (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
+        for (n, edge) in self.edges.iter_mut().enumerate() {
+            if up(n) {
+                match mode {
+                    StepMode::Fast => edge.load_flat(flat, norm_sq),
+                    StepMode::Reference => {
+                        edge.model = self.cloud.clone();
+                        edge.refresh_flat();
+                    }
+                }
+                edge.window_samples = 0.0;
+            }
+        }
+        if mode == StepMode::Reference && self.population.is_dense() {
+            // The clone-based broadcast is the reference oracle for dense
+            // runs; `refresh_flat` and `load_flat` compute the same dot
+            // product, so the flat copy is bitwise equal (pinned by the
+            // fast == reference and dense == lazy tests).
+            let cloud = &self.cloud;
+            self.population
+                .dense_slice_mut()
+                .par_iter_mut()
+                .for_each(|d| {
+                    if reached.hits(d.id) {
+                        d.model = cloud.clone();
+                        d.refresh_flat();
+                    }
+                });
+        } else {
+            self.population.apply_broadcast(flat, norm_sq, reached);
+        }
+        // The devices under an up edge: an O(E) occupancy sum over the
+        // step index, every device when no edge is down.
+        let receivers = (0..self.edges.len())
+            .filter(|&n| up(n))
+            .map(|n| self.index.occupancy(n))
+            .sum::<usize>() as u64;
+        self.comm.charge_broadcast(receivers, dense);
+        self.policy.after_cloud_sync(mask, &self.index.cur);
         probe.stop(Phase::CloudSync);
+        self.wan_up = wan_up;
         true
     }
 
@@ -1367,19 +1233,16 @@ impl Simulation {
         match self.config.timeline.latency {
             LatencyModel::Zero => {
                 // The lockstep-oracle corner: uploads arrive the moment
-                // they are sent. With the fault plane on, the upload
-                // pass runs at the boundary exactly as in lockstep
-                // (identical deadline / loss / stale draws); the
-                // delivered cohorts then ride the event queue at zero
-                // latency. Same-instant rank order (uploads before
-                // aggregates) makes any `edge_threshold` provably
+                // they are sent. The upload pass runs at the boundary
+                // exactly as in lockstep (identical deadline / loss /
+                // stale draws); the delivered cohorts then ride the event
+                // queue at zero latency. Same-instant rank order (uploads
+                // before aggregates) makes any `edge_threshold` provably
                 // irrelevant here: every upload of the round pops before
                 // its wave's aggregate event.
-                if self.faults.enabled() {
-                    self.fault_upload_pass(&mut probe);
-                }
+                self.upload_pass(&mut probe);
                 for n in 0..self.edges.len() {
-                    let cohort = self.cohorts_mut()[n].clone();
+                    let cohort = self.delivered_per_edge[n].clone();
                     let trigger = self.config.timeline.edge_threshold.unwrap_or(cohort.len());
                     // Zero delay: every wave aggregates within its own
                     // round, so there is never a remainder to flush.
@@ -1429,12 +1292,11 @@ impl Simulation {
     /// no deadline and no stale path; a slow upload simply arrives late
     /// (and blends like a stale merge if its wave has already closed).
     /// Loss/retry draws and comm charges are those of the lockstep pass
-    /// ([`Simulation::attempt_upload`]). With the fault plane disabled
-    /// the upload was already charged at selection and arrives with
-    /// zero delay. Returns the latest scheduled arrival time of this
-    /// round's delivered uploads (the boundary's own timestamp when
-    /// nothing was delivered), which is where a round-cadence cloud
-    /// sync belongs.
+    /// ([`Simulation::attempt_upload`]); with the fault plane disabled
+    /// every upload arrives at zero delay. Returns the latest scheduled
+    /// arrival time of this round's delivered uploads (the boundary's
+    /// own timestamp when nothing was delivered), which is where a
+    /// round-cadence cloud sync belongs.
     fn event_upload_pass(&mut self, mode: StepMode, probe: &mut StepProbe) -> f64 {
         let now = self.timeline.clock();
         let mut last_arrival = now;
@@ -1444,10 +1306,6 @@ impl Simulation {
             let selected = std::mem::take(&mut self.selected_per_edge[n]);
             let mut delivered: Vec<(usize, f64)> = Vec::with_capacity(selected.len());
             for &m in &selected {
-                if !self.faults.enabled() {
-                    delivered.push((m, 0.0));
-                    continue;
-                }
                 let delay = self.faults.sample_upload_delay();
                 if self.attempt_upload(n, m, probe) {
                     delivered.push((m, delay));
@@ -1615,11 +1473,12 @@ impl Simulation {
         &self.points
     }
 
-    /// Executes the next step of the run cursor (recording an
-    /// [`EvalPoint`] when the step lands on `eval_interval` or the
-    /// horizon) and accumulates wall-clock. [`Simulation::run`] is a
-    /// loop over `tick`; a sweep worker interleaves `tick` with
-    /// checkpoint captures instead.
+    /// Executes the next step of the run cursor under the configured
+    /// execution mode (recording an [`EvalPoint`] when the step lands on
+    /// `eval_interval` or the horizon) and accumulates wall-clock — the
+    /// only way to advance a simulation. [`Simulation::run`] is a loop
+    /// over `tick`; a sweep worker interleaves `tick` with checkpoint
+    /// captures instead.
     ///
     /// # Panics
     /// Panics when the run is already finished.
@@ -1628,7 +1487,7 @@ impl Simulation {
         let start = Instant::now();
         let t = self.next_step;
         match self.config.timeline.mode {
-            ExecutionMode::Lockstep => self.advance(t, mode),
+            ExecutionMode::Lockstep => self.tick_lockstep(t, mode),
             ExecutionMode::EventDriven => self.tick_event(mode),
         }
         self.next_step = t + 1;
@@ -1780,6 +1639,22 @@ impl Simulation {
         }
         if ck.faults.device_down.len() != self.population.len() {
             return Err(mismatch("fault-plane device count".into()));
+        }
+        let params = self.cloud_flat.flat().len();
+        if let Some(p) = ck.faults.pending.iter().find(|p| {
+            p.edge >= self.edges.len()
+                || p.device >= self.population.len()
+                || p.flat.len() != params
+        }) {
+            return Err(mismatch(format!(
+                "pending stale upload (edge {}, device {}, {} parameters) does not fit \
+                 {} edges / {} devices / {params} parameters",
+                p.edge,
+                p.device,
+                p.flat.len(),
+                self.edges.len(),
+                self.population.len()
+            )));
         }
         // Each optional plane's state must be present iff the plane is
         // active here — checked before the first mutation, so a rejected
@@ -2029,7 +1904,7 @@ mod tests {
     fn one_step_changes_participating_edge_models() {
         let mut sim = built(SimConfig::tiny(Task::Mnist, Algorithm::middle()));
         let before = flatten(&sim.edges()[0].model);
-        sim.step(0);
+        sim.tick(StepMode::Fast);
         // At least one edge must have trained (8 devices over 2 edges).
         let changed = sim.edges().iter().any(|e| flatten(&e.model) != before);
         assert!(changed);
@@ -2041,9 +1916,9 @@ mod tests {
         cfg.cloud_interval = 2;
         let mut sim = built(cfg);
         let initial_cloud = flatten(sim.cloud_model());
-        sim.step(0);
+        sim.tick(StepMode::Fast);
         assert_eq!(flatten(sim.cloud_model()), initial_cloud, "no sync yet");
-        sim.step(1);
+        sim.tick(StepMode::Fast);
         let synced = flatten(sim.cloud_model());
         assert_ne!(synced, initial_cloud, "sync after step 2");
         // Broadcast: edges and devices match the cloud.

@@ -471,7 +471,8 @@ pub struct TelemetryReport {
     /// Per-phase summaries in [`Phase::ALL`] order.
     pub phases: Vec<PhaseSummary>,
     /// Whole-step latency summary (phase timers excluded from nothing:
-    /// this is the wall-clock of `Simulation::step`).
+    /// this is the wall-clock of one round of `Simulation::tick`, its
+    /// evaluation aside).
     pub step: PhaseSummary,
     /// Event counters for the run.
     pub counters: StepCounters,
@@ -488,7 +489,7 @@ impl TelemetryReport {
     }
 
     /// Total nanoseconds attributed to in-step phases (everything except
-    /// `evaluation`, which runs outside `Simulation::step`). The
+    /// `evaluation`, which `Simulation::tick` runs after the round). The
     /// telemetry tests pin this to the measured step wall-clock.
     pub fn step_phase_total_ns(&self) -> u64 {
         self.phases

@@ -84,8 +84,8 @@ fn fast_matches_reference(label: &str, cfg: SimConfig) {
     let mut fast = built(cfg.clone());
     let mut slow = built(cfg);
     for t in 0..steps {
-        fast.step(t);
-        slow.advance(t, StepMode::Reference);
+        fast.tick(StepMode::Fast);
+        slow.tick(StepMode::Reference);
         assert_eq!(
             bits(&fast),
             bits(&slow),

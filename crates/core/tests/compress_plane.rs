@@ -10,7 +10,7 @@ use middle_core::compress::{
 };
 use middle_core::{
     Algorithm, CompressionConfig, DelayModel, DropoutModel, RoundingMode, SimConfig, Simulation,
-    SimulationBuilder,
+    SimulationBuilder, StepMode,
 };
 use middle_data::Task as DataTask;
 use middle_nn::params::flatten;
@@ -267,8 +267,8 @@ fn assert_reconciled(sim: &Simulation) {
 #[test]
 fn byte_accounting_reconciles_on_a_clean_lossy_run() {
     let mut sim = built(lossy_config());
-    for t in 0..16 {
-        sim.step(t);
+    for _ in 0..16 {
+        sim.tick(StepMode::Fast);
     }
     assert!(sim.comm_stats().device_to_edge > 0);
     assert!(sim.comm_stats().edge_to_cloud > 0);
@@ -292,8 +292,8 @@ fn byte_accounting_reconciles_under_faults() {
     cfg.faults.upload_retries = 2;
     cfg.faults.wan_outage = 0.3;
     let mut sim = built(cfg);
-    for t in 0..16 {
-        sim.step(t);
+    for _ in 0..16 {
+        sim.tick(StepMode::Fast);
     }
     let comm = *sim.comm_stats();
     assert!(
@@ -378,7 +378,7 @@ fn inert_plane_checkpoints_no_compression_state() {
     let mut cfg = SimConfig::tiny(DataTask::Mnist, Algorithm::middle());
     cfg.steps = 4;
     let mut sim = built(cfg);
-    sim.step(0);
+    sim.tick(StepMode::Fast);
     let ck = sim.checkpoint();
     assert!(ck.compression.is_none());
     let json = ck.to_json();

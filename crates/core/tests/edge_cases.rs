@@ -39,8 +39,8 @@ fn edges_with_no_candidates_are_skipped() {
     let trace = Trace::new(2, vec![vec![0; 6]; 3]);
     let mut sim = built_with_trace(cfg, trace);
     let edge1_before = flatten(&sim.edges()[1].model);
-    for t in 0..3 {
-        sim.step(t);
+    for _ in 0..3 {
+        sim.tick(StepMode::Fast);
     }
     assert_eq!(flatten(&sim.edges()[1].model), edge1_before);
     assert_ne!(flatten(&sim.edges()[0].model), edge1_before);
@@ -88,8 +88,8 @@ fn never_syncing_cloud_keeps_initial_cloud_model() {
     cfg.steps = 4;
     let mut sim = built(cfg);
     let cloud0 = flatten(sim.cloud_model());
-    for t in 0..4 {
-        sim.step(t);
+    for _ in 0..4 {
+        sim.tick(StepMode::Fast);
     }
     assert_eq!(flatten(sim.cloud_model()), cloud0);
     // But the virtual global has moved.
@@ -216,8 +216,8 @@ fn comm_stats_accumulate_per_step_and_sync() {
     cfg.cloud_interval = 2;
     cfg.steps = 4;
     let mut sim = built(cfg);
-    for t in 0..4 {
-        sim.step(t);
+    for _ in 0..4 {
+        sim.tick(StepMode::Fast);
     }
     let c = sim.comm_stats();
     // Downloads == uploads (every selected device does both).
@@ -251,8 +251,8 @@ fn zero_availability_blocks_all_training() {
     cfg.steps = 3;
     let mut sim = built(cfg);
     let before = flatten(&sim.edges()[0].model);
-    for t in 0..3 {
-        sim.step(t);
+    for _ in 0..3 {
+        sim.tick(StepMode::Fast);
     }
     assert_eq!(flatten(&sim.edges()[0].model), before);
     assert_eq!(sim.comm_stats().total(), 0);
@@ -291,8 +291,8 @@ fn empty_cohort_edge_at_sync_survives_policy_hooks(mode: StepMode) {
         let trace = Trace::new(2, vec![vec![0; 6]; 4]);
         let mut sim = built_with_trace(cfg, trace);
         let edge1_before = flatten(&sim.edges()[1].model);
-        for t in 0..4 {
-            sim.advance(t, mode);
+        for _ in 0..4 {
+            sim.tick(mode);
         }
         assert!(sim.syncs() >= 1, "{name}: no sync fired");
         assert_ne!(

@@ -6,8 +6,8 @@
 //! `StepMode::Reference` stay interchangeable with faults enabled.
 
 use middle_core::{
-    Algorithm, DelayModel, DropoutModel, FaultConfig, SimConfig, Simulation, SimulationBuilder,
-    StepCounters, StepMode,
+    Algorithm, DelayModel, DropoutModel, FaultConfig, SimConfig, SimError, Simulation,
+    SimulationBuilder, StepCounters, StepMode,
 };
 use middle_data::Task;
 use middle_nn::params::flatten;
@@ -29,12 +29,18 @@ fn base_config() -> SimConfig {
     cfg
 }
 
+type Fingerprint = (Vec<Vec<u32>>, middle_core::CommStats, u64, u64);
+
 /// Full end-state fingerprint of a run: every model's parameter bits
 /// plus the communication ledger.
-fn run_fingerprint(cfg: &SimConfig) -> (Vec<Vec<u32>>, middle_core::CommStats, u64, u64) {
-    let mut sim = built(cfg.clone());
-    for t in 0..cfg.steps {
-        sim.step(t);
+fn run_fingerprint(cfg: &SimConfig) -> Fingerprint {
+    finish_fingerprint(built(cfg.clone()))
+}
+
+/// [`run_fingerprint`] of a simulation ticked from wherever it stands.
+fn finish_fingerprint(mut sim: Simulation) -> Fingerprint {
+    while !sim.is_finished() {
+        sim.tick(StepMode::Fast);
     }
     let mut models = vec![bits(&flatten(sim.cloud_model()))];
     models.extend(sim.edges().iter().map(|e| bits(&flatten(&e.model))));
@@ -44,8 +50,8 @@ fn run_fingerprint(cfg: &SimConfig) -> (Vec<Vec<u32>>, middle_core::CommStats, u
 
 fn run_counters(cfg: &SimConfig) -> (StepCounters, middle_core::CommStats, u64) {
     let mut sim = built(cfg.clone());
-    for t in 0..cfg.steps {
-        sim.step(t);
+    for _ in 0..cfg.steps {
+        sim.tick(StepMode::Fast);
     }
     let report = sim.telemetry().report().expect("telemetry enabled");
     (report.counters, *sim.comm_stats(), sim.syncs())
@@ -108,8 +114,8 @@ proptest! {
         cfg.faults.dropout = DropoutModel::Iid { p: 1.0 };
         let mut sim = built(cfg.clone());
         let init = bits(&flatten(sim.cloud_model()));
-        for t in 0..cfg.steps {
-            sim.step(t);
+        for _ in 0..cfg.steps {
+            sim.tick(StepMode::Fast);
         }
         let comm = sim.comm_stats();
         prop_assert_eq!(comm.device_to_edge, 0);
@@ -177,7 +183,7 @@ fn deadline_misses_become_stale_merges_next_step() {
 
     // Step 0: everyone trains, everyone misses the deadline — edge
     // models must be carried forward untouched.
-    sim.step(0);
+    sim.tick(StepMode::Fast);
     for e in sim.edges() {
         assert_eq!(
             bits(&flatten(&e.model)),
@@ -190,7 +196,7 @@ fn deadline_misses_become_stale_merges_next_step() {
     assert!(pending > 0, "late uploads queued for stale merge");
 
     // Step 1: the stale merges land before selection and move the edges.
-    sim.step(1);
+    sim.tick(StepMode::Fast);
     let comm = sim.comm_stats();
     assert_eq!(comm.stale_uploads, pending as u64);
     assert_eq!(
@@ -200,8 +206,8 @@ fn deadline_misses_become_stale_merges_next_step() {
     let moved = sim.edges().iter().any(|e| bits(&flatten(&e.model)) != init);
     assert!(moved, "a stale merge must blend into some edge model");
 
-    for t in 2..cfg.steps {
-        sim.step(t);
+    for _ in 2..cfg.steps {
+        sim.tick(StepMode::Fast);
     }
     let c = sim.telemetry().report().unwrap().counters;
     assert_eq!(c.deadline_misses, c.selected, "every upload was late");
@@ -226,8 +232,8 @@ fn total_wan_outage_suppresses_every_sync() {
     cfg.faults.wan_outage = 1.0;
     let mut sim = built(cfg.clone());
     let init = bits(&flatten(sim.cloud_model()));
-    for t in 0..cfg.steps {
-        sim.step(t);
+    for _ in 0..cfg.steps {
+        sim.tick(StepMode::Fast);
     }
     assert_eq!(sim.syncs(), 0);
     let comm = sim.comm_stats();
@@ -289,8 +295,8 @@ fn faulty_trace_is_bitwise_identical_to_reference() {
     let mut fast = built(cfg.clone());
     let mut slow = built(cfg.clone());
     for t in 0..cfg.steps {
-        fast.step(t);
-        slow.advance(t, StepMode::Reference);
+        fast.tick(StepMode::Fast);
+        slow.tick(StepMode::Reference);
         assert_eq!(
             bits(&flatten(fast.cloud_model())),
             bits(&flatten(slow.cloud_model())),
@@ -341,4 +347,44 @@ fn sticky_dropout_runs_with_consistent_accounting() {
     // Dropout filters candidates before selection, so the selected
     // count bounds every downstream ledger.
     assert!(c.selected <= c.candidates_seen - c.dropout_drops);
+}
+
+/// A checkpoint whose pending stale upload does not fit the simulation —
+/// an edge or a device out of range, a flat one parameter short — is
+/// rejected before anything is restored: the target still finishes
+/// equal to a fresh run.
+#[test]
+fn restore_rejects_malformed_pending_stale_uploads() {
+    let mut cfg = base_config();
+    cfg.steps = 4;
+    cfg.faults.straggler_delay = DelayModel::Uniform {
+        min_s: 2.0,
+        max_s: 2.0,
+    };
+    let mut source = built(cfg.clone());
+    source.tick(StepMode::Fast);
+    let ck = source.checkpoint();
+    assert!(
+        !ck.faults.pending.is_empty(),
+        "no stale upload to tamper with"
+    );
+    let fresh = run_fingerprint(&cfg);
+    for case in ["edge 99", "device N", "flat one short"] {
+        let mut bad = ck.clone();
+        let pending = &mut bad.faults.pending[0];
+        match case {
+            "edge 99" => pending.edge = 99,
+            "device N" => pending.device = cfg.num_devices,
+            _ => {
+                pending.flat.0.pop();
+            }
+        }
+        let mut target = built(cfg.clone());
+        let err = target.restore(&bad).expect_err(case);
+        assert!(matches!(err, SimError::CheckpointMismatch { .. }), "{case}");
+        assert!(
+            finish_fingerprint(target) == fresh,
+            "{case}: target changed"
+        );
+    }
 }

@@ -206,8 +206,8 @@ fn twenty_step_trace_is_bitwise_identical_to_reference() {
     let mut slow = built(cfg.clone());
 
     for t in 0..cfg.steps {
-        fast.step(t);
-        slow.advance(t, StepMode::Reference);
+        fast.tick(StepMode::Fast);
+        slow.tick(StepMode::Reference);
 
         let (cf, cs) = (flatten(fast.cloud_model()), flatten(slow.cloud_model()));
         assert_eq!(bits(&cf), bits(&cs), "cloud diverged at step {t}");
@@ -261,8 +261,8 @@ fn availability_trace_is_bitwise_identical_to_reference() {
     let mut fast = built(cfg.clone());
     let mut slow = built(cfg.clone());
     for t in 0..cfg.steps {
-        fast.step(t);
-        slow.advance(t, StepMode::Reference);
+        fast.tick(StepMode::Fast);
+        slow.tick(StepMode::Reference);
         let (cf, cs) = (flatten(fast.cloud_model()), flatten(slow.cloud_model()));
         assert_eq!(bits(&cf), bits(&cs), "cloud diverged at step {t}");
         for (df, ds) in fast.devices().iter().zip(slow.devices()) {
@@ -300,8 +300,8 @@ fn keep_local_trace_is_bitwise_identical_to_reference() {
     let mut fast = built(cfg.clone());
     let mut slow = built(cfg.clone());
     for t in 0..cfg.steps {
-        fast.step(t);
-        slow.advance(t, StepMode::Reference);
+        fast.tick(StepMode::Fast);
+        slow.tick(StepMode::Reference);
         let (cf, cs) = (flatten(fast.cloud_model()), flatten(slow.cloud_model()));
         assert_eq!(bits(&cf), bits(&cs), "cloud diverged at step {t}");
         for (df, ds) in fast.devices().iter().zip(slow.devices()) {
@@ -337,9 +337,9 @@ fn oort_trace_is_bitwise_identical_to_reference() {
     cfg.cloud_interval = 3;
     let mut fast = built(cfg.clone());
     let mut slow = built(cfg.clone());
-    for t in 0..cfg.steps {
-        fast.step(t);
-        slow.advance(t, StepMode::Reference);
+    for _ in 0..cfg.steps {
+        fast.tick(StepMode::Fast);
+        slow.tick(StepMode::Reference);
     }
     assert_eq!(
         bits(&flatten(fast.cloud_model())),
@@ -371,8 +371,8 @@ fn default_fault_config_is_bitwise_identical_to_pre_fault_plane_main() {
     cfg.eval_interval = 2;
     assert_eq!(cfg.faults, middle_core::FaultConfig::default());
     let mut sim = built(cfg);
-    for t in 0..20 {
-        sim.step(t);
+    for _ in 0..20 {
+        sim.tick(StepMode::Fast);
     }
 
     assert_eq!(fnv_params(&flatten(sim.cloud_model())), 0x75a18b3f9d2c2c47);
@@ -432,8 +432,8 @@ fn default_compression_config_is_bitwise_identical_to_pre_compression_main() {
     assert_eq!(cfg.compression, middle_core::CompressionConfig::default());
     assert!(!cfg.compression.enabled);
     let mut sim = built(cfg);
-    for t in 0..20 {
-        sim.step(t);
+    for _ in 0..20 {
+        sim.tick(StepMode::Fast);
     }
 
     assert_eq!(fnv_params(&flatten(sim.cloud_model())), 0x75a18b3f9d2c2c47);
@@ -487,9 +487,9 @@ fn lossless_compression_run_is_bitwise_identical_to_off() {
     cfg.compression.top_frac = 1.0;
     assert!(!cfg.compression.lossy_active());
     let mut lossless = built(cfg.clone());
-    for t in 0..cfg.steps {
-        off.step(t);
-        lossless.step(t);
+    for _ in 0..cfg.steps {
+        off.tick(StepMode::Fast);
+        lossless.tick(StepMode::Fast);
     }
     assert_eq!(
         bits(&flatten(off.cloud_model())),
@@ -506,7 +506,7 @@ fn lossless_compression_run_is_bitwise_identical_to_off() {
 
 /// Lossy compression consumes its RNG stream and rewrites every uplink
 /// identically in both step modes (the lossy arms of `aggregate_cohort`
-/// and `compressed_cloud_sync` sit outside the mode dispatch), so a
+/// and `cloud_sync_now` sit outside the mode dispatch), so a
 /// quantized + sparsified run must stay bitwise identical step for
 /// step.
 #[test]
@@ -521,8 +521,8 @@ fn lossy_compression_trace_is_bitwise_identical_to_reference() {
     let mut fast = built(cfg.clone());
     let mut slow = built(cfg.clone());
     for t in 0..cfg.steps {
-        fast.step(t);
-        slow.advance(t, StepMode::Reference);
+        fast.tick(StepMode::Fast);
+        slow.tick(StepMode::Reference);
         let (cf, cs) = (flatten(fast.cloud_model()), flatten(slow.cloud_model()));
         assert_eq!(bits(&cf), bits(&cs), "cloud diverged at step {t}");
         for (n, (ef, es)) in fast.edges().iter().zip(slow.edges()).enumerate() {
@@ -583,8 +583,8 @@ fn lossy_compression_with_all_faults_is_bitwise_identical_to_reference() {
     let mut fast = built(cfg.clone());
     let mut slow = built(cfg.clone());
     for t in 0..cfg.steps {
-        fast.step(t);
-        slow.advance(t, StepMode::Reference);
+        fast.tick(StepMode::Fast);
+        slow.tick(StepMode::Reference);
         let (cf, cs) = (flatten(fast.cloud_model()), flatten(slow.cloud_model()));
         assert_eq!(bits(&cf), bits(&cs), "cloud diverged at step {t}");
         for (n, (ef, es)) in fast.edges().iter().zip(slow.edges()).enumerate() {

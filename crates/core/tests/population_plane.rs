@@ -218,15 +218,15 @@ fn lazy_checkpoint_resumes_bitwise_mid_run() {
     cfg.num_devices = 24;
 
     let mut uninterrupted = built(cfg.clone());
-    for t in 0..cfg.steps {
-        uninterrupted.step(t);
+    for _ in 0..cfg.steps {
+        uninterrupted.tick(StepMode::Fast);
     }
 
     // Stop two steps past a sync: most devices are stubs of the last
     // broadcast, the last two cohorts are resident replicas.
     let mut first_half = built(cfg.clone());
-    for t in 0..10 {
-        first_half.step(t);
+    for _ in 0..10 {
+        first_half.tick(StepMode::Fast);
     }
     assert!(first_half.population().resident_count() > 0);
     let ck = first_half.checkpoint();
@@ -245,8 +245,8 @@ fn lazy_checkpoint_resumes_bitwise_mid_run() {
     let ck = middle_core::SimCheckpoint::from_json(&ck.to_json()).expect("round trip");
     let mut resumed = built(cfg.clone());
     resumed.restore(&ck).expect("restore");
-    for t in 10..cfg.steps {
-        resumed.step(t);
+    for _ in 10..cfg.steps {
+        resumed.tick(StepMode::Fast);
     }
 
     assert_eq!(
@@ -276,8 +276,8 @@ fn lazy_checkpoint_resumes_bitwise_mid_run() {
 fn checkpoint_population_block_matches_mode() {
     let dense_cfg = base_config();
     let mut dense = built(dense_cfg.clone());
-    for t in 0..5 {
-        dense.step(t);
+    for _ in 0..5 {
+        dense.tick(StepMode::Fast);
     }
     let dense_ck = dense.checkpoint();
     assert!(dense_ck.population.is_none());
@@ -301,8 +301,8 @@ fn lazy_residency_bounded_by_active_set() {
     cfg.num_edges = 4;
     cfg.devices_per_edge = 2;
     let mut sim = built(cfg.clone());
-    for t in 0..cfg.steps {
-        sim.step(t);
+    for _ in 0..cfg.steps {
+        sim.tick(StepMode::Fast);
     }
     let cap = cfg.devices_per_edge * cfg.num_edges * cfg.cloud_interval;
     assert!(

@@ -481,43 +481,12 @@ impl Trace {
     }
 
     /// Parses a JSON trace (either the dense row format or a streaming
-    /// generator spec).
+    /// generator spec) through the validating [`Deserialize`] impl.
     ///
     /// # Errors
     /// Returns the parse or validation error message.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        let repr: TraceRepr = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        match (repr.assignments, repr.stream) {
-            (Some(assignments), None) => {
-                if assignments.is_empty() {
-                    return Err("trace needs at least one step".into());
-                }
-                let devices = assignments[0].len();
-                for step in &assignments {
-                    if step.len() != devices {
-                        return Err("step device count mismatch".into());
-                    }
-                    if step.iter().any(|&e| e >= repr.num_edges) {
-                        return Err("edge index out of range".into());
-                    }
-                }
-                Ok(Trace {
-                    num_edges: repr.num_edges,
-                    backend: Backend::Dense(assignments),
-                })
-            }
-            (None, Some(spec)) => {
-                spec.validate()?;
-                if spec.num_edges != repr.num_edges {
-                    return Err("stream num_edges mismatch".into());
-                }
-                Ok(Trace {
-                    num_edges: repr.num_edges,
-                    backend: Backend::Stream(Box::new(MarkovStream::new(spec))),
-                })
-            }
-            _ => Err("trace JSON needs exactly one of `assignments` or `stream`".into()),
-        }
+        serde_json::from_str(s).map_err(|e| e.to_string())
     }
 
     /// Exports in a ONE-simulator-style report format: one
@@ -558,17 +527,29 @@ impl Trace {
         if rows.is_empty() {
             return Err("empty report".into());
         }
-        let steps = rows.iter().map(|r| r.0).max().unwrap() + 1;
-        let devices = rows.iter().map(|r| r.1).max().unwrap() + 1;
+        // Size the table from the indices only once the rows can fill it:
+        // a report must list every (step, device) pair exactly once.
+        let extent = |max: usize, what: &str| {
+            max.checked_add(1)
+                .ok_or_else(|| format!("{what} index {max} out of range"))
+        };
+        let steps = extent(rows.iter().map(|r| r.0).fold(0, usize::max), "step")?;
+        let devices = extent(rows.iter().map(|r| r.1).fold(0, usize::max), "device")?;
+        if steps
+            .checked_mul(devices)
+            .is_none_or(|cells| cells > rows.len())
+        {
+            return Err("report has gaps (missing device-step rows)".into());
+        }
         let mut assignments = vec![vec![usize::MAX; devices]; steps];
         for (t, m, e) in rows {
             if e >= num_edges {
                 return Err(format!("edge {e} out of range"));
             }
+            if assignments[t][m] != usize::MAX {
+                return Err(format!("duplicate row for step {t}, device {m}"));
+            }
             assignments[t][m] = e;
-        }
-        if assignments.iter().any(|step| step.contains(&usize::MAX)) {
-            return Err("report has gaps (missing device-step rows)".into());
         }
         Ok(Trace::new(num_edges, assignments))
     }
@@ -687,25 +668,42 @@ impl Serialize for Trace {
     }
 }
 
+/// The one JSON decoder: `Trace::from_json` and every serde field of
+/// type `Trace` go through it, so each checks what [`Trace::new`] and
+/// the stream generator would otherwise assert.
 impl Deserialize for Trace {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let repr = TraceRepr::from_value(v)?;
-        match (repr.assignments, repr.stream) {
-            (Some(assignments), None) => Ok(Trace {
-                num_edges: repr.num_edges,
-                backend: Backend::Dense(assignments),
-            }),
+        let invalid = |msg: &str| Err(serde::Error::custom(msg));
+        if repr.num_edges == 0 {
+            return invalid("need at least one edge");
+        }
+        let backend = match (repr.assignments, repr.stream) {
+            (Some(assignments), None) => {
+                let Some(first) = assignments.first() else {
+                    return invalid("trace needs at least one step");
+                };
+                if assignments.iter().any(|step| step.len() != first.len()) {
+                    return invalid("step device count mismatch");
+                }
+                if assignments.iter().flatten().any(|&e| e >= repr.num_edges) {
+                    return invalid("edge index out of range");
+                }
+                Backend::Dense(assignments)
+            }
             (None, Some(spec)) => {
                 spec.validate().map_err(serde::Error::custom)?;
-                Ok(Trace {
-                    num_edges: repr.num_edges,
-                    backend: Backend::Stream(Box::new(MarkovStream::new(spec))),
-                })
+                if spec.num_edges != repr.num_edges {
+                    return invalid("stream num_edges mismatch");
+                }
+                Backend::Stream(Box::new(MarkovStream::new(spec)))
             }
-            _ => Err(serde::Error::custom(
-                "trace needs exactly one of `assignments` or `stream`",
-            )),
-        }
+            _ => return invalid("trace JSON needs exactly one of `assignments` or `stream`"),
+        };
+        Ok(Trace {
+            num_edges: repr.num_edges,
+            backend,
+        })
     }
 }
 
@@ -928,6 +926,38 @@ mod tests {
     fn one_report_rejects_gaps() {
         let rep = "0 0 1\n0 1 2\n1 0 1\n"; // missing (1, 1)
         assert!(Trace::from_one_report(rep, 3).is_err());
+    }
+
+    #[test]
+    fn one_report_rejects_hostile_extents_and_duplicates() {
+        let huge_device = format!("0 {} 0\n", usize::MAX / 4);
+        let last_step = format!("{} 0 0\n", usize::MAX);
+        let duplicate = "0 0 1\n0 1 0\n0 0 0\n";
+        for rep in [huge_device.as_str(), last_step.as_str(), duplicate] {
+            assert!(Trace::from_one_report(rep, 2).is_err(), "accepted {rep:?}");
+        }
+        let err = Trace::from_one_report(duplicate, 2).unwrap_err();
+        assert!(err.contains("duplicate"), "{err}");
+    }
+
+    /// Both JSON entry points are the same validating decoder.
+    #[test]
+    fn malformed_json_is_rejected_by_both_decoders() {
+        let stream = Trace::markov_hop_streaming(2, 4, 5, 0.5, 1).to_json();
+        assert!(Trace::from_json(&stream).is_ok());
+        let foreign_stream = stream.replacen("\"num_edges\":2", "\"num_edges\":3", 1);
+        for json in [
+            r#"{"num_edges":2,"assignments":[]}"#,
+            r#"{"num_edges":2,"assignments":[[0,1],[0]]}"#,
+            r#"{"num_edges":2,"assignments":[[0,2]]}"#,
+            foreign_stream.as_str(),
+        ] {
+            assert!(Trace::from_json(json).is_err(), "from_json accepted {json}");
+            assert!(
+                serde_json::from_str::<Trace>(json).is_err(),
+                "serde accepted {json}"
+            );
+        }
     }
 
     #[test]

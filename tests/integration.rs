@@ -114,9 +114,11 @@ fn assert_same(a: &(RunRecord, Vec<u32>), b: &(RunRecord, Vec<u32>), what: &str)
 
 /// The one round skeleton under each of its selectors: the reference
 /// kernels, the zero-delay event engine and the lazy population must
-/// each reproduce the default run bit for bit — with the fault plane and
-/// lossy compression on, so every arm of the shared upload and
-/// aggregation code is on the path.
+/// each reproduce the default run bit for bit — in a fault- and
+/// compression-free regime, a hostile one (dropout, stragglers, loss,
+/// lossy compression) and under WAN outages with and without lossy
+/// compression, so the upload pass and the cloud sync run every arm they
+/// have: unmasked and masked, dense and compressed.
 #[test]
 fn round_skeleton_is_one_trajectory_under_every_selector() {
     fn run(cfg: SimConfig, mode: StepMode) -> (RunRecord, Vec<u32>) {
@@ -125,28 +127,62 @@ fn round_skeleton_is_one_trajectory_under_every_selector() {
         (record, cloud_bits(&sim))
     }
 
-    // Speech is the conv-free task: four debug-build runs stay under a
-    // second (the conv kernels' own gate is `hotpath_equiv`).
-    let mut cfg = small_cfg(Task::Speech, Algorithm::middle());
-    cfg.cloud_interval = 3;
-    cfg.faults.dropout = DropoutModel::Iid { p: 0.2 };
-    cfg.faults.straggler_delay = DelayModel::Exponential { mean_s: 1.0 };
-    cfg.faults.deadline_s = 1.2;
-    cfg.faults.upload_loss = 0.2;
-    cfg.faults.upload_retries = 2;
-    cfg.compression.enabled = true;
-    cfg.compression.quantize_bits = 8;
-    cfg.compression.top_frac = 0.5;
-    let base = run(cfg.clone(), StepMode::Fast);
-    assert!(base.0.comm.stale_uploads > 0, "no deadline miss in the run");
+    // Speech is the conv-free task: sixteen debug-build runs stay within
+    // a few seconds (the conv kernels' own gate is `hotpath_equiv`).
+    let mut clean = small_cfg(Task::Speech, Algorithm::middle());
+    clean.cloud_interval = 3;
+    let mut lossy = clean.clone();
+    lossy.compression.enabled = true;
+    lossy.compression.quantize_bits = 8;
+    lossy.compression.top_frac = 0.5;
+    let mut hostile = lossy.clone();
+    hostile.faults.dropout = DropoutModel::Iid { p: 0.2 };
+    hostile.faults.straggler_delay = DelayModel::Exponential { mean_s: 1.0 };
+    hostile.faults.deadline_s = 1.2;
+    hostile.faults.upload_loss = 0.2;
+    hostile.faults.upload_retries = 2;
+    // A sync every round, so some of them run with one edge down.
+    let (mut wan, mut wan_lossy) = (clean.clone(), lossy);
+    for cfg in [&mut wan, &mut wan_lossy] {
+        cfg.faults.wan_outage = 0.4;
+        cfg.cloud_interval = 1;
+    }
 
-    assert_same(&base, &run(cfg.clone(), StepMode::Reference), "reference");
-    let mut event = cfg.clone();
-    event.timeline.mode = ExecutionMode::EventDriven;
-    assert_same(&base, &run(event, StepMode::Fast), "zero-delay event");
-    let mut lazy = cfg;
-    lazy.population = PopulationMode::Lazy;
-    assert_same(&base, &run(lazy, StepMode::Fast), "lazy");
+    for (regime, cfg) in [
+        ("clean", clean),
+        ("hostile", hostile),
+        ("wan", wan),
+        ("wan lossy", wan_lossy),
+    ] {
+        let base = run(cfg.clone(), StepMode::Fast);
+        let comm = &base.0.comm;
+        if regime == "hostile" {
+            assert!(comm.stale_uploads > 0, "no deadline miss in the run");
+        }
+        if cfg.faults.wan_outage > 0.0 {
+            assert!(
+                comm.edge_to_cloud < base.0.syncs * cfg.num_edges as u64,
+                "{regime}: no sync ran with an edge down"
+            );
+        }
+
+        let what = |selector: &str| format!("{regime}, {selector}");
+        assert_same(
+            &base,
+            &run(cfg.clone(), StepMode::Reference),
+            &what("reference"),
+        );
+        let mut event = cfg.clone();
+        event.timeline.mode = ExecutionMode::EventDriven;
+        assert_same(
+            &base,
+            &run(event, StepMode::Fast),
+            &what("zero-delay event"),
+        );
+        let mut lazy = cfg;
+        lazy.population = PopulationMode::Lazy;
+        assert_same(&base, &run(lazy, StepMode::Fast), &what("lazy"));
+    }
 }
 
 /// Ticks `cfg` to the first cut where `populated` holds, checkpoint →
@@ -308,8 +344,8 @@ fn custom_trace_scripts_device_movement() {
         .with_trace(trace)
         .build()
         .expect("valid trace");
-    for t in 0..3 {
-        sim.step(t);
+    for _ in 0..3 {
+        sim.tick(StepMode::Fast);
     }
 }
 
@@ -331,8 +367,8 @@ fn broadcast_resets_all_models_to_cloud() {
     cfg.cloud_interval = 3;
     cfg.steps = 3;
     let mut sim = built(cfg);
-    for t in 0..3 {
-        sim.step(t);
+    for _ in 0..3 {
+        sim.tick(StepMode::Fast);
     }
     let cloud = flatten(sim.cloud_model());
     for e in sim.edges() {
