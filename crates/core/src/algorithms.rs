@@ -21,8 +21,8 @@
 //! [`AlgorithmConfig`] is plain data (what rides [`crate::SimConfig`],
 //! sweeps and JSON); [`AlgorithmConfig::resolve`] turns it into a boxed
 //! [`AlgorithmPolicy`] carrying any cross-round state. The simulation
-//! calls the hooks at fixed points of Algorithm 1, identically in the
-//! fast and reference step paths:
+//! calls the hooks at fixed points of Algorithm 1, identically under
+//! lockstep and event-driven execution:
 //!
 //! 1. [`AlgorithmPolicy::selection`] + [`AlgorithmPolicy::cluster_of`]
 //!    — candidate scoring (feeds [`crate::selection`]);
@@ -411,11 +411,10 @@ pub struct AlgorithmState {
 
 /// The per-step hooks an algorithm exposes to the simulation loop.
 ///
-/// The fast and reference step paths call every hook at the same points
-/// with the same arguments, so a policy's behaviour (and state
-/// evolution) is identical in both — the per-algorithm
-/// fast == reference gates in `tests/algo_zoo.rs` hold by construction.
-/// Hooks must be deterministic: any randomness comes from the
+/// Lockstep and event-driven execution call every hook at the same
+/// points with the same arguments, so a policy's behaviour (and state
+/// evolution) is identical in both. Hooks must be deterministic: any
+/// randomness comes from the
 /// simulation's own RNG streams via the selection policy.
 pub trait AlgorithmPolicy: Send + Sync {
     /// The selection policy driving candidate scoring this step.
@@ -563,9 +562,9 @@ impl AlgorithmPolicy for FedFlyPolicy {
 /// FedLECC-style cluster-/loss-guided selection (arXiv:2603.08911).
 ///
 /// After each round, participants are ranked by Oort statistical
-/// utility (bitwise-identical between the fast and reference paths —
-/// similarity scores are not, which is why clustering must key off
-/// utility) and bucketed into `clusters` equal strata; selection then
+/// utility (bitwise-identical between the training kernel and its
+/// oracle — similarity scores are not, which is why clustering must key
+/// off utility) and bucketed into `clusters` equal strata; selection then
 /// round-robins over the strata (see
 /// [`crate::selection::select_devices_scored`]).
 struct FedLeccPolicy {

@@ -20,10 +20,10 @@
 //! * a disabled or lossless configuration performs **no** draw, **no**
 //!   delta computation and **no** allocation — the simulation is bitwise
 //!   identical to one without the plane (gated by
-//!   `tests/hotpath_equiv.rs`);
+//!   `crates/core/tests/hotpath_equiv.rs`);
 //! * the compressed aggregation arms live in [`crate::Simulation`]'s
-//!   one round skeleton, outside its `StepMode` dispatch points, so
-//!   fast and reference mode stay interchangeable under compression.
+//!   one round skeleton, where they replace the Eq. 6 / Eq. 7 kernels
+//!   with one sequential reconstruction sum.
 //!
 //! Conservation contract: for every coordinate, the transmitted grid
 //! value `t` and the sender-side residual `r` satisfy `t + r == delta`

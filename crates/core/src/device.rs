@@ -2,9 +2,13 @@
 //! training (paper Eqs. 1 and 5).
 
 use crate::selection::update_similarity;
-use middle_data::batch::{random_batch, random_batch_into};
+#[cfg(test)]
+use middle_data::batch::random_batch;
+use middle_data::batch::random_batch_into;
 use middle_data::Dataset;
-use middle_nn::loss::{per_sample_cross_entropy, per_sample_cross_entropy_into};
+#[cfg(test)]
+use middle_nn::loss::per_sample_cross_entropy;
+use middle_nn::loss::per_sample_cross_entropy_into;
 use middle_nn::optim::Optimizer;
 use middle_nn::params::{unflatten, FlatView};
 use middle_nn::{NetScratch, OptimizerKind, Sequential};
@@ -117,7 +121,7 @@ impl Device {
     /// overwrites every one) it is bitwise the device [`Device::new`]
     /// builds and loads the same way — id, data, derived rng, no
     /// utility, no participation, layer state reset
-    /// (`recycled_replica_is_a_fresh_one` in `tests/proptests.rs`). The
+    /// (`recycled_replica_is_a_fresh_one` below). The
     /// previous owner's parameters stay in place until then, behind a
     /// dirty flat cache; gradients are zero, as every optimizer step
     /// leaves them. The model must have the architecture `id` trains.
@@ -235,8 +239,8 @@ impl Device {
                     .model
                     .train_batch_ws(batch_x, batch_y, opt.as_mut(), net);
             }
-            // The Oort utility of `refresh_oort_utility`, through the
-            // evaluation workspace: bitwise-identical, no allocation.
+            // The Oort utility `local_train_reference` evaluates, through
+            // the evaluation workspace: bitwise-identical, no allocation.
             let logits = self.model.infer_ws(self.data.inputs(), eval);
             per_sample_cross_entropy_into(logits, self.data.labels(), losses);
             self.oort_utility = Some(oort_utility(losses));
@@ -247,12 +251,13 @@ impl Device {
         loss
     }
 
-    /// The pre-workspace [`local_train`](Self::local_train): per-sample
-    /// conv kernels via the allocating `train_batch` path, a fresh
-    /// optimizer and fresh batch buffers every participation. Kept as the
-    /// reference-mode oracle — the Fast/Reference fingerprint gate in
-    /// `hotpath_equiv` proves the workspace path bitwise-matches it.
-    pub fn local_train_reference(
+    /// The pre-workspace [`local_train`](Self::local_train): the
+    /// allocating `train_batch` path, a fresh optimizer, fresh batch
+    /// buffers and an allocating Oort evaluation every participation.
+    /// Test support: the oracle the kernel-pair harness in `sim` holds
+    /// every participant of a hostile round to.
+    #[cfg(test)]
+    pub(crate) fn local_train_reference(
         &mut self,
         local_steps: usize,
         batch_size: usize,
@@ -267,18 +272,12 @@ impl Device {
             let (x, y) = random_batch(&self.data, bs, &mut self.rng);
             loss = self.model.train_batch(&x, &y, opt.as_mut());
         }
-        self.refresh_oort_utility();
-        self.last_participation = Some(time_step);
-        self.refresh_flat();
-        loss
-    }
-
-    /// Recomputes the Oort statistical utility over the device's local
-    /// samples with the current carried model.
-    pub fn refresh_oort_utility(&mut self) {
         let logits = self.model.infer(self.data.inputs());
         let losses = per_sample_cross_entropy(&logits, self.data.labels());
         self.oort_utility = Some(oort_utility(&losses));
+        self.last_participation = Some(time_step);
+        self.refresh_flat();
+        loss
     }
 
     /// Steps since the device last participated (`None` if never).
@@ -301,10 +300,12 @@ impl Device {
 mod tests {
     use super::*;
     use middle_data::synthetic::{SyntheticSource, Task};
+    use middle_nn::layers::{Dense, Dropout, Flatten, Relu};
     use middle_nn::params::flatten;
     use middle_nn::zoo;
     use middle_tensor::ops::dot_slices;
     use middle_tensor::random::rng as seed_rng;
+    use proptest::prelude::*;
 
     fn mk_device(id: usize, seed: u64) -> Device {
         let src = SyntheticSource::new(Task::Mnist, 5);
@@ -387,5 +388,139 @@ mod tests {
         let mut d = mk_device(5, 47);
         d.invalidate_flat();
         d.flat();
+    }
+
+    #[test]
+    fn scratch_follows_each_device_sample_count_and_model() {
+        // Same thread, no region: every `local_train` below reuses the one
+        // scratch, whose Oort-eval workspace must grow from 6 rows to 40 and
+        // serve 12 afterwards, and whose optimizer meets a same-shaped-but-
+        // for-the-last-layer model, then an MLP, then a single layer —
+        // each time bitwise the scratch-free reference path.
+        let optimizer = OptimizerKind::Adam { lr: 0.01 };
+        let device = |task: Task, id: usize, samples: usize, logistic: bool| {
+            let data = SyntheticSource::new(task, 3).generate_balanced(samples, id as u64);
+            let spec = task.spec();
+            let model = if logistic {
+                zoo::logistic(&spec, &mut seed_rng(id as u64))
+            } else {
+                zoo::model_for_task(task.name(), &spec, &mut seed_rng(id as u64))
+            };
+            Device::new(id, data, model, 40 + id as u64)
+        };
+        for (id, (task, samples, logistic)) in [
+            (Task::Mnist, 6, false),
+            (Task::Mnist, 40, false),
+            (Task::Emnist, 12, false),
+            (Task::Speech, 9, false),
+            (Task::Mnist, 25, true),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut fast = device(task, id, samples, logistic);
+            let mut reference = device(task, id, samples, logistic);
+            let loss = fast.local_train(3, 4, &optimizer, id);
+            let loss_ref = reference.local_train_reference(3, 4, &optimizer, id);
+            assert_eq!(loss.to_bits(), loss_ref.to_bits(), "device {id} loss");
+            assert_eq!(fast.flat(), reference.flat(), "device {id}");
+            assert_eq!(
+                fast.oort_utility.map(f32::to_bits),
+                reference.oort_utility.map(f32::to_bits),
+                "device {id} utility"
+            );
+        }
+    }
+
+    /// Every architecture a replica pool can hold: the four zoo models and
+    /// an MLP with a `Dropout` layer — the one layer whose state between
+    /// batches (its rng) changes what training computes.
+    fn pooled_architecture(which: usize) -> (Task, Sequential) {
+        let (task, build): (Task, fn(Task) -> Sequential) = match which {
+            0 => (Task::Mnist, |t| zoo::cnn2(&t.spec(), &mut seed_rng(1))),
+            1 => (Task::Cifar10, |t| zoo::cnn3(&t.spec(), &mut seed_rng(2))),
+            2 => (Task::Speech, |t| zoo::mlp(&t.spec(), 16, &mut seed_rng(3))),
+            3 => (Task::Mnist, |t| zoo::logistic(&t.spec(), &mut seed_rng(4))),
+            _ => (Task::Speech, |t| {
+                let spec = t.spec();
+                let mut r = seed_rng(5);
+                Sequential::new()
+                    .push(Flatten::new())
+                    .push(Dense::new(spec.features(), 12, &mut r))
+                    .push(Relu::new())
+                    .push(Dropout::new(0.4, 99))
+                    .push(Dense::new(12, spec.classes, &mut r))
+            }),
+        };
+        (task, build(task))
+    }
+
+    /// Everything about a device that a later step can observe.
+    fn device_state(d: &Device) -> impl PartialEq + std::fmt::Debug {
+        let grads: Vec<u32> = d
+            .model
+            .params()
+            .iter()
+            .flat_map(|p| p.grad.data().iter().map(|g| g.to_bits()))
+            .collect();
+        (
+            (d.id, d.num_samples(), d.last_participation),
+            d.flat().iter().map(|v| v.to_bits()).collect::<Vec<u32>>(),
+            d.flat_norm_sq().to_bits(),
+            d.oort_utility.map(f32::to_bits),
+            d.rng_ref().state(),
+            grads,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// A recycled replica is a fresh one: train device A for a while,
+        /// re-purpose it as device B (`Device::recycle`), load a broadcast
+        /// and train — every observable of the result is bitwise what
+        /// `Device::new(B)` gives after the same load and training, through
+        /// the workspace path and the reference path alike.
+        #[test]
+        fn recycled_replica_is_a_fresh_one(
+            which in 0usize..5,
+            reference in 0usize..2,
+            worn in 0usize..4,
+            steps in 1usize..3,
+            a in 0usize..50,
+            b in 50usize..100,
+            samples_a in 3usize..9,
+            samples_b in 3usize..9,
+            seed in 0u64..1000,
+            fill in -0.5f32..0.5,
+        ) {
+            let (task, init) = pooled_architecture(which);
+            let source = SyntheticSource::new(task, 11);
+            let data = |id: usize, n: usize| source.generate_balanced(n, id as u64);
+            let optimizer = OptimizerKind::Momentum { lr: 0.05, momentum: 0.9 };
+            let train = |d: &mut Device, steps: usize, t: usize| if reference == 1 {
+                d.local_train_reference(steps, 4, &optimizer, t)
+            } else {
+                d.local_train(steps, 4, &optimizer, t)
+            };
+            let broadcast: Vec<f32> = (0..init.param_count())
+                .map(|i| fill + 0.01 * ((i * 7 + 3) % 13) as f32)
+                .collect();
+            let norm_sq = dot_slices(&broadcast, &broadcast);
+
+            let mut recycled = Device::new(a, data(a, samples_a), init.clone(), seed);
+            if worn > 0 {
+                train(&mut recycled, worn, 0);
+            }
+            recycled.recycle(b, data(b, samples_b), seed);
+            let mut fresh = Device::new(b, data(b, samples_b), init.clone(), seed);
+            for dev in [&mut recycled, &mut fresh] {
+                dev.load_flat(&broadcast, norm_sq);
+            }
+            prop_assert_eq!(device_state(&recycled), device_state(&fresh));
+            let (loss, loss_fresh) = (train(&mut recycled, steps, 5), train(&mut fresh, steps, 5));
+            prop_assert_eq!(loss.to_bits(), loss_fresh.to_bits());
+            prop_assert_eq!(device_state(&recycled), device_state(&fresh));
+        }
     }
 }

@@ -32,13 +32,11 @@
 //! All processes draw from one dedicated RNG stream
 //! (`derive_seed(seed, 9)`) owned by [`FaultPlane`], never from the
 //! selection or availability streams — so a config with every fault
-//! disabled is *bitwise identical* to a simulation without the plane,
-//! and `StepMode::Fast` / `StepMode::Reference` stay interchangeable
-//! under faults (every fault draw sits in the round skeleton they
-//! share, outside its kernel dispatch points). The round runs the same
-//! upload pass and cloud sync whatever the config; the disabled plane
-//! only makes them draw nothing and allocate nothing, so the hot-path
-//! contract of DESIGN.md §6 is untouched.
+//! disabled is *bitwise identical* to a simulation without the plane.
+//! Every fault draw sits in the round around its kernels, never inside
+//! one. The round runs the same upload pass and cloud sync whatever the
+//! config; the disabled plane only makes them draw nothing and allocate
+//! nothing, so the hot-path contract of DESIGN.md §6 is untouched.
 
 use middle_nn::serialize::Packed;
 use middle_tensor::random::{derive_seed, rng};

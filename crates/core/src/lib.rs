@@ -91,7 +91,7 @@ pub use device::Device;
 pub use faults::{DelayModel, DropoutModel, FaultConfig, FaultPlane};
 pub use metrics::{speedup, EvalPoint, RunRecord, RUN_RECORD_SCHEMA_VERSION};
 pub use population::{DeviceRef, Population, Reached};
-pub use selection::{select_devices, SelectionScratch};
+pub use selection::SelectionScratch;
 pub use sim::{EdgeState, Simulation, StepMode};
 pub use similarity::{model_similarity_utility, similarity_utility};
 pub use sweep::{

@@ -37,7 +37,9 @@ use crate::checkpoint::{
     VersionCheckpoint,
 };
 use crate::device::Device;
-use crate::selection::{update_similarity, update_similarity_flat};
+use crate::selection::{
+    update_similarity_flat, update_similarity_reference, update_similarity_tolerance,
+};
 use middle_data::Dataset;
 use middle_nn::params::FlatView;
 use middle_nn::serialize::{Checkpoint, Packed};
@@ -806,15 +808,18 @@ impl Population {
     /// Panics unless the population's derived state is consistent: the
     /// lazy plane's tables ([`LazyPopulation::check_invariants`]) and,
     /// in either mode, every score cached against the cloud model of
-    /// `epoch` equal to a fresh [`update_similarity`], bit for bit.
+    /// `epoch` (whose parameters are `cloud_flat`) within rounding of a
+    /// fresh score by the reference scorer, which rebuilds `Δw` from the
+    /// device's model.
     #[doc(hidden)]
-    pub fn check_invariants(&self, epoch: u64, cloud_flat: &[f32], cloud_norm_sq: f32) {
+    pub fn check_invariants(&self, epoch: u64, cloud_flat: &[f32]) {
         let check = |dev: &Device| {
             if let Some(score) = dev.cloud_score(epoch) {
-                assert_eq!(
-                    score.to_bits(),
-                    update_similarity(dev, cloud_flat, cloud_norm_sq).to_bits(),
-                    "device {}: cached cloud score is stale",
+                let oracle = update_similarity_reference(dev, cloud_flat);
+                let tolerance = update_similarity_tolerance(dev.flat(), cloud_flat);
+                assert!(
+                    (score - oracle).abs() <= tolerance,
+                    "device {}: cached cloud score {score} is not the reference {oracle}",
                     dev.id
                 );
             }

@@ -11,8 +11,10 @@
 //! ([`update_similarity`], over the cached flat views) runs in the
 //! training job and in the step's refresh pre-pass, which is where the
 //! parallelism lives. The `*_reference` functions keep the original
-//! allocating implementations, rescoring from scratch, as the numerical
-//! oracle for the equivalence tests.
+//! allocating implementations, rescoring from scratch, as crate-private
+//! oracles: `Simulation::check_invariants` holds the caches to the
+//! reference scorer, and the simulation's kernel-pair harness holds
+//! each selection of a hostile round to the full-sort selection.
 
 use crate::algorithms::SelectionPolicy;
 use crate::device::Device;
@@ -22,8 +24,8 @@ use middle_tensor::ops::{combine_cosine, dot_slices};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Reusable buffers for [`select_devices_into`]; create once and pass to
-/// every call so steady-state selection performs no heap allocation.
+/// Reusable buffers for [`select_devices_scored`]; create once and pass
+/// to every call so steady-state selection performs no heap allocation.
 #[derive(Default)]
 pub struct SelectionScratch {
     scored: Vec<(f32, u32, usize)>,
@@ -36,13 +38,12 @@ impl SelectionScratch {
     }
 }
 
-/// Candidate score functions for the population-agnostic selection entry
-/// points ([`select_devices_scored`], [`select_devices_reference_scored`]):
-/// both take a device id and return the policy score. The `&[Device]`
-/// front doors build these from the dense device slice; the lazy
-/// population plane supplies closures that read resident devices or the
-/// shared per-version flats instead. Score functions consume no
-/// randomness; each is called once per candidate, in candidate order.
+/// Candidate score functions for [`select_devices_scored`] (and its
+/// full-sort oracle): each takes a device id and returns the policy
+/// score. The simulation supplies closures that read the score caches —
+/// a resident device's own, a virtualized stub's per-version one. Score
+/// functions consume no randomness; each is called once per candidate,
+/// in candidate order.
 pub struct CandidateScorers<'a> {
     /// The MIDDLE update-similarity score `U(w_c, Δw_m)` for device `m`.
     pub similarity: &'a (dyn Fn(usize) -> f32 + Sync),
@@ -57,78 +58,12 @@ pub struct CandidateScorers<'a> {
     pub cluster: Option<&'a (dyn Fn(usize) -> u32 + Sync)>,
 }
 
-/// Selects up to `k` devices from `candidates` (indices into `devices`)
-/// under `policy`.
+/// Selects up to `k` devices from `candidates` under `policy`; the
+/// winners land in `out` (cleared first), the scores in `scratch`.
 ///
 /// When fewer than `k` candidates are present, all of them are selected —
 /// the edge trains with whatever it has (devices can cluster on one edge
 /// under high mobility).
-///
-/// Convenience wrapper over [`select_devices_into`] that allocates its
-/// own scratch and output; the simulation loop calls the `_into` variant
-/// directly with persistent buffers.
-pub fn select_devices(
-    policy: SelectionPolicy,
-    k: usize,
-    candidates: &[usize],
-    devices: &[Device],
-    cloud_flat: &[f32],
-    rng: &mut StdRng,
-) -> Vec<usize> {
-    let cloud_norm_sq = dot_slices(cloud_flat, cloud_flat);
-    let mut scratch = SelectionScratch::new();
-    let mut out = Vec::new();
-    select_devices_into(
-        policy,
-        k,
-        candidates,
-        devices,
-        cloud_flat,
-        cloud_norm_sq,
-        rng,
-        &mut scratch,
-        &mut out,
-    );
-    out
-}
-
-/// Allocation-free core of [`select_devices`]: scores land in `scratch`,
-/// winners in `out` (cleared first). `cloud_norm_sq` must be
-/// `dot_slices(cloud_flat, cloud_flat)` — the caller caches it alongside
-/// the flat vector.
-#[allow(clippy::too_many_arguments)]
-pub fn select_devices_into(
-    policy: SelectionPolicy,
-    k: usize,
-    candidates: &[usize],
-    devices: &[Device],
-    cloud_flat: &[f32],
-    cloud_norm_sq: f32,
-    rng: &mut StdRng,
-    scratch: &mut SelectionScratch,
-    out: &mut Vec<usize>,
-) {
-    let similarity = |m: usize| update_similarity(&devices[m], cloud_flat, cloud_norm_sq);
-    let oort = |m: usize| devices[m].oort_utility.unwrap_or(f32::INFINITY);
-    select_devices_scored(
-        policy,
-        k,
-        candidates,
-        &CandidateScorers {
-            similarity: &similarity,
-            oort: &oort,
-            cluster: None,
-        },
-        rng,
-        scratch,
-        out,
-    );
-}
-
-/// Population-agnostic core of [`select_devices_into`]: identical rng
-/// stream and top-k cut, with candidate scores coming from
-/// caller-supplied [`CandidateScorers`] instead of a dense `&[Device]`
-/// slice.
 pub fn select_devices_scored(
     policy: SelectionPolicy,
     k: usize,
@@ -212,47 +147,44 @@ pub fn update_similarity_flat(
 
 /// Original allocating form of [`update_similarity`] (flatten + explicit
 /// `Δw` vector) — the numerical oracle for the fused kernel.
-pub fn update_similarity_reference(device: &Device, cloud_flat: &[f32]) -> f32 {
+pub(crate) fn update_similarity_reference(device: &Device, cloud_flat: &[f32]) -> f32 {
     update_similarity_reference_flat(&flatten(&device.model), cloud_flat)
 }
 
 /// [`update_similarity_reference`] on raw flat parameters (the oracle
 /// counterpart of [`update_similarity_flat`]).
-pub fn update_similarity_reference_flat(local: &[f32], cloud_flat: &[f32]) -> f32 {
+pub(crate) fn update_similarity_reference_flat(local: &[f32], cloud_flat: &[f32]) -> f32 {
     assert_eq!(local.len(), cloud_flat.len(), "architecture mismatch");
     let delta: Vec<f32> = local.iter().zip(cloud_flat).map(|(l, c)| l - c).collect();
     similarity_utility(cloud_flat, &delta)
 }
 
-/// Original full-sort selection — the oracle for
-/// [`select_devices_into`], consuming the rng stream identically.
-pub fn select_devices_reference(
-    policy: SelectionPolicy,
-    k: usize,
-    candidates: &[usize],
-    devices: &[Device],
-    cloud_flat: &[f32],
-    rng: &mut StdRng,
-) -> Vec<usize> {
-    let similarity = |m: usize| update_similarity_reference(&devices[m], cloud_flat);
-    let oort = |m: usize| devices[m].oort_utility.unwrap_or(f32::INFINITY);
-    select_devices_reference_scored(
-        policy,
-        k,
-        candidates,
-        &CandidateScorers {
-            similarity: &similarity,
-            oort: &oort,
-            cluster: None,
-        },
-        rng,
-    )
+/// How far [`update_similarity_flat`] may round away from its oracle on
+/// the same parameters. The fused kernel reads `dot(c, Δ)` and `‖Δ‖²`
+/// off differences of dot products of magnitude `S = ‖c‖² + ‖l‖²`, so
+/// the cosine `dot(c, Δ) / (‖c‖·‖Δ‖)` inherits a rounding of order
+/// `ε·S` over `‖c‖·‖Δ‖` and over `‖Δ‖²`. The dots share their
+/// summation order, so their errors largely cancel: the factor 16 sits
+/// well above what hostile rounds produce (the kernel-pair harness runs
+/// this check after every tick). Exact ties (`Δ = 0`) score exactly 0
+/// on both paths.
+pub(crate) fn update_similarity_tolerance(local: &[f32], cloud_flat: &[f32]) -> f32 {
+    let delta: Vec<f32> = local.iter().zip(cloud_flat).map(|(l, c)| l - c).collect();
+    let (cc, ll, dd) = (
+        dot_slices(cloud_flat, cloud_flat),
+        dot_slices(local, local),
+        dot_slices(&delta, &delta),
+    );
+    if dd == 0.0 {
+        return 0.0;
+    }
+    16.0 * f32::EPSILON * (cc + ll) * (1.0 / (cc.sqrt() * dd.sqrt()) + 1.0 / dd)
 }
 
-/// Population-agnostic core of [`select_devices_reference`]: the
-/// original full-sort selection with scores from caller-supplied
-/// [`CandidateScorers`], consuming the rng stream identically.
-pub fn select_devices_reference_scored(
+/// Original full-sort selection — the oracle for
+/// [`select_devices_scored`], consuming the rng stream identically.
+#[cfg(test)]
+pub(crate) fn select_devices_reference_scored(
     policy: SelectionPolicy,
     k: usize,
     candidates: &[usize],
@@ -412,19 +344,47 @@ mod tests {
         device.refresh_flat();
     }
 
+    /// Selection over a dense device slice, scored the way the round
+    /// scores it: each device's Oort utility and its update similarity
+    /// against `cloud` — fused, into one scratch the selector reuses, or
+    /// for the `oracle` the reference scorer into the full-sort
+    /// selection.
+    fn selector<'a>(
+        devices: &'a [Device],
+        cloud: &'a [f32],
+        oracle: bool,
+    ) -> impl FnMut(SelectionPolicy, usize, &[usize], &mut StdRng) -> Vec<usize> + 'a {
+        let norm = dot_slices(cloud, cloud);
+        let mut scratch = SelectionScratch::new();
+        move |policy: SelectionPolicy, k: usize, candidates: &[usize], rng: &mut StdRng| {
+            let fused = |m: usize| update_similarity(&devices[m], cloud, norm);
+            let reference = |m: usize| update_similarity_reference(&devices[m], cloud);
+            let similarity: &(dyn Fn(usize) -> f32 + Sync) =
+                if oracle { &reference } else { &fused };
+            let oort = |m: usize| devices[m].oort_utility.unwrap_or(f32::INFINITY);
+            let scorers = CandidateScorers {
+                similarity,
+                oort: &oort,
+                cluster: None,
+            };
+            if oracle {
+                return select_devices_reference_scored(policy, k, candidates, &scorers, rng);
+            }
+            let mut out = Vec::new();
+            select_devices_scored(policy, k, candidates, &scorers, rng, &mut scratch, &mut out);
+            out
+        }
+    }
+
     #[test]
     fn fewer_candidates_than_k_selects_all() {
         let devices = mk_devices(3);
         let cloud = flatten(&devices[0].model);
-        let sel = select_devices(
-            SelectionPolicy::Random,
-            5,
-            &[0, 2],
-            &devices,
-            &cloud,
-            &mut rng(1),
+        let mut pick = selector(&devices, &cloud, false);
+        assert_eq!(
+            pick(SelectionPolicy::Random, 5, &[0, 2], &mut rng(1)),
+            [0, 2]
         );
-        assert_eq!(sel, vec![0, 2]);
     }
 
     #[test]
@@ -432,19 +392,12 @@ mod tests {
         let devices = mk_devices(10);
         let cloud = flatten(&devices[0].model);
         let cands: Vec<usize> = (0..10).collect();
-        let sel = select_devices(
-            SelectionPolicy::Random,
-            4,
-            &cands,
-            &devices,
-            &cloud,
-            &mut rng(2),
-        );
+        let mut sel =
+            selector(&devices, &cloud, false)(SelectionPolicy::Random, 4, &cands, &mut rng(2));
         assert_eq!(sel.len(), 4);
-        let mut s = sel.clone();
-        s.sort_unstable();
-        s.dedup();
-        assert_eq!(s.len(), 4);
+        sel.sort_unstable();
+        sel.dedup();
+        assert_eq!(sel.len(), 4);
     }
 
     #[test]
@@ -455,15 +408,9 @@ mod tests {
         devices[2].oort_utility = None; // fresh: infinite utility
         devices[3].oort_utility = Some(3.0);
         let cloud = flatten(&devices[0].model);
-        let sel = select_devices(
-            SelectionPolicy::OortUtility,
-            2,
-            &[0, 1, 2, 3],
-            &devices,
-            &cloud,
-            &mut rng(3),
-        );
-        assert_eq!(sel, vec![2, 1]);
+        let mut pick = selector(&devices, &cloud, false);
+        let sel = pick(SelectionPolicy::OortUtility, 2, &[0, 1, 2, 3], &mut rng(3));
+        assert_eq!(sel, [2, 1]);
     }
 
     #[test]
@@ -539,7 +486,7 @@ mod tests {
         // device 1 orthogonal-ish, device 2 anti-aligned (Δ ∝ −cloud,
         // clipped to 0 utility).
         let cloud = vec![1.0f32; d];
-        let mut w0 = vec![2.0f32; d]; // Δ = +1 ⇒ U = 1
+        let w0 = vec![2.0f32; d]; // Δ = +1 ⇒ U = 1
         let mut w1 = vec![1.0f32; d];
         for (i, v) in w1.iter_mut().enumerate() {
             *v += if i % 2 == 0 { 0.5 } else { -0.5 }; // Δ alternating ⇒ U ≈ 0
@@ -548,14 +495,12 @@ mod tests {
         set_params(&mut devices[0], &w0);
         set_params(&mut devices[1], &w1);
         set_params(&mut devices[2], &w2);
-        w0.clear();
 
-        let sel = select_devices(
+        let mut pick = selector(&devices, &cloud, false);
+        let sel = pick(
             SelectionPolicy::LeastSimilarUpdate,
             2,
             &[0, 1, 2],
-            &devices,
-            &cloud,
             &mut rng(4),
         );
         // Device 0 (perfectly aligned) must NOT be selected.
@@ -570,24 +515,10 @@ mod tests {
         let cloud = vec![1.0f32; d];
         set_params(&mut devices[0], &vec![2.0; d]); // aligned
         set_params(&mut devices[1], &vec![0.0; d]); // anti-aligned
-        let least = select_devices(
-            SelectionPolicy::LeastSimilarUpdate,
-            1,
-            &[0, 1],
-            &devices,
-            &cloud,
-            &mut rng(5),
-        );
-        let most = select_devices(
-            SelectionPolicy::MostSimilarUpdate,
-            1,
-            &[0, 1],
-            &devices,
-            &cloud,
-            &mut rng(5),
-        );
-        assert_eq!(least, vec![1]);
-        assert_eq!(most, vec![0]);
+        let mut pick = selector(&devices, &cloud, false);
+        let least = pick(SelectionPolicy::LeastSimilarUpdate, 1, &[0, 1], &mut rng(5));
+        let most = pick(SelectionPolicy::MostSimilarUpdate, 1, &[0, 1], &mut rng(5));
+        assert_eq!((least, most), (vec![1], vec![0]));
     }
 
     #[test]
@@ -629,6 +560,10 @@ mod tests {
         devices[7].oort_utility = Some(0.25);
         let cloud = flatten(&devices[0].model);
         let cands: Vec<usize> = (0..12).collect();
+        let (mut fast, mut oracle) = (
+            selector(&devices, &cloud, false),
+            selector(&devices, &cloud, true),
+        );
         for policy in [
             SelectionPolicy::Random,
             SelectionPolicy::LeastSimilarUpdate,
@@ -636,10 +571,9 @@ mod tests {
             SelectionPolicy::OortUtility,
         ] {
             for k in [1, 4, 11] {
-                let fast = select_devices(policy, k, &cands, &devices, &cloud, &mut rng(9));
-                let slow =
-                    select_devices_reference(policy, k, &cands, &devices, &cloud, &mut rng(9));
-                assert_eq!(fast, slow, "{policy:?} k={k}");
+                let (a, b) = (&mut rng(9), &mut rng(9));
+                assert_eq!(fast(policy, k, &cands, a), oracle(policy, k, &cands, b));
+                assert_eq!(a.state(), b.state(), "{policy:?} k={k}");
             }
         }
     }
@@ -649,22 +583,9 @@ mod tests {
         let devices = mk_devices(6);
         let cloud = flatten(&devices[0].model);
         let cands: Vec<usize> = (0..6).collect();
-        let a = select_devices(
-            SelectionPolicy::LeastSimilarUpdate,
-            3,
-            &cands,
-            &devices,
-            &cloud,
-            &mut rng(1),
-        );
-        let b = select_devices(
-            SelectionPolicy::LeastSimilarUpdate,
-            3,
-            &cands,
-            &devices,
-            &cloud,
-            &mut rng(1),
-        );
+        let mut pick = selector(&devices, &cloud, false);
+        let a = pick(SelectionPolicy::LeastSimilarUpdate, 3, &cands, &mut rng(1));
+        let b = pick(SelectionPolicy::LeastSimilarUpdate, 3, &cands, &mut rng(1));
         assert_eq!(a, b, "same seed, same selection");
     }
 
@@ -680,16 +601,9 @@ mod tests {
         let cloud = flatten(&devices[0].model);
         let cands: Vec<usize> = (0..8).collect();
         let mut seen = vec![false; 8];
-        let mut r = rng(5);
+        let (mut r, mut pick) = (rng(5), selector(&devices, &cloud, false));
         for _ in 0..40 {
-            for m in select_devices(
-                SelectionPolicy::LeastSimilarUpdate,
-                2,
-                &cands,
-                &devices,
-                &cloud,
-                &mut r,
-            ) {
+            for m in pick(SelectionPolicy::LeastSimilarUpdate, 2, &cands, &mut r) {
                 seen[m] = true;
             }
         }
@@ -703,28 +617,13 @@ mod tests {
     fn reusing_scratch_keeps_results_stable() {
         let devices = mk_devices(9);
         let cloud = flatten(&devices[0].model);
-        let norm = dot_slices(&cloud, &cloud);
         let cands: Vec<usize> = (0..9).collect();
-        let mut scratch = SelectionScratch::new();
-        let mut out = Vec::new();
-        let mut first = Vec::new();
-        for round in 0..3 {
-            select_devices_into(
-                SelectionPolicy::MostSimilarUpdate,
-                3,
-                &cands,
-                &devices,
-                &cloud,
-                norm,
-                &mut rng(11),
-                &mut scratch,
-                &mut out,
-            );
-            if round == 0 {
-                first = out.clone();
-            } else {
-                assert_eq!(out, first);
-            }
+        // One selector, one scratch, three rounds.
+        let mut pick = selector(&devices, &cloud, false);
+        let first = pick(SelectionPolicy::MostSimilarUpdate, 3, &cands, &mut rng(11));
+        for _ in 0..2 {
+            let again = pick(SelectionPolicy::MostSimilarUpdate, 3, &cands, &mut rng(11));
+            assert_eq!(again, first);
         }
     }
 }

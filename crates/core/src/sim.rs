@@ -14,8 +14,7 @@
 //!    result back to all edges and devices.
 
 use crate::aggregation::{
-    cloud_aggregate, cloud_aggregate_into, edge_aggregate, edge_aggregate_into, on_device_init,
-    on_device_init_into,
+    cloud_aggregate, cloud_aggregate_into, edge_aggregate_into, on_device_init_into,
 };
 use crate::algorithms::{AlgorithmPolicy, MoveAction};
 use crate::builder::{SharedInputs, SimError};
@@ -30,10 +29,7 @@ use crate::device::Device;
 use crate::faults::FaultPlane;
 use crate::metrics::{EvalPoint, RunRecord, RUN_RECORD_SCHEMA_VERSION};
 use crate::population::{DeviceRef, PendingInit, Population, Reached};
-use crate::selection::{
-    select_devices_reference_scored, select_devices_scored, update_similarity_reference,
-    update_similarity_reference_flat, CandidateScorers, SelectionScratch,
-};
+use crate::selection::{select_devices_scored, CandidateScorers, SelectionScratch};
 use crate::similarity::{aggregation_weights, similarity_utility_cached};
 use crate::telemetry::{Phase, StepProbe, Telemetry};
 use crate::timeline::{ArrivalOutcome, Event, EventKind, ExecutionMode, LatencyModel, Timeline};
@@ -56,19 +52,19 @@ use rand::Rng;
 use rayon::prelude::*;
 use std::time::Instant;
 
-/// Which kernels [`Simulation::tick`] runs.
-///
-/// The zero-copy fast path and the allocating reference oracle consume
-/// every RNG stream in the same order, so a run may interleave modes
-/// and the equivalence tests can compare them step for step.
+#[cfg(test)]
+mod kernel_pairs;
+
+/// The argument of [`Simulation::tick`] and [`crate::SweepOptions`]'s
+/// `step_mode`: inert. The round runs one set of kernels; their oracles
+/// are test support (DESIGN.md §6). It stays only because the frozen
+/// benchmark under `perf/` still names it, and leaves with the
+/// perf-only PR of ROADMAP item 5.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StepMode {
-    /// The allocation-free production step (DESIGN.md §6).
+    /// The one round there is.
     #[default]
     Fast,
-    /// The clone-based semantic oracle the equivalence tests pin the
-    /// fast path against.
-    Reference,
 }
 
 /// State of one edge server.
@@ -236,8 +232,8 @@ pub struct Simulation {
     // The resolved algorithm-policy object ([`SimConfig::algorithm`]
     // via `AlgorithmConfig::resolve`): selection source, on-move
     // verdicts and any cross-round state. The one round skeleton fires
-    // its hooks, so stateful algorithms evolve identically in fast and
-    // reference mode, lockstep and event-driven.
+    // its hooks, so stateful algorithms evolve identically lockstep and
+    // event-driven.
     policy: Box<dyn AlgorithmPolicy>,
     // Uplink compression (quantization + top-K sparsification with
     // error feedback) and its aggregation scratch buffer. Inert — no
@@ -600,8 +596,8 @@ impl Simulation {
     ///   compressed against the edge's pre-aggregation model `w_n^t`
     ///   (one compression-RNG / residual advance per member, in cohort
     ///   order) and the edge FedAvgs the *reconstructions*;
-    /// * otherwise the live device models are aggregated by the
-    ///   mode-dispatched kernel.
+    /// * otherwise `edge_aggregate_into` aggregates the live device
+    ///   models in place.
     ///
     /// All three weight by `d_m / d`, with `d_m` read from the partition
     /// (equal to `Device::num_samples` by construction) so the weights
@@ -612,7 +608,6 @@ impl Simulation {
         n: usize,
         cohort: &[usize],
         snapshots: &[Option<Vec<f32>>],
-        mode: StepMode,
         probe: &mut StepProbe,
     ) {
         if cohort.is_empty() {
@@ -650,21 +645,12 @@ impl Simulation {
         } else {
             let population = &self.population;
             let edge = &mut self.edges[n];
-            match mode {
-                StepMode::Fast => edge_aggregate_into(
-                    &mut edge.model,
-                    cohort
-                        .iter()
-                        .map(|&m| (&population.get(m).model, partition.device_len(m))),
-                ),
-                StepMode::Reference => {
-                    let models: Vec<&Sequential> =
-                        cohort.iter().map(|&m| &population.get(m).model).collect();
-                    let counts: Vec<usize> =
-                        cohort.iter().map(|&m| partition.device_len(m)).collect();
-                    edge.model = edge_aggregate(&models, &counts);
-                }
-            }
+            edge_aggregate_into(
+                &mut edge.model,
+                cohort
+                    .iter()
+                    .map(|&m| (&population.get(m).model, partition.device_len(m))),
+            );
             edge.refresh_flat();
         }
         self.edges[n].window_samples += total as f64;
@@ -679,33 +665,26 @@ impl Simulation {
     /// One lockstep round `t` of Algorithm 1 (0-based; syncs with the
     /// cloud after every `cloud_interval`-th step): the shared front
     /// half, the upload pass, Eq. 6 per edge over the delivered cohorts,
-    /// then the cadence sync. `mode` only picks the kernels at the
-    /// skeleton's dispatch points (score + select, init, train, Eq. 6,
-    /// Eq. 7), so hook order, comm charging and telemetry are the same
-    /// code in both modes.
+    /// then the cadence sync.
     ///
-    /// In [`StepMode::Fast`] the steady-state loop is allocation-free:
-    /// candidate sets, scores and winner lists land in persistent scratch
-    /// buffers, device inits are written straight into each participating
-    /// device's carried model, aggregation runs in place on the edge/cloud
-    /// parameter tensors, and the cloud broadcast copies parameters
-    /// instead of cloning models. [`StepMode::Reference`] runs the
-    /// original clone-based kernels (fresh cloud flatten, full-sort
-    /// selection, allocating init / aggregation, clone broadcast) as the
-    /// semantic oracle; both consume every rng stream in the same order,
-    /// and the equivalence tests pin the two together bit for bit.
-    fn tick_lockstep(&mut self, t: usize, mode: StepMode) {
+    /// The steady-state loop is allocation-free: candidate sets, scores
+    /// and winner lists land in persistent scratch buffers, device inits
+    /// are written straight into each participating device's carried
+    /// model, aggregation runs in place on the edge/cloud parameter
+    /// tensors, and the cloud broadcast copies parameters instead of
+    /// cloning models.
+    fn tick_lockstep(&mut self, t: usize) {
         let mut probe = self.telemetry.begin_step();
         self.begin_step(t, &mut probe);
-        let active = self.phase_select_train(t, mode, &mut probe);
+        let active = self.phase_select_train(t, &mut probe);
         self.upload_pass(&mut probe);
         let cohorts = std::mem::take(&mut self.delivered_per_edge);
         for (n, cohort) in cohorts.iter().enumerate() {
-            self.aggregate_cohort(n, cohort, &[], mode, &mut probe);
+            self.aggregate_cohort(n, cohort, &[], &mut probe);
         }
         self.delivered_per_edge = cohorts;
         let scheduled = (t + 1).is_multiple_of(self.config.cloud_interval);
-        let synced = scheduled && self.cloud_sync_now(mode, &mut probe);
+        let synced = scheduled && self.cloud_sync_now(&mut probe);
         self.telemetry.end_step(t, active, synced, probe);
     }
 
@@ -727,15 +706,13 @@ impl Simulation {
         )
     }
 
-    /// Makes every fast-mode selection score of the step a lookup. Lazy
-    /// mode scores each live broadcast version against the cloud once
-    /// per step; every stub of a version then shares that score bitwise,
-    /// exactly as idle dense devices holding the same broadcast would.
-    /// Materialised devices cache their own score beside their flat: the
-    /// training job fills it, and the pre-pass here scores whatever is
-    /// stale regardless. Only the fast scorer reads either; the
-    /// reference kernel rescores every candidate from scratch, which
-    /// makes fast == reference the caches' oracle.
+    /// Makes every selection score of the step a lookup
+    /// ([`cached_similarity`]). Lazy mode scores each live broadcast
+    /// version against the cloud once per step; every stub of a version
+    /// then shares that score bitwise, exactly as idle dense devices
+    /// holding the same broadcast would. Materialised devices cache their
+    /// own score beside their flat: the training job fills it, and the
+    /// pre-pass here scores whatever is stale regardless.
     fn refresh_selection_scores(&mut self) {
         if self.ranks_by_similarity() {
             let (flat, norm_sq) = (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
@@ -751,13 +728,11 @@ impl Simulation {
     }
 
     /// Phases 1 + 2 — in-edge device selection, device init, then
-    /// Rayon-parallel local training over the participants. `mode` picks
-    /// the kernels at three points (score + select, init, train);
-    /// everything around them is written once. Fills
+    /// Rayon-parallel local training over the participants. Fills
     /// `self.selected_per_edge` and returns whether any edge selected a
     /// non-empty cohort (accruing `active_steps`). Shared by the
     /// lockstep step and the event engine's step-boundary handler.
-    fn phase_select_train(&mut self, t: usize, mode: StepMode, probe: &mut StepProbe) -> bool {
+    fn phase_select_train(&mut self, t: usize, probe: &mut StepProbe) -> bool {
         probe.start();
         self.refresh_selection_scores();
         probe.stop(Phase::Selection);
@@ -800,57 +775,24 @@ impl Simulation {
             }
             {
                 let population = &self.population;
+                let similarity =
+                    cached_similarity(population, &self.version_scores, self.cloud_flat.epoch);
                 let oort = |m: usize| population.oort_utility(m).unwrap_or(f32::INFINITY);
                 let policy = &self.policy;
                 let cluster = |m: usize| policy.cluster_of(m);
-                match mode {
-                    StepMode::Fast => {
-                        let version_scores = &self.version_scores;
-                        let epoch = self.cloud_flat.epoch;
-                        let similarity = |m: usize| match population.view(m) {
-                            DeviceRef::Resident(dev) => dev
-                                .cloud_score(epoch)
-                                .expect("the pre-pass scores every materialised device"),
-                            DeviceRef::Stub(v) => version_scores[v as usize],
-                        };
-                        select_devices_scored(
-                            policy.selection(),
-                            self.config.devices_per_edge,
-                            &self.candidates,
-                            &CandidateScorers {
-                                similarity: &similarity,
-                                oort: &oort,
-                                cluster: Some(&cluster),
-                            },
-                            &mut self.rng,
-                            &mut self.selection_scratch,
-                            &mut self.selected_per_edge[n],
-                        );
-                    }
-                    StepMode::Reference => {
-                        let cloud_flat = flatten(&self.cloud);
-                        let similarity = |m: usize| match population.view(m) {
-                            DeviceRef::Resident(dev) => {
-                                update_similarity_reference(dev, &cloud_flat)
-                            }
-                            DeviceRef::Stub(v) => update_similarity_reference_flat(
-                                population.version_flat(v),
-                                &cloud_flat,
-                            ),
-                        };
-                        self.selected_per_edge[n] = select_devices_reference_scored(
-                            policy.selection(),
-                            self.config.devices_per_edge,
-                            &self.candidates,
-                            &CandidateScorers {
-                                similarity: &similarity,
-                                oort: &oort,
-                                cluster: Some(&cluster),
-                            },
-                            &mut self.rng,
-                        );
-                    }
-                }
+                select_devices_scored(
+                    policy.selection(),
+                    self.config.devices_per_edge,
+                    &self.candidates,
+                    &CandidateScorers {
+                        similarity: &similarity,
+                        oort: &oort,
+                        cluster: Some(&cluster),
+                    },
+                    &mut self.rng,
+                    &mut self.selection_scratch,
+                    &mut self.selected_per_edge[n],
+                );
             }
             probe.stop(Phase::Selection);
 
@@ -927,19 +869,13 @@ impl Simulation {
             .init_participants(&self.participants, &self.pending_inits, |dev, p| {
                 let Some(on_device) = p.init else { return };
                 let edge = &edges[p.edge];
-                match mode {
-                    StepMode::Fast => on_device_init_into(
-                        on_device,
-                        dev,
-                        &edge.model,
-                        edge.flat(),
-                        edge.flat_norm_sq(),
-                    ),
-                    StepMode::Reference => {
-                        dev.model = on_device_init(on_device, &edge.model, &dev.model);
-                        dev.invalidate_flat();
-                    }
-                }
+                on_device_init_into(
+                    on_device,
+                    dev,
+                    &edge.model,
+                    edge.flat(),
+                    edge.flat_norm_sq(),
+                );
             });
         probe.stop(Phase::DeviceInit);
 
@@ -958,12 +894,7 @@ impl Simulation {
         let cloud = &self.cloud_flat;
         let mut participants = self.population.gather_mut(&self.participants);
         participants.par_iter_mut().for_each(|dev| {
-            match mode {
-                StepMode::Fast => dev.local_train(local_steps, batch_size, &optimizer, t),
-                StepMode::Reference => {
-                    dev.local_train_reference(local_steps, batch_size, &optimizer, t)
-                }
-            };
+            dev.local_train(local_steps, batch_size, &optimizer, t);
             if scored {
                 dev.refresh_cloud_score(cloud.epoch, cloud.flat(), cloud.norm_sq());
             }
@@ -992,9 +923,10 @@ impl Simulation {
     /// with the `d̂_n` weighting (uniform when every window is empty): a
     /// lossy compression plane compresses each edge's sync upload against
     /// the current cloud model and aggregates the reconstructions,
-    /// otherwise `mode` picks the kernel; `mode` also picks the
-    /// broadcast. Returns whether a sync happened.
-    fn cloud_sync_now(&mut self, mode: StepMode, probe: &mut StepProbe) -> bool {
+    /// otherwise `cloud_aggregate_into` aggregates the edge models in
+    /// place. The broadcast copies the cloud's flat view. Returns whether
+    /// a sync happened.
+    fn cloud_sync_now(&mut self, probe: &mut StepProbe) -> bool {
         probe.start();
         let mut wan_up = std::mem::take(&mut self.wan_up);
         wan_up.clear();
@@ -1054,13 +986,7 @@ impl Simulation {
             let parts = (self.edges.iter().enumerate())
                 .filter(|&(n, _)| up(n))
                 .map(|(_, e)| (&e.model, e.window_samples));
-            match mode {
-                StepMode::Fast => cloud_aggregate_into(&mut self.cloud, parts),
-                StepMode::Reference => {
-                    let (models, weights): (Vec<&Sequential>, Vec<f64>) = parts.unzip();
-                    self.cloud = cloud_aggregate(&models, &weights);
-                }
-            }
+            cloud_aggregate_into(&mut self.cloud, parts);
         }
         self.cloud_flat.refresh(&self.cloud);
 
@@ -1074,34 +1000,11 @@ impl Simulation {
         let (flat, norm_sq) = (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
         for (n, edge) in self.edges.iter_mut().enumerate() {
             if up(n) {
-                match mode {
-                    StepMode::Fast => edge.load_flat(flat, norm_sq),
-                    StepMode::Reference => {
-                        edge.model = self.cloud.clone();
-                        edge.refresh_flat();
-                    }
-                }
+                edge.load_flat(flat, norm_sq);
                 edge.window_samples = 0.0;
             }
         }
-        if mode == StepMode::Reference && self.population.is_dense() {
-            // The clone-based broadcast is the reference oracle for dense
-            // runs; `refresh_flat` and `load_flat` compute the same dot
-            // product, so the flat copy is bitwise equal (pinned by the
-            // fast == reference and dense == lazy tests).
-            let cloud = &self.cloud;
-            self.population
-                .dense_slice_mut()
-                .par_iter_mut()
-                .for_each(|d| {
-                    if reached.hits(d.id) {
-                        d.model = cloud.clone();
-                        d.refresh_flat();
-                    }
-                });
-        } else {
-            self.population.apply_broadcast(flat, norm_sq, reached);
-        }
+        self.population.apply_broadcast(flat, norm_sq, reached);
         // The devices under an up edge: an O(E) occupancy sum over the
         // step index, every device when no edge is down.
         let receivers = (0..self.edges.len())
@@ -1125,7 +1028,7 @@ impl Simulation {
     /// synchronous-sync corner the pop order within a round is exactly
     /// the lockstep phase order, so the run reproduces the lockstep
     /// `RunRecord` bitwise (pinned by `tests/timeline_plane.rs`).
-    fn tick_event(&mut self, mode: StepMode) {
+    fn tick_event(&mut self) {
         if !self.timeline.started {
             self.timeline.started = true;
             self.timeline.push(0.0, EventKind::StepBoundary { step: 0 });
@@ -1136,12 +1039,12 @@ impl Simulation {
         }
         while let Some(ev) = self.timeline.pop() {
             let start = self.telemetry.event_timer();
-            let end_of_step = self.process_event(&ev, mode);
+            let end_of_step = self.process_event(&ev);
             self.telemetry.observe_event_since(ev.kind, start);
             if end_of_step {
                 if matches!(ev.kind, EventKind::EndOfStep { step } if step + 1 == self.config.steps)
                 {
-                    self.drain_tail(mode);
+                    self.drain_tail();
                 }
                 break;
             }
@@ -1159,7 +1062,7 @@ impl Simulation {
     /// `event_seconds`) at the time real work finished. At zero delay
     /// the heap is already empty here, so the lockstep oracle is
     /// untouched.
-    fn drain_tail(&mut self, mode: StepMode) {
+    fn drain_tail(&mut self) {
         while let Some(next) = self.timeline.peek() {
             if matches!(next.kind, EventKind::CloudSync { timer: true }) {
                 self.timeline.discard_next();
@@ -1167,7 +1070,7 @@ impl Simulation {
             }
             let ev = self.timeline.pop().expect("peeked event still queued");
             let start = self.telemetry.event_timer();
-            self.process_event(&ev, mode);
+            self.process_event(&ev);
             self.telemetry.observe_event_since(ev.kind, start);
         }
     }
@@ -1177,10 +1080,10 @@ impl Simulation {
     /// between a round's `EndOfStep` and the next boundary (in-flight
     /// arrivals, timer syncs) account their telemetry into a scratch
     /// probe absorbed outside the per-step accounting.
-    fn process_event(&mut self, ev: &Event, mode: StepMode) -> bool {
+    fn process_event(&mut self, ev: &Event) -> bool {
         match ev.kind {
             EventKind::StepBoundary { step } => {
-                self.event_step_boundary(step, mode);
+                self.event_step_boundary(step);
                 false
             }
             EventKind::DeviceUpload { edge, device, wave } => {
@@ -1188,11 +1091,11 @@ impl Simulation {
                 false
             }
             EventKind::EdgeAggregate { edge, wave } => {
-                self.with_event_probe(|s, probe| s.event_edge_aggregate(edge, wave, mode, probe));
+                self.with_event_probe(|s, probe| s.event_edge_aggregate(edge, wave, probe));
                 false
             }
             EventKind::CloudSync { timer } => {
-                self.with_event_probe(|s, probe| s.event_cloud_sync(timer, mode, probe));
+                self.with_event_probe(|s, probe| s.event_cloud_sync(timer, probe));
                 false
             }
             EventKind::EndOfStep { step } => {
@@ -1223,10 +1126,10 @@ impl Simulation {
     /// fault recovery, selection, device init, local training — then
     /// schedules the round's uploads as events, the synchronous cloud
     /// sync (when no timer is configured) and the `EndOfStep` marker.
-    fn event_step_boundary(&mut self, t: usize, mode: StepMode) {
+    fn event_step_boundary(&mut self, t: usize) {
         let mut probe = self.telemetry.begin_step();
         self.begin_step(t, &mut probe);
-        let active = self.phase_select_train(t, mode, &mut probe);
+        let active = self.phase_select_train(t, &mut probe);
         self.timeline.step_active = active;
         let now = self.timeline.clock();
         let mut sync_at = now;
@@ -1261,7 +1164,7 @@ impl Simulation {
                     }
                 }
             }
-            LatencyModel::Faults => sync_at = self.event_upload_pass(mode, &mut probe),
+            LatencyModel::Faults => sync_at = self.event_upload_pass(&mut probe),
         }
         // The synchronous sync rides the round count when no timer is
         // configured. It fires when the round's last delivered upload
@@ -1297,7 +1200,7 @@ impl Simulation {
     /// arrival time of this round's delivered uploads (the boundary's
     /// own timestamp when nothing was delivered), which is where a
     /// round-cadence cloud sync belongs.
-    fn event_upload_pass(&mut self, mode: StepMode, probe: &mut StepProbe) -> f64 {
+    fn event_upload_pass(&mut self, probe: &mut StepProbe) -> f64 {
         let now = self.timeline.clock();
         let mut last_arrival = now;
         let lossy = self.compression.lossy_active();
@@ -1321,7 +1224,7 @@ impl Simulation {
             let trigger = self.config.timeline.edge_threshold.unwrap_or(members.len());
             if let Some((cohort, snaps)) = self.timeline.open_wave(n, members, trigger) {
                 probe.stop(Phase::FaultRecovery);
-                self.aggregate_cohort(n, &cohort, &snaps, mode, probe);
+                self.aggregate_cohort(n, &cohort, &snaps, probe);
                 self.timeline.aggs_since_sync += 1;
                 probe.start();
             }
@@ -1392,15 +1295,9 @@ impl Simulation {
     /// it into the edge (Eq. 6) — at zero delay (no snapshots) that is
     /// the lockstep phase-3 call verbatim. A stale wave id (superseded
     /// before the event popped) is a no-op.
-    fn event_edge_aggregate(
-        &mut self,
-        edge: usize,
-        wave: u64,
-        mode: StepMode,
-        probe: &mut StepProbe,
-    ) {
+    fn event_edge_aggregate(&mut self, edge: usize, wave: u64, probe: &mut StepProbe) {
         if let Some((cohort, snaps)) = self.timeline.take_ready(edge, wave) {
-            self.aggregate_cohort(edge, &cohort, &snaps, mode, probe);
+            self.aggregate_cohort(edge, &cohort, &snaps, probe);
             self.timeline.aggs_since_sync += 1;
         }
     }
@@ -1411,7 +1308,7 @@ impl Simulation {
     /// (round-scheduled) syncs always run, like lockstep phase 4. A
     /// successful sync raises the step's synced flag, attributed to the
     /// next `EndOfStep`.
-    fn event_cloud_sync(&mut self, timer: bool, mode: StepMode, probe: &mut StepProbe) {
+    fn event_cloud_sync(&mut self, timer: bool, probe: &mut StepProbe) {
         if timer {
             let period = self
                 .config
@@ -1425,7 +1322,7 @@ impl Simulation {
                 return;
             }
         }
-        if self.cloud_sync_now(mode, probe) {
+        if self.cloud_sync_now(probe) {
             self.timeline.step_synced = true;
             self.timeline.aggs_since_sync = 0;
         }
@@ -1478,17 +1375,17 @@ impl Simulation {
     /// `eval_interval` or the horizon) and accumulates wall-clock — the
     /// only way to advance a simulation. [`Simulation::run`] is a loop
     /// over `tick`; a sweep worker interleaves `tick` with checkpoint
-    /// captures instead.
+    /// captures instead. The [`StepMode`] argument is inert.
     ///
     /// # Panics
     /// Panics when the run is already finished.
-    pub fn tick(&mut self, mode: StepMode) {
+    pub fn tick(&mut self, _mode: StepMode) {
         assert!(!self.is_finished(), "simulation already finished");
         let start = Instant::now();
         let t = self.next_step;
         match self.config.timeline.mode {
-            ExecutionMode::Lockstep => self.tick_lockstep(t, mode),
-            ExecutionMode::EventDriven => self.tick_event(mode),
+            ExecutionMode::Lockstep => self.tick_lockstep(t),
+            ExecutionMode::EventDriven => self.tick_event(),
         }
         self.next_step = t + 1;
         let is_eval =
@@ -1505,13 +1402,8 @@ impl Simulation {
     /// Runs the remaining steps, recording an [`EvalPoint`] every
     /// `eval_interval` steps (plus the final step).
     pub fn run(&mut self) -> RunRecord {
-        self.run_with(StepMode::Fast)
-    }
-
-    /// [`Simulation::run`] with an explicit step implementation.
-    pub fn run_with(&mut self, mode: StepMode) -> RunRecord {
         while !self.is_finished() {
-            self.tick(mode);
+            self.tick(StepMode::Fast);
         }
         self.finish()
     }
@@ -1656,6 +1548,16 @@ impl Simulation {
                 self.population.len()
             )));
         }
+        // Eq. 7 weights the next sync by the sample windows: a NaN,
+        // infinite or negative one (or wall-clock total) would skew or
+        // poison the cloud (the record).
+        let windows = ck.edges.iter().map(|e| e.window_samples);
+        if let Some(v) = std::iter::once(ck.elapsed_seconds)
+            .chain(windows)
+            .find(|v| !(v.is_finite() && *v >= 0.0))
+        {
+            return Err(mismatch(format!("elapsed seconds or sample window {v}")));
+        }
         // Each optional plane's state must be present iff the plane is
         // active here — checked before the first mutation, so a rejected
         // checkpoint leaves the simulation untouched.
@@ -1754,15 +1656,13 @@ impl Simulation {
     /// the state it is derived from
     /// ([`Population::check_invariants`]): the lazy plane's slot table,
     /// residents list, version counts and replica pool, and every
-    /// device's cached selection score against the current cloud model.
-    /// Meant to be called between ticks by test batteries.
+    /// device's cached selection score against the reference scorer
+    /// over the current cloud model. Meant to be called between ticks by
+    /// test batteries.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
-        self.population.check_invariants(
-            self.cloud_flat.epoch,
-            self.cloud_flat.flat(),
-            self.cloud_flat.norm_sq(),
-        );
+        self.population
+            .check_invariants(self.cloud_flat.epoch, &flatten(&self.cloud));
     }
 
     /// Builds the evaluation point for time step `t`.
@@ -1790,6 +1690,23 @@ impl Simulation {
             }
         }
         point
+    }
+}
+
+/// The round's similarity scorer (`U(w_c, Δw_m)`, Eqs. 10–11): a lookup
+/// in the caches [`Simulation::refresh_selection_scores`] filled for the
+/// cloud model of `epoch` — a resident's own score, a stub's
+/// per-version one.
+fn cached_similarity<'a>(
+    population: &'a Population,
+    version_scores: &'a [f32],
+    epoch: u64,
+) -> impl Fn(usize) -> f32 + Sync + 'a {
+    move |m| match population.view(m) {
+        DeviceRef::Resident(dev) => dev
+            .cloud_score(epoch)
+            .expect("the pre-pass scores every materialised device"),
+        DeviceRef::Stub(v) => version_scores[v as usize],
     }
 }
 

@@ -479,7 +479,8 @@ pub struct Scenario {
 pub struct SweepOptions {
     /// Worker threads; `0` uses the host's available parallelism.
     pub threads: usize,
-    /// Step implementation every scenario runs with.
+    /// Inert ([`StepMode`] has one variant); stays while the frozen
+    /// benchmark under `perf/` still sets it (ROADMAP item 5).
     pub step_mode: StepMode,
     /// Directory for per-scenario checkpoints and the sweep completion
     /// ledger; `None` disables persistence (no resume).
@@ -967,7 +968,6 @@ pub fn run_sweep(grid: &ScenarioGrid, opts: &SweepOptions) -> Result<SweepReport
                 let done = drive_scenario(
                     scenario,
                     &cache,
-                    opts.step_mode,
                     opts.checkpoint_dir.as_deref(),
                     opts.checkpoint_every,
                     |_| Ok(true),
@@ -1032,7 +1032,6 @@ pub fn run_sweep(grid: &ScenarioGrid, opts: &SweepOptions) -> Result<SweepReport
 fn drive_scenario(
     scenario: &Scenario,
     cache: &Arc<InputCache>,
-    step_mode: StepMode,
     dir: Option<&Path>,
     checkpoint_every: usize,
     mut after_tick: impl FnMut(bool) -> Result<bool, SimError>,
@@ -1062,7 +1061,7 @@ fn drive_scenario(
         sim = build()?;
     }
     while !sim.is_finished() {
-        sim.tick(step_mode);
+        sim.tick(StepMode::Fast);
         let due = ckpt.as_ref().filter(|_| {
             checkpoint_every > 0 && sim.next_step() % checkpoint_every == 0 && !sim.is_finished()
         });
@@ -1101,8 +1100,6 @@ fn drive_scenario(
 /// *bytes* (the bitwise-merge contract in DESIGN.md §14).
 #[derive(Debug, Clone)]
 pub struct FleetOptions {
-    /// Step implementation every scenario runs with.
-    pub step_mode: StepMode,
     /// Scenarios per lease shard (≥ 1). Bigger shards amortise ledger
     /// round-trips; smaller shards re-run less work after a kill.
     pub shard_size: usize,
@@ -1133,7 +1130,6 @@ pub struct FleetOptions {
 impl Default for FleetOptions {
     fn default() -> Self {
         FleetOptions {
-            step_mode: StepMode::Fast,
             shard_size: 1,
             lease_ms: 5_000,
             heartbeat_ms: 1_000,
@@ -1413,7 +1409,6 @@ fn run_leased_scenario(
     let record = drive_scenario(
         scenario,
         &ctx.cache,
-        opts.step_mode,
         Some(ctx.dir),
         opts.checkpoint_every,
         |snapshot_written| {

@@ -1,9 +1,8 @@
-//! Per-algorithm tier-1 gates for the policy API: every member of
-//! [`Algorithm::zoo`] must keep the zero-copy hot path bitwise
-//! identical to the allocating reference path — under every fault
-//! model, not just the happy path — and stateful algorithms (FedFly's
-//! in-flight set) must survive a mid-migration checkpoint→resume round
-//! trip through JSON without perturbing a single bit.
+//! Per-algorithm gates for the policy API: every member of
+//! [`Algorithm::zoo`] keeps its pinned trajectory under every fault
+//! model, not just the happy path, and stateful algorithms (FedFly's
+//! in-flight set) survive a mid-migration checkpoint→resume round trip
+//! through JSON without perturbing a single bit.
 //!
 //! MIDDLE itself has a stronger gate than anything here: the pinned FNV
 //! fingerprints in `tests/hotpath_equiv.rs` prove the trait-routed
@@ -16,7 +15,7 @@ use middle_core::{
 use middle_data::Task;
 
 mod common;
-use common::sim_bits as bits;
+use common::trajectory_fnv;
 
 fn built(cfg: SimConfig) -> Simulation {
     SimulationBuilder::new(cfg).build().expect("valid config")
@@ -76,60 +75,88 @@ fn uniform_delay() -> FaultConfig {
     }
 }
 
-/// Runs paired simulations — one on the fused hot path, one on the
-/// allocating reference path — and demands bitwise-identical state
-/// after every step plus an identical communication ledger at the end.
-fn fast_matches_reference(label: &str, cfg: SimConfig) {
-    let steps = cfg.steps;
-    let mut fast = built(cfg.clone());
-    let mut slow = built(cfg);
-    for t in 0..steps {
-        fast.tick(StepMode::Fast);
-        slow.tick(StepMode::Reference);
-        assert_eq!(
-            bits(&fast),
-            bits(&slow),
-            "{label}: fast and reference state diverged at step {t}"
-        );
+/// Every zoo member under every fault regime, pinned by the fingerprint
+/// of its trajectory ([`trajectory_fnv`]), captured at the last commit
+/// that still had the round-level reference step — where each one's
+/// fast and reference runs agreed. The kernels behind them (FedLECC's
+/// cluster-guided selection and FedFly's hand-off included) meet their
+/// oracles in `middle_core::sim`'s kernel-pair harness.
+#[test]
+fn zoo_trajectories_keep_their_fingerprints() {
+    let pins: [(&str, FaultConfig, [u64; 9]); 4] = [
+        (
+            "clean",
+            FaultConfig::default(),
+            [
+                0x4c1cde4cd7689300,
+                0x71b912d3c422fd31,
+                0x18f8d4f9e52a5817,
+                0x76c2b0944caf9385,
+                0xcf3217c867901834,
+                0x0486aafb684d3905,
+                0x881119c4348015d6,
+                0xc1e7fbb65379c676,
+                0xb58542341da00b49,
+            ],
+        ),
+        (
+            "hostile",
+            hostile(),
+            [
+                0x9732e06b3f8728a5,
+                0xfc39ca901cffd266,
+                0xb8b5aadbb1858ef9,
+                0xb336c101450a8366,
+                0xd9ddd268ee57cb85,
+                0x1dc5d24b327c7de1,
+                0x24ed00436ce4c09e,
+                0x55668564f8246587,
+                0xa58ee4b00996a80f,
+            ],
+        ),
+        (
+            "heavy_tail",
+            heavy_tail(),
+            [
+                0xf20ef3e7fb8b9ded,
+                0x5e8d03f942a24ee4,
+                0x9b7d7c347f48cb1d,
+                0x7e53f057060449cd,
+                0xf97cb00a4838a9e5,
+                0x71beb697fd32ff1e,
+                0xae07da134ced8845,
+                0x25659a7d181721d7,
+                0x8387e1246bda099b,
+            ],
+        ),
+        (
+            "uniform_delay",
+            uniform_delay(),
+            [
+                0x6647dae417489028,
+                0xad1eb2df0dfc9465,
+                0x2ecd5190a304b561,
+                0xade5d5598a40cb9a,
+                0x5c7a03283c01ede7,
+                0xff7f6c9c8c72d462,
+                0x66b7c80ba2add6b8,
+                0x99cca0ac31d7f4de,
+                0x22d3290c5e51aca0,
+            ],
+        ),
+    ];
+    for (regime, faults, fingerprints) in pins {
+        for (algorithm, pin) in Algorithm::zoo().into_iter().zip(fingerprints) {
+            let name = format!("{}/{regime}", algorithm.name);
+            let mut sim = built(zoo_config(algorithm, faults));
+            let record = sim.run();
+            assert_eq!(
+                trajectory_fnv(&sim, &record),
+                pin,
+                "{name} trajectory moved"
+            );
+        }
     }
-    assert_eq!(
-        fast.comm_stats(),
-        slow.comm_stats(),
-        "{label}: comm ledger diverged"
-    );
-    assert_eq!(fast.syncs(), slow.syncs(), "{label}: sync count diverged");
-    assert_eq!(
-        fast.active_steps(),
-        slow.active_steps(),
-        "{label}: active-step count diverged"
-    );
-}
-
-fn gate_zoo(regime: &str, faults: FaultConfig) {
-    for algorithm in Algorithm::zoo() {
-        let label = format!("{}/{regime}", algorithm.name);
-        fast_matches_reference(&label, zoo_config(algorithm, faults));
-    }
-}
-
-#[test]
-fn zoo_fast_matches_reference_clean() {
-    gate_zoo("clean", FaultConfig::default());
-}
-
-#[test]
-fn zoo_fast_matches_reference_hostile() {
-    gate_zoo("hostile", hostile());
-}
-
-#[test]
-fn zoo_fast_matches_reference_heavy_tail() {
-    gate_zoo("heavy_tail", heavy_tail());
-}
-
-#[test]
-fn zoo_fast_matches_reference_uniform_delay() {
-    gate_zoo("uniform_delay", uniform_delay());
 }
 
 // ------------------------------------------- stateful checkpointing

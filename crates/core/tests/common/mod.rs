@@ -1,5 +1,6 @@
 //! Fingerprint helpers shared by the bitwise-equivalence batteries
-//! (`hotpath_equiv`, `algo_zoo`, `population_plane`, `timeline_plane`).
+//! (`hotpath_equiv`, `algo_zoo`, `fault_plane`, `population_plane`,
+//! `timeline_plane`, `scratch_sharing`).
 //! One FNV-1a scheme and one record comparison, so every battery pins
 //! trajectories the same way and a re-pin only ever happens in one
 //! place.
@@ -45,6 +46,26 @@ pub fn sim_bits(sim: &Simulation) -> Vec<u32> {
         out.extend(flatten(&d.model).iter().map(|v| v.to_bits()));
     }
     out
+}
+
+/// One FNV-1a fingerprint of a finished dense run: every model in the
+/// system ([`sim_bits`]) and everything its record determines —
+/// evaluation points, the communication ledger, sync and activity
+/// counts. The pin a trajectory keeps once nothing is left to compare it
+/// against.
+pub fn trajectory_fnv(sim: &Simulation, record: &RunRecord) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for b in sim_bits(sim) {
+        fnv(&mut h, &b.to_le_bytes());
+    }
+    for p in &record.points {
+        fnv(&mut h, &(p.step as u64).to_le_bytes());
+        fnv(&mut h, &p.global_accuracy.to_bits().to_le_bytes());
+        fnv(&mut h, &p.global_loss.to_bits().to_le_bytes());
+    }
+    let counts = format!("{:?} {} {}", record.comm, record.syncs, record.active_steps);
+    fnv(&mut h, counts.as_bytes());
+    h
 }
 
 /// Demands two run records agree bit for bit on everything the

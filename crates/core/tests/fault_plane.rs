@@ -2,8 +2,8 @@
 //! (retry accounting, deadline exclusion + stale merges, empty-cohort
 //! degradation, WAN outages) on seeded scenarios, plus the two
 //! bitwise-identity properties the plane must preserve — all-zero fault
-//! rates reproduce the fault-free trace, and `StepMode::Fast` /
-//! `StepMode::Reference` stay interchangeable with faults enabled.
+//! rates reproduce the fault-free trace, and a run with every fault
+//! enabled keeps its pinned trajectory.
 
 use middle_core::{
     Algorithm, DelayModel, DropoutModel, FaultConfig, SimConfig, SimError, Simulation,
@@ -13,9 +13,9 @@ use middle_data::Task;
 use middle_nn::params::flatten;
 use proptest::prelude::*;
 
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
+mod common;
+use common::{bits, trajectory_fnv};
+
 fn built(cfg: SimConfig) -> Simulation {
     SimulationBuilder::new(cfg).build().expect("valid config")
 }
@@ -274,11 +274,12 @@ fn partial_wan_outage_syncs_over_surviving_edges() {
     );
 }
 
-/// The hot path and the clone-based reference stay bitwise
-/// interchangeable with every failure model enabled at once: both
-/// consume the dedicated fault stream in the same order, step for step.
+/// Every failure model at once keeps the fingerprint of its trajectory
+/// ([`trajectory_fnv`]), captured at the last commit that still had the
+/// round-level reference step — where the fast and reference runs
+/// agreed, fault stream draw for draw.
 #[test]
-fn faulty_trace_is_bitwise_identical_to_reference() {
+fn faulty_trace_keeps_its_fingerprint() {
     let mut cfg = base_config();
     cfg.telemetry = false;
     cfg.faults = FaultConfig {
@@ -292,40 +293,9 @@ fn faulty_trace_is_bitwise_identical_to_reference() {
         upload_retries: 2,
         wan_outage: 0.4,
     };
-    let mut fast = built(cfg.clone());
-    let mut slow = built(cfg.clone());
-    for t in 0..cfg.steps {
-        fast.tick(StepMode::Fast);
-        slow.tick(StepMode::Reference);
-        assert_eq!(
-            bits(&flatten(fast.cloud_model())),
-            bits(&flatten(slow.cloud_model())),
-            "cloud diverged at step {t}"
-        );
-        for (n, (ef, es)) in fast.edges().iter().zip(slow.edges()).enumerate() {
-            assert_eq!(
-                bits(&flatten(&ef.model)),
-                bits(&flatten(&es.model)),
-                "edge {n} diverged at step {t}"
-            );
-            assert_eq!(ef.window_samples.to_bits(), es.window_samples.to_bits());
-        }
-        for (df, ds) in fast.devices().iter().zip(slow.devices()) {
-            assert_eq!(
-                bits(&flatten(&df.model)),
-                bits(&flatten(&ds.model)),
-                "device {} diverged at step {t}",
-                df.id
-            );
-        }
-        assert_eq!(
-            fast.fault_plane().pending().len(),
-            slow.fault_plane().pending().len()
-        );
-    }
-    assert_eq!(fast.comm_stats(), slow.comm_stats());
-    assert_eq!(fast.syncs(), slow.syncs());
-    assert_eq!(fast.active_steps(), slow.active_steps());
+    let mut sim = built(cfg);
+    let record = sim.run();
+    assert_eq!(trajectory_fnv(&sim, &record), 0x63e0436a357ef2f8);
 }
 
 /// Markov (sticky) dropout produces multi-step outages for the same

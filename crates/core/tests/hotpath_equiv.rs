@@ -1,28 +1,22 @@
-//! Equivalence gates for the zero-copy hot path: the fused
-//! selection/aggregation/sync kernels must track the original allocating
-//! implementations — approximately where a floating-point identity is
-//! involved, bit-for-bit where the rewrite only reorders storage.
+//! Gates for the zero-copy hot path: the fused dot and in-place
+//! aggregation kernels are bit-identical to the allocating originals,
+//! and the round's trajectories keep the FNV fingerprints pinned before
+//! each plane (faults, compression) and each retired round-level oracle
+//! existed.
 
 use middle_core::aggregation::{
     cloud_aggregate, cloud_aggregate_into, edge_aggregate, edge_aggregate_into,
 };
-use middle_core::selection::{
-    select_devices, select_devices_reference, update_similarity, update_similarity_reference,
-};
-use middle_core::similarity::similarity_utility;
-use middle_core::{
-    Algorithm, Device, SelectionPolicy, SimConfig, Simulation, SimulationBuilder, StepMode,
-};
-use middle_data::synthetic::{SyntheticSource, Task};
+use middle_core::{Algorithm, SelectionPolicy, SimConfig, Simulation, SimulationBuilder, StepMode};
 use middle_data::Task as DataTask;
 use middle_nn::params::{flatten, unflatten, weighted_average, weighted_average_into};
-use middle_nn::{zoo, Sequential};
-use middle_tensor::ops::{cosine_similarity_slices, dot3_slices, dot_slices};
+use middle_nn::Sequential;
+use middle_tensor::ops::{dot3_slices, dot_slices};
 use middle_tensor::random::rng;
 use proptest::prelude::*;
 
 mod common;
-use common::{bits, fnv, fnv_params};
+use common::{bits, fnv, fnv_params, trajectory_fnv};
 
 fn built(cfg: SimConfig) -> Simulation {
     SimulationBuilder::new(cfg).build().expect("valid config")
@@ -33,14 +27,6 @@ fn model_from(vals: &[f32]) -> Sequential {
     assert_eq!(m.param_count(), vals.len());
     unflatten(&mut m, vals);
     m
-}
-
-fn device_from(id: usize, vals: &[f32]) -> Device {
-    let src = SyntheticSource::new(Task::Mnist, 3);
-    let data = src.generate_balanced(6, id as u64);
-    let mut m = zoo::logistic(&Task::Mnist.spec(), &mut rng(id as u64));
-    unflatten(&mut m, vals);
-    Device::new(id, data, m, 900 + id as u64)
 }
 
 fn vals(n: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -60,31 +46,6 @@ proptest! {
         prop_assert_eq!(bb.to_bits(), dot_slices(&b, &b).to_bits());
     }
 
-    /// The identity-based delta-free utility tracks the naive
-    /// flatten-and-subtract cosine on independent vectors (where the
-    /// delta norm is well conditioned) to 1e-5.
-    #[test]
-    fn fused_update_similarity_matches_naive(
-        local in vals(20),
-        cloud in vals(20),
-    ) {
-        let mnist_dim = zoo::logistic(&Task::Mnist.spec(), &mut rng(0)).param_count();
-        // Embed the generated prefixes into full-size parameter vectors.
-        let mut l = vec![0.15f32; mnist_dim];
-        let mut c = vec![-0.2f32; mnist_dim];
-        l[..local.len()].copy_from_slice(&local);
-        c[..cloud.len()].copy_from_slice(&cloud);
-        let device = device_from(0, &l);
-        let cloud_norm = dot_slices(&c, &c);
-        let fused = update_similarity(&device, &c, cloud_norm);
-        let naive = update_similarity_reference(&device, &c);
-        prop_assert!((fused - naive).abs() <= 1e-5, "fused {} naive {}", fused, naive);
-        // Cross-check the naive path against a from-scratch computation.
-        let delta: Vec<f32> = l.iter().zip(&c).map(|(x, y)| x - y).collect();
-        let scratch = similarity_utility(&c, &delta);
-        prop_assert_eq!(naive.to_bits(), scratch.to_bits());
-    }
-
     /// In-place weighted averaging is bit-identical to the allocating
     /// reference for arbitrary positive weights.
     #[test]
@@ -100,44 +61,6 @@ proptest! {
         let (fr, fd) = (flatten(&reference), flatten(&dst));
         for (x, y) in fr.iter().zip(&fd) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    /// The O(n) partial-sort selection returns exactly the reference
-    /// full-sort ranking for every policy, including heavy score ties.
-    #[test]
-    fn selection_matches_reference(
-        seed in 0u64..500,
-        k in 1usize..6,
-        tie_fraction in 0.0f32..1.0,
-    ) {
-        let mnist_dim = zoo::logistic(&Task::Mnist.spec(), &mut rng(0)).param_count();
-        let cloud: Vec<f32> = (0..mnist_dim).map(|i| ((i + 3) as f32 * 0.13).sin()).collect();
-        let devices: Vec<Device> = (0..8)
-            .map(|id| {
-                // A tie_fraction of devices share the cloud parameters
-                // exactly (utility exactly 0 — the freshly-synced case).
-                if (id as f32) < tie_fraction * 8.0 {
-                    device_from(id, &cloud)
-                } else {
-                    let v: Vec<f32> = (0..mnist_dim)
-                        .map(|i| ((i * (id + 2)) as f32 * 0.07).cos())
-                        .collect();
-                    device_from(id, &v)
-                }
-            })
-            .collect();
-        let cands: Vec<usize> = (0..8).collect();
-        for policy in [
-            SelectionPolicy::Random,
-            SelectionPolicy::LeastSimilarUpdate,
-            SelectionPolicy::MostSimilarUpdate,
-            SelectionPolicy::OortUtility,
-        ] {
-            let fast = select_devices(policy, k, &cands, &devices, &cloud, &mut rng(seed));
-            let slow =
-                select_devices_reference(policy, k, &cands, &devices, &cloud, &mut rng(seed));
-            prop_assert_eq!(&fast, &slow);
         }
     }
 }
@@ -168,185 +91,65 @@ fn in_place_aggregates_match_references_bitwise() {
     }
 }
 
-/// The exact-tie invariant behind selection equivalence: a device whose
-/// parameters equal the cloud bitwise scores exactly 0 on both the fused
-/// identity path and the naive delta path.
+/// Round-level traces that once ran against the reference step, each
+/// pinned by the fingerprint of its trajectory ([`trajectory_fnv`]),
+/// captured at the last commit that still had the reference step — where
+/// the fast and reference runs of every one of them agreed. The kernels
+/// themselves meet their oracles in `middle_core::sim`'s kernel-pair
+/// harness.
 #[test]
-fn freshly_synced_device_scores_exact_zero_on_both_paths() {
-    let mnist_dim = zoo::logistic(&Task::Mnist.spec(), &mut rng(0)).param_count();
-    let cloud: Vec<f32> = (0..mnist_dim).map(|i| (i as f32 * 0.011).cos()).collect();
-    let device = device_from(3, &cloud);
-    let norm = dot_slices(&cloud, &cloud);
-    assert_eq!(
-        update_similarity(&device, &cloud, norm).to_bits(),
-        0.0f32.to_bits()
-    );
-    assert_eq!(
-        update_similarity_reference(&device, &cloud).to_bits(),
-        0.0f32.to_bits()
-    );
-    // Sanity: the shared norm really is the one the identity consumes.
-    assert!(cosine_similarity_slices(&cloud, &cloud) > 0.99);
-}
-
-/// The end-to-end gate: 20 steps of the zero-copy `StepMode::Fast`
-/// produce exactly the same simulation state and evaluation curve as 20
-/// steps of the clone-based `StepMode::Reference`, for the full MIDDLE
-/// algorithm across
-/// train → edge-aggregate → cloud-sync boundaries (`cloud_interval = 4`
-/// exercises five sync/broadcast cycles and the cache invalidation in
-/// between).
-#[test]
-fn twenty_step_trace_is_bitwise_identical_to_reference() {
-    let mut cfg = SimConfig::tiny(DataTask::Mnist, Algorithm::middle());
-    cfg.steps = 20;
-    cfg.cloud_interval = 4;
-    cfg.eval_interval = 2;
-    let mut fast = built(cfg.clone());
-    let mut slow = built(cfg.clone());
-
-    for t in 0..cfg.steps {
-        fast.tick(StepMode::Fast);
-        slow.tick(StepMode::Reference);
-
-        let (cf, cs) = (flatten(fast.cloud_model()), flatten(slow.cloud_model()));
-        assert_eq!(bits(&cf), bits(&cs), "cloud diverged at step {t}");
-        for (n, (ef, es)) in fast.edges().iter().zip(slow.edges()).enumerate() {
-            assert_eq!(
-                bits(&flatten(&ef.model)),
-                bits(&flatten(&es.model)),
-                "edge {n} diverged at step {t}"
-            );
-            assert_eq!(ef.window_samples.to_bits(), es.window_samples.to_bits());
-        }
-        for (df, ds) in fast.devices().iter().zip(slow.devices()) {
-            assert_eq!(
-                bits(&flatten(&df.model)),
-                bits(&flatten(&ds.model)),
-                "device {} diverged at step {t}",
-                df.id
-            );
-            assert_eq!(
-                df.oort_utility.map(f32::to_bits),
-                ds.oort_utility.map(f32::to_bits)
-            );
-            assert_eq!(df.last_participation, ds.last_participation);
-        }
-        if (t + 1) % cfg.eval_interval == 0 {
-            let gf = fast.evaluate(&fast.virtual_global());
-            let gs = slow.evaluate(&slow.virtual_global());
-            assert_eq!(
-                gf.0.to_bits(),
-                gs.0.to_bits(),
-                "accuracy diverged at step {t}"
-            );
-            assert_eq!(gf.1.to_bits(), gs.1.to_bits(), "loss diverged at step {t}");
-        }
-    }
-    assert_eq!(fast.syncs(), slow.syncs());
-    assert_eq!(fast.comm_stats(), slow.comm_stats());
-    assert_eq!(fast.active_steps(), slow.active_steps());
-}
-
-/// Availability filtering drains the same RNG stream on both paths, so a
-/// 50%-dropout run must stay bitwise identical step for step — and the
-/// corrected comm accounting (downloads counted only when they happen)
-/// must agree between the two implementations.
-#[test]
-fn availability_trace_is_bitwise_identical_to_reference() {
-    let mut cfg = SimConfig::tiny(DataTask::Mnist, Algorithm::middle());
-    cfg.steps = 16;
-    cfg.cloud_interval = 4;
-    cfg.availability = 0.5;
-    let mut fast = built(cfg.clone());
-    let mut slow = built(cfg.clone());
-    for t in 0..cfg.steps {
-        fast.tick(StepMode::Fast);
-        slow.tick(StepMode::Reference);
-        let (cf, cs) = (flatten(fast.cloud_model()), flatten(slow.cloud_model()));
-        assert_eq!(bits(&cf), bits(&cs), "cloud diverged at step {t}");
-        for (df, ds) in fast.devices().iter().zip(slow.devices()) {
-            assert_eq!(
-                bits(&flatten(&df.model)),
-                bits(&flatten(&ds.model)),
-                "device {} diverged at step {t}",
-                df.id
-            );
-        }
-    }
-    assert_eq!(fast.syncs(), slow.syncs());
-    assert_eq!(fast.comm_stats(), slow.comm_stats());
-    assert_eq!(fast.active_steps(), slow.active_steps());
-    // With 50% dropout some steps can end up fully inactive; either way
-    // the count must never exceed the horizon.
-    assert!(fast.active_steps() <= cfg.steps as u64);
-}
-
-/// `OnDevicePolicy::KeepLocal` — moved devices keep training their own
-/// model and never consume the edge download. The corrected accounting
-/// must charge strictly fewer downloads than uploads whenever a selected
-/// device had moved, identically on both paths.
-#[test]
-fn keep_local_trace_is_bitwise_identical_to_reference() {
-    use middle_core::OnDevicePolicy;
-    let algo = Algorithm::custom(
+fn former_reference_traces_keep_their_fingerprints() {
+    use middle_core::{DelayModel, DropoutModel, OnDevicePolicy};
+    let trace = |algorithm: Algorithm, steps: usize, cloud_interval: usize| {
+        let mut cfg = SimConfig::tiny(DataTask::Mnist, algorithm);
+        cfg.steps = steps;
+        cfg.cloud_interval = cloud_interval;
+        cfg
+    };
+    // Half the devices sit out each step: the availability draws.
+    let mut availability = trace(Algorithm::middle(), 16, 4);
+    availability.availability = 0.5;
+    // Moved devices keep their model and download nothing.
+    let keep_local = Algorithm::custom(
         "KeepLocal",
         SelectionPolicy::Random,
         OnDevicePolicy::KeepLocal,
     );
-    let mut cfg = SimConfig::tiny(DataTask::Mnist, algo);
-    cfg.steps = 12;
-    cfg.cloud_interval = 4;
-    let mut fast = built(cfg.clone());
-    let mut slow = built(cfg.clone());
-    for t in 0..cfg.steps {
-        fast.tick(StepMode::Fast);
-        slow.tick(StepMode::Reference);
-        let (cf, cs) = (flatten(fast.cloud_model()), flatten(slow.cloud_model()));
-        assert_eq!(bits(&cf), bits(&cs), "cloud diverged at step {t}");
-        for (df, ds) in fast.devices().iter().zip(slow.devices()) {
-            assert_eq!(
-                bits(&flatten(&df.model)),
-                bits(&flatten(&ds.model)),
-                "device {} diverged at step {t}",
-                df.id
-            );
-        }
-    }
-    let (f, s) = (fast.comm_stats(), slow.comm_stats());
-    assert_eq!(f, s);
-    assert_eq!(fast.active_steps(), slow.active_steps());
-    // Every selected device uploads; only non-moved ones download. With
-    // P = 0.5 mobility over 12 steps some selected device moved, so the
-    // download count must sit strictly below the upload count.
-    assert!(
-        f.edge_to_device < f.device_to_edge,
-        "downloads {} should be < uploads {} under KeepLocal",
-        f.edge_to_device,
-        f.device_to_edge
-    );
-}
-
-/// Same gate for the Oort-selection / edge-download configuration, which
-/// exercises the load-flat broadcast path (`OnDevicePolicy::EdgeModel`)
-/// rather than similarity blending.
-#[test]
-fn oort_trace_is_bitwise_identical_to_reference() {
-    let mut cfg = SimConfig::tiny(DataTask::Mnist, Algorithm::oort());
-    cfg.steps = 12;
-    cfg.cloud_interval = 3;
-    let mut fast = built(cfg.clone());
-    let mut slow = built(cfg.clone());
-    for _ in 0..cfg.steps {
-        fast.tick(StepMode::Fast);
-        slow.tick(StepMode::Reference);
-    }
-    assert_eq!(
-        bits(&flatten(fast.cloud_model())),
-        bits(&flatten(slow.cloud_model()))
-    );
-    for (df, ds) in fast.devices().iter().zip(slow.devices()) {
-        assert_eq!(bits(&flatten(&df.model)), bits(&flatten(&ds.model)));
+    let keep_local = trace(keep_local, 12, 4);
+    // Oort selection over edge-model downloads.
+    let oort = trace(Algorithm::oort(), 12, 3);
+    let mut lossy = trace(Algorithm::middle(), 20, 4);
+    lossy.compression.enabled = true;
+    lossy.compression.quantize_bits = 6;
+    lossy.compression.top_frac = 0.3;
+    // Lossy compression with every failure model on at once.
+    let mut hostile = trace(Algorithm::middle(), 20, 4);
+    hostile.compression.enabled = true;
+    hostile.compression.quantize_bits = 4;
+    hostile.compression.top_frac = 0.25;
+    hostile.faults.dropout = DropoutModel::Iid { p: 0.2 };
+    hostile.faults.straggler_delay = DelayModel::Uniform {
+        min_s: 0.0,
+        max_s: 2.0,
+    };
+    hostile.faults.deadline_s = 1.5;
+    hostile.faults.upload_loss = 0.15;
+    hostile.faults.upload_retries = 2;
+    hostile.faults.wan_outage = 0.3;
+    for (name, cfg, pin) in [
+        ("availability 0.5", availability, 0xc25c739326cfe9b1),
+        ("KeepLocal", keep_local, 0xc72c2815a5d60045),
+        ("Oort", oort, 0x9046c92c5764228d),
+        ("lossy", lossy, 0xd99bde3a3418774f),
+        ("lossy, every fault", hostile, 0x18f2065ae87f044f),
+    ] {
+        let mut sim = built(cfg);
+        let record = sim.run();
+        assert_eq!(
+            trajectory_fnv(&sim, &record),
+            pin,
+            "{name} trajectory moved"
+        );
     }
 }
 
@@ -502,108 +305,4 @@ fn lossless_compression_run_is_bitwise_identical_to_off() {
         assert_eq!(bits(&flatten(&a.model)), bits(&flatten(&b.model)));
     }
     assert_eq!(off.comm_stats(), lossless.comm_stats());
-}
-
-/// Lossy compression consumes its RNG stream and rewrites every uplink
-/// identically in both step modes (the lossy arms of `aggregate_cohort`
-/// and `cloud_sync_now` sit outside the mode dispatch), so a
-/// quantized + sparsified run must stay bitwise identical step for
-/// step.
-#[test]
-fn lossy_compression_trace_is_bitwise_identical_to_reference() {
-    let mut cfg = SimConfig::tiny(DataTask::Mnist, Algorithm::middle());
-    cfg.steps = 20;
-    cfg.cloud_interval = 4;
-    cfg.compression.enabled = true;
-    cfg.compression.quantize_bits = 6;
-    cfg.compression.top_frac = 0.3;
-    assert!(cfg.compression.lossy_active());
-    let mut fast = built(cfg.clone());
-    let mut slow = built(cfg.clone());
-    for t in 0..cfg.steps {
-        fast.tick(StepMode::Fast);
-        slow.tick(StepMode::Reference);
-        let (cf, cs) = (flatten(fast.cloud_model()), flatten(slow.cloud_model()));
-        assert_eq!(bits(&cf), bits(&cs), "cloud diverged at step {t}");
-        for (n, (ef, es)) in fast.edges().iter().zip(slow.edges()).enumerate() {
-            assert_eq!(
-                bits(&flatten(&ef.model)),
-                bits(&flatten(&es.model)),
-                "edge {n} diverged at step {t}"
-            );
-            assert_eq!(ef.window_samples.to_bits(), es.window_samples.to_bits());
-        }
-        for (df, ds) in fast.devices().iter().zip(slow.devices()) {
-            assert_eq!(
-                bits(&flatten(&df.model)),
-                bits(&flatten(&ds.model)),
-                "device {} diverged at step {t}",
-                df.id
-            );
-        }
-    }
-    assert_eq!(fast.syncs(), slow.syncs());
-    assert_eq!(fast.comm_stats(), slow.comm_stats());
-    // Compressed uplinks must actually shrink the ledger: uplink bytes
-    // sit strictly below count × dense.
-    let comm = fast.comm_stats();
-    let dense = 4 * flatten(fast.cloud_model()).len() as u64;
-    assert!(comm.device_to_edge_bytes < comm.device_to_edge * dense);
-    assert!(comm.edge_to_cloud_bytes < comm.edge_to_cloud * dense);
-    // Downlinks stay dense.
-    assert_eq!(comm.edge_to_device_bytes, comm.edge_to_device * dense);
-    assert_eq!(comm.cloud_to_device_bytes, comm.cloud_to_device * dense);
-}
-
-/// The full-interaction gate: lossy compression with *every* failure
-/// model enabled at once (i.i.d. dropout, uniform straggler delays
-/// with a deadline, lossy retried uploads and WAN outages) must stay
-/// bitwise identical between the two step implementations — deadline
-/// misses compress at miss time, lost uploads advance the residual and
-/// RNG, and masked cloud syncs compress only the up edges, all through
-/// the shared helpers.
-#[test]
-fn lossy_compression_with_all_faults_is_bitwise_identical_to_reference() {
-    use middle_core::{DelayModel, DropoutModel};
-    let mut cfg = SimConfig::tiny(DataTask::Mnist, Algorithm::middle());
-    cfg.steps = 20;
-    cfg.cloud_interval = 4;
-    cfg.compression.enabled = true;
-    cfg.compression.quantize_bits = 4;
-    cfg.compression.top_frac = 0.25;
-    cfg.faults.dropout = DropoutModel::Iid { p: 0.2 };
-    cfg.faults.straggler_delay = DelayModel::Uniform {
-        min_s: 0.0,
-        max_s: 2.0,
-    };
-    cfg.faults.deadline_s = 1.5;
-    cfg.faults.upload_loss = 0.15;
-    cfg.faults.upload_retries = 2;
-    cfg.faults.wan_outage = 0.3;
-    let mut fast = built(cfg.clone());
-    let mut slow = built(cfg.clone());
-    for t in 0..cfg.steps {
-        fast.tick(StepMode::Fast);
-        slow.tick(StepMode::Reference);
-        let (cf, cs) = (flatten(fast.cloud_model()), flatten(slow.cloud_model()));
-        assert_eq!(bits(&cf), bits(&cs), "cloud diverged at step {t}");
-        for (n, (ef, es)) in fast.edges().iter().zip(slow.edges()).enumerate() {
-            assert_eq!(
-                bits(&flatten(&ef.model)),
-                bits(&flatten(&es.model)),
-                "edge {n} diverged at step {t}"
-            );
-        }
-        for (df, ds) in fast.devices().iter().zip(slow.devices()) {
-            assert_eq!(
-                bits(&flatten(&df.model)),
-                bits(&flatten(&ds.model)),
-                "device {} diverged at step {t}",
-                df.id
-            );
-        }
-    }
-    assert_eq!(fast.syncs(), slow.syncs());
-    assert_eq!(fast.comm_stats(), slow.comm_stats());
-    assert_eq!(fast.active_steps(), slow.active_steps());
 }

@@ -59,32 +59,25 @@ fn model_bits(sim: &Simulation) -> Vec<Vec<u32>> {
 /// Runs `cfg` to completion and fingerprints everything the plane must
 /// preserve: the run record's points/ledger/counters plus the bits of
 /// every model in the system.
-fn fingerprint(cfg: &SimConfig, mode: StepMode) -> (RunRecord, Vec<Vec<u32>>) {
+fn fingerprint(cfg: &SimConfig) -> (RunRecord, Vec<Vec<u32>>) {
     let mut sim = built(cfg.clone());
-    let record = sim.run_with(mode);
+    let record = sim.run();
     let models = model_bits(&sim);
     (record, models)
 }
 
-fn assert_modes_equivalent(cfg: SimConfig, mode: StepMode) {
-    let (dense_record, dense_models) = fingerprint(&cfg, mode);
-    let (lazy_record, lazy_models) = fingerprint(&lazy(cfg), mode);
+fn assert_modes_equivalent(cfg: SimConfig) {
+    let (dense_record, dense_models) = fingerprint(&cfg);
+    let (lazy_record, lazy_models) = fingerprint(&lazy(cfg));
     assert_records_equal(&dense_record, &lazy_record);
     assert_eq!(dense_record.event_seconds, lazy_record.event_seconds);
     assert_eq!(dense_models, lazy_models);
 }
 
-/// Clean run: lazy == dense bitwise in the fast path.
+/// Clean run: lazy == dense bitwise.
 #[test]
 fn lazy_matches_dense_clean() {
-    assert_modes_equivalent(base_config(), StepMode::Fast);
-}
-
-/// Clean run: lazy == dense bitwise in the reference path too (the
-/// reference broadcast keeps its clone-based oracle only when dense).
-#[test]
-fn lazy_matches_dense_clean_reference() {
-    assert_modes_equivalent(base_config(), StepMode::Reference);
+    assert_modes_equivalent(base_config());
 }
 
 /// Bursty Markov dropout exercises empty cohorts and the availability
@@ -96,7 +89,7 @@ fn lazy_matches_dense_under_dropout() {
         p_fail: 0.3,
         p_recover: 0.5,
     };
-    assert_modes_equivalent(cfg, StepMode::Fast);
+    assert_modes_equivalent(cfg);
 }
 
 /// Stragglers + deadline misses + upload loss exercise the stale-merge
@@ -108,7 +101,7 @@ fn lazy_matches_dense_under_stragglers_and_loss() {
     cfg.faults.deadline_s = 1.2;
     cfg.faults.upload_loss = 0.2;
     cfg.faults.upload_retries = 2;
-    assert_modes_equivalent(cfg, StepMode::Fast);
+    assert_modes_equivalent(cfg);
 }
 
 /// WAN outages exercise the partial broadcast: only devices at reached
@@ -118,10 +111,7 @@ fn lazy_matches_dense_under_stragglers_and_loss() {
 fn lazy_matches_dense_under_wan_outage() {
     let mut cfg = base_config();
     cfg.faults.wan_outage = 0.5;
-    assert_modes_equivalent(cfg, StepMode::Fast);
-    let mut ref_cfg = base_config();
-    ref_cfg.faults.wan_outage = 0.5;
-    assert_modes_equivalent(ref_cfg, StepMode::Reference);
+    assert_modes_equivalent(cfg);
 }
 
 /// Lossy compression exercises the error-feedback residual path, whose
@@ -132,7 +122,7 @@ fn lazy_matches_dense_with_compression() {
     cfg.compression.enabled = true;
     cfg.compression.quantize_bits = 8;
     cfg.compression.top_frac = 0.5;
-    assert_modes_equivalent(cfg, StepMode::Fast);
+    assert_modes_equivalent(cfg);
 }
 
 /// The event engine with real latencies: exponential stragglers ride
@@ -168,13 +158,12 @@ fn has_demoted_sender_in_flight(sim: &Simulation) -> bool {
 /// below, which cuts the run at its first occurrence.
 #[test]
 fn lazy_matches_dense_event_driven_with_real_latencies() {
-    assert_modes_equivalent(async_config(), StepMode::Fast);
-    assert_modes_equivalent(async_config(), StepMode::Reference);
+    assert_modes_equivalent(async_config());
     let mut lossy = async_config();
     lossy.compression.enabled = true;
     lossy.compression.quantize_bits = 8;
     lossy.compression.top_frac = 0.5;
-    assert_modes_equivalent(lossy, StepMode::Fast);
+    assert_modes_equivalent(lossy);
 }
 
 /// Kill the lazy async run at a tick where a demoted sender's upload is

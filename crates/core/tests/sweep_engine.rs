@@ -5,8 +5,8 @@
 //! resumed sweeps reproducing the uninterrupted report.
 
 use middle_core::{
-    run_sweep, Algorithm, DelayModel, DropoutModel, FaultConfig, ScenarioGrid, SimConfig, SimError,
-    Simulation, SimulationBuilder, StepMode, SweepOptions,
+    run_sweep, Algorithm, DelayModel, DropoutModel, FaultConfig, RunRecord, ScenarioGrid,
+    SimCheckpoint, SimConfig, SimError, Simulation, SimulationBuilder, StepMode, SweepOptions,
 };
 use middle_data::Task;
 use middle_mobility::Trace;
@@ -113,7 +113,7 @@ fn resume_matches_straight_run(cfg: SimConfig) {
     let json = first.checkpoint().to_json();
     drop(first);
 
-    let ck = middle_core::SimCheckpoint::from_json(&json).expect("checkpoint parses");
+    let ck = SimCheckpoint::from_json(&json).expect("checkpoint parses");
     let mut second = SimulationBuilder::new(cfg).build().unwrap();
     second.restore(&ck).expect("checkpoint applies");
     assert_eq!(second.next_step(), 3);
@@ -262,6 +262,40 @@ fn checkpoint_rejects_a_different_config() {
     let mut b = SimulationBuilder::new(other).build().unwrap();
     let err = b.restore(&ck).unwrap_err();
     assert!(matches!(err, SimError::CheckpointMismatch { .. }));
+}
+
+/// A sample window that is NaN, infinite or negative would weight the
+/// next Eq. 7 sync with garbage, and a wall-clock total like that would
+/// poison the record: `restore` rejects either before its first write,
+/// so the target still runs the fresh trajectory.
+#[test]
+fn checkpoint_rejects_corrupt_windows_and_clock_untouched() {
+    let mut a = SimulationBuilder::new(tiny()).build().unwrap();
+    for _ in 0..2 {
+        a.tick(StepMode::Fast);
+    }
+    let mut nan = a.checkpoint();
+    nan.edges[1].window_samples = f64::NAN;
+    let mut negative = a.checkpoint();
+    negative.edges[0].window_samples = -5.0;
+    let negative = SimCheckpoint::from_json(&negative.to_json()).expect("a number still parses");
+    let mut clock = a.checkpoint();
+    clock.elapsed_seconds = -1.0;
+
+    let fresh = SimulationBuilder::new(tiny()).build().unwrap().run();
+    for ck in [nan, negative, clock] {
+        let mut target = SimulationBuilder::new(tiny()).build().unwrap();
+        let err = target.restore(&ck).unwrap_err();
+        assert!(matches!(err, SimError::CheckpointMismatch { .. }), "{err}");
+        let record = target.run();
+        let points = |r: &RunRecord| -> Vec<(u32, u32)> {
+            (r.points.iter())
+                .map(|p| (p.global_accuracy.to_bits(), p.global_loss.to_bits()))
+                .collect()
+        };
+        assert_eq!(points(&record), points(&fresh), "{err}");
+        assert_eq!(record.comm, fresh.comm, "{err}");
+    }
 }
 
 // ------------------------------------------------------ sweep determinism

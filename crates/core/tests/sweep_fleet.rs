@@ -14,7 +14,7 @@
 
 use middle_core::{
     fleet_status, run_fleet_coordinator, run_fleet_worker, run_sweep, Algorithm, FleetOptions,
-    ScenarioGrid, SimCheckpoint, SimConfig, StepMode, SweepOptions,
+    ScenarioGrid, SimCheckpoint, SimConfig, SweepOptions,
 };
 use middle_data::Task;
 use std::path::PathBuf;
@@ -54,7 +54,6 @@ fn scratch(tag: &str) -> PathBuf {
 /// them use [`live_opts`].
 fn opts() -> FleetOptions {
     FleetOptions {
-        step_mode: StepMode::Fast,
         lease_ms: 0,
         heartbeat_ms: 10_000,
         poll_ms: 1,

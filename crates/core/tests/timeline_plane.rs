@@ -1,10 +1,9 @@
 //! Differential battery for the event-driven timeline: at the
 //! zero-delay corner the event engine must reproduce the lockstep
 //! scheduler bit for bit — identical run record, identical
-//! cloud/edge/device parameters — across every fault regime and in
-//! both step modes. Lockstep is the oracle; the event engine
-//! earns its asynchrony by collapsing onto it exactly when every
-//! latency is zero. On top of the differential matrix: heap ordering
+//! cloud/edge/device parameters — across every fault regime. Lockstep
+//! is the oracle; the event engine earns its asynchrony by collapsing
+//! onto it exactly when every latency is zero. On top of the differential matrix: heap ordering
 //! properties (pop order is insertion-invariant, so any event-arrival
 //! permutation consistent with timestamp order yields the same run),
 //! determinism of the genuinely-async arm, and sanity gates on
@@ -74,13 +73,13 @@ fn wan_outage() -> FaultConfig {
 }
 
 /// Runs `cfg` under lockstep and under zero-delay event-driven
-/// execution (same step implementation) and demands bitwise agreement
-/// on the run record and on every model in the system.
-fn event_matches_lockstep(cfg: SimConfig, mode: StepMode) {
+/// execution and demands bitwise agreement on the run record and on
+/// every model in the system.
+fn event_matches_lockstep(cfg: SimConfig) {
     let mut lock = built(cfg.clone());
-    let lock_record = lock.run_with(mode);
+    let lock_record = lock.run();
     let mut event = built(event_zero(cfg));
-    let event_record = event.run_with(mode);
+    let event_record = event.run();
     assert_records_equal(&lock_record, &event_record);
     assert_eq!(
         sim_bits(&lock),
@@ -93,54 +92,28 @@ fn event_matches_lockstep(cfg: SimConfig, mode: StepMode) {
 
 #[test]
 fn zero_delay_matches_lockstep_clean() {
-    event_matches_lockstep(base_config(), StepMode::Fast);
-}
-
-#[test]
-fn zero_delay_matches_lockstep_clean_reference() {
-    event_matches_lockstep(base_config(), StepMode::Reference);
+    event_matches_lockstep(base_config());
 }
 
 #[test]
 fn zero_delay_matches_lockstep_under_dropout() {
     let mut cfg = base_config();
     cfg.faults = dropout();
-    event_matches_lockstep(cfg, StepMode::Fast);
-}
-
-#[test]
-fn zero_delay_matches_lockstep_under_dropout_reference() {
-    let mut cfg = base_config();
-    cfg.faults = dropout();
-    event_matches_lockstep(cfg, StepMode::Reference);
+    event_matches_lockstep(cfg);
 }
 
 #[test]
 fn zero_delay_matches_lockstep_under_stragglers() {
     let mut cfg = base_config();
     cfg.faults = stragglers();
-    event_matches_lockstep(cfg, StepMode::Fast);
-}
-
-#[test]
-fn zero_delay_matches_lockstep_under_stragglers_reference() {
-    let mut cfg = base_config();
-    cfg.faults = stragglers();
-    event_matches_lockstep(cfg, StepMode::Reference);
+    event_matches_lockstep(cfg);
 }
 
 #[test]
 fn zero_delay_matches_lockstep_under_wan_outage() {
     let mut cfg = base_config();
     cfg.faults = wan_outage();
-    event_matches_lockstep(cfg, StepMode::Fast);
-}
-
-#[test]
-fn zero_delay_matches_lockstep_under_wan_outage_reference() {
-    let mut cfg = base_config();
-    cfg.faults = wan_outage();
-    event_matches_lockstep(cfg, StepMode::Reference);
+    event_matches_lockstep(cfg);
 }
 
 #[test]
@@ -149,16 +122,7 @@ fn zero_delay_matches_lockstep_with_compression() {
     cfg.compression.enabled = true;
     cfg.compression.quantize_bits = 8;
     cfg.compression.top_frac = 0.5;
-    event_matches_lockstep(cfg, StepMode::Fast);
-}
-
-#[test]
-fn zero_delay_matches_lockstep_with_compression_reference() {
-    let mut cfg = base_config();
-    cfg.compression.enabled = true;
-    cfg.compression.quantize_bits = 8;
-    cfg.compression.top_frac = 0.5;
-    event_matches_lockstep(cfg, StepMode::Reference);
+    event_matches_lockstep(cfg);
 }
 
 /// A stateful policy (FedFly's in-flight migration set) must survive
@@ -169,15 +133,7 @@ fn zero_delay_matches_lockstep_stateful_algorithm() {
     let mut cfg = base_config();
     cfg.algorithm = Algorithm::fedfly();
     cfg.faults = dropout();
-    event_matches_lockstep(cfg, StepMode::Fast);
-}
-
-#[test]
-fn zero_delay_matches_lockstep_stateful_algorithm_reference() {
-    let mut cfg = base_config();
-    cfg.algorithm = Algorithm::fedfly();
-    cfg.faults = dropout();
-    event_matches_lockstep(cfg, StepMode::Reference);
+    event_matches_lockstep(cfg);
 }
 
 /// An `edge_threshold` is provably irrelevant at zero delay: every
@@ -188,11 +144,11 @@ fn zero_delay_matches_lockstep_stateful_algorithm_reference() {
 fn zero_delay_edge_threshold_is_irrelevant() {
     let mut cfg = event_zero(base_config());
     cfg.faults = stragglers();
-    let baseline = built(cfg.clone()).run_with(StepMode::Fast);
+    let baseline = built(cfg.clone()).run();
     for k in [1, 2] {
         let mut with_threshold = cfg.clone();
         with_threshold.timeline.edge_threshold = Some(k);
-        let record = built(with_threshold).run_with(StepMode::Fast);
+        let record = built(with_threshold).run();
         assert_records_equal(&baseline, &record);
     }
 }
@@ -205,7 +161,7 @@ fn zero_delay_clock_is_final_step_boundary() {
     let cfg = event_zero(base_config());
     let steps = cfg.steps;
     let step_duration = cfg.timeline.step_duration;
-    let record = built(cfg).run_with(StepMode::Fast);
+    let record = built(cfg).run();
     let clock = record.event_seconds.expect("event-driven run");
     assert_eq!(clock, (steps - 1) as f64 * step_duration);
 }
@@ -228,9 +184,9 @@ fn async_run_is_deterministic() {
     cfg.timeline.edge_threshold = Some(2);
     cfg.timeline.cloud_timer = Some(3.0);
     let mut a = built(cfg.clone());
-    let ra = a.run_with(StepMode::Fast);
+    let ra = a.run();
     let mut b = built(cfg);
-    let rb = b.run_with(StepMode::Fast);
+    let rb = b.run();
     assert_records_equal(&ra, &rb);
     assert_eq!(ra.event_seconds, rb.event_seconds);
     assert_eq!(sim_bits(&a), sim_bits(&b));
@@ -242,7 +198,7 @@ fn async_run_is_deterministic() {
 #[test]
 fn async_clock_and_ledger_are_sane() {
     let mut sim = built(async_config());
-    let record = sim.run_with(StepMode::Fast);
+    let record = sim.run();
     let clock = record.event_seconds.expect("event-driven run");
     assert!(clock >= 19.0, "clock went backwards: {clock}");
     assert!(record.comm.device_to_edge > 0);
@@ -257,7 +213,7 @@ fn async_clock_and_ledger_are_sane() {
 fn async_cloud_timer_drives_syncs() {
     let mut cfg = async_config();
     cfg.timeline.cloud_timer = Some(2.0);
-    let record = built(cfg).run_with(StepMode::Fast);
+    let record = built(cfg).run();
     assert!(
         record.syncs >= 5,
         "timer at 2.0s over ~20s simulated should sync >= 5 times, got {}",
@@ -272,7 +228,7 @@ fn async_edge_threshold_aggregates_early() {
     let mut cfg = async_config();
     cfg.timeline.edge_threshold = Some(1);
     let steps = cfg.steps;
-    let record = built(cfg).run_with(StepMode::Fast);
+    let record = built(cfg).run();
     assert_eq!(record.points.last().map(|p| p.step), Some(steps));
     assert!(record.comm.device_to_edge > 0);
 }
@@ -468,8 +424,8 @@ proptest! {
         cfg.eval_interval = 8;
         cfg.seed = seed;
         cfg.faults = stragglers();
-        let lock = built(cfg.clone()).run_with(StepMode::Fast);
-        let event = built(event_zero(cfg)).run_with(StepMode::Fast);
+        let lock = built(cfg.clone()).run();
+        let event = built(event_zero(cfg)).run();
         assert_records_equal(&lock, &event);
     }
 }

@@ -22,7 +22,7 @@
 
 use middle_core::{
     fleet_status, run_fleet_coordinator, run_fleet_worker, run_sweep, Algorithm, FleetOptions,
-    ScenarioGrid, SimConfig, StepMode, SweepOptions,
+    ScenarioGrid, SimConfig, SweepOptions,
 };
 use middle_data::Task;
 use std::path::{Path, PathBuf};
@@ -159,7 +159,6 @@ fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> 
 fn fleet_options(args: &Args) -> FleetOptions {
     let defaults = FleetOptions::default();
     FleetOptions {
-        step_mode: StepMode::Fast,
         shard_size: args.shard_size.unwrap_or(defaults.shard_size),
         lease_ms: args.lease_ms.unwrap_or(defaults.lease_ms),
         heartbeat_ms: args.heartbeat_ms.unwrap_or(defaults.heartbeat_ms),

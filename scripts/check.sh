@@ -53,6 +53,29 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# A doc that names a file that is gone misleads its next reader. Every
+# backticked path-like token (first word, `:line` suffix dropped) must
+# exist or be a build output `.gitignore` lists; tokens holding a glob,
+# a brace list or a `<placeholder>` are patterns, not paths.
+echo "==> stale paths in README.md, DESIGN.md and the verify skill"
+stale=$(grep -oh '`[^`]*`' README.md DESIGN.md .claude/skills/verify/SKILL.md |
+    while IFS= read -r token; do
+        token=${token//\`/}
+        [[ "$token" == *[*{\<]* ]] && continue
+        path=${token%% *}
+        path=${path%%:*}
+        case "$path" in
+        crates/* | perf/* | scripts/* | results/* | examples/* | tests/* | src/* | .github/* | .claude/* | BENCH_*.json)
+            [[ -e "$path" ]] || git check-ignore -q "$path" || echo "$path"
+            ;;
+        esac
+    done | sort -u)
+if [[ -n "$stale" ]]; then
+    echo "stale paths named in the docs:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -81,10 +104,11 @@ if [[ "$CI" -eq 1 ]]; then
     echo "==> shim tests (scheduler rules, two-stage sampling, Value round trips, JSON bytes)"
     cargo test -q -p rayon -p rand_distr -p serde -p serde_json
 
-    # One CPU is the pool's no-worker path: every FNV pin must hold
-    # there exactly as it just did on all cores.
-    echo "==> FNV pins on one thread (taskset -c 0)"
-    taskset -c 0 cargo test -q -p middle-core --test hotpath_equiv --test population_plane \
+    # One CPU is the pool's no-worker path: every FNV pin and every
+    # kernel pair of the harness must hold there exactly as they just did
+    # on all cores.
+    echo "==> FNV pins and kernel pairs on one thread (taskset -c 0)"
+    taskset -c 0 cargo test -q -p middle-core --lib --test hotpath_equiv --test population_plane \
         --test timeline_plane --test algo_zoo
 
     echo "==> cargo doc --workspace --no-deps (warnings denied)"

@@ -32,7 +32,7 @@ pub mod prelude {
         Algorithm, AlgorithmConfig, AlgorithmPolicy, AlgorithmState, CompressionConfig, DelayModel,
         DropoutModel, ExecutionMode, FaultConfig, LatencyModel, MobilitySource, MoveAction,
         OnDevicePolicy, PopulationMode, RunRecord, SelectionPolicy, SimConfig, SimError,
-        Simulation, SimulationBuilder, StepMode, TimelineConfig,
+        Simulation, SimulationBuilder, TimelineConfig,
     };
     pub use middle_data::{Scheme, Task};
     pub use middle_mobility::Trace;
