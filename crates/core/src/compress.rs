@@ -21,9 +21,11 @@
 //!   delta computation and **no** allocation — the simulation is bitwise
 //!   identical to one without the plane (gated by
 //!   `crates/core/tests/hotpath_equiv.rs`);
-//! * the compressed aggregation arms live in [`crate::Simulation`]'s
-//!   one round skeleton, where they replace the Eq. 6 / Eq. 7 kernels
-//!   with one sequential reconstruction sum.
+//! * every compression of a round goes through one entry point,
+//!   [`CompressionPlane::compress_batch`]: its delta, top-K and
+//!   quantization run in parallel across the batch, while the
+//!   stochastic-rounding uniforms are drawn serially from that stream in
+//!   job order, so a batch equals its jobs compressed one by one.
 //!
 //! Conservation contract: for every coordinate, the transmitted grid
 //! value `t` and the sender-side residual `r` satisfy `t + r == delta`
@@ -41,6 +43,7 @@ use middle_nn::serialize::Packed;
 use middle_tensor::random::{derive_seed, rng};
 use rand::rngs::StdRng;
 use rand::Rng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// RNG stream index of the compression plane (see DESIGN.md §4).
@@ -217,7 +220,9 @@ fn exact_coordinate(v: f64) -> (f64, f64) {
 ///
 /// Stochastic rounding draws exactly one uniform per kept coordinate
 /// from `rng`; nearest rounding, `bits >= 32`, and degenerate grids
-/// (all kept values equal, or non-finite range) draw nothing.
+/// (all kept values equal, or non-finite range) draw nothing. Every job
+/// of [`CompressionPlane::compress_batch`] runs these kernels, with its
+/// draws taken ahead of the quantization instead of during it.
 #[allow(clippy::too_many_arguments)] // scratch outputs, not options
 pub fn compress_delta(
     delta: &[f64],
@@ -229,79 +234,187 @@ pub fn compress_delta(
     sent: &mut Vec<f64>,
     residual: &mut Vec<f64>,
 ) {
-    let d = delta.len();
-    let k = k.min(d);
     residual.clear();
     residual.extend_from_slice(delta);
-    kept.clear();
-    sent.clear();
-    if d == 0 || k == 0 {
-        return;
-    }
+    THREAD_SCRATCH.with(|s| top_k(delta, k, kept, &mut s.borrow_mut().select));
+    let grid = gather(delta, kept, sent, bits);
+    quantize(kept, sent, Some(residual), grid, mode, || rng.gen());
+}
+
+/// `|v|` as an integer that orders exactly as `f64::total_cmp` orders
+/// magnitudes: the sign bit cleared, every other bit kept (so NaNs sit
+/// above `+∞`, ordered by payload, and `−0.0` keys as `+0.0`).
+#[inline]
+fn magnitude_key(v: f64) -> u64 {
+    v.to_bits() & !(1 << 63)
+}
+
+/// Per-thread scratch of the top-K selection.
+#[derive(Debug, Default)]
+struct SelectScratch {
+    keys: Vec<u64>,
+    /// Indices at or above the threshold guess, ascending.
+    sel: Vec<u32>,
+}
+
+/// What one thread needs while it runs a job's first stage: the
+/// selection scratch and, without error feedback (no residual buffer to
+/// form the delta in), a delta buffer.
+#[derive(Debug, Default)]
+struct ThreadScratch {
+    select: SelectScratch,
+    delta: Vec<f64>,
+}
+
+thread_local! {
+    static THREAD_SCRATCH: std::cell::RefCell<ThreadScratch> =
+        std::cell::RefCell::new(ThreadScratch::default());
+}
+
+/// Writes into `kept`, ascending, the indices of the `k` largest
+/// magnitudes of `delta` under the total order (`|v|` descending, index
+/// ascending) — exact for ties, `±0`, NaNs, infinities and subnormals.
+///
+/// A strided sample of magnitude keys gives a guess below the `k`-th
+/// largest key; one scan gathers every index that reaches the guess
+/// (ascending, as the scan meets them); the exact threshold is then
+/// selected among the gathered keys alone, and a scan of them emits
+/// every index above it plus the lowest-indexed of those equal to it.
+/// A guess that gathers fewer than `k` falls back to gathering all.
+/// No index vector is ordered, and no comparator runs.
+fn top_k(delta: &[f64], k: usize, kept: &mut Vec<u32>, scratch: &mut SelectScratch) {
+    let d = delta.len();
+    let k = k.min(d);
     debug_assert!(
         d <= u32::MAX as usize,
         "delta dimension exceeds u32 indices"
     );
-    kept.extend(0..d as u32);
-    if k < d {
-        // Total order (|v| descending, index ascending) makes the
-        // partition deterministic even across equal magnitudes and NaNs.
-        let by_magnitude = |a: &u32, b: &u32| {
-            let fa = delta[*a as usize].abs();
-            let fb = delta[*b as usize].abs();
-            fb.total_cmp(&fa).then_with(|| a.cmp(b))
-        };
-        kept.select_nth_unstable_by(k - 1, by_magnitude);
-        kept.truncate(k);
-        kept.sort_unstable();
+    kept.clear();
+    if k == d {
+        kept.extend(0..d as u32);
+        return;
     }
-    sent.reserve(k);
+    if k == 0 {
+        return;
+    }
+    let SelectScratch { keys, sel } = scratch;
+    // The guess: in a sample of m keys, the `k·m/d` largest plus a
+    // margin of about two binomial deviations — rarely above the
+    // threshold, and rarely gathering much more than `k`.
+    keys.clear();
+    keys.extend(
+        delta
+            .iter()
+            .step_by((d / 512).max(1))
+            .map(|&v| magnitude_key(v)),
+    );
+    let m = keys.len();
+    let expected = (k * m).div_ceil(d);
+    let rank = (expected + 2 * expected.isqrt() + 4).min(m);
+    let guess = *keys.select_nth_unstable(m - rank).1;
+    let mut n = gather_at_least(delta, guess, sel);
+    if n < k {
+        n = gather_at_least(delta, 0, sel);
+    }
+    keys.clear();
+    keys.extend(sel[..n].iter().map(|&i| magnitude_key(delta[i as usize])));
+    let (_, &mut threshold, upper) = keys.select_nth_unstable(n - k);
+    let above = upper.iter().filter(|&&c| c > threshold).count();
+    let mut ties = k - above;
+    for &i in &sel[..n] {
+        let key = magnitude_key(delta[i as usize]);
+        if key > threshold || (key == threshold && ties > 0) {
+            ties -= usize::from(key == threshold);
+            kept.push(i);
+        }
+    }
+    debug_assert_eq!(kept.len(), k, "top-K emitted the wrong count");
+}
 
+/// Writes into `sel` every index whose magnitude key reaches `floor`,
+/// ascending, and returns how many there are.
+fn gather_at_least(delta: &[f64], floor: u64, sel: &mut Vec<u32>) -> usize {
+    if sel.len() < delta.len() {
+        sel.resize(delta.len(), 0);
+    }
+    // Branch-free: write every index, advance past those that qualify.
+    let mut n = 0;
+    for (i, &v) in delta.iter().enumerate() {
+        sel[n] = i as u32;
+        n += usize::from(magnitude_key(v) >= floor);
+    }
+    n
+}
+
+/// The quantization grid of one job: origin, step and top level.
+#[derive(Debug, Clone, Copy)]
+struct Grid {
+    lo: f64,
+    step: f64,
+    max_q: f64,
+}
+
+/// Gathers the kept values of `delta` into `sent` and returns their grid,
+/// or `None` when they go out exactly — full width or a degenerate range
+/// (all equal, or non-finite), the jobs that draw nothing.
+fn gather(delta: &[f64], kept: &[u32], sent: &mut Vec<f64>, bits: u32) -> Option<Grid> {
+    sent.clear();
+    sent.extend(kept.iter().map(|&i| delta[i as usize]));
+    if bits >= 32 {
+        return None;
+    }
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
-    for &i in kept.iter() {
-        let v = delta[i as usize];
+    for &v in sent.iter() {
         lo = lo.min(v);
         hi = hi.max(v);
     }
-    let levels = if bits >= 32 { 0 } else { 1u64 << bits };
-    let step = if levels >= 2 {
-        (hi - lo) / (levels - 1) as f64
-    } else {
-        0.0
-    };
-    if bits >= 32 || step <= 0.0 || !step.is_finite() {
-        // Lossless width or a degenerate grid: transmit kept values
-        // exactly, no draws.
-        for &i in kept.iter() {
-            let (t, r) = exact_coordinate(delta[i as usize]);
-            sent.push(t);
-            residual[i as usize] = r;
-        }
-        return;
-    }
+    let levels = 1u64 << bits;
     let max_q = (levels - 1) as f64;
-    for &i in kept.iter() {
-        let v = delta[i as usize];
-        let x = ((v - lo) / step).clamp(0.0, max_q);
-        let base = x.floor().min(max_q - 1.0);
-        let frac = (x - base).clamp(0.0, 1.0);
-        let up = match mode {
-            RoundingMode::Nearest => frac >= 0.5,
-            // Always draw so the stream advances exactly once per kept
-            // coordinate regardless of the value.
-            RoundingMode::Stochastic => rng.gen::<f64>() < frac,
+    let step = (hi - lo) / max_q;
+    (levels >= 2 && step > 0.0 && step.is_finite()).then_some(Grid { lo, step, max_q })
+}
+
+/// Replaces each kept value in `sent` by its transmitted grid value and,
+/// when `residual` is given, stores what stays behind at the value's
+/// coordinate. `uniform` is called once per value, in order, exactly
+/// when the grid exists and rounding is stochastic.
+fn quantize(
+    kept: &[u32],
+    sent: &mut [f64],
+    mut residual: Option<&mut Vec<f64>>,
+    grid: Option<Grid>,
+    mode: RoundingMode,
+    mut uniform: impl FnMut() -> f64,
+) {
+    for (&i, s) in kept.iter().zip(sent.iter_mut()) {
+        let v = *s;
+        let (t, r) = match grid {
+            // Lossless width or a degenerate grid: transmit exactly.
+            None => exact_coordinate(v),
+            Some(Grid { lo, step, max_q }) => {
+                let x = ((v - lo) / step).clamp(0.0, max_q);
+                let base = x.floor().min(max_q - 1.0);
+                let frac = (x - base).clamp(0.0, 1.0);
+                let up = match mode {
+                    RoundingMode::Nearest => frac >= 0.5,
+                    RoundingMode::Stochastic => uniform() < frac,
+                };
+                let t = lo + (base + if up { 1.0 } else { 0.0 }) * step;
+                let r = v - t;
+                if (t + r).to_bits() == v.to_bits() {
+                    (t, r)
+                } else {
+                    // The grid value is not exactly recoverable from a
+                    // single f64 residual; transmit the exact value.
+                    exact_coordinate(v)
+                }
+            }
         };
-        let q = base + if up { 1.0 } else { 0.0 };
-        let mut t = lo + q * step;
-        let mut r = v - t;
-        if (t + r).to_bits() != v.to_bits() {
-            // The grid value is not exactly recoverable from a single
-            // f64 residual; transmit the exact value instead.
-            (t, r) = exact_coordinate(v);
+        *s = t;
+        if let Some(res) = residual.as_deref_mut() {
+            res[i as usize] = r;
         }
-        sent.push(t);
-        residual[i as usize] = r;
     }
 }
 
@@ -318,10 +431,118 @@ pub fn apply_sparse_delta(reference: &[f32], kept: &[u32], sent: &[f64], out: &m
     }
 }
 
+/// Whose error-feedback residual a [`CompressJob`] advances.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Sender {
+    /// A device→edge upload from device `m`.
+    Device(usize),
+    /// An edge→cloud sync from edge `n`.
+    Edge(usize),
+}
+
+/// One uplink of a [`CompressionPlane::compress_batch`]: the sender's
+/// new model, the reference its receiver holds, and where the
+/// reconstruction the receiver would see goes.
+#[derive(Debug)]
+pub struct CompressJob<'a> {
+    pub sender: Sender,
+    pub new: &'a [f32],
+    pub reference: &'a [f32],
+    /// Overwritten with `reference + decompress(compress(delta))`.
+    /// `None` for an upload lost on the wire: the sender still
+    /// compressed it, so its residual and the draws advance, but nobody
+    /// receives a model.
+    pub payload: Option<&'a mut Vec<f32>>,
+}
+
+/// What a job carries between the batch's stages: its kept indices and
+/// values (the delta's, then the transmitted ones), its grid, where its
+/// uniforms start, and the sender's residual buffer while the batch
+/// holds it.
+#[derive(Debug, Clone, Default)]
+struct JobState {
+    kept: Vec<u32>,
+    sent: Vec<f64>,
+    residual: Vec<f64>,
+    grid: Option<Grid>,
+    offset: usize,
+}
+
+impl JobState {
+    /// Stage 1: forms the delta — in the sender's residual buffer under
+    /// error feedback, in thread scratch otherwise — then selects,
+    /// gathers and grids it. Draws nothing.
+    fn select(&mut self, cfg: &CompressionConfig, keep: usize, job: &CompressJob<'_>) {
+        let (new, reference) = (job.new, job.reference);
+        assert_eq!(new.len(), reference.len(), "upload dimension mismatch");
+        THREAD_SCRATCH.with(|s| {
+            let ThreadScratch { select, delta } = &mut *s.borrow_mut();
+            let delta: &[f64] = if cfg.error_feedback {
+                let r = &mut self.residual;
+                if r.is_empty() {
+                    r.extend(
+                        new.iter()
+                            .zip(reference)
+                            .map(|(&n, &c)| f64::from(n) - f64::from(c)),
+                    );
+                } else {
+                    assert_eq!(r.len(), new.len(), "residual dimension mismatch");
+                    for ((e, &n), &c) in r.iter_mut().zip(new).zip(reference) {
+                        // `(n − c) + e`, operands in this order: with two
+                        // NaNs the sum keeps the first one's payload.
+                        #[allow(clippy::assign_op_pattern)]
+                        {
+                            *e = f64::from(n) - f64::from(c) + *e;
+                        }
+                    }
+                }
+                r
+            } else {
+                delta.clear();
+                delta.extend(
+                    new.iter()
+                        .zip(reference)
+                        .map(|(&n, &c)| f64::from(n) - f64::from(c)),
+                );
+                delta
+            };
+            top_k(delta, keep, &mut self.kept, select);
+            self.grid = gather(delta, &self.kept, &mut self.sent, cfg.quantize_bits);
+        });
+    }
+
+    /// Uniforms this job consumes: one per kept value when it
+    /// quantizes stochastically, else none.
+    fn draws(&self, mode: RoundingMode) -> usize {
+        match (self.grid, mode) {
+            (Some(_), RoundingMode::Stochastic) => self.kept.len(),
+            _ => 0,
+        }
+    }
+
+    /// Stage 3: quantizes with this job's uniforms, stores the new
+    /// residual and writes the reconstruction into the job's payload.
+    fn finish(&mut self, cfg: &CompressionConfig, uniforms: &[f64], job: &mut CompressJob<'_>) {
+        let mut u = uniforms[self.offset..].iter();
+        let residual = cfg.error_feedback.then_some(&mut self.residual);
+        quantize(
+            &self.kept,
+            &mut self.sent,
+            residual,
+            self.grid,
+            cfg.rounding,
+            || *u.next().expect("the draw stage drew every uniform"),
+        );
+        if let Some(out) = job.payload.as_deref_mut() {
+            apply_sparse_delta(job.reference, &self.kept, &self.sent, out);
+        }
+    }
+}
+
 /// Runtime state of the compression plane for one simulation: the
 /// dedicated RNG stream, per-sender error-feedback residuals, and the
-/// scratch buffers that keep the hot path allocation-free after warmup.
-#[derive(Debug)]
+/// per-job scratch that keeps batches allocation-free after warmup.
+#[derive(Debug, Clone)]
 pub struct CompressionPlane {
     cfg: CompressionConfig,
     lossy: bool,
@@ -335,11 +556,10 @@ pub struct CompressionPlane {
     device_residuals: Vec<Vec<f64>>,
     /// Per-edge residuals for edge→cloud syncs, same convention.
     edge_residuals: Vec<Vec<f64>>,
-    delta: Vec<f64>,
-    kept: Vec<u32>,
-    sent: Vec<f64>,
-    residual_out: Vec<f64>,
-    recon: Vec<f32>,
+    /// Grow-only: one entry per job of the largest batch so far.
+    jobs: Vec<JobState>,
+    /// The batch's stochastic-rounding uniforms, job after job.
+    uniforms: Vec<f64>,
 }
 
 impl CompressionPlane {
@@ -368,11 +588,8 @@ impl CompressionPlane {
             payload,
             device_residuals: vec![Vec::new(); num_devices],
             edge_residuals: vec![Vec::new(); num_edges],
-            delta: Vec::new(),
-            kept: Vec::new(),
-            sent: Vec::new(),
-            residual_out: Vec::new(),
-            recon: Vec::new(),
+            jobs: Vec::new(),
+            uniforms: Vec::new(),
         }
     }
 
@@ -399,85 +616,81 @@ impl CompressionPlane {
         4 * self.param_count as u64
     }
 
-    /// Compresses a device→edge upload and returns the model the edge
-    /// reconstructs: `reference + decompress(compress(delta))` where
-    /// `delta = new − reference (+ residual)`. Updates the device's
-    /// error-feedback residual. Must only be called when
-    /// [`Self::lossy_active`].
-    pub fn compress_device_upload(
-        &mut self,
-        device: usize,
-        new_flat: &[f32],
-        reference_flat: &[f32],
-    ) -> &[f32] {
+    /// Compresses a batch of uplinks, each `delta = new − reference (+
+    /// the sender's residual)`, exactly as compressing them one after
+    /// another in slice order would: same payloads, same residuals, same
+    /// compression-stream position afterwards. Must only be called when
+    /// [`Self::lossy_active`], with each sender at most once.
+    ///
+    /// Three stages: a parallel one that forms, selects and grids every
+    /// delta (no draws); a serial one that draws each job's uniforms from
+    /// the one stream in slice order; a parallel one that quantizes,
+    /// stores the residuals and writes each payload.
+    pub fn compress_batch(&mut self, jobs: &mut [CompressJob<'_>]) {
         debug_assert!(self.lossy, "compress called on an inert plane");
+        debug_assert!(
+            {
+                let mut senders: Vec<Sender> = jobs.iter().map(|j| j.sender).collect();
+                senders.sort_unstable();
+                senders.windows(2).all(|w| w[0] != w[1])
+            },
+            "a sender appears twice in one batch"
+        );
+        if self.jobs.len() < jobs.len() {
+            self.jobs.resize_with(jobs.len(), JobState::default);
+        }
         let Self {
             cfg,
             keep,
             param_count,
             rng,
             device_residuals,
-            delta,
-            kept,
-            sent,
-            residual_out,
-            recon,
-            ..
-        } = self;
-        compress_pass(
-            cfg,
-            *keep,
-            *param_count,
-            new_flat,
-            reference_flat,
-            &mut device_residuals[device],
-            rng,
-            delta,
-            kept,
-            sent,
-            residual_out,
-            recon,
-        );
-        recon
-    }
-
-    /// Compresses an edge→cloud sync upload, same contract as
-    /// [`Self::compress_device_upload`] with the edge's residual.
-    pub fn compress_edge_sync(
-        &mut self,
-        edge: usize,
-        new_flat: &[f32],
-        reference_flat: &[f32],
-    ) -> &[f32] {
-        debug_assert!(self.lossy, "compress called on an inert plane");
-        let Self {
-            cfg,
-            keep,
-            param_count,
-            rng,
             edge_residuals,
-            delta,
-            kept,
-            sent,
-            residual_out,
-            recon,
+            jobs: states,
+            uniforms,
             ..
         } = self;
-        compress_pass(
-            cfg,
-            *keep,
-            *param_count,
-            new_flat,
-            reference_flat,
-            &mut edge_residuals[edge],
-            rng,
-            delta,
-            kept,
-            sent,
-            residual_out,
-            recon,
-        );
-        recon
+        let states = &mut states[..jobs.len()];
+        // Every buffer a job fills is sized here, on the calling thread,
+        // so the parallel stages never allocate.
+        for (job, state) in jobs.iter_mut().zip(states.iter_mut()) {
+            assert_eq!(job.new.len(), *param_count, "upload dimension mismatch");
+            state.kept.clear();
+            state.kept.reserve_exact(*keep);
+            state.sent.clear();
+            state.sent.reserve_exact(*keep);
+            if cfg.error_feedback {
+                let slot = residual_slot(device_residuals, edge_residuals, job.sender);
+                state.residual = std::mem::take(slot);
+                let missing = *param_count - state.residual.len();
+                state.residual.reserve_exact(missing);
+            }
+            if let Some(payload) = job.payload.as_deref_mut() {
+                payload.clear();
+                payload.reserve_exact(*param_count);
+            }
+        }
+        let (cfg, keep) = (&*cfg, *keep);
+        jobs.par_iter_mut()
+            .zip(states.par_iter_mut())
+            .for_each(|(job, state)| state.select(cfg, keep, job));
+        uniforms.clear();
+        uniforms.reserve_exact(states.iter().map(|s| s.draws(cfg.rounding)).sum());
+        for state in states.iter_mut() {
+            state.offset = uniforms.len();
+            let draws = state.draws(cfg.rounding);
+            uniforms.extend((0..draws).map(|_| rng.gen::<f64>()));
+        }
+        let uniforms = &uniforms[..];
+        jobs.par_iter_mut()
+            .zip(states.par_iter_mut())
+            .for_each(|(job, state)| state.finish(cfg, uniforms, job));
+        if cfg.error_feedback {
+            for (job, state) in jobs.iter().zip(states.iter_mut()) {
+                let slot = residual_slot(device_residuals, edge_residuals, job.sender);
+                *slot = std::mem::take(&mut state.residual);
+            }
+        }
     }
 
     /// The plane's RNG stream, for checkpointing.
@@ -499,14 +712,12 @@ impl CompressionPlane {
         })
     }
 
-    /// Restores the plane's mutable state from a checkpoint previously
-    /// produced by [`Self::state_checkpoint`] on an identically
-    /// configured plane.
+    /// Checks that a checkpoint's residual shapes fit this plane's
+    /// population and parameter count, without touching the plane.
     ///
     /// # Errors
-    /// Rejects residual shapes that do not match this plane's
-    /// population or parameter count.
-    pub fn restore_state(&mut self, ck: &CompressionPlaneCheckpoint) -> Result<(), String> {
+    /// A message naming the first mismatch.
+    pub fn validate_state(&self, ck: &CompressionPlaneCheckpoint) -> Result<(), String> {
         if ck.device_residuals.len() != self.device_residuals.len() {
             return Err(format!(
                 "checkpoint has {} device residuals, simulation has {}",
@@ -530,6 +741,17 @@ impl CompressionPlane {
                 ));
             }
         }
+        Ok(())
+    }
+
+    /// Restores the plane's mutable state from a checkpoint previously
+    /// produced by [`Self::state_checkpoint`] on an identically
+    /// configured plane.
+    ///
+    /// # Errors
+    /// Rejects what [`Self::validate_state`] rejects, before any write.
+    pub fn restore_state(&mut self, ck: &CompressionPlaneCheckpoint) -> Result<(), String> {
+        self.validate_state(ck)?;
         self.rng = ck.rng.restore();
         self.device_residuals = ck.device_residuals.iter().map(|r| r.0.clone()).collect();
         self.edge_residuals = ck.edge_residuals.iter().map(|r| r.0.clone()).collect();
@@ -537,61 +759,72 @@ impl CompressionPlane {
     }
 }
 
-/// Shared body of the two `compress_*` entry points: forms the
-/// error-feedback-augmented delta, compresses it, stores the new
-/// residual, and reconstructs the receiver-side model into `recon`.
-#[allow(clippy::too_many_arguments)]
-fn compress_pass(
-    cfg: &CompressionConfig,
-    keep: usize,
-    param_count: usize,
-    new_flat: &[f32],
-    reference_flat: &[f32],
-    residual_slot: &mut Vec<f64>,
-    rng: &mut StdRng,
-    delta: &mut Vec<f64>,
-    kept: &mut Vec<u32>,
-    sent: &mut Vec<f64>,
-    residual_out: &mut Vec<f64>,
-    recon: &mut Vec<f32>,
-) {
-    assert_eq!(new_flat.len(), param_count, "upload dimension mismatch");
-    assert_eq!(
-        reference_flat.len(),
-        param_count,
-        "reference dimension mismatch"
-    );
-    delta.clear();
-    if cfg.error_feedback && !residual_slot.is_empty() {
-        delta.extend(
-            new_flat
-                .iter()
-                .zip(reference_flat.iter())
-                .zip(residual_slot.iter())
-                .map(|((&n, &r), &e)| f64::from(n) - f64::from(r) + e),
-        );
-    } else {
-        delta.extend(
-            new_flat
-                .iter()
-                .zip(reference_flat.iter())
-                .map(|(&n, &r)| f64::from(n) - f64::from(r)),
-        );
+/// The residual buffer of `sender`.
+fn residual_slot<'a>(
+    device_residuals: &'a mut [Vec<f64>],
+    edge_residuals: &'a mut [Vec<f64>],
+    sender: Sender,
+) -> &'a mut Vec<f64> {
+    match sender {
+        Sender::Device(m) => &mut device_residuals[m],
+        Sender::Edge(n) => &mut edge_residuals[n],
     }
-    compress_delta(
-        delta,
-        cfg.quantize_bits,
-        keep,
-        cfg.rounding,
-        rng,
-        kept,
-        sent,
-        residual_out,
-    );
-    if cfg.error_feedback {
-        std::mem::swap(residual_slot, residual_out);
+}
+
+#[cfg(test)]
+mod reference;
+
+#[cfg(test)]
+use reference::compress_delta_reference;
+
+#[cfg(test)]
+impl CompressionPlane {
+    /// The sequential upload the batch replaced, as the oracle of one
+    /// job: the reference kernel on `new − reference (+ residual)`, the
+    /// residual stored, the reconstruction returned.
+    pub(crate) fn compress_reference(
+        &mut self,
+        sender: Sender,
+        new: &[f32],
+        reference: &[f32],
+    ) -> Vec<f32> {
+        let slot = residual_slot(&mut self.device_residuals, &mut self.edge_residuals, sender);
+        let delta: Vec<f64> = if self.cfg.error_feedback && !slot.is_empty() {
+            (new.iter().zip(reference).zip(slot.iter()))
+                .map(|((&n, &r), &e)| f64::from(n) - f64::from(r) + e)
+                .collect()
+        } else {
+            (new.iter().zip(reference))
+                .map(|(&n, &r)| f64::from(n) - f64::from(r))
+                .collect()
+        };
+        let (mut kept, mut sent, mut residual) = (Vec::new(), Vec::new(), Vec::new());
+        compress_delta_reference(
+            &delta,
+            self.cfg.quantize_bits,
+            self.keep,
+            self.cfg.rounding,
+            &mut self.rng,
+            &mut kept,
+            &mut sent,
+            &mut residual,
+        );
+        if self.cfg.error_feedback {
+            *slot = residual;
+        }
+        let mut out = Vec::new();
+        apply_sparse_delta(reference, &kept, &sent, &mut out);
+        out
     }
-    apply_sparse_delta(reference_flat, kept, sent, recon);
+
+    /// The plane's mutable state as bits: RNG, then every device's and
+    /// every edge's residual.
+    pub(crate) fn state_bits(&self) -> ([u64; 4], Vec<Vec<u64>>) {
+        let residuals = (self.device_residuals.iter().chain(&self.edge_residuals))
+            .map(|r| r.iter().map(|v| v.to_bits()).collect())
+            .collect();
+        (self.rng.state(), residuals)
+    }
 }
 
 #[cfg(test)]
@@ -840,6 +1073,23 @@ mod tests {
         assert_eq!(out[3], 7.0);
     }
 
+    /// One job through the batch entry point; returns its payload.
+    fn upload(
+        plane: &mut CompressionPlane,
+        sender: Sender,
+        new: &[f32],
+        reference: &[f32],
+    ) -> Vec<f32> {
+        let mut out = Vec::new();
+        plane.compress_batch(&mut [CompressJob {
+            sender,
+            new,
+            reference,
+            payload: Some(&mut out),
+        }]);
+        out
+    }
+
     #[test]
     fn error_feedback_residual_reenters_next_upload() {
         let d = 8;
@@ -858,13 +1108,11 @@ mod tests {
         );
         let reference = vec![0.0f32; d];
         let new: Vec<f32> = (0..d).map(|i| i as f32 * 0.125).collect();
-        plane.compress_device_upload(0, &new, &reference);
+        upload(&mut plane, Sender::Device(0), &new, &reference);
         let residual_mass: f64 = plane.device_residuals[0].iter().map(|r| r.abs()).sum();
         assert!(residual_mass > 0.0, "lossy compression must leave residual");
         // Uploading an unchanged model now transmits the stored residual.
-        let recon2 = plane
-            .compress_device_upload(0, &reference, &reference)
-            .to_vec();
+        let recon2 = upload(&mut plane, Sender::Device(0), &reference, &reference);
         assert!(
             recon2.iter().any(|&v| v != 0.0),
             "residual mass must re-enter"
@@ -884,18 +1132,16 @@ mod tests {
         let mut plane = CompressionPlane::new(cfg.clone(), 3, 2, d, 7);
         let reference = vec![0.5f32; d];
         let new: Vec<f32> = (0..d).map(|i| (i as f32).sin()).collect();
-        plane.compress_device_upload(1, &new, &reference);
-        plane.compress_edge_sync(0, &new, &reference);
+        upload(&mut plane, Sender::Device(1), &new, &reference);
+        upload(&mut plane, Sender::Edge(0), &new, &reference);
         let ck = plane.state_checkpoint().expect("lossy plane checkpoints");
         let json = serde_json::to_string(&ck).unwrap();
         let back: CompressionPlaneCheckpoint = serde_json::from_str(&json).unwrap();
         let mut restored = CompressionPlane::new(cfg, 3, 2, d, 999);
         restored.restore_state(&back).unwrap();
         // Both planes must now produce identical compressions.
-        let a = plane.compress_device_upload(1, &new, &reference).to_vec();
-        let b = restored
-            .compress_device_upload(1, &new, &reference)
-            .to_vec();
+        let a = upload(&mut plane, Sender::Device(1), &new, &reference);
+        let b = upload(&mut restored, Sender::Device(1), &new, &reference);
         assert_eq!(a, b);
         assert_eq!(plane.rng.state(), restored.rng.state());
     }

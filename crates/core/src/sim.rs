@@ -23,7 +23,7 @@ use crate::checkpoint::{
     SimCheckpoint, SIM_CHECKPOINT_SCHEMA_VERSION,
 };
 use crate::comm::CommStats;
-use crate::compress::CompressionPlane;
+use crate::compress::{CompressJob, CompressionPlane, Sender};
 use crate::config::{MobilitySource, PopulationMode, SimConfig};
 use crate::device::Device;
 use crate::faults::FaultPlane;
@@ -241,6 +241,12 @@ pub struct Simulation {
     // makes the plane lossy-active.
     compression: CompressionPlane,
     agg_scratch: Vec<f32>,
+    // Round scratch of a lossy plane: the uploads the round owes its one
+    // compression batch, and the reconstructions of each edge's delivered
+    // cohort (parallel to `delivered_per_edge`; empty while the plane is
+    // inert).
+    pending_uploads: Vec<PendingUpload>,
+    delivered_payloads: Vec<Vec<Option<Vec<f32>>>>,
     // Hot-path state: the cloud's cached flat view (refreshed only when
     // the cloud model actually changes) and per-step scratch buffers that
     // persist across steps so the steady-state loop never allocates.
@@ -305,6 +311,7 @@ impl Simulation {
         let cloud_flat = CloudView::of(&init);
         let selected_per_edge = (0..config.num_edges).map(|_| Vec::new()).collect();
         let delivered_per_edge = (0..config.num_edges).map(|_| Vec::new()).collect();
+        let delivered_payloads = (0..config.num_edges).map(|_| Vec::new()).collect();
         let telemetry = Telemetry::from_config(&config);
         let faults = FaultPlane::new(config.faults, config.num_devices, seed);
         let policy = config.algorithm.resolve(config.num_devices);
@@ -332,6 +339,8 @@ impl Simulation {
             policy,
             compression,
             agg_scratch: Vec::new(),
+            pending_uploads: Vec::new(),
+            delivered_payloads,
             cloud_flat,
             selection_scratch: SelectionScratch::new(),
             candidates: Vec::new(),
@@ -498,12 +507,14 @@ impl Simulation {
             .after_edge_aggregate(edge, std::slice::from_ref(&device));
     }
 
-    /// Runs device `m`'s upload to edge `n` through the fault plane's
-    /// loss/retry process, charging every transmission attempt to
-    /// [`CommStats`]; lost uploads are retried with exponential backoff
-    /// and abandoned after the retry budget. Returns whether the upload
-    /// was delivered.
-    fn attempt_upload(&mut self, n: usize, m: usize, probe: &mut StepProbe) -> bool {
+    /// Runs one upload through the fault plane's loss/retry process,
+    /// charging every transmission attempt to [`CommStats`]; lost uploads
+    /// are retried with exponential backoff and abandoned after the retry
+    /// budget. Returns whether the upload was delivered. A lost upload
+    /// was still compressed and sent — the loss happens on the wire — so
+    /// a lossy plane's caller queues it for the round's batch, where the
+    /// sender's residual and the compression RNG advance.
+    fn attempt_upload(&mut self, probe: &mut StepProbe) -> bool {
         let o = self.faults.upload_attempts();
         self.comm.device_to_edge += u64::from(o.attempts);
         self.comm.device_to_edge_bytes += u64::from(o.attempts) * self.compression.payload_bytes();
@@ -513,18 +524,6 @@ impl Simulation {
         probe.upload_retries(u64::from(o.attempts - 1), !o.delivered);
         if !o.delivered {
             self.comm.lost_uploads += 1;
-            if self.compression.lossy_active() {
-                // Sender-side error feedback: the device did compress
-                // and transmit — the loss happens on the wire — so its
-                // residual and the RNG advance even though no edge
-                // consumes the reconstruction.
-                let _ = self.compression.compress_device_upload(
-                    m,
-                    self.population.get(m).flat(),
-                    self.edges[n].flat(),
-                );
-                probe.compressed_uploads(1);
-            }
         }
         o.delivered
     }
@@ -536,11 +535,14 @@ impl Simulation {
     /// are snapshotted for a stale merge next step, the rest go through
     /// [`Simulation::attempt_upload`]. With the plane disabled nothing
     /// is drawn and every selected upload is delivered on its first
-    /// attempt.
+    /// attempt. A lossy plane then compresses the round's uploads —
+    /// misses, losses and the delivered cohorts — as one batch
+    /// ([`Simulation::compress_round_uploads`]).
     fn upload_pass(&mut self, probe: &mut StepProbe) {
         probe.start();
         let lossy = self.compression.lossy_active();
         let payload = self.compression.payload_bytes();
+        self.pending_uploads.clear();
         let selected_per_edge = std::mem::take(&mut self.selected_per_edge);
         for (n, selected) in selected_per_edge.iter().enumerate() {
             self.delivered_per_edge[n].clear();
@@ -548,20 +550,12 @@ impl Simulation {
                 if self.faults.misses_deadline() {
                     probe.deadline_miss();
                     if lossy {
-                        // The device compresses at miss time (advancing
-                        // its residual and the compression RNG exactly
-                        // once, like any other upload); the stale merge
-                        // next step lands the *reconstructed* model and
+                        // The device compresses at miss time, against
+                        // the edge model it saw; the stale merge next
+                        // step lands the *reconstructed* model and
                         // charges the compressed payload.
-                        let recon = self.compression.compress_device_upload(
-                            m,
-                            self.population.get(m).flat(),
-                            self.edges[n].flat(),
-                        );
-                        probe.compressed_uploads(1);
-                        let norm_sq = dot_slices(recon, recon);
-                        let flat = recon.to_vec();
-                        self.faults.push_stale(n, m, flat, norm_sq, payload);
+                        self.pending_uploads
+                            .push(PendingUpload::new(n, m, Owed::Stale));
                     } else {
                         let dev = self.population.get(m);
                         self.faults.push_stale(
@@ -572,8 +566,11 @@ impl Simulation {
                             payload,
                         );
                     }
-                } else if self.attempt_upload(n, m, probe) {
+                } else if self.attempt_upload(probe) {
                     self.delivered_per_edge[n].push(m);
+                } else if lossy {
+                    self.pending_uploads
+                        .push(PendingUpload::new(n, m, Owed::Lost));
                 }
             }
             // Graceful degradation: an edge whose whole cohort failed
@@ -584,22 +581,68 @@ impl Simulation {
         }
         self.selected_per_edge = selected_per_edge;
         probe.stop(Phase::FaultRecovery);
+        if lossy {
+            self.compress_round_uploads(probe);
+        }
+    }
+
+    /// The lossy half of [`Simulation::upload_pass`]: compresses the
+    /// round's misses and losses, in upload order, then every delivered
+    /// cohort, edge by edge, as one batch against each edge's current
+    /// model — the order the plane's stream is drawn in. Stale payloads
+    /// join the fault plane's queue in miss order; delivered ones land in
+    /// `delivered_payloads`, parallel to `delivered_per_edge`.
+    fn compress_round_uploads(&mut self, probe: &mut StepProbe) {
+        probe.start();
+        for (n, cohort) in self.delivered_per_edge.iter().enumerate() {
+            (self.pending_uploads).extend(
+                cohort
+                    .iter()
+                    .map(|&m| PendingUpload::new(n, m, Owed::Delivered)),
+            );
+            self.delivered_payloads[n].resize_with(cohort.len(), || None);
+        }
+        let misses = (self.pending_uploads.iter())
+            .filter(|u| u.owed == Owed::Stale)
+            .count();
+        let d = self.cloud_flat.flat().len();
+        let mut stale: Vec<Vec<f32>> = (0..misses).map(|_| Vec::with_capacity(d)).collect();
+        let delivered = (self.delivered_payloads.iter_mut().flatten())
+            .map(|p| p.get_or_insert_with(|| Vec::with_capacity(d)));
+        compress_pending(
+            &mut self.compression,
+            &self.population,
+            &self.edges,
+            &self.pending_uploads,
+            &[],
+            &mut stale,
+            delivered,
+        );
+        probe.compressed_uploads(self.pending_uploads.len() as u64);
+        let payload = self.compression.payload_bytes();
+        let misses = self
+            .pending_uploads
+            .iter()
+            .filter(|u| u.owed == Owed::Stale);
+        for (u, flat) in misses.zip(stale) {
+            let norm_sq = dot_slices(&flat, &flat);
+            self.faults
+                .push_stale(u.edge, u.device, flat, norm_sq, payload);
+        }
+        probe.stop(Phase::Compress);
     }
 
     /// Edge aggregation (Eq. 6) of one cohort into edge `n` — the single
     /// phase-3 body, called by the lockstep step for each edge and by
-    /// the event engine for each wave. Three arms:
+    /// the event engine for each wave. Two arms:
     ///
-    /// * async waves (`snapshots` holds send-time payloads) FedAvg the
-    ///   snapshots — already compressed when the plane is lossy;
-    /// * under a lossy compression plane each member's upload is
-    ///   compressed against the edge's pre-aggregation model `w_n^t`
-    ///   (one compression-RNG / residual advance per member, in cohort
-    ///   order) and the edge FedAvgs the *reconstructions*;
+    /// * given payloads — an async wave's send-time snapshots, or any
+    ///   round's reconstructions under a lossy plane — are FedAvg'd
+    ///   (a member without one contributes its live model);
     /// * otherwise `edge_aggregate_into` aggregates the live device
     ///   models in place.
     ///
-    /// All three weight by `d_m / d`, with `d_m` read from the partition
+    /// Both weight by `d_m / d`, with `d_m` read from the partition
     /// (equal to `Device::num_samples` by construction) so the weights
     /// never depend on residency: in lazy mode a cloud broadcast may
     /// have demoted a sender whose upload was still in flight.
@@ -607,34 +650,24 @@ impl Simulation {
         &mut self,
         n: usize,
         cohort: &[usize],
-        snapshots: &[Option<Vec<f32>>],
+        payloads: &[Option<Vec<f32>>],
         probe: &mut StepProbe,
     ) {
         if cohort.is_empty() {
             return;
         }
         probe.start();
-        let in_flight = snapshots.iter().any(|s| s.is_some());
-        let lossy = self.compression.lossy_active();
         let partition = &self.partition;
         let total: usize = cohort.iter().map(|&m| partition.device_len(m)).sum();
-        if in_flight || lossy {
+        if payloads.iter().any(Option::is_some) {
             let total_f = total as f32;
             self.agg_scratch.clear();
             self.agg_scratch.resize(self.cloud_flat.flat().len(), 0.0);
             for (i, &m) in cohort.iter().enumerate() {
                 let w = partition.device_len(m) as f32 / total_f;
-                let flat: &[f32] = match snapshots.get(i).and_then(Option::as_ref) {
-                    Some(s) => s,
-                    None if in_flight => self.population.get(m).flat(),
-                    None => {
-                        probe.compressed_uploads(1);
-                        self.compression.compress_device_upload(
-                            m,
-                            self.population.get(m).flat(),
-                            self.edges[n].flat(),
-                        )
-                    }
+                let flat: &[f32] = match payloads.get(i).and_then(Option::as_ref) {
+                    Some(p) => p,
+                    None => self.population.get(m).flat(),
                 };
                 for (a, &r) in self.agg_scratch.iter_mut().zip(flat) {
                     *a += w * r;
@@ -655,11 +688,7 @@ impl Simulation {
         }
         self.edges[n].window_samples += total as f64;
         self.policy.after_edge_aggregate(n, cohort);
-        probe.stop(if lossy && !in_flight {
-            Phase::Compress
-        } else {
-            Phase::EdgeAggregation
-        });
+        probe.stop(Phase::EdgeAggregation);
     }
 
     /// One lockstep round `t` of Algorithm 1 (0-based; syncs with the
@@ -679,10 +708,12 @@ impl Simulation {
         let active = self.phase_select_train(t, &mut probe);
         self.upload_pass(&mut probe);
         let cohorts = std::mem::take(&mut self.delivered_per_edge);
+        let payloads = std::mem::take(&mut self.delivered_payloads);
         for (n, cohort) in cohorts.iter().enumerate() {
-            self.aggregate_cohort(n, cohort, &[], &mut probe);
+            self.aggregate_cohort(n, cohort, &payloads[n], &mut probe);
         }
         self.delivered_per_edge = cohorts;
+        self.delivered_payloads = payloads;
         let scheduled = (t + 1).is_multiple_of(self.config.cloud_interval);
         let synced = scheduled && self.cloud_sync_now(&mut probe);
         self.telemetry.end_step(t, active, synced, probe);
@@ -957,6 +988,21 @@ impl Simulation {
         if self.compression.lossy_active() {
             probe.stop(Phase::CloudSync);
             probe.start();
+            let mut payloads: Vec<Vec<f32>> = vec![Vec::new(); self.edges.len()];
+            let (edges, cloud) = (&self.edges, self.cloud_flat.flat());
+            let mut jobs: Vec<CompressJob> = (payloads.iter_mut().enumerate())
+                .filter(|&(n, _)| up(n))
+                .map(|(n, payload)| CompressJob {
+                    sender: Sender::Edge(n),
+                    new: edges[n].flat(),
+                    reference: cloud,
+                    payload: Some(payload),
+                })
+                .collect();
+            self.compression.compress_batch(&mut jobs);
+            probe.compressed_syncs(up_edges);
+            probe.stop(Phase::Compress);
+            probe.start();
             let total: f64 = (0..self.edges.len())
                 .filter(|&n| up(n))
                 .map(|n| self.edges[n].window_samples)
@@ -969,18 +1015,10 @@ impl Simulation {
                 } else {
                     (1.0 / up_edges as f64) as f32
                 };
-                let recon = self.compression.compress_edge_sync(
-                    n,
-                    self.edges[n].flat(),
-                    self.cloud_flat.flat(),
-                );
-                probe.compressed_syncs(1);
-                for (a, &r) in self.agg_scratch.iter_mut().zip(recon) {
+                for (a, &r) in self.agg_scratch.iter_mut().zip(&payloads[n]) {
                     *a += w * r;
                 }
             }
-            probe.stop(Phase::Compress);
-            probe.start();
             middle_nn::params::unflatten(&mut self.cloud, &self.agg_scratch);
         } else {
             let parts = (self.edges.iter().enumerate())
@@ -1152,7 +1190,13 @@ impl Simulation {
                     let flushed = self.timeline.open_wave(n, cohort.clone(), trigger);
                     debug_assert!(flushed.is_none(), "zero-delay wave left a remainder");
                     let wave = self.timeline.wave_id(n);
+                    // A lossy plane's reconstructions ride their uploads
+                    // like the async arm's send-time snapshots.
+                    let mut payloads = std::mem::take(&mut self.delivered_payloads[n]).into_iter();
                     for &m in &cohort {
+                        if let Some(Some(payload)) = payloads.next() {
+                            self.timeline.send_upload(m, payload);
+                        }
                         self.timeline.push(
                             now,
                             EventKind::DeviceUpload {
@@ -1202,60 +1246,88 @@ impl Simulation {
     /// round-cadence cloud sync belongs.
     fn event_upload_pass(&mut self, probe: &mut StepProbe) -> f64 {
         let now = self.timeline.clock();
-        let mut last_arrival = now;
         let lossy = self.compression.lossy_active();
         probe.start();
+        self.pending_uploads.clear();
+        // Every delivered upload of the round, in send order.
+        let mut sends: Vec<(usize, usize, f64)> = Vec::new();
+        // Pre-flush copies of the edges whose lost uploads were
+        // compressed against the model a flush below then replaces.
+        let mut pre_flush: Vec<(usize, Vec<f32>)> = Vec::new();
         for n in 0..self.edges.len() {
             let selected = std::mem::take(&mut self.selected_per_edge[n]);
-            let mut delivered: Vec<(usize, f64)> = Vec::with_capacity(selected.len());
+            let (lost_from, sent_from) = (self.pending_uploads.len(), sends.len());
             for &m in &selected {
                 let delay = self.faults.sample_upload_delay();
-                if self.attempt_upload(n, m, probe) {
-                    delivered.push((m, delay));
+                if self.attempt_upload(probe) {
+                    sends.push((n, m, delay));
+                } else if lossy {
+                    self.pending_uploads
+                        .push(PendingUpload::new(n, m, Owed::Lost));
                 }
             }
-            if !selected.is_empty() && delivered.is_empty() {
+            if !selected.is_empty() && sends.len() == sent_from {
                 probe.empty_cohort();
             }
             // Open the round's wave with the delivered cohort; an
             // un-triggered remainder of the previous wave is flushed
             // into the edge first so arrived updates are never dropped.
-            let members: Vec<usize> = delivered.iter().map(|&(m, _)| m).collect();
+            let members: Vec<usize> = sends[sent_from..].iter().map(|&(_, m, _)| m).collect();
             let trigger = self.config.timeline.edge_threshold.unwrap_or(members.len());
             if let Some((cohort, snaps)) = self.timeline.open_wave(n, members, trigger) {
+                if self.pending_uploads.len() > lost_from {
+                    pre_flush.push((n, self.edges[n].flat().to_vec()));
+                }
                 probe.stop(Phase::FaultRecovery);
                 self.aggregate_cohort(n, &cohort, &snaps, probe);
                 self.timeline.aggs_since_sync += 1;
                 probe.start();
             }
-            let wave = self.timeline.wave_id(n);
-            for (m, delay) in delivered {
-                // The in-flight payload is snapshotted at send time —
-                // lossy runs ship the compressed reconstruction
-                // (advancing the device residual exactly once).
-                let snapshot = if lossy {
-                    let recon = self.compression.compress_device_upload(
-                        m,
-                        self.population.get(m).flat(),
-                        self.edges[n].flat(),
-                    );
-                    probe.compressed_uploads(1);
-                    recon.to_vec()
-                } else {
-                    self.population.get(m).flat().to_vec()
-                };
-                self.timeline.send_upload(m, snapshot);
-                last_arrival = last_arrival.max(now + delay);
-                self.timeline.push(
-                    now + delay,
-                    EventKind::DeviceUpload {
-                        edge: n,
-                        device: m,
-                        wave,
-                    },
+            if lossy {
+                (self.pending_uploads).extend(
+                    sends[sent_from..]
+                        .iter()
+                        .map(|&(n, m, _)| PendingUpload::new(n, m, Owed::Delivered)),
                 );
             }
             self.selected_per_edge[n] = selected;
+        }
+        probe.stop(Phase::FaultRecovery);
+        // The in-flight payload is snapshotted at send time — lossy runs
+        // ship the compressed reconstruction, compressed as one batch.
+        let d = self.cloud_flat.flat().len();
+        let mut payloads: Vec<Vec<f32>> = (0..sends.len()).map(|_| Vec::with_capacity(d)).collect();
+        if lossy {
+            probe.start();
+            compress_pending(
+                &mut self.compression,
+                &self.population,
+                &self.edges,
+                &self.pending_uploads,
+                &pre_flush,
+                &mut [],
+                payloads.iter_mut(),
+            );
+            probe.compressed_uploads(self.pending_uploads.len() as u64);
+            probe.stop(Phase::Compress);
+        }
+        probe.start();
+        let mut last_arrival = now;
+        for ((n, m, delay), mut payload) in sends.into_iter().zip(payloads) {
+            if !lossy {
+                payload.extend_from_slice(self.population.get(m).flat());
+            }
+            self.timeline.send_upload(m, payload);
+            last_arrival = last_arrival.max(now + delay);
+            let wave = self.timeline.wave_id(n);
+            self.timeline.push(
+                now + delay,
+                EventKind::DeviceUpload {
+                    edge: n,
+                    device: m,
+                    wave,
+                },
+            );
         }
         probe.stop(Phase::FaultRecovery);
         last_arrival
@@ -1500,7 +1572,10 @@ impl Simulation {
     /// [`SimError::CheckpointMismatch`] when the schema version, config
     /// digest, population shape, plane state or model architecture
     /// disagree; the simulation is left unmodified in every case but a
-    /// payload that fails to decode (architecture, rng, heap contents).
+    /// payload that fails to decode (architecture, rng, population or
+    /// algorithm state). The compression and timeline planes — residual
+    /// and snapshot shapes, heap contents — are checked in full before
+    /// the first write.
     pub fn restore(&mut self, ck: &SimCheckpoint) -> Result<(), SimError> {
         let mismatch = |message: String| SimError::CheckpointMismatch { message };
         if ck.schema_version != SIM_CHECKPOINT_SCHEMA_VERSION {
@@ -1591,6 +1666,16 @@ impl Simulation {
             "checkpoint lacks population state but the simulation is lazy-mode",
             "population checkpoint applied to a dense simulation",
         )?;
+        if let Some(c) = &ck.compression {
+            self.compression.validate_state(c).map_err(&mismatch)?;
+        }
+        let timeline = match &ck.timeline {
+            Some(tck) => Some(
+                Timeline::restore(tck, self.edges.len(), self.population.len(), params)
+                    .map_err(&mismatch)?,
+            ),
+            None => None,
+        };
         ck.cloud.restore(&mut self.cloud).map_err(&mismatch)?;
         self.cloud_flat.refresh(&self.cloud);
         for (edge, eck) in self.edges.iter_mut().zip(&ck.edges) {
@@ -1628,9 +1713,8 @@ impl Simulation {
         if let Some(state) = &ck.algorithm {
             self.policy.restore_state(state).map_err(&mismatch)?;
         }
-        if let Some(tck) = &ck.timeline {
-            self.timeline = Timeline::restore(tck, self.edges.len(), self.population.len())
-                .map_err(&mismatch)?;
+        if let Some(timeline) = timeline {
+            self.timeline = timeline;
             // A timer sync can fire before the first post-restore
             // step boundary rebuilds the step index; give it the
             // index of the last executed step so its broadcast mask
@@ -1691,6 +1775,68 @@ impl Simulation {
         }
         point
     }
+}
+
+/// What an upload's reconstruction is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Owed {
+    /// A lockstep deadline miss: the stale merge's payload.
+    Stale,
+    /// Lost on the wire: nobody receives it, but the sender compressed it.
+    Lost,
+    /// Delivered: the payload its edge aggregates.
+    Delivered,
+}
+
+/// One upload a round owes its compression batch.
+#[derive(Debug, Clone, Copy)]
+struct PendingUpload {
+    edge: usize,
+    device: usize,
+    owed: Owed,
+}
+
+impl PendingUpload {
+    fn new(edge: usize, device: usize, owed: Owed) -> Self {
+        PendingUpload { edge, device, owed }
+    }
+}
+
+/// Compresses `pending` as one batch, each device's upload against its
+/// edge's model — or, for a lost upload, the pre-flush copy of that edge
+/// in `pre_flush` when there is one. Stale payloads fill `stale` and
+/// delivered ones the slots `delivered` yields, both in pending order.
+fn compress_pending<'a>(
+    compression: &mut CompressionPlane,
+    population: &'a Population,
+    edges: &'a [EdgeState],
+    pending: &[PendingUpload],
+    pre_flush: &'a [(usize, Vec<f32>)],
+    stale: &'a mut [Vec<f32>],
+    mut delivered: impl Iterator<Item = &'a mut Vec<f32>>,
+) {
+    let mut stale = stale.iter_mut();
+    let mut jobs: Vec<CompressJob<'a>> = pending
+        .iter()
+        .map(|u| {
+            let edge = edges[u.edge].flat();
+            let (reference, payload) = match u.owed {
+                Owed::Stale => (edge, stale.next()),
+                Owed::Delivered => (edge, delivered.next()),
+                Owed::Lost => {
+                    let before = pre_flush.iter().find(|(n, _)| *n == u.edge);
+                    (before.map_or(edge, |(_, flat)| &flat[..]), None)
+                }
+            };
+            CompressJob {
+                sender: Sender::Device(u.device),
+                new: population.get(u.device).flat(),
+                reference,
+                payload,
+            }
+        })
+        .collect();
+    compression.compress_batch(&mut jobs);
 }
 
 /// The round's similarity scorer (`U(w_c, Δw_m)`, Eqs. 10–11): a lookup

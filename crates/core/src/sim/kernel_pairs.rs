@@ -6,7 +6,7 @@
 //! reads the round's private state and clones what its kernels consume:
 //! the score caches and the step's candidates, the participants with
 //! their on-move verdicts, the delivered cohorts, the edges under the
-//! last WAN mask and the cloud. On those clones it asserts five pairs
+//! last WAN mask and the cloud. On those clones it asserts six pairs
 //! bit-equal:
 //!
 //! * (a) selection — the cached scores ([`cached_similarity`]) into
@@ -18,7 +18,11 @@
 //!   parameters, Oort utility, loss and RNG;
 //! * (d) Eq. 6 — `edge_aggregate_into` against `edge_aggregate`;
 //! * (e) Eq. 7 — `cloud_aggregate_into` against `cloud_aggregate`, and
-//!   the flat-copy broadcast against clone + `refresh_flat`.
+//!   the flat-copy broadcast against clone + `refresh_flat`;
+//! * (f) compression — one `compress_batch` over every participant's
+//!   upload (some lost on the wire) and every edge's sync, against the
+//!   sequential reference, one call per job in order: payloads,
+//!   residuals and the RNG afterwards.
 //!
 //! Each pair counts its hits, and a run fails unless every pair its
 //! regime can reach was hit. The harness adds nothing to the round:
@@ -29,6 +33,7 @@ use super::*;
 use crate::aggregation::{edge_aggregate, on_device_init};
 use crate::algorithms::Algorithm;
 use crate::builder::SimulationBuilder;
+use crate::compress::{CompressJob, Sender};
 use crate::faults::{DelayModel, DropoutModel, FaultConfig};
 use crate::selection::{
     select_devices_reference_scored, update_similarity_reference, update_similarity_reference_flat,
@@ -44,6 +49,7 @@ struct Hits {
     train: usize,
     edge: usize,
     cloud: usize,
+    compress: usize,
 }
 
 fn bits(model: &Sequential) -> Vec<u32> {
@@ -266,6 +272,65 @@ fn cloud_pair(sim: &Simulation, what: &str, hits: &mut Hits) {
     hits.cloud += 1;
 }
 
+/// Pair (f) on two clones of the live plane. The jobs come from the
+/// state after the tick: each participant's upload against the edge it
+/// joined (every third one lost, so it has no payload), then each
+/// edge's sync against the cloud.
+fn compress_pair(sim: &Simulation, what: &str, hits: &mut Hits) {
+    if !sim.compression.lossy_active() {
+        return;
+    }
+    let flat_of = |m: usize| match sim.population.view(m) {
+        DeviceRef::Resident(dev) => dev.flat(),
+        DeviceRef::Stub(v) => sim.population.version_flat(v),
+    };
+    let mut uploads: Vec<(Sender, &[f32], &[f32], bool)> = (sim.pending_inits.iter())
+        .enumerate()
+        .map(|(i, p)| {
+            let edge = sim.edges[p.edge].flat();
+            (
+                Sender::Device(p.device),
+                flat_of(p.device),
+                edge,
+                i % 3 != 2,
+            )
+        })
+        .collect();
+    let cloud = sim.cloud_flat.flat();
+    uploads.extend(
+        (sim.edges.iter().enumerate()).map(|(n, e)| (Sender::Edge(n), e.flat(), cloud, true)),
+    );
+    let mut payloads = vec![Vec::new(); uploads.len()];
+    let mut batch = sim.compression.clone();
+    let mut jobs: Vec<CompressJob> = (uploads.iter().zip(&mut payloads))
+        .map(
+            |(&(sender, new, reference, received), payload)| CompressJob {
+                sender,
+                new,
+                reference,
+                payload: received.then_some(payload),
+            },
+        )
+        .collect();
+    batch.compress_batch(&mut jobs);
+    drop(jobs);
+    let mut oracle = sim.compression.clone();
+    for (&(sender, new, reference, received), payload) in uploads.iter().zip(&payloads) {
+        let expected = oracle.compress_reference(sender, new, reference);
+        let same = |(a, b): (&f32, &f32)| a.to_bits() == b.to_bits();
+        assert!(
+            !received || payload.len() == expected.len() && payload.iter().zip(&expected).all(same),
+            "{what}, {sender:?}: (f) payload"
+        );
+    }
+    assert_eq!(
+        batch.state_bits(),
+        oracle.state_bits(),
+        "{what}: (f) residuals and RNG"
+    );
+    hits.compress += 1;
+}
+
 /// Ticks `cfg` to the end with every pair checked after every tick,
 /// asserts that each pair the regime can reach was hit, and returns the
 /// moved participants' verdicts.
@@ -275,6 +340,7 @@ fn run(regime: &str, cfg: SimConfig) -> Vec<MoveAction> {
         cfg.algorithm.name, cfg.population, cfg.timeline.mode
     );
     let lockstep = cfg.timeline.mode == ExecutionMode::Lockstep;
+    let lossy = cfg.compression.lossy_active();
     let mut sim = SimulationBuilder::new(cfg).build().expect("valid config");
     let (mut hits, mut moves) = (Hits::default(), Vec::new());
     while !sim.is_finished() {
@@ -285,12 +351,15 @@ fn run(regime: &str, cfg: SimConfig) -> Vec<MoveAction> {
         moves.extend(participant_pairs(&sim, &what, &mut hits));
         edge_pair(&sim, &what, &mut hits);
         cloud_pair(&sim, &what, &mut hits);
+        compress_pair(&sim, &what, &mut hits);
     }
     assert!(
         hits.select > 0 && hits.init > 0 && hits.train > 0 && hits.cloud > 0,
         "{label}: a pair went unexercised: {hits:?}"
     );
     assert_eq!(hits.edge > 0, lockstep, "{label}: Eq. 6 pair: {hits:?}");
+    let ticks = if lossy { sim.next_step } else { 0 };
+    assert_eq!(hits.compress, ticks, "{label}: compression pair: {hits:?}");
     moves
 }
 
@@ -418,6 +487,8 @@ fn kernels_match_their_oracles_under_markov_dropout() {
     regime("dropout", base(faults), of("dropout"));
 }
 
+/// Stragglers and loss under a memoryless lossy plane (no error
+/// feedback), beside the `lossy` regime's error-feedback one.
 #[test]
 fn kernels_match_their_oracles_under_stragglers_and_loss() {
     let faults = FaultConfig {
@@ -427,7 +498,12 @@ fn kernels_match_their_oracles_under_stragglers_and_loss() {
         upload_retries: 2,
         ..FaultConfig::default()
     };
-    regime("stragglers", base(faults), of("stragglers"));
+    let mut cfg = base(faults);
+    cfg.compression.enabled = true;
+    cfg.compression.quantize_bits = 4;
+    cfg.compression.top_frac = 0.2;
+    cfg.compression.error_feedback = false;
+    regime("stragglers", cfg, of("stragglers"));
 }
 
 #[test]

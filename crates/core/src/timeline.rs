@@ -583,10 +583,19 @@ impl Timeline {
         }
     }
 
+    /// Rebuilds a timeline from its checkpoint for a simulation of
+    /// `num_edges` edges, `num_devices` devices and `param_count`
+    /// parameters.
+    ///
+    /// # Errors
+    /// A message naming the first part of the checkpoint that does not
+    /// fit: wave count, event range, wave shape, or a snapshot whose
+    /// length is not `param_count`.
     pub fn restore(
         ck: &TimelineCheckpoint,
         num_edges: usize,
         num_devices: usize,
+        param_count: usize,
     ) -> Result<Self, String> {
         if ck.waves.len() != num_edges {
             return Err(format!(
@@ -623,6 +632,7 @@ impl Timeline {
                     "timeline checkpoint wave {edge} references device {m} out of range"
                 ));
             }
+            check_planes(&w.snapshots, param_count, &format!("wave {edge} snapshot"))?;
             let arrivals = w.arrived.iter().filter(|&&a| a).count();
             tl.waves[edge] = EdgeWave {
                 id: w.id,
@@ -641,6 +651,7 @@ impl Timeline {
                 num_devices
             ));
         }
+        check_planes(&ck.in_flight, param_count, "in-flight upload")?;
         tl.in_flight = unpack_planes(&ck.in_flight);
         tl.aggs_since_sync = ck.aggs_since_sync;
         tl.started = ck.started;
@@ -750,6 +761,21 @@ fn unpack_planes(planes: &[Option<Packed<f32>>]) -> Vec<Option<Vec<f32>>> {
         .iter()
         .map(|p| p.as_ref().map(|p| p.0.clone()))
         .collect()
+}
+
+/// Rejects a send-time snapshot whose length is not the model's.
+fn check_planes(
+    planes: &[Option<Packed<f32>>],
+    param_count: usize,
+    what: &str,
+) -> Result<(), String> {
+    match planes.iter().flatten().find(|p| p.len() != param_count) {
+        Some(p) => Err(format!(
+            "timeline checkpoint {what} has {} parameters, model has {param_count}",
+            p.len()
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Serialized wave state.
@@ -950,7 +976,7 @@ mod tests {
         let back: TimelineCheckpoint = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ck);
 
-        let restored = Timeline::restore(&back, 2, 6).unwrap();
+        let restored = Timeline::restore(&back, 2, 6, 2).unwrap();
         assert_eq!(restored.clock().to_bits(), tl.clock().to_bits());
         assert_eq!(restored.next_seq, tl.next_seq);
         assert_eq!(restored.aggs_since_sync, 3);
@@ -988,10 +1014,13 @@ mod tests {
             },
         );
         let ck = tl.checkpoint();
-        assert!(Timeline::restore(&ck, 1, 1).is_err(), "device out of range");
+        assert!(
+            Timeline::restore(&ck, 1, 1, 2).is_err(),
+            "device out of range"
+        );
         let mut bad = ck.clone();
         bad.events[0].kind = 9;
-        assert!(Timeline::restore(&bad, 1, 2).is_err(), "unknown kind");
+        assert!(Timeline::restore(&bad, 1, 2, 2).is_err(), "unknown kind");
         let mut wrong_edges = ck.clone();
         wrong_edges.waves.push(WaveCheckpoint {
             id: 0,
@@ -1002,8 +1031,27 @@ mod tests {
             snapshots: vec![],
         });
         assert!(
-            Timeline::restore(&wrong_edges, 1, 2).is_err(),
+            Timeline::restore(&wrong_edges, 1, 2, 2).is_err(),
             "wave count mismatch"
+        );
+        let mut short = ck.clone();
+        short.in_flight[1] = Some(Packed(vec![0.5]));
+        assert!(
+            Timeline::restore(&short, 1, 2, 2).is_err(),
+            "short in-flight snapshot"
+        );
+        let mut short = ck;
+        short.waves[0] = WaveCheckpoint {
+            id: 1,
+            members: vec![1],
+            arrived: vec![true],
+            trigger: 1,
+            aggregated: false,
+            snapshots: vec![Some(Packed(vec![0.5]))],
+        };
+        assert!(
+            Timeline::restore(&short, 1, 2, 2).is_err(),
+            "short wave snapshot"
         );
     }
 

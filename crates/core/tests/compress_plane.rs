@@ -2,11 +2,14 @@
 //! the operator-level contracts (error bounds, unbiasedness, top-K
 //! ordering, bitwise conservation, lossless round-trips), the
 //! byte-accurate accounting reconciliation against the analytic payload
-//! formula, and mid-run checkpoint/resume with live error-feedback
-//! residuals.
+//! formula, mid-run checkpoint/resume with live error-feedback
+//! residuals, and the kernel oracle battery: `compress_delta` against
+//! the sequential reference it replaced, and a batch against its jobs
+//! compressed one by one.
 
 use middle_core::compress::{
-    apply_sparse_delta, compress_delta, compressed_payload_bytes, keep_count,
+    apply_sparse_delta, compress_delta, compressed_payload_bytes, keep_count, CompressJob,
+    CompressionPlane, Sender,
 };
 use middle_core::{
     Algorithm, CompressionConfig, DelayModel, DropoutModel, RoundingMode, SimConfig, Simulation,
@@ -16,6 +19,14 @@ use middle_data::Task as DataTask;
 use middle_nn::params::flatten;
 use middle_tensor::random::rng;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
+
+// The sequential compressor the batch kernels replaced — the crate's
+// own `#[cfg(test)]` oracle — included by path so this battery holds
+// the public kernel to it.
+#[path = "../src/compress/reference.rs"]
+mod reference;
 
 fn compress(
     delta: &[f64],
@@ -384,4 +395,209 @@ fn inert_plane_checkpoints_no_compression_state() {
     let json = ck.to_json();
     let ck2 = middle_core::SimCheckpoint::from_json(&json).expect("round-trips");
     assert!(ck2.compression.is_none());
+}
+
+// ---- kernel oracle battery --------------------------------------------
+
+/// Everything `compress_delta` produces, as bits.
+type Outputs = (Vec<u32>, Vec<u64>, Vec<u64>, [u64; 4]);
+
+fn run_kernel(delta: &[f64], bits: u32, k: usize, mode: RoundingMode, oracle: bool) -> Outputs {
+    let mut r = rng(17);
+    let (mut kept, mut sent, mut residual) = (vec![9], vec![9.0], vec![9.0]);
+    let kernel = if oracle {
+        reference::compress_delta_reference
+    } else {
+        compress_delta
+    };
+    kernel(
+        delta,
+        bits,
+        k,
+        mode,
+        &mut r,
+        &mut kept,
+        &mut sent,
+        &mut residual,
+    );
+    let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    (kept, to_bits(&sent), to_bits(&residual), r.state())
+}
+
+/// Magnitudes the total order must rank exactly: both zeros, NaNs of
+/// both signs and two payloads, infinities, the subnormal range and its
+/// edge, and repeated finite magnitudes of both signs (ties).
+const SPECIALS: [f64; 18] = [
+    0.0,
+    -0.0,
+    f64::NAN,
+    -f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    5e-324,
+    -5e-324,
+    1e-310,
+    -1e-310,
+    f64::MIN_POSITIVE,
+    -f64::MIN_POSITIVE,
+    0.25,
+    -0.25,
+    0.25,
+    1.0,
+    -1.0,
+    f64::MAX,
+];
+
+/// A delta of length `d` in one of several shapes, from `r`.
+fn hostile_delta(d: usize, shape: usize, r: &mut StdRng) -> Vec<f64> {
+    let payload_nan = f64::from_bits(0x7ff0_0000_0000_0001);
+    (0..d)
+        .map(|i| match shape {
+            // Specials, ties and plain values mixed.
+            0 => match r.gen_range(0..3) {
+                0 => SPECIALS[r.gen_range(0..SPECIALS.len())],
+                1 => [0.5, -0.5, 1e-300, payload_nan][r.gen_range(0..4)],
+                _ => r.gen::<f64>() * 2.0 - 1.0,
+            },
+            // Plain values.
+            1 => (r.gen::<f64>() - 0.5) * 0.02,
+            // Every coordinate tied.
+            2 => -0.125,
+            // Only zeros of both signs.
+            3 => [0.0, -0.0][i % 2],
+            // Large values on exactly the coordinates a strided sample
+            // reads: the threshold guess gathers too few.
+            4 => {
+                if i % (d / 512).max(1) == 0 {
+                    1e3 + i as f64
+                } else {
+                    1e-3 * i as f64
+                }
+            }
+            // Magnitudes rising with the index.
+            _ => i as f64 * if i % 2 == 0 { 1.0 } else { -1.0 },
+        })
+        .collect()
+}
+
+/// `compress_delta` equals the sequential reference — kept indices,
+/// transmitted values, residual bits and the RNG afterwards — on hostile
+/// deltas at every `k` edge, widths {1, 8, 31, 32} and both roundings.
+#[test]
+fn compress_delta_matches_the_sequential_reference() {
+    let mut r = rng(2023);
+    let mut cases = 0;
+    for d in [1, 2, 3, 7, 64, 65, 700, 1500, 6570] {
+        for shape in 0..6 {
+            let delta = hostile_delta(d, shape, &mut r);
+            let mut ks = vec![1, d.saturating_sub(1).max(1), d, d + 3, 0];
+            ks.push(r.gen_range(1..=d));
+            ks.push(keep_count(d, 0.1));
+            for &k in &ks {
+                for bits in [1, 8, 31, 32] {
+                    for mode in [RoundingMode::Nearest, RoundingMode::Stochastic] {
+                        let fast = run_kernel(&delta, bits, k, mode, false);
+                        let oracle = run_kernel(&delta, bits, k, mode, true);
+                        assert_eq!(
+                            fast, oracle,
+                            "d {d}, shape {shape}, k {k}, bits {bits}, {mode:?}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 9 * 6 * 7 * 4 * 2);
+}
+
+/// One round of uploads to compress: `(sender, new, reference, received)`.
+type Round = Vec<(Sender, Vec<f32>, Vec<f32>, bool)>;
+
+/// Mixed jobs over a few devices and edges: plain uploads, a lost one
+/// (no payload), an unchanged model (a zero delta: no draws until a
+/// residual builds up) and one with an infinite coordinate (a
+/// non-finite range: no draws).
+fn mixed_round(d: usize, r: &mut StdRng) -> Round {
+    let model = |r: &mut StdRng| (0..d).map(|_| r.gen::<f32>() - 0.5).collect::<Vec<f32>>();
+    let base = model(r);
+    let mut jobs: Round = Vec::new();
+    for m in 0..4 {
+        jobs.push((Sender::Device(m), model(r), base.clone(), m != 2));
+    }
+    jobs.push((Sender::Device(4), base.clone(), base.clone(), true));
+    let mut inf = model(r);
+    inf[d / 3] = f32::INFINITY;
+    jobs.push((Sender::Device(5), inf, base.clone(), true));
+    for n in 0..2 {
+        jobs.push((Sender::Edge(n), model(r), base.clone(), n == 0));
+    }
+    jobs
+}
+
+/// Compresses `round` on `plane` — as one batch, or one job per call —
+/// and returns the payloads as bits (empty for lost uploads).
+fn compress_round(plane: &mut CompressionPlane, round: &Round, one_by_one: bool) -> Vec<Vec<u32>> {
+    let mut payloads = vec![Vec::new(); round.len()];
+    let mut jobs: Vec<CompressJob> = (round.iter().zip(&mut payloads))
+        .map(
+            |((sender, new, reference, received), payload)| CompressJob {
+                sender: *sender,
+                new,
+                reference,
+                payload: received.then_some(payload),
+            },
+        )
+        .collect();
+    if one_by_one {
+        for job in jobs.chunks_mut(1) {
+            plane.compress_batch(job);
+        }
+    } else {
+        plane.compress_batch(&mut jobs);
+    }
+    drop(jobs);
+    (payloads.iter())
+        .map(|p| p.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+/// A batch equals its jobs compressed one after another — payloads,
+/// residuals and the stream position — over mixed jobs whose draw
+/// counts differ (zero-draw jobs among them, so each job's offset into
+/// the batch's uniforms matters), for three rounds so residuals feed
+/// back, under every rounding × error-feedback × width setting.
+#[test]
+fn batch_equals_its_jobs_one_by_one() {
+    let d = 700;
+    for mode in [RoundingMode::Stochastic, RoundingMode::Nearest] {
+        for error_feedback in [true, false] {
+            for (bits, top_frac) in [(8, 0.1), (1, 0.5), (4, 1.0), (32, 0.3)] {
+                let cfg = CompressionConfig {
+                    enabled: true,
+                    quantize_bits: bits,
+                    top_frac,
+                    rounding: mode,
+                    error_feedback,
+                };
+                let what = format!("{cfg:?}");
+                let mut batch = CompressionPlane::new(cfg.clone(), 6, 2, d, 5);
+                let mut single = CompressionPlane::new(cfg, 6, 2, d, 5);
+                let mut r = rng(99);
+                for round in 0..3 {
+                    let jobs = mixed_round(d, &mut r);
+                    assert_eq!(
+                        compress_round(&mut batch, &jobs, false),
+                        compress_round(&mut single, &jobs, true),
+                        "{what}, round {round}: payloads"
+                    );
+                    assert_eq!(
+                        serde_json::to_string(&batch.state_checkpoint()).unwrap(),
+                        serde_json::to_string(&single.state_checkpoint()).unwrap(),
+                        "{what}, round {round}: residuals and RNG"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -9,12 +9,13 @@
 //! determinism of the genuinely-async arm, and sanity gates on
 //! thresholds, timers and the simulated clock.
 
-use middle_core::timeline::{EventKind, Timeline};
+use middle_core::timeline::{EventKind, Timeline, WaveCheckpoint};
 use middle_core::{
     Algorithm, DelayModel, DropoutModel, ExecutionMode, FaultConfig, LatencyModel, SimCheckpoint,
-    SimConfig, Simulation, SimulationBuilder, StepMode,
+    SimConfig, SimError, Simulation, SimulationBuilder, StepMode,
 };
 use middle_data::Task;
+use middle_nn::serialize::Packed;
 use proptest::prelude::*;
 
 mod common;
@@ -288,6 +289,69 @@ fn async_mid_heap_checkpoint_resumes_bitwise_through_json() {
     assert_records_equal(&reference, &resumed);
     assert_eq!(reference.event_seconds, resumed.event_seconds);
     assert_eq!(sim_bits(&straight), sim_bits(&second));
+}
+
+/// A hostile timeline block — a short in-flight snapshot, a short wave
+/// snapshot, one wave too many — each sent through JSON, is rejected
+/// with `CheckpointMismatch` before anything is written: the target
+/// then finishes exactly as a fresh run does.
+#[test]
+fn hostile_timeline_checkpoint_is_rejected_before_any_write() {
+    let cfg = async_config();
+    let mut fresh = built(cfg.clone());
+    let reference = fresh.run();
+
+    let mut donor = built(cfg.clone());
+    for _ in 0..5 {
+        donor.tick(StepMode::Fast);
+    }
+    let ck = donor.checkpoint();
+    let timeline = ck.timeline.as_ref().expect("event-driven checkpoint");
+    let in_flight = (timeline.in_flight.iter())
+        .position(Option::is_some)
+        .expect("an upload in flight at the cut");
+    let short = |p: &Packed<f32>| Some(Packed(p[..p.len() - 1].to_vec()));
+
+    let mut short_in_flight = ck.clone();
+    let tl = short_in_flight.timeline.as_mut().unwrap();
+    tl.in_flight[in_flight] = short(timeline.in_flight[in_flight].as_ref().unwrap());
+
+    let mut short_wave = ck.clone();
+    let tl = short_wave.timeline.as_mut().unwrap();
+    let wave = &mut tl.waves[0];
+    wave.members.push(0);
+    wave.arrived.push(true);
+    wave.snapshots
+        .push(short(timeline.in_flight[in_flight].as_ref().unwrap()));
+
+    let mut extra_wave = ck.clone();
+    let tl = extra_wave.timeline.as_mut().unwrap();
+    tl.waves.push(WaveCheckpoint {
+        id: 0,
+        members: Vec::new(),
+        arrived: Vec::new(),
+        trigger: 0,
+        aggregated: true,
+        snapshots: Vec::new(),
+    });
+
+    for (what, bad) in [
+        ("short in-flight snapshot", short_in_flight),
+        ("short wave snapshot", short_wave),
+        ("wrong wave count", extra_wave),
+    ] {
+        let bad = SimCheckpoint::from_json(&bad.to_json()).expect("checkpoint parses");
+        let mut target = built(cfg.clone());
+        let err = target.restore(&bad).expect_err(what);
+        assert!(
+            matches!(err, SimError::CheckpointMismatch { .. }),
+            "{what}: {err}"
+        );
+        let record = target.run();
+        assert_records_equal(&reference, &record);
+        assert_eq!(reference.event_seconds, record.event_seconds, "{what}");
+        assert_eq!(sim_bits(&fresh), sim_bits(&target), "{what}");
+    }
 }
 
 /// A checkpoint without a timeline block must not restore into an
