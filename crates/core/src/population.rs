@@ -19,8 +19,11 @@
 //!   their replicas pooled for the next materialisation
 //!   ([`Device::recycle`]). Materialisation is split in two: phase 1 of
 //!   the round *reserves* a replica per selected stub, serially and
-//!   cheaply, and one parallel region after the last edge loads the
-//!   parameters and runs the inits (`Population::init_participants`).
+//!   cheaply — a pooled one, or a fresh one while the pool is empty —
+//!   and the step's one participant region
+//!   (`Population::run_participants`) finishes it on the thread that then
+//!   inits, trains and scores the device: a pooled replica's dataset and
+//!   re-purposing, then the carried state and parameters.
 //!
 //! The invariant making this exact: the simulation only ever mutates a
 //! device's parameters while it participates, and every broadcast
@@ -79,19 +82,31 @@ pub enum DeviceRef<'a> {
 }
 
 /// What phase 1 of the round records for one participant, consumed by
-/// [`Population::init_participants`].
+/// [`Population::run_participants`].
 pub(crate) struct PendingInit {
     /// The participant.
     pub device: usize,
-    /// The broadcast version a replica reserved this step still has to
-    /// load ([`Population::reserve`]); `None` when the device was
+    /// What the participant region still owes a device materialised
+    /// this step ([`Population::reserve`]); `None` when the device was
     /// already materialised.
-    pub version: Option<u32>,
+    pub reserved: Option<Reserved>,
     /// The edge the device trains under this step.
     pub edge: usize,
     /// The on-device verdict; `None` when the carried model continues
     /// untouched (a FedFly migration).
     pub init: Option<OnDevicePolicy>,
+}
+
+/// A replica [`Population::reserve`] gave a stub, which the participant
+/// region finishes ([`finish_replica`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reserved {
+    /// The broadcast version the replica must load.
+    pub version: u32,
+    /// Whether the replica came from the pool, so the region still has
+    /// to re-purpose it ([`Device::recycle`]) for the device; a replica
+    /// built on a pool miss is the device's already.
+    pub recycle: bool,
 }
 
 /// `slot` value of a materialised device; every other value is the id of
@@ -204,16 +219,6 @@ impl LazyPopulation {
         }
     }
 
-    /// Device `m`'s local dataset, re-gathered from the shared base on
-    /// demand; `SharedInputs::build` skips the dense per-device
-    /// pre-gather in lazy mode.
-    fn device_data(&self, m: usize) -> Dataset {
-        match &self.inputs.base {
-            Some(base) => base.subset(&self.inputs.partition.assignments[m]),
-            None => self.inputs.device_data[m].clone(),
-        }
-    }
-
     fn unref(&mut self, version: u32) {
         let slot = &mut self.versions[version as usize];
         debug_assert!(slot.refs > 0, "version refcount underflow");
@@ -246,39 +251,33 @@ impl LazyPopulation {
     }
 
     /// The serial half of materialisation: gives stub `m` a replica — a
-    /// pooled one re-purposed, a new one only while the pool is empty —
-    /// carrying its scalar state, and marks it resident. Returns the
-    /// version whose flat the replica must still load, with `m`'s
-    /// reference to it left in place so the flat outlives its readers
-    /// ([`Population::init_participants`] loads and releases). `None`
+    /// pooled one, or a fresh one only while the pool is empty — and
+    /// marks it resident. Everything else waits for the participant
+    /// region ([`Population::run_participants`]): re-purposing a pooled
+    /// replica, the stub's carried state and the version's parameters.
+    /// The version stays referenced by `m` until the region has loaded
+    /// it. Fresh replicas are built here, on the calling thread, so every
+    /// replica the run ever holds comes from one allocator arena. `None`
     /// when `m` is already resident.
-    fn reserve(&mut self, m: usize) -> Option<u32> {
+    fn reserve(&mut self, m: usize) -> Option<Reserved> {
         let version = self.slot[m];
         if version == RESIDENT {
             return None;
         }
-        let data = self.device_data(m);
-        let mut dev = match self.pool.pop() {
-            Some(mut dev) => {
-                dev.recycle(m, data, self.seed);
-                dev
-            }
+        let (replica, recycle) = match self.pool.pop() {
+            Some(pooled) => (pooled, true),
             None => {
                 self.fresh_replicas += 1;
-                Box::new(Device::new(m, data, self.inputs.init.clone(), self.seed))
+                let data = device_data(&self.inputs, m);
+                let fresh = Device::new(m, data, self.inputs.init.clone(), self.seed);
+                (Box::new(fresh), false)
             }
         };
-        let meta = &self.meta[m];
-        dev.oort_utility = meta.oort_utility;
-        dev.last_participation = meta.last_participation;
-        if let Some(state) = meta.rng {
-            dev.restore_rng(StdRng::from_state(state));
-        }
-        self.resident[m] = Some(dev);
+        self.resident[m] = Some(replica);
         self.slot[m] = RESIDENT;
         self.residents.push(m);
         self.peak_resident = self.peak_resident.max(self.residents.len());
-        Some(version)
+        Some(Reserved { version, recycle })
     }
 
     /// Demotes resident `m` to a stub of `version`: the broadcast
@@ -440,16 +439,37 @@ impl LazyPopulation {
         }
     }
 
-    /// Rebuilds the plane from a checkpoint. The pool and every score
-    /// cache are derived state and are not in it: the pool restarts
-    /// empty and the restored replicas are new allocations.
-    fn restore(&mut self, ck: &PopulationCheckpoint) -> Result<(), String> {
-        if ck.devices.len() != self.meta.len() {
+    /// Decodes a checkpoint into the plane's tables, checking it against
+    /// this population first and writing nothing: every version flat
+    /// must hold the model's parameter count, ids must be distinct and
+    /// at most the device count (the table never outgrows the most
+    /// versions live at once plus one, and each live one has a stub),
+    /// and every stub must carry a version the checkpoint holds. The pool
+    /// and every score cache are derived state and are not in it: the
+    /// pool restarts empty and the restored replicas are new allocations.
+    fn decode(&self, ck: &PopulationCheckpoint) -> Result<LazyTables, String> {
+        let devices = self.meta.len();
+        if ck.devices.len() != devices {
             return Err(format!(
-                "population checkpoint holds {} devices (expected {})",
-                ck.devices.len(),
-                self.meta.len()
+                "population checkpoint holds {} devices (expected {devices})",
+                ck.devices.len()
             ));
+        }
+        let params = self.inputs.init.param_count();
+        for v in &ck.versions {
+            if v.id as usize > devices {
+                return Err(format!(
+                    "version id {} exceeds the device count {devices}",
+                    v.id
+                ));
+            }
+            if v.flat.len() != params {
+                return Err(format!(
+                    "version {} holds {} parameters (expected {params})",
+                    v.id,
+                    v.flat.len()
+                ));
+            }
         }
         let len = ck
             .versions
@@ -466,13 +486,16 @@ impl LazyPopulation {
             .collect();
         for v in &ck.versions {
             let slot = &mut versions[v.id as usize];
+            if !slot.flat.is_empty() {
+                return Err(format!("version {} appears twice", v.id));
+            }
             slot.flat = v.flat.0.clone();
             slot.norm_sq = v.norm_sq;
         }
-        let mut resident: Vec<Option<Box<Device>>> = (0..ck.devices.len()).map(|_| None).collect();
-        let mut slots: Vec<u32> = Vec::with_capacity(ck.devices.len());
+        let mut resident: Vec<Option<Box<Device>>> = (0..devices).map(|_| None).collect();
+        let mut slots: Vec<u32> = Vec::with_capacity(devices);
         let mut residents: Vec<usize> = Vec::new();
-        let mut meta: Vec<StubMeta> = Vec::with_capacity(ck.devices.len());
+        let mut meta: Vec<StubMeta> = Vec::with_capacity(devices);
         for (m, slot) in ck.devices.iter().enumerate() {
             match slot {
                 DeviceSlotCheckpoint::Stub {
@@ -494,8 +517,8 @@ impl LazyPopulation {
                     });
                 }
                 DeviceSlotCheckpoint::Resident { device } => {
-                    let mut dev =
-                        Device::new(m, self.device_data(m), self.inputs.init.clone(), self.seed);
+                    let data = device_data(&self.inputs, m);
+                    let mut dev = Device::new(m, data, self.inputs.init.clone(), self.seed);
                     device.params.restore(&mut dev.model)?;
                     dev.refresh_flat();
                     dev.oort_utility = device.oort_utility;
@@ -512,16 +535,108 @@ impl LazyPopulation {
                 }
             }
         }
+        // A version no stub carries is dead, as in a live table.
+        for slot in versions.iter_mut().filter(|s| !s.is_live()) {
+            slot.tombstone();
+        }
+        Ok(LazyTables {
+            versions,
+            slot: slots,
+            resident,
+            residents,
+            meta,
+        })
+    }
+
+    /// Installs tables [`LazyPopulation::decode`] accepted.
+    fn install(&mut self, tables: LazyTables) {
+        let LazyTables {
+            versions,
+            slot,
+            resident,
+            residents,
+            meta,
+        } = tables;
         self.versions = versions;
-        self.slot = slots;
+        self.slot = slot;
         self.resident = resident;
         self.meta = meta;
         self.pool.clear();
         self.peak_resident = residents.len();
         self.fresh_replicas = residents.len();
         self.residents = residents;
-        Ok(())
     }
+}
+
+/// The lazy plane's tables as a checkpoint restores them.
+pub(crate) struct LazyTables {
+    versions: Vec<VersionSlot>,
+    slot: Vec<u32>,
+    resident: Vec<Option<Box<Device>>>,
+    residents: Vec<usize>,
+    meta: Vec<StubMeta>,
+}
+
+/// A checkpoint's device states, checked against the population and
+/// ready to install ([`Population::decode`]).
+pub(crate) enum DecodedPopulation<'a> {
+    /// Per-device states of a dense population, in device order.
+    Dense(&'a [DeviceCheckpoint]),
+    /// The lazy plane's rebuilt tables.
+    Lazy(LazyTables),
+}
+
+/// Device `m`'s local dataset, re-gathered from the shared base on
+/// demand; `SharedInputs::build` skips the dense per-device pre-gather
+/// in lazy mode.
+fn device_data(inputs: &SharedInputs, m: usize) -> Dataset {
+    match &inputs.base {
+        Some(base) => base.subset(&inputs.partition.assignments[m]),
+        None => inputs.device_data[m].clone(),
+    }
+}
+
+/// The in-region half of materialising a device reserved this step:
+/// re-purposes a pooled replica for it (re-gathering its dataset), then
+/// restores the stub's carried state and loads the reserved version —
+/// unless the verdict is `EdgeModel`, whose init overwrites every
+/// parameter and the flat cache anyway.
+fn finish_replica(lazy: &LazyPopulation, dev: &mut Device, p: &PendingInit, reserved: Reserved) {
+    let m = p.device;
+    if reserved.recycle {
+        dev.recycle(m, device_data(&lazy.inputs, m), lazy.seed);
+    }
+    let carried = &lazy.meta[m];
+    dev.oort_utility = carried.oort_utility;
+    dev.last_participation = carried.last_participation;
+    if let Some(state) = carried.rng {
+        dev.restore_rng(StdRng::from_state(state));
+    }
+    if !matches!(p.init, Some(OnDevicePolicy::EdgeModel)) {
+        let slot = &lazy.versions[reserved.version as usize];
+        debug_assert!(slot.is_live(), "stub references a tombstoned version");
+        dev.load_flat(&slot.flat, slot.norm_sq);
+    }
+}
+
+/// Disjoint `&mut` references to `items[id]` for a strictly ascending
+/// id list, so a region splits over exactly those items without
+/// re-scanning the rest.
+fn disjoint_mut<'a, T>(mut items: &'a mut [T], ids: &[usize]) -> Vec<&'a mut T> {
+    assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "participant ids must be strictly ascending"
+    );
+    let mut out = Vec::with_capacity(ids.len());
+    let mut base = 0;
+    for &id in ids {
+        assert!(id - base < items.len(), "participant id out of range");
+        let (head, tail) = std::mem::take(&mut items).split_at_mut(id - base + 1);
+        out.push(&mut head[id - base]);
+        items = tail;
+        base = id + 1;
+    }
+    out
 }
 
 /// The simulation's device population, dense or lazy.
@@ -601,13 +716,6 @@ impl Population {
         }
     }
 
-    pub(crate) fn dense_slice_mut(&mut self) -> &mut [Device] {
-        match self {
-            Population::Dense(d) => d,
-            Population::Lazy(_) => panic!("lazy population has no dense device slice"),
-        }
-    }
-
     /// A cheap per-device view: the replica when materialised, the
     /// version id when virtualized.
     pub fn view(&self, m: usize) -> DeviceRef<'_> {
@@ -665,50 +773,55 @@ impl Population {
         }
     }
 
-    /// Gives a selected device a replica before its init touches the
-    /// carried model: the serial half of materialisation (no-op when
-    /// dense or already resident). Returns the broadcast version the
-    /// replica still has to load, which
-    /// [`Population::init_participants`] does for every participant of
-    /// the step at once.
-    pub(crate) fn reserve(&mut self, m: usize) -> Option<u32> {
+    /// Reserves a replica for a selected device before anything touches
+    /// its carried model: the serial half of materialisation (no-op when
+    /// dense or already resident). Returns what the replica still owes,
+    /// which [`Population::run_participants`] finishes for every
+    /// participant of the step at once.
+    pub(crate) fn reserve(&mut self, m: usize) -> Option<Reserved> {
         match self {
             Population::Dense(_) => None,
             Population::Lazy(p) => p.reserve(m),
         }
     }
 
-    /// The parallel half of materialisation and device init, one region
-    /// over the step's participants (`pending`, ascending by device):
-    /// a replica reserved this step loads its pending version's flat —
-    /// unless its verdict is `EdgeModel`, which overwrites every
-    /// parameter and the flat cache anyway — then `kernel` writes the
-    /// device's initial model. The version references the reservations
-    /// kept are released serially afterwards, so no flat is tombstoned
-    /// under a reader.
-    pub(crate) fn init_participants<F>(&mut self, ids: &[usize], pending: &[PendingInit], kernel: F)
+    /// The step's participant region: one parallel pass over the
+    /// participants (`pending`, ascending by device, `ids` its devices)
+    /// in which each participant's whole job runs on one thread. A device
+    /// reserved this step first gets its replica finished
+    /// ([`finish_replica`]), then `job` inits, trains and scores it. The
+    /// version references the reservations kept are released serially
+    /// afterwards, so no flat is tombstoned under a reader.
+    pub(crate) fn run_participants<F>(&mut self, ids: &[usize], pending: &[PendingInit], job: F)
     where
         F: Fn(&mut Device, &PendingInit) + Sync,
     {
         debug_assert!(ids.iter().eq(pending.iter().map(|p| &p.device)));
-        let (mut devices, versions) = self.gather_parts(ids);
-        devices
-            .par_iter_mut()
-            .zip(pending.par_iter())
-            .for_each(|(dev, p)| {
-                if let Some(v) = p.version {
-                    if !matches!(p.init, Some(OnDevicePolicy::EdgeModel)) {
-                        let slot = &versions[v as usize];
-                        debug_assert!(slot.is_live(), "stub references a tombstoned version");
-                        dev.load_flat(&slot.flat, slot.norm_sq);
-                    }
+        match self {
+            Population::Dense(devices) => disjoint_mut(devices, ids)
+                .par_iter_mut()
+                .zip(pending.par_iter())
+                .for_each(|(dev, p)| job(dev, p)),
+            Population::Lazy(lazy) => {
+                // The replicas leave the plane for the region, so each
+                // job can read the rest of it — datasets, carried state,
+                // version flats — while it writes its own replica.
+                let mut resident = std::mem::take(&mut lazy.resident);
+                let lazy_ref = &*lazy;
+                disjoint_mut(&mut resident, ids)
+                    .par_iter_mut()
+                    .zip(pending.par_iter())
+                    .for_each(|(slot, p)| {
+                        let dev = slot.as_deref_mut().expect("participant not resident");
+                        if let Some(reserved) = p.reserved {
+                            finish_replica(lazy_ref, dev, p, reserved);
+                        }
+                        job(dev, p);
+                    });
+                lazy.resident = resident;
+                for reserved in pending.iter().filter_map(|p| p.reserved) {
+                    lazy.unref(reserved.version);
                 }
-                kernel(dev, p);
-            });
-        drop(devices);
-        if let Population::Lazy(p) = self {
-            for version in pending.iter().filter_map(|p| p.version) {
-                p.unref(version);
             }
         }
     }
@@ -763,45 +876,16 @@ impl Population {
     }
 
     /// Gathers disjoint `&mut Device` references for a strictly
-    /// ascending id list of materialised devices, so the training phase
-    /// parallelises over exactly the participants without re-scanning
-    /// the population.
+    /// ascending id list of materialised devices, so a region
+    /// parallelises over exactly those devices without re-scanning the
+    /// population.
     pub fn gather_mut(&mut self, ids: &[usize]) -> Vec<&mut Device> {
-        self.gather_parts(ids).0
-    }
-
-    /// [`Population::gather_mut`] plus the version table (empty when
-    /// dense), which the borrow of the replicas would otherwise hide.
-    fn gather_parts(&mut self, ids: &[usize]) -> (Vec<&mut Device>, &[VersionSlot]) {
-        assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
-            "participant ids must be strictly ascending"
-        );
-        if let Some(&last) = ids.last() {
-            assert!(last < self.len(), "participant id out of range");
-        }
         match self {
-            Population::Dense(d) => {
-                let ptr = d.as_mut_ptr();
-                // SAFETY: the ids are strictly ascending (hence
-                // distinct) and in range, so every produced reference
-                // aliases a unique element.
-                let devices = ids.iter().map(|&m| unsafe { &mut *ptr.add(m) }).collect();
-                (devices, &[])
-            }
-            Population::Lazy(p) => {
-                let ptr = p.resident.as_mut_ptr();
-                let devices = ids
-                    .iter()
-                    .map(|&m| {
-                        // SAFETY: as above — distinct, in-range slots.
-                        unsafe { &mut *ptr.add(m) }
-                            .as_deref_mut()
-                            .expect("participant not resident")
-                    })
-                    .collect();
-                (devices, &p.versions)
-            }
+            Population::Dense(d) => disjoint_mut(d, ids),
+            Population::Lazy(p) => disjoint_mut(&mut p.resident, ids)
+                .into_iter()
+                .map(|slot| slot.as_deref_mut().expect("participant not resident"))
+                .collect(),
         }
     }
 
@@ -860,17 +944,60 @@ impl Population {
         }
     }
 
-    /// Restores a lazy population checkpoint.
+    /// Checks a checkpoint's device states against this population and
+    /// decodes them, writing nothing: `lazy` is the checkpoint's
+    /// population block, `dense` its per-device list, and the one this
+    /// mode does not use must be absent or empty.
     ///
     /// # Errors
-    /// Returns a description when the checkpoint's shape disagrees or a
-    /// stub references a missing version.
-    pub(crate) fn restore(&mut self, ck: &PopulationCheckpoint) -> Result<(), String> {
-        match self {
-            Population::Dense(_) => {
+    /// Returns a description when the states do not fit: the wrong mode
+    /// or device count, a parameter layout that is not the model's, or
+    /// a version table [`LazyPopulation::decode`] rejects.
+    pub(crate) fn decode<'a>(
+        &self,
+        lazy: Option<&PopulationCheckpoint>,
+        dense: &'a [DeviceCheckpoint],
+    ) -> Result<DecodedPopulation<'a>, String> {
+        match (self, lazy) {
+            (Population::Dense(devices), None) => {
+                if dense.len() != devices.len() {
+                    return Err(format!(
+                        "checkpoint holds {} devices (expected {})",
+                        dense.len(),
+                        devices.len()
+                    ));
+                }
+                for (dev, dck) in devices.iter().zip(dense) {
+                    dck.params.fits(&dev.model)?;
+                }
+                Ok(DecodedPopulation::Dense(dense))
+            }
+            (Population::Lazy(p), Some(ck)) => p.decode(ck).map(DecodedPopulation::Lazy),
+            (Population::Dense(_), Some(_)) => {
                 Err("population checkpoint applied to a dense simulation".into())
             }
-            Population::Lazy(p) => p.restore(ck),
+            (Population::Lazy(_), None) => {
+                Err("checkpoint lacks population state but the simulation is lazy-mode".into())
+            }
+        }
+    }
+
+    /// Installs device states [`Population::decode`] accepted.
+    pub(crate) fn install(&mut self, decoded: DecodedPopulation<'_>) {
+        match (self, decoded) {
+            (Population::Dense(devices), DecodedPopulation::Dense(dense)) => {
+                for (dev, dck) in devices.iter_mut().zip(dense) {
+                    dck.params
+                        .restore(&mut dev.model)
+                        .expect("decode checked the layout");
+                    dev.refresh_flat();
+                    dev.oort_utility = dck.oort_utility;
+                    dev.last_participation = dck.last_participation;
+                    dev.restore_rng(dck.rng.restore());
+                }
+            }
+            (Population::Lazy(p), DecodedPopulation::Lazy(tables)) => p.install(tables),
+            _ => unreachable!("decode matched the population's mode"),
         }
     }
 }

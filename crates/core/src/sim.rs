@@ -236,9 +236,9 @@ pub struct Simulation {
     // event-driven.
     policy: Box<dyn AlgorithmPolicy>,
     // Uplink compression (quantization + top-K sparsification with
-    // error feedback) and its aggregation scratch buffer. Inert — no
-    // draws, no residuals, dense byte accounting — unless the config
-    // makes the plane lossy-active.
+    // error feedback) and the lossy sync's aggregation scratch buffer.
+    // Inert — no draws, no residuals, dense byte accounting — unless the
+    // config makes the plane lossy-active.
     compression: CompressionPlane,
     agg_scratch: Vec<f32>,
     // Round scratch of a lossy plane: the uploads the round owes its one
@@ -261,7 +261,7 @@ pub struct Simulation {
     index: StepIndex,
     participants: Vec<usize>,
     // What phase 1 decided for each participant, consumed by the step's
-    // one init region.
+    // one participant region.
     pending_inits: Vec<PendingInit>,
     // Lazy-mode scratch: per-live-version similarity scores against the
     // current cloud model, refilled each step before selection (empty
@@ -632,20 +632,19 @@ impl Simulation {
         probe.stop(Phase::Compress);
     }
 
-    /// Edge aggregation (Eq. 6) of one cohort into edge `n` — the single
-    /// phase-3 body, called by the lockstep step for each edge and by
-    /// the event engine for each wave. Two arms:
-    ///
-    /// * given payloads — an async wave's send-time snapshots, or any
-    ///   round's reconstructions under a lossy plane — are FedAvg'd
-    ///   (a member without one contributes its live model);
-    /// * otherwise `edge_aggregate_into` aggregates the live device
-    ///   models in place.
-    ///
-    /// Both weight by `d_m / d`, with `d_m` read from the partition
-    /// (equal to `Device::num_samples` by construction) so the weights
-    /// never depend on residency: in lazy mode a cloud broadcast may
-    /// have demoted a sender whose upload was still in flight.
+    /// The serial tail of Eq. 6 at edge `n`, once `cohort` is folded in:
+    /// the sample window Eq. 7 weights by, then the policy hook. An empty
+    /// cohort has no tail.
+    fn after_edge_aggregate(&mut self, n: usize, cohort: &[usize]) {
+        if cohort.is_empty() {
+            return;
+        }
+        self.edges[n].window_samples += cohort_samples(&self.partition, cohort) as f64;
+        self.policy.after_edge_aggregate(n, cohort);
+    }
+
+    /// One event wave's Eq. 6 at edge `n`: the per-edge body
+    /// ([`aggregate_edge`]), then its tail.
     fn aggregate_cohort(
         &mut self,
         n: usize,
@@ -657,44 +656,39 @@ impl Simulation {
             return;
         }
         probe.start();
-        let partition = &self.partition;
-        let total: usize = cohort.iter().map(|&m| partition.device_len(m)).sum();
-        if payloads.iter().any(Option::is_some) {
-            let total_f = total as f32;
-            self.agg_scratch.clear();
-            self.agg_scratch.resize(self.cloud_flat.flat().len(), 0.0);
-            for (i, &m) in cohort.iter().enumerate() {
-                let w = partition.device_len(m) as f32 / total_f;
-                let flat: &[f32] = match payloads.get(i).and_then(Option::as_ref) {
-                    Some(p) => p,
-                    None => self.population.get(m).flat(),
-                };
-                for (a, &r) in self.agg_scratch.iter_mut().zip(flat) {
-                    *a += w * r;
-                }
-            }
-            let norm_sq = dot_slices(&self.agg_scratch, &self.agg_scratch);
-            self.edges[n].load_flat(&self.agg_scratch, norm_sq);
-        } else {
-            let population = &self.population;
-            let edge = &mut self.edges[n];
-            edge_aggregate_into(
-                &mut edge.model,
-                cohort
-                    .iter()
-                    .map(|&m| (&population.get(m).model, partition.device_len(m))),
-            );
-            edge.refresh_flat();
+        let population = &self.population;
+        aggregate_edge(&mut self.edges[n], cohort, payloads, &self.partition, |m| {
+            member_of(population, m)
+        });
+        self.after_edge_aggregate(n, cohort);
+        probe.stop(Phase::EdgeAggregation);
+    }
+
+    /// Lockstep Eq. 6: every edge's delivered cohort in one parallel
+    /// region ([`aggregate_edges`]), then the serial tail edge by edge in
+    /// ascending order — the hook order of every execution mode.
+    fn aggregate_delivered(&mut self, probe: &mut StepProbe) {
+        probe.start();
+        let population = &self.population;
+        aggregate_edges(
+            &mut self.edges,
+            &self.delivered_per_edge,
+            &self.delivered_payloads,
+            &self.partition,
+            |m| member_of(population, m),
+        );
+        let cohorts = std::mem::take(&mut self.delivered_per_edge);
+        for (n, cohort) in cohorts.iter().enumerate() {
+            self.after_edge_aggregate(n, cohort);
         }
-        self.edges[n].window_samples += total as f64;
-        self.policy.after_edge_aggregate(n, cohort);
+        self.delivered_per_edge = cohorts;
         probe.stop(Phase::EdgeAggregation);
     }
 
     /// One lockstep round `t` of Algorithm 1 (0-based; syncs with the
     /// cloud after every `cloud_interval`-th step): the shared front
-    /// half, the upload pass, Eq. 6 per edge over the delivered cohorts,
-    /// then the cadence sync.
+    /// half, the upload pass, Eq. 6 across edges over the delivered
+    /// cohorts, then the cadence sync.
     ///
     /// The steady-state loop is allocation-free: candidate sets, scores
     /// and winner lists land in persistent scratch buffers, device inits
@@ -707,13 +701,7 @@ impl Simulation {
         self.begin_step(t, &mut probe);
         let active = self.phase_select_train(t, &mut probe);
         self.upload_pass(&mut probe);
-        let cohorts = std::mem::take(&mut self.delivered_per_edge);
-        let payloads = std::mem::take(&mut self.delivered_payloads);
-        for (n, cohort) in cohorts.iter().enumerate() {
-            self.aggregate_cohort(n, cohort, &payloads[n], &mut probe);
-        }
-        self.delivered_per_edge = cohorts;
-        self.delivered_payloads = payloads;
+        self.aggregate_delivered(&mut probe);
         let scheduled = (t + 1).is_multiple_of(self.config.cloud_interval);
         let synced = scheduled && self.cloud_sync_now(&mut probe);
         self.telemetry.end_step(t, active, synced, probe);
@@ -758,8 +746,8 @@ impl Simulation {
         }
     }
 
-    /// Phases 1 + 2 — in-edge device selection, device init, then
-    /// Rayon-parallel local training over the participants. Fills
+    /// Phases 1 + 2 — in-edge device selection, then one parallel region
+    /// over the participants: device init and local training. Fills
     /// `self.selected_per_edge` and returns whether any edge selected a
     /// non-empty cohort (accruing `active_steps`). Shared by the
     /// lockstep step and the event engine's step-boundary handler.
@@ -770,7 +758,8 @@ impl Simulation {
         // Phase 1 — in-edge device selection, edge by edge, deciding
         // each selected device's initial model (moved devices aggregate
         // on device, stationary ones download the edge model); the
-        // models are written after the last edge, in one region.
+        // models are written after the last edge, in the participant
+        // region.
         self.participants.clear();
         self.pending_inits.clear();
         for n in 0..self.edges.len() {
@@ -840,7 +829,7 @@ impl Simulation {
                 // touches the carried model; reserving one is the
                 // serial, cheap half of materialisation (no-op when
                 // dense or already resident).
-                let version = self.population.reserve(m);
+                let reserved = self.population.reserve(m);
                 self.participants.push(m);
                 // A stationary device downloads the edge model, which
                 // is exactly the `EdgeModel` init.
@@ -864,7 +853,7 @@ impl Simulation {
                 }
                 self.pending_inits.push(PendingInit {
                     device: m,
-                    version,
+                    reserved,
                     edge: n,
                     init,
                 });
@@ -881,56 +870,45 @@ impl Simulation {
             self.active_steps += 1;
         }
 
-        // The explicit participant id list (sorted to strictly
-        // ascending — a device is attached to exactly one edge per
-        // step, so ids are distinct) lets the two regions below split
-        // over exactly the K·E participants instead of one no-op task
-        // per idle device.
+        // Phase 2 — the participant region. The explicit participant id
+        // list (sorted to strictly ascending — a device is attached to
+        // exactly one edge per step, so ids are distinct) splits it over
+        // exactly the K·E participants instead of one no-op task per
+        // idle device. Each participant's whole job runs on one thread:
+        // the rest of its materialisation, its initial model, `I` local
+        // steps, and its score against the cloud while its flat is hot,
+        // so the next step's selection finds the score cached. Nothing in
+        // phase 1 read a selected device after its reservation (a device
+        // sits under exactly one edge per step), so deferring the writes
+        // to here changes no value; each participant owns its slot and
+        // its rng, so the split cannot affect numerics either.
         probe.start();
         self.participants.sort_unstable();
         self.pending_inits.sort_unstable_by_key(|p| p.device);
-
-        // Every selected device's initial model, in one region: load
-        // what a replica reserved above still lacks, then the init.
-        // Nothing in phase 1 read a selected device's model after its
-        // selection (a device sits under exactly one edge per step), so
-        // deferring the writes to here changes no value.
-        let edges = &self.edges;
-        self.population
-            .init_participants(&self.participants, &self.pending_inits, |dev, p| {
-                let Some(on_device) = p.init else { return };
-                let edge = &edges[p.edge];
-                on_device_init_into(
-                    on_device,
-                    dev,
-                    &edge.model,
-                    edge.flat(),
-                    edge.flat_norm_sq(),
-                );
-            });
-        probe.stop(Phase::DeviceInit);
-
-        // Phase 2 — parallel local training. Each participant owns its
-        // slot; no shared mutable state (and its own rng, so the gather
-        // order cannot affect numerics). The job ends by scoring the
-        // device against the cloud while its flat is hot, so the next
-        // step's selection finds the score cached.
-        probe.start();
         let (local_steps, batch_size, optimizer) = (
             self.config.local_steps,
             self.config.batch_size,
             self.config.optimizer,
         );
         let scored = self.ranks_by_similarity();
-        let cloud = &self.cloud_flat;
-        let mut participants = self.population.gather_mut(&self.participants);
-        participants.par_iter_mut().for_each(|dev| {
-            dev.local_train(local_steps, batch_size, &optimizer, t);
-            if scored {
-                dev.refresh_cloud_score(cloud.epoch, cloud.flat(), cloud.norm_sq());
-            }
-        });
-        drop(participants);
+        let (edges, cloud) = (&self.edges, &self.cloud_flat);
+        self.population
+            .run_participants(&self.participants, &self.pending_inits, |dev, p| {
+                if let Some(on_device) = p.init {
+                    let edge = &edges[p.edge];
+                    on_device_init_into(
+                        on_device,
+                        dev,
+                        &edge.model,
+                        edge.flat(),
+                        edge.flat_norm_sq(),
+                    );
+                }
+                dev.local_train(local_steps, batch_size, &optimizer, t);
+                if scored {
+                    dev.refresh_cloud_score(cloud.epoch, cloud.flat(), cloud.norm_sq());
+                }
+            });
         probe.stop(Phase::LocalTraining);
         {
             let population = &self.population;
@@ -1571,11 +1549,9 @@ impl Simulation {
     /// # Errors
     /// [`SimError::CheckpointMismatch`] when the schema version, config
     /// digest, population shape, plane state or model architecture
-    /// disagree; the simulation is left unmodified in every case but a
-    /// payload that fails to decode (architecture, rng, population or
-    /// algorithm state). The compression and timeline planes — residual
-    /// and snapshot shapes, heap contents — are checked in full before
-    /// the first write.
+    /// disagree. Every part is checked — and the population, algorithm
+    /// and timeline state decoded — before the first write, so a
+    /// rejected checkpoint leaves the simulation untouched.
     pub fn restore(&mut self, ck: &SimCheckpoint) -> Result<(), SimError> {
         let mismatch = |message: String| SimError::CheckpointMismatch { message };
         if ck.schema_version != SIM_CHECKPOINT_SCHEMA_VERSION {
@@ -1676,6 +1652,23 @@ impl Simulation {
             ),
             None => None,
         };
+        ck.cloud.fits(&self.cloud).map_err(&mismatch)?;
+        for (edge, eck) in self.edges.iter().zip(&ck.edges) {
+            eck.params.fits(&edge.model).map_err(&mismatch)?;
+        }
+        let population = (self.population)
+            .decode(ck.population.as_ref(), &ck.devices)
+            .map_err(&mismatch)?;
+        let policy = match &ck.algorithm {
+            Some(state) => {
+                let mut policy = self.config.algorithm.resolve(self.population.len());
+                policy.restore_state(state).map_err(&mismatch)?;
+                Some(policy)
+            }
+            None => None,
+        };
+
+        // Everything fits: from here on nothing can fail.
         ck.cloud.restore(&mut self.cloud).map_err(&mismatch)?;
         self.cloud_flat.refresh(&self.cloud);
         for (edge, eck) in self.edges.iter_mut().zip(&ck.edges) {
@@ -1683,23 +1676,7 @@ impl Simulation {
             edge.window_samples = eck.window_samples;
             edge.refresh_flat();
         }
-        match &ck.population {
-            Some(pck) => self.population.restore(pck).map_err(&mismatch)?,
-            None => {
-                for (dev, dck) in self
-                    .population
-                    .dense_slice_mut()
-                    .iter_mut()
-                    .zip(&ck.devices)
-                {
-                    dck.params.restore(&mut dev.model).map_err(&mismatch)?;
-                    dev.refresh_flat();
-                    dev.oort_utility = dck.oort_utility;
-                    dev.last_participation = dck.last_participation;
-                    dev.restore_rng(dck.rng.restore());
-                }
-            }
-        }
+        self.population.install(population);
         self.rng = ck.selection_rng.restore();
         self.availability_rng = ck.availability_rng.restore();
         self.faults.restore_state(
@@ -1710,8 +1687,8 @@ impl Simulation {
         if let Some(c) = &ck.compression {
             self.compression.restore_state(c).map_err(&mismatch)?;
         }
-        if let Some(state) = &ck.algorithm {
-            self.policy.restore_state(state).map_err(&mismatch)?;
+        if let Some(policy) = policy {
+            self.policy = policy;
         }
         if let Some(timeline) = timeline {
             self.timeline = timeline;
@@ -1837,6 +1814,88 @@ fn compress_pending<'a>(
         })
         .collect();
     compression.compress_batch(&mut jobs);
+}
+
+/// `d` of Eq. 6: the samples a cohort trained on, read from the partition
+/// (equal to `Device::num_samples` by construction) so it never depends
+/// on residency — in lazy mode a cloud broadcast may have demoted a
+/// sender whose upload was still in flight.
+fn cohort_samples(partition: &Partition, cohort: &[usize]) -> usize {
+    cohort.iter().map(|&m| partition.device_len(m)).sum()
+}
+
+/// A cohort member's live parameters: its model and their flat view.
+fn member_of(population: &Population, m: usize) -> (&Sequential, &[f32]) {
+    let dev = population.get(m);
+    (&dev.model, dev.flat())
+}
+
+/// Edge aggregation (Eq. 6) of one cohort into its edge — the body every
+/// aggregation runs, lockstep edge or event wave, touching nothing but
+/// the edge. A non-empty cohort is FedAvg'd with weights `d_m / d`
+/// ([`cohort_samples`]); `member` gives a member's live parameters. Two
+/// arms:
+///
+/// * given payloads — an async wave's send-time snapshots, or any
+///   round's reconstructions under a lossy plane — are averaged into the
+///   edge's own flat buffer (a member without one contributes its live
+///   flat), which then overwrites the model;
+/// * otherwise `edge_aggregate_into` aggregates the live models in
+///   place.
+fn aggregate_edge<'a>(
+    edge: &mut EdgeState,
+    cohort: &[usize],
+    payloads: &[Option<Vec<f32>>],
+    partition: &Partition,
+    member: impl Fn(usize) -> (&'a Sequential, &'a [f32]),
+) {
+    if cohort.is_empty() {
+        return;
+    }
+    let total = cohort_samples(partition, cohort);
+    if payloads.iter().any(Option::is_some) {
+        let (total, len) = (total as f32, edge.flat.len());
+        edge.flat.fill_with(|acc| {
+            acc.clear();
+            acc.resize(len, 0.0);
+            for (i, &m) in cohort.iter().enumerate() {
+                let w = partition.device_len(m) as f32 / total;
+                let flat = match payloads.get(i).and_then(Option::as_ref) {
+                    Some(p) => p,
+                    None => member(m).1,
+                };
+                for (a, &r) in acc.iter_mut().zip(flat) {
+                    *a += w * r;
+                }
+            }
+        });
+        middle_nn::params::unflatten(&mut edge.model, edge.flat.flat());
+    } else {
+        let member = &member;
+        edge_aggregate_into(
+            &mut edge.model,
+            (cohort.iter()).map(|&m| (member(m).0, partition.device_len(m))),
+        );
+        edge.refresh_flat();
+    }
+}
+
+/// Eq. 6 across edges: [`aggregate_edge`] for every edge, over its
+/// cohort and payloads, in one parallel region. An edge reads nothing
+/// another writes, so the result is the serial loop's bit for bit.
+fn aggregate_edges<'a>(
+    edges: &mut [EdgeState],
+    cohorts: &[Vec<usize>],
+    payloads: &[Vec<Option<Vec<f32>>>],
+    partition: &Partition,
+    member: impl Fn(usize) -> (&'a Sequential, &'a [f32]) + Sync,
+) {
+    (edges.par_iter_mut())
+        .zip(cohorts.par_iter())
+        .zip(payloads.par_iter())
+        .for_each(|((edge, cohort), payloads)| {
+            aggregate_edge(edge, cohort, payloads, partition, &member);
+        });
 }
 
 /// The round's similarity scorer (`U(w_c, Δw_m)`, Eqs. 10–11): a lookup

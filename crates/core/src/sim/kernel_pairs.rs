@@ -16,7 +16,12 @@
 //! * (b) Eq. 9 — `on_device_init_into` against `on_device_init`;
 //! * (c) Eq. 5 — `Device::local_train` against `local_train_reference`:
 //!   parameters, Oort utility, loss and RNG;
-//! * (d) Eq. 6 — `edge_aggregate_into` against `edge_aggregate`;
+//! * (d) Eq. 6 — the round's region across edges (`aggregate_edges`, on
+//!   clones of every edge) against `edge_aggregate` per edge, in the arm
+//!   the round took: the live models, or a lossy plane's reconstructions;
+//!   and the hook order — every `after_edge_aggregate` call of a lockstep
+//!   tick, logged by a delegating policy, is the step's stale merges in
+//!   queue order and then its delivered cohorts in ascending edge order;
 //! * (e) Eq. 7 — `cloud_aggregate_into` against `cloud_aggregate`, and
 //!   the flat-copy broadcast against clone + `refresh_flat`;
 //! * (f) compression — one `compress_batch` over every participant's
@@ -27,11 +32,13 @@
 //! Each pair counts its hits, and a run fails unless every pair its
 //! regime can reach was hit. The harness adds nothing to the round:
 //! between ticks it calls only the round's own score pre-pass, which
-//! fills derived caches the next step would fill identically.
+//! fills derived caches the next step would fill identically, and the
+//! logging policy hands every hook to the configured one.
 
 use super::*;
 use crate::aggregation::{edge_aggregate, on_device_init};
 use crate::algorithms::Algorithm;
+use crate::algorithms::AlgorithmState;
 use crate::builder::SimulationBuilder;
 use crate::compress::{CompressJob, Sender};
 use crate::faults::{DelayModel, DropoutModel, FaultConfig};
@@ -40,6 +47,8 @@ use crate::selection::{
 };
 use middle_data::Task;
 use middle_nn::params::unflatten;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// Hits per pair in one run.
 #[derive(Debug, Default)]
@@ -47,7 +56,8 @@ struct Hits {
     select: usize,
     init: usize,
     train: usize,
-    edge: usize,
+    edge_live: usize,
+    edge_payload: usize,
     cloud: usize,
     compress: usize,
 }
@@ -193,28 +203,131 @@ fn participant_pairs(sim: &Simulation, what: &str, hits: &mut Hits) -> Vec<MoveA
     moves
 }
 
+/// The `after_edge_aggregate` calls a tick made, in call order.
+type HookCalls = Arc<Mutex<Vec<(usize, Vec<usize>)>>>;
+
+/// The configured policy with every hook handed through and each
+/// `after_edge_aggregate` call logged.
+struct HookLog {
+    inner: Box<dyn AlgorithmPolicy>,
+    calls: HookCalls,
+}
+
+impl AlgorithmPolicy for HookLog {
+    fn selection(&self) -> SelectionPolicy {
+        self.inner.selection()
+    }
+
+    fn on_move(&mut self, m: usize, from_edge: usize, to_edge: usize) -> MoveAction {
+        self.inner.on_move(m, from_edge, to_edge)
+    }
+
+    fn cluster_of(&self, m: usize) -> u32 {
+        self.inner.cluster_of(m)
+    }
+
+    fn observe_participants(
+        &mut self,
+        participants: &[usize],
+        utility: &dyn Fn(usize) -> Option<f32>,
+    ) {
+        self.inner.observe_participants(participants, utility);
+    }
+
+    fn after_edge_aggregate(&mut self, edge: usize, cohort: &[usize]) {
+        let mut calls = self.calls.lock().expect("no panic holds the log");
+        calls.push((edge, cohort.to_vec()));
+        self.inner.after_edge_aggregate(edge, cohort);
+    }
+
+    fn after_cloud_sync(&mut self, wan_up: Option<&[bool]>, edge_of: &[usize]) {
+        self.inner.after_cloud_sync(wan_up, edge_of);
+    }
+
+    fn state(&self) -> Option<AlgorithmState> {
+        self.inner.state()
+    }
+
+    fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), String> {
+        self.inner.restore_state(state)
+    }
+}
+
 /// Pair (d) over the cohorts the step's upload pass delivered (filled
-/// by lockstep rounds only).
-fn edge_pair(sim: &Simulation, what: &str, hits: &mut Hits) {
-    for (n, cohort) in sim.delivered_per_edge.iter().enumerate() {
+/// by lockstep rounds only), then the hook order of the tick: `merged`
+/// is the stale-merge queue as the tick found it, `calls` what the
+/// logging policy saw.
+fn edge_pair(
+    sim: &Simulation,
+    what: &str,
+    merged: &[(usize, Vec<usize>)],
+    calls: &HookCalls,
+    hits: &mut Hits,
+) {
+    let calls = std::mem::take(&mut *calls.lock().expect("no panic holds the log"));
+    if sim.config.timeline.mode != ExecutionMode::Lockstep {
+        return;
+    }
+    let (cohorts, payloads) = (&sim.delivered_per_edge, &sim.delivered_payloads);
+    let members: HashMap<usize, (Sequential, Vec<f32>)> = (cohorts.iter().flatten())
+        .map(|&m| {
+            let model = model_of(sim, m);
+            let flat = flatten(&model);
+            (m, (model, flat))
+        })
+        .collect();
+    let mut fast: Vec<EdgeState> = (sim.edges.iter())
+        .map(|e| EdgeState::new(e.model.clone()))
+        .collect();
+    aggregate_edges(&mut fast, cohorts, payloads, &sim.partition, |m| {
+        let (model, flat) = &members[&m];
+        (model, &flat[..])
+    });
+    let mut expected = merged.to_vec();
+    for (n, cohort) in cohorts.iter().enumerate() {
         if cohort.is_empty() {
             continue;
         }
-        let models: Vec<Sequential> = cohort.iter().map(|&m| model_of(sim, m)).collect();
+        expected.push((n, cohort.clone()));
+        let lossy = payloads[n].iter().any(Option::is_some);
+        let models: Vec<Sequential> = (cohort.iter().enumerate())
+            .map(
+                |(i, &m)| match payloads[n].get(i).and_then(Option::as_ref) {
+                    Some(payload) => {
+                        let mut model = sim.cloud.clone();
+                        unflatten(&mut model, payload);
+                        model
+                    }
+                    None => members[&m].0.clone(),
+                },
+            )
+            .collect();
         let models: Vec<&Sequential> = models.iter().collect();
         let counts: Vec<usize> = cohort
             .iter()
             .map(|&m| sim.partition.device_len(m))
             .collect();
-        let mut fast = sim.edges[n].model.clone();
-        edge_aggregate_into(
-            &mut fast,
-            models.iter().copied().zip(counts.iter().copied()),
-        );
         let oracle = edge_aggregate(&models, &counts);
-        assert_eq!(bits(&fast), bits(&oracle), "{what}, edge {n}: (d) Eq. 6");
-        hits.edge += 1;
+        let edge = &fast[n];
+        assert_eq!(
+            bits(&edge.model),
+            bits(&oracle),
+            "{what}, edge {n}: (d) Eq. 6"
+        );
+        let flat = flatten(&oracle);
+        let norm_sq = middle_tensor::ops::dot_slices(&flat, &flat);
+        assert_eq!(
+            (edge.flat().to_vec(), edge.flat_norm_sq().to_bits()),
+            (flat, norm_sq.to_bits()),
+            "{what}, edge {n}: (d) Eq. 6 flat view"
+        );
+        if lossy {
+            hits.edge_payload += 1;
+        } else {
+            hits.edge_live += 1;
+        }
     }
+    assert_eq!(calls, expected, "{what}: (d) after_edge_aggregate order");
 }
 
 /// Pair (e): Eq. 7 on the edges' current models and windows under every
@@ -342,14 +455,24 @@ fn run(regime: &str, cfg: SimConfig) -> Vec<MoveAction> {
     let lockstep = cfg.timeline.mode == ExecutionMode::Lockstep;
     let lossy = cfg.compression.lossy_active();
     let mut sim = SimulationBuilder::new(cfg).build().expect("valid config");
+    let calls = HookCalls::default();
+    let placeholder = sim.config.algorithm.resolve(sim.population.len());
+    let inner = std::mem::replace(&mut sim.policy, placeholder);
+    sim.policy = Box::new(HookLog {
+        inner,
+        calls: calls.clone(),
+    });
     let (mut hits, mut moves) = (Hits::default(), Vec::new());
     while !sim.is_finished() {
+        let merged: Vec<(usize, Vec<usize>)> = (sim.faults.pending().iter())
+            .map(|p| (p.edge, vec![p.device]))
+            .collect();
         sim.tick(StepMode::Fast);
         sim.check_invariants();
         let what = format!("{label}, step {}", sim.next_step - 1);
         selection_pair(&mut sim, &what, &mut hits);
         moves.extend(participant_pairs(&sim, &what, &mut hits));
-        edge_pair(&sim, &what, &mut hits);
+        edge_pair(&sim, &what, &merged, &calls, &mut hits);
         cloud_pair(&sim, &what, &mut hits);
         compress_pair(&sim, &what, &mut hits);
     }
@@ -357,7 +480,12 @@ fn run(regime: &str, cfg: SimConfig) -> Vec<MoveAction> {
         hits.select > 0 && hits.init > 0 && hits.train > 0 && hits.cloud > 0,
         "{label}: a pair went unexercised: {hits:?}"
     );
-    assert_eq!(hits.edge > 0, lockstep, "{label}: Eq. 6 pair: {hits:?}");
+    // Lockstep rounds aggregate in one arm or the other, never both.
+    assert_eq!(
+        (hits.edge_live > 0, hits.edge_payload > 0),
+        (lockstep && !lossy, lockstep && lossy),
+        "{label}: Eq. 6 pair: {hits:?}"
+    );
     let ticks = if lossy { sim.next_step } else { 0 };
     assert_eq!(hits.compress, ticks, "{label}: compression pair: {hits:?}");
     moves

@@ -6,13 +6,15 @@
 //! engine with real in-flight latencies — while keeping the number of
 //! resident replicas bounded by the active set, not the population.
 
-use middle_core::checkpoint::DeviceSlotCheckpoint;
+use middle_core::checkpoint::{DeviceSlotCheckpoint, VersionCheckpoint};
 use middle_core::{
     Algorithm, DelayModel, DeviceRef, DropoutModel, ExecutionMode, LatencyModel, Population,
-    PopulationMode, RunRecord, SimCheckpoint, SimConfig, Simulation, SimulationBuilder, StepMode,
+    PopulationMode, RunRecord, SimCheckpoint, SimConfig, SimError, Simulation, SimulationBuilder,
+    StepMode,
 };
 use middle_data::Task;
 use middle_nn::params::flatten;
+use middle_nn::serialize::Packed;
 
 mod common;
 use common::{assert_records_equal, bits};
@@ -454,4 +456,146 @@ fn invariants_hold_event_driven_and_pooled_replicas_are_unreachable() {
         demoted_in_flight > 0,
         "no in-flight sender was ever demoted"
     );
+}
+
+/// One step can draw both pooled and fresh replicas: a masked broadcast
+/// demotes only part of the working set, so the next steps materialise
+/// more stubs than the pool holds — the pool runs dry mid-step, the rest
+/// are built fresh, and the participant region finishes both. Moved
+/// devices blend (Eq. 9) from their version, stationary ones take the
+/// edge model, and lazy must equal dense bitwise with the plane's
+/// invariants holding after every tick.
+#[test]
+fn pooled_and_fresh_replicas_in_one_step_match_dense() {
+    let mut cfg = base_config();
+    cfg.num_devices = 48;
+    cfg.num_edges = 4;
+    cfg.devices_per_edge = 3;
+    cfg.cloud_interval = 2;
+    cfg.faults.wan_outage = 0.5;
+    let (mut before, mut mixed) = ((0, 0), 0);
+    assert_invariants_hold(cfg.clone(), |sim| {
+        let p = sim.population();
+        let (fresh, resident) = (p.fresh_replicas(), p.resident_count());
+        // Replicas are allocated only while the pool is empty, so a step
+        // that found some pooled and still allocated drained the pool.
+        let pooled = before.0 - before.1;
+        if pooled > 0 && fresh > before.0 {
+            mixed += 1;
+        }
+        before = (fresh, resident);
+    });
+    assert!(mixed > 0, "no step drew pooled and fresh replicas together");
+    assert_modes_equivalent(cfg);
+}
+
+/// A hostile checkpoint is rejected with `CheckpointMismatch` before the
+/// first write — a lazy version table or stub that does not fit, a
+/// dense device of the wrong architecture, algorithm state of the wrong
+/// size — and the target then finishes bitwise equal to a fresh run.
+#[test]
+fn hostile_population_checkpoint_is_rejected_before_any_write() {
+    let mut cfg = lazy(base_config());
+    cfg.algorithm = Algorithm::fedfly();
+    cfg.num_devices = 24;
+    let mut dense_cfg = cfg.clone();
+    dense_cfg.population = PopulationMode::Dense;
+
+    let cut = |cfg: &SimConfig| {
+        let mut donor = built(cfg.clone());
+        for _ in 0..6 {
+            donor.tick(StepMode::Fast);
+        }
+        donor.checkpoint()
+    };
+    let ck = cut(&cfg);
+    let pck = ck.population.as_ref().expect("lazy checkpoint block");
+    let stub = (pck.devices.iter())
+        .position(|s| matches!(s, DeviceSlotCheckpoint::Stub { .. }))
+        .expect("a stub at the cut");
+    let free_id = (pck.versions.iter().map(|v| v.id).max()).expect("a live version") + 1;
+    let edit = |f: &dyn Fn(&mut SimCheckpoint)| {
+        let mut bad = ck.clone();
+        f(&mut bad);
+        bad
+    };
+    fn versions(bad: &mut SimCheckpoint) -> &mut Vec<VersionCheckpoint> {
+        &mut bad.population.as_mut().unwrap().versions
+    }
+    let mut cases = vec![
+        (
+            "truncated version flat",
+            cfg.clone(),
+            edit(&|bad| {
+                let v = &mut versions(bad)[0];
+                v.flat = Packed(v.flat[..10].to_vec());
+            }),
+        ),
+        (
+            "stub of a missing version",
+            cfg.clone(),
+            edit(&|bad| {
+                let slot = &mut bad.population.as_mut().unwrap().devices[stub];
+                if let DeviceSlotCheckpoint::Stub { version, .. } = slot {
+                    *version = free_id;
+                }
+            }),
+        ),
+        (
+            "duplicate version id",
+            cfg.clone(),
+            edit(&|bad| {
+                let copy = versions(bad)[0].clone();
+                versions(bad).push(copy);
+            }),
+        ),
+        (
+            "version id past the device count",
+            cfg.clone(),
+            edit(&|bad| {
+                let mut copy = versions(bad)[0].clone();
+                copy.id = cfg.num_devices as u32 + 1;
+                versions(bad).push(copy);
+            }),
+        ),
+        (
+            "algorithm state of the wrong size",
+            cfg.clone(),
+            edit(&|bad| {
+                bad.algorithm.as_mut().unwrap().in_flight.pop();
+            }),
+        ),
+    ];
+    let mut dense_ck = cut(&dense_cfg);
+    let params = &mut dense_ck.devices[3].params;
+    params.layout.pop();
+    let kept = params.layout.iter().sum();
+    params.values.0.truncate(kept);
+    cases.push((
+        "dense device of the wrong architecture",
+        dense_cfg,
+        dense_ck,
+    ));
+    // Last: at the parent of the check this one sized the table at
+    // `id + 1` slots and aborted on the allocation.
+    cases.push((
+        "version id near u32::MAX",
+        cfg.clone(),
+        edit(&|bad| versions(bad)[0].id = u32::MAX - 1),
+    ));
+
+    for (what, cfg, bad) in cases {
+        let mut fresh = built(cfg.clone());
+        let reference = fresh.run();
+        let bad = SimCheckpoint::from_json(&bad.to_json()).expect("checkpoint parses");
+        let mut target = built(cfg);
+        let err = target.restore(&bad).expect_err(what);
+        assert!(
+            matches!(err, SimError::CheckpointMismatch { .. }),
+            "{what}: {err}"
+        );
+        let record = target.run();
+        assert_records_equal(&reference, &record);
+        assert_eq!(model_bits(&fresh), model_bits(&target), "{what}");
+    }
 }

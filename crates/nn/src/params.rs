@@ -82,6 +82,16 @@ impl FlatView {
         self.dirty = false;
     }
 
+    /// Overwrites the view in place: `fill` writes the new flat vector
+    /// into the view's own buffer (reusing its allocation), and the
+    /// squared norm is recomputed from it. The owner writes the same
+    /// values into its model.
+    pub fn fill_with(&mut self, fill: impl FnOnce(&mut Vec<f32>)) {
+        fill(&mut self.buf);
+        self.norm_sq = dot_slices(&self.buf, &self.buf);
+        self.dirty = false;
+    }
+
     /// The cached flat parameter vector.
     ///
     /// # Panics

@@ -146,11 +146,12 @@ impl Checkpoint {
         }
     }
 
-    /// Restores the snapshot into `model`.
+    /// Checks that the snapshot fits `model`'s architecture, writing
+    /// nothing.
     ///
     /// # Errors
     /// Returns an error when the architecture fingerprint does not match.
-    pub fn restore(&self, model: &mut Sequential) -> Result<(), String> {
+    pub fn fits(&self, model: &Sequential) -> Result<(), String> {
         let layout: Vec<usize> = model.params().iter().map(|p| p.len()).collect();
         if layout != self.layout {
             return Err(format!(
@@ -161,6 +162,16 @@ impl Checkpoint {
         if self.values.len() != layout.iter().sum::<usize>() {
             return Err("checkpoint value count does not match its own layout".into());
         }
+        Ok(())
+    }
+
+    /// Restores the snapshot into `model`.
+    ///
+    /// # Errors
+    /// Returns an error when the architecture fingerprint does not match
+    /// ([`Checkpoint::fits`]); `model` is then untouched.
+    pub fn restore(&self, model: &mut Sequential) -> Result<(), String> {
+        self.fits(model)?;
         unflatten(model, &self.values);
         Ok(())
     }

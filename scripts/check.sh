@@ -106,10 +106,13 @@ if [[ "$CI" -eq 1 ]]; then
 
     # One CPU is the pool's no-worker path: every FNV pin and every
     # kernel pair of the harness must hold there exactly as they just did
-    # on all cores — the compression batch's inline stages among them.
-    echo "==> FNV pins and kernel pairs on one thread (taskset -c 0)"
+    # on all cores — the compression batch's inline stages among them —
+    # and the phase timers must still cover the step with the participant
+    # region running inline.
+    echo "==> FNV pins, kernel pairs and phase coverage on one thread (taskset -c 0)"
     taskset -c 0 cargo test -q -p middle-core --lib --test hotpath_equiv --test population_plane \
-        --test timeline_plane --test algo_zoo --test compress_plane --test fault_plane
+        --test timeline_plane --test algo_zoo --test compress_plane --test fault_plane \
+        --test telemetry_plane
 
     echo "==> cargo doc --workspace --no-deps (warnings denied)"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
