@@ -1,23 +1,31 @@
 //! Serializable snapshots of a running simulation.
 //!
 //! A [`SimCheckpoint`] captures *everything* a paused run needs to
-//! continue bitwise-identically: model parameters (cloud, edges,
-//! devices — via [`middle_nn::serialize::Checkpoint`]), every RNG
-//! stream's internal state, the fault-plane state (dropout chains and
-//! the pending stale-upload queue), the communication ledger, the
-//! evaluation points recorded so far, and the step cursor.
+//! continue bitwise-identically: model parameters (cloud, edges, and the
+//! device population — see below), every RNG stream's internal state,
+//! the fault-plane state (dropout chains and the pending stale-upload
+//! queue), the communication ledger, the evaluation points recorded so
+//! far, and the step cursor.
 //!
 //! The encoding is one self-describing JSON document (schema version
-//! 2). Every bulk float plane in it — parameter vectors, the lazy
-//! population's version table, pending stale uploads, the timeline's
-//! send-time snapshots, the compression residuals — is a
+//! 3). Every bulk float plane in it — the cloud and edge parameters,
+//! the population's version table, pending stale uploads, the
+//! timeline's send-time snapshots, the compression residuals — is a
 //! [`middle_nn::serialize::Packed`] plane: a string of hex digits, the
 //! values' little-endian bytes. Resume is bitwise because those bytes
 //! *are* the bits; the scalar fields ride as JSON numbers in
-//! shortest-round-trip form, which is bit-exact for finite values. It
-//! is also what makes a checkpoint cheap: a 16 MB decimal document that
-//! took ~110 ms to print became 6.4 MB written at memory speed. A
-//! version-1 document (decimal arrays) does not parse; whoever finds one
+//! shortest-round-trip form, which is bit-exact for finite values.
+//!
+//! Dense and lazy populations share one encoding,
+//! [`PopulationCheckpoint`]: a table of distinct parameter planes plus
+//! one slot per device. Right after a cloud broadcast every device holds
+//! the cloud's plane, so a dense device is written as a reference into
+//! the table plus its scalar state, and the table holds each distinct
+//! plane once (identity is the flat's bits *and* the cached norm's
+//! bits). A `sweep_grid` snapshot, cut just after a full broadcast,
+//! went from 6.55 MB (120 per-device planes, all equal to the cloud's)
+//! to 287 kB. A version-2 document (one plane per dense device) or a
+//! version-1 one (decimal arrays) does not parse; whoever finds one
 //! starts the run cold. The checkpoint-resume-equivalence tests in
 //! `crates/core/tests/sweep_engine.rs` gate the round trip.
 //!
@@ -43,7 +51,7 @@ use serde::{Deserialize, Serialize};
 
 /// Version of the [`SimCheckpoint`] JSON schema. Bump on any field
 /// change; restore rejects other versions.
-pub const SIM_CHECKPOINT_SCHEMA_VERSION: u32 = 2;
+pub const SIM_CHECKPOINT_SCHEMA_VERSION: u32 = 3;
 
 /// Captured xoshiro256** state of one RNG stream.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,7 +85,7 @@ impl RngStateCheckpoint {
     }
 }
 
-/// Snapshot of one device's mutable state.
+/// Snapshot of one materialised replica of a lazy population.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DeviceCheckpoint {
     /// The carried local model's parameters.
@@ -90,9 +98,10 @@ pub struct DeviceCheckpoint {
     pub rng: RngStateCheckpoint,
 }
 
-/// One live broadcast version of a lazy population: the shared flat
-/// parameter vector and the cached squared norm every stub of this
-/// version carries.
+/// One distinct parameter plane of a population: the flat parameter
+/// vector and the cached squared norm every stub of this version
+/// carries. A lazy population writes its live broadcast versions; a
+/// dense one the distinct planes its devices hold.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VersionCheckpoint {
     /// Stable version id (index into the version table).
@@ -103,16 +112,17 @@ pub struct VersionCheckpoint {
     pub norm_sq: f32,
 }
 
-/// Snapshot of one device slot of a lazy population: either a fully
-/// materialised replica or a virtualized stub.
+/// Snapshot of one device slot: a materialised replica (lazy only) or a
+/// reference into the version table plus the device's scalar state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum DeviceSlotCheckpoint {
-    /// The device was resident at capture time.
+    /// The lazy device was resident at capture time.
     Resident {
         /// The replica's full state.
         device: DeviceCheckpoint,
     },
-    /// The device was virtualized at capture time.
+    /// The device's parameters are a version's plane: a virtualized
+    /// lazy device, or any dense device.
     Stub {
         /// Version id the stub's parameters point at.
         version: u32,
@@ -120,18 +130,19 @@ pub enum DeviceSlotCheckpoint {
         oort_utility: Option<f32>,
         /// Time step of the last participation.
         last_participation: Option<usize>,
-        /// Saved batch-sampling RNG state; `None` for a virgin device.
+        /// Saved batch-sampling RNG state; `None` for a virgin lazy
+        /// device, always present for a dense one.
         rng: Option<RngStateCheckpoint>,
     },
 }
 
-/// Snapshot of a lazy population: the live version table plus one slot
-/// per device. Only present on checkpoints of lazy-mode simulations;
-/// dense checkpoints serialise through [`SimCheckpoint::devices`] and
-/// omit the block.
+/// Snapshot of a population, dense or lazy: a version table of distinct
+/// parameter planes plus one slot per device.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PopulationCheckpoint {
-    /// Live (still-referenced) version slots.
+    /// Distinct parameter planes: the lazy plane's live version slots,
+    /// or a dense population's planes with ids `0..V` in first-seen
+    /// device order.
     pub versions: Vec<VersionCheckpoint>,
     /// Per-device slots, in device order.
     pub devices: Vec<DeviceSlotCheckpoint>,
@@ -186,13 +197,8 @@ pub struct SimCheckpoint {
     pub cloud: Checkpoint,
     /// Per-edge state, in edge order.
     pub edges: Vec<EdgeCheckpoint>,
-    /// Per-device state, in device order (empty for lazy-mode
-    /// simulations, which capture [`SimCheckpoint::population`] instead).
-    pub devices: Vec<DeviceCheckpoint>,
-    /// Lazy-population state (version table + device slots); `None`,
-    /// and absent from the document, on dense simulations.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub population: Option<PopulationCheckpoint>,
+    /// The device population (version table + device slots).
+    pub population: PopulationCheckpoint,
     /// The selection RNG stream (stream 6).
     pub selection_rng: RngStateCheckpoint,
     /// The availability RNG stream (stream 8).

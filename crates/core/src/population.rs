@@ -48,6 +48,7 @@ use middle_nn::params::FlatView;
 use middle_nn::serialize::{Checkpoint, Packed};
 use rand::rngs::StdRng;
 use rayon::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which devices a cloud broadcast reaches.
@@ -440,58 +441,15 @@ impl LazyPopulation {
     }
 
     /// Decodes a checkpoint into the plane's tables, checking it against
-    /// this population first and writing nothing: every version flat
-    /// must hold the model's parameter count, ids must be distinct and
-    /// at most the device count (the table never outgrows the most
+    /// this population first and writing nothing: the version table must
+    /// pass [`decode_versions`] (the lazy table never outgrows the most
     /// versions live at once plus one, and each live one has a stub),
     /// and every stub must carry a version the checkpoint holds. The pool
     /// and every score cache are derived state and are not in it: the
     /// pool restarts empty and the restored replicas are new allocations.
     fn decode(&self, ck: &PopulationCheckpoint) -> Result<LazyTables, String> {
         let devices = self.meta.len();
-        if ck.devices.len() != devices {
-            return Err(format!(
-                "population checkpoint holds {} devices (expected {devices})",
-                ck.devices.len()
-            ));
-        }
-        let params = self.inputs.init.param_count();
-        for v in &ck.versions {
-            if v.id as usize > devices {
-                return Err(format!(
-                    "version id {} exceeds the device count {devices}",
-                    v.id
-                ));
-            }
-            if v.flat.len() != params {
-                return Err(format!(
-                    "version {} holds {} parameters (expected {params})",
-                    v.id,
-                    v.flat.len()
-                ));
-            }
-        }
-        let len = ck
-            .versions
-            .iter()
-            .map(|v| v.id as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut versions: Vec<VersionSlot> = (0..len)
-            .map(|_| VersionSlot {
-                flat: Vec::new(),
-                norm_sq: 0.0,
-                refs: 0,
-            })
-            .collect();
-        for v in &ck.versions {
-            let slot = &mut versions[v.id as usize];
-            if !slot.flat.is_empty() {
-                return Err(format!("version {} appears twice", v.id));
-            }
-            slot.flat = v.flat.0.clone();
-            slot.norm_sq = v.norm_sq;
-        }
+        let mut versions = decode_versions(ck, devices, self.inputs.init.param_count())?;
         let mut resident: Vec<Option<Box<Device>>> = (0..devices).map(|_| None).collect();
         let mut slots: Vec<u32> = Vec::with_capacity(devices);
         let mut residents: Vec<usize> = Vec::new();
@@ -504,11 +462,8 @@ impl LazyPopulation {
                     last_participation,
                     rng,
                 } => {
-                    let v = *version as usize;
-                    if v >= versions.len() || versions[v].flat.is_empty() {
-                        return Err(format!("stub {m} references missing version {version}"));
-                    }
-                    versions[v].refs += 1;
+                    check_version(&versions, m, *version)?;
+                    versions[*version as usize].refs += 1;
                     slots.push(*version);
                     meta.push(StubMeta {
                         oort_utility: *oort_utility,
@@ -579,11 +534,122 @@ pub(crate) struct LazyTables {
 
 /// A checkpoint's device states, checked against the population and
 /// ready to install ([`Population::decode`]).
-pub(crate) enum DecodedPopulation<'a> {
-    /// Per-device states of a dense population, in device order.
-    Dense(&'a [DeviceCheckpoint]),
+pub(crate) enum DecodedPopulation {
+    /// A dense population's distinct planes (indexed by version id) and,
+    /// in device order, the version each device loads and its carried
+    /// state, whose RNG is always present.
+    Dense {
+        versions: Vec<VersionSlot>,
+        devices: Vec<(u32, StubMeta)>,
+    },
     /// The lazy plane's rebuilt tables.
     Lazy(LazyTables),
+}
+
+/// A checkpoint's version table, checked and indexed by id, with no
+/// references counted yet: the device count must be `devices`, every
+/// flat must hold `params` values, and ids must be distinct and at most
+/// the device count (a table holds at most one plane per device, plus
+/// the lazy plane's one being born).
+fn decode_versions(
+    ck: &PopulationCheckpoint,
+    devices: usize,
+    params: usize,
+) -> Result<Vec<VersionSlot>, String> {
+    if ck.devices.len() != devices {
+        return Err(format!(
+            "population checkpoint holds {} devices (expected {devices})",
+            ck.devices.len()
+        ));
+    }
+    for v in &ck.versions {
+        if v.id as usize > devices {
+            return Err(format!(
+                "version id {} exceeds the device count {devices}",
+                v.id
+            ));
+        }
+        if v.flat.len() != params {
+            return Err(format!(
+                "version {} holds {} parameters (expected {params})",
+                v.id,
+                v.flat.len()
+            ));
+        }
+    }
+    let len = ck
+        .versions
+        .iter()
+        .map(|v| v.id as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut versions: Vec<VersionSlot> = (0..len)
+        .map(|_| VersionSlot {
+            flat: Vec::new(),
+            norm_sq: 0.0,
+            refs: 0,
+        })
+        .collect();
+    for v in &ck.versions {
+        let slot = &mut versions[v.id as usize];
+        if !slot.flat.is_empty() {
+            return Err(format!("version {} appears twice", v.id));
+        }
+        slot.flat = v.flat.0.clone();
+        slot.norm_sq = v.norm_sq;
+    }
+    Ok(versions)
+}
+
+/// Checks that device `m`'s `version` is one [`decode_versions`] holds.
+fn check_version(versions: &[VersionSlot], m: usize, version: u32) -> Result<(), String> {
+    match versions.get(version as usize) {
+        Some(slot) if !slot.flat.is_empty() => Ok(()),
+        _ => Err(format!("stub {m} references missing version {version}")),
+    }
+}
+
+/// A dense population's encoding: each distinct plane once, ids `0..V`
+/// in first-seen device order, and every device a stub of its plane. A
+/// plane's identity is its flat's bits and its cached norm's bits: a
+/// candidate found by a cheap key is confirmed bit for bit, so `-0.0`
+/// and `+0.0`, or two NaN payloads, stay apart.
+fn dense_checkpoint(devices: &[Device]) -> PopulationCheckpoint {
+    let bits = |v: Option<&f32>| v.map_or(0, |x| x.to_bits());
+    let bits_eq = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+    let mut versions: Vec<VersionCheckpoint> = Vec::new();
+    // Candidate ids by (norm, first value, last value) bits.
+    let mut by_key: HashMap<(u32, u32, u32), Vec<u32>> = HashMap::new();
+    let mut slots = Vec::with_capacity(devices.len());
+    for dev in devices {
+        let (flat, norm_sq) = (dev.flat(), dev.flat_norm_sq());
+        let key = (norm_sq.to_bits(), bits(flat.first()), bits(flat.last()));
+        let ids = by_key.entry(key).or_default();
+        let found = ids.iter().copied().find(|&id| {
+            let v = &versions[id as usize];
+            v.norm_sq.to_bits() == norm_sq.to_bits() && bits_eq(&v.flat, flat)
+        });
+        let version = found.unwrap_or_else(|| {
+            let id = versions.len() as u32;
+            versions.push(VersionCheckpoint {
+                id,
+                flat: Packed(flat.to_vec()),
+                norm_sq,
+            });
+            ids.push(id);
+            id
+        });
+        slots.push(DeviceSlotCheckpoint::Stub {
+            version,
+            oort_utility: dev.oort_utility,
+            last_participation: dev.last_participation,
+            rng: Some(RngStateCheckpoint::capture(dev.rng_ref())),
+        });
+    }
+    PopulationCheckpoint {
+        versions,
+        devices: slots,
+    }
 }
 
 /// Device `m`'s local dataset, re-gathered from the shared base on
@@ -670,11 +736,6 @@ impl Population {
     /// Whether the population holds no devices.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether this is the dense representation.
-    pub fn is_dense(&self) -> bool {
-        matches!(self, Population::Dense(_))
     }
 
     /// Currently materialised replicas (equals `len()` when dense).
@@ -934,70 +995,162 @@ impl Population {
         }
     }
 
-    /// Captures the lazy population's state (`None` when dense — the
-    /// dense path serialises its replicas in the checkpoint's `devices`
-    /// field).
-    pub(crate) fn checkpoint(&self) -> Option<PopulationCheckpoint> {
+    /// Captures the population's state: the lazy plane's live versions
+    /// and slots, or a dense population's distinct planes
+    /// ([`dense_checkpoint`]).
+    pub(crate) fn checkpoint(&self) -> PopulationCheckpoint {
         match self {
-            Population::Dense(_) => None,
-            Population::Lazy(p) => Some(p.checkpoint()),
+            Population::Dense(devices) => dense_checkpoint(devices),
+            Population::Lazy(p) => p.checkpoint(),
         }
     }
 
-    /// Checks a checkpoint's device states against this population and
-    /// decodes them, writing nothing: `lazy` is the checkpoint's
-    /// population block, `dense` its per-device list, and the one this
-    /// mode does not use must be absent or empty.
+    /// Checks a checkpoint's population block against this population
+    /// and decodes it, writing nothing. Both modes check the version
+    /// table ([`decode_versions`]; `params` is the model's parameter
+    /// count) and that every stub names a version it holds; a dense
+    /// device must further be a stub that carries its RNG.
     ///
     /// # Errors
-    /// Returns a description when the states do not fit: the wrong mode
-    /// or device count, a parameter layout that is not the model's, or
-    /// a version table [`LazyPopulation::decode`] rejects.
-    pub(crate) fn decode<'a>(
+    /// Returns a description when the block does not fit: the wrong
+    /// device count, a flat that is not the model's length, a duplicate
+    /// or out-of-range id, a stub of a missing version, or — dense only —
+    /// a resident slot or a stub without an RNG.
+    pub(crate) fn decode(
         &self,
-        lazy: Option<&PopulationCheckpoint>,
-        dense: &'a [DeviceCheckpoint],
-    ) -> Result<DecodedPopulation<'a>, String> {
-        match (self, lazy) {
-            (Population::Dense(devices), None) => {
-                if dense.len() != devices.len() {
-                    return Err(format!(
-                        "checkpoint holds {} devices (expected {})",
-                        dense.len(),
-                        devices.len()
-                    ));
+        ck: &PopulationCheckpoint,
+        params: usize,
+    ) -> Result<DecodedPopulation, String> {
+        let devices = match self {
+            Population::Dense(devices) => devices,
+            Population::Lazy(p) => return p.decode(ck).map(DecodedPopulation::Lazy),
+        };
+        let versions = decode_versions(ck, devices.len(), params)?;
+        let devices = (ck.devices.iter().enumerate())
+            .map(|(m, slot)| match slot {
+                DeviceSlotCheckpoint::Stub {
+                    version,
+                    oort_utility,
+                    last_participation,
+                    rng: Some(rng),
+                } => {
+                    check_version(&versions, m, *version)?;
+                    let meta = StubMeta {
+                        oort_utility: *oort_utility,
+                        last_participation: *last_participation,
+                        rng: Some([rng.s0, rng.s1, rng.s2, rng.s3]),
+                    };
+                    Ok((*version, meta))
                 }
-                for (dev, dck) in devices.iter().zip(dense) {
-                    dck.params.fits(&dev.model)?;
+                DeviceSlotCheckpoint::Stub { rng: None, .. } => {
+                    Err(format!("dense device {m} carries no RNG state"))
                 }
-                Ok(DecodedPopulation::Dense(dense))
-            }
-            (Population::Lazy(p), Some(ck)) => p.decode(ck).map(DecodedPopulation::Lazy),
-            (Population::Dense(_), Some(_)) => {
-                Err("population checkpoint applied to a dense simulation".into())
-            }
-            (Population::Lazy(_), None) => {
-                Err("checkpoint lacks population state but the simulation is lazy-mode".into())
-            }
-        }
+                DeviceSlotCheckpoint::Resident { .. } => {
+                    Err(format!("dense device {m} is a resident replica slot"))
+                }
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(DecodedPopulation::Dense { versions, devices })
     }
 
-    /// Installs device states [`Population::decode`] accepted.
-    pub(crate) fn install(&mut self, decoded: DecodedPopulation<'_>) {
+    /// Installs device states [`Population::decode`] accepted. A dense
+    /// device loads its plane through the broadcast's own path
+    /// ([`Device::load_flat`]), then its carried state.
+    pub(crate) fn install(&mut self, decoded: DecodedPopulation) {
         match (self, decoded) {
-            (Population::Dense(devices), DecodedPopulation::Dense(dense)) => {
-                for (dev, dck) in devices.iter_mut().zip(dense) {
-                    dck.params
-                        .restore(&mut dev.model)
-                        .expect("decode checked the layout");
-                    dev.refresh_flat();
-                    dev.oort_utility = dck.oort_utility;
-                    dev.last_participation = dck.last_participation;
-                    dev.restore_rng(dck.rng.restore());
-                }
+            (
+                Population::Dense(devices),
+                DecodedPopulation::Dense {
+                    versions,
+                    devices: ck,
+                },
+            ) => {
+                devices
+                    .par_iter_mut()
+                    .zip(ck.par_iter())
+                    .for_each(|(dev, (version, meta))| {
+                        let slot = &versions[*version as usize];
+                        dev.load_flat(&slot.flat, slot.norm_sq);
+                        dev.oort_utility = meta.oort_utility;
+                        dev.last_participation = meta.last_participation;
+                        let state = meta.rng.expect("decode checked every dense RNG");
+                        dev.restore_rng(StdRng::from_state(state));
+                    });
             }
             (Population::Lazy(p), DecodedPopulation::Lazy(tables)) => p.install(tables),
             _ => unreachable!("decode matched the population's mode"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use middle_data::synthetic::{SyntheticSource, Task};
+    use middle_nn::params::flatten;
+    use middle_nn::zoo;
+    use middle_tensor::random::rng as seed_rng;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Seven dense devices, all holding one initial plane.
+    fn dense_population() -> Population {
+        let src = SyntheticSource::new(Task::Mnist, 5);
+        let model = zoo::logistic(&Task::Mnist.spec(), &mut seed_rng(1));
+        Population::dense(
+            (0..7)
+                .map(|m| Device::new(m, src.generate_balanced(20, m as u64), model.clone(), 7))
+                .collect(),
+        )
+    }
+
+    /// Planes equal under f32 `==` but not in their bits — a zero's sign,
+    /// a NaN's payload, the cached norm — are distinct versions, and each
+    /// device restores bit for bit; bitwise-equal planes share one.
+    #[test]
+    fn dense_planes_apart_in_their_bits_only_stay_apart() {
+        let mut pop = dense_population();
+        let base = pop.get(0).flat().to_vec();
+        let norm = pop.get(0).flat_norm_sq();
+        // Interior values, so that no cheap key can tell the planes apart.
+        let mid = base.len() / 2;
+        assert!(base[mid] != 0.0 && !base[mid + 1].is_nan());
+        let with = |i: usize, value: u32| {
+            let mut flat = base.clone();
+            flat[i] = f32::from_bits(value);
+            flat
+        };
+        let planes = [
+            (with(mid, 0x0000_0000), norm),
+            (with(mid, 0x8000_0000), norm),
+            (with(mid + 1, 0x7fc0_0001), norm),
+            (with(mid + 1, 0x7fc0_0002), norm),
+            (with(mid + 1, 0x7fc0_0001), norm),
+            (base.clone(), f32::from_bits(norm.to_bits() + 1)),
+        ];
+        for (m, (flat, norm_sq)) in planes.iter().enumerate() {
+            pop.gather_mut(&[m + 1])[0].load_flat(flat, *norm_sq);
+        }
+
+        let ck = pop.checkpoint();
+        let version = |slot: &DeviceSlotCheckpoint| match slot {
+            DeviceSlotCheckpoint::Stub { version, .. } => *version,
+            DeviceSlotCheckpoint::Resident { .. } => panic!("a dense device is a stub"),
+        };
+        let ids: Vec<u32> = ck.devices.iter().map(version).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4, 3, 5]);
+        assert_eq!(ck.versions.len(), 6);
+
+        let mut restored = dense_population();
+        let decoded = restored.decode(&ck, base.len()).expect("own checkpoint");
+        restored.install(decoded);
+        for m in 0..7 {
+            let (a, b) = (pop.get(m), restored.get(m));
+            assert_eq!(bits(a.flat()), bits(b.flat()), "device {m}");
+            assert_eq!(bits(a.flat()), bits(&flatten(&b.model)), "device {m}");
+            assert_eq!(a.flat_norm_sq().to_bits(), b.flat_norm_sq().to_bits());
         }
     }
 }

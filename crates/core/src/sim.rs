@@ -19,8 +19,8 @@ use crate::aggregation::{
 use crate::algorithms::{AlgorithmPolicy, MoveAction};
 use crate::builder::{SharedInputs, SimError};
 use crate::checkpoint::{
-    config_digest, DeviceCheckpoint, EdgeCheckpoint, FaultPlaneCheckpoint, RngStateCheckpoint,
-    SimCheckpoint, SIM_CHECKPOINT_SCHEMA_VERSION,
+    config_digest, EdgeCheckpoint, FaultPlaneCheckpoint, RngStateCheckpoint, SimCheckpoint,
+    SIM_CHECKPOINT_SCHEMA_VERSION,
 };
 use crate::comm::CommStats;
 use crate::compress::{CompressJob, CompressionPlane, Sender};
@@ -1503,18 +1503,6 @@ impl Simulation {
                     window_samples: e.window_samples,
                 })
                 .collect(),
-            devices: match &self.population {
-                Population::Dense(devices) => devices
-                    .iter()
-                    .map(|d| DeviceCheckpoint {
-                        params: Checkpoint::capture(&d.model),
-                        oort_utility: d.oort_utility,
-                        last_participation: d.last_participation,
-                        rng: RngStateCheckpoint::capture(d.rng_ref()),
-                    })
-                    .collect(),
-                Population::Lazy(_) => Vec::new(),
-            },
             population: self.population.checkpoint(),
             selection_rng: RngStateCheckpoint::capture(&self.rng),
             availability_rng: RngStateCheckpoint::capture(&self.availability_rng),
@@ -1567,10 +1555,7 @@ impl Simulation {
                 ck.config_digest
             )));
         }
-        let ck_devices = ck
-            .population
-            .as_ref()
-            .map_or(ck.devices.len(), |p| p.devices.len());
+        let ck_devices = ck.population.devices.len();
         if ck.edges.len() != self.edges.len() || ck_devices != self.population.len() {
             return Err(mismatch(format!(
                 "population {} edges / {} devices (expected {} / {})",
@@ -1636,12 +1621,6 @@ impl Simulation {
             "checkpoint is from a lockstep run but the simulation is event-driven",
             "checkpoint is from an event-driven run but the simulation is lockstep",
         )?;
-        plane(
-            !self.population.is_dense(),
-            ck.population.is_some(),
-            "checkpoint lacks population state but the simulation is lazy-mode",
-            "population checkpoint applied to a dense simulation",
-        )?;
         if let Some(c) = &ck.compression {
             self.compression.validate_state(c).map_err(&mismatch)?;
         }
@@ -1657,7 +1636,7 @@ impl Simulation {
             eck.params.fits(&edge.model).map_err(&mismatch)?;
         }
         let population = (self.population)
-            .decode(ck.population.as_ref(), &ck.devices)
+            .decode(&ck.population, params)
             .map_err(&mismatch)?;
         let policy = match &ck.algorithm {
             Some(state) => {

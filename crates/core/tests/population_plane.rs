@@ -6,7 +6,9 @@
 //! engine with real in-flight latencies — while keeping the number of
 //! resident replicas bounded by the active set, not the population.
 
-use middle_core::checkpoint::{DeviceSlotCheckpoint, VersionCheckpoint};
+use middle_core::checkpoint::{
+    DeviceCheckpoint, DeviceSlotCheckpoint, RngStateCheckpoint, VersionCheckpoint,
+};
 use middle_core::{
     Algorithm, DelayModel, DeviceRef, DropoutModel, ExecutionMode, LatencyModel, Population,
     PopulationMode, RunRecord, SimCheckpoint, SimConfig, SimError, Simulation, SimulationBuilder,
@@ -221,8 +223,7 @@ fn lazy_checkpoint_resumes_bitwise_mid_run() {
     }
     assert!(first_half.population().resident_count() > 0);
     let ck = first_half.checkpoint();
-    let pck = ck.population.as_ref().expect("lazy checkpoint block");
-    assert!(ck.devices.is_empty());
+    let pck = &ck.population;
     assert!(pck
         .devices
         .iter()
@@ -260,25 +261,92 @@ fn lazy_checkpoint_resumes_bitwise_mid_run() {
     assert_eq!(uninterrupted.active_steps(), resumed.active_steps());
 }
 
-/// A dense checkpoint carries no population block (its serialisation
-/// stays byte-identical to pre-plane checkpoints), and restoring a
-/// checkpoint without one into a lazy simulation is rejected.
+/// Both modes write the one population block, a version table plus a
+/// slot per device; every dense slot is a stub that carries its RNG.
+/// Stripping the block is rejected in both modes: a document without it
+/// does not parse, and an emptied one does not restore.
 #[test]
 fn checkpoint_population_block_matches_mode() {
-    let dense_cfg = base_config();
-    let mut dense = built(dense_cfg.clone());
-    for _ in 0..5 {
-        dense.tick(StepMode::Fast);
-    }
-    let dense_ck = dense.checkpoint();
-    assert!(dense_ck.population.is_none());
-    assert_eq!(dense_ck.devices.len(), dense_cfg.num_devices);
+    for cfg in [base_config(), lazy(base_config())] {
+        let mut sim = built(cfg.clone());
+        for _ in 0..5 {
+            sim.tick(StepMode::Fast);
+        }
+        let ck = sim.checkpoint();
+        assert_eq!(ck.population.devices.len(), cfg.num_devices);
+        assert!(!ck.population.versions.is_empty());
+        if cfg.population == PopulationMode::Dense {
+            assert!(ck
+                .population
+                .devices
+                .iter()
+                .all(|slot| matches!(slot, DeviceSlotCheckpoint::Stub { rng: Some(_), .. })));
+        }
 
-    let mut stripped = built(lazy(base_config())).checkpoint();
-    stripped.population = None;
-    let mut lazy_sim = built(lazy(base_config()));
-    let err = lazy_sim.restore(&stripped).expect_err("must reject");
-    assert!(err.to_string().contains("population"), "{err}");
+        let json = ck.to_json();
+        let unnamed = json.replacen("\"population\":", "\"unnamed\":", 1);
+        assert_ne!(unnamed, json);
+        let err = SimCheckpoint::from_json(&unnamed).expect_err("must not parse");
+        assert!(err.contains("population"), "{err}");
+
+        let mut emptied = ck;
+        emptied.population.versions.clear();
+        emptied.population.devices.clear();
+        let err = built(cfg).restore(&emptied).expect_err("must reject");
+        assert!(err.to_string().contains("population"), "{err}");
+    }
+}
+
+/// A dense checkpoint holds each distinct plane once. Right after a full
+/// broadcast every device holds the cloud's plane, so the table holds
+/// exactly that one; a step later only the step's participants can have
+/// left it. Two simulations built and ticked alike write byte-identical
+/// documents (but for the wall clock): ids follow device order,
+/// whatever order a hash map keeps.
+#[test]
+fn dense_checkpoint_holds_each_plane_once() {
+    let cfg = base_config();
+    let mut sim = built(cfg.clone());
+    let mut twin = built(cfg);
+    let (mut after_sync, mut after_step) = (0, 0);
+    let mut synced = false;
+    while !sim.is_finished() {
+        let (syncs, step) = (sim.syncs(), sim.next_step());
+        sim.tick(StepMode::Fast);
+        twin.tick(StepMode::Fast);
+        // Everything but the host's wall clock.
+        let document = |sim: &Simulation| {
+            let mut ck = sim.checkpoint();
+            ck.elapsed_seconds = 0.0;
+            (ck.to_json(), ck)
+        };
+        let (json, ck) = document(&sim);
+        assert!(json == document(&twin).0, "step {step}: documents differ");
+        let held = ck.population.versions.len();
+        if sim.syncs() > syncs {
+            assert_eq!(held, 1, "step {step}");
+            let cloud = bits(&flatten(sim.cloud_model()));
+            assert_eq!(bits(&ck.population.versions[0].flat), cloud);
+            after_sync += 1;
+        } else if synced {
+            let participants = (ck.population.devices.iter())
+                .filter(|slot| {
+                    matches!(slot, DeviceSlotCheckpoint::Stub {
+                        last_participation: Some(t),
+                        ..
+                    } if *t == step)
+                })
+                .count();
+            assert!(participants > 0, "step {step}");
+            assert!(held >= 2 && held <= 1 + participants, "step {step}: {held}");
+            after_step += 1;
+        }
+        synced = sim.syncs() > syncs;
+    }
+    assert!(
+        after_sync >= 4 && after_step >= 3,
+        "{after_sync} / {after_step}"
+    );
 }
 
 /// Residency stays bounded by the active set: at most K·E new replicas
@@ -313,9 +381,9 @@ fn lazy_residency_bounded_by_active_set() {
 /// The version id each stub carries (`None` for residents), from the
 /// checkpoint — the only place ids are visible per device.
 fn stub_versions(sim: &Simulation) -> Vec<Option<u32>> {
-    let ck = sim.checkpoint();
-    let pck = ck.population.as_ref().expect("lazy checkpoint block");
-    pck.devices
+    sim.checkpoint()
+        .population
+        .devices
         .iter()
         .map(|slot| match slot {
             DeviceSlotCheckpoint::Stub { version, .. } => Some(*version),
@@ -509,7 +577,7 @@ fn hostile_population_checkpoint_is_rejected_before_any_write() {
         donor.checkpoint()
     };
     let ck = cut(&cfg);
-    let pck = ck.population.as_ref().expect("lazy checkpoint block");
+    let pck = &ck.population;
     let stub = (pck.devices.iter())
         .position(|s| matches!(s, DeviceSlotCheckpoint::Stub { .. }))
         .expect("a stub at the cut");
@@ -520,7 +588,7 @@ fn hostile_population_checkpoint_is_rejected_before_any_write() {
         bad
     };
     fn versions(bad: &mut SimCheckpoint) -> &mut Vec<VersionCheckpoint> {
-        &mut bad.population.as_mut().unwrap().versions
+        &mut bad.population.versions
     }
     let mut cases = vec![
         (
@@ -535,7 +603,7 @@ fn hostile_population_checkpoint_is_rejected_before_any_write() {
             "stub of a missing version",
             cfg.clone(),
             edit(&|bad| {
-                let slot = &mut bad.population.as_mut().unwrap().devices[stub];
+                let slot = &mut bad.population.devices[stub];
                 if let DeviceSlotCheckpoint::Stub { version, .. } = slot {
                     *version = free_id;
                 }
@@ -566,16 +634,66 @@ fn hostile_population_checkpoint_is_rejected_before_any_write() {
             }),
         ),
     ];
-    let mut dense_ck = cut(&dense_cfg);
-    let params = &mut dense_ck.devices[3].params;
-    params.layout.pop();
-    let kept = params.layout.iter().sum();
-    params.values.0.truncate(kept);
-    cases.push((
-        "dense device of the wrong architecture",
-        dense_cfg,
-        dense_ck,
-    ));
+    let dense_ck = cut(&dense_cfg);
+    let dense_edit = |f: &dyn Fn(&mut SimCheckpoint)| {
+        let mut bad = dense_ck.clone();
+        f(&mut bad);
+        bad
+    };
+    let dense_free_id = dense_ck.population.versions.len() as u32;
+    let dense_cases = [
+        (
+            "dense version flat of the wrong length",
+            dense_edit(&|bad| {
+                let v = &mut versions(bad)[0];
+                v.flat = Packed(v.flat[..10].to_vec());
+            }),
+        ),
+        (
+            "dense stub of a missing version",
+            dense_edit(&|bad| {
+                if let DeviceSlotCheckpoint::Stub { version, .. } = &mut bad.population.devices[3] {
+                    *version = dense_free_id;
+                }
+            }),
+        ),
+        (
+            "dense stub without an RNG",
+            dense_edit(&|bad| {
+                if let DeviceSlotCheckpoint::Stub { rng, .. } = &mut bad.population.devices[3] {
+                    *rng = None;
+                }
+            }),
+        ),
+        (
+            "resident slot in a dense checkpoint",
+            dense_edit(&|bad| {
+                bad.population.devices[3] = DeviceSlotCheckpoint::Resident {
+                    device: DeviceCheckpoint {
+                        params: bad.cloud.clone(),
+                        oort_utility: None,
+                        last_participation: None,
+                        rng: RngStateCheckpoint {
+                            s0: 1,
+                            s1: 2,
+                            s2: 3,
+                            s3: 4,
+                        },
+                    },
+                };
+            }),
+        ),
+        (
+            "dense duplicate version id",
+            dense_edit(&|bad| {
+                let copy = versions(bad)[0].clone();
+                versions(bad).push(copy);
+            }),
+        ),
+    ];
+    for (what, bad) in dense_cases {
+        cases.push((what, dense_cfg.clone(), bad));
+    }
     // Last: at the parent of the check this one sized the table at
     // `id + 1` slots and aborted on the allocation.
     cases.push((
@@ -584,9 +702,18 @@ fn hostile_population_checkpoint_is_rejected_before_any_write() {
         edit(&|bad| versions(bad)[0].id = u32::MAX - 1),
     ));
 
-    for (what, cfg, bad) in cases {
+    // What every rejected target must finish as: one untouched run per
+    // configuration (a run is a pure function of its config).
+    let untouched = |cfg: &SimConfig| {
         let mut fresh = built(cfg.clone());
-        let reference = fresh.run();
+        (fresh.run(), model_bits(&fresh))
+    };
+    let (lazy_run, dense_run) = (untouched(&cfg), untouched(&dense_cfg));
+    for (what, cfg, bad) in cases {
+        let (reference, reference_bits) = match cfg.population {
+            PopulationMode::Dense => &dense_run,
+            PopulationMode::Lazy => &lazy_run,
+        };
         let bad = SimCheckpoint::from_json(&bad.to_json()).expect("checkpoint parses");
         let mut target = built(cfg);
         let err = target.restore(&bad).expect_err(what);
@@ -595,7 +722,7 @@ fn hostile_population_checkpoint_is_rejected_before_any_write() {
             "{what}: {err}"
         );
         let record = target.run();
-        assert_records_equal(&reference, &record);
-        assert_eq!(model_bits(&fresh), model_bits(&target), "{what}");
+        assert_records_equal(reference, &record);
+        assert_eq!(reference_bits, &model_bits(&target), "{what}");
     }
 }

@@ -143,16 +143,24 @@ proptest! {
         cut in 1usize..40,
     ) {
         let (cfg, json) = tiny_checkpoint();
-        // Every `"values":"<hex>"` plane of the document: cloud, edges,
-        // devices.
-        let planes: Vec<(usize, usize)> = json
-            .match_indices("\"values\":\"")
+        // Every `"values":"<hex>"` plane of the document (cloud, edges)
+        // and every `"flat":"<hex>"` one (the population's versions).
+        let mut planes: Vec<(usize, usize)> = ["\"values\":\"", "\"flat\":\""]
+            .iter()
+            .flat_map(|key| json.match_indices(key))
             .map(|(i, key)| {
                 let start = i + key.len();
                 (start, start + json[start..].find('"').unwrap())
             })
             .collect();
+        planes.sort_unstable();
         prop_assert!(planes.len() >= 3);
+        let versions = json.find("\"population\":{\"versions\":[").unwrap();
+        let slots = versions + json[versions..].find("\"devices\":[").unwrap();
+        prop_assert!(
+            planes.iter().any(|&(start, _)| versions < start && start < slots),
+            "a version plane is among the candidates"
+        );
         let (start, end) = planes[which % planes.len()];
         prop_assert!(end - start >= 8 * 40, "the plane holds a real model");
 

@@ -439,11 +439,11 @@ fn mid_scenario_checkpoints_resume_bitwise_too() {
 #[test]
 fn a_snapshot_that_fails_mid_restore_is_discarded_whole() {
     // A snapshot with the right version, digest and shape passes every
-    // presence check, so `restore()` starts overwriting — and only then
-    // meets the last device's plane, one value short of its layout. The
-    // sweep must not keep ticking that half-restored simulation (cloud,
-    // edges and the earlier devices from step 3, cursor at step 0): it
-    // runs the scenario cold and reports what an undisturbed sweep does.
+    // presence check; only its last version plane, one value short of
+    // the model, does not fit, deep inside the population decode. The
+    // sweep must not tick any part of it (cloud, edges and the other
+    // devices from step 3): it runs the scenario cold and reports what
+    // an undisturbed sweep does.
     let dir = scratch("franken");
     std::fs::create_dir_all(&dir).unwrap();
     let reference = run_sweep(&grid(), &SweepOptions::default()).unwrap();
@@ -456,7 +456,7 @@ fn a_snapshot_that_fails_mid_restore_is_discarded_whole() {
         sim.tick(StepMode::Fast);
     }
     let mut ck = sim.checkpoint();
-    ck.devices.last_mut().unwrap().params.values.0.pop();
+    ck.population.versions.last_mut().unwrap().flat.0.pop();
     let mut fresh = SimulationBuilder::new(first.config).build().unwrap();
     assert!(matches!(
         fresh.restore(&ck),
