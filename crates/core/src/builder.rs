@@ -33,7 +33,7 @@
 //! functions of the key fields, and per-run state is cloned from them
 //! either way.
 
-use crate::config::{PopulationMode, SimConfig};
+use crate::config::SimConfig;
 use crate::sim::Simulation;
 use middle_data::partition::{partition, Partition};
 use middle_data::synthetic::SyntheticSource;
@@ -98,16 +98,14 @@ impl std::error::Error for SimError {}
 /// per-run state by the builder.
 pub struct SharedInputs {
     pub(crate) partition: Partition,
-    pub(crate) device_data: Vec<Dataset>,
     pub(crate) test: Dataset,
     pub(crate) init: Sequential,
     pub(crate) homes: Vec<usize>,
     pub(crate) trace: Trace,
-    /// The shared base dataset, kept only in lazy population mode so
-    /// device datasets can be re-gathered on materialisation
-    /// (`device_data` stays empty there). Dense mode pre-gathers
-    /// `device_data` and drops the base.
-    pub(crate) base: Option<Dataset>,
+    /// The shared base dataset the partition indexes: a device's dataset
+    /// is gathered from it whenever the device materialises, so no run
+    /// holds a dataset per idle device.
+    pub(crate) base: Dataset,
 }
 
 impl SharedInputs {
@@ -144,24 +142,8 @@ impl SharedInputs {
             })
             .collect();
         let trace = crate::sim::build_trace(config, &homes);
-        // Dense mode gathers each device's samples once here, not once
-        // per run: subsetting is a row gather over the base dataset, and
-        // a sweep cell that shares these inputs pays it a single time.
-        // Lazy mode keeps the base instead and re-gathers per
-        // materialisation — N pre-gathered datasets are exactly the O(N)
-        // resident cost the mode exists to avoid.
-        let (device_data, base) = match config.population {
-            PopulationMode::Dense => {
-                let device_data: Vec<Dataset> = (0..config.num_devices)
-                    .map(|m| base.subset(&part.assignments[m]))
-                    .collect();
-                (device_data, None)
-            }
-            PopulationMode::Lazy => (Vec::new(), Some(base)),
-        };
         SharedInputs {
             partition: part,
-            device_data,
             test,
             init,
             homes,
@@ -188,7 +170,7 @@ impl SharedInputs {
 /// grid over them shares one entry.
 pub fn input_key(config: &SimConfig) -> String {
     format!(
-        "task={};edges={};devices={};spd={};scheme={};test={};steps={};mobility={};seed={};pop={:?}",
+        "task={};edges={};devices={};spd={};scheme={};test={};steps={};mobility={};seed={}",
         config.task.name(),
         config.num_edges,
         config.num_devices,
@@ -198,7 +180,6 @@ pub fn input_key(config: &SimConfig) -> String {
         config.steps,
         serde_json::to_string(&config.mobility).unwrap_or_default(),
         config.seed,
-        config.population,
     )
 }
 
@@ -396,7 +377,7 @@ mod tests {
     #[test]
     fn build_succeeds_on_valid_config() {
         let sim = SimulationBuilder::new(tiny()).build().unwrap();
-        assert_eq!(sim.devices().len(), 8);
+        assert_eq!(sim.population().len(), 8);
     }
 
     #[test]
@@ -431,6 +412,7 @@ mod tests {
         b.compression.enabled = true;
         b.compression.quantize_bits = 4;
         b.compression.top_frac = 0.1;
+        b.population = crate::config::PopulationMode::Lazy;
         assert_eq!(input_key(&a), input_key(&b));
         let mut c = tiny();
         c.seed = 99;

@@ -16,17 +16,19 @@
 //! *are* the bits; the scalar fields ride as JSON numbers in
 //! shortest-round-trip form, which is bit-exact for finite values.
 //!
-//! Dense and lazy populations share one encoding,
-//! [`PopulationCheckpoint`]: a table of distinct parameter planes plus
-//! one slot per device. Right after a cloud broadcast every device holds
-//! the cloud's plane, so a dense device is written as a reference into
-//! the table plus its scalar state, and the table holds each distinct
-//! plane once (identity is the flat's bits *and* the cached norm's
-//! bits). A `sweep_grid` snapshot, cut just after a full broadcast,
-//! went from 6.55 MB (120 per-device planes, all equal to the cloud's)
-//! to 287 kB. A version-2 document (one plane per dense device) or a
-//! version-1 one (decimal arrays) does not parse; whoever finds one
-//! starts the run cold. The checkpoint-resume-equivalence tests in
+//! The population is one block, [`PopulationCheckpoint`]: the version
+//! table's live broadcast planes plus one slot per device — a stub (a
+//! version id and the device's scalar state) or a resident replica.
+//! Right after a cloud broadcast every device is a stub of the cloud's
+//! plane, so the table holds that one plane; the sharing is the
+//! population's own, not recovered at capture. A document written when
+//! every device still had a replica of its own is the same schema: all
+//! stubs, each carrying its RNG state, ids `0..V` over the distinct
+//! planes. It restores as written (`population_plane`'s
+//! `replica_per_device_snapshot_resumes_bitwise`). A version-2 document
+//! (one plane per device) or a version-1 one (decimal arrays) does not
+//! parse; whoever finds one starts the run cold. The
+//! checkpoint-resume-equivalence tests in
 //! `crates/core/tests/sweep_engine.rs` gate the round trip.
 //!
 //! What is deliberately *not* captured: telemetry latency histograms
@@ -85,7 +87,7 @@ impl RngStateCheckpoint {
     }
 }
 
-/// Snapshot of one materialised replica of a lazy population.
+/// Snapshot of one materialised replica.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DeviceCheckpoint {
     /// The carried local model's parameters.
@@ -98,10 +100,9 @@ pub struct DeviceCheckpoint {
     pub rng: RngStateCheckpoint,
 }
 
-/// One distinct parameter plane of a population: the flat parameter
-/// vector and the cached squared norm every stub of this version
-/// carries. A lazy population writes its live broadcast versions; a
-/// dense one the distinct planes its devices hold.
+/// One parameter plane of the population's version table: the flat
+/// parameter vector and the cached squared norm every stub of this
+/// version carries.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VersionCheckpoint {
     /// Stable version id (index into the version table).
@@ -112,17 +113,16 @@ pub struct VersionCheckpoint {
     pub norm_sq: f32,
 }
 
-/// Snapshot of one device slot: a materialised replica (lazy only) or a
-/// reference into the version table plus the device's scalar state.
+/// Snapshot of one device slot: a materialised replica, or a reference
+/// into the version table plus the device's scalar state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum DeviceSlotCheckpoint {
-    /// The lazy device was resident at capture time.
+    /// The device was resident at capture time.
     Resident {
         /// The replica's full state.
         device: DeviceCheckpoint,
     },
-    /// The device's parameters are a version's plane: a virtualized
-    /// lazy device, or any dense device.
+    /// The device's parameters are a version's plane.
     Stub {
         /// Version id the stub's parameters point at.
         version: u32,
@@ -130,19 +130,17 @@ pub enum DeviceSlotCheckpoint {
         oort_utility: Option<f32>,
         /// Time step of the last participation.
         last_participation: Option<usize>,
-        /// Saved batch-sampling RNG state; `None` for a virgin lazy
-        /// device, always present for a dense one.
+        /// Saved batch-sampling RNG state; `None` for a device that has
+        /// not yet participated (its stream is derived from the seed).
         rng: Option<RngStateCheckpoint>,
     },
 }
 
-/// Snapshot of a population, dense or lazy: a version table of distinct
-/// parameter planes plus one slot per device.
+/// Snapshot of a population: a version table of parameter planes plus
+/// one slot per device.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PopulationCheckpoint {
-    /// Distinct parameter planes: the lazy plane's live version slots,
-    /// or a dense population's planes with ids `0..V` in first-seen
-    /// device order.
+    /// The live version slots, by id.
     pub versions: Vec<VersionCheckpoint>,
     /// Per-device slots, in device order.
     pub devices: Vec<DeviceSlotCheckpoint>,

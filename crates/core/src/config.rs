@@ -45,27 +45,21 @@ pub enum MobilitySource {
     Stationary,
 }
 
-/// How the device population is held in memory.
+/// Inert: which population representation a configuration once chose.
 ///
-/// The simulation's observable behaviour — RunRecords, checkpoints of
-/// the respective mode, communication ledgers — is bitwise identical
-/// between the two modes (gated by `crates/core/tests/population_plane.rs`);
-/// the mode only changes *where* idle parameters live.
+/// Every run holds its devices in one representation, the version-table
+/// plane of [`crate::population`]: an idle device is a stub of the last
+/// broadcast that reached it, and a device is materialised only while it
+/// trains. The field still parses and still enters the serialised config,
+/// so config digests, ledgers and results written with either value stay
+/// valid, but nothing branches on it. It stays only because the `perf`
+/// benchmark's workloads and probes name it; its next change removes it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PopulationMode {
-    /// Every device holds a full materialised replica (model, local
-    /// dataset, training scratch) for the whole run. Memory is O(N·P).
+    /// Once: a full replica per device for the whole run.
     #[default]
     Dense,
-    /// Idle devices are virtualized to a stub (last-received model
-    /// version id, Oort utility, participation step, saved RNG state)
-    /// and materialised lazily on selection; a cloud broadcast demotes
-    /// every reached replica back to a stub pointing at the new shared
-    /// version vector. Resident replicas are bounded by the devices
-    /// that trained since the last broadcast (≈ `K·E·T_c`), so memory
-    /// is flat in the number of *idle* devices. Markov-hop mobility
-    /// traces switch to the streaming generator (O(N) resident rows
-    /// instead of O(N·T)).
+    /// Once: idle devices virtualized to stubs of broadcast versions.
     Lazy,
 }
 
@@ -146,9 +140,7 @@ pub struct SimConfig {
     /// phase timings + counters). Setting a path implies `telemetry`.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub telemetry_jsonl: Option<String>,
-    /// How the device population is held in memory ([`PopulationMode`]).
-    /// `Dense` by default; `Lazy` virtualizes idle devices so
-    /// million-device populations fit in memory.
+    /// Inert ([`PopulationMode`]): parsed and digested, never read.
     #[serde(default)]
     pub population: PopulationMode,
     /// Execution timeline ([`TimelineConfig`]): lockstep rounds by

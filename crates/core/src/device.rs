@@ -116,19 +116,21 @@ impl Device {
         }
     }
 
-    /// Re-purposes this replica as a never-trained device `id`: after
-    /// the caller loads parameters ([`Device::load_flat`] or an init that
-    /// overwrites every one) it is bitwise the device [`Device::new`]
-    /// builds and loads the same way — id, data, derived rng, no
-    /// utility, no participation, layer state reset
-    /// (`recycled_replica_is_a_fresh_one` below). The
-    /// previous owner's parameters stay in place until then, behind a
-    /// dirty flat cache; gradients are zero, as every optimizer step
-    /// leaves them. The model must have the architecture `id` trains.
-    pub fn recycle(&mut self, id: usize, data: Dataset, seed: u64) {
-        assert!(!data.is_empty(), "device {id} has no data");
+    /// Re-purposes this replica as a never-trained device `id` whose
+    /// dataset is `base`'s `rows`: after the caller loads parameters
+    /// ([`Device::load_flat`] or an init that overwrites every one) it is
+    /// bitwise the device [`Device::new`] builds from
+    /// `base.subset(rows)` and loads the same way — id, data, derived
+    /// rng, no utility, no participation, layer state reset
+    /// (`recycled_replica_is_a_fresh_one` below). The rows are gathered
+    /// into the replica's own dataset buffers. The previous owner's
+    /// parameters stay in place until then, behind a dirty flat cache;
+    /// gradients are zero, as every optimizer step leaves them. The
+    /// model must have the architecture `id` trains.
+    pub fn recycle(&mut self, id: usize, base: &Dataset, rows: &[usize], seed: u64) {
+        assert!(!rows.is_empty(), "device {id} has no data");
         self.id = id;
-        self.data = data;
+        base.subset_into(rows, &mut self.data);
         self.rng = device_rng(id, seed);
         self.oort_utility = None;
         self.last_participation = None;
@@ -464,7 +466,7 @@ mod tests {
             .flat_map(|p| p.grad.data().iter().map(|g| g.to_bits()))
             .collect();
         (
-            (d.id, d.num_samples(), d.last_participation),
+            (d.id, d.data().clone(), d.last_participation),
             d.flat().iter().map(|v| v.to_bits()).collect::<Vec<u32>>(),
             d.flat_norm_sq().to_bits(),
             d.oort_utility.map(f32::to_bits),
@@ -477,7 +479,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
         /// A recycled replica is a fresh one: train device A for a while,
-        /// re-purpose it as device B (`Device::recycle`), load a broadcast
+        /// re-purpose it as device B (`Device::recycle`, which gathers B's
+        /// rows into A's dataset buffers), load a broadcast
         /// and train — every observable of the result is bitwise what
         /// `Device::new(B)` gives after the same load and training, through
         /// the workspace path and the reference path alike.
@@ -512,8 +515,12 @@ mod tests {
             if worn > 0 {
                 train(&mut recycled, worn, 0);
             }
-            recycled.recycle(b, data(b, samples_b), seed);
-            let mut fresh = Device::new(b, data(b, samples_b), init.clone(), seed);
+            // B's rows of a shared base, gathered out of order into A's
+            // buffers (sized for another sample count).
+            let base = data(b, samples_b + 3);
+            let rows: Vec<usize> = (0..samples_b).map(|i| samples_b + 2 - i).collect();
+            recycled.recycle(b, &base, &rows, seed);
+            let mut fresh = Device::new(b, base.subset(&rows), init.clone(), seed);
             for dev in [&mut recycled, &mut fresh] {
                 dev.load_flat(&broadcast, norm_sq);
             }

@@ -128,10 +128,10 @@ pub fn update_similarity(device: &Device, cloud_flat: &[f32], cloud_norm_sq: f32
     )
 }
 
-/// [`update_similarity`] on raw flat parameters: the lazy population
-/// plane scores virtualized stubs straight off their shared version
-/// flats through this entry point, bitwise-identically to a dense
-/// device whose cached flat holds the same values.
+/// [`update_similarity`] on raw flat parameters: the population plane
+/// scores stubs straight off their shared version flats through this
+/// entry point, bitwise-identically to a materialised device whose
+/// cached flat holds the same values.
 pub fn update_similarity_flat(
     local: &[f32],
     local_norm_sq: f32,

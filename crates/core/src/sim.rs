@@ -24,8 +24,7 @@ use crate::checkpoint::{
 };
 use crate::comm::CommStats;
 use crate::compress::{CompressJob, CompressionPlane, Sender};
-use crate::config::{MobilitySource, PopulationMode, SimConfig};
-use crate::device::Device;
+use crate::config::{MobilitySource, SimConfig};
 use crate::faults::FaultPlane;
 use crate::metrics::{EvalPoint, RunRecord, RUN_RECORD_SCHEMA_VERSION};
 use crate::population::{DeviceRef, PendingInit, Population, Reached};
@@ -36,10 +35,7 @@ use crate::timeline::{ArrivalOutcome, Event, EventKind, ExecutionMode, LatencyMo
 use crate::{OnDevicePolicy, SelectionPolicy};
 use middle_data::partition::Partition;
 use middle_data::{Confusion, Dataset};
-use middle_mobility::{
-    generate_geometric, generate_markov_hop, generate_markov_hop_homed, MobilityKind, ServiceArea,
-    Trace,
-};
+use middle_mobility::{generate_geometric, MobilityKind, ServiceArea, Trace};
 use middle_nn::loss::softmax_cross_entropy;
 use middle_nn::params::{flatten, FlatView};
 use middle_nn::serialize::Checkpoint;
@@ -123,10 +119,10 @@ impl EdgeState {
 
 /// The cloud model's cached flat view, and an epoch that counts its
 /// refreshes: a device's cached selection score
-/// ([`Device::cloud_score`]) is valid only against the epoch it was
-/// computed in, so the two move together here and nowhere else. The
-/// epoch is derived state — a restore starts a new one — and is never
-/// checkpointed.
+/// ([`Device::cloud_score`](crate::device::Device::cloud_score)) is
+/// valid only against the epoch it was computed in, so the two move
+/// together here and nowhere else. The epoch is derived state — a
+/// restore starts a new one — and is never checkpointed.
 struct CloudView {
     flat: FlatView,
     epoch: u64,
@@ -263,9 +259,9 @@ pub struct Simulation {
     // What phase 1 decided for each participant, consumed by the step's
     // one participant region.
     pending_inits: Vec<PendingInit>,
-    // Lazy-mode scratch: per-live-version similarity scores against the
-    // current cloud model, refilled each step before selection (empty
-    // in dense mode or under non-similarity policies).
+    // Per-live-version similarity scores against the current cloud
+    // model, refilled each step before selection (empty under
+    // non-similarity policies).
     version_scores: Vec<f32>,
     // Scratch of the score pre-pass: the devices it found stale.
     stale_scores: Vec<usize>,
@@ -297,14 +293,7 @@ impl Simulation {
     pub(crate) fn from_shared(config: SimConfig, inputs: &std::sync::Arc<SharedInputs>) -> Self {
         let seed = config.seed;
         let init = inputs.init.clone();
-        let population = match config.population {
-            PopulationMode::Dense => Population::dense(
-                (0..config.num_devices)
-                    .map(|m| Device::new(m, inputs.device_data[m].clone(), init.clone(), seed))
-                    .collect(),
-            ),
-            PopulationMode::Lazy => Population::lazy(inputs.clone(), seed, config.num_devices),
-        };
+        let population = Population::new(inputs.clone(), seed, config.num_devices);
         let edges: Vec<EdgeState> = (0..config.num_edges)
             .map(|_| EdgeState::new(init.clone()))
             .collect();
@@ -397,16 +386,8 @@ impl Simulation {
         &self.edges
     }
 
-    /// Current devices as a dense slice.
-    ///
-    /// # Panics
-    /// Panics in lazy population mode, where idle devices have no
-    /// replica to borrow — use [`Simulation::population`] there.
-    pub fn devices(&self) -> &[Device] {
-        self.population.dense_slice()
-    }
-
-    /// The device population plane (dense replicas or lazy stubs).
+    /// The device population plane: stubs of broadcast versions and the
+    /// replicas of the devices materialised since the last broadcast.
     pub fn population(&self) -> &Population {
         &self.population
     }
@@ -726,10 +707,10 @@ impl Simulation {
     }
 
     /// Makes every selection score of the step a lookup
-    /// ([`cached_similarity`]). Lazy mode scores each live broadcast
-    /// version against the cloud once per step; every stub of a version
-    /// then shares that score bitwise, exactly as idle dense devices
-    /// holding the same broadcast would. Materialised devices cache their
+    /// ([`cached_similarity`]). Each live broadcast version is scored
+    /// against the cloud once per step; every stub of a version then
+    /// shares that score bitwise, as every device holding the same
+    /// parameters would. Materialised devices cache their
     /// own score beside their flat: the training job fills it, and the
     /// pre-pass here scores whatever is stale regardless.
     fn refresh_selection_scores(&mut self) {
@@ -828,7 +809,7 @@ impl Simulation {
                 // A selected device needs a replica before its init
                 // touches the carried model; reserving one is the
                 // serial, cheap half of materialisation (no-op when
-                // dense or already resident).
+                // already resident).
                 let reserved = self.population.reserve(m);
                 self.participants.push(m);
                 // A stationary device downloads the edge model, which
@@ -1636,7 +1617,7 @@ impl Simulation {
             eck.params.fits(&edge.model).map_err(&mismatch)?;
         }
         let population = (self.population)
-            .decode(&ck.population, params)
+            .decode(&ck.population)
             .map_err(&mismatch)?;
         let policy = match &ck.algorithm {
             Some(state) => {
@@ -1694,7 +1675,7 @@ impl Simulation {
 
     /// Panics unless the derived state the hot paths trust agrees with
     /// the state it is derived from
-    /// ([`Population::check_invariants`]): the lazy plane's slot table,
+    /// ([`Population::check_invariants`]): the plane's slot table,
     /// residents list, version counts and replica pool, and every
     /// device's cached selection score against the reference scorer
     /// over the current cloud model. Meant to be called between ticks by
@@ -1797,8 +1778,8 @@ fn compress_pending<'a>(
 
 /// `d` of Eq. 6: the samples a cohort trained on, read from the partition
 /// (equal to `Device::num_samples` by construction) so it never depends
-/// on residency — in lazy mode a cloud broadcast may have demoted a
-/// sender whose upload was still in flight.
+/// on residency — a cloud broadcast may have demoted a sender whose
+/// upload was still in flight.
 fn cohort_samples(partition: &Partition, cohort: &[usize]) -> usize {
     cohort.iter().map(|&m| partition.device_len(m)).sum()
 }
@@ -1896,34 +1877,24 @@ fn cached_similarity<'a>(
 
 /// Builds the mobility trace described by the config.
 ///
-/// In lazy population mode the Markov-hop sources use the streaming
-/// generator — bitwise-identical rows, O(N) resident memory instead of
-/// the O(N·T) dense table. The geometric sources (waypoint/walk/
-/// stationary) have no streaming backend yet and stay dense in either
-/// mode.
+/// The Markov-hop sources stream: rows bitwise those of
+/// `generate_markov_hop{,_homed}`, O(N) resident memory instead of the
+/// O(N·T) table. The geometric sources (waypoint/walk/stationary) have
+/// no streaming backend yet and build the full table.
 pub(crate) fn build_trace(config: &SimConfig, homes: &[usize]) -> Trace {
     let seed = derive_seed(config.seed, 7);
-    let lazy = matches!(config.population, PopulationMode::Lazy);
     match config.mobility {
-        MobilitySource::MarkovHop { p } if lazy => {
+        MobilitySource::MarkovHop { p } => {
             Trace::markov_hop_streaming(config.num_edges, config.num_devices, config.steps, p, seed)
         }
-        MobilitySource::HomedMarkovHop { p, home_bias } if lazy => {
-            Trace::markov_hop_homed_streaming(
-                config.num_edges,
-                homes,
-                config.steps,
-                p,
-                home_bias,
-                seed,
-            )
-        }
-        MobilitySource::MarkovHop { p } => {
-            generate_markov_hop(config.num_edges, config.num_devices, config.steps, p, seed)
-        }
-        MobilitySource::HomedMarkovHop { p, home_bias } => {
-            generate_markov_hop_homed(config.num_edges, homes, config.steps, p, home_bias, seed)
-        }
+        MobilitySource::HomedMarkovHop { p, home_bias } => Trace::markov_hop_homed_streaming(
+            config.num_edges,
+            homes,
+            config.steps,
+            p,
+            home_bias,
+            seed,
+        ),
         MobilitySource::Stationary => {
             let area = ServiceArea::grid(1000.0, 1000.0, config.num_edges);
             let mut model = MobilityKind::Stationary.build();
@@ -1978,14 +1949,22 @@ mod tests {
         SimulationBuilder::new(cfg).build().expect("valid config")
     }
 
+    /// Device `m`'s parameters: its replica's model, or its stub's plane.
+    fn device_flat(sim: &Simulation, m: usize) -> Vec<f32> {
+        match sim.population().view(m) {
+            DeviceRef::Resident(dev) => flatten(&dev.model),
+            DeviceRef::Stub(v) => sim.population().version_flat(v).to_vec(),
+        }
+    }
+
     #[test]
     fn construction_partitions_all_devices() {
         let cfg = SimConfig::tiny(Task::Mnist, Algorithm::middle());
         let sim = built(cfg.clone());
-        assert_eq!(sim.devices().len(), cfg.num_devices);
+        assert_eq!(sim.population().len(), cfg.num_devices);
         assert_eq!(sim.edges().len(), cfg.num_edges);
-        for d in sim.devices() {
-            assert_eq!(d.num_samples(), cfg.samples_per_device);
+        for m in 0..cfg.num_devices {
+            assert_eq!(sim.partition().device_len(m), cfg.samples_per_device);
         }
     }
 
@@ -1996,8 +1975,8 @@ mod tests {
         for e in sim.edges() {
             assert_eq!(flatten(&e.model), cloud);
         }
-        for d in sim.devices() {
-            assert_eq!(flatten(&d.model), cloud);
+        for m in 0..sim.population().len() {
+            assert_eq!(device_flat(&sim, m), cloud);
         }
     }
 
@@ -2026,8 +2005,8 @@ mod tests {
         for e in sim.edges() {
             assert_eq!(flatten(&e.model), synced);
         }
-        for d in sim.devices() {
-            assert_eq!(flatten(&d.model), synced);
+        for m in 0..sim.population().len() {
+            assert_eq!(device_flat(&sim, m), synced);
         }
     }
 

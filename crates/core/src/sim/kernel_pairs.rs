@@ -1,8 +1,8 @@
 //! The kernel-pair harness: the round runs one set of kernels, and each
 //! one is held here to its oracle on inputs taken from hostile rounds.
 //!
-//! Every regime ticks the production round — dense and lazy, lockstep
-//! and event-driven with real latencies. After each tick the harness
+//! Every regime ticks the production round — lockstep and event-driven
+//! with real latencies. After each tick the harness
 //! reads the round's private state and clones what its kernels consume:
 //! the score caches and the step's candidates, the participants with
 //! their on-move verdicts, the delivered cohorts, the edges under the
@@ -41,6 +41,7 @@ use crate::algorithms::Algorithm;
 use crate::algorithms::AlgorithmState;
 use crate::builder::SimulationBuilder;
 use crate::compress::{CompressJob, Sender};
+use crate::device::Device;
 use crate::faults::{DelayModel, DropoutModel, FaultConfig};
 use crate::selection::{
     select_devices_reference_scored, update_similarity_reference, update_similarity_reference_flat,
@@ -449,8 +450,8 @@ fn compress_pair(sim: &Simulation, what: &str, hits: &mut Hits) {
 /// moved participants' verdicts.
 fn run(regime: &str, cfg: SimConfig) -> Vec<MoveAction> {
     let label = format!(
-        "{regime} / {} / {:?} / {:?}",
-        cfg.algorithm.name, cfg.population, cfg.timeline.mode
+        "{regime} / {} / {:?}",
+        cfg.algorithm.name, cfg.timeline.mode
     );
     let lockstep = cfg.timeline.mode == ExecutionMode::Lockstep;
     let lossy = cfg.compression.lossy_active();
@@ -491,23 +492,20 @@ fn run(regime: &str, cfg: SimConfig) -> Vec<MoveAction> {
     moves
 }
 
-/// Runs one regime: each algorithm dense and lazy, lockstep and
-/// event-driven with real latencies, and demands that moved
-/// participants met every verdict the algorithm can give.
+/// Runs one regime: each algorithm lockstep and event-driven with real
+/// latencies, and demands that moved participants met every verdict the
+/// algorithm can give.
 fn regime(name: &str, base: SimConfig, algorithms: Vec<Algorithm>) {
     for algorithm in algorithms {
         let mut moves = Vec::new();
-        for population in [PopulationMode::Dense, PopulationMode::Lazy] {
-            for event in [false, true] {
-                let mut cfg = base.clone();
-                cfg.algorithm = algorithm.clone();
-                cfg.population = population;
-                if event {
-                    cfg.timeline.mode = ExecutionMode::EventDriven;
-                    cfg.timeline.latency = LatencyModel::Faults;
-                }
-                moves.extend(run(name, cfg));
+        for event in [false, true] {
+            let mut cfg = base.clone();
+            cfg.algorithm = algorithm.clone();
+            if event {
+                cfg.timeline.mode = ExecutionMode::EventDriven;
+                cfg.timeline.latency = LatencyModel::Faults;
             }
+            moves.extend(run(name, cfg));
         }
         for expected in verdicts(&algorithm) {
             assert!(

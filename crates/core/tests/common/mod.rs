@@ -6,7 +6,7 @@
 //! place.
 #![allow(dead_code)]
 
-use middle_core::{RunRecord, Simulation};
+use middle_core::{DeviceRef, RunRecord, Simulation};
 use middle_nn::params::flatten;
 
 /// Feeds `bytes` into a running FNV-1a hash.
@@ -32,8 +32,23 @@ pub fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Device `m`'s parameters, read through the population's view: a
+/// materialised replica's model, or the plane of the broadcast version
+/// an idle device's stub carries.
+pub fn device_plane(sim: &Simulation, m: usize) -> Vec<f32> {
+    match sim.population().view(m) {
+        DeviceRef::Resident(dev) => flatten(&dev.model),
+        DeviceRef::Stub(v) => sim.population().version_flat(v).to_vec(),
+    }
+}
+
+/// [`device_plane`] of every device, in id order.
+pub fn device_planes(sim: &Simulation) -> impl Iterator<Item = Vec<f32>> + '_ {
+    (0..sim.population().len()).map(move |m| device_plane(sim, m))
+}
+
 /// Whole-simulation fingerprint: cloud, then every edge, then every
-/// resident device, in id order.
+/// device's parameters ([`device_plane`]), in id order.
 pub fn sim_bits(sim: &Simulation) -> Vec<u32> {
     let mut out: Vec<u32> = flatten(sim.cloud_model())
         .iter()
@@ -42,13 +57,13 @@ pub fn sim_bits(sim: &Simulation) -> Vec<u32> {
     for e in sim.edges() {
         out.extend(flatten(&e.model).iter().map(|v| v.to_bits()));
     }
-    for d in sim.devices() {
-        out.extend(flatten(&d.model).iter().map(|v| v.to_bits()));
+    for plane in device_planes(sim) {
+        out.extend(plane.iter().map(|v| v.to_bits()));
     }
     out
 }
 
-/// One FNV-1a fingerprint of a finished dense run: every model in the
+/// One FNV-1a fingerprint of a finished run: every model in the
 /// system ([`sim_bits`]) and everything its record determines —
 /// evaluation points, the communication ledger, sync and activity
 /// counts. The pin a trajectory keeps once nothing is left to compare it

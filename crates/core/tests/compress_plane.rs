@@ -28,6 +28,9 @@ use rand::Rng;
 #[path = "../src/compress/reference.rs"]
 mod reference;
 
+mod common;
+use common::{bits, device_planes};
+
 fn compress(
     delta: &[f64],
     bits: u32,
@@ -360,19 +363,11 @@ fn checkpoint_resume_with_nonzero_residuals_is_bitwise_identical() {
             .map(|v| v.to_bits())
             .collect::<Vec<_>>()
     );
-    for (a, b) in full.devices().iter().zip(resumed.devices()) {
-        assert_eq!(
-            flatten(&a.model)
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            flatten(&b.model)
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            "device {} diverged after resume",
-            a.id
-        );
+    for (m, (a, b)) in device_planes(&full)
+        .zip(device_planes(&resumed))
+        .enumerate()
+    {
+        assert_eq!(bits(&a), bits(&b), "device {m} diverged after resume");
     }
     assert_eq!(full.comm_stats(), resumed.comm_stats());
     assert_eq!(full.syncs(), resumed.syncs());

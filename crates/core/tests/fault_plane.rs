@@ -14,7 +14,7 @@ use middle_nn::params::flatten;
 use proptest::prelude::*;
 
 mod common;
-use common::{bits, trajectory_fnv};
+use common::{bits, device_planes, trajectory_fnv};
 
 fn built(cfg: SimConfig) -> Simulation {
     SimulationBuilder::new(cfg).build().expect("valid config")
@@ -44,7 +44,7 @@ fn finish_fingerprint(mut sim: Simulation) -> Fingerprint {
     }
     let mut models = vec![bits(&flatten(sim.cloud_model()))];
     models.extend(sim.edges().iter().map(|e| bits(&flatten(&e.model))));
-    models.extend(sim.devices().iter().map(|d| bits(&flatten(&d.model))));
+    models.extend(device_planes(&sim).map(|plane| bits(&plane)));
     (models, *sim.comm_stats(), sim.syncs(), sim.active_steps())
 }
 

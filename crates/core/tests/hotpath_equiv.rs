@@ -16,7 +16,7 @@ use middle_tensor::random::rng;
 use proptest::prelude::*;
 
 mod common;
-use common::{bits, fnv, fnv_params, trajectory_fnv};
+use common::{bits, device_planes, fnv, fnv_params, trajectory_fnv};
 
 fn built(cfg: SimConfig) -> Simulation {
     SimulationBuilder::new(cfg).build().expect("valid config")
@@ -180,11 +180,8 @@ fn default_fault_config_is_bitwise_identical_to_pre_fault_plane_main() {
 
     assert_eq!(fnv_params(&flatten(sim.cloud_model())), 0x75a18b3f9d2c2c47);
     let mut devices_fnv = 0xcbf29ce484222325u64;
-    for d in sim.devices() {
-        fnv(
-            &mut devices_fnv,
-            &fnv_params(&flatten(&d.model)).to_le_bytes(),
-        );
+    for plane in device_planes(&sim) {
+        fnv(&mut devices_fnv, &fnv_params(&plane).to_le_bytes());
     }
     assert_eq!(devices_fnv, 0x94105ab3ced3cd05);
     let mut edges_fnv = 0xcbf29ce484222325u64;
@@ -241,11 +238,8 @@ fn default_compression_config_is_bitwise_identical_to_pre_compression_main() {
 
     assert_eq!(fnv_params(&flatten(sim.cloud_model())), 0x75a18b3f9d2c2c47);
     let mut devices_fnv = 0xcbf29ce484222325u64;
-    for d in sim.devices() {
-        fnv(
-            &mut devices_fnv,
-            &fnv_params(&flatten(&d.model)).to_le_bytes(),
-        );
+    for plane in device_planes(&sim) {
+        fnv(&mut devices_fnv, &fnv_params(&plane).to_le_bytes());
     }
     assert_eq!(devices_fnv, 0x94105ab3ced3cd05);
     let (acc, loss, _) = sim.evaluate(&sim.virtual_global());
@@ -298,8 +292,8 @@ fn lossless_compression_run_is_bitwise_identical_to_off() {
         bits(&flatten(off.cloud_model())),
         bits(&flatten(lossless.cloud_model()))
     );
-    for (a, b) in off.devices().iter().zip(lossless.devices()) {
-        assert_eq!(bits(&flatten(&a.model)), bits(&flatten(&b.model)));
+    for (a, b) in device_planes(&off).zip(device_planes(&lossless)) {
+        assert_eq!(bits(&a), bits(&b));
     }
     for (a, b) in off.edges().iter().zip(lossless.edges()) {
         assert_eq!(bits(&flatten(&a.model)), bits(&flatten(&b.model)));

@@ -1,25 +1,28 @@
-//! Equivalence gates for the lazy population plane: a lazy-mode
-//! simulation (stubs + version table + streaming trace) must reproduce
-//! the dense simulation bit for bit — every evaluation point, the full
-//! communication ledger, and the effective parameters of every device,
-//! under every fault model, with compression on and under the event
-//! engine with real in-flight latencies — while keeping the number of
-//! resident replicas bounded by the active set, not the population.
+//! Gates for the population plane (stubs of broadcast versions, a
+//! replica only while a device trains, streaming traces): runs keep the
+//! trajectories pinned when every device still had a replica of its own
+//! — every evaluation point, the full communication ledger and the
+//! parameters of every device — under every fault model, with
+//! compression on and under the event engine with real in-flight
+//! latencies; checkpoints resume bitwise, those written when every
+//! device had a replica among them;
+//! the plane's derived state agrees with itself after every tick; and
+//! the number of resident replicas stays bounded by the active set, not
+//! the population.
 
 use middle_core::checkpoint::{
-    DeviceCheckpoint, DeviceSlotCheckpoint, RngStateCheckpoint, VersionCheckpoint,
+    DeviceSlotCheckpoint, PopulationCheckpoint, RngStateCheckpoint, VersionCheckpoint,
 };
 use middle_core::{
-    Algorithm, DelayModel, DeviceRef, DropoutModel, ExecutionMode, LatencyModel, Population,
-    PopulationMode, RunRecord, SimCheckpoint, SimConfig, SimError, Simulation, SimulationBuilder,
-    StepMode,
+    Algorithm, DelayModel, Device, DeviceRef, DropoutModel, ExecutionMode, LatencyModel,
+    SimCheckpoint, SimConfig, SimError, Simulation, SimulationBuilder, StepMode,
 };
 use middle_data::Task;
 use middle_nn::params::flatten;
 use middle_nn::serialize::Packed;
 
 mod common;
-use common::{assert_records_equal, bits};
+use common::{assert_records_equal, bits, device_plane, fnv, sim_bits, trajectory_fnv};
 
 fn built(cfg: SimConfig) -> Simulation {
     SimulationBuilder::new(cfg).build().expect("valid config")
@@ -36,104 +39,78 @@ fn base_config() -> SimConfig {
     cfg
 }
 
-fn lazy(mut cfg: SimConfig) -> SimConfig {
-    cfg.population = PopulationMode::Lazy;
-    cfg
-}
-
-/// The parameters device `m` would train from if selected next step:
-/// its replica's flat when resident, its version slot's flat when
-/// virtualized. In dense mode this is just the device's flat.
-fn effective_device_bits(sim: &Simulation, m: usize) -> Vec<u32> {
-    match sim.population().view(m) {
-        DeviceRef::Resident(dev) => bits(dev.flat()),
-        DeviceRef::Stub(v) => bits(sim.population().version_flat(v)),
-    }
-}
-
-/// The bits of every model in the system: cloud, edges, then each
-/// device's effective parameters.
-fn model_bits(sim: &Simulation) -> Vec<Vec<u32>> {
-    let mut models = vec![bits(&flatten(sim.cloud_model()))];
-    models.extend(sim.edges().iter().map(|e| bits(&flatten(&e.model))));
-    models.extend((0..sim.population().len()).map(|m| effective_device_bits(sim, m)));
-    models
-}
-
-/// Runs `cfg` to completion and fingerprints everything the plane must
-/// preserve: the run record's points/ledger/counters plus the bits of
-/// every model in the system.
-fn fingerprint(cfg: &SimConfig) -> (RunRecord, Vec<Vec<u32>>) {
-    let mut sim = built(cfg.clone());
+/// Runs `cfg` to completion and demands its fingerprint — every model
+/// in the system and the record ([`trajectory_fnv`]), then the simulated
+/// clock — be `pin`. Every pin was captured on a run that held a full
+/// replica per device, so the stubs must stand in for those replicas
+/// bit for bit.
+fn assert_pinned(cfg: SimConfig, pin: u64) {
+    let mut sim = built(cfg);
     let record = sim.run();
-    let models = model_bits(&sim);
-    (record, models)
+    let mut h = trajectory_fnv(&sim, &record);
+    fnv(
+        &mut h,
+        &record.event_seconds.map_or(0, f64::to_bits).to_le_bytes(),
+    );
+    assert_eq!(h, pin, "trajectory fingerprint {h:#018x}");
 }
 
-fn assert_modes_equivalent(cfg: SimConfig) {
-    let (dense_record, dense_models) = fingerprint(&cfg);
-    let (lazy_record, lazy_models) = fingerprint(&lazy(cfg));
-    assert_records_equal(&dense_record, &lazy_record);
-    assert_eq!(dense_record.event_seconds, lazy_record.event_seconds);
-    assert_eq!(dense_models, lazy_models);
-}
-
-/// Clean run: lazy == dense bitwise.
+/// Clean run.
 #[test]
-fn lazy_matches_dense_clean() {
-    assert_modes_equivalent(base_config());
+fn trajectory_pinned_clean() {
+    assert_pinned(base_config(), 0x0ec009083d5eafd4);
 }
 
 /// Bursty Markov dropout exercises empty cohorts and the availability
 /// RNG draw order over index-built candidate lists.
 #[test]
-fn lazy_matches_dense_under_dropout() {
+fn trajectory_pinned_under_dropout() {
     let mut cfg = base_config();
     cfg.faults.dropout = DropoutModel::Markov {
         p_fail: 0.3,
         p_recover: 0.5,
     };
-    assert_modes_equivalent(cfg);
+    assert_pinned(cfg, 0x006543bc75512964);
 }
 
 /// Stragglers + deadline misses + upload loss exercise the stale-merge
 /// queue and the retry ledger against resident participants.
 #[test]
-fn lazy_matches_dense_under_stragglers_and_loss() {
+fn trajectory_pinned_under_stragglers_and_loss() {
     let mut cfg = base_config();
     cfg.faults.straggler_delay = DelayModel::Exponential { mean_s: 1.0 };
     cfg.faults.deadline_s = 1.2;
     cfg.faults.upload_loss = 0.2;
     cfg.faults.upload_retries = 2;
-    assert_modes_equivalent(cfg);
+    assert_pinned(cfg, 0xa8b1ee3fe34d7aed);
 }
 
 /// WAN outages exercise the partial broadcast: only devices at reached
 /// edges retarget to the new version, the rest keep the old one (which
 /// must stay live in the version table).
 #[test]
-fn lazy_matches_dense_under_wan_outage() {
+fn trajectory_pinned_under_wan_outage() {
     let mut cfg = base_config();
     cfg.faults.wan_outage = 0.5;
-    assert_modes_equivalent(cfg);
+    assert_pinned(cfg, 0x6474335b7ffad5b6);
 }
 
 /// Lossy compression exercises the error-feedback residual path, whose
 /// per-device residual state indexes by device id, not residency.
 #[test]
-fn lazy_matches_dense_with_compression() {
+fn trajectory_pinned_with_compression() {
     let mut cfg = base_config();
     cfg.compression.enabled = true;
     cfg.compression.quantize_bits = 8;
     cfg.compression.top_frac = 0.5;
-    assert_modes_equivalent(cfg);
+    assert_pinned(cfg, 0x65ba9203a4162392);
 }
 
 /// The event engine with real latencies: exponential stragglers ride
 /// the heap as in-flight uploads (20 % of them lost and retried), and
 /// with a sync every other round a cloud broadcast lands while uploads
-/// are still in flight — in lazy mode it demotes their senders to
-/// stubs, so nothing downstream of the send may read the replica.
+/// are still in flight — it demotes their senders to stubs, so nothing
+/// downstream of the send may read the replica.
 fn async_config() -> SimConfig {
     let mut cfg = base_config();
     cfg.cloud_interval = 2;
@@ -155,27 +132,27 @@ fn has_demoted_sender_in_flight(sim: &Simulation) -> bool {
     })
 }
 
-/// Lazy == dense bitwise under the event engine with real latencies,
-/// plain and through the lossy compression plane (whose in-flight
-/// payloads are send-time reconstructions). That the hostile regime
-/// actually occurs on this config is asserted by the checkpoint test
-/// below, which cuts the run at its first occurrence.
+/// The event engine with real latencies, plain and through the lossy
+/// compression plane (whose in-flight payloads are send-time
+/// reconstructions). That the hostile regime actually occurs on this
+/// config is asserted by the checkpoint test below, which cuts the run
+/// at its first occurrence.
 #[test]
-fn lazy_matches_dense_event_driven_with_real_latencies() {
-    assert_modes_equivalent(async_config());
+fn trajectory_pinned_event_driven_with_real_latencies() {
+    assert_pinned(async_config(), 0xabc815bd4c02dde2);
     let mut lossy = async_config();
     lossy.compression.enabled = true;
     lossy.compression.quantize_bits = 8;
     lossy.compression.top_frac = 0.5;
-    assert_modes_equivalent(lossy);
+    assert_pinned(lossy, 0x6a0846f7328e0ad5);
 }
 
-/// Kill the lazy async run at a tick where a demoted sender's upload is
+/// Kill the async run at a tick where a demoted sender's upload is
 /// still in flight, round-trip the checkpoint through JSON, and the
 /// resumed run must finish bitwise-identical to the uninterrupted one.
 #[test]
-fn lazy_async_checkpoint_resumes_bitwise_mid_heap() {
-    let cfg = lazy(async_config());
+fn async_checkpoint_resumes_bitwise_mid_heap() {
+    let cfg = async_config();
     let mut straight = built(cfg.clone());
     let reference = straight.run();
 
@@ -197,17 +174,17 @@ fn lazy_async_checkpoint_resumes_bitwise_mid_heap() {
 
     assert_records_equal(&reference, &resumed);
     assert_eq!(reference.event_seconds, resumed.event_seconds);
-    assert_eq!(model_bits(&straight), model_bits(&second));
+    assert_eq!(sim_bits(&straight), sim_bits(&second));
 }
 
-/// A mid-run lazy checkpoint (live stubs, multiple live versions,
-/// resident participants) restores into a fresh lazy simulation and
-/// finishes bitwise-identically to the uninterrupted run.
+/// A mid-run checkpoint (live stubs, multiple live versions, resident
+/// participants) restores into a fresh simulation and finishes
+/// bitwise-identically to the uninterrupted run.
 #[test]
-fn lazy_checkpoint_resumes_bitwise_mid_run() {
+fn checkpoint_resumes_bitwise_mid_run() {
     // 24 devices over 2 edges: at most K*E*T_c = 16 can be resident, so
     // live stubs are guaranteed at the checkpoint cut.
-    let mut cfg = lazy(base_config());
+    let mut cfg = base_config();
     cfg.num_devices = 24;
 
     let mut uninterrupted = built(cfg.clone());
@@ -251,8 +228,8 @@ fn lazy_checkpoint_resumes_bitwise_mid_run() {
     }
     for m in 0..cfg.num_devices {
         assert_eq!(
-            effective_device_bits(&uninterrupted, m),
-            effective_device_bits(&resumed, m),
+            bits(&device_plane(&uninterrupted, m)),
+            bits(&device_plane(&resumed, m)),
             "device {m}"
         );
     }
@@ -261,55 +238,43 @@ fn lazy_checkpoint_resumes_bitwise_mid_run() {
     assert_eq!(uninterrupted.active_steps(), resumed.active_steps());
 }
 
-/// Both modes write the one population block, a version table plus a
-/// slot per device; every dense slot is a stub that carries its RNG.
-/// Stripping the block is rejected in both modes: a document without it
-/// does not parse, and an emptied one does not restore.
+/// A checkpoint writes the one population block, a version table plus
+/// a slot per device. Stripping the block is rejected: a document
+/// without it does not parse, and an emptied one does not restore.
 #[test]
-fn checkpoint_population_block_matches_mode() {
-    for cfg in [base_config(), lazy(base_config())] {
-        let mut sim = built(cfg.clone());
-        for _ in 0..5 {
-            sim.tick(StepMode::Fast);
-        }
-        let ck = sim.checkpoint();
-        assert_eq!(ck.population.devices.len(), cfg.num_devices);
-        assert!(!ck.population.versions.is_empty());
-        if cfg.population == PopulationMode::Dense {
-            assert!(ck
-                .population
-                .devices
-                .iter()
-                .all(|slot| matches!(slot, DeviceSlotCheckpoint::Stub { rng: Some(_), .. })));
-        }
-
-        let json = ck.to_json();
-        let unnamed = json.replacen("\"population\":", "\"unnamed\":", 1);
-        assert_ne!(unnamed, json);
-        let err = SimCheckpoint::from_json(&unnamed).expect_err("must not parse");
-        assert!(err.contains("population"), "{err}");
-
-        let mut emptied = ck;
-        emptied.population.versions.clear();
-        emptied.population.devices.clear();
-        let err = built(cfg).restore(&emptied).expect_err("must reject");
-        assert!(err.to_string().contains("population"), "{err}");
+fn checkpoint_population_block_is_required() {
+    let cfg = base_config();
+    let mut sim = built(cfg.clone());
+    for _ in 0..5 {
+        sim.tick(StepMode::Fast);
     }
+    let ck = sim.checkpoint();
+    assert_eq!(ck.population.devices.len(), cfg.num_devices);
+    assert!(!ck.population.versions.is_empty());
+
+    let json = ck.to_json();
+    let unnamed = json.replacen("\"population\":", "\"unnamed\":", 1);
+    assert_ne!(unnamed, json);
+    let err = SimCheckpoint::from_json(&unnamed).expect_err("must not parse");
+    assert!(err.contains("population"), "{err}");
+
+    let mut emptied = ck;
+    emptied.population.versions.clear();
+    emptied.population.devices.clear();
+    let err = built(cfg).restore(&emptied).expect_err("must reject");
+    assert!(err.to_string().contains("population"), "{err}");
 }
 
-/// A dense checkpoint holds each distinct plane once. Right after a full
-/// broadcast every device holds the cloud's plane, so the table holds
-/// exactly that one; a step later only the step's participants can have
-/// left it. Two simulations built and ticked alike write byte-identical
-/// documents (but for the wall clock): ids follow device order,
-/// whatever order a hash map keeps.
+/// Right after a full broadcast every device is a stub of the cloud's
+/// plane, so the checkpoint's table holds exactly that one plane and no
+/// replica. Two simulations built and ticked alike write byte-identical
+/// documents (but for the wall clock) after every step.
 #[test]
-fn dense_checkpoint_holds_each_plane_once() {
+fn checkpoint_after_a_full_broadcast_holds_one_plane() {
     let cfg = base_config();
     let mut sim = built(cfg.clone());
     let mut twin = built(cfg);
-    let (mut after_sync, mut after_step) = (0, 0);
-    let mut synced = false;
+    let mut after_sync = 0;
     while !sim.is_finished() {
         let (syncs, step) = (sim.syncs(), sim.next_step());
         sim.tick(StepMode::Fast);
@@ -322,31 +287,19 @@ fn dense_checkpoint_holds_each_plane_once() {
         };
         let (json, ck) = document(&sim);
         assert!(json == document(&twin).0, "step {step}: documents differ");
-        let held = ck.population.versions.len();
         if sim.syncs() > syncs {
-            assert_eq!(held, 1, "step {step}");
+            assert_eq!(ck.population.versions.len(), 1, "step {step}");
             let cloud = bits(&flatten(sim.cloud_model()));
             assert_eq!(bits(&ck.population.versions[0].flat), cloud);
+            let version = ck.population.versions[0].id;
+            assert!(ck.population.devices.iter().all(|slot| matches!(
+                slot,
+                DeviceSlotCheckpoint::Stub { version: v, .. } if *v == version
+            )));
             after_sync += 1;
-        } else if synced {
-            let participants = (ck.population.devices.iter())
-                .filter(|slot| {
-                    matches!(slot, DeviceSlotCheckpoint::Stub {
-                        last_participation: Some(t),
-                        ..
-                    } if *t == step)
-                })
-                .count();
-            assert!(participants > 0, "step {step}");
-            assert!(held >= 2 && held <= 1 + participants, "step {step}: {held}");
-            after_step += 1;
         }
-        synced = sim.syncs() > syncs;
     }
-    assert!(
-        after_sync >= 4 && after_step >= 3,
-        "{after_sync} / {after_step}"
-    );
+    assert!(after_sync >= 4, "{after_sync} syncs");
 }
 
 /// Residency stays bounded by the active set: at most K·E new replicas
@@ -354,8 +307,8 @@ fn dense_checkpoint_holds_each_plane_once() {
 /// With 64 devices this run must never materialise more than half of
 /// them, and ends (on a sync step) with zero residents.
 #[test]
-fn lazy_residency_bounded_by_active_set() {
-    let mut cfg = lazy(base_config());
+fn residency_bounded_by_active_set() {
+    let mut cfg = base_config();
     cfg.num_devices = 64;
     cfg.num_edges = 4;
     cfg.devices_per_edge = 2;
@@ -402,7 +355,7 @@ fn stub_versions(sim: &Simulation) -> Vec<Option<u32>> {
 /// uninterrupted one.
 #[test]
 fn version_table_reuses_tombstoned_ids_across_200_syncs() {
-    let mut cfg = lazy(SimConfig::tiny(Task::Speech, Algorithm::middle()));
+    let mut cfg = SimConfig::tiny(Task::Speech, Algorithm::middle());
     cfg.num_devices = 24;
     cfg.local_steps = 1;
     cfg.cloud_interval = 1;
@@ -410,9 +363,9 @@ fn version_table_reuses_tombstoned_ids_across_200_syncs() {
     cfg.eval_interval = 100;
     cfg.faults.wan_outage = 0.4;
 
-    let table = |sim: &Simulation| match sim.population() {
-        Population::Lazy(p) => (p.live_versions().count(), p.version_table_len()),
-        Population::Dense(_) => unreachable!("lazy config"),
+    let table = |sim: &Simulation| {
+        let p = sim.population();
+        (p.live_versions().count(), p.version_table_len())
     };
     let mut straight = built(cfg.clone());
     let mut first = built(cfg.clone());
@@ -441,16 +394,16 @@ fn version_table_reuses_tombstoned_ids_across_200_syncs() {
     second.restore(&ck).expect("restore");
     let resumed = second.run();
     assert_records_equal(&reference, &resumed);
-    assert_eq!(model_bits(&straight), model_bits(&second));
+    assert_eq!(sim_bits(&straight), sim_bits(&second));
     assert_eq!(stub_versions(&straight), stub_versions(&second));
 }
 
-/// Ticks a lazy `cfg` to the end, checking after every tick that the
+/// Ticks `cfg` to the end, checking after every tick that the
 /// plane's derived state — slot table, residents list, version counts,
 /// replica pool, cached selection scores — agrees with what it is
 /// derived from. `each_tick` sees the simulation after every check.
 fn assert_invariants_hold(cfg: SimConfig, mut each_tick: impl FnMut(&Simulation)) {
-    let mut sim = built(lazy(cfg));
+    let mut sim = built(cfg);
     sim.check_invariants();
     while !sim.is_finished() {
         sim.tick(StepMode::Fast);
@@ -498,7 +451,7 @@ fn invariants_hold_with_compression() {
     assert_invariants_hold(cfg, |_| {});
 }
 
-/// Lazy × event-driven × real latencies: a broadcast demotes senders
+/// Event-driven × real latencies: a broadcast demotes senders
 /// whose uploads are still in flight. Their replicas go to the pool and
 /// must be unreachable from then on — `get` refuses a stub.
 #[test]
@@ -531,10 +484,10 @@ fn invariants_hold_event_driven_and_pooled_replicas_are_unreachable() {
 /// more stubs than the pool holds — the pool runs dry mid-step, the rest
 /// are built fresh, and the participant region finishes both. Moved
 /// devices blend (Eq. 9) from their version, stationary ones take the
-/// edge model, and lazy must equal dense bitwise with the plane's
-/// invariants holding after every tick.
+/// edge model; the plane's invariants hold after every tick and the run
+/// keeps its pinned trajectory.
 #[test]
-fn pooled_and_fresh_replicas_in_one_step_match_dense() {
+fn pooled_and_fresh_replicas_in_one_step_keep_the_pinned_trajectory() {
     let mut cfg = base_config();
     cfg.num_devices = 48;
     cfg.num_edges = 4;
@@ -554,29 +507,24 @@ fn pooled_and_fresh_replicas_in_one_step_match_dense() {
         before = (fresh, resident);
     });
     assert!(mixed > 0, "no step drew pooled and fresh replicas together");
-    assert_modes_equivalent(cfg);
+    assert_pinned(cfg, 0x95d3028079d4cb3b);
 }
 
 /// A hostile checkpoint is rejected with `CheckpointMismatch` before the
-/// first write — a lazy version table or stub that does not fit, a
-/// dense device of the wrong architecture, algorithm state of the wrong
-/// size — and the target then finishes bitwise equal to a fresh run.
+/// first write — a version table or stub that does not fit, algorithm
+/// state of the wrong size — and the target then finishes bitwise equal
+/// to a fresh run.
 #[test]
 fn hostile_population_checkpoint_is_rejected_before_any_write() {
-    let mut cfg = lazy(base_config());
+    let mut cfg = base_config();
     cfg.algorithm = Algorithm::fedfly();
     cfg.num_devices = 24;
-    let mut dense_cfg = cfg.clone();
-    dense_cfg.population = PopulationMode::Dense;
 
-    let cut = |cfg: &SimConfig| {
-        let mut donor = built(cfg.clone());
-        for _ in 0..6 {
-            donor.tick(StepMode::Fast);
-        }
-        donor.checkpoint()
-    };
-    let ck = cut(&cfg);
+    let mut donor = built(cfg.clone());
+    for _ in 0..6 {
+        donor.tick(StepMode::Fast);
+    }
+    let ck = donor.checkpoint();
     let pck = &ck.population;
     let stub = (pck.devices.iter())
         .position(|s| matches!(s, DeviceSlotCheckpoint::Stub { .. }))
@@ -590,10 +538,9 @@ fn hostile_population_checkpoint_is_rejected_before_any_write() {
     fn versions(bad: &mut SimCheckpoint) -> &mut Vec<VersionCheckpoint> {
         &mut bad.population.versions
     }
-    let mut cases = vec![
+    let cases = [
         (
             "truncated version flat",
-            cfg.clone(),
             edit(&|bad| {
                 let v = &mut versions(bad)[0];
                 v.flat = Packed(v.flat[..10].to_vec());
@@ -601,7 +548,6 @@ fn hostile_population_checkpoint_is_rejected_before_any_write() {
         ),
         (
             "stub of a missing version",
-            cfg.clone(),
             edit(&|bad| {
                 let slot = &mut bad.population.devices[stub];
                 if let DeviceSlotCheckpoint::Stub { version, .. } = slot {
@@ -611,7 +557,6 @@ fn hostile_population_checkpoint_is_rejected_before_any_write() {
         ),
         (
             "duplicate version id",
-            cfg.clone(),
             edit(&|bad| {
                 let copy = versions(bad)[0].clone();
                 versions(bad).push(copy);
@@ -619,7 +564,6 @@ fn hostile_population_checkpoint_is_rejected_before_any_write() {
         ),
         (
             "version id past the device count",
-            cfg.clone(),
             edit(&|bad| {
                 let mut copy = versions(bad)[0].clone();
                 copy.id = cfg.num_devices as u32 + 1;
@@ -628,101 +572,116 @@ fn hostile_population_checkpoint_is_rejected_before_any_write() {
         ),
         (
             "algorithm state of the wrong size",
-            cfg.clone(),
             edit(&|bad| {
                 bad.algorithm.as_mut().unwrap().in_flight.pop();
             }),
         ),
-    ];
-    let dense_ck = cut(&dense_cfg);
-    let dense_edit = |f: &dyn Fn(&mut SimCheckpoint)| {
-        let mut bad = dense_ck.clone();
-        f(&mut bad);
-        bad
-    };
-    let dense_free_id = dense_ck.population.versions.len() as u32;
-    let dense_cases = [
+        // Last: at the parent of the check this one sized the table at
+        // `id + 1` slots and aborted on the allocation.
         (
-            "dense version flat of the wrong length",
-            dense_edit(&|bad| {
-                let v = &mut versions(bad)[0];
-                v.flat = Packed(v.flat[..10].to_vec());
-            }),
-        ),
-        (
-            "dense stub of a missing version",
-            dense_edit(&|bad| {
-                if let DeviceSlotCheckpoint::Stub { version, .. } = &mut bad.population.devices[3] {
-                    *version = dense_free_id;
-                }
-            }),
-        ),
-        (
-            "dense stub without an RNG",
-            dense_edit(&|bad| {
-                if let DeviceSlotCheckpoint::Stub { rng, .. } = &mut bad.population.devices[3] {
-                    *rng = None;
-                }
-            }),
-        ),
-        (
-            "resident slot in a dense checkpoint",
-            dense_edit(&|bad| {
-                bad.population.devices[3] = DeviceSlotCheckpoint::Resident {
-                    device: DeviceCheckpoint {
-                        params: bad.cloud.clone(),
-                        oort_utility: None,
-                        last_participation: None,
-                        rng: RngStateCheckpoint {
-                            s0: 1,
-                            s1: 2,
-                            s2: 3,
-                            s3: 4,
-                        },
-                    },
-                };
-            }),
-        ),
-        (
-            "dense duplicate version id",
-            dense_edit(&|bad| {
-                let copy = versions(bad)[0].clone();
-                versions(bad).push(copy);
-            }),
+            "version id near u32::MAX",
+            edit(&|bad| versions(bad)[0].id = u32::MAX - 1),
         ),
     ];
-    for (what, bad) in dense_cases {
-        cases.push((what, dense_cfg.clone(), bad));
-    }
-    // Last: at the parent of the check this one sized the table at
-    // `id + 1` slots and aborted on the allocation.
-    cases.push((
-        "version id near u32::MAX",
-        cfg.clone(),
-        edit(&|bad| versions(bad)[0].id = u32::MAX - 1),
-    ));
 
-    // What every rejected target must finish as: one untouched run per
-    // configuration (a run is a pure function of its config).
-    let untouched = |cfg: &SimConfig| {
-        let mut fresh = built(cfg.clone());
-        (fresh.run(), model_bits(&fresh))
-    };
-    let (lazy_run, dense_run) = (untouched(&cfg), untouched(&dense_cfg));
-    for (what, cfg, bad) in cases {
-        let (reference, reference_bits) = match cfg.population {
-            PopulationMode::Dense => &dense_run,
-            PopulationMode::Lazy => &lazy_run,
-        };
+    // What every rejected target must finish as: one untouched run (a
+    // run is a pure function of its config).
+    let mut fresh = built(cfg.clone());
+    let (reference, reference_bits) = (fresh.run(), sim_bits(&fresh));
+    for (what, bad) in cases {
         let bad = SimCheckpoint::from_json(&bad.to_json()).expect("checkpoint parses");
-        let mut target = built(cfg);
+        let mut target = built(cfg.clone());
         let err = target.restore(&bad).expect_err(what);
         assert!(
             matches!(err, SimError::CheckpointMismatch { .. }),
             "{what}: {err}"
         );
         let record = target.run();
-        assert_records_equal(reference, &record);
-        assert_eq!(reference_bits, &model_bits(&target), "{what}");
+        assert_records_equal(&reference, &record);
+        assert_eq!(reference_bits, sim_bits(&target), "{what}");
+    }
+}
+
+/// Rewrites `ck`, a checkpoint of `sim`, in the shape a population that
+/// held a full replica per device wrote: every device a stub that
+/// carries its RNG state, each resident replica's plane a version of its
+/// own (appended after the live ones), a never-trained device's stream
+/// the seeded one it would derive.
+fn as_replica_per_device_format(sim: &Simulation, ck: &mut SimCheckpoint) {
+    let PopulationCheckpoint { versions, devices } = &mut ck.population;
+    let mut next_id = versions.iter().map(|v| v.id + 1).max().unwrap_or(0);
+    for (m, slot) in devices.iter_mut().enumerate() {
+        match slot {
+            DeviceSlotCheckpoint::Resident { device } => {
+                let DeviceRef::Resident(dev) = sim.population().view(m) else {
+                    panic!("device {m} is written resident but is a stub");
+                };
+                versions.push(VersionCheckpoint {
+                    id: next_id,
+                    flat: Packed(dev.flat().to_vec()),
+                    norm_sq: dev.flat_norm_sq(),
+                });
+                *slot = DeviceSlotCheckpoint::Stub {
+                    version: next_id,
+                    oort_utility: device.oort_utility,
+                    last_participation: device.last_participation,
+                    rng: Some(device.rng.clone()),
+                };
+                next_id += 1;
+            }
+            DeviceSlotCheckpoint::Stub {
+                rng: rng @ None, ..
+            } => {
+                let (data, model) = (sim.test_set().clone(), sim.cloud_model().clone());
+                let virgin = Device::new(m, data, model, sim.config().seed);
+                *rng = Some(RngStateCheckpoint::capture(virgin.rng_ref()));
+            }
+            DeviceSlotCheckpoint::Stub { .. } => {}
+        }
+    }
+}
+
+/// Snapshots written with a replica per device still resume: a
+/// mid-interval checkpoint rewritten in that shape
+/// ([`as_replica_per_device_format`]) restores — with no resident
+/// replica, a version per trained plane — and the run finishes bitwise
+/// equal to an uninterrupted one, lockstep and event-driven with uploads
+/// in flight. Sweep snapshots on disk from before the single
+/// representation rely on this.
+#[test]
+fn replica_per_device_snapshot_resumes_bitwise() {
+    let mut lockstep = base_config();
+    lockstep.num_devices = 24;
+    for (cfg, cut) in [(lockstep, 6), (async_config(), 5)] {
+        let mut straight = built(cfg.clone());
+        let reference = straight.run();
+
+        let mut first = built(cfg.clone());
+        for _ in 0..cut {
+            first.tick(StepMode::Fast);
+        }
+        assert!(
+            first.population().resident_count() > 0,
+            "no replica at the cut"
+        );
+        let mut ck = first.checkpoint();
+        as_replica_per_device_format(&first, &mut ck);
+        assert!(ck
+            .population
+            .devices
+            .iter()
+            .all(|slot| matches!(slot, DeviceSlotCheckpoint::Stub { rng: Some(_), .. })));
+        let ck = SimCheckpoint::from_json(&ck.to_json()).expect("round trip");
+        let mut second = built(cfg);
+        second
+            .restore(&ck)
+            .expect("a replica-per-device snapshot restores");
+        assert_eq!(second.population().resident_count(), 0);
+        second.check_invariants();
+        let resumed = second.run();
+
+        assert_records_equal(&reference, &resumed);
+        assert_eq!(reference.event_seconds, resumed.event_seconds);
+        assert_eq!(sim_bits(&straight), sim_bits(&second));
     }
 }

@@ -6,12 +6,14 @@
 
 use middle_core::{
     run_sweep, Algorithm, DelayModel, DropoutModel, FaultConfig, RunRecord, ScenarioGrid,
-    SimCheckpoint, SimConfig, SimError, Simulation, SimulationBuilder, StepMode, SweepOptions,
+    SimCheckpoint, SimConfig, SimError, SimulationBuilder, StepMode, SweepOptions,
 };
 use middle_data::Task;
 use middle_mobility::Trace;
-use middle_nn::params::flatten;
 use std::path::PathBuf;
+
+mod common;
+use common::sim_bits;
 
 fn tiny() -> SimConfig {
     let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::middle());
@@ -39,20 +41,6 @@ fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("middle_sweep_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-fn bits(sim: &Simulation) -> Vec<u32> {
-    let mut out: Vec<u32> = flatten(sim.cloud_model())
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
-    for e in sim.edges() {
-        out.extend(flatten(&e.model).iter().map(|v| v.to_bits()));
-    }
-    for d in sim.devices() {
-        out.extend(flatten(&d.model).iter().map(|v| v.to_bits()));
-    }
-    out
 }
 
 // ---------------------------------------------------------------- errors
@@ -212,12 +200,12 @@ fn checkpoint_restores_full_model_state_mid_run() {
 
     let mut b = SimulationBuilder::new(cfg).build().unwrap();
     b.restore(&ck).unwrap();
-    assert_eq!(bits(&a), bits(&b));
+    assert_eq!(sim_bits(&a), sim_bits(&b));
 
     // And both advance identically from there.
     a.tick(StepMode::Fast);
     b.tick(StepMode::Fast);
-    assert_eq!(bits(&a), bits(&b));
+    assert_eq!(sim_bits(&a), sim_bits(&b));
 }
 
 #[test]
@@ -243,11 +231,11 @@ fn checkpoint_restore_over_live_scratch_is_bitwise_identical() {
     }
     live.restore(&ck).unwrap();
 
-    assert_eq!(bits(&fresh), bits(&live));
+    assert_eq!(sim_bits(&fresh), sim_bits(&live));
     for _ in 0..3 {
         fresh.tick(StepMode::Fast);
         live.tick(StepMode::Fast);
-        assert_eq!(bits(&fresh), bits(&live));
+        assert_eq!(sim_bits(&fresh), sim_bits(&live));
     }
 }
 
@@ -348,7 +336,7 @@ fn cache_hit_builds_bitwise_identical_to_cold_builds() {
     assert_eq!(cache.hits(), 1, "second build must hit the cache");
     let mut cold = SimulationBuilder::new(cfg).build().unwrap();
 
-    assert_eq!(bits(&cached), bits(&cold));
+    assert_eq!(sim_bits(&cached), sim_bits(&cold));
     let a = cached.run();
     let b = cold.run();
     for (pa, pb) in a.points.iter().zip(&b.points) {

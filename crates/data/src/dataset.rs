@@ -102,6 +102,14 @@ impl Dataset {
         }
     }
 
+    /// [`subset`](Self::subset) into an existing dataset, reusing its
+    /// buffers: `out` becomes bitwise the dataset `subset(indices)`
+    /// returns, and allocates nothing once its buffers are large enough.
+    pub fn subset_into(&self, indices: &[usize], out: &mut Dataset) {
+        self.gather_into(indices, &mut out.inputs, &mut out.labels);
+        out.classes = self.classes;
+    }
+
     /// The batch `[indices]` as `(inputs, labels)` ready for training.
     pub fn gather(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
         let s = self.subset(indices);

@@ -2,6 +2,7 @@
 //! through mobility traces to federated training, exercised through the
 //! `middle` facade exactly as a downstream user would.
 
+use middle::core::checkpoint::DeviceSlotCheckpoint;
 use middle::core::quadratic_sim::remark1_rows;
 use middle::core::{OnDevicePolicy, SelectionPolicy, SimCheckpoint, StepMode};
 use middle::data::partition::{partition, Scheme};
@@ -9,6 +10,10 @@ use middle::data::synthetic::SyntheticSource;
 use middle::mobility::{generate_markov_hop, Trace};
 use middle::nn::params::flatten;
 use middle::prelude::*;
+
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+use common::{device_planes, trajectory_fnv};
 
 fn built(cfg: SimConfig) -> Simulation {
     SimulationBuilder::new(cfg).build().expect("valid config")
@@ -113,22 +118,29 @@ fn assert_same(a: &(RunRecord, Vec<u32>), b: &(RunRecord, Vec<u32>), what: &str)
 }
 
 /// The one round skeleton under each of its selectors: the zero-delay
-/// event engine and the lazy population must each reproduce the default
-/// run bit for bit — in a fault- and compression-free regime, a hostile
-/// one (dropout, stragglers, loss, lossy compression) and under WAN
-/// outages with and without lossy compression, so the upload pass and
-/// the cloud sync run every arm they have: unmasked and masked, dense
-/// and compressed. After every tick of every run the score caches meet
-/// the reference scorer (`Simulation::check_invariants`).
+/// event engine must reproduce the default run bit for bit, and the
+/// default run must keep the trajectory pinned when every device held a
+/// replica of its own — in a fault- and compression-free regime, a
+/// hostile one (dropout, stragglers, loss, lossy compression) and under
+/// WAN outages with and without lossy compression, so the upload pass
+/// and the cloud sync run every arm they have: unmasked and masked,
+/// dense and compressed. After every tick of every run the population
+/// plane's tables and score caches meet their oracles
+/// (`Simulation::check_invariants`).
 #[test]
 fn round_skeleton_is_one_trajectory_under_every_selector() {
-    fn run(cfg: SimConfig) -> (RunRecord, Vec<u32>) {
+    fn ticked(cfg: SimConfig) -> (Simulation, RunRecord) {
         let mut sim = built(cfg);
         while !sim.is_finished() {
             sim.tick(StepMode::Fast);
             sim.check_invariants();
         }
-        (sim.finish(), cloud_bits(&sim))
+        let record = sim.finish();
+        (sim, record)
+    }
+    fn run(cfg: SimConfig) -> (RunRecord, Vec<u32>) {
+        let (sim, record) = ticked(cfg);
+        (record, cloud_bits(&sim))
     }
 
     // Speech is the conv-free task: twelve debug-build runs stay within
@@ -153,13 +165,16 @@ fn round_skeleton_is_one_trajectory_under_every_selector() {
         cfg.cloud_interval = 1;
     }
 
-    for (regime, cfg) in [
-        ("clean", clean),
-        ("hostile", hostile),
-        ("wan", wan),
-        ("wan lossy", wan_lossy),
+    for (regime, cfg, pin) in [
+        ("clean", clean, 0x629541b884b24b0a),
+        ("hostile", hostile, 0x341a0756b7f24d8d),
+        ("wan", wan, 0x4db4803bf95a1541),
+        ("wan lossy", wan_lossy, 0x62df05a69dfee4f0),
     ] {
-        let base = run(cfg.clone());
+        let (sim, record) = ticked(cfg.clone());
+        let fingerprint = trajectory_fnv(&sim, &record);
+        assert_eq!(fingerprint, pin, "{regime}: {fingerprint:#018x}");
+        let base = (record, cloud_bits(&sim));
         let comm = &base.0.comm;
         if regime == "hostile" {
             assert!(comm.stale_uploads > 0, "no deadline miss in the run");
@@ -172,12 +187,9 @@ fn round_skeleton_is_one_trajectory_under_every_selector() {
         }
 
         let what = |selector: &str| format!("{regime}, {selector}");
-        let mut event = cfg.clone();
+        let mut event = cfg;
         event.timeline.mode = ExecutionMode::EventDriven;
         assert_same(&base, &run(event), &what("zero-delay event"));
-        let mut lazy = cfg;
-        lazy.population = PopulationMode::Lazy;
-        assert_same(&base, &run(lazy), &what("lazy"));
     }
 }
 
@@ -226,10 +238,11 @@ fn checkpoint_json_resume_is_bitwise_on_every_packed_plane() {
     // within a couple of seconds.
     let mut cfg = small_cfg(Task::Speech, Algorithm::middle());
     cfg.cloud_interval = 2;
-    // One step past a sync the devices that trained hold their own
-    // planes beside the broadcast's, so the version table holds several.
-    resume_at("dense lockstep", cfg.clone(), |_, ck| {
-        ck.next_step == 3 && ck.population.versions.len() >= 2
+    // One step past a sync the devices that trained are resident
+    // replicas holding their own planes beside the broadcast's stubs.
+    resume_at("lockstep", cfg.clone(), |_, ck| {
+        let resident = |slot: &_| matches!(slot, DeviceSlotCheckpoint::Resident { .. });
+        ck.next_step == 3 && ck.population.devices.iter().any(resident)
     });
 
     // Lockstep deadline misses queue stale uploads for the next step.
@@ -240,19 +253,18 @@ fn checkpoint_json_resume_is_bitwise_on_every_packed_plane() {
         ck.faults.pending.iter().any(|p| !p.flat.is_empty())
     });
 
-    // Lazy population × event engine × real upload latencies × lossy
-    // compression: live broadcast versions, send-time snapshots riding
-    // the heap, and error-feedback residuals, all at once. (This latency
-    // model has no deadline, hence the lockstep leg above.)
+    // Event engine × real upload latencies × lossy compression: live
+    // broadcast versions, send-time snapshots riding the heap, and
+    // error-feedback residuals, all at once. (This latency model has no
+    // deadline, hence the lockstep leg above.)
     let mut hostile = cfg;
-    hostile.population = PopulationMode::Lazy;
     hostile.timeline.mode = ExecutionMode::EventDriven;
     hostile.timeline.latency = LatencyModel::Faults;
     hostile.faults.straggler_delay = DelayModel::Exponential { mean_s: 1.0 };
     hostile.compression.enabled = true;
     hostile.compression.quantize_bits = 8;
     hostile.compression.top_frac = 0.5;
-    resume_at("lazy, event-driven, lossy", hostile, |_, ck| {
+    resume_at("event-driven, lossy", hostile, |_, ck| {
         let versions = &ck.population.versions;
         let timeline = ck.timeline.as_ref().expect("event-driven checkpoint");
         let residuals = ck.compression.as_ref().expect("lossy checkpoint");
@@ -265,12 +277,14 @@ fn checkpoint_json_resume_is_bitwise_on_every_packed_plane() {
     });
 }
 
-/// The lazy plane's replica pool and score caches across cloud syncs:
-/// derived state that changes no bit and that a checkpoint does without.
-/// Over its syncs the run trains several times more participants than it
-/// ever holds replicas, so replicas are re-purposed rather than
-/// allocated; WAN outages make the broadcasts partial, so some residents
-/// outlive a sync with a score cached against the previous cloud model.
+/// The population plane's replica pool and score caches across cloud
+/// syncs: derived state that changes no bit — the run keeps the
+/// trajectory pinned when every device held a replica of its own — and
+/// that a checkpoint does without. Over its syncs the run trains several
+/// times more participants than it ever holds replicas, so replicas are
+/// re-purposed rather than allocated; WAN outages make the broadcasts
+/// partial, so some residents outlive a sync with a score cached against
+/// the previous cloud model.
 #[test]
 fn lazy_pool_and_score_caches_change_no_bit_across_syncs_and_resume() {
     let mut cfg = small_cfg(Task::Speech, Algorithm::middle());
@@ -280,16 +294,13 @@ fn lazy_pool_and_score_caches_change_no_bit_across_syncs_and_resume() {
     cfg.steps = 12;
     cfg.eval_interval = 4;
     cfg.faults.wan_outage = 0.3;
-    let mut dense = built(cfg.clone());
-    let dense_run = (dense.run(), cloud_bits(&dense));
-
-    cfg.population = PopulationMode::Lazy;
-    let mut lazy = built(cfg.clone());
-    let lazy_run = (lazy.run(), cloud_bits(&lazy));
-    assert!(lazy_run.0.syncs >= 3, "{} syncs", lazy_run.0.syncs);
-    assert_same(&dense_run, &lazy_run, "lazy");
-    let population = lazy.population();
-    let trained = lazy_run.0.comm.device_to_edge as usize;
+    let mut sim = built(cfg.clone());
+    let record = sim.run();
+    let fingerprint = trajectory_fnv(&sim, &record);
+    assert_eq!(fingerprint, 0xbdc36e1e3c915ffc, "{fingerprint:#018x}");
+    assert!(record.syncs >= 3, "{} syncs", record.syncs);
+    let population = sim.population();
+    let trained = record.comm.device_to_edge as usize;
     assert!(
         trained >= 3 * population.peak_resident(),
         "{trained} participations against a peak of {} replicas",
@@ -306,7 +317,7 @@ fn lazy_pool_and_score_caches_change_no_bit_across_syncs_and_resume() {
     // in the pool, the survivors' cached scores are one cloud model
     // behind. The resumed run starts with neither and must not differ.
     let interval = cfg.cloud_interval;
-    resume_at("lazy, pooled, stale scores", cfg, |sim, ck| {
+    resume_at("pooled, stale scores", cfg, |sim, ck| {
         let population = sim.population();
         let survivors = population.resident_count();
         ck.next_step.is_multiple_of(interval)
@@ -372,8 +383,8 @@ fn broadcast_resets_all_models_to_cloud() {
     for e in sim.edges() {
         assert_eq!(flatten(&e.model), cloud);
     }
-    for d in sim.devices() {
-        assert_eq!(flatten(&d.model), cloud);
+    for plane in device_planes(&sim) {
+        assert_eq!(plane, cloud);
     }
 }
 
