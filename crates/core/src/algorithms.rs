@@ -69,6 +69,40 @@ pub enum SelectionPolicy {
     },
 }
 
+/// What a [`SelectionPolicy`] reads of a candidate to rank it
+/// ([`SelectionPolicy::signal`]). The round computes a per-device signal
+/// only for the policy that reads it: similarity scores
+/// `U(w_c, Δw_m)` only under [`SelectionSignal::Similarity`], and the
+/// Oort pass — one inference over each participant's local samples —
+/// only under [`SelectionSignal::Utility`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SelectionSignal {
+    /// Nothing: the choice is uniform random.
+    Nothing,
+    /// The update similarity `U(w_c, Δw_m)` to the cloud model
+    /// (Eqs. 10–11).
+    Similarity,
+    /// The Oort statistical utility of the device's last participation
+    /// ([`crate::Device::oort_utility`]).
+    Utility,
+}
+
+impl SelectionPolicy {
+    /// What this policy reads of a candidate — the one place that
+    /// decides which per-device signals a round computes.
+    pub fn signal(self) -> SelectionSignal {
+        match self {
+            SelectionPolicy::Random => SelectionSignal::Nothing,
+            SelectionPolicy::LeastSimilarUpdate | SelectionPolicy::MostSimilarUpdate => {
+                SelectionSignal::Similarity
+            }
+            SelectionPolicy::OortUtility | SelectionPolicy::ClusterGuided { .. } => {
+                SelectionSignal::Utility
+            }
+        }
+    }
+}
+
 /// On-device model aggregation policy (paper §4.2 and baselines),
 /// applied only to devices that moved across edges since the previous
 /// step (Algorithm 1, line 4).

@@ -92,7 +92,9 @@ impl RngStateCheckpoint {
 pub struct DeviceCheckpoint {
     /// The carried local model's parameters.
     pub params: Checkpoint,
-    /// Oort statistical utility from the last participation.
+    /// Oort statistical utility from the last participation (`null`
+    /// under a policy that never reads it, e.g. MIDDLE; a snapshot that
+    /// carries one anyway restores it and the run reads none of it).
     pub oort_utility: Option<f32>,
     /// Time step of the last participation.
     pub last_participation: Option<usize>,
@@ -126,7 +128,8 @@ pub enum DeviceSlotCheckpoint {
     Stub {
         /// Version id the stub's parameters point at.
         version: u32,
-        /// Oort statistical utility from the last participation.
+        /// Oort statistical utility from the last participation, as
+        /// [`DeviceCheckpoint::oort_utility`].
         oort_utility: Option<f32>,
         /// Time step of the last participation.
         last_participation: Option<usize>,

@@ -16,9 +16,11 @@ use middle_tensor::random::{derive_seed, rng};
 use middle_tensor::Tensor;
 use rand::rngs::StdRng;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Training workspace: batch-gather buffers, the network scratch for the
-/// train and evaluation passes, the per-sample loss buffer, and a cached
+/// train and inference passes (the Oort pass and the test-set chunks of
+/// [`infer_chunk`]), the per-sample loss buffer, and a cached
 /// optimizer. Owned by the *thread* that trains ([`SCRATCH`]), not by the
 /// device: memory is threads × scratch, and in steady state a device's
 /// local training allocates nothing, first participation included.
@@ -76,8 +78,11 @@ pub struct Device {
     pub id: usize,
     /// The carried local model `w_m^t`.
     pub model: Sequential,
-    /// Oort statistical utility from the most recent participation;
-    /// `None` until the device first trains.
+    /// Oort statistical utility from the most recent participation that
+    /// computed it ([`Device::refresh_oort_utility`]). The round computes
+    /// it only under a selection policy that reads it (OORT, FedLECC —
+    /// [`crate::SelectionSignal::Utility`]); under any other policy, and
+    /// until the device first trains, it stays `None`.
     pub oort_utility: Option<f32>,
     /// Time step of the most recent participation (staleness tracking).
     pub last_participation: Option<usize>,
@@ -97,6 +102,34 @@ fn device_rng(id: usize, seed: u64) -> StdRng {
 fn oort_utility(losses: &[f32]) -> f32 {
     let mean_sq = losses.iter().map(|l| l * l).sum::<f32>() / losses.len() as f32;
     losses.len() as f32 * mean_sq.sqrt()
+}
+
+/// Infers rows `rows` of `inputs` (a batch tensor, samples along its
+/// first dimension) through the calling thread's evaluation workspace and
+/// writes their logits into `out`, which must hold exactly that many rows
+/// of logits. Inference is per sample, so the logits are bitwise those
+/// rows of one `infer` over the whole batch; [`Simulation::evaluate`]
+/// runs its test set as such chunks in one parallel region.
+///
+/// [`Simulation::evaluate`]: crate::Simulation::evaluate
+pub(crate) fn infer_chunk(
+    model: &Sequential,
+    inputs: &Tensor,
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    let dims = inputs.shape().dims();
+    let sample_len: usize = dims[1..].iter().product();
+    SCRATCH.with_borrow_mut(|scratch| {
+        let TrainScratch { eval, batch_x, .. } = scratch;
+        let mut chunk_dims = dims.to_vec();
+        chunk_dims[0] = rows.len();
+        batch_x.resize(chunk_dims);
+        batch_x
+            .data_mut()
+            .copy_from_slice(&inputs.data()[rows.start * sample_len..rows.end * sample_len]);
+        out.copy_from_slice(model.infer_ws(batch_x, eval).data());
+    });
 }
 
 impl Device {
@@ -200,9 +233,10 @@ impl Device {
 
     /// Runs `I` local SGD steps (Eq. 5) on the carried model in place
     /// (the caller positions `w_m` first, e.g. via [`Device::load_flat`]
-    /// or on-device aggregation), and refreshes the Oort statistical
-    /// utility and the flat cache. Returns the final mini-batch training
-    /// loss.
+    /// or on-device aggregation), and refreshes the flat cache. Returns
+    /// the final mini-batch training loss. The Oort utility is left as
+    /// it was: [`Device::refresh_oort_utility`] computes it, for the
+    /// policies that read it.
     pub fn local_train(
         &mut self,
         local_steps: usize,
@@ -215,12 +249,11 @@ impl Device {
         let loss = SCRATCH.with_borrow_mut(|scratch| {
             let TrainScratch {
                 net,
-                eval,
                 batch_idx,
                 batch_x,
                 batch_y,
-                losses,
                 opt: opt_slot,
+                ..
             } = scratch;
             // Optimizer state must not persist across participations
             // (momentum/Adam state is meaningless after the model is
@@ -241,11 +274,6 @@ impl Device {
                     .model
                     .train_batch_ws(batch_x, batch_y, opt.as_mut(), net);
             }
-            // The Oort utility `local_train_reference` evaluates, through
-            // the evaluation workspace: bitwise-identical, no allocation.
-            let logits = self.model.infer_ws(self.data.inputs(), eval);
-            per_sample_cross_entropy_into(logits, self.data.labels(), losses);
-            self.oort_utility = Some(oort_utility(losses));
             loss
         });
         self.last_participation = Some(time_step);
@@ -253,11 +281,24 @@ impl Device {
         loss
     }
 
+    /// The Oort pass: one inference of the carried model over every
+    /// local sample, through the thread's evaluation workspace, sets the
+    /// statistical utility `|B_m| · sqrt(mean(loss_i²))`. Reads the
+    /// model only, so the flat and score caches stay valid.
+    pub fn refresh_oort_utility(&mut self) {
+        let utility = SCRATCH.with_borrow_mut(|scratch| {
+            let logits = self.model.infer_ws(self.data.inputs(), &mut scratch.eval);
+            per_sample_cross_entropy_into(logits, self.data.labels(), &mut scratch.losses);
+            oort_utility(&scratch.losses)
+        });
+        self.oort_utility = Some(utility);
+    }
+
     /// The pre-workspace [`local_train`](Self::local_train): the
-    /// allocating `train_batch` path, a fresh optimizer, fresh batch
-    /// buffers and an allocating Oort evaluation every participation.
-    /// Test support: the oracle the kernel-pair harness in `sim` holds
-    /// every participant of a hostile round to.
+    /// allocating `train_batch` path, a fresh optimizer and fresh batch
+    /// buffers every participation. Test support: the oracle the
+    /// kernel-pair harness in `sim` holds every participant of a hostile
+    /// round to.
     #[cfg(test)]
     pub(crate) fn local_train_reference(
         &mut self,
@@ -274,12 +315,18 @@ impl Device {
             let (x, y) = random_batch(&self.data, bs, &mut self.rng);
             loss = self.model.train_batch(&x, &y, opt.as_mut());
         }
-        let logits = self.model.infer(self.data.inputs());
-        let losses = per_sample_cross_entropy(&logits, self.data.labels());
-        self.oort_utility = Some(oort_utility(&losses));
         self.last_participation = Some(time_step);
         self.refresh_flat();
         loss
+    }
+
+    /// The allocating [`refresh_oort_utility`](Self::refresh_oort_utility):
+    /// `infer` and `per_sample_cross_entropy`, its oracle.
+    #[cfg(test)]
+    pub(crate) fn refresh_oort_utility_reference(&mut self) {
+        let logits = self.model.infer(self.data.inputs());
+        let losses = per_sample_cross_entropy(&logits, self.data.labels());
+        self.oort_utility = Some(oort_utility(&losses));
     }
 
     /// Steps since the device last participated (`None` if never).
@@ -330,10 +377,14 @@ mod tests {
     }
 
     #[test]
-    fn oort_utility_set_after_training() {
+    fn oort_utility_set_by_the_oort_pass_only() {
         let mut d = mk_device(1, 43);
         assert!(d.oort_utility.is_none());
         d.local_train(1, 5, &OptimizerKind::Sgd { lr: 0.01 }, 0);
+        assert!(d.oort_utility.is_none(), "training runs no Oort pass");
+        let flat = d.flat().to_vec();
+        d.refresh_oort_utility();
+        assert_eq!(d.flat(), flat.as_slice(), "the pass reads the model only");
         let u = d.oort_utility.unwrap();
         assert!(u > 0.0 && u.is_finite());
     }
@@ -342,8 +393,10 @@ mod tests {
     fn oort_utility_falls_as_model_fits() {
         let mut d = mk_device(2, 44);
         d.local_train(1, 10, &OptimizerKind::Sgd { lr: 0.05 }, 0);
+        d.refresh_oort_utility();
         let early = d.oort_utility.unwrap();
         d.local_train(40, 10, &OptimizerKind::Sgd { lr: 0.05 }, 1);
+        d.refresh_oort_utility();
         let late = d.oort_utility.unwrap();
         assert!(late < early, "{early} -> {late}");
     }
@@ -394,11 +447,12 @@ mod tests {
 
     #[test]
     fn scratch_follows_each_device_sample_count_and_model() {
-        // Same thread, no region: every `local_train` below reuses the one
-        // scratch, whose Oort-eval workspace must grow from 6 rows to 40 and
-        // serve 12 afterwards, and whose optimizer meets a same-shaped-but-
-        // for-the-last-layer model, then an MLP, then a single layer —
-        // each time bitwise the scratch-free reference path.
+        // Same thread, no region: every `local_train` and Oort pass below
+        // reuses the one scratch, whose evaluation workspace must grow
+        // from 6 rows to 40 and serve 12 afterwards, and whose optimizer
+        // meets a same-shaped-but-for-the-last-layer model, then an MLP,
+        // then a single layer — each time bitwise the scratch-free
+        // reference path.
         let optimizer = OptimizerKind::Adam { lr: 0.01 };
         let device = |task: Task, id: usize, samples: usize, logistic: bool| {
             let data = SyntheticSource::new(task, 3).generate_balanced(samples, id as u64);
@@ -424,6 +478,8 @@ mod tests {
             let mut reference = device(task, id, samples, logistic);
             let loss = fast.local_train(3, 4, &optimizer, id);
             let loss_ref = reference.local_train_reference(3, 4, &optimizer, id);
+            fast.refresh_oort_utility();
+            reference.refresh_oort_utility_reference();
             assert_eq!(loss.to_bits(), loss_ref.to_bits(), "device {id} loss");
             assert_eq!(fast.flat(), reference.flat(), "device {id}");
             assert_eq!(
@@ -502,9 +558,13 @@ mod tests {
             let data = |id: usize, n: usize| source.generate_balanced(n, id as u64);
             let optimizer = OptimizerKind::Momentum { lr: 0.05, momentum: 0.9 };
             let train = |d: &mut Device, steps: usize, t: usize| if reference == 1 {
-                d.local_train_reference(steps, 4, &optimizer, t)
+                let loss = d.local_train_reference(steps, 4, &optimizer, t);
+                d.refresh_oort_utility_reference();
+                loss
             } else {
-                d.local_train(steps, 4, &optimizer, t)
+                let loss = d.local_train(steps, 4, &optimizer, t);
+                d.refresh_oort_utility();
+                loss
             };
             let broadcast: Vec<f32> = (0..init.param_count())
                 .map(|i| fill + 0.01 * ((i * 7 + 3) % 13) as f32)

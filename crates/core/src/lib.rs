@@ -79,7 +79,7 @@ pub mod timeline;
 
 pub use algorithms::{
     Algorithm, AlgorithmConfig, AlgorithmPolicy, AlgorithmState, MoveAction, OnDevicePolicy,
-    SelectionPolicy,
+    SelectionPolicy, SelectionSignal,
 };
 pub use builder::{input_key, InputCache, SharedInputs, SimError, SimulationBuilder};
 pub use checkpoint::{config_digest, SimCheckpoint, SIM_CHECKPOINT_SCHEMA_VERSION};

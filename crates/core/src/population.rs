@@ -110,7 +110,9 @@ const RESIDENT: u32 = u32::MAX;
 /// parameters are not here: they are version `slot[m]`'s flat.
 #[derive(Debug, Clone)]
 pub struct StubMeta {
-    /// Oort statistical utility from the most recent participation.
+    /// Oort statistical utility from the most recent participation
+    /// ([`Device::oort_utility`]: `None` under a policy that never reads
+    /// it).
     pub oort_utility: Option<f32>,
     /// Time step of the most recent participation.
     pub last_participation: Option<usize>,

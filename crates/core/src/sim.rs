@@ -25,6 +25,7 @@ use crate::checkpoint::{
 use crate::comm::CommStats;
 use crate::compress::{CompressJob, CompressionPlane, Sender};
 use crate::config::{MobilitySource, SimConfig};
+use crate::device::infer_chunk;
 use crate::faults::FaultPlane;
 use crate::metrics::{EvalPoint, RunRecord, RUN_RECORD_SCHEMA_VERSION};
 use crate::population::{DeviceRef, PendingInit, Population, Reached};
@@ -32,17 +33,18 @@ use crate::selection::{select_devices_scored, CandidateScorers, SelectionScratch
 use crate::similarity::{aggregation_weights, similarity_utility_cached};
 use crate::telemetry::{Phase, StepProbe, Telemetry};
 use crate::timeline::{ArrivalOutcome, Event, EventKind, ExecutionMode, LatencyModel, Timeline};
-use crate::{OnDevicePolicy, SelectionPolicy};
+use crate::{OnDevicePolicy, SelectionSignal};
 use middle_data::partition::Partition;
 use middle_data::{Confusion, Dataset};
 use middle_mobility::{generate_geometric, MobilityKind, ServiceArea, Trace};
 use middle_nn::loss::softmax_cross_entropy;
 use middle_nn::params::{flatten, FlatView};
 use middle_nn::serialize::Checkpoint;
-use middle_nn::{NetScratch, Sequential};
+use middle_nn::Sequential;
 use middle_tensor::ops::dot_slices;
 use middle_tensor::random::{derive_seed, rng};
 use middle_tensor::reduce::argmax_rows;
+use middle_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rayon::prelude::*;
@@ -50,6 +52,10 @@ use std::time::Instant;
 
 #[cfg(test)]
 mod kernel_pairs;
+
+/// Rows per chunk of [`Simulation::evaluate`]'s parallel inference: the
+/// kernels' sample tile, so a chunk's activations stay in cache.
+const EVAL_CHUNK: usize = 16;
 
 /// The argument of [`Simulation::tick`] and [`crate::SweepOptions`]'s
 /// `step_mode`: inert. The round runs one set of kernels; their oracles
@@ -697,15 +703,6 @@ impl Simulation {
         self.fault_step_begin(probe);
     }
 
-    /// Whether the selection policy ranks by update similarity — the
-    /// only case in which anything keeps `U(w_c, Δw_m)` scores.
-    fn ranks_by_similarity(&self) -> bool {
-        matches!(
-            self.policy.selection(),
-            SelectionPolicy::LeastSimilarUpdate | SelectionPolicy::MostSimilarUpdate
-        )
-    }
-
     /// Makes every selection score of the step a lookup
     /// ([`cached_similarity`]). Each live broadcast version is scored
     /// against the cloud once per step; every stub of a version then
@@ -714,7 +711,7 @@ impl Simulation {
     /// own score beside their flat: the training job fills it, and the
     /// pre-pass here scores whatever is stale regardless.
     fn refresh_selection_scores(&mut self) {
-        if self.ranks_by_similarity() {
+        if self.policy.selection().signal() == SelectionSignal::Similarity {
             let (flat, norm_sq) = (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
             self.population
                 .version_scores(flat, norm_sq, &mut self.version_scores);
@@ -857,8 +854,10 @@ impl Simulation {
         // exactly the K·E participants instead of one no-op task per
         // idle device. Each participant's whole job runs on one thread:
         // the rest of its materialisation, its initial model, `I` local
-        // steps, and its score against the cloud while its flat is hot,
-        // so the next step's selection finds the score cached. Nothing in
+        // steps, and then what the selection policy reads of it — its
+        // score against the cloud while its flat is hot, so the next
+        // step's selection finds the score cached, or its Oort utility
+        // (one inference over its local samples). Nothing in
         // phase 1 read a selected device after its reservation (a device
         // sits under exactly one edge per step), so deferring the writes
         // to here changes no value; each participant owns its slot and
@@ -871,7 +870,7 @@ impl Simulation {
             self.config.batch_size,
             self.config.optimizer,
         );
-        let scored = self.ranks_by_similarity();
+        let signal = self.policy.selection().signal();
         let (edges, cloud) = (&self.edges, &self.cloud_flat);
         self.population
             .run_participants(&self.participants, &self.pending_inits, |dev, p| {
@@ -886,8 +885,12 @@ impl Simulation {
                     );
                 }
                 dev.local_train(local_steps, batch_size, &optimizer, t);
-                if scored {
-                    dev.refresh_cloud_score(cloud.epoch, cloud.flat(), cloud.norm_sq());
+                match signal {
+                    SelectionSignal::Similarity => {
+                        dev.refresh_cloud_score(cloud.epoch, cloud.flat(), cloud.norm_sq());
+                    }
+                    SelectionSignal::Utility => dev.refresh_oort_utility(),
+                    SelectionSignal::Nothing => {}
                 }
             });
         probe.stop(Phase::LocalTraining);
@@ -1373,14 +1376,24 @@ impl Simulation {
 
     /// Evaluates a model on the held-out test set, returning
     /// `(accuracy, mean loss, confusion)`.
+    ///
+    /// The test set is inferred in 16-row chunks in one parallel
+    /// region, each chunk through its thread's evaluation workspace
+    /// (`device::infer_chunk`) and into its rows of one logits
+    /// buffer. Inference is per sample, so the buffer is bitwise one
+    /// `infer` over the whole set; argmax, loss and confusion then read
+    /// it whole, as one forward pass feeds all three.
     pub fn evaluate(&self, model: &Sequential) -> (f32, f32, Confusion) {
-        // One forward pass feeds both metrics (`predict` + `eval_loss`
-        // would run inference twice); workspace inference produces
-        // logits bitwise-identical to `infer`.
-        let mut scratch = NetScratch::new();
-        let logits = model.infer_ws(self.test.inputs(), &mut scratch);
-        let preds = argmax_rows(logits);
-        let loss = softmax_cross_entropy(logits, self.test.labels()).0;
+        let (inputs, classes) = (self.test.inputs(), self.test.classes());
+        let mut logits = Tensor::zeros([self.test.len(), classes]);
+        (logits.data_mut().par_chunks_mut(EVAL_CHUNK * classes))
+            .enumerate()
+            .for_each(|(c, out)| {
+                let first = c * EVAL_CHUNK;
+                infer_chunk(model, inputs, first..first + out.len() / classes, out);
+            });
+        let preds = argmax_rows(&logits);
+        let loss = softmax_cross_entropy(&logits, self.test.labels()).0;
         let conf = Confusion::from_predictions(self.test.labels(), &preds, self.test.classes());
         (conf.accuracy(), loss, conf)
     }

@@ -15,7 +15,8 @@
 //!   afterwards;
 //! * (b) Eq. 9 — `on_device_init_into` against `on_device_init`;
 //! * (c) Eq. 5 — `Device::local_train` against `local_train_reference`:
-//!   parameters, Oort utility, loss and RNG;
+//!   parameters, loss and RNG, and then `refresh_oort_utility` against
+//!   `refresh_oort_utility_reference` under every policy;
 //! * (d) Eq. 6 — the round's region across edges (`aggregate_edges`, on
 //!   clones of every edge) against `edge_aggregate` per edge, in the arm
 //!   the round took: the live models, or a lossy plane's reconstructions;
@@ -37,8 +38,8 @@
 
 use super::*;
 use crate::aggregation::{edge_aggregate, on_device_init};
-use crate::algorithms::Algorithm;
 use crate::algorithms::AlgorithmState;
+use crate::algorithms::{Algorithm, SelectionPolicy};
 use crate::builder::SimulationBuilder;
 use crate::compress::{CompressJob, Sender};
 use crate::device::Device;
@@ -189,6 +190,10 @@ fn participant_pairs(sim: &Simulation, what: &str, hits: &mut Hits) -> Vec<MoveA
         let loss = fast.local_train(cfg.local_steps, cfg.batch_size, &cfg.optimizer, t);
         let oracle_loss =
             oracle.local_train_reference(cfg.local_steps, cfg.batch_size, &cfg.optimizer, t);
+        // The Oort pass is held to its oracle under every policy, not
+        // only under those whose rounds run it.
+        fast.refresh_oort_utility();
+        oracle.refresh_oort_utility_reference();
         assert_eq!(
             loss.to_bits(),
             oracle_loss.to_bits(),

@@ -63,6 +63,7 @@ use crate::faults::FaultConfig;
 use crate::metrics::RunRecord;
 use crate::sim::StepMode;
 use crate::timeline::{ExecutionMode, TimelineConfig};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
@@ -477,7 +478,9 @@ pub struct Scenario {
 /// How [`run_sweep`] executes.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
-    /// Worker threads; `0` uses the host's available parallelism.
+    /// Worker threads; `0` uses the host's available parallelism, which
+    /// also caps any other value (the workers run on the parallel
+    /// pool's participants: the caller and its pool threads).
     pub threads: usize,
     /// Inert ([`StepMode`] has one variant); stays while the frozen
     /// benchmark under `perf/` still sets it (ROADMAP item 5).
@@ -936,10 +939,12 @@ pub fn run_sweep(grid: &ScenarioGrid, opts: &SweepOptions) -> Result<SweepReport
         todo.truncate(limit);
     }
 
-    let threads = if opts.threads == 0 {
-        thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        opts.threads
+    // No more workers than the region below has participants: the
+    // caller and the shim pool's `available_parallelism() - 1` threads.
+    let cores = thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = match opts.threads {
+        0 => cores,
+        n => n.min(cores),
     }
     .min(todo.len().max(1));
 
@@ -947,58 +952,48 @@ pub fn run_sweep(grid: &ScenarioGrid, opts: &SweepOptions) -> Result<SweepReport
     let cursor = AtomicUsize::new(0);
     let results = Mutex::new(records);
     let first_error: Mutex<Option<SimError>> = Mutex::new(None);
-    let scenarios = Arc::new(scenarios);
 
-    thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cache = Arc::clone(&cache);
-            let scenarios = Arc::clone(&scenarios);
-            let (cursor, todo, results, first_error) = (&cursor, &todo, &results, &first_error);
-            let ledger = ledger.as_ref();
-            workers.push(scope.spawn(move || loop {
-                let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                if claim >= todo.len() || first_error.lock().expect("error slot poisoned").is_some()
-                {
-                    return;
-                }
-                let scenario = &scenarios[todo[claim]];
-                // Nothing stops an in-process scenario early, so `record`
-                // is always `Some`.
-                let done = drive_scenario(
-                    scenario,
-                    &cache,
-                    opts.checkpoint_dir.as_deref(),
-                    opts.checkpoint_every,
-                    |_| Ok(true),
-                )
-                .and_then(|record| {
-                    let mut recs = results.lock().expect("result slot poisoned");
-                    recs[scenario.index] = record;
-                    ledger.map_or(Ok(()), |ledger| {
-                        ledger.write(&SweepState {
-                            schema_version: SWEEP_REPORT_SCHEMA_VERSION,
-                            grid_digest: digest,
-                            records: recs.clone(),
-                            leases: Vec::new(),
-                            shard_size: 1,
-                        })
-                    })
-                });
-                if let Err(e) = done {
-                    let mut slot = first_error.lock().expect("error slot poisoned");
-                    slot.get_or_insert(e);
-                    return;
-                }
-            }));
+    // The workers are the items of one parallel region, so each runs on
+    // a participant of the shim's pool (the caller or a pool thread) and
+    // a scenario's own regions — its participants, Eq. 6, evaluation —
+    // run inline on its worker (the shim's rule 1). The workers already
+    // keep every core busy: forking again would only put a pool thread
+    // beside them, more threads than cores. One worker is no region, so
+    // a single-threaded sweep's scenarios still fork. No thread is
+    // spawned per sweep (DESIGN.md §10.4).
+    let workers: Vec<usize> = (0..threads).collect();
+    workers.par_iter().for_each(|_| loop {
+        let claim = cursor.fetch_add(1, Ordering::Relaxed);
+        if claim >= todo.len() || first_error.lock().expect("error slot poisoned").is_some() {
+            return;
         }
-        // Joined by handle: the scope only waits for the closures, a handle
-        // for the OS thread, and not until that is gone can the next
-        // sweep's workers reuse its allocator arena (DESIGN.md §10.4).
-        for worker in workers {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
+        let scenario = &scenarios[todo[claim]];
+        // Nothing stops an in-process scenario early, so `record` is
+        // always `Some`.
+        let done = drive_scenario(
+            scenario,
+            &cache,
+            opts.checkpoint_dir.as_deref(),
+            opts.checkpoint_every,
+            |_| Ok(true),
+        )
+        .and_then(|record| {
+            let mut recs = results.lock().expect("result slot poisoned");
+            recs[scenario.index] = record;
+            ledger.as_ref().map_or(Ok(()), |ledger| {
+                ledger.write(&SweepState {
+                    schema_version: SWEEP_REPORT_SCHEMA_VERSION,
+                    grid_digest: digest,
+                    records: recs.clone(),
+                    leases: Vec::new(),
+                    shard_size: 1,
+                })
+            })
+        });
+        if let Err(e) = done {
+            let mut slot = first_error.lock().expect("error slot poisoned");
+            slot.get_or_insert(e);
+            return;
         }
     });
 

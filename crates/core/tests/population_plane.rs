@@ -179,7 +179,11 @@ fn async_checkpoint_resumes_bitwise_mid_heap() {
 
 /// A mid-run checkpoint (live stubs, multiple live versions, resident
 /// participants) restores into a fresh simulation and finishes
-/// bitwise-identically to the uninterrupted run.
+/// bitwise-identically to the uninterrupted run. A MIDDLE run runs no
+/// Oort pass, so its snapshot carries no utility; one written when every
+/// participant ran the pass — each trained device carrying a utility —
+/// restores and finishes on the same trajectory, since nothing under
+/// MIDDLE reads it.
 #[test]
 fn checkpoint_resumes_bitwise_mid_run() {
     // 24 devices over 2 edges: at most K*E*T_c = 16 can be resident, so
@@ -210,32 +214,63 @@ fn checkpoint_resumes_bitwise_mid_run() {
         .iter()
         .any(|s| matches!(s, DeviceSlotCheckpoint::Stub { .. })));
 
-    // Round-trip through JSON so float formatting is part of the gate.
-    let ck = middle_core::SimCheckpoint::from_json(&ck.to_json()).expect("round trip");
-    let mut resumed = built(cfg.clone());
-    resumed.restore(&ck).expect("restore");
-    for _ in 10..cfg.steps {
-        resumed.tick(StepMode::Fast);
+    let utilities = |ck: &SimCheckpoint| -> usize {
+        (ck.population.devices.iter())
+            .filter(|slot| match slot {
+                DeviceSlotCheckpoint::Resident { device } => device.oort_utility.is_some(),
+                DeviceSlotCheckpoint::Stub { oort_utility, .. } => oort_utility.is_some(),
+            })
+            .count()
+    };
+    assert_eq!(utilities(&ck), 0, "a MIDDLE snapshot carries no utility");
+    // The shape a run wrote when every participant ran the Oort pass: a
+    // utility on every trained device (stand-in values; none is read).
+    let mut with_utilities = ck.clone();
+    for (m, slot) in with_utilities.population.devices.iter_mut().enumerate() {
+        let (utility, trained) = match slot {
+            DeviceSlotCheckpoint::Resident { device } => {
+                (&mut device.oort_utility, device.last_participation)
+            }
+            DeviceSlotCheckpoint::Stub {
+                oort_utility,
+                last_participation,
+                ..
+            } => (oort_utility, *last_participation),
+        };
+        if trained.is_some() {
+            *utility = Some(0.5 + m as f32);
+        }
     }
+    assert!(utilities(&with_utilities) > 0);
 
-    assert_eq!(
-        bits(&flatten(uninterrupted.cloud_model())),
-        bits(&flatten(resumed.cloud_model()))
-    );
-    for (a, b) in uninterrupted.edges().iter().zip(resumed.edges()) {
-        assert_eq!(bits(&flatten(&a.model)), bits(&flatten(&b.model)));
-        assert_eq!(a.window_samples.to_bits(), b.window_samples.to_bits());
-    }
-    for m in 0..cfg.num_devices {
+    for ck in [ck, with_utilities] {
+        // Round-trip through JSON so float formatting is part of the gate.
+        let ck = middle_core::SimCheckpoint::from_json(&ck.to_json()).expect("round trip");
+        let mut resumed = built(cfg.clone());
+        resumed.restore(&ck).expect("restore");
+        for _ in 10..cfg.steps {
+            resumed.tick(StepMode::Fast);
+        }
+
         assert_eq!(
-            bits(&device_plane(&uninterrupted, m)),
-            bits(&device_plane(&resumed, m)),
-            "device {m}"
+            bits(&flatten(uninterrupted.cloud_model())),
+            bits(&flatten(resumed.cloud_model()))
         );
+        for (a, b) in uninterrupted.edges().iter().zip(resumed.edges()) {
+            assert_eq!(bits(&flatten(&a.model)), bits(&flatten(&b.model)));
+            assert_eq!(a.window_samples.to_bits(), b.window_samples.to_bits());
+        }
+        for m in 0..cfg.num_devices {
+            assert_eq!(
+                bits(&device_plane(&uninterrupted, m)),
+                bits(&device_plane(&resumed, m)),
+                "device {m}"
+            );
+        }
+        assert_eq!(uninterrupted.comm_stats(), resumed.comm_stats());
+        assert_eq!(uninterrupted.syncs(), resumed.syncs());
+        assert_eq!(uninterrupted.active_steps(), resumed.active_steps());
     }
-    assert_eq!(uninterrupted.comm_stats(), resumed.comm_stats());
-    assert_eq!(uninterrupted.syncs(), resumed.syncs());
-    assert_eq!(uninterrupted.active_steps(), resumed.active_steps());
 }
 
 /// A checkpoint writes the one population block, a version table plus

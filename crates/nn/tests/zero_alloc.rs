@@ -56,8 +56,8 @@ const SPEECH: InputSpec = InputSpec {
 };
 
 /// Allocations made by 100 steady-state training steps, each followed by
-/// an inference pass on its own scratch (as `Device::local_train` runs
-/// them), after two warm-up rounds.
+/// an inference pass on its own scratch (as a device's local training
+/// and its Oort pass run them), after two warm-up rounds.
 fn steady_state_allocations(
     mut model: Sequential,
     spec: InputSpec,

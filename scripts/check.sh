@@ -12,8 +12,8 @@
 #                              # benchmark's own suite, every `sweeps`
 #                              # preset (BENCH_*.json and results/
 #                              # regenerated and byte-compared; the eight
-#                              # figure presets take 13 min on two cores,
-#                              # 7 + 7 + 0 + 0 + 63 + 174 + 330 + 204 s)
+#                              # figure presets take 17 min on two cores,
+#                              # 7 + 10 + 0 + 0 + 79 + 208 + 431 + 267 s)
 #                              # and the fleet smoke
 #
 # Flags combine (e.g. `--fast --ci` runs the CI extras without the
@@ -28,7 +28,7 @@ usage() {
     echo "  --fast  skip the release build of the workspace" >&2
     echo "  --ci    add example builds, shim tests, one-thread FNV pins," >&2
     echo "          doc lints, the perf suite, the sweep artefact gates" >&2
-    echo "          (BENCH_*.json, then results/: 13 min on two cores) and the" >&2
+    echo "          (BENCH_*.json, then results/: 17 min on two cores) and the" >&2
     echo "          fleet smoke" >&2
 }
 

@@ -14,6 +14,7 @@ use middle::prelude::*;
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 use common::{device_planes, trajectory_fnv};
+use middle::data::Confusion;
 
 fn built(cfg: SimConfig) -> Simulation {
     SimulationBuilder::new(cfg).build().expect("valid config")
@@ -507,5 +508,59 @@ fn workspace_training_matches_the_oracle_kernels_bitwise() {
             assert_eq!(lo.to_bits(), lf.to_bits(), "loss, {what}");
             assert_eq!(bits(&oracle), bits(&fast), "parameters, {what}");
         }
+    }
+}
+
+/// Inference runs only where something reads it, and changes no bit:
+///
+/// * the Oort pass follows the selection policy — after a MIDDLE run no
+///   device carries an Oort utility, while OORT and FedLECC (the
+///   policies that read it) still carry one, and each trajectory keeps
+///   the pin it had when every participant ran the pass;
+/// * `Simulation::evaluate`, which infers the test set in parallel
+///   16-row chunks, returns the `(accuracy, loss, confusion)` of one
+///   whole-batch `infer`, bit for bit, on `cnn2` and the Speech MLP at a
+///   ragged 37 samples (two full chunks and a 5-row tail, whose last row
+///   takes the dense kernels' short-block path).
+#[test]
+fn inference_runs_only_where_read_and_changes_no_bit() {
+    for (algorithm, reads_utility, pin) in [
+        (Algorithm::middle(), false, 0x9651a3976fa2705du64),
+        (Algorithm::oort(), true, 0x35dcbc61960ff2f6),
+        (Algorithm::fedlecc(), true, 0x0fed06156c460dce),
+    ] {
+        let name = algorithm.name.clone();
+        let mut sim = built(small_cfg(Task::Mnist, algorithm));
+        let record = sim.run();
+        let carried = (0..sim.config().num_devices)
+            .filter(|&m| sim.population().oort_utility(m).is_some())
+            .count();
+        assert_eq!(carried > 0, reads_utility, "{name}: {carried} utilities");
+        let fingerprint = trajectory_fnv(&sim, &record);
+        assert_eq!(fingerprint, pin, "{name}: trajectory {fingerprint:#018x}");
+    }
+
+    for task in [Task::Mnist, Task::Speech] {
+        let mut cfg = small_cfg(task, Algorithm::middle());
+        cfg.test_samples = 37;
+        let mut sim = built(cfg);
+        sim.tick(StepMode::Fast);
+        sim.tick(StepMode::Fast);
+        let model = sim.cloud_model();
+        let test = sim.test_set();
+        assert_eq!(test.len(), 37);
+        let logits = model.infer(test.inputs());
+        let preds = middle::tensor::reduce::argmax_rows(&logits);
+        let loss = middle::nn::loss::softmax_cross_entropy(&logits, test.labels()).0;
+        let conf = Confusion::from_predictions(test.labels(), &preds, test.classes());
+        let (accuracy, chunked_loss, chunked_conf) = sim.evaluate(model);
+        let what = task.name();
+        assert_eq!(
+            accuracy.to_bits(),
+            conf.accuracy().to_bits(),
+            "{what}: accuracy"
+        );
+        assert_eq!(chunked_loss.to_bits(), loss.to_bits(), "{what}: loss");
+        assert_eq!(chunked_conf, conf, "{what}: confusion");
     }
 }
