@@ -8,7 +8,9 @@ use middle_data::{Scheme, Task};
 use middle_nn::OptimizerKind;
 use serde::{Deserialize, Serialize};
 
-/// How the mobility trace is produced.
+/// How the mobility trace is generated. A trace made elsewhere (JSON, or
+/// a ONE-simulator report) enters through
+/// [`crate::SimulationBuilder::with_trace`] instead.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum MobilitySource {
     /// Markov edge-hop with the given global mobility probability `P`
@@ -28,21 +30,6 @@ pub enum MobilitySource {
         /// Probability that a relocation from away returns home.
         home_bias: f64,
     },
-    /// Geometric random-waypoint over a grid service area, speeds in
-    /// metres per time step.
-    RandomWaypoint {
-        /// Minimum speed.
-        min_speed: f64,
-        /// Maximum speed.
-        max_speed: f64,
-    },
-    /// Geometric random walk.
-    RandomWalk {
-        /// Maximum speed.
-        max_speed: f64,
-    },
-    /// No movement at all (P = 0).
-    Stationary,
 }
 
 /// Inert: which population representation a configuration once chose.

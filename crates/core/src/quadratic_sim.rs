@@ -295,18 +295,12 @@ pub fn theorem1_testbed() -> (QuadraticProblem, QuadraticHflConfig, BoundParams)
     (problem, base, bound)
 }
 
-/// Mean and 95 % confidence half-width (`1.96·s/√n`, `s` the n−1 sample
-/// deviation; `0` for one value) — the estimator behind
-/// [`crate::AggregatePoint`]'s `*_ci95`, for per-seed values the sweep
-/// report does not aggregate itself.
+/// Mean and 95 % confidence half-width of per-seed values the sweep
+/// report does not aggregate itself: [`crate::sweep::mean_std_ci95`]
+/// without the deviation.
 pub fn mean_ci95(values: &[f64]) -> (f64, f64) {
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    if values.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
-    (mean, 1.96 * (var / n).sqrt())
+    let (mean, _, ci95) = crate::sweep::mean_std_ci95(values);
+    (mean, ci95)
 }
 
 /// One mobility level of the Remark 1 experiment ([`remark1_rows`]).

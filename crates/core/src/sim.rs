@@ -36,7 +36,7 @@ use crate::timeline::{ArrivalOutcome, Event, EventKind, ExecutionMode, LatencyMo
 use crate::{OnDevicePolicy, SelectionSignal};
 use middle_data::partition::Partition;
 use middle_data::{Confusion, Dataset};
-use middle_mobility::{generate_geometric, MobilityKind, ServiceArea, Trace};
+use middle_mobility::Trace;
 use middle_nn::loss::softmax_cross_entropy;
 use middle_nn::params::{flatten, FlatView};
 use middle_nn::serialize::Checkpoint;
@@ -1890,10 +1890,9 @@ fn cached_similarity<'a>(
 
 /// Builds the mobility trace described by the config.
 ///
-/// The Markov-hop sources stream: rows bitwise those of
+/// Both Markov-hop sources stream: rows bitwise those of
 /// `generate_markov_hop{,_homed}`, O(N) resident memory instead of the
-/// O(N·T) table. The geometric sources (waypoint/walk/stationary) have
-/// no streaming backend yet and build the full table.
+/// O(N·T) table.
 pub(crate) fn build_trace(config: &SimConfig, homes: &[usize]) -> Trace {
     let seed = derive_seed(config.seed, 7);
     match config.mobility {
@@ -1908,46 +1907,6 @@ pub(crate) fn build_trace(config: &SimConfig, homes: &[usize]) -> Trace {
             home_bias,
             seed,
         ),
-        MobilitySource::Stationary => {
-            let area = ServiceArea::grid(1000.0, 1000.0, config.num_edges);
-            let mut model = MobilityKind::Stationary.build();
-            generate_geometric(
-                &area,
-                model.as_mut(),
-                config.num_devices,
-                config.steps,
-                seed,
-            )
-        }
-        MobilitySource::RandomWalk { max_speed } => {
-            let area = ServiceArea::grid(1000.0, 1000.0, config.num_edges);
-            let mut model = MobilityKind::RandomWalk { max_speed }.build();
-            generate_geometric(
-                &area,
-                model.as_mut(),
-                config.num_devices,
-                config.steps,
-                seed,
-            )
-        }
-        MobilitySource::RandomWaypoint {
-            min_speed,
-            max_speed,
-        } => {
-            let area = ServiceArea::grid(1000.0, 1000.0, config.num_edges);
-            let mut model = MobilityKind::RandomWaypoint {
-                min_speed,
-                max_speed,
-            }
-            .build();
-            generate_geometric(
-                &area,
-                model.as_mut(),
-                config.num_devices,
-                config.steps,
-                seed,
-            )
-        }
     }
 }
 

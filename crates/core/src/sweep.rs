@@ -120,8 +120,6 @@ impl CompressionPreset {
 ///
 /// Empty axes inherit the base config's value, so the default grid is
 /// the single base scenario; each `with_*` setter replaces one axis.
-/// The mobility axis requires the base mobility to be `MarkovHop` or
-/// `HomedMarkovHop` (the only sources with a `P` knob).
 ///
 /// Grids serialise (the `middle-sweepd` fleet passes one grid-spec
 /// JSON file to every worker and the coordinator; the grid digest
@@ -231,25 +229,11 @@ impl ScenarioGrid {
     /// configuration.
     ///
     /// # Errors
-    /// [`SimError::InvalidConfig`] when the mobility axis is set on a
-    /// base without a `P` knob, when any derived config fails
+    /// [`SimError::InvalidConfig`] when any derived config fails
     /// [`SimConfig::validate`], or when two scenarios share a label
     /// (an axis lists a value twice, or two presets share a name) —
     /// the cross-seed aggregation would pool them as seeds of one cell.
     pub fn scenarios(&self) -> Result<Vec<Scenario>, SimError> {
-        if !self.mobility_ps.is_empty()
-            && !matches!(
-                self.base.mobility,
-                MobilitySource::MarkovHop { .. } | MobilitySource::HomedMarkovHop { .. }
-            )
-        {
-            return Err(SimError::InvalidConfig {
-                message: format!(
-                    "mobility axis requires a MarkovHop/HomedMarkovHop base, got {:?}",
-                    self.base.mobility
-                ),
-            });
-        }
         let ps: Vec<Option<f64>> = if self.mobility_ps.is_empty() {
             vec![None]
         } else {
@@ -323,7 +307,6 @@ impl ScenarioGrid {
                                                 } => {
                                                     MobilitySource::HomedMarkovHop { p, home_bias }
                                                 }
-                                                other => other,
                                             };
                                         }
                                         config.devices_per_edge = k;
@@ -827,7 +810,11 @@ impl Ledger {
     }
 }
 
-fn mean_std_ci(values: &[f64]) -> (f64, f64, f64) {
+/// Mean, n−1 sample deviation `s` and 95 % confidence half-width
+/// `1.96·s/√n` of per-seed values (`s` and the half-width are `0` for one
+/// value) — the one interval estimator: every [`AggregatePoint`]'s
+/// `*_std` / `*_ci95` and every verdict of the figure presets.
+pub fn mean_std_ci95(values: &[f64]) -> (f64, f64, f64) {
     let n = values.len() as f64;
     let mean = values.iter().sum::<f64>() / n;
     if values.len() < 2 {
@@ -871,8 +858,8 @@ fn aggregate(records: &[ScenarioRecord]) -> Vec<AggregatePoint> {
                 .iter()
                 .map(|r| f64::from(r.record.tail_accuracy(3)))
                 .collect();
-            let (final_mean, final_std, final_ci95) = mean_std_ci(&finals);
-            let (tail_mean, tail_std, tail_ci95) = mean_std_ci(&tails);
+            let (final_mean, final_std, final_ci95) = mean_std_ci95(&finals);
+            let (tail_mean, tail_std, tail_ci95) = mean_std_ci95(&tails);
             let first = members[0];
             AggregatePoint {
                 label,
@@ -1895,15 +1882,19 @@ mod tests {
         ]));
     }
 
+    /// A grid file naming a mobility source that no longer exists (a
+    /// geometric one such as `RandomWaypoint`) is refused where the file
+    /// is read, as a parse error rather than a panic.
     #[test]
-    fn mobility_axis_rejects_bases_without_a_p_knob() {
-        let mut cfg = tiny();
-        cfg.mobility = MobilitySource::Stationary;
-        let err = ScenarioGrid::new(cfg)
-            .with_mobility_ps([0.5])
-            .scenarios()
-            .unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }));
+    fn grid_json_naming_a_removed_mobility_source_fails_to_parse() {
+        let grid = ScenarioGrid::new(tiny()).with_mobility_ps([0.5]);
+        let json = serde_json::to_string(&grid).unwrap();
+        let base = serde_json::to_string(&grid.base().mobility).unwrap();
+        let removed = r#"{"RandomWaypoint":{"min_speed":30.0,"max_speed":120.0}}"#;
+        let stale = json.replacen(&base, removed, 1);
+        assert_ne!(stale, json, "the grid JSON names its base mobility");
+        assert!(serde_json::from_str::<ScenarioGrid>(&json).is_ok());
+        assert!(serde_json::from_str::<ScenarioGrid>(&stale).is_err());
     }
 
     #[test]
@@ -1978,10 +1969,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_std_ci_handles_single_and_multiple_samples() {
-        let (m, s, c) = mean_std_ci(&[0.5]);
+    fn mean_std_ci95_handles_single_and_multiple_samples() {
+        let (m, s, c) = mean_std_ci95(&[0.5]);
         assert_eq!((m, s, c), (0.5, 0.0, 0.0));
-        let (m, s, c) = mean_std_ci(&[1.0, 2.0, 3.0]);
+        let (m, s, c) = mean_std_ci95(&[1.0, 2.0, 3.0]);
         assert!((m - 2.0).abs() < 1e-12);
         assert!((s - 1.0).abs() < 1e-12);
         assert!((c - 1.96 / 3f64.sqrt()).abs() < 1e-12);

@@ -1,25 +1,15 @@
 //! # middle-mobility
 //!
-//! Mobility substrate for the MIDDLE (ICPP 2023) reproduction — a
-//! stand-in for the ONE simulator the paper uses to generate device
-//! traces.
+//! Mobility traces for the MIDDLE (ICPP 2023) reproduction. The paper
+//! needs no trajectories, only each device's edge per step and the global
+//! mobility probability `P` (§3.2), so a trace is either generated by a
+//! Markov edge-hop process — plain, or biased towards a home edge — or
+//! imported (JSON, or a ONE-simulator report for real ONE output).
 //!
-//! * [`geometry`]: the rectangular service area, edge sites and
-//!   nearest-edge (Voronoi) attachment — the "device always connects to
-//!   the nearest edge" rule of §3.2, Eq. 3.
-//! * [`models`]: stationary, random-walk and random-waypoint movement.
-//! * [`trace`]: per-step device→edge assignments, the Markov edge-hop
-//!   generator with a controlled global mobility probability `P`
-//!   (the knob of Figure 7), empirical-mobility measurement and
-//!   import/export (JSON and a ONE-style report format).
+//! * [`trace`]: per-step device→edge assignments, dense or streamed;
+//!   the Markov edge-hop generators with a controlled `P` (the knob of
+//!   Figure 7), empirical-mobility measurement and import/export.
 
-pub mod geometry;
-pub mod models;
-pub mod stats;
 pub mod trace;
 
-pub use geometry::{Point, ServiceArea};
-pub use models::{MobilityKind, MobilityModel};
-pub use trace::{
-    generate_geometric, generate_markov_hop, generate_markov_hop_homed, MarkovStreamSpec, Trace,
-};
+pub use trace::{generate_markov_hop, generate_markov_hop_homed, MarkovStreamSpec, Trace};

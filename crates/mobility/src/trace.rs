@@ -4,16 +4,15 @@
 //! The paper is "orthogonal to the classic mobility models … we do not
 //! need a whole mobile trajectory" (§3.2): only edge membership per step
 //! matters, plus the global mobility probability `P` (the expected
-//! per-step fraction of devices that switch edges). A [`Trace`] can be
-//! generated three ways:
+//! per-step fraction of devices that switch edges). A [`Trace`] is made
+//! one of two ways:
 //!
-//! * geometrically, by running a [`crate::models::MobilityModel`] over a
-//!   [`crate::geometry::ServiceArea`] and attaching each device to its
-//!   nearest edge;
-//! * directly, by a Markov edge-hop process whose per-device move
+//! * generated, by a Markov edge-hop process whose per-device move
 //!   probability averages to the requested `P` (the controlled knob of
-//!   the paper's Figure 7); or
-//! * by importing a previously exported trace.
+//!   the paper's Figure 7), optionally biased towards a home edge; or
+//! * imported, from assignment rows ([`Trace::new`]), from an exported
+//!   trace ([`Trace::from_json`]) or from a ONE-simulator report
+//!   ([`Trace::from_one_report`]) — the way real ONE output comes in.
 //!
 //! A trace is backed either **densely** (every row materialised, the
 //! historical representation) or by a **stream**: the Markov generators
@@ -23,8 +22,6 @@
 //! generator's output for the same parameters — the cursor replays the
 //! exact same RNG draw sequence.
 
-use crate::geometry::ServiceArea;
-use crate::models::MobilityModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -707,32 +704,6 @@ impl Deserialize for Trace {
     }
 }
 
-/// Runs a geometric mobility model and converts positions to a trace via
-/// nearest-edge attachment.
-pub fn generate_geometric(
-    area: &ServiceArea,
-    model: &mut dyn MobilityModel,
-    devices: usize,
-    steps: usize,
-    seed: u64,
-) -> Trace {
-    assert!(steps > 0, "need at least one step");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut positions = model.init(area, devices, &mut rng);
-    let mut assignments = Vec::with_capacity(steps);
-    assignments.push(
-        positions
-            .iter()
-            .map(|p| area.nearest_edge(p))
-            .collect::<Vec<_>>(),
-    );
-    for _ in 1..steps {
-        model.step(area, &mut positions, &mut rng);
-        assignments.push(positions.iter().map(|p| area.nearest_edge(p)).collect());
-    }
-    Trace::new(area.num_edges(), assignments)
-}
-
 /// Markov edge-hop trace with controlled global mobility.
 ///
 /// Each device `m` has probability `p_m` of switching, at every step, to
@@ -831,7 +802,6 @@ pub fn generate_markov_hop_homed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::MobilityKind;
 
     #[test]
     fn markov_hop_matches_requested_mobility() {
@@ -872,39 +842,6 @@ mod tests {
         assert!(t.moved(2, 0));
         assert!(!t.moved(2, 1));
         assert!((t.empirical_mobility() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_trace_covers_edges() {
-        let area = ServiceArea::grid(1000.0, 1000.0, 4);
-        let mut model = MobilityKind::RandomWaypoint {
-            min_speed: 50.0,
-            max_speed: 150.0,
-        }
-        .build();
-        let t = generate_geometric(&area, model.as_mut(), 40, 50, 7);
-        assert_eq!(t.devices(), 40);
-        assert_eq!(t.steps(), 50);
-        // Over 50 steps of brisk movement, every edge should host someone
-        // at some point.
-        let mut visited = [false; 4];
-        for step in 0..t.steps() {
-            for (e, v) in t.occupancy(step).iter().zip(visited.iter_mut()) {
-                if *e > 0 {
-                    *v = true;
-                }
-            }
-        }
-        assert!(visited.iter().all(|&v| v));
-        assert!(t.empirical_mobility() > 0.0);
-    }
-
-    #[test]
-    fn stationary_geometric_trace_has_zero_mobility() {
-        let area = ServiceArea::grid(100.0, 100.0, 4);
-        let mut model = MobilityKind::Stationary.build();
-        let t = generate_geometric(&area, model.as_mut(), 10, 20, 8);
-        assert_eq!(t.empirical_mobility(), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the mobility substrate.
 
-use middle_mobility::{generate_geometric, generate_markov_hop, MobilityKind, ServiceArea, Trace};
+use middle_mobility::{generate_markov_hop, Trace};
 use proptest::prelude::*;
 
 proptest! {
@@ -53,22 +53,6 @@ proptest! {
     fn json_roundtrip_any_trace(seed in 0u64..200) {
         let t = generate_markov_hop(4, 7, 9, 0.4, seed);
         prop_assert_eq!(Trace::from_json(&t.to_json()).unwrap(), t);
-    }
-
-    #[test]
-    fn geometric_positions_yield_valid_assignments(
-        n_edges in 1usize..9,
-        devices in 1usize..25,
-        speed in 1.0f64..300.0,
-        seed in 0u64..300,
-    ) {
-        let area = ServiceArea::grid(1000.0, 800.0, n_edges);
-        let mut model = MobilityKind::RandomWalk { max_speed: speed }.build();
-        let t = generate_geometric(&area, model.as_mut(), devices, 20, seed);
-        prop_assert_eq!(t.num_edges(), n_edges);
-        for step in 0..t.steps() {
-            prop_assert!(t.at(step).iter().all(|&e| e < n_edges));
-        }
     }
 
     #[test]

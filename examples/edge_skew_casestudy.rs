@@ -30,7 +30,7 @@ fn main() {
     cfg.eval_edges = true;
     cfg.eval_per_class = true;
     cfg.test_samples = 300;
-    cfg.mobility = MobilitySource::Stationary; // Figure 1 has no movement
+    cfg.mobility = MobilitySource::MarkovHop { p: 0.0 }; // Figure 1 has no movement
 
     println!("\ntraining hierarchical FedAvg with stationary devices ...\n");
     let record = SimulationBuilder::new(cfg)

@@ -1,21 +1,15 @@
-//! Mobility-trace tooling: generate traces with each model, inspect
-//! their statistics, export/import the ONE-simulator-style report
-//! format, and feed a custom trace into a simulation.
+//! Mobility-trace tooling: generate Markov edge-hop traces, inspect
+//! them, export/import the ONE-simulator-style report format, and feed
+//! the imported trace into a simulation.
 //!
 //! ```sh
 //! cargo run --release --example trace_tooling
 //! ```
 
-use middle::mobility::stats::{
-    at_home_fraction, mean_sojourn, occupancy_imbalance, transition_matrix,
-};
-use middle::mobility::{
-    generate_geometric, generate_markov_hop, generate_markov_hop_homed, MobilityKind, ServiceArea,
-    Trace,
-};
+use middle::mobility::{generate_markov_hop, generate_markov_hop_homed, Trace};
 use middle::prelude::*;
 
-fn describe(name: &str, t: &Trace, homes: Option<&[usize]>) {
+fn describe(name: &str, t: &Trace) {
     println!("{name}:");
     println!(
         "  devices {}  edges {}  steps {}",
@@ -24,36 +18,17 @@ fn describe(name: &str, t: &Trace, homes: Option<&[usize]>) {
         t.steps()
     );
     println!("  empirical mobility  {:.3}", t.empirical_mobility());
-    println!("  mean sojourn        {:.2} steps", mean_sojourn(t));
-    println!("  occupancy imbalance {:.3}", occupancy_imbalance(t));
-    if let Some(h) = homes {
-        println!("  at-home fraction    {:.3}", at_home_fraction(t, h));
-    }
-    let m = transition_matrix(t);
-    println!("  stay probability (diagonal): {:.3}", m[0][0]);
+    println!("  final occupancy     {:?}", t.occupancy(t.steps() - 1));
 }
 
 fn main() {
     let homes: Vec<usize> = (0..60).map(|m| m % 4).collect();
 
     let uniform = generate_markov_hop(4, 60, 200, 0.5, 11);
-    describe("uniform Markov hop (P = 0.5)", &uniform, Some(&homes));
+    describe("uniform Markov hop (P = 0.5)", &uniform);
 
     let homed = generate_markov_hop_homed(4, &homes, 200, 0.5, 0.6, 11);
-    describe(
-        "\nhome-biased Markov hop (P = 0.5, bias 0.6)",
-        &homed,
-        Some(&homes),
-    );
-
-    let area = ServiceArea::grid(1000.0, 1000.0, 4);
-    let mut model = MobilityKind::RandomWaypoint {
-        min_speed: 30.0,
-        max_speed: 120.0,
-    }
-    .build();
-    let geo = generate_geometric(&area, model.as_mut(), 60, 200, 11);
-    describe("\nrandom waypoint over a 1 km grid", &geo, None);
+    describe("\nhome-biased Markov hop (P = 0.5, bias 0.6)", &homed);
 
     // Round-trip through the ONE-style report format.
     let report = homed.to_one_report();

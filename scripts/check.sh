@@ -7,7 +7,9 @@
 #
 #   scripts/check.sh           # everything
 #   scripts/check.sh --fast    # skip the release build of the workspace
-#   scripts/check.sh --ci      # everything + example builds, shim tests,
+#   scripts/check.sh --ci      # everything + example builds, runs of
+#                              # trace_tooling and edge_skew_casestudy
+#                              # (0.1 s + 1.2 s on two cores), shim tests,
 #                              # one-thread FNV pins, doc lints, the
 #                              # benchmark's own suite, every `sweeps`
 #                              # preset (BENCH_*.json and results/
@@ -26,10 +28,10 @@ cd "$(dirname "$0")/.."
 usage() {
     echo "usage: scripts/check.sh [--fast] [--ci]" >&2
     echo "  --fast  skip the release build of the workspace" >&2
-    echo "  --ci    add example builds, shim tests, one-thread FNV pins," >&2
-    echo "          doc lints, the perf suite, the sweep artefact gates" >&2
-    echo "          (BENCH_*.json, then results/: 17 min on two cores) and the" >&2
-    echo "          fleet smoke" >&2
+    echo "  --ci    add example builds and two example runs, shim tests," >&2
+    echo "          one-thread FNV pins, doc lints, the perf suite, the sweep" >&2
+    echo "          artefact gates (BENCH_*.json, then results/: 17 min on two" >&2
+    echo "          cores) and the fleet smoke" >&2
 }
 
 FAST=0
@@ -87,6 +89,13 @@ fi
 if [[ "$CI" -eq 1 ]]; then
     echo "==> cargo build --release --examples"
     cargo build --release --examples
+
+    # Two examples run end to end: trace_tooling asserts the ONE-report
+    # round trip and trains on the imported trace; edge_skew_casestudy
+    # trains Figure 1's static case on a P = 0 Markov trace.
+    echo "==> examples trace_tooling, edge_skew_casestudy"
+    cargo run -q --release --example trace_tooling
+    cargo run -q --release --example edge_skew_casestudy
 fi
 
 # --workspace matters: a bare `cargo test` only runs the root facade

@@ -12,8 +12,8 @@
 //!   [`nn::Sequential`] model and its flat parameter view;
 //! * [`data`] (= `middle-data`) — synthetic MNIST/EMNIST/CIFAR10/Speech
 //!   stand-ins and Non-IID partitioners;
-//! * [`mobility`] (= `middle-mobility`) — edge-cell geometry, mobility
-//!   models and device→edge traces;
+//! * [`mobility`] (= `middle-mobility`) — device→edge traces: Markov
+//!   edge-hop generators and JSON / ONE-report import;
 //! * [`core`] (= `middle-core`) — the MIDDLE algorithm, baselines,
 //!   Algorithm 1 simulation loop and the Theorem 1 theory.
 //!
