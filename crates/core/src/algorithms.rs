@@ -39,7 +39,7 @@
 //! MIDDLE is the oracle: the composed policy resolved from
 //! [`Algorithm::middle`] must keep the default-config run
 //! bitwise-identical to the pre-policy-API implementation (pinned by
-//! `tests/hotpath_equiv.rs` FNV fingerprints).
+//! the FNV fingerprints of `crates/core/tests/matrix.rs`).
 
 use serde::{Deserialize, Serialize};
 

@@ -27,9 +27,8 @@
 //! planes. It restores as written (`population_plane`'s
 //! `replica_per_device_snapshot_resumes_bitwise`). A version-2 document
 //! (one plane per device) or a version-1 one (decimal arrays) does not
-//! parse; whoever finds one starts the run cold. The
-//! checkpoint-resume-equivalence tests in
-//! `crates/core/tests/sweep_engine.rs` gate the round trip.
+//! parse; whoever finds one starts the run cold. The resume leg of every
+//! cut cell in `crates/core/tests/matrix.rs` gates the round trip.
 //!
 //! What is deliberately *not* captured: telemetry latency histograms
 //! (wall-clock measurements of the host that ran the first half —

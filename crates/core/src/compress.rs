@@ -19,8 +19,8 @@
 //!   the selection / availability / fault streams;
 //! * a disabled or lossless configuration performs **no** draw, **no**
 //!   delta computation and **no** allocation — the simulation is bitwise
-//!   identical to one without the plane (gated by
-//!   `crates/core/tests/hotpath_equiv.rs`);
+//!   identical to one without the plane (gated by the lossless twin and
+//!   the pinned cells of `crates/core/tests/matrix.rs`);
 //! * every compression of a round goes through one entry point,
 //!   [`CompressionPlane::compress_batch`]: its delta, top-K and
 //!   quantization run in parallel across the batch, while the

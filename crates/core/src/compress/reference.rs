@@ -3,8 +3,8 @@
 //! draws each stochastic-rounding uniform as it quantizes.
 //!
 //! The file is self-contained (it names only `super::RoundingMode`), so
-//! `crates/core/tests/compress_plane.rs` includes it by path beside the
-//! crate's own test build.
+//! the kernel oracle battery of `crates/core/tests/compress_plane.rs`
+//! includes it by path beside the crate's own test build.
 
 use super::RoundingMode;
 use rand::rngs::StdRng;

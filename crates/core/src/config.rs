@@ -134,7 +134,7 @@ pub struct SimConfig {
     /// default, or the event-driven scheduler with real upload
     /// latencies, threshold aggregation and timer-driven cloud syncs.
     /// The zero-delay event-driven corner reproduces lockstep bitwise
-    /// (gated by `crates/core/tests/timeline_plane.rs`).
+    /// (the zero-delay twin of `crates/core/tests/matrix.rs`'s cells).
     #[serde(default, skip_serializing_if = "TimelineConfig::is_default")]
     pub timeline: TimelineConfig,
     /// Master seed; all randomness derives from it.

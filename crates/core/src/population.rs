@@ -23,9 +23,9 @@
 //! overwrites the parameters of every reached device with the same flat
 //! vector. An idle device therefore is, bit for bit, the flat vector of
 //! the last broadcast that reached it, which is exactly what its stub's
-//! version slot stores. The `population_plane` integration tests hold
-//! runs to trajectories pinned when every device still had a replica of
-//! its own.
+//! version slot stores. The differential matrix
+//! (`crates/core/tests/matrix.rs`) holds runs to trajectories pinned
+//! when every device still had a replica of its own.
 
 use crate::algorithms::OnDevicePolicy;
 use crate::builder::SharedInputs;

@@ -1027,7 +1027,8 @@ impl Simulation {
     /// `EndOfStep` marker has been processed. At the zero-delay /
     /// synchronous-sync corner the pop order within a round is exactly
     /// the lockstep phase order, so the run reproduces the lockstep
-    /// `RunRecord` bitwise (pinned by `tests/timeline_plane.rs`).
+    /// `RunRecord` bitwise (the zero-delay twin of
+    /// `crates/core/tests/matrix.rs`'s lockstep cells).
     fn tick_event(&mut self) {
         if !self.timeline.started {
             self.timeline.started = true;

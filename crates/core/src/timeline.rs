@@ -12,8 +12,9 @@
 //! `(time, kind-rank, edge, device, seq)` with `f64::total_cmp` on time,
 //! so replay is bitwise-reproducible regardless of insertion order. The
 //! zero-delay / synchronous-timer corner of the event engine reproduces
-//! the lockstep `RunRecord` bitwise — lockstep is the oracle, and
-//! `tests/timeline_plane.rs` enforces that corner, not convention.
+//! the lockstep `RunRecord` bitwise — lockstep is the oracle, and the
+//! zero-delay twins of `crates/core/tests/matrix.rs` enforce that
+//! corner, not convention.
 //!
 //! This module owns the deterministic data structures (event ordering,
 //! the scheduler heap, per-edge wave state, checkpoint forms); the event

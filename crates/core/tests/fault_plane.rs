@@ -1,60 +1,39 @@
-//! Integration gates for the fault-injection plane: recovery semantics
-//! (retry accounting, deadline exclusion + stale merges, empty-cohort
-//! degradation, WAN outages) on seeded scenarios, plus the two
-//! bitwise-identity properties the plane must preserve — all-zero fault
-//! rates reproduce the fault-free trace, and a run with every fault
-//! enabled keeps its pinned trajectory.
+//! The fault plane's semantics (DESIGN §9): recovery on seeded
+//! scenarios — retry accounting, deadline exclusion and stale merges,
+//! empty-cohort degradation, WAN outages, sticky dropout — plus what a
+//! silent or saturated plane must do: all-zero fault rates reproduce the
+//! fault-free trace bitwise, and total dropout moves nothing. The runs
+//! are differential-matrix cells (`common::Cell`), so the ledger
+//! identities — telemetry against the comm ledger, bytes, scheduled
+//! syncs — hold on each; the trajectory pinned with every model on is a
+//! cell of `matrix.rs`.
 
 use middle_core::{
-    Algorithm, DelayModel, DropoutModel, FaultConfig, SimConfig, SimError, Simulation,
-    SimulationBuilder, StepCounters, StepMode,
+    DelayModel, DropoutModel, FaultConfig, RunRecord, SimConfig, StepCounters, StepMode,
 };
 use middle_data::Task;
 use middle_nn::params::flatten;
 use proptest::prelude::*;
 
 mod common;
-use common::{bits, device_planes, trajectory_fnv};
-
-fn built(cfg: SimConfig) -> Simulation {
-    SimulationBuilder::new(cfg).build().expect("valid config")
-}
+use common::{
+    assert_ledger, assert_rejected, assert_same_run, bits, built, finished, run_to_end, shape, wan,
+    Cell,
+};
 
 fn base_config() -> SimConfig {
-    let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::middle());
-    cfg.steps = 12;
-    cfg.cloud_interval = 4;
-    cfg.eval_interval = 4;
-    cfg.telemetry = true;
-    cfg
-}
-
-type Fingerprint = (Vec<Vec<u32>>, middle_core::CommStats, u64, u64);
-
-/// Full end-state fingerprint of a run: every model's parameter bits
-/// plus the communication ledger.
-fn run_fingerprint(cfg: &SimConfig) -> Fingerprint {
-    finish_fingerprint(built(cfg.clone()))
-}
-
-/// [`run_fingerprint`] of a simulation ticked from wherever it stands.
-fn finish_fingerprint(mut sim: Simulation) -> Fingerprint {
-    while !sim.is_finished() {
-        sim.tick(StepMode::Fast);
+    SimConfig {
+        telemetry: true,
+        ..shape(Task::Mnist, 12, 4, 4)
     }
-    let mut models = vec![bits(&flatten(sim.cloud_model()))];
-    models.extend(sim.edges().iter().map(|e| bits(&flatten(&e.model))));
-    models.extend(device_planes(&sim).map(|plane| bits(&plane)));
-    (models, *sim.comm_stats(), sim.syncs(), sim.active_steps())
 }
 
-fn run_counters(cfg: &SimConfig) -> (StepCounters, middle_core::CommStats, u64) {
-    let mut sim = built(cfg.clone());
-    for _ in 0..cfg.steps {
-        sim.tick(StepMode::Fast);
-    }
-    let report = sim.telemetry().report().expect("telemetry enabled");
-    (report.counters, *sim.comm_stats(), sim.syncs())
+fn counters(record: &RunRecord) -> StepCounters {
+    record
+        .telemetry
+        .as_ref()
+        .expect("telemetry enabled")
+        .counters
 }
 
 proptest! {
@@ -74,10 +53,8 @@ proptest! {
         retries in 0u32..6,
         with_delay in 0usize..2,
     ) {
-        let mut clean = base_config();
-        clean.steps = 8;
-        let mut faulty = clean.clone();
-        faulty.faults = FaultConfig {
+        let clean = SimConfig { steps: 8, ..base_config() };
+        let faults = FaultConfig {
             dropout: match dropout_kind {
                 0 => DropoutModel::None,
                 1 => DropoutModel::Iid { p: 0.0 },
@@ -95,12 +72,8 @@ proptest! {
             upload_retries: retries,
             wan_outage: 0.0,
         };
-        let (m_clean, comm_clean, syncs_clean, active_clean) = run_fingerprint(&clean);
-        let (m_faulty, comm_faulty, syncs_faulty, active_faulty) = run_fingerprint(&faulty);
-        prop_assert_eq!(m_clean, m_faulty);
-        prop_assert_eq!(comm_clean, comm_faulty);
-        prop_assert_eq!(syncs_clean, syncs_faulty);
-        prop_assert_eq!(active_clean, active_faulty);
+        let faulty = Cell::new("zero-rate faults", SimConfig { faults, ..clean.clone() }).run();
+        assert_same_run(&finished(clean), &faulty, "zero-rate faults");
     }
 
     /// Dropout at rate 1.0 takes every device down every step: zero
@@ -134,15 +107,17 @@ proptest! {
 }
 
 /// Upload loss with bounded retries: every transmission attempt lands
-/// in `CommStats::device_to_edge`, retransmissions and abandoned
-/// uploads are ledgered separately, backoff slots accumulate, and the
-/// telemetry counters mirror the comm ledger exactly.
+/// in `CommStats::device_to_edge` (so, with no straggler model, the
+/// ledger identity reads `selected + retransmissions`), retransmissions
+/// and abandoned uploads are ledgered separately, and backoff slots
+/// accumulate.
 #[test]
 fn retry_accounting_reconciles_with_comm_stats() {
     let mut cfg = base_config();
     cfg.faults.upload_loss = 0.45;
     cfg.faults.upload_retries = 2;
-    let (c, comm, _) = run_counters(&cfg);
+    let (_, record) = Cell::new("45 % loss, 2 retries", cfg).run();
+    let (c, comm) = (counters(&record), record.comm);
 
     assert!(c.selected > 0);
     assert!(
@@ -152,13 +127,6 @@ fn retry_accounting_reconciles_with_comm_stats() {
     );
     assert!(c.lost_uploads > 0, "some upload should exhaust 2 retries");
     assert!(comm.retry_backoff_slots > 0);
-    // Telemetry mirrors the comm ledger exactly.
-    assert_eq!(c.uploads, comm.device_to_edge);
-    assert_eq!(c.upload_retransmissions, comm.upload_retransmissions);
-    assert_eq!(c.lost_uploads, comm.lost_uploads);
-    // Every selected device attempted once, plus the retransmissions
-    // (no straggler model, so no stale uploads in the ledger).
-    assert_eq!(comm.device_to_edge, c.selected + c.upload_retransmissions);
     assert_eq!(comm.stale_uploads, 0);
     // Bounded retry: at most 1 + upload_retries attempts per upload.
     assert!(c.upload_retransmissions <= c.selected * 2);
@@ -178,7 +146,7 @@ fn deadline_misses_become_stale_merges_next_step() {
         max_s: 2.0,
     };
     cfg.faults.deadline_s = 1.0;
-    let mut sim = built(cfg.clone());
+    let mut sim = built(cfg);
     let init = bits(&flatten(sim.cloud_model()));
 
     // Step 0: everyone trains, everyone misses the deadline — edge
@@ -206,96 +174,58 @@ fn deadline_misses_become_stale_merges_next_step() {
     let moved = sim.edges().iter().any(|e| bits(&flatten(&e.model)) != init);
     assert!(moved, "a stale merge must blend into some edge model");
 
-    for _ in 2..cfg.steps {
-        sim.tick(StepMode::Fast);
-    }
-    let c = sim.telemetry().report().unwrap().counters;
+    // Each deadline miss is merged exactly one step later; only the
+    // final step's misses are still queued (the ledger identities).
+    let (sim, record) = run_to_end(sim);
+    assert_ledger(&sim, &record, "every upload late");
+    let c = counters(&record);
     assert_eq!(c.deadline_misses, c.selected, "every upload was late");
     assert!(c.empty_cohorts > 0, "all-late cohorts degrade gracefully");
-    let comm = sim.comm_stats();
-    // Each deadline miss is merged exactly one step later; only the
-    // final step's misses are still pending.
-    assert_eq!(
-        c.stale_merges,
-        c.deadline_misses - sim.fault_plane().pending().len() as u64
-    );
-    assert_eq!(comm.stale_uploads, c.stale_merges);
-    assert_eq!(c.uploads, comm.device_to_edge);
 }
 
 /// A total WAN outage suppresses every cloud sync: the cloud model
-/// never changes, nothing crosses the WAN, and edge sample windows keep
-/// accumulating for the sync that never comes.
+/// never changes, nothing crosses the WAN (every scheduled sync draws
+/// one outage per edge: the ledger identity), and edge sample windows
+/// keep accumulating for the sync that never comes.
 #[test]
 fn total_wan_outage_suppresses_every_sync() {
-    let mut cfg = base_config();
-    cfg.faults.wan_outage = 1.0;
-    let mut sim = built(cfg.clone());
-    let init = bits(&flatten(sim.cloud_model()));
-    for _ in 0..cfg.steps {
-        sim.tick(StepMode::Fast);
-    }
-    assert_eq!(sim.syncs(), 0);
-    let comm = sim.comm_stats();
-    assert_eq!(comm.edge_to_cloud, 0);
-    assert_eq!(comm.cloud_to_edge, 0);
-    assert_eq!(comm.cloud_to_device, 0);
+    let cfg = SimConfig {
+        faults: wan(1.0),
+        ..base_config()
+    };
+    let init = bits(&flatten(built(cfg.clone()).cloud_model()));
+    let (sim, record) = Cell::new("total WAN outage", cfg).run();
+    assert_eq!(record.syncs, 0);
+    let comm = record.comm;
+    let wan = (comm.edge_to_cloud, comm.cloud_to_edge, comm.cloud_to_device);
+    assert_eq!(wan, (0, 0, 0));
     assert_eq!(bits(&flatten(sim.cloud_model())), init);
-    let c = sim.telemetry().report().unwrap().counters;
-    // Every scheduled sync drew one outage per edge: 3 syncs × 2 edges.
-    assert_eq!(
-        c.wan_outages,
-        (cfg.steps / cfg.cloud_interval * cfg.num_edges) as u64
-    );
     assert!(
         sim.edges().iter().any(|e| e.window_samples > 0.0),
         "windows accumulate awaiting a successful sync"
     );
 }
 
-/// Partial WAN outages: per-edge links fail independently, the sync
-/// proceeds over the surviving edges, and the WAN ledger reconciles —
-/// every scheduled sync accounts each edge as either an upload or an
-/// outage.
+/// Partial WAN outages: per-edge links fail independently, and the
+/// sync proceeds over the surviving edges (every scheduled sync
+/// accounts each edge as an upload or an outage: the ledger identity).
 #[test]
 fn partial_wan_outage_syncs_over_surviving_edges() {
-    let mut cfg = base_config();
-    cfg.steps = 24;
-    cfg.faults.wan_outage = 0.5;
-    let (c, comm, syncs) = run_counters(&cfg);
-    let attempts = (cfg.steps / cfg.cloud_interval * cfg.num_edges) as u64;
-    assert_eq!(comm.edge_to_cloud + c.wan_outages, attempts);
+    let cfg = SimConfig {
+        steps: 24,
+        faults: wan(0.5),
+        ..base_config()
+    };
+    let num_devices = cfg.num_devices as u64;
+    let (_, record) = Cell::new("partial WAN outage", cfg).run();
+    let (c, comm) = (counters(&record), record.comm);
     assert_eq!(comm.edge_to_cloud, comm.cloud_to_edge);
     assert!(c.wan_outages > 0, "seeded run should hit some outage");
-    assert!(syncs > 0, "seeded run should complete some sync");
+    assert!(record.syncs > 0, "seeded run should complete some sync");
     assert!(
-        comm.cloud_to_device <= syncs * cfg.num_devices as u64,
+        comm.cloud_to_device <= record.syncs * num_devices,
         "devices under a down edge miss the broadcast"
     );
-}
-
-/// Every failure model at once keeps the fingerprint of its trajectory
-/// ([`trajectory_fnv`]), captured at the last commit that still had the
-/// round-level reference step — where the fast and reference runs
-/// agreed, fault stream draw for draw.
-#[test]
-fn faulty_trace_keeps_its_fingerprint() {
-    let mut cfg = base_config();
-    cfg.telemetry = false;
-    cfg.faults = FaultConfig {
-        dropout: DropoutModel::Markov {
-            p_fail: 0.2,
-            p_recover: 0.5,
-        },
-        straggler_delay: DelayModel::Exponential { mean_s: 0.8 },
-        deadline_s: 1.0,
-        upload_loss: 0.3,
-        upload_retries: 2,
-        wan_outage: 0.4,
-    };
-    let mut sim = built(cfg);
-    let record = sim.run();
-    assert_eq!(trajectory_fnv(&sim, &record), 0x63e0436a357ef2f8);
 }
 
 /// Markov (sticky) dropout produces multi-step outages for the same
@@ -309,11 +239,10 @@ fn sticky_dropout_runs_with_consistent_accounting() {
         p_fail: 0.4,
         p_recover: 0.3,
     };
-    let (c, comm, _) = run_counters(&cfg);
+    let (_, record) = Cell::new("sticky dropout", cfg).run();
+    let c = counters(&record);
     assert!(c.dropout_drops > 0, "sticky chain should take devices down");
     assert!(c.selected > 0, "some device must still participate");
-    assert_eq!(c.uploads, comm.device_to_edge);
-    assert_eq!(c.downloads, comm.edge_to_device);
     // Dropout filters candidates before selection, so the selected
     // count bounds every downstream ledger.
     assert!(c.selected <= c.candidates_seen - c.dropout_drops);
@@ -338,7 +267,7 @@ fn restore_rejects_malformed_pending_stale_uploads() {
         !ck.faults.pending.is_empty(),
         "no stale upload to tamper with"
     );
-    let fresh = run_fingerprint(&cfg);
+    let fresh = finished(cfg.clone());
     for case in ["edge 99", "device N", "flat one short"] {
         let mut bad = ck.clone();
         let pending = &mut bad.faults.pending[0];
@@ -350,11 +279,7 @@ fn restore_rejects_malformed_pending_stale_uploads() {
             }
         }
         let mut target = built(cfg.clone());
-        let err = target.restore(&bad).expect_err(case);
-        assert!(matches!(err, SimError::CheckpointMismatch { .. }), "{case}");
-        assert!(
-            finish_fingerprint(target) == fresh,
-            "{case}: target changed"
-        );
+        assert_rejected(&mut target, &bad, "");
+        assert_same_run(&fresh, &run_to_end(target), case);
     }
 }

@@ -6,18 +6,12 @@
 //! device, against the scratch-free oracle, is a unit test of
 //! `middle_core::device`.)
 
-use middle_core::{Algorithm, SimConfig, Simulation, SimulationBuilder, StepMode};
+use middle_core::{Algorithm, SimConfig, Simulation, StepMode};
 use middle_data::Task;
 use middle_nn::OptimizerKind;
 
 mod common;
-use common::{assert_records_equal, sim_bits};
-
-fn built(cfg: &SimConfig) -> Simulation {
-    SimulationBuilder::new(cfg.clone())
-        .build()
-        .expect("valid config")
-}
+use common::{assert_same_run, built, finished};
 
 #[test]
 fn interleaved_simulations_match_their_separate_runs() {
@@ -43,22 +37,16 @@ fn interleaved_simulations_match_their_separate_runs() {
     })
     .collect();
 
-    let mut sims: Vec<Simulation> = configs.iter().map(built).collect();
+    let mut sims: Vec<Simulation> = configs.iter().cloned().map(built).collect();
     for _ in 0..configs[0].steps {
         for sim in &mut sims {
             sim.tick(StepMode::Fast);
         }
     }
 
-    for (cfg, interleaved) in configs.iter().zip(&mut sims) {
-        let mut alone = built(cfg);
-        let separate = alone.run();
-        assert_records_equal(&interleaved.finish(), &separate);
-        assert_eq!(
-            sim_bits(interleaved),
-            sim_bits(&alone),
-            "{} parameters diverged",
-            cfg.task.name()
-        );
+    for (cfg, mut interleaved) in configs.into_iter().zip(sims) {
+        let task = cfg.task.name();
+        let record = interleaved.finish();
+        assert_same_run(&(interleaved, record), &finished(cfg), task);
     }
 }

@@ -1,19 +1,21 @@
 //! Gates for the Result-based construction path and the sweep engine:
-//! typed builder errors, checkpoint→resume bitwise equivalence (with
-//! and without the fault plane), sweep determinism across thread
-//! counts, cache-hit/cold-build bitwise identity, and killed-then-
-//! resumed sweeps reproducing the uninterrupted report.
+//! typed builder errors, checkpoint bytes and restores, sweep
+//! determinism across thread counts, cache-hit/cold-build bitwise
+//! identity, and killed-then-resumed sweeps reproducing the
+//! uninterrupted report. A run resumed at a sweep snapshot's cut, with
+//! and without the fault plane, is a cell of the differential matrix
+//! (`matrix.rs`).
 
 use middle_core::{
-    run_sweep, Algorithm, DelayModel, DropoutModel, FaultConfig, RunRecord, ScenarioGrid,
-    SimCheckpoint, SimConfig, SimError, SimulationBuilder, StepMode, SweepOptions,
+    run_sweep, Algorithm, DelayModel, DropoutModel, FaultConfig, ScenarioGrid, SimCheckpoint,
+    SimConfig, SimError, SimulationBuilder, StepMode, SweepOptions,
 };
 use middle_data::Task;
 use middle_mobility::Trace;
 use std::path::PathBuf;
 
 mod common;
-use common::sim_bits;
+use common::{assert_rejected, assert_same_run, built, finished, run_to_end, sim_bits};
 
 fn tiny() -> SimConfig {
     let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::middle());
@@ -86,39 +88,6 @@ fn builder_rejects_zero_edges() {
 
 // ---------------------------------------------- checkpoint/resume bitwise
 
-fn resume_matches_straight_run(cfg: SimConfig) {
-    // Straight run.
-    let mut straight = SimulationBuilder::new(cfg.clone()).build().unwrap();
-    let reference = straight.run();
-
-    // Interrupted run: stop mid-horizon, serialise, restore into a
-    // *fresh* simulation (JSON round trip, as a killed process would),
-    // finish there.
-    let mut first = SimulationBuilder::new(cfg.clone()).build().unwrap();
-    for _ in 0..3 {
-        first.tick(StepMode::Fast);
-    }
-    let json = first.checkpoint().to_json();
-    drop(first);
-
-    let ck = SimCheckpoint::from_json(&json).expect("checkpoint parses");
-    let mut second = SimulationBuilder::new(cfg).build().unwrap();
-    second.restore(&ck).expect("checkpoint applies");
-    assert_eq!(second.next_step(), 3);
-    let resumed = second.run();
-
-    // Bitwise identity on every evaluation point and the final state.
-    assert_eq!(reference.points.len(), resumed.points.len());
-    for (a, b) in reference.points.iter().zip(&resumed.points) {
-        assert_eq!(a.step, b.step);
-        assert_eq!(a.global_accuracy.to_bits(), b.global_accuracy.to_bits());
-        assert_eq!(a.global_loss.to_bits(), b.global_loss.to_bits());
-    }
-    assert_eq!(reference.comm, resumed.comm);
-    assert_eq!(reference.syncs, resumed.syncs);
-    assert_eq!(reference.active_steps, resumed.active_steps);
-}
-
 /// The JSON writer as it was while every number went through a `String`
 /// of its own (`format!`, then a scan for a decimal point): the byte-level
 /// reference for what `to_json` writes straight into its output.
@@ -178,37 +147,6 @@ fn checkpoint_json_is_byte_equal_to_the_reference_writer() {
 }
 
 #[test]
-fn checkpoint_resume_is_bitwise_identical() {
-    resume_matches_straight_run(tiny());
-}
-
-#[test]
-fn checkpoint_resume_is_bitwise_identical_with_faults_enabled() {
-    // Faults exercise the extra persisted state: fault RNG, per-device
-    // down states, and the pending stale-upload queue.
-    resume_matches_straight_run(faulty());
-}
-
-#[test]
-fn checkpoint_restores_full_model_state_mid_run() {
-    let cfg = tiny();
-    let mut a = SimulationBuilder::new(cfg.clone()).build().unwrap();
-    for _ in 0..4 {
-        a.tick(StepMode::Fast);
-    }
-    let ck = a.checkpoint();
-
-    let mut b = SimulationBuilder::new(cfg).build().unwrap();
-    b.restore(&ck).unwrap();
-    assert_eq!(sim_bits(&a), sim_bits(&b));
-
-    // And both advance identically from there.
-    a.tick(StepMode::Fast);
-    b.tick(StepMode::Fast);
-    assert_eq!(sim_bits(&a), sim_bits(&b));
-}
-
-#[test]
 fn checkpoint_restore_over_live_scratch_is_bitwise_identical() {
     // Restoring into a simulation whose devices carry warm training
     // scratch (grown workspaces, cached optimizers, dirty batch buffers
@@ -247,9 +185,7 @@ fn checkpoint_rejects_a_different_config() {
 
     let mut other = tiny();
     other.seed = 99;
-    let mut b = SimulationBuilder::new(other).build().unwrap();
-    let err = b.restore(&ck).unwrap_err();
-    assert!(matches!(err, SimError::CheckpointMismatch { .. }));
+    assert_rejected(&mut built(other), &ck, "config");
 }
 
 /// A sample window that is NaN, infinite or negative would weight the
@@ -270,19 +206,15 @@ fn checkpoint_rejects_corrupt_windows_and_clock_untouched() {
     let mut clock = a.checkpoint();
     clock.elapsed_seconds = -1.0;
 
-    let fresh = SimulationBuilder::new(tiny()).build().unwrap().run();
-    for ck in [nan, negative, clock] {
-        let mut target = SimulationBuilder::new(tiny()).build().unwrap();
-        let err = target.restore(&ck).unwrap_err();
-        assert!(matches!(err, SimError::CheckpointMismatch { .. }), "{err}");
-        let record = target.run();
-        let points = |r: &RunRecord| -> Vec<(u32, u32)> {
-            (r.points.iter())
-                .map(|p| (p.global_accuracy.to_bits(), p.global_loss.to_bits()))
-                .collect()
-        };
-        assert_eq!(points(&record), points(&fresh), "{err}");
-        assert_eq!(record.comm, fresh.comm, "{err}");
+    let fresh = finished(tiny());
+    for (what, ck) in [
+        ("NaN window", nan),
+        ("negative window", negative),
+        ("clock", clock),
+    ] {
+        let mut target = built(tiny());
+        assert_rejected(&mut target, &ck, "");
+        assert_same_run(&fresh, &run_to_end(target), what);
     }
 }
 
@@ -329,20 +261,14 @@ fn cache_hit_builds_bitwise_identical_to_cold_builds() {
         .unwrap();
     assert_eq!(cache.misses(), 1);
 
-    let mut cached = SimulationBuilder::new(cfg.clone())
+    let cached = SimulationBuilder::new(cfg.clone())
         .with_shared_inputs(cache.clone())
         .build()
         .unwrap();
     assert_eq!(cache.hits(), 1, "second build must hit the cache");
-    let mut cold = SimulationBuilder::new(cfg).build().unwrap();
-
+    let cold = built(cfg);
     assert_eq!(sim_bits(&cached), sim_bits(&cold));
-    let a = cached.run();
-    let b = cold.run();
-    for (pa, pb) in a.points.iter().zip(&b.points) {
-        assert_eq!(pa.global_accuracy.to_bits(), pb.global_accuracy.to_bits());
-    }
-    assert_eq!(a.comm, b.comm);
+    assert_same_run(&run_to_end(cached), &run_to_end(cold), "cache hit");
 }
 
 // --------------------------------------------------- killed-then-resumed

@@ -3,14 +3,11 @@
 //! agree exactly with the simulation's communication accounting, and
 //! enabling the recorder must not perturb the simulation itself.
 
-use middle_core::{
-    Algorithm, OnDevicePolicy, SelectionPolicy, SimConfig, Simulation, SimulationBuilder,
-};
+use middle_core::{Algorithm, OnDevicePolicy, SelectionPolicy, SimConfig};
 use middle_data::Task as DataTask;
 
-fn built(cfg: SimConfig) -> Simulation {
-    SimulationBuilder::new(cfg).build().expect("valid config")
-}
+mod common;
+use common::{assert_same_run, built, finished, Cell};
 
 /// A config that exercises every counter: availability dropout (so some
 /// candidates are filtered and steps can go inactive) plus `KeepLocal`
@@ -60,20 +57,21 @@ fn phase_totals_account_for_step_time() {
     );
 }
 
+/// Uploads, downloads, syncs and active steps equal the ledger's: the
+/// harness's ledger identities (`common::assert_ledger`).
 #[test]
 fn counters_match_comm_stats_exactly() {
     let cfg = instrumented_config();
     let (num_edges, num_devices) = (cfg.num_edges as u64, cfg.num_devices as u64);
-    let mut sim = built(cfg.clone());
-    let record = sim.run();
-    let report = record.telemetry.as_ref().expect("telemetry enabled");
-    let c = report.counters;
+    let steps = cfg.steps as u64;
+    let (_, record) = Cell::new("instrumented", cfg).run();
+    let c = record
+        .telemetry
+        .as_ref()
+        .expect("telemetry enabled")
+        .counters;
 
-    assert_eq!(c.steps, cfg.steps as u64);
-    assert_eq!(c.active_steps, record.active_steps);
-    assert_eq!(c.downloads, record.comm.edge_to_device);
-    assert_eq!(c.uploads, record.comm.device_to_edge);
-    assert_eq!(c.syncs, record.syncs);
+    assert_eq!(c.steps, steps);
     assert_eq!(c.syncs * num_edges, record.comm.edge_to_cloud);
     assert_eq!(c.syncs * num_edges, record.comm.cloud_to_edge);
     assert_eq!(c.syncs * num_devices, record.comm.cloud_to_device);
@@ -91,15 +89,8 @@ fn counters_match_comm_stats_exactly() {
 fn telemetry_does_not_perturb_the_run() {
     let mut plain = instrumented_config();
     plain.telemetry = false;
-    let instrumented = built(instrumented_config()).run();
-    let bare = built(plain).run();
-    assert_eq!(instrumented.points.len(), bare.points.len());
-    for (a, b) in instrumented.points.iter().zip(&bare.points) {
-        assert_eq!(a.global_accuracy.to_bits(), b.global_accuracy.to_bits());
-        assert_eq!(a.global_loss.to_bits(), b.global_loss.to_bits());
-    }
-    assert_eq!(instrumented.comm, bare.comm);
-    assert_eq!(instrumented.active_steps, bare.active_steps);
+    let instrumented = finished(instrumented_config());
+    assert_same_run(&instrumented, &finished(plain), "telemetry on and off");
 }
 
 #[test]

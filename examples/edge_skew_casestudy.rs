@@ -7,16 +7,13 @@
 //! ```
 
 use middle::data::partition::edge_skew_counts;
-use middle::data::synthetic::SyntheticSource;
 use middle::prelude::*;
 
 fn main() {
     // 70/30 skew across 2 edges, as in §2 Question 1.
     let [edge0_counts, edge1_counts] = edge_skew_counts(10, 100, 0.7);
-    let src = SyntheticSource::new(Task::Mnist, 11);
     println!("edge 0 class counts: {edge0_counts:?}");
     println!("edge 1 class counts: {edge1_counts:?}");
-    let _sanity = src.generate_counts(&edge0_counts, 5);
 
     let mut cfg = SimConfig::paper_default(Task::Mnist, Algorithm::hierfavg());
     cfg.num_edges = 2;

@@ -9,13 +9,13 @@
 #   scripts/check.sh --fast    # skip the release build of the workspace
 #   scripts/check.sh --ci      # everything + example builds, runs of
 #                              # trace_tooling and edge_skew_casestudy
-#                              # (0.1 s + 1.2 s on two cores), shim tests,
+#                              # (1 s together on two cores), shim tests,
 #                              # one-thread FNV pins, doc lints, the
 #                              # benchmark's own suite, every `sweeps`
 #                              # preset (BENCH_*.json and results/
 #                              # regenerated and byte-compared; the eight
-#                              # figure presets take 17 min on two cores,
-#                              # 7 + 10 + 0 + 0 + 79 + 208 + 431 + 267 s)
+#                              # figure presets take 16 min on two cores,
+#                              # 7 + 8 + 0 + 1 + 69 + 230 + 427 + 239 s)
 #                              # and the fleet smoke
 #
 # Flags combine (e.g. `--fast --ci` runs the CI extras without the
@@ -30,7 +30,7 @@ usage() {
     echo "  --fast  skip the release build of the workspace" >&2
     echo "  --ci    add example builds and two example runs, shim tests," >&2
     echo "          one-thread FNV pins, doc lints, the perf suite, the sweep" >&2
-    echo "          artefact gates (BENCH_*.json, then results/: 17 min on two" >&2
+    echo "          artefact gates (BENCH_*.json, then results/: 16 min on two" >&2
     echo "          cores) and the fleet smoke" >&2
 }
 
@@ -119,9 +119,9 @@ if [[ "$CI" -eq 1 ]]; then
     # and the phase timers must still cover the step with the participant
     # region running inline.
     echo "==> FNV pins, kernel pairs and phase coverage on one thread (taskset -c 0)"
-    taskset -c 0 cargo test -q -p middle-core --lib --test hotpath_equiv --test population_plane \
-        --test timeline_plane --test algo_zoo --test compress_plane --test fault_plane \
-        --test telemetry_plane
+    taskset -c 0 cargo test -q -p middle-core --lib --test matrix --test hotpath_equiv \
+        --test population_plane --test timeline_plane --test algo_zoo --test compress_plane \
+        --test fault_plane --test telemetry_plane
 
     echo "==> cargo doc --workspace --no-deps (warnings denied)"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

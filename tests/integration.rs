@@ -4,21 +4,21 @@
 
 use middle::core::checkpoint::DeviceSlotCheckpoint;
 use middle::core::quadratic_sim::remark1_rows;
-use middle::core::{OnDevicePolicy, SelectionPolicy, SimCheckpoint, StepMode};
+use middle::core::{OnDevicePolicy, SelectionPolicy, StepMode};
 use middle::data::partition::{partition, Scheme};
 use middle::data::synthetic::SyntheticSource;
+use middle::data::Confusion;
 use middle::mobility::{generate_markov_hop, Trace};
 use middle::nn::params::flatten;
 use middle::prelude::*;
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
-use common::{device_planes, trajectory_fnv};
-use middle::data::Confusion;
-
-fn built(cfg: SimConfig) -> Simulation {
-    SimulationBuilder::new(cfg).build().expect("valid config")
-}
+use common::Pin::Trajectory;
+use common::Twin::EventZero;
+use common::{
+    built, device_planes, lossy, migration_in_flight, real_latencies, stragglers, wan, Cell,
+};
 
 fn small_cfg(task: Task, algorithm: Algorithm) -> SimConfig {
     let mut cfg = SimConfig::tiny(task, algorithm);
@@ -97,27 +97,6 @@ fn training_beats_random_guessing() {
     );
 }
 
-fn cloud_bits(sim: &Simulation) -> Vec<u32> {
-    flatten(sim.cloud_model())
-        .iter()
-        .map(|v| v.to_bits())
-        .collect()
-}
-
-/// Two finished runs — record and final cloud parameters — are one
-/// trajectory, bit for bit.
-fn assert_same(a: &(RunRecord, Vec<u32>), b: &(RunRecord, Vec<u32>), what: &str) {
-    let points = |r: &RunRecord| -> Vec<(usize, u32, u32)> {
-        r.points
-            .iter()
-            .map(|p| (p.step, p.global_accuracy.to_bits(), p.global_loss.to_bits()))
-            .collect()
-    };
-    assert_eq!(points(&a.0), points(&b.0), "{what}: eval points diverged");
-    assert_eq!(a.0.comm, b.0.comm, "{what}: comm ledger diverged");
-    assert_eq!(a.1, b.1, "{what}: cloud parameters diverged");
-}
-
 /// The one round skeleton under each of its selectors: the zero-delay
 /// event engine must reproduce the default run bit for bit, and the
 /// default run must keep the trajectory pinned when every device held a
@@ -125,157 +104,116 @@ fn assert_same(a: &(RunRecord, Vec<u32>), b: &(RunRecord, Vec<u32>), what: &str)
 /// hostile one (dropout, stragglers, loss, lossy compression) and under
 /// WAN outages with and without lossy compression, so the upload pass
 /// and the cloud sync run every arm they have: unmasked and masked,
-/// dense and compressed. After every tick of every run the population
-/// plane's tables and score caches meet their oracles
-/// (`Simulation::check_invariants`).
+/// dense and compressed. Each is a cell of the differential matrix
+/// (`common::Cell`): invariants after every tick, ledger identities,
+/// pin, twin.
 #[test]
 fn round_skeleton_is_one_trajectory_under_every_selector() {
-    fn ticked(cfg: SimConfig) -> (Simulation, RunRecord) {
-        let mut sim = built(cfg);
-        while !sim.is_finished() {
-            sim.tick(StepMode::Fast);
-            sim.check_invariants();
-        }
-        let record = sim.finish();
-        (sim, record)
-    }
-    fn run(cfg: SimConfig) -> (RunRecord, Vec<u32>) {
-        let (sim, record) = ticked(cfg);
-        (record, cloud_bits(&sim))
-    }
-
-    // Speech is the conv-free task: twelve debug-build runs stay within
-    // a few seconds (the conv kernels meet their oracles in the kernel
-    // tests of `middle-nn` and `middle-core`).
-    let mut clean = small_cfg(Task::Speech, Algorithm::middle());
-    clean.cloud_interval = 3;
-    let mut lossy = clean.clone();
-    lossy.compression.enabled = true;
-    lossy.compression.quantize_bits = 8;
-    lossy.compression.top_frac = 0.5;
-    let mut hostile = lossy.clone();
-    hostile.faults.dropout = DropoutModel::Iid { p: 0.2 };
-    hostile.faults.straggler_delay = DelayModel::Exponential { mean_s: 1.0 };
-    hostile.faults.deadline_s = 1.2;
-    hostile.faults.upload_loss = 0.2;
-    hostile.faults.upload_retries = 2;
+    // Speech is the conv-free task: the eight debug-build runs stay
+    // within a few seconds (the conv kernels meet their oracles in the
+    // kernel tests of `middle-nn` and `middle-core`).
+    let clean = SimConfig {
+        cloud_interval: 3,
+        ..small_cfg(Task::Speech, Algorithm::middle())
+    };
+    let compressed = SimConfig {
+        compression: lossy(8, 0.5),
+        ..clean.clone()
+    };
+    let hostile = SimConfig {
+        faults: FaultConfig {
+            dropout: DropoutModel::Iid { p: 0.2 },
+            ..stragglers()
+        },
+        ..compressed.clone()
+    };
     // A sync every round, so some of them run with one edge down.
-    let (mut wan, mut wan_lossy) = (clean.clone(), lossy);
-    for cfg in [&mut wan, &mut wan_lossy] {
-        cfg.faults.wan_outage = 0.4;
-        cfg.cloud_interval = 1;
-    }
+    let under_wan = |cfg: &SimConfig| SimConfig {
+        faults: wan(0.4),
+        cloud_interval: 1,
+        ..cfg.clone()
+    };
 
     for (regime, cfg, pin) in [
-        ("clean", clean, 0x629541b884b24b0a),
+        ("clean", clean.clone(), 0x629541b884b24b0a),
         ("hostile", hostile, 0x341a0756b7f24d8d),
-        ("wan", wan, 0x4db4803bf95a1541),
-        ("wan lossy", wan_lossy, 0x62df05a69dfee4f0),
+        ("wan", under_wan(&clean), 0x4db4803bf95a1541),
+        ("wan lossy", under_wan(&compressed), 0x62df05a69dfee4f0),
     ] {
-        let (sim, record) = ticked(cfg.clone());
-        let fingerprint = trajectory_fnv(&sim, &record);
-        assert_eq!(fingerprint, pin, "{regime}: {fingerprint:#018x}");
-        let base = (record, cloud_bits(&sim));
-        let comm = &base.0.comm;
+        let (wan_outage, edges) = (cfg.faults.wan_outage > 0.0, cfg.num_edges as u64);
+        let cell = Cell::new(regime, cfg).pin(Trajectory(pin));
+        let (_, record) = cell.twin(EventZero).run();
+        let comm = &record.comm;
         if regime == "hostile" {
             assert!(comm.stale_uploads > 0, "no deadline miss in the run");
         }
-        if cfg.faults.wan_outage > 0.0 {
+        if wan_outage {
             assert!(
-                comm.edge_to_cloud < base.0.syncs * cfg.num_edges as u64,
+                comm.edge_to_cloud < record.syncs * edges,
                 "{regime}: no sync ran with an edge down"
             );
         }
-
-        let what = |selector: &str| format!("{regime}, {selector}");
-        let mut event = cfg;
-        event.timeline.mode = ExecutionMode::EventDriven;
-        assert_same(&base, &run(event), &what("zero-delay event"));
     }
 }
 
-/// Ticks `cfg` to the first cut where `populated` holds, checkpoint →
-/// JSON → parse → restore into a fresh build, and the finish must equal
-/// the straight run's, bit for bit.
-fn resume_at(what: &str, cfg: SimConfig, populated: impl Fn(&Simulation, &SimCheckpoint) -> bool) {
-    let mut straight = built(cfg.clone());
-    let reference = straight.run();
-
-    let mut first = built(cfg.clone());
-    let json = loop {
-        first.tick(StepMode::Fast);
-        assert!(!first.is_finished(), "{what}: never reached its cut");
-        let ck = first.checkpoint();
-        if populated(&first, &ck) {
-            break ck.to_json();
-        }
-    };
-    drop(first);
-    let ck = SimCheckpoint::from_json(&json).expect("own checkpoint parses");
-    let mut second = built(cfg);
-    second.restore(&ck).expect("own checkpoint restores");
-    assert!(second.next_step() > 0);
-    let resumed = second.run();
-    assert_eq!(
-        reference.event_seconds.map(f64::to_bits),
-        resumed.event_seconds.map(f64::to_bits),
-        "{what}: simulated clock diverged"
-    );
-    assert_same(
-        &(reference, cloud_bits(&straight)),
-        &(resumed, cloud_bits(&second)),
-        what,
-    );
-}
-
-/// A killed run resumes bitwise: tick to a cut, checkpoint → JSON →
-/// parse → restore into a fresh build, and the finish equals the
-/// straight run's. The three configurations together put a non-empty
-/// plane at every packed site of the checkpoint, and each cut is taken
-/// only once the planes it is there for are populated.
+/// A killed run resumes bitwise: each cell is cut once the planes it is
+/// there for are populated, and its checkpoint goes through JSON into a
+/// fresh build that must finish as the straight run did. The three
+/// configurations together put a non-empty plane at every packed site
+/// of the checkpoint.
 #[test]
 fn checkpoint_json_resume_is_bitwise_on_every_packed_plane() {
-    // Speech is the conv-free task, which keeps six debug-build runs
+    // Speech is the conv-free task, which keeps the debug-build runs
     // within a couple of seconds.
-    let mut cfg = small_cfg(Task::Speech, Algorithm::middle());
-    cfg.cloud_interval = 2;
+    let cfg = SimConfig {
+        cloud_interval: 2,
+        ..small_cfg(Task::Speech, Algorithm::middle())
+    };
     // One step past a sync the devices that trained are resident
     // replicas holding their own planes beside the broadcast's stubs.
-    resume_at("lockstep", cfg.clone(), |_, ck| {
-        let resident = |slot: &_| matches!(slot, DeviceSlotCheckpoint::Resident { .. });
-        ck.next_step == 3 && ck.population.devices.iter().any(resident)
-    });
+    Cell::new("lockstep", cfg.clone())
+        .cut("resident replicas one step past a sync", |sim| {
+            let ck = sim.checkpoint();
+            let resident = |slot: &_| matches!(slot, DeviceSlotCheckpoint::Resident { .. });
+            ck.next_step == 3 && ck.population.devices.iter().any(resident)
+        })
+        .run();
 
     // Lockstep deadline misses queue stale uploads for the next step.
     let mut stale = cfg.clone();
     stale.faults.straggler_delay = DelayModel::Exponential { mean_s: 1.0 };
     stale.faults.deadline_s = 1.0;
-    resume_at("stale uploads pending", stale, |_, ck| {
-        ck.faults.pending.iter().any(|p| !p.flat.is_empty())
-    });
+    Cell::new("stale uploads pending", stale)
+        .cut("a stale upload pending", |sim| {
+            let pending = sim.checkpoint().faults.pending;
+            pending.iter().any(|p| !p.flat.is_empty())
+        })
+        .run();
 
     // Event engine × real upload latencies × lossy compression: live
     // broadcast versions, send-time snapshots riding the heap, and
     // error-feedback residuals, all at once. (This latency model has no
-    // deadline, hence the lockstep leg above.)
-    let mut hostile = cfg;
-    hostile.timeline.mode = ExecutionMode::EventDriven;
-    hostile.timeline.latency = LatencyModel::Faults;
+    // deadline, hence the lockstep cell above.)
+    let mut hostile = SimConfig {
+        timeline: real_latencies(),
+        compression: lossy(8, 0.5),
+        ..cfg
+    };
     hostile.faults.straggler_delay = DelayModel::Exponential { mean_s: 1.0 };
-    hostile.compression.enabled = true;
-    hostile.compression.quantize_bits = 8;
-    hostile.compression.top_frac = 0.5;
-    resume_at("event-driven, lossy", hostile, |_, ck| {
-        let versions = &ck.population.versions;
-        let timeline = ck.timeline.as_ref().expect("event-driven checkpoint");
-        let residuals = ck.compression.as_ref().expect("lossy checkpoint");
-        let some_plane = |planes: &[Option<_>]| planes.iter().any(Option::is_some);
-        versions.iter().any(|v| !v.flat.is_empty())
-            && (some_plane(&timeline.in_flight)
-                || timeline.waves.iter().any(|w| some_plane(&w.snapshots)))
-            && residuals.device_residuals.iter().any(|r| !r.is_empty())
-            && residuals.edge_residuals.iter().any(|r| !r.is_empty())
-    });
+    Cell::new("event-driven, lossy", hostile)
+        .cut("every packed plane populated", |sim| {
+            let ck = sim.checkpoint();
+            let versions = &ck.population.versions;
+            let timeline = ck.timeline.as_ref().expect("event-driven checkpoint");
+            let residuals = ck.compression.as_ref().expect("lossy checkpoint");
+            let some_plane = |planes: &[Option<_>]| planes.iter().any(Option::is_some);
+            versions.iter().any(|v| !v.flat.is_empty())
+                && (some_plane(&timeline.in_flight)
+                    || timeline.waves.iter().any(|w| some_plane(&w.snapshots)))
+                && residuals.device_residuals.iter().any(|r| !r.is_empty())
+                && residuals.edge_residuals.iter().any(|r| !r.is_empty())
+        })
+        .run();
 }
 
 /// The population plane's replica pool and score caches across cloud
@@ -285,20 +223,32 @@ fn checkpoint_json_resume_is_bitwise_on_every_packed_plane() {
 /// times more participants than it ever holds replicas, so replicas are
 /// re-purposed rather than allocated; WAN outages make the broadcasts
 /// partial, so some residents outlive a sync with a score cached against
-/// the previous cloud model.
+/// the previous cloud model. The cut comes straight after a partial
+/// broadcast: the reached replicas wait in the pool, the survivors'
+/// cached scores are one cloud model behind, and the resumed run starts
+/// with neither.
 #[test]
 fn lazy_pool_and_score_caches_change_no_bit_across_syncs_and_resume() {
-    let mut cfg = small_cfg(Task::Speech, Algorithm::middle());
-    cfg.num_edges = 3;
-    cfg.num_devices = 45;
-    cfg.cloud_interval = 2;
-    cfg.steps = 12;
-    cfg.eval_interval = 4;
-    cfg.faults.wan_outage = 0.3;
-    let mut sim = built(cfg.clone());
-    let record = sim.run();
-    let fingerprint = trajectory_fnv(&sim, &record);
-    assert_eq!(fingerprint, 0xbdc36e1e3c915ffc, "{fingerprint:#018x}");
+    let cfg = SimConfig {
+        num_edges: 3,
+        num_devices: 45,
+        cloud_interval: 2,
+        steps: 12,
+        eval_interval: 4,
+        faults: wan(0.3),
+        ..small_cfg(Task::Speech, Algorithm::middle())
+    };
+    let (sim, record) = Cell::new("pooled, stale scores", cfg)
+        .pin(Trajectory(0xbdc36e1e3c915ffc))
+        .cut("a full pool and stale scores after a partial sync", |sim| {
+            let population = sim.population();
+            let survivors = population.resident_count();
+            sim.next_step().is_multiple_of(sim.config().cloud_interval)
+                && sim.syncs() >= 2
+                && survivors > 0
+                && population.fresh_replicas() > survivors
+        })
+        .run();
     assert!(record.syncs >= 3, "{} syncs", record.syncs);
     let population = sim.population();
     let trained = record.comm.device_to_edge as usize;
@@ -313,19 +263,34 @@ fn lazy_pool_and_score_caches_change_no_bit_across_syncs_and_resume() {
         population.fresh_replicas(),
         population.peak_resident()
     );
+}
 
-    // Cut straight after a partial broadcast: the reached replicas wait
-    // in the pool, the survivors' cached scores are one cloud model
-    // behind. The resumed run starts with neither and must not differ.
-    let interval = cfg.cloud_interval;
-    resume_at("pooled, stale scores", cfg, |sim, ck| {
-        let population = sim.population();
-        let survivors = population.resident_count();
-        ck.next_step.is_multiple_of(interval)
-            && ck.syncs >= 2
-            && survivors > 0
-            && population.fresh_replicas() > survivors
-    });
+/// Tier-1's cell for each zoo member no pin here holds: a Speech run
+/// resumed mid-run through JSON — FedFly's with an update in flight, so
+/// a move would migrate it — and matched by its zero-delay twin.
+#[test]
+fn every_zoo_member_resumes_and_meets_its_zero_delay_twin() {
+    for algorithm in [
+        Algorithm::fedmes(),
+        Algorithm::greedy(),
+        Algorithm::ensemble(),
+        Algorithm::hierfavg(),
+        Algorithm::fedfly(),
+        Algorithm::random_control(),
+    ] {
+        let migrates = algorithm.migrate_in_flight;
+        let cfg = SimConfig {
+            cloud_interval: 3,
+            ..small_cfg(Task::Speech, algorithm)
+        };
+        let cell = Cell::new(cfg.algorithm.name.clone(), cfg);
+        let cell = if migrates {
+            cell.cut("an update in flight", migration_in_flight)
+        } else {
+            cell.cut_at(4)
+        };
+        cell.twin(EventZero).run();
+    }
 }
 
 #[test]
@@ -530,14 +495,12 @@ fn inference_runs_only_where_read_and_changes_no_bit() {
         (Algorithm::fedlecc(), true, 0x0fed06156c460dce),
     ] {
         let name = algorithm.name.clone();
-        let mut sim = built(small_cfg(Task::Mnist, algorithm));
-        let record = sim.run();
+        let cell = Cell::new(name.clone(), small_cfg(Task::Mnist, algorithm));
+        let (sim, _) = cell.pin(Trajectory(pin)).run();
         let carried = (0..sim.config().num_devices)
             .filter(|&m| sim.population().oort_utility(m).is_some())
             .count();
         assert_eq!(carried > 0, reads_utility, "{name}: {carried} utilities");
-        let fingerprint = trajectory_fnv(&sim, &record);
-        assert_eq!(fingerprint, pin, "{name}: trajectory {fingerprint:#018x}");
     }
 
     for task in [Task::Mnist, Task::Speech] {
