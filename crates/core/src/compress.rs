@@ -19,7 +19,7 @@
 //!   the selection / availability / fault streams;
 //! * a disabled or lossless configuration performs **no** draw, **no**
 //!   delta computation and **no** allocation — the simulation is bitwise
-//!   identical to one without the plane (gated by the lossless twin and
+//!   identical to one without the plane (gated by the lossless run and
 //!   the pinned cells of `crates/core/tests/matrix.rs`);
 //! * every compression of a round goes through one entry point,
 //!   [`CompressionPlane::compress_batch`]: its delta, top-K and

@@ -9,7 +9,7 @@ use middle_core::{Algorithm, AlgorithmState, SimConfig, StepMode};
 use middle_data::Task;
 
 mod common;
-use common::{assert_rejected, built, shape};
+use common::{assert_rejected, built, shape, tick_n};
 
 #[test]
 fn restore_rejects_a_stateless_checkpoint_into_a_stateful_algorithm() {
@@ -18,9 +18,7 @@ fn restore_rejects_a_stateless_checkpoint_into_a_stateful_algorithm() {
         ..shape(Task::Mnist, 8, 3, 4)
     };
     let mut sim = built(cfg.clone());
-    for _ in 0..2 {
-        sim.tick(StepMode::Fast);
-    }
+    tick_n(&mut sim, 2);
     let mut ck = sim.checkpoint();
     ck.algorithm = None; // what a pre-policy-API writer would have produced
     assert_rejected(&mut built(cfg), &ck, "checkpoint has none");

@@ -6,18 +6,16 @@
 use middle_core::aggregation::{cloud_aggregate, on_device_init};
 use middle_core::{
     Algorithm, MobilitySource, OnDevicePolicy, SimConfig, SimError, Simulation, SimulationBuilder,
-    StepMode,
 };
 use middle_data::Task;
 use middle_mobility::Trace;
 use middle_nn::params::{flatten, unflatten};
 
+mod common;
+use common::{built, tick_n};
+
 fn tiny(algorithm: Algorithm) -> SimConfig {
     SimConfig::tiny(Task::Mnist, algorithm)
-}
-
-fn built(cfg: SimConfig) -> Simulation {
-    SimulationBuilder::new(cfg).build().expect("valid config")
 }
 
 fn built_with_trace(cfg: SimConfig, trace: Trace) -> Simulation {
@@ -39,9 +37,7 @@ fn edges_with_no_candidates_are_skipped() {
     let trace = Trace::new(2, vec![vec![0; 6]; 3]);
     let mut sim = built_with_trace(cfg, trace);
     let edge1_before = flatten(&sim.edges()[1].model);
-    for _ in 0..3 {
-        sim.tick(StepMode::Fast);
-    }
+    tick_n(&mut sim, 3);
     assert_eq!(flatten(&sim.edges()[1].model), edge1_before);
     assert_ne!(flatten(&sim.edges()[0].model), edge1_before);
 }
@@ -88,9 +84,7 @@ fn never_syncing_cloud_keeps_initial_cloud_model() {
     cfg.steps = 4;
     let mut sim = built(cfg);
     let cloud0 = flatten(sim.cloud_model());
-    for _ in 0..4 {
-        sim.tick(StepMode::Fast);
-    }
+    tick_n(&mut sim, 4);
     assert_eq!(flatten(sim.cloud_model()), cloud0);
     // But the virtual global has moved.
     assert_ne!(flatten(&sim.virtual_global()), cloud0);
@@ -216,9 +210,7 @@ fn comm_stats_accumulate_per_step_and_sync() {
     cfg.cloud_interval = 2;
     cfg.steps = 4;
     let mut sim = built(cfg);
-    for _ in 0..4 {
-        sim.tick(StepMode::Fast);
-    }
+    tick_n(&mut sim, 4);
     let c = sim.comm_stats();
     // Downloads == uploads (every selected device does both).
     assert_eq!(c.edge_to_device, c.device_to_edge);
@@ -251,9 +243,7 @@ fn zero_availability_blocks_all_training() {
     cfg.steps = 3;
     let mut sim = built(cfg);
     let before = flatten(&sim.edges()[0].model);
-    for _ in 0..3 {
-        sim.tick(StepMode::Fast);
-    }
+    tick_n(&mut sim, 3);
     assert_eq!(flatten(&sim.edges()[0].model), before);
     assert_eq!(sim.comm_stats().total(), 0);
 }
@@ -292,9 +282,7 @@ fn empty_cohort_edge_at_sync_survives_policy_hooks() {
         let trace = Trace::new(2, vec![vec![0; 6]; 4]);
         let mut sim = built_with_trace(cfg, trace);
         let edge1_before = flatten(&sim.edges()[1].model);
-        for _ in 0..4 {
-            sim.tick(StepMode::Fast);
-        }
+        tick_n(&mut sim, 4);
         assert!(sim.syncs() >= 1, "{name}: no sync fired");
         assert_ne!(
             flatten(&sim.edges()[1].model),

@@ -17,8 +17,8 @@ use proptest::prelude::*;
 
 mod common;
 use common::{
-    assert_ledger, assert_rejected, assert_same_run, bits, built, finished, run_to_end, shape, wan,
-    Cell,
+    assert_ledger, assert_rejected, assert_same_run, bits, built, finished, run_to_end, shape,
+    tick_n, wan, Cell,
 };
 
 fn base_config() -> SimConfig {
@@ -87,9 +87,7 @@ proptest! {
         cfg.faults.dropout = DropoutModel::Iid { p: 1.0 };
         let mut sim = built(cfg.clone());
         let init = bits(&flatten(sim.cloud_model()));
-        for _ in 0..cfg.steps {
-            sim.tick(StepMode::Fast);
-        }
+        tick_n(&mut sim, cfg.steps);
         let comm = sim.comm_stats();
         prop_assert_eq!(comm.device_to_edge, 0);
         prop_assert_eq!(comm.edge_to_device, 0);

@@ -7,18 +7,13 @@
 use middle_core::aggregation::{
     cloud_aggregate, cloud_aggregate_into, edge_aggregate, edge_aggregate_into,
 };
-use middle_nn::params::{flatten, unflatten, weighted_average, weighted_average_into};
+use middle_nn::params::{flatten, weighted_average, weighted_average_into};
 use middle_nn::Sequential;
 use middle_tensor::ops::{dot3_slices, dot_slices};
-use middle_tensor::random::rng;
 use proptest::prelude::*;
 
-fn model_from(vals: &[f32]) -> Sequential {
-    let mut m = Sequential::new().push(middle_nn::layers::Dense::new(3, 2, &mut rng(1)));
-    assert_eq!(m.param_count(), vals.len());
-    unflatten(&mut m, vals);
-    m
-}
+mod common;
+use common::model_from;
 
 fn vals(n: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-3.0f32..3.0, n)

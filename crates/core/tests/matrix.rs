@@ -3,8 +3,8 @@
 //! harness in `common/mod.rs`. A cell ticks once to the end with the
 //! population plane's invariants checked after every tick, keeps the
 //! ledger identities, holds its pin if it has one, resumes bitwise from
-//! a checkpoint cut inside that run, and equals its twin where it has
-//! one.
+//! a checkpoint cut inside that run, and equals its zero-delay twin
+//! where it has one.
 //!
 //! Every pin was captured where an older oracle still agreed with the
 //! run — the round-level reference step, a replica per device, the main
@@ -14,7 +14,7 @@
 use middle_core::timeline::EventKind;
 use middle_core::{
     Algorithm, DelayModel, DropoutModel, FaultConfig, OnDevicePolicy, SelectionPolicy, SimConfig,
-    Simulation, TimelineConfig,
+    Simulation,
 };
 use middle_data::Task;
 use middle_nn::params::flatten;
@@ -22,140 +22,278 @@ use proptest::prelude::*;
 
 mod common;
 use common::Pin::{Trajectory, WithClock};
-use common::Twin::{EventZero, Lossless};
 use common::*;
-
-/// One `#[test]` a cell: `name: cell;` runs `cell`.
-macro_rules! cells {
-    ($($(#[$doc:meta])* $name:ident: $cell:expr;)*) => {$(
-        $(#[$doc])*
-        #[test]
-        fn $name() {
-            $cell.run();
-        }
-    )*};
-}
 
 // ---- 20 steps across five broadcasts --------------------------------
 // Pinned on a replica per device, the simulated clock folded in.
 
-cells! {
-    clean: Cell::new("clean", broadcasts()).pin(WithClock(0x0ec009083d5eafd4))
-        .cut_late("a replica waiting in the pool", replica_pooled).twin(EventZero);
-    /// Empty cohorts and the availability draw order.
-    dropout_markov: Cell::new("Markov dropout", SimConfig { faults: dropout(), ..broadcasts() })
-        .pin(WithClock(0x006543bc75512964)).cut_at(15).twin(EventZero);
-    /// The stale-merge queue and the retry ledger.
-    stragglers_and_loss: Cell::new("stragglers, loss", SimConfig { faults: stragglers(), ..broadcasts() })
+/// Full broadcasts: every sync demotes the whole working set into the
+/// pool and the next window draws it back out.
+#[test]
+fn clean() {
+    Cell::new("clean", broadcasts())
+        .pin(WithClock(0x0ec009083d5eafd4))
+        .cut("a replica waiting in the pool", replica_pooled)
+        .zero_delay_twin()
+        .run();
+}
+
+/// Empty cohorts and the availability draw order.
+#[test]
+fn dropout_markov() {
+    let mut cfg = broadcasts();
+    cfg.faults = dropout();
+    Cell::new("Markov dropout", cfg)
+        .pin(WithClock(0x006543bc75512964))
+        .cut_at(10)
+        .zero_delay_twin()
+        .run();
+}
+
+/// The stale-merge queue and the retry ledger.
+#[test]
+fn stragglers_and_loss() {
+    let mut cfg = broadcasts();
+    cfg.faults = stragglers();
+    Cell::new("stragglers, loss", cfg)
         .pin(WithClock(0xa8b1ee3fe34d7aed))
-        .cut_late("a stale upload pending", stale_upload_pending).twin(EventZero);
-    /// Partial broadcasts: devices under a down edge keep the old version.
-    wan_outage: Cell::new("WAN outage", SimConfig { faults: wan(0.5), ..broadcasts() })
+        .cut("a stale upload pending", stale_upload_pending)
+        .zero_delay_twin()
+        .run();
+}
+
+/// Partial broadcasts: devices under a down edge keep the old version.
+#[test]
+fn wan_outage() {
+    let mut cfg = broadcasts();
+    cfg.faults = wan(0.5);
+    Cell::new("WAN outage", cfg)
         .pin(WithClock(0x6474335b7ffad5b6))
-        .cut_late("a resident outlived a masked sync", resident_outlived_sync).twin(EventZero);
-    /// Error-feedback residuals indexed by device id, not residency.
-    lossy_compression: Cell::new("lossy", SimConfig { compression: lossy(8, 0.5), ..broadcasts() })
+        .cut("a resident outlived a masked sync", resident_outlived_sync)
+        .zero_delay_twin()
+        .run();
+}
+
+/// Error-feedback residuals indexed by device id, not residency, cut
+/// after two syncs.
+#[test]
+fn lossy_compression() {
+    let mut cfg = broadcasts();
+    cfg.compression = lossy(8, 0.5);
+    Cell::new("lossy", cfg)
         .pin(WithClock(0x65ba9203a4162392))
-        .cut_late("live error-feedback residuals", live_residuals).twin(EventZero);
-    /// A stateful policy's hooks fire from event handlers, in lockstep order.
-    fedfly_under_dropout: Cell::new("FedFly, dropout",
-            SimConfig { algorithm: Algorithm::fedfly(), faults: dropout(), ..broadcasts() })
-        .cut_late("an update in flight", migration_in_flight).twin(EventZero);
-    /// A masked broadcast demotes part of the working set, so a later step
-    /// drains the pool mid-step and builds the rest fresh.
-    pooled_and_fresh_replicas: Cell::new("pooled and fresh replicas", SimConfig {
-            num_devices: 48, num_edges: 4, devices_per_edge: 3, cloud_interval: 2, faults: wan(0.5),
-            ..broadcasts() })
+        .cut("live error-feedback residuals from step 8", |sim| {
+            sim.next_step() >= 8 && live_residuals(sim)
+        })
+        .zero_delay_twin()
+        .run();
+}
+
+/// A stateful policy's hooks fire from event handlers, in lockstep order.
+#[test]
+fn fedfly_under_dropout() {
+    let mut cfg = broadcasts();
+    cfg.algorithm = Algorithm::fedfly();
+    cfg.faults = dropout();
+    Cell::new("FedFly, dropout", cfg)
+        .cut("an update in flight", migration_in_flight)
+        .zero_delay_twin()
+        .run();
+}
+
+/// A masked broadcast demotes part of the working set, so a later step
+/// drains the pool mid-step and builds the rest fresh.
+#[test]
+fn pooled_and_fresh_replicas() {
+    let cfg = SimConfig {
+        num_devices: 48,
+        num_edges: 4,
+        devices_per_edge: 3,
+        cloud_interval: 2,
+        faults: wan(0.5),
+        ..broadcasts()
+    };
+    Cell::new("pooled and fresh replicas", cfg)
         .pin(WithClock(0x95d3028079d4cb3b))
-        .cut_late("a step drew pooled and fresh replicas", pool_ran_dry());
+        .cut("a step drew pooled and fresh replicas", pool_ran_dry())
+        .run();
 }
 
 // ---- the event engine with real latencies ---------------------------
 
-cells! {
-    /// A broadcast lands while uploads are in flight and demotes their
-    /// senders to stubs.
-    event_driven_demotes_senders_in_flight: Cell::new("in-flight broadcasts", in_flight_broadcasts())
+/// A broadcast lands while uploads are in flight and demotes their
+/// senders to stubs.
+#[test]
+fn event_driven_demotes_senders_in_flight() {
+    Cell::new("in-flight broadcasts", in_flight_broadcasts())
         .pin(WithClock(0xabc815bd4c02dde2))
-        .cut_late("a demoted sender's upload in flight", |sim| demoted_sender_in_flight(sim).is_some());
-    /// In-flight payloads are the send-time reconstructions.
-    event_driven_lossy: Cell::new("in-flight broadcasts, lossy",
-            SimConfig { compression: lossy(8, 0.5), ..in_flight_broadcasts() })
+        .cut("a demoted sender's upload in flight", |sim| {
+            !demoted_senders_in_flight(sim).is_empty()
+        })
+        .run();
+}
+
+/// In-flight payloads are the send-time reconstructions.
+#[test]
+fn event_driven_lossy() {
+    let mut cfg = in_flight_broadcasts();
+    cfg.compression = lossy(8, 0.5);
+    Cell::new("in-flight broadcasts, lossy", cfg)
         .pin(WithClock(0x6a0846f7328e0ad5))
-        .cut_late("a demoted sender in flight, residuals live",
-            |sim| demoted_sender_in_flight(sim).is_some() && live_residuals(sim));
-    event_driven_mid_heap: Cell::new("stragglers as latencies", async_stragglers())
-        .cut_late("uploads on the heap with send-time snapshots", uploads_on_the_heap);
-    event_driven_threshold_and_timer: Cell::new("K = 2, timer 3 s", SimConfig {
-            timeline: TimelineConfig { edge_threshold: Some(2), cloud_timer: Some(3.0), ..real_latencies() },
-            ..async_stragglers() })
-        .cut_at(15);
-    /// Edges aggregate as soon as one update lands.
-    event_driven_threshold_one: Cell::new("K = 1", SimConfig {
-            timeline: TimelineConfig { edge_threshold: Some(1), ..real_latencies() },
-            ..async_stragglers() })
-        .cut_at(15);
+        .cut("a demoted sender in flight, residuals live", |sim| {
+            !demoted_senders_in_flight(sim).is_empty() && live_residuals(sim)
+        })
+        .run();
+}
+
+#[test]
+fn event_driven_mid_heap() {
+    Cell::new("stragglers as latencies", async_stragglers())
+        .cut(
+            "uploads on the heap with send-time snapshots",
+            uploads_on_the_heap,
+        )
+        .run();
+}
+
+/// Cut after the first step, so the resume leg replays the rest of the
+/// run from a fresh build.
+#[test]
+fn event_driven_threshold_and_timer() {
+    let mut cfg = async_stragglers();
+    cfg.timeline.edge_threshold = Some(2);
+    cfg.timeline.cloud_timer = Some(3.0);
+    Cell::new("K = 2, timer 3 s", cfg).cut_at(1).run();
+}
+
+/// Edges aggregate as soon as one update lands.
+#[test]
+fn event_driven_threshold_one() {
+    let mut cfg = async_stragglers();
+    cfg.timeline.edge_threshold = Some(1);
+    Cell::new("K = 1", cfg).cut_at(5).run();
 }
 
 // ---- traces pinned at the round-level reference step ----------------
 
-cells! {
-    /// Half the devices sit out each step: the availability draws.
-    availability_half: Cell::new("availability 0.5", SimConfig { availability: 0.5, ..shape(Task::Mnist, 16, 4, 2) })
-        .pin(Trajectory(0xc25c739326cfe9b1)).cut_at(12);
-    /// Moved devices keep their model and download nothing.
-    keep_local: Cell::new("KeepLocal", SimConfig {
-            algorithm: Algorithm::custom("KeepLocal", SelectionPolicy::Random, OnDevicePolicy::KeepLocal),
-            ..shape(Task::Mnist, 12, 4, 2) })
-        .pin(Trajectory(0xc72c2815a5d60045)).twin(EventZero);
-    /// Oort selection over edge-model downloads.
-    oort: Cell::new("Oort", SimConfig { algorithm: Algorithm::oort(), ..shape(Task::Mnist, 12, 3, 2) })
-        .pin(Trajectory(0x9046c92c5764228d));
-    lossy_6_bit: Cell::new("lossy, 6 bits", SimConfig { compression: lossy(6, 0.3), ..shape(Task::Mnist, 20, 4, 2) })
+/// Half the devices sit out each step: the availability draws.
+#[test]
+fn availability_half() {
+    let mut cfg = shape(Task::Mnist, 16, 4, 2);
+    cfg.availability = 0.5;
+    Cell::new("availability 0.5", cfg)
+        .pin(Trajectory(0xc25c739326cfe9b1))
+        .cut_at(12)
+        .run();
+}
+
+/// Moved devices keep their model and download nothing.
+#[test]
+fn keep_local() {
+    let mut cfg = shape(Task::Mnist, 12, 4, 2);
+    cfg.algorithm = Algorithm::custom(
+        "KeepLocal",
+        SelectionPolicy::Random,
+        OnDevicePolicy::KeepLocal,
+    );
+    Cell::new("KeepLocal", cfg)
+        .pin(Trajectory(0xc72c2815a5d60045))
+        .zero_delay_twin()
+        .run();
+}
+
+/// Oort selection over edge-model downloads.
+#[test]
+fn oort() {
+    let mut cfg = shape(Task::Mnist, 12, 3, 2);
+    cfg.algorithm = Algorithm::oort();
+    Cell::new("Oort", cfg)
+        .pin(Trajectory(0x9046c92c5764228d))
+        .run();
+}
+
+#[test]
+fn lossy_6_bit() {
+    let mut cfg = shape(Task::Mnist, 20, 4, 2);
+    cfg.compression = lossy(6, 0.3);
+    Cell::new("lossy, 6 bits", cfg)
         .pin(Trajectory(0xd99bde3a3418774f))
-        .cut_late("live error-feedback residuals", live_residuals);
-    /// Lossy compression with every failure model on at once.
-    lossy_under_every_fault: Cell::new("lossy, every fault", SimConfig {
-            compression: lossy(4, 0.25),
-            faults: FaultConfig {
-                dropout: DropoutModel::Iid { p: 0.2 },
-                straggler_delay: DelayModel::Uniform { min_s: 0.0, max_s: 2.0 },
-                deadline_s: 1.5, upload_loss: 0.15, upload_retries: 2, wan_outage: 0.3,
-            },
-            ..shape(Task::Mnist, 20, 4, 2) })
+        .cut("live error-feedback residuals", live_residuals)
+        .run();
+}
+
+/// Lossy compression with every failure model on at once.
+#[test]
+fn lossy_under_every_fault() {
+    let faults = FaultConfig {
+        dropout: DropoutModel::Iid { p: 0.2 },
+        straggler_delay: DelayModel::Uniform {
+            min_s: 0.0,
+            max_s: 2.0,
+        },
+        deadline_s: 1.5,
+        upload_loss: 0.15,
+        upload_retries: 2,
+        wan_outage: 0.3,
+    };
+    let cfg = SimConfig {
+        compression: lossy(4, 0.25),
+        faults,
+        ..shape(Task::Mnist, 20, 4, 2)
+    };
+    Cell::new("lossy, every fault", cfg)
         .pin(Trajectory(0x18f2065ae87f044f))
-        .cut_late("a stale upload pending", stale_upload_pending);
-    /// Every failure model at once, fault stream draw for draw.
-    every_fault: Cell::new("every fault", SimConfig {
-            faults: FaultConfig {
-                dropout: DropoutModel::Markov { p_fail: 0.2, p_recover: 0.5 },
-                straggler_delay: DelayModel::Exponential { mean_s: 0.8 },
-                deadline_s: 1.0, upload_loss: 0.3, upload_retries: 2, wan_outage: 0.4,
-            },
-            ..shape(Task::Mnist, 12, 4, 4) })
-        .pin(Trajectory(0x63e0436a357ef2f8));
+        .cut("a stale upload pending", stale_upload_pending)
+        .run();
 }
 
-// ---- a sweep snapshot's cut: six steps, a sync every third ----------
-
-cells! {
-    resume_at_step_3: Cell::new("sweep shape", shape(Task::Mnist, 6, 3, 2)).cut_at(3);
-    /// The fault plane's persisted state: its RNG, per-device down states
-    /// and the stale-upload queue.
-    resume_at_step_3_with_faults: Cell::new("sweep shape, faulty", SimConfig {
-            faults: FaultConfig {
-                dropout: DropoutModel::Iid { p: 0.2 },
-                straggler_delay: DelayModel::Exponential { mean_s: 0.6 },
-                deadline_s: 1.0, upload_loss: 0.3, upload_retries: 1, wan_outage: 0.3,
-            },
-            ..shape(Task::Mnist, 6, 3, 2) })
-        .cut_at(3);
+/// Every failure model at once, fault stream draw for draw.
+#[test]
+fn every_fault() {
+    let faults = FaultConfig {
+        dropout: DropoutModel::Markov {
+            p_fail: 0.2,
+            p_recover: 0.5,
+        },
+        straggler_delay: DelayModel::Exponential { mean_s: 0.8 },
+        deadline_s: 1.0,
+        upload_loss: 0.3,
+        upload_retries: 2,
+        wan_outage: 0.4,
+    };
+    let cfg = SimConfig {
+        faults,
+        ..shape(Task::Mnist, 12, 4, 4)
+    };
+    Cell::new("every fault", cfg)
+        .pin(Trajectory(0x63e0436a357ef2f8))
+        .run();
 }
 
-/// A resident replica sits in the pool.
+// ---- a sweep snapshot's cut -----------------------------------------
+
+#[test]
+fn resume_at_step_3() {
+    Cell::new("sweep shape", sweep_shape()).cut_at(3).run();
+}
+
+/// The fault plane's persisted state: its RNG, per-device down states
+/// and the stale-upload queue.
+#[test]
+fn resume_at_step_3_with_faults() {
+    let mut cfg = sweep_shape();
+    cfg.faults = faulty();
+    Cell::new("sweep shape, faulty", cfg).cut_at(3).run();
+}
+
+/// A resident replica sits in the pool. After every tick, the pool and
+/// the working set together hold no more replicas than the peak
+/// residency.
 fn replica_pooled(sim: &Simulation) -> bool {
     let p = sim.population();
-    p.fresh_replicas() > p.resident_count()
+    let (fresh, peak) = (p.fresh_replicas(), p.peak_resident());
+    assert!(fresh <= peak, "{fresh} replicas against a peak of {peak}");
+    fresh > p.resident_count()
 }
 
 /// A resident survived this step's sync: its edge was down, so its
@@ -201,8 +339,9 @@ fn upload_in_flight(sim: &Simulation) -> bool {
 /// and loss, the transfer counts. It was captured on the last commit
 /// before the fault plane; each plane owns an RNG stream of its own
 /// (`derive_seed(seed, 9)`, `derive_seed(seed, 10)`) and a disabled one
-/// draws nothing, so the defaults must reproduce it — and the lossless
-/// twin, which short-circuits the compression plane, must equal it.
+/// draws nothing, so the defaults must reproduce it — and a lossless
+/// compression setting, which short-circuits the plane, must equal that
+/// run, byte ledger included.
 ///
 /// The floats hashed come from seeded arithmetic on x86_64 linux; a
 /// different libm could shift the accuracy and loss bits, in which case
@@ -212,8 +351,13 @@ fn pre_fault_plane_main() {
     let cfg = shape(Task::Mnist, 20, 4, 2);
     assert_eq!(cfg.faults, FaultConfig::default());
     assert!(!cfg.compression.enabled);
-    let (sim, record) = Cell::new("pre-fault-plane main", cfg).twin(Lossless).run();
+    let main = Cell::new("pre-fault-plane main", cfg.clone()).run();
+    let compression = lossy(32, 1.0);
+    assert!(!compression.lossy_active());
+    let lossless = finished(SimConfig { compression, ..cfg });
+    assert_same_run(&main, &lossless, "lossless compression");
 
+    let (sim, record) = main;
     let folded = |planes: &mut dyn Iterator<Item = Vec<f32>>| {
         let mut h = 0xcbf29ce484222325u64;
         planes.for_each(|plane| fnv(&mut h, &fnv_params(&plane).to_le_bytes()));
@@ -246,25 +390,23 @@ proptest! {
     /// The zero-delay twin holds across seeds, not just the default one.
     #[test]
     fn zero_delay_twin_across_seeds(seed in 0u64..64) {
-        let cfg = SimConfig { seed, faults: stragglers(), ..shape(Task::Mnist, 8, 4, 8) };
-        Cell::new(format!("seed {seed}"), cfg).twin(EventZero).run();
+        let mut cfg = shape(Task::Mnist, 8, 4, 8);
+        cfg.seed = seed;
+        cfg.faults = stragglers();
+        Cell::new(format!("seed {seed}"), cfg).zero_delay_twin().run();
     }
 }
 
 // ---- the zoo ---------------------------------------------------------
 
-/// I.i.d. dropout and the heavy-tailed Pareto delay.
+/// [`faulty`] with the heavy-tailed Pareto delay.
 fn heavy_tail() -> FaultConfig {
     FaultConfig {
-        dropout: DropoutModel::Iid { p: 0.2 },
         straggler_delay: DelayModel::Pareto {
             scale_s: 0.3,
             shape: 1.5,
         },
-        deadline_s: 1.0,
-        upload_loss: 0.3,
-        upload_retries: 1,
-        wan_outage: 0.3,
+        ..faulty()
     }
 }
 
@@ -280,51 +422,111 @@ fn uniform_delay() -> FaultConfig {
     }
 }
 
-/// Every zoo member, pinned under four fault regimes on eight MNIST
-/// steps with a sync every third (at the round-level reference step,
-/// where fast and reference runs agreed); and crossed, relationally, on
-/// twelve Speech steps (the conv-free task, so a crossing costs a
-/// fraction of a pin) with telemetry on: hostile faults, the event
-/// engine with real latencies, lossy compression. The crossings resume
-/// late in the run — FedFly's with an update in flight, so a move would
-/// migrate it — and the lockstep ones meet their zero-delay twins. The
-/// rows are the whole zoo, in its order.
+/// A zoo member on eight MNIST steps with a sync every third, pinned
+/// under one fault regime at the round-level reference step, where fast
+/// and reference runs agreed.
+fn zoo_pinned(algorithm: Algorithm, regime: &str, faults: FaultConfig, pin: u64) -> Cell {
+    let name = format!("{}/{regime}", algorithm.name);
+    let cfg = SimConfig {
+        algorithm,
+        faults,
+        ..shape(Task::Mnist, 8, 3, 4)
+    };
+    Cell::new(name, cfg).pin(Trajectory(pin))
+}
+
+/// A zoo member crossed with another plane on twelve Speech steps (the
+/// conv-free task, so a crossing costs a fraction of a pin) with
+/// telemetry on; its checks are relational only.
+fn zoo_crossed(algorithm: Algorithm, with: &str, cfg: SimConfig) -> Cell {
+    let name = format!("{} × {with}", algorithm.name);
+    let cfg = SimConfig {
+        algorithm,
+        telemetry: true,
+        ..cfg
+    };
+    Cell::new(name, cfg)
+}
+
+fn speech() -> SimConfig {
+    shape(Task::Speech, 12, 3, 4)
+}
+
+/// FedFly's cell cuts with an update in flight, so a move would migrate
+/// it; every other member's with a stale upload pending.
+fn crossed_with_hostile_faults(algorithm: Algorithm) -> Cell {
+    let migrates = algorithm.migrate_in_flight;
+    let mut cfg = speech();
+    cfg.faults = hostile();
+    let cell = zoo_crossed(algorithm, "hostile faults", cfg);
+    let cell = if migrates {
+        cell.cut("an update in flight", migration_in_flight)
+    } else {
+        cell.cut("a stale upload pending", stale_upload_pending)
+    };
+    cell.zero_delay_twin()
+}
+
+fn crossed_with_real_latencies(algorithm: Algorithm) -> Cell {
+    let cfg = SimConfig {
+        faults: hostile(),
+        timeline: real_latencies(),
+        ..speech()
+    };
+    zoo_crossed(algorithm, "real latencies", cfg).cut("an upload in flight", upload_in_flight)
+}
+
+fn crossed_with_lossy_compression(algorithm: Algorithm) -> Cell {
+    let mut cfg = speech();
+    cfg.compression = lossy(8, 0.25);
+    zoo_crossed(algorithm, "lossy compression", cfg)
+        .cut("live error-feedback residuals", live_residuals)
+        .zero_delay_twin()
+}
+
+/// Every zoo member's cells, one module a member: pinned under four
+/// fault regimes, crossed with hostile faults, the event engine with
+/// real latencies and lossy compression. The rows are the whole zoo, in
+/// its order.
 macro_rules! zoo {
-    ($($member:ident: [$clean:expr, $hostile:expr, $heavy_tail:expr, $uniform_delay:expr],)*) => {
+    ($($member:ident: [$clean:literal, $hostile:literal, $heavy:literal, $uniform:literal,],)*) => {
         $(mod $member {
             use super::*;
 
-            fn pinned(regime: &str, faults: FaultConfig, pin: u64) -> Cell {
-                let cfg = SimConfig { algorithm: Algorithm::$member(), faults, ..shape(Task::Mnist, 8, 3, 4) };
-                Cell::new(format!("{}/{regime}", cfg.algorithm.name), cfg).pin(Trajectory(pin))
+            #[test]
+            fn clean() {
+                zoo_pinned(Algorithm::$member(), "clean", FaultConfig::default(), $clean).run();
             }
 
-            fn crossed(with: &str, cfg: SimConfig) -> Cell {
-                let algorithm = Algorithm::$member();
-                let name = format!("{} × {with}", algorithm.name);
-                Cell::new(name, SimConfig { algorithm, telemetry: true, ..cfg })
+            #[test]
+            fn hostile() {
+                zoo_pinned(Algorithm::$member(), "hostile", common::hostile(), $hostile).run();
             }
 
-            cells! {
-                clean: pinned("clean", FaultConfig::default(), $clean);
-                hostile: pinned("hostile", common::hostile(), $hostile);
-                heavy_tail: pinned("heavy tail", super::heavy_tail(), $heavy_tail);
-                uniform_delay: pinned("uniform delay", super::uniform_delay(), $uniform_delay);
-                crossed_with_hostile_faults: {
-                    let cell = crossed("hostile faults", SimConfig { faults: common::hostile(), ..shape(Task::Speech, 12, 3, 4) });
-                    let cell = if Algorithm::$member().migrate_in_flight {
-                        cell.cut_late("an update in flight", migration_in_flight)
-                    } else {
-                        cell.cut_late("a stale upload pending", stale_upload_pending)
-                    };
-                    cell.twin(EventZero)
-                };
-                crossed_with_real_latencies: crossed("real latencies", SimConfig {
-                        faults: common::hostile(), timeline: real_latencies(), ..shape(Task::Speech, 12, 3, 4) })
-                    .cut_late("an upload in flight", upload_in_flight);
-                crossed_with_lossy_compression: crossed("lossy compression",
-                        SimConfig { compression: lossy(8, 0.25), ..shape(Task::Speech, 12, 3, 4) })
-                    .cut_late("live error-feedback residuals", live_residuals).twin(EventZero);
+            #[test]
+            fn heavy_tail() {
+                zoo_pinned(Algorithm::$member(), "heavy tail", super::heavy_tail(), $heavy).run();
+            }
+
+            #[test]
+            fn uniform_delay() {
+                let faults = super::uniform_delay();
+                zoo_pinned(Algorithm::$member(), "uniform delay", faults, $uniform).run();
+            }
+
+            #[test]
+            fn crossed_with_hostile_faults() {
+                super::crossed_with_hostile_faults(Algorithm::$member()).run();
+            }
+
+            #[test]
+            fn crossed_with_real_latencies() {
+                super::crossed_with_real_latencies(Algorithm::$member()).run();
+            }
+
+            #[test]
+            fn crossed_with_lossy_compression() {
+                super::crossed_with_lossy_compression(Algorithm::$member()).run();
             }
         })*
 
@@ -337,13 +539,58 @@ macro_rules! zoo {
 }
 
 zoo! {
-    middle: [0x4c1cde4cd7689300, 0x9732e06b3f8728a5, 0xf20ef3e7fb8b9ded, 0x6647dae417489028],
-    oort: [0x71b912d3c422fd31, 0xfc39ca901cffd266, 0x5e8d03f942a24ee4, 0xad1eb2df0dfc9465],
-    fedmes: [0x18f8d4f9e52a5817, 0xb8b5aadbb1858ef9, 0x9b7d7c347f48cb1d, 0x2ecd5190a304b561],
-    greedy: [0x76c2b0944caf9385, 0xb336c101450a8366, 0x7e53f057060449cd, 0xade5d5598a40cb9a],
-    ensemble: [0xcf3217c867901834, 0xd9ddd268ee57cb85, 0xf97cb00a4838a9e5, 0x5c7a03283c01ede7],
-    hierfavg: [0x0486aafb684d3905, 0x1dc5d24b327c7de1, 0x71beb697fd32ff1e, 0xff7f6c9c8c72d462],
-    fedfly: [0x881119c4348015d6, 0x24ed00436ce4c09e, 0xae07da134ced8845, 0x66b7c80ba2add6b8],
-    fedlecc: [0xc1e7fbb65379c676, 0x55668564f8246587, 0x25659a7d181721d7, 0x99cca0ac31d7f4de],
-    random_control: [0xb58542341da00b49, 0xa58ee4b00996a80f, 0x8387e1246bda099b, 0x22d3290c5e51aca0],
+    middle: [
+        0x4c1cde4cd7689300,
+        0x9732e06b3f8728a5,
+        0xf20ef3e7fb8b9ded,
+        0x6647dae417489028,
+    ],
+    oort: [
+        0x71b912d3c422fd31,
+        0xfc39ca901cffd266,
+        0x5e8d03f942a24ee4,
+        0xad1eb2df0dfc9465,
+    ],
+    fedmes: [
+        0x18f8d4f9e52a5817,
+        0xb8b5aadbb1858ef9,
+        0x9b7d7c347f48cb1d,
+        0x2ecd5190a304b561,
+    ],
+    greedy: [
+        0x76c2b0944caf9385,
+        0xb336c101450a8366,
+        0x7e53f057060449cd,
+        0xade5d5598a40cb9a,
+    ],
+    ensemble: [
+        0xcf3217c867901834,
+        0xd9ddd268ee57cb85,
+        0xf97cb00a4838a9e5,
+        0x5c7a03283c01ede7,
+    ],
+    hierfavg: [
+        0x0486aafb684d3905,
+        0x1dc5d24b327c7de1,
+        0x71beb697fd32ff1e,
+        0xff7f6c9c8c72d462,
+    ],
+    fedfly: [
+        0x881119c4348015d6,
+        0x24ed00436ce4c09e,
+        0xae07da134ced8845,
+        0x66b7c80ba2add6b8,
+    ],
+    fedlecc: [
+        0xc1e7fbb65379c676,
+        0x55668564f8246587,
+        0x25659a7d181721d7,
+        0x99cca0ac31d7f4de,
+    ],
+    random_control: [
+        0xb58542341da00b49,
+        0xa58ee4b00996a80f,
+        0x8387e1246bda099b,
+        0x22d3290c5e51aca0,
+    ],
 }

@@ -17,8 +17,8 @@ use middle_nn::serialize::Packed;
 
 mod common;
 use common::{
-    assert_rejected, assert_same_run, bits, broadcasts, built, demoted_sender_in_flight, finished,
-    in_flight_broadcasts, resumed, run_to_end, Cell,
+    assert_rejected, assert_same_run, bits, broadcasts, built, demoted_senders_in_flight, finished,
+    in_flight_broadcasts, resumed, run_to_end, tick_n, Cell,
 };
 
 /// A MIDDLE run runs no Oort pass, so its snapshot carries no utility;
@@ -35,9 +35,7 @@ fn snapshot_with_oort_utilities_resumes_bitwise() {
     };
     let straight = finished(cfg.clone());
     let mut first = built(cfg.clone());
-    for _ in 0..10 {
-        first.tick(StepMode::Fast);
-    }
+    tick_n(&mut first, 10);
     let mut ck = first.checkpoint();
     let resident = |s: &DeviceSlotCheckpoint| matches!(s, DeviceSlotCheckpoint::Resident { .. });
     let slots = &ck.population.devices;
@@ -76,19 +74,23 @@ fn snapshot_with_oort_utilities_resumes_bitwise() {
 
 /// Event-driven × real latencies: a broadcast demotes senders whose
 /// uploads are still in flight. Their replicas go to the pool and must
-/// be unreachable from then on — `get` refuses a stub.
+/// be unreachable from then on — `get` refuses a stub — on every tick.
 #[test]
 fn pooled_replicas_of_senders_in_flight_are_unreachable() {
     let mut sim = built(in_flight_broadcasts());
-    let m = loop {
-        assert!(!sim.is_finished(), "no in-flight sender was ever demoted");
+    let mut demoted_in_flight = 0;
+    while !sim.is_finished() {
         sim.tick(StepMode::Fast);
-        if let Some(m) = demoted_sender_in_flight(&sim) {
-            break m;
+        for m in demoted_senders_in_flight(&sim) {
+            demoted_in_flight += 1;
+            let get = std::panic::AssertUnwindSafe(|| sim.population().get(m).id);
+            assert!(std::panic::catch_unwind(get).is_err(), "stub {m} reachable");
         }
-    };
-    let get = std::panic::AssertUnwindSafe(|| sim.population().get(m).id);
-    assert!(std::panic::catch_unwind(get).is_err(), "stub {m} reachable");
+    }
+    assert!(
+        demoted_in_flight > 0,
+        "no in-flight sender was ever demoted"
+    );
 }
 
 /// A checkpoint writes the one population block, a version table plus
@@ -98,9 +100,7 @@ fn pooled_replicas_of_senders_in_flight_are_unreachable() {
 fn checkpoint_population_block_is_required() {
     let cfg = broadcasts();
     let mut sim = built(cfg.clone());
-    for _ in 0..5 {
-        sim.tick(StepMode::Fast);
-    }
+    tick_n(&mut sim, 5);
     let ck = sim.checkpoint();
     assert_eq!(ck.population.devices.len(), cfg.num_devices);
     assert!(!ck.population.versions.is_empty());
@@ -250,9 +250,7 @@ fn hostile_population_checkpoint_is_rejected_before_any_write() {
     };
 
     let mut donor = built(cfg.clone());
-    for _ in 0..6 {
-        donor.tick(StepMode::Fast);
-    }
+    tick_n(&mut donor, 6);
     let ck = donor.checkpoint();
     let pck = &ck.population;
     let stub = (pck.devices.iter())
@@ -379,9 +377,7 @@ fn replica_per_device_snapshot_resumes_bitwise() {
     for (cfg, cut) in [(lockstep, 6), (in_flight_broadcasts(), 5)] {
         let straight = finished(cfg.clone());
         let mut first = built(cfg.clone());
-        for _ in 0..cut {
-            first.tick(StepMode::Fast);
-        }
+        tick_n(&mut first, cut);
         assert!(
             first.population().resident_count() > 0,
             "no replica at the cut"

@@ -7,18 +7,11 @@ use middle_core::{
     Algorithm, OnDevicePolicy, SimCheckpoint, SimConfig, SimError, SimulationBuilder, StepMode,
 };
 use middle_data::Task;
-use middle_nn::layers::Dense;
-use middle_nn::params::{flatten, unflatten};
-use middle_nn::Sequential;
-use middle_tensor::random::rng;
+use middle_nn::params::flatten;
 use proptest::prelude::*;
 
-fn model_from(vals: &[f32]) -> Sequential {
-    let mut m = Sequential::new().push(Dense::new(3, 2, &mut rng(1)));
-    assert_eq!(m.param_count(), vals.len());
-    unflatten(&mut m, vals);
-    m
-}
+mod common;
+use common::model_from;
 
 fn vals() -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-5.0f32..5.0, 8)

@@ -7,49 +7,21 @@
 //! (`matrix.rs`).
 
 use middle_core::{
-    run_sweep, Algorithm, DelayModel, DropoutModel, FaultConfig, ScenarioGrid, SimCheckpoint,
-    SimConfig, SimError, SimulationBuilder, StepMode, SweepOptions,
+    run_sweep, ScenarioGrid, SimCheckpoint, SimError, SimulationBuilder, StepMode, SweepOptions,
 };
-use middle_data::Task;
 use middle_mobility::Trace;
-use std::path::PathBuf;
 
 mod common;
-use common::{assert_rejected, assert_same_run, built, finished, run_to_end, sim_bits};
-
-fn tiny() -> SimConfig {
-    let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::middle());
-    cfg.steps = 6;
-    cfg.eval_interval = 2;
-    cfg.cloud_interval = 3;
-    cfg
-}
-
-fn faulty() -> SimConfig {
-    let mut cfg = tiny();
-    cfg.faults = FaultConfig {
-        dropout: DropoutModel::Iid { p: 0.2 },
-        straggler_delay: DelayModel::Exponential { mean_s: 0.6 },
-        deadline_s: 1.0,
-        upload_loss: 0.3,
-        upload_retries: 1,
-        wan_outage: 0.3,
-    };
-    cfg
-}
-
-/// Fresh per-test scratch directory under the system tmpdir.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("middle_sweep_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use common::{
+    assert_rejected, assert_same_run, built, faulty, finished, run_to_end, scratch_dir, sim_bits,
+    sweep_shape, tick_n,
+};
 
 // ---------------------------------------------------------------- errors
 
 #[test]
 fn builder_rejects_k_larger_than_the_device_population() {
-    let mut cfg = tiny();
+    let mut cfg = sweep_shape();
     cfg.devices_per_edge = cfg.num_devices + 1;
     let err = match SimulationBuilder::new(cfg).build() {
         Ok(_) => panic!("oversized K must not build"),
@@ -64,7 +36,7 @@ fn builder_rejects_an_empty_trace() {
     // `Trace::new` itself refuses zero steps, so the emptiest
     // constructible trace carries no devices — the builder must turn
     // that into a typed mismatch, not a panic.
-    let cfg = tiny();
+    let cfg = sweep_shape();
     let empty = Trace::new(cfg.num_edges, vec![Vec::new()]);
     let err = match SimulationBuilder::new(cfg).with_trace(empty).build() {
         Ok(_) => panic!("empty trace must not build"),
@@ -76,7 +48,7 @@ fn builder_rejects_an_empty_trace() {
 
 #[test]
 fn builder_rejects_zero_edges() {
-    let mut cfg = tiny();
+    let mut cfg = sweep_shape();
     cfg.num_edges = 0;
     let err = match SimulationBuilder::new(cfg).build() {
         Ok(_) => panic!("zero edges must not build"),
@@ -134,10 +106,10 @@ fn write_json_reference(v: &serde::Value, out: &mut String) {
 #[test]
 fn checkpoint_json_is_byte_equal_to_the_reference_writer() {
     use serde::Serialize;
-    let mut sim = SimulationBuilder::new(faulty()).build().unwrap();
-    for _ in 0..3 {
-        sim.tick(StepMode::Fast);
-    }
+    let mut cfg = sweep_shape();
+    cfg.faults = faulty();
+    let mut sim = built(cfg);
+    tick_n(&mut sim, 3);
     let ck = sim.checkpoint();
     let mut expected = String::new();
     write_json_reference(&ck.to_value(), &mut expected);
@@ -153,20 +125,16 @@ fn checkpoint_restore_over_live_scratch_is_bitwise_identical() {
     // from a *different* trajectory) must behave exactly like restoring
     // into a fresh build: the scratch holds no semantic state, so it is
     // deliberately absent from checkpoints.
-    let cfg = tiny();
-    let mut a = SimulationBuilder::new(cfg.clone()).build().unwrap();
-    for _ in 0..3 {
-        a.tick(StepMode::Fast);
-    }
+    let cfg = sweep_shape();
+    let mut a = built(cfg.clone());
+    tick_n(&mut a, 3);
     let ck = a.checkpoint();
 
-    let mut fresh = SimulationBuilder::new(cfg.clone()).build().unwrap();
+    let mut fresh = built(cfg.clone());
     fresh.restore(&ck).unwrap();
 
-    let mut live = SimulationBuilder::new(cfg).build().unwrap();
-    for _ in 0..5 {
-        live.tick(StepMode::Fast);
-    }
+    let mut live = built(cfg);
+    tick_n(&mut live, 5);
     live.restore(&ck).unwrap();
 
     assert_eq!(sim_bits(&fresh), sim_bits(&live));
@@ -179,11 +147,11 @@ fn checkpoint_restore_over_live_scratch_is_bitwise_identical() {
 
 #[test]
 fn checkpoint_rejects_a_different_config() {
-    let mut a = SimulationBuilder::new(tiny()).build().unwrap();
+    let mut a = built(sweep_shape());
     a.tick(StepMode::Fast);
     let ck = a.checkpoint();
 
-    let mut other = tiny();
+    let mut other = sweep_shape();
     other.seed = 99;
     assert_rejected(&mut built(other), &ck, "config");
 }
@@ -194,10 +162,8 @@ fn checkpoint_rejects_a_different_config() {
 /// so the target still runs the fresh trajectory.
 #[test]
 fn checkpoint_rejects_corrupt_windows_and_clock_untouched() {
-    let mut a = SimulationBuilder::new(tiny()).build().unwrap();
-    for _ in 0..2 {
-        a.tick(StepMode::Fast);
-    }
+    let mut a = built(sweep_shape());
+    tick_n(&mut a, 2);
     let mut nan = a.checkpoint();
     nan.edges[1].window_samples = f64::NAN;
     let mut negative = a.checkpoint();
@@ -206,13 +172,13 @@ fn checkpoint_rejects_corrupt_windows_and_clock_untouched() {
     let mut clock = a.checkpoint();
     clock.elapsed_seconds = -1.0;
 
-    let fresh = finished(tiny());
+    let fresh = finished(sweep_shape());
     for (what, ck) in [
         ("NaN window", nan),
         ("negative window", negative),
         ("clock", clock),
     ] {
-        let mut target = built(tiny());
+        let mut target = built(sweep_shape());
         assert_rejected(&mut target, &ck, "");
         assert_same_run(&fresh, &run_to_end(target), what);
     }
@@ -221,7 +187,7 @@ fn checkpoint_rejects_corrupt_windows_and_clock_untouched() {
 // ------------------------------------------------------ sweep determinism
 
 fn grid() -> ScenarioGrid {
-    ScenarioGrid::new(tiny())
+    ScenarioGrid::new(sweep_shape())
         .with_selection_sizes([2usize, 3])
         .with_seeds([7u64, 8])
 }
@@ -250,7 +216,7 @@ fn sweep_results_are_independent_of_thread_count() {
 
 #[test]
 fn cache_hit_builds_bitwise_identical_to_cold_builds() {
-    let cfg = tiny();
+    let cfg = sweep_shape();
     let cache = middle_core::InputCache::new();
     // Warm the cache with a config differing only in run-only fields.
     let mut warm = cfg.clone();
@@ -275,7 +241,7 @@ fn cache_hit_builds_bitwise_identical_to_cold_builds() {
 
 #[test]
 fn interrupted_sweep_resumes_to_the_uninterrupted_report() {
-    let dir = scratch("resume");
+    let dir = scratch_dir("resume");
 
     // The uninterrupted reference (no persistence).
     let reference = run_sweep(&grid(), &SweepOptions::default()).unwrap();
@@ -320,8 +286,10 @@ fn mid_scenario_checkpoints_resume_bitwise_too() {
     // Force mid-run snapshots every step, interrupt a faulty scenario
     // mid-flight by restoring its snapshot into a fresh run, and check
     // the sweep machinery end-to-end with the fault plane on.
-    let dir = scratch("midrun");
-    let grid = ScenarioGrid::new(faulty()).with_seeds([7u64, 8]);
+    let dir = scratch_dir("midrun");
+    let mut cfg = sweep_shape();
+    cfg.faults = faulty();
+    let grid = ScenarioGrid::new(cfg).with_seeds([7u64, 8]);
     let reference = run_sweep(&grid, &SweepOptions::default()).unwrap();
 
     let partial = run_sweep(
@@ -358,20 +326,16 @@ fn a_snapshot_that_fails_mid_restore_is_discarded_whole() {
     // sweep must not tick any part of it (cloud, edges and the other
     // devices from step 3): it runs the scenario cold and reports what
     // an undisturbed sweep does.
-    let dir = scratch("franken");
+    let dir = scratch_dir("franken");
     std::fs::create_dir_all(&dir).unwrap();
     let reference = run_sweep(&grid(), &SweepOptions::default()).unwrap();
 
     let first = grid().scenarios().unwrap().remove(0);
-    let mut sim = SimulationBuilder::new(first.config.clone())
-        .build()
-        .unwrap();
-    for _ in 0..3 {
-        sim.tick(StepMode::Fast);
-    }
+    let mut sim = built(first.config.clone());
+    tick_n(&mut sim, 3);
     let mut ck = sim.checkpoint();
     ck.population.versions.last_mut().unwrap().flat.0.pop();
-    let mut fresh = SimulationBuilder::new(first.config).build().unwrap();
+    let mut fresh = built(first.config);
     assert!(matches!(
         fresh.restore(&ck),
         Err(SimError::CheckpointMismatch { .. })

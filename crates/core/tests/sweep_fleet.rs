@@ -13,35 +13,21 @@
 //! `scripts/fleet_smoke.sh` / the CI `fleet-smoke` job.
 
 use middle_core::{
-    fleet_status, run_fleet_coordinator, run_fleet_worker, run_sweep, Algorithm, FleetOptions,
-    ScenarioGrid, SimCheckpoint, SimConfig, SweepOptions,
+    fleet_status, run_fleet_coordinator, run_fleet_worker, run_sweep, FleetOptions, ScenarioGrid,
+    SimCheckpoint, SweepOptions,
 };
-use middle_data::Task;
-use std::path::PathBuf;
 use std::thread;
 
-fn tiny() -> SimConfig {
-    let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::middle());
-    cfg.steps = 6;
-    cfg.eval_interval = 2;
-    cfg.cloud_interval = 3;
-    cfg
-}
+mod common;
+use common::{scratch_dir, sweep_shape};
 
 /// A 4-scenario grid (2 seeds × 2 sync periods) — small enough that
 /// every test stays in tier-1 budget, big enough that shards move
 /// between workers.
 fn grid() -> ScenarioGrid {
-    ScenarioGrid::new(tiny())
+    ScenarioGrid::new(sweep_shape())
         .with_sync_periods([2usize, 3])
         .with_seeds([7u64, 8])
-}
-
-/// Fresh per-test scratch directory under the system tmpdir.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("middle_fleet_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Fast-expiring options: any lease left behind by a killed worker is
@@ -82,7 +68,7 @@ fn serial_reference() -> String {
 
 #[test]
 fn killed_worker_leaves_lease_and_checkpoint_for_reclamation() {
-    let dir = scratch("kill_reclaim");
+    let dir = scratch_dir("kill_reclaim");
     // Worker "victim" dies after its first mid-scenario checkpoint:
     // the lease stays in the ledger and the snapshot stays on disk.
     let killed = run_fleet_worker(
@@ -121,7 +107,7 @@ fn killed_worker_leaves_lease_and_checkpoint_for_reclamation() {
 
 #[test]
 fn live_leases_reject_duplicate_claims() {
-    let dir = scratch("dup_claim");
+    let dir = scratch_dir("dup_claim");
     // Worker "holder" dies holding shard 0's lease. With a long expiry
     // the lease is still live, so a second worker must not touch that
     // shard: it completes the other three scenarios and then times out
@@ -193,7 +179,7 @@ fn live_leases_reject_duplicate_claims() {
 
 #[test]
 fn three_worker_fleet_matches_the_serial_sweep_bitwise() {
-    let dir = scratch("three_way");
+    let dir = scratch_dir("three_way");
     let reference = serial_reference();
     let workers: Vec<_> = (0..3)
         .map(|i| {
@@ -217,7 +203,7 @@ fn three_worker_fleet_matches_the_serial_sweep_bitwise() {
 
 #[test]
 fn kill_mid_shard_then_fleet_matches_serial_bitwise() {
-    let dir = scratch("kill_mid_shard");
+    let dir = scratch_dir("kill_mid_shard");
     let reference = serial_reference();
     // First worker dies mid-scenario after 2 checkpoints; the fleet
     // that follows resumes from the snapshot, and the final report is
@@ -261,7 +247,7 @@ fn kill_mid_shard_then_fleet_matches_serial_bitwise() {
 
 #[test]
 fn coordinator_rebuilds_the_ledger_from_worker_streams() {
-    let dir = scratch("jsonl_rebuild");
+    let dir = scratch_dir("jsonl_rebuild");
     let reference = serial_reference();
     let done = run_fleet_worker(&grid(), &dir, "solo", &opts()).unwrap();
     assert_eq!(done.completed, 4);
@@ -280,7 +266,7 @@ fn coordinator_rebuilds_the_ledger_from_worker_streams() {
 
 #[test]
 fn truncated_ledger_is_quarantined_and_the_sweep_recovers() {
-    let dir = scratch("truncated");
+    let dir = scratch_dir("truncated");
     let reference = serial_reference();
     let first = run_fleet_worker(
         &grid(),
@@ -313,7 +299,7 @@ fn truncated_ledger_is_quarantined_and_the_sweep_recovers() {
 
 #[test]
 fn bit_flipped_ledger_is_quarantined_not_trusted() {
-    let dir = scratch("bitflip");
+    let dir = scratch_dir("bitflip");
     let reference = serial_reference();
     let done = run_fleet_worker(&grid(), &dir, "solo", &opts()).unwrap();
     assert_eq!(done.completed, 4);

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 mod common;
 use common::{
     assert_rejected, assert_same_run, async_stragglers, broadcasts, built, finished, run_to_end,
-    stragglers, Cell,
+    stragglers, tick_n, Cell,
 };
 
 /// An `edge_threshold` is provably irrelevant at zero delay: every
@@ -61,9 +61,7 @@ fn hostile_timeline_checkpoint_is_rejected_before_any_write() {
     let fresh = finished(cfg.clone());
 
     let mut donor = built(cfg.clone());
-    for _ in 0..5 {
-        donor.tick(StepMode::Fast);
-    }
+    tick_n(&mut donor, 5);
     let ck = donor.checkpoint();
     let timeline = ck.timeline.as_ref().expect("event-driven checkpoint");
     let in_flight = (timeline.in_flight.iter())

@@ -15,9 +15,8 @@ use middle::prelude::*;
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 use common::Pin::Trajectory;
-use common::Twin::EventZero;
 use common::{
-    built, device_planes, lossy, migration_in_flight, real_latencies, stragglers, wan, Cell,
+    built, device_planes, lossy, migration_in_flight, real_latencies, stragglers, tick_n, wan, Cell,
 };
 
 fn small_cfg(task: Task, algorithm: Algorithm) -> SimConfig {
@@ -142,7 +141,7 @@ fn round_skeleton_is_one_trajectory_under_every_selector() {
     ] {
         let (wan_outage, edges) = (cfg.faults.wan_outage > 0.0, cfg.num_edges as u64);
         let cell = Cell::new(regime, cfg).pin(Trajectory(pin));
-        let (_, record) = cell.twin(EventZero).run();
+        let (_, record) = cell.zero_delay_twin().run();
         let comm = &record.comm;
         if regime == "hostile" {
             assert!(comm.stale_uploads > 0, "no deadline miss in the run");
@@ -289,7 +288,7 @@ fn every_zoo_member_resumes_and_meets_its_zero_delay_twin() {
         } else {
             cell.cut_at(4)
         };
-        cell.twin(EventZero).run();
+        cell.zero_delay_twin().run();
     }
 }
 
@@ -319,9 +318,7 @@ fn custom_trace_scripts_device_movement() {
         .with_trace(trace)
         .build()
         .expect("valid trace");
-    for _ in 0..3 {
-        sim.tick(StepMode::Fast);
-    }
+    tick_n(&mut sim, 3);
 }
 
 #[test]
@@ -342,9 +339,7 @@ fn broadcast_resets_all_models_to_cloud() {
     cfg.cloud_interval = 3;
     cfg.steps = 3;
     let mut sim = built(cfg);
-    for _ in 0..3 {
-        sim.tick(StepMode::Fast);
-    }
+    tick_n(&mut sim, 3);
     let cloud = flatten(sim.cloud_model());
     for e in sim.edges() {
         assert_eq!(flatten(&e.model), cloud);
