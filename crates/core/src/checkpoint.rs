@@ -260,8 +260,8 @@ pub fn config_digest(config: &SimConfig) -> u64 {
 /// Appends an FNV-1a integrity trailer to a JSON payload.
 ///
 /// The sweep ledger (`sweep_state.json`) is the shared source of truth
-/// for shard-level resume across worker *processes*, so a torn or
-/// bit-flipped write must never be deserialized into a bogus resume.
+/// for resume across worker *processes*, so a torn or bit-flipped write
+/// must never be deserialized into a bogus resume.
 /// Atomic tmp+rename writes already rule out torn files from our own
 /// writers, but the trailer also catches payload corruption that still
 /// parses as JSON (a flipped digit, a half-synced page after power

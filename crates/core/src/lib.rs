@@ -42,7 +42,7 @@
 //! * [`builder`] — Result-based construction ([`SimulationBuilder`],
 //!   [`SimError`]) and the shared-input cache behind sweep scenarios;
 //! * [`checkpoint`], [`sweep`] — full-state simulation snapshots and the
-//!   sharded multi-scenario orchestrator with checkpoint/resume;
+//!   multi-scenario orchestrator with checkpoint/resume;
 //! * [`faults`] — deterministic failure models (dropout, stragglers,
 //!   upload loss, WAN outages) with retry/deadline/staleness recovery;
 //! * [`compress`] — uplink compression (QSGD-style quantization + top-K
@@ -96,9 +96,8 @@ pub use sim::{EdgeState, Simulation, StepMode};
 pub use similarity::{model_similarity_utility, similarity_utility};
 pub use sweep::{
     fleet_status, run_fleet_coordinator, run_fleet_worker, run_sweep, AggregatePoint,
-    CompressionPreset, FaultPreset, FleetOptions, FleetStatus, FleetWorkerReport, Scenario,
-    ScenarioGrid, ScenarioRecord, ShardLease, SweepOptions, SweepReport,
-    SWEEP_REPORT_SCHEMA_VERSION,
+    CompressionPreset, FaultPreset, FleetOptions, FleetStatus, FleetWorkerReport, Lease, Scenario,
+    ScenarioGrid, ScenarioRecord, SweepOptions, SweepReport, SWEEP_REPORT_SCHEMA_VERSION,
 };
 pub use telemetry::{Phase, StepCounters, Telemetry, TelemetryReport};
 pub use theory::{BoundParams, QuadraticProblem};

@@ -941,6 +941,7 @@ impl Simulation {
             return false;
         }
         self.syncs += 1;
+        probe.sync();
         let dense = self.compression.dense_payload_bytes();
         self.comm.edge_to_cloud += up_edges;
         self.comm.edge_to_cloud_bytes += up_edges * self.compression.payload_bytes();

@@ -1,4 +1,4 @@
-//! The scenario sweep engine: sharded multi-scenario orchestration with
+//! The scenario sweep engine: multi-scenario orchestration with
 //! shared-input caching and checkpoint/resume.
 //!
 //! The paper's headline results (Figures 5–8, Remark 1) are *sweeps* —
@@ -9,14 +9,14 @@
 //!
 //! * [`ScenarioGrid`] describes a cartesian product over `P`, `K`,
 //!   `T_c`, seeds, named [`FaultPreset`]s, named
-//!   [`CompressionPreset`]s and named [`AlgorithmConfig`]s (the
-//!   algorithm zoo) on top of a base [`SimConfig`];
+//!   [`CompressionPreset`]s, named [`AlgorithmConfig`]s (the algorithm
+//!   zoo) and execution modes on top of a base [`SimConfig`];
 //!   [`ScenarioGrid::scenarios`] expands and validates it up front, so
 //!   a bad axis fails before any work starts.
-//! * [`run_sweep`] shards the scenarios across a deterministic
-//!   work-stealing pool: workers claim scenarios from a shared atomic
-//!   cursor, and every scenario's result is a pure function of its
-//!   config — *independent of shard assignment and thread count* —
+//! * [`run_sweep`] runs the scenarios on the items of one parallel
+//!   region: workers claim scenarios from a shared atomic cursor, and
+//!   every scenario's result is a pure function of its config —
+//!   *independent of which worker ran it and of the thread count* —
 //!   because each run owns its models and RNG streams and immutable
 //!   inputs are shared read-only through an [`InputCache`].
 //! * With [`SweepOptions::checkpoint_dir`] set, workers periodically
@@ -31,28 +31,29 @@
 //! mean/std/95%-CI [`AggregatePoint`]s per grid cell. The committed
 //! `BENCH_{faults,algos,compress,async}.json` are the
 //! [`SweepReport::deterministic_json`] of `middle-bench`'s
-//! `sweeps <preset>` grids; what caching and sharding cost and save is
-//! `perf`'s `sweep_grid` workload.
+//! `sweeps <preset>` grids; what caching and checkpointing cost and
+//! save is `perf`'s `sweep_grid` workload.
 //!
 //! # Multi-process fleets (`middle-sweepd`)
 //!
 //! The same ledger scales past one process: [`run_fleet_worker`] and
 //! [`run_fleet_coordinator`] turn `sweep_state.json` into a shared
-//! lease board. Workers claim scenario *shards* by writing a
-//! [`ShardLease`] (worker id, grant time, heartbeat) under a sidecar
-//! lockfile mutex, renew the heartbeat while they run, stream each
-//! completed [`ScenarioRecord`] as one JSONL line to a per-worker
-//! file, and mark it done in the ledger. Leases whose heartbeat goes
-//! stale ([`FleetOptions::lease_ms`]) are reclaimed — a SIGKILL'd
-//! worker's scenarios re-run from their last checkpoint on whichever
-//! worker claims them next. The coordinator tails the worker streams,
-//! merges them with the ledger both ways, and returns a final
-//! [`SweepReport`] whose [`SweepReport::deterministic_json`] is
-//! byte-identical to a single-process [`run_sweep`] of the same grid,
-//! kills or no kills — every scenario result is a pure function of its
-//! config, so *who* computed it can never show in the report. The
-//! `middle-sweepd` binary wraps these entry points as `worker` /
-//! `coordinator` subcommands; DESIGN.md §14 specifies the protocol.
+//! lease board. A worker leases one scenario at a time by writing a
+//! [`Lease`] (worker id, grant time, heartbeat), renews the heartbeat
+//! while it runs, streams the completed [`ScenarioRecord`] as one JSONL
+//! line to its own file, then records it and drops the lease in one
+//! ledger write. Every such step is one locked read–modify–write of the
+//! ledger. A lease whose heartbeat is older than
+//! [`FleetOptions::lease_ms`] is reclaimed — a SIGKILL'd worker's
+//! scenario re-runs from its last checkpoint on whichever worker claims
+//! it next. The coordinator tails the worker streams, merges them with
+//! the ledger both ways, and returns a final [`SweepReport`] whose
+//! [`SweepReport::deterministic_json`] is byte-identical to a
+//! single-process [`run_sweep`] of the same grid, kills or no kills —
+//! every scenario result is a pure function of its config, so *who*
+//! computed it can never show in the report. The `middle-sweepd` binary
+//! wraps these entry points as `worker` / `coordinator` subcommands;
+//! DESIGN.md §14 specifies the protocol.
 
 use crate::algorithms::AlgorithmConfig;
 use crate::builder::{InputCache, SimError, SimulationBuilder};
@@ -565,55 +566,47 @@ pub struct AggregatePoint {
     pub tail_ci95: f64,
 }
 
-/// One live shard lease in the sweep ledger: which worker currently
-/// owns which contiguous block of scenarios, and when it last proved
-/// it was alive.
+/// One live lease in the sweep ledger: which worker currently runs
+/// which scenario, and when it last proved it was alive.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardLease {
-    /// Shard index; the shard covers scenarios
-    /// `shard * shard_size .. (shard + 1) * shard_size` (clamped).
-    pub shard: usize,
+pub struct Lease {
+    /// Grid index of the leased scenario.
+    pub scenario: usize,
     /// Id of the worker holding the lease.
     pub worker: String,
     /// Unix milliseconds when the lease was granted.
     pub granted_unix_ms: u64,
     /// Unix milliseconds of the last heartbeat renewal. A lease whose
     /// heartbeat is older than [`FleetOptions::lease_ms`] is expired:
-    /// any worker or the coordinator may reclaim it, and its scenarios
-    /// re-run from their last checkpoint.
+    /// any worker or the coordinator may reclaim it, and its scenario
+    /// re-runs from its last checkpoint.
     pub heartbeat_unix_ms: u64,
-}
-
-fn default_shard_size() -> usize {
-    1
 }
 
 /// The sweep's completion ledger, persisted as `sweep_state.json` in
 /// the checkpoint directory after every scenario completion (atomic
 /// tmp-then-rename writes, sealed with an FNV-1a integrity trailer —
 /// see [`crate::checkpoint::seal_json`]). Fleet runs extend it with
-/// the live [`ShardLease`] table; single-process sweeps leave `leases`
-/// empty, and pre-fleet ledgers (no `leases` / `shard_size` fields,
-/// no trailer) still parse.
+/// the live [`Lease`] table; single-process sweeps leave `leases`
+/// empty. Pre-fleet ledgers (no `leases`, no trailer) still parse, and
+/// so do ledgers written while leases covered blocks of scenarios:
+/// fields this version does not know are ignored.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct SweepState {
     schema_version: u32,
     grid_digest: u64,
     records: Vec<Option<ScenarioRecord>>,
     #[serde(default)]
-    leases: Vec<ShardLease>,
-    #[serde(default = "default_shard_size")]
-    shard_size: usize,
+    leases: Vec<Lease>,
 }
 
 impl SweepState {
-    fn fresh(grid_digest: u64, scenarios: usize, shard_size: usize) -> Self {
+    fn fresh(grid_digest: u64, scenarios: usize) -> Self {
         SweepState {
             schema_version: SWEEP_REPORT_SCHEMA_VERSION,
             grid_digest,
             records: vec![None; scenarios],
             leases: Vec::new(),
-            shard_size,
         }
     }
 }
@@ -679,7 +672,7 @@ fn io_err(path: &Path, e: std::io::Error) -> SimError {
 /// kill mid-write never leaves a truncated state file behind. The tmp
 /// name embeds the pid and a process-wide counter: neither fleet
 /// processes sharing a directory nor threads of one process writing the
-/// same path (two live workers that both reclaimed a shard) may share a
+/// same path (two live workers that both reclaimed a scenario) may share a
 /// tmp file — whoever renamed second would find it gone.
 ///
 /// `unlink_old` removes the old file just before the rename: ext4 pushes
@@ -808,6 +801,50 @@ impl Ledger {
         let json = serde_json::to_string(state).expect("state serialisation cannot fail");
         write_atomic(&self.path, &seal_json(&json), false)
     }
+
+    /// The one locked read–modify–write cycle on the ledger: take the
+    /// lock, read the ledger (a fresh state when it is absent or was
+    /// quarantined), reject one that belongs to another grid, apply `f`
+    /// and write the result back. Every fleet step — claim, renewal,
+    /// completion, the coordinator's merge — is one call.
+    fn update<R>(
+        &self,
+        digest: u64,
+        n: usize,
+        f: impl FnOnce(&mut SweepState) -> R,
+    ) -> Result<R, SimError> {
+        let _guard = self.lock()?;
+        let mut state = match self.read() {
+            Some(state) => {
+                check_state(&state, digest, n)?;
+                state
+            }
+            None => SweepState::fresh(digest, n),
+        };
+        let out = f(&mut state);
+        self.write(&state)?;
+        Ok(out)
+    }
+}
+
+/// Rejects a ledger that belongs to a different job than the caller's
+/// grid — resuming across grids would corrupt the sweep silently.
+fn check_state(state: &SweepState, digest: u64, n: usize) -> Result<(), SimError> {
+    if state.schema_version != SWEEP_REPORT_SCHEMA_VERSION
+        || state.grid_digest != digest
+        || state.records.len() != n
+    {
+        return Err(SimError::InvalidConfig {
+            message: format!(
+                "sweep ledger belongs to a different grid \
+                 (digest {:016x}/{} scenarios vs {:016x}/{n})",
+                state.grid_digest,
+                state.records.len(),
+                digest
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Mean, n−1 sample deviation `s` and 95 % confidence half-width
@@ -826,22 +863,13 @@ pub fn mean_std_ci95(values: &[f64]) -> (f64, f64, f64) {
 }
 
 /// Groups the completed scenarios by grid cell (everything but the
-/// seed) in first-appearance order and computes cross-seed statistics.
+/// seed: the label minus its `-s<seed>` suffix) in first-appearance
+/// order and computes cross-seed statistics.
 fn aggregate(records: &[ScenarioRecord]) -> Vec<AggregatePoint> {
-    let mut cells: Vec<(String, Vec<&ScenarioRecord>)> = Vec::new();
+    let mut cells: Vec<(&str, Vec<&ScenarioRecord>)> = Vec::new();
     for r in records {
-        // "-<axis><value>" for an axis the grid swept, nothing otherwise.
-        let axis = |tag: &str, value: &Option<String>| {
-            value
-                .as_ref()
-                .map_or(String::new(), |v| format!("-{tag}{v}"))
-        };
-        let (c, x) = (axis("c", &r.compression), axis("x", &r.execution));
-        let a = axis("a", &r.algorithm).to_lowercase();
-        let key = match r.p {
-            Some(p) => format!("p{p}-k{}-tc{}-{}{c}{a}{x}", r.k, r.sync_period, r.preset),
-            None => format!("k{}-tc{}-{}{c}{a}{x}", r.k, r.sync_period, r.preset),
-        };
+        let seed = format!("-s{}", r.seed);
+        let key = r.label.strip_suffix(&seed).unwrap_or(&r.label);
         match cells.iter_mut().find(|(k, _)| *k == key) {
             Some((_, members)) => members.push(r),
             None => cells.push((key, vec![r])),
@@ -862,7 +890,7 @@ fn aggregate(records: &[ScenarioRecord]) -> Vec<AggregatePoint> {
             let (tail_mean, tail_std, tail_ci95) = mean_std_ci95(&tails);
             let first = members[0];
             AggregatePoint {
-                label,
+                label: label.to_string(),
                 p: first.p,
                 k: first.k,
                 sync_period: first.sync_period,
@@ -886,13 +914,13 @@ fn aggregate(records: &[ScenarioRecord]) -> Vec<AggregatePoint> {
 ///
 /// Workers claim pending scenarios from a shared cursor; immutable
 /// inputs are shared through one [`InputCache`]; per-scenario results
-/// are deterministic functions of their configs, independent of shard
-/// assignment and thread count. With a checkpoint directory configured,
-/// completed scenarios are recorded in `sweep_state.json` and long runs
-/// snapshot mid-flight state every [`SweepOptions::checkpoint_every`]
-/// steps, so a killed sweep resumes without redoing finished work and
-/// reproduces the uninterrupted report bitwise
-/// ([`SweepReport::deterministic_json`]).
+/// are deterministic functions of their configs, independent of which
+/// worker ran them and of the thread count. With a checkpoint directory
+/// configured, completed scenarios are recorded in `sweep_state.json`
+/// and long runs snapshot mid-flight state every
+/// [`SweepOptions::checkpoint_every`] steps, so a killed sweep resumes
+/// without redoing finished work and reproduces the uninterrupted
+/// report bitwise ([`SweepReport::deterministic_json`]).
 ///
 /// # Errors
 /// [`SimError::InvalidConfig`] from grid expansion, or the first
@@ -908,14 +936,11 @@ pub fn run_sweep(grid: &ScenarioGrid, opts: &SweepOptions) -> Result<SweepReport
         fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
     }
     let mut records: Vec<Option<ScenarioRecord>> = vec![None; scenarios.len()];
-    if let Some(ledger) = &ledger {
-        if let Some(state) = ledger.read() {
-            if state.schema_version == SWEEP_REPORT_SCHEMA_VERSION
-                && state.grid_digest == digest
-                && state.records.len() == scenarios.len()
-            {
-                records = state.records;
-            }
+    // A ledger of another grid is not an error here: the sweep starts
+    // fresh and overwrites it at its first completion.
+    if let Some(state) = ledger.as_ref().and_then(Ledger::read) {
+        if check_state(&state, digest, scenarios.len()).is_ok() {
+            records = state.records;
         }
     }
 
@@ -973,7 +998,6 @@ pub fn run_sweep(grid: &ScenarioGrid, opts: &SweepOptions) -> Result<SweepReport
                     grid_digest: digest,
                     records: recs.clone(),
                     leases: Vec::new(),
-                    shard_size: 1,
                 })
             })
         });
@@ -988,20 +1012,35 @@ pub fn run_sweep(grid: &ScenarioGrid, opts: &SweepOptions) -> Result<SweepReport
         return Err(e);
     }
     let records = results.into_inner().expect("result slot poisoned");
+    let cache = (cache.hits(), cache.misses());
+    Ok(sweep_report(digest, records, start, threads, cache))
+}
+
+/// The one [`SweepReport`] builder, for [`run_sweep`] and the fleet
+/// coordinator: the completed records in grid order, their cross-seed
+/// aggregates, and the invocation's wall clock, worker count and
+/// input-cache `(hits, misses)`.
+fn sweep_report(
+    digest: u64,
+    records: Vec<Option<ScenarioRecord>>,
+    start: Instant,
+    threads: usize,
+    (cache_hits, cache_misses): (u64, u64),
+) -> SweepReport {
     let complete = records.iter().all(Option::is_some);
-    let completed: Vec<ScenarioRecord> = records.into_iter().flatten().collect();
-    let aggregates = aggregate(&completed);
-    Ok(SweepReport {
+    let scenarios: Vec<ScenarioRecord> = records.into_iter().flatten().collect();
+    let aggregates = aggregate(&scenarios);
+    SweepReport {
         schema_version: SWEEP_REPORT_SCHEMA_VERSION,
         grid_digest: digest,
         complete,
-        scenarios: completed,
+        scenarios,
         aggregates,
         wall_seconds: start.elapsed().as_secs_f64(),
         threads,
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
-    })
+        cache_hits,
+        cache_misses,
+    }
 }
 
 /// Runs one scenario, for [`run_sweep`] and the fleet worker alike:
@@ -1074,26 +1113,23 @@ fn drive_scenario(
 }
 
 // --------------------------------------------------------------------
-// Multi-process fleet: lease-based sharding over the shared ledger
+// Multi-process fleet: one lease per scenario over the shared ledger
 // --------------------------------------------------------------------
 
-/// How fleet workers and the coordinator behave. All time knobs are
+/// How long an idle worker, or the coordinator waiting for
+/// completions, sleeps before it re-reads the ledger.
+const POLL: Duration = Duration::from_millis(25);
+
+/// How fleet workers and the coordinator behave. The time knobs are
 /// liveness-only — they can change results' *latency*, never their
 /// *bytes* (the bitwise-merge contract in DESIGN.md §14).
 #[derive(Debug, Clone)]
 pub struct FleetOptions {
-    /// Scenarios per lease shard (≥ 1). Bigger shards amortise ledger
-    /// round-trips; smaller shards re-run less work after a kill.
-    pub shard_size: usize,
     /// Lease expiry in milliseconds: a lease whose heartbeat is older
-    /// than this is presumed dead and reclaimable by anyone.
+    /// than this is presumed dead and reclaimable by anyone. A worker
+    /// renews its lease every `lease_ms / 4`; a zero lease has expired
+    /// the moment it is written, so it is never renewed.
     pub lease_ms: u64,
-    /// Heartbeat renewal cadence while a worker runs a shard. Must be
-    /// comfortably below `lease_ms` or live workers lose their leases.
-    pub heartbeat_ms: u64,
-    /// Idle poll cadence: a worker waiting for claimable work, and the
-    /// coordinator waiting for completions, re-check this often.
-    pub poll_ms: u64,
     /// Steps between mid-scenario checkpoints (`0` = resume only at
     /// scenario boundaries).
     pub checkpoint_every: usize,
@@ -1102,7 +1138,7 @@ pub struct FleetOptions {
     /// finished; the coordinator errors (the grid is incomplete).
     pub max_wall_ms: Option<u64>,
     /// Deterministic kill switch for tests: abandon the worker loop
-    /// abruptly — leases unreleased, checkpoint files left behind,
+    /// abruptly — lease unreleased, checkpoint files left behind,
     /// exactly the on-disk state a SIGKILL produces — after writing
     /// this many mid-scenario checkpoints. The companion of
     /// [`SweepOptions::limit`] for simulating killed fleets.
@@ -1112,15 +1148,17 @@ pub struct FleetOptions {
 impl Default for FleetOptions {
     fn default() -> Self {
         FleetOptions {
-            shard_size: 1,
             lease_ms: 5_000,
-            heartbeat_ms: 1_000,
-            poll_ms: 25,
-            checkpoint_every: 0,
+            checkpoint_every: 8,
             max_wall_ms: None,
             kill_after_checkpoints: None,
         }
     }
+}
+
+/// Whether `max_wall_ms` has passed since `start`.
+fn out_of_time(start: Instant, max_wall_ms: Option<u64>) -> bool {
+    max_wall_ms.is_some_and(|ms| start.elapsed() >= Duration::from_millis(ms))
 }
 
 /// What one [`run_fleet_worker`] invocation accomplished.
@@ -1130,7 +1168,7 @@ pub struct FleetWorkerReport {
     pub worker_id: String,
     /// Scenarios this worker completed and recorded.
     pub completed: usize,
-    /// Whether the deterministic kill switch fired (leases were left
+    /// Whether the deterministic kill switch fired (the lease was left
     /// unreleased; only tests set the switch).
     pub killed: bool,
 }
@@ -1143,11 +1181,9 @@ pub struct FleetStatus {
     pub total: usize,
     /// Scenarios completed and recorded in the ledger.
     pub completed: usize,
-    /// Scenarios per lease shard.
-    pub shard_size: usize,
     /// Live lease table as persisted (expired leases included — expiry
     /// is judged against [`FleetOptions::lease_ms`] at claim time).
-    pub leases: Vec<ShardLease>,
+    pub leases: Vec<Lease>,
 }
 
 /// Reads the fleet ledger in `dir`, returning `None` when no sweep has
@@ -1161,172 +1197,59 @@ pub fn fleet_status(dir: &Path) -> Result<Option<FleetStatus>, SimError> {
     Ok(ledger.read().map(|state| FleetStatus {
         total: state.records.len(),
         completed: state.records.iter().filter(|r| r.is_some()).count(),
-        shard_size: state.shard_size,
         leases: state.leases,
     }))
 }
 
-/// Rejects a ledger that belongs to a different job than the caller's
-/// grid + options — resuming across grids or disagreeing shard sizes
-/// would corrupt the sweep silently.
-fn check_state(
-    state: &SweepState,
-    digest: u64,
-    n: usize,
-    shard_size: usize,
-) -> Result<(), SimError> {
-    if state.schema_version != SWEEP_REPORT_SCHEMA_VERSION
-        || state.grid_digest != digest
-        || state.records.len() != n
-    {
-        return Err(SimError::InvalidConfig {
-            message: format!(
-                "sweep ledger belongs to a different grid \
-                 (digest {:016x}/{} scenarios vs {:016x}/{n})",
-                state.grid_digest,
-                state.records.len(),
-                digest
-            ),
-        });
-    }
-    if state.shard_size != shard_size {
-        return Err(SimError::InvalidConfig {
-            message: format!(
-                "sweep ledger shard size {} disagrees with requested {shard_size}; \
-                 every fleet member must use identical FleetOptions::shard_size",
-                state.shard_size
-            ),
-        });
-    }
-    Ok(())
-}
-
 /// Outcome of one claim attempt against the lease board.
 enum Claim {
-    /// A shard was leased: its index and its still-pending scenarios.
-    Shard { shard: usize, pending: Vec<usize> },
-    /// Pending work exists but every pending shard is under a live
+    /// This grid index was leased to the caller.
+    Leased(usize),
+    /// Pending work exists but every pending scenario is under a live
     /// lease held by someone else (duplicate claims are rejected).
     Busy,
     /// Every scenario in the grid is recorded complete.
     Done,
 }
 
-/// One locked read-reclaim-claim-write cycle: expired leases are
-/// dropped, then the first shard with pending scenarios and no live
-/// lease is leased to `worker_id`.
-fn claim_shard(
-    ledger: &Ledger,
-    digest: u64,
-    n: usize,
-    worker_id: &str,
-    opts: &FleetOptions,
-) -> Result<Claim, SimError> {
-    let _guard = ledger.lock()?;
-    let mut state = match ledger.read() {
-        Some(state) => {
-            check_state(&state, digest, n, opts.shard_size)?;
-            state
-        }
-        None => SweepState::fresh(digest, n, opts.shard_size),
-    };
+/// Drops every lease whose heartbeat is older than `lease_ms`.
+fn reclaim_expired(state: &mut SweepState, lease_ms: u64) {
     let now = unix_ms();
     state
         .leases
-        .retain(|l| now.saturating_sub(l.heartbeat_unix_ms) < opts.lease_ms);
-    let shards = n.div_ceil(opts.shard_size);
-    let mut outcome = Claim::Done;
-    for shard in 0..shards {
-        let lo = shard * opts.shard_size;
-        let hi = (lo + opts.shard_size).min(n);
-        let pending: Vec<usize> = (lo..hi).filter(|&i| state.records[i].is_none()).collect();
-        if pending.is_empty() {
-            continue;
-        }
-        if state.leases.iter().any(|l| l.shard == shard) {
-            outcome = Claim::Busy;
-            continue;
-        }
-        state.leases.push(ShardLease {
-            shard,
-            worker: worker_id.to_string(),
-            granted_unix_ms: now,
-            heartbeat_unix_ms: now,
-        });
-        ledger.write(&state)?;
-        return Ok(Claim::Shard { shard, pending });
-    }
-    // Nothing claimable; still persist the reclamation sweep so a dead
-    // worker's leases disappear even when everyone else is idle.
-    ledger.write(&state)?;
-    Ok(outcome)
+        .retain(|l| now.saturating_sub(l.heartbeat_unix_ms) < lease_ms);
 }
 
-/// Renews `worker_id`'s heartbeat on `shard`. Returns `false` when the
-/// lease is no longer held (it expired and was reclaimed, or the
-/// ledger was reset) — the caller must abandon the shard immediately
-/// rather than double-run scenarios another worker now owns.
-fn renew_lease(ledger: &Ledger, worker_id: &str, shard: usize) -> Result<bool, SimError> {
-    let _guard = ledger.lock()?;
-    let Some(mut state) = ledger.read() else {
-        return Ok(false);
-    };
-    match state.leases.iter_mut().find(|l| l.shard == shard) {
-        Some(lease) if lease.worker == worker_id => {
-            lease.heartbeat_unix_ms = unix_ms();
-            ledger.write(&state)?;
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
-}
-
-/// Records a completed scenario in the ledger (first writer wins —
-/// duplicate completions after a lease reclaim carry bitwise-identical
-/// results, so keeping the first is sound) and renews the worker's
-/// heartbeat in the same locked cycle.
-fn record_completion(
+/// One ledger cycle: expired leases are dropped, then the first pending
+/// scenario with no live lease is leased to `worker_id`. The cycle
+/// writes even when nothing is claimable, so a dead worker's lease
+/// disappears while everyone else is idle.
+fn claim(
     ledger: &Ledger,
     digest: u64,
     n: usize,
     worker_id: &str,
-    shard: usize,
-    record: ScenarioRecord,
-    opts: &FleetOptions,
-) -> Result<(), SimError> {
-    let _guard = ledger.lock()?;
-    let mut state = match ledger.read() {
-        Some(state) => {
-            check_state(&state, digest, n, opts.shard_size)?;
-            state
+    lease_ms: u64,
+) -> Result<Claim, SimError> {
+    ledger.update(digest, n, |state| {
+        reclaim_expired(state, lease_ms);
+        let mut outcome = Claim::Done;
+        for scenario in (0..n).filter(|&i| state.records[i].is_none()) {
+            if state.leases.iter().any(|l| l.scenario == scenario) {
+                outcome = Claim::Busy;
+                continue;
+            }
+            let now = unix_ms();
+            state.leases.push(Lease {
+                scenario,
+                worker: worker_id.to_string(),
+                granted_unix_ms: now,
+                heartbeat_unix_ms: now,
+            });
+            return Claim::Leased(scenario);
         }
-        None => SweepState::fresh(digest, n, opts.shard_size),
-    };
-    let index = record.index;
-    if state.records[index].is_none() {
-        state.records[index] = Some(record);
-    }
-    if let Some(lease) = state
-        .leases
-        .iter_mut()
-        .find(|l| l.shard == shard && l.worker == worker_id)
-    {
-        lease.heartbeat_unix_ms = unix_ms();
-    }
-    ledger.write(&state)
-}
-
-/// Drops `worker_id`'s lease on `shard` after the shard's scenarios
-/// are all recorded.
-fn release_shard(ledger: &Ledger, worker_id: &str, shard: usize) -> Result<(), SimError> {
-    let _guard = ledger.lock()?;
-    if let Some(mut state) = ledger.read() {
-        state
-            .leases
-            .retain(|l| !(l.shard == shard && l.worker == worker_id));
-        ledger.write(&state)?;
-    }
-    Ok(())
+        outcome
+    })
 }
 
 /// A worker id reduced to filesystem-safe characters for its JSONL
@@ -1366,26 +1289,27 @@ struct WorkerCtx<'a> {
 
 /// How one leased scenario ended.
 enum ScenarioOutcome {
-    /// Completed, streamed and recorded.
+    /// Completed, streamed and recorded, its lease released.
     Done,
-    /// The lease was lost mid-run (reclaimed after expiry); the shard
-    /// belongs to someone else now.
+    /// The lease was lost mid-run (reclaimed after expiry); the
+    /// scenario belongs to someone else now.
     Abandoned,
     /// The deterministic kill switch fired.
     Killed,
 }
 
-/// Runs one scenario under a lease: [`drive_scenario`] with the fleet's
+/// Runs one leased scenario: [`drive_scenario`] with the fleet's
 /// per-tick duties — count snapshots for the kill switch, renew the
-/// heartbeat every `heartbeat_ms` — and on completion streams the
+/// heartbeat every `lease_ms / 4` — and on completion streams the
 /// record (JSONL first, then the ledger — a kill between the two only
-/// costs a duplicate line the coordinator deduplicates).
+/// costs a duplicate line the coordinator deduplicates). Recording the
+/// scenario and releasing its lease are one ledger write.
 fn run_leased_scenario(
     ctx: &mut WorkerCtx<'_>,
     scenario: &Scenario,
-    shard: usize,
 ) -> Result<ScenarioOutcome, SimError> {
-    let opts = ctx.opts;
+    let (opts, index) = (ctx.opts, scenario.index);
+    let beat = Duration::from_millis(opts.lease_ms / 4);
     let mut last_beat = Instant::now();
     let mut stopped = ScenarioOutcome::Done;
     let record = drive_scenario(
@@ -1404,10 +1328,19 @@ fn run_leased_scenario(
                     return Ok(false);
                 }
             }
-            if u64::try_from(last_beat.elapsed().as_millis()).unwrap_or(u64::MAX)
-                >= opts.heartbeat_ms
-            {
-                if !renew_lease(&ctx.ledger, ctx.worker_id, shard)? {
+            if opts.lease_ms > 0 && last_beat.elapsed() >= beat {
+                // A renewal that finds the lease gone (it expired and was
+                // reclaimed, or the ledger was reset) abandons the
+                // scenario rather than double-run what another worker
+                // now owns.
+                let held = ctx.ledger.update(ctx.digest, ctx.n, |state| {
+                    let now = unix_ms();
+                    (state.leases.iter_mut())
+                        .find(|l| l.scenario == index && l.worker == ctx.worker_id)
+                        .map(|lease| lease.heartbeat_unix_ms = now)
+                        .is_some()
+                })?;
+                if !held {
                     stopped = ScenarioOutcome::Abandoned;
                     return Ok(false);
                 }
@@ -1420,29 +1353,27 @@ fn run_leased_scenario(
         return Ok(stopped);
     };
     append_jsonl(&ctx.jsonl, &record)?;
-    record_completion(
-        &ctx.ledger,
-        ctx.digest,
-        ctx.n,
-        ctx.worker_id,
-        shard,
-        record,
-        ctx.opts,
-    )?;
+    // First writer wins: a duplicate completion after a reclaim carries
+    // a bitwise-identical result, so keeping the first is sound.
+    ctx.ledger.update(ctx.digest, ctx.n, |state| {
+        state.records[index].get_or_insert(record);
+        state
+            .leases
+            .retain(|l| !(l.scenario == index && l.worker == ctx.worker_id));
+    })?;
     Ok(ScenarioOutcome::Done)
 }
 
 /// Runs a fleet worker process (or thread) to grid completion.
 ///
-/// The worker loops: claim a shard lease from the shared ledger
-/// (`claim_shard` rejects duplicate claims on live leases and
-/// reclaims expired ones), run the shard's pending scenarios with
-/// heartbeat renewal and periodic checkpoints, stream each completed
-/// [`ScenarioRecord`] to `worker_<id>.jsonl`, record it in the ledger,
-/// release the lease, repeat. When every pending shard is leased by
-/// someone else it polls until work frees up (a lease expiring counts)
-/// or the grid completes; [`FleetOptions::max_wall_ms`] bounds the
-/// wait.
+/// The worker loops: lease one scenario from the shared ledger
+/// (`claim` rejects duplicate claims on live leases and reclaims
+/// expired ones), run it with heartbeat renewal and periodic
+/// checkpoints, stream the completed [`ScenarioRecord`] to
+/// `worker_<id>.jsonl`, record it and release the lease in one ledger
+/// write, repeat. When every pending scenario is leased by someone
+/// else it polls until work frees up (a lease expiring counts) or the
+/// grid completes; [`FleetOptions::max_wall_ms`] bounds the wait.
 ///
 /// # Errors
 /// Grid expansion errors, ledger/grid mismatches
@@ -1453,18 +1384,12 @@ pub fn run_fleet_worker(
     worker_id: &str,
     opts: &FleetOptions,
 ) -> Result<FleetWorkerReport, SimError> {
-    if opts.shard_size == 0 {
-        return Err(SimError::InvalidConfig {
-            message: "FleetOptions::shard_size must be at least 1".to_string(),
-        });
-    }
     let scenarios = grid.scenarios()?;
-    let digest = scenarios_digest(&scenarios);
     fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
     let mut ctx = WorkerCtx {
         ledger: Ledger::in_dir(dir),
         dir,
-        digest,
+        digest: scenarios_digest(&scenarios),
         n: scenarios.len(),
         worker_id,
         opts,
@@ -1473,46 +1398,26 @@ pub fn run_fleet_worker(
         checkpoints_written: 0,
     };
     let started = Instant::now();
-    let mut completed = 0usize;
-    loop {
-        let out_of_time = opts.max_wall_ms.is_some_and(|ms| {
-            u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX) >= ms
-        });
-        if out_of_time {
-            break;
-        }
-        match claim_shard(&ctx.ledger, digest, scenarios.len(), worker_id, opts)? {
+    let mut report = FleetWorkerReport {
+        worker_id: worker_id.to_string(),
+        completed: 0,
+        killed: false,
+    };
+    while !out_of_time(started, opts.max_wall_ms) {
+        match claim(&ctx.ledger, ctx.digest, ctx.n, worker_id, opts.lease_ms)? {
             Claim::Done => break,
-            Claim::Busy => thread::sleep(Duration::from_millis(opts.poll_ms)),
-            Claim::Shard { shard, pending } => {
-                let mut lost = false;
-                for index in pending {
-                    match run_leased_scenario(&mut ctx, &scenarios[index], shard)? {
-                        ScenarioOutcome::Done => completed += 1,
-                        ScenarioOutcome::Abandoned => {
-                            lost = true;
-                            break;
-                        }
-                        ScenarioOutcome::Killed => {
-                            return Ok(FleetWorkerReport {
-                                worker_id: worker_id.to_string(),
-                                completed,
-                                killed: true,
-                            });
-                        }
-                    }
+            Claim::Busy => thread::sleep(POLL),
+            Claim::Leased(index) => match run_leased_scenario(&mut ctx, &scenarios[index])? {
+                ScenarioOutcome::Done => report.completed += 1,
+                ScenarioOutcome::Abandoned => {}
+                ScenarioOutcome::Killed => {
+                    report.killed = true;
+                    break;
                 }
-                if !lost {
-                    release_shard(&ctx.ledger, worker_id, shard)?;
-                }
-            }
+            },
         }
     }
-    Ok(FleetWorkerReport {
-        worker_id: worker_id.to_string(),
-        completed,
-        killed: false,
-    })
+    Ok(report)
 }
 
 /// Tails every `worker_*.jsonl` stream in `dir`, merging newly
@@ -1592,11 +1497,6 @@ pub fn run_fleet_coordinator(
     dir: &Path,
     opts: &FleetOptions,
 ) -> Result<SweepReport, SimError> {
-    if opts.shard_size == 0 {
-        return Err(SimError::InvalidConfig {
-            message: "FleetOptions::shard_size must be at least 1".to_string(),
-        });
-    }
     let start = Instant::now();
     let scenarios = grid.scenarios()?;
     let digest = scenarios_digest(&scenarios);
@@ -1608,15 +1508,7 @@ pub fn run_fleet_coordinator(
     let mut workers_seen: Vec<String> = Vec::new();
     loop {
         tail_worker_streams(dir, &mut offsets, &mut records, &mut workers_seen)?;
-        let all_done = {
-            let _guard = ledger.lock()?;
-            let mut state = match ledger.read() {
-                Some(state) => {
-                    check_state(&state, digest, n, opts.shard_size)?;
-                    state
-                }
-                None => SweepState::fresh(digest, n, opts.shard_size),
-            };
+        ledger.update(digest, n, |state| {
             for (ours, theirs) in records.iter_mut().zip(state.records.iter_mut()) {
                 match (&ours, &theirs) {
                     (None, Some(r)) => *ours = Some(r.clone()),
@@ -1624,20 +1516,12 @@ pub fn run_fleet_coordinator(
                     _ => {}
                 }
             }
-            let now = unix_ms();
-            state
-                .leases
-                .retain(|l| now.saturating_sub(l.heartbeat_unix_ms) < opts.lease_ms);
-            ledger.write(&state)?;
-            records.iter().all(Option::is_some)
-        };
-        if all_done {
+            reclaim_expired(state, opts.lease_ms);
+        })?;
+        if records.iter().all(Option::is_some) {
             break;
         }
-        let out_of_time = opts
-            .max_wall_ms
-            .is_some_and(|ms| u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX) >= ms);
-        if out_of_time {
+        if out_of_time(start, opts.max_wall_ms) {
             return Err(SimError::Io {
                 path: dir.display().to_string(),
                 message: format!(
@@ -1646,21 +1530,15 @@ pub fn run_fleet_coordinator(
                 ),
             });
         }
-        thread::sleep(Duration::from_millis(opts.poll_ms));
+        thread::sleep(POLL);
     }
-    let completed: Vec<ScenarioRecord> = records.into_iter().flatten().collect();
-    let aggregates = aggregate(&completed);
-    Ok(SweepReport {
-        schema_version: SWEEP_REPORT_SCHEMA_VERSION,
-        grid_digest: digest,
-        complete: true,
-        scenarios: completed,
-        aggregates,
-        wall_seconds: start.elapsed().as_secs_f64(),
-        threads: workers_seen.len(),
-        cache_hits: 0,
-        cache_misses: 0,
-    })
+    Ok(sweep_report(
+        digest,
+        records,
+        start,
+        workers_seen.len(),
+        (0, 0),
+    ))
 }
 
 #[cfg(test)]
@@ -1924,24 +1802,53 @@ mod tests {
             schema_version: SWEEP_REPORT_SCHEMA_VERSION,
             grid_digest: 0xdead_beef,
             records: vec![None, None],
-            leases: vec![ShardLease {
-                shard: 1,
+            leases: vec![Lease {
+                scenario: 1,
                 worker: "w0".to_string(),
                 granted_unix_ms: 1_786_308_300_853,
                 heartbeat_unix_ms: 1_786_308_302_154,
             }],
-            shard_size: 2,
         };
         let json = serde_json::to_string(&state).unwrap();
         let back: SweepState = serde_json::from_str(&json)
             .unwrap_or_else(|e| panic!("state must round-trip: {e}\n{json}"));
         assert_eq!(back.leases, state.leases);
-        assert_eq!(back.shard_size, 2);
-        // Legacy pre-fleet ledgers (no leases/shard_size) still parse.
+        // Legacy pre-fleet ledgers (no leases) still parse.
         let legacy = r#"{"schema_version":1,"grid_digest":7,"records":[null]}"#;
         let old: SweepState = serde_json::from_str(legacy).unwrap();
         assert!(old.leases.is_empty());
-        assert_eq!(old.shard_size, 1);
+    }
+
+    /// A ledger as `run_sweep` and finished fleets wrote it while leases
+    /// covered blocks of scenarios — a block size of one and no live
+    /// leases — is resumed, not quarantined: its completed scenario is
+    /// not re-run, and a fleet worker finds the grid done.
+    #[test]
+    fn a_ledger_from_before_scenario_leases_still_resumes() {
+        let dir = std::env::temp_dir().join(format!("middle_old_ledger_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let grid = ScenarioGrid::new(tiny());
+        let record = serde_json::to_string(&bare_record("k2-tc4-base-s7", 7)).unwrap();
+        let digest = grid.digest().unwrap();
+        let old = format!(
+            r#"{{"schema_version":1,"grid_digest":{digest},"records":[{record}],"leases":[],"shard_size":1}}"#
+        );
+        fs::write(dir.join("sweep_state.json"), seal_json(&old)).unwrap();
+        let opts = SweepOptions {
+            checkpoint_dir: Some(dir.clone()),
+            ..SweepOptions::default()
+        };
+        let report = run_sweep(&grid, &opts).unwrap();
+        assert!(report.complete);
+        assert_eq!(report.cache_misses, 0, "the finished scenario re-ran");
+        assert_eq!(report.scenarios[0].record.param_count, 0);
+        let worker = run_fleet_worker(&grid, &dir, "w0", &FleetOptions::default()).unwrap();
+        assert_eq!(worker.completed, 0);
+        let status = fleet_status(&dir).unwrap().expect("the ledger stays");
+        assert_eq!((status.completed, status.total), (1, 1));
+        assert!(!dir.join("sweep_state.json.corrupt").exists());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1957,7 +1864,6 @@ mod tests {
             grid_digest: 42,
             records: vec![Some(record), None],
             leases: Vec::new(),
-            shard_size: 1,
         };
         let json = serde_json::to_string(&state).unwrap();
         let back: SweepState = serde_json::from_str(&json)
@@ -2003,7 +1909,7 @@ mod tests {
     }
 
     /// Threads of one process replacing one snapshot (two live fleet
-    /// workers that both reclaimed a shard) must each own their tmp
+    /// workers that both reclaimed a scenario) must each own their tmp
     /// file: with a shared one, whoever renames second finds it gone.
     #[test]
     fn write_atomic_survives_concurrent_writers_of_one_path() {

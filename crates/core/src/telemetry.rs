@@ -231,7 +231,9 @@ pub struct StepCounters {
     /// transmission attempt (retransmissions included, matching
     /// [`crate::CommStats::device_to_edge`]).
     pub uploads: u64,
-    /// Cloud synchronisations.
+    /// Cloud synchronisations, counted where the ledger counts them
+    /// (`RunRecord::syncs`) — a sync that lands after the final step
+    /// closed included.
     pub syncs: u64,
     /// Candidates dropped by the fault-plane dropout process
     /// (on top of `availability_drops`).
@@ -417,6 +419,14 @@ impl StepProbe {
     pub fn empty_cohort(&mut self) {
         if self.enabled {
             self.counters.empty_cohorts += 1;
+        }
+    }
+
+    /// Records one cloud synchronisation, where the ledger counts it.
+    #[inline]
+    pub fn sync(&mut self) {
+        if self.enabled {
+            self.counters.syncs += 1;
         }
     }
 
@@ -627,7 +637,8 @@ impl Telemetry {
 
     /// Closes a step: observes the step + phase histograms, merges the
     /// probe's counters, and emits the JSONL event when a sink is
-    /// configured.
+    /// configured. `synced` is only the JSONL line's `sync` flag; the
+    /// sync counter is the probe's ([`StepProbe::sync`]).
     pub fn end_step(&mut self, t: usize, active: bool, synced: bool, mut probe: StepProbe) {
         if !self.enabled {
             return;
@@ -644,7 +655,6 @@ impl Telemetry {
         }
         probe.counters.steps = 1;
         probe.counters.active_steps = u64::from(active);
-        probe.counters.syncs = u64::from(synced);
         self.counters.merge(&probe.counters);
         if let Some(w) = &mut self.sink {
             let c = &probe.counters;
@@ -871,6 +881,9 @@ mod tests {
             probe.uploads(4);
             probe.moved_init();
             probe.downloads(3);
+            if t == 2 {
+                probe.sync();
+            }
             tel.end_step(t, t != 1, t == 2, probe);
         }
         let report = tel.report().expect("enabled recorder reports");

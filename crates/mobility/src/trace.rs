@@ -18,9 +18,9 @@
 //! historical representation) or by a **stream**: the Markov generators
 //! can run as a cursor that keeps only the previous and current rows
 //! plus the generator RNG, so holding a million-device trace costs
-//! O(N), not O(N·T). Streamed rows are bitwise identical to the dense
-//! generator's output for the same parameters — the cursor replays the
-//! exact same RNG draw sequence.
+//! O(N), not O(N·T). The dense generators walk that same cursor and
+//! keep every row, so the hop is written once and both backends replay
+//! one RNG draw sequence.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -166,39 +166,26 @@ impl MarkovStream {
         }
     }
 
-    /// Generates the next row in place, replaying the dense generator's
-    /// exact RNG draw order.
+    /// Generates the next row in place: each device moves with its
+    /// probability `p_m`, to a uniformly-random *other* edge (never a
+    /// self-loop, so every draw is a real move and E[moves] tracks P) —
+    /// or, on the homed variant, first back home with probability
+    /// `home_bias` when it is away.
     fn advance(&self, cursor: &mut Cursor) {
         let num_edges = self.spec.num_edges;
+        let homes = self.spec.homes.as_deref();
         cursor.prev.clone_from(&cursor.cur);
         let rng = &mut cursor.rng;
-        match &self.spec.homes {
-            None => {
-                for (m, e) in cursor.cur.iter_mut().enumerate() {
-                    if num_edges > 1 && rng.gen::<f64>() < self.p[m] {
-                        let mut next = rng.gen_range(0..num_edges - 1);
-                        if next >= *e {
-                            next += 1;
-                        }
-                        *e = next;
+        for (m, e) in cursor.cur.iter_mut().enumerate() {
+            if num_edges > 1 && rng.gen::<f64>() < self.p[m] {
+                let home = homes.map(|h| h[m]);
+                *e = match home {
+                    Some(home) if *e != home && rng.gen::<f64>() < self.spec.home_bias => home,
+                    _ => {
+                        let next = rng.gen_range(0..num_edges - 1);
+                        next + usize::from(next >= *e)
                     }
-                }
-            }
-            Some(homes) => {
-                for (m, e) in cursor.cur.iter_mut().enumerate() {
-                    if num_edges > 1 && rng.gen::<f64>() < self.p[m] {
-                        let home = homes[m];
-                        *e = if *e != home && rng.gen::<f64>() < self.spec.home_bias {
-                            home
-                        } else {
-                            let mut next = rng.gen_range(0..num_edges - 1);
-                            if next >= *e {
-                                next += 1;
-                            }
-                            next
-                        };
-                    }
-                }
+                };
             }
         }
         cursor.moved += cursor
@@ -208,6 +195,20 @@ impl MarkovStream {
             .filter(|(a, b)| a != b)
             .count() as u64;
         cursor.t += 1;
+    }
+
+    /// Every row of the trace, walked from step 0 — the dense
+    /// generators' output.
+    fn rows(&self) -> Vec<Vec<usize>> {
+        let mut cursor = self.lock();
+        self.seek(&mut cursor, 0);
+        let mut rows = Vec::with_capacity(self.spec.steps);
+        rows.push(cursor.cur.clone());
+        while rows.len() < self.spec.steps {
+            self.advance(&mut cursor);
+            rows.push(cursor.cur.clone());
+        }
+        rows
     }
 
     /// Total moved device-steps over the whole horizon: the cursor's
@@ -296,6 +297,14 @@ impl Trace {
                 home_bias,
                 seed,
             }))),
+        }
+    }
+
+    /// The same trace with every row materialised.
+    fn into_dense(self) -> Trace {
+        match self.backend {
+            Backend::Dense(_) => self,
+            Backend::Stream(s) => Trace::new(self.num_edges, s.rows()),
         }
     }
 
@@ -553,9 +562,8 @@ impl Trace {
 }
 
 /// Heterogeneous per-device move probabilities with mean `p_global`:
-/// draw U(0.5, 1.5)·P and renormalise the sample mean back to P. Shared
-/// by the dense generators and the streaming backend so both replay the
-/// same draws.
+/// draw U(0.5, 1.5)·P and renormalise the sample mean back to P. Drawn
+/// first from a stream's seed, before its initial row.
 fn draw_move_probabilities(devices: usize, p_global: f64, rng: &mut StdRng) -> Vec<f64> {
     let mut p: Vec<f64> = (0..devices)
         .map(|_| (rng.gen_range(0.5..1.5) * p_global).clamp(0.0, 1.0))
@@ -717,28 +725,7 @@ pub fn generate_markov_hop(
     p_global: f64,
     seed: u64,
 ) -> Trace {
-    assert!(num_edges > 0, "need at least one edge");
-    assert!(steps > 0, "need at least one step");
-    assert!((0.0..=1.0).contains(&p_global), "P must be in [0, 1]");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let p = draw_move_probabilities(devices, p_global, &mut rng);
-
-    let mut current: Vec<usize> = (0..devices).map(|_| rng.gen_range(0..num_edges)).collect();
-    let mut assignments = Vec::with_capacity(steps);
-    assignments.push(current.clone());
-    for _ in 1..steps {
-        for (m, e) in current.iter_mut().enumerate() {
-            if num_edges > 1 && rng.gen::<f64>() < p[m] {
-                let mut next = rng.gen_range(0..num_edges - 1);
-                if next >= *e {
-                    next += 1;
-                }
-                *e = next;
-            }
-        }
-        assignments.push(current.clone());
-    }
-    Trace::new(num_edges, assignments)
+    Trace::markov_hop_streaming(num_edges, devices, steps, p_global, seed).into_dense()
 }
 
 /// Home-biased Markov edge-hop trace: like [`generate_markov_hop`], but
@@ -759,44 +746,8 @@ pub fn generate_markov_hop_homed(
     home_bias: f64,
     seed: u64,
 ) -> Trace {
-    assert!(num_edges > 0, "need at least one edge");
-    assert!(steps > 0, "need at least one step");
-    assert!((0.0..=1.0).contains(&p_global), "P must be in [0, 1]");
-    assert!(
-        (0.0..=1.0).contains(&home_bias),
-        "home_bias must be in [0, 1]"
-    );
-    assert!(
-        homes.iter().all(|&h| h < num_edges),
-        "home edge out of range"
-    );
-    let devices = homes.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let p = draw_move_probabilities(devices, p_global, &mut rng);
-
-    let mut current: Vec<usize> = homes.to_vec();
-    let mut assignments = Vec::with_capacity(steps);
-    assignments.push(current.clone());
-    for _ in 1..steps {
-        for (m, e) in current.iter_mut().enumerate() {
-            if num_edges > 1 && rng.gen::<f64>() < p[m] {
-                let home = homes[m];
-                *e = if *e != home && rng.gen::<f64>() < home_bias {
-                    home
-                } else {
-                    // Uniform over the other edges (never a self-loop, so
-                    // every draw is a real move and E[moves] tracks P).
-                    let mut next = rng.gen_range(0..num_edges - 1);
-                    if next >= *e {
-                        next += 1;
-                    }
-                    next
-                };
-            }
-        }
-        assignments.push(current.clone());
-    }
-    Trace::new(num_edges, assignments)
+    Trace::markov_hop_homed_streaming(num_edges, homes, steps, p_global, home_bias, seed)
+        .into_dense()
 }
 
 #[cfg(test)]
@@ -969,6 +920,10 @@ mod tests {
         out
     }
 
+    // The dense generators materialise the stream, so their rows agree
+    // by construction; the `streaming_*` tests hold the two backends'
+    // accessors to each other: random access, backward seeks, `moved`,
+    // `occupancy`, `devices_at` and `empirical_mobility`.
     #[test]
     fn streaming_markov_hop_matches_dense_bitwise() {
         let dense = generate_markov_hop(7, 50, 40, 0.35, 99);
@@ -990,6 +945,7 @@ mod tests {
             }
             assert_eq!(dense.occupancy(t), stream.occupancy(t));
         }
+        assert_eq!(dense.empirical_mobility(), stream.empirical_mobility());
     }
 
     #[test]

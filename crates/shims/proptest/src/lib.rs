@@ -221,11 +221,7 @@ pub mod prelude {
 /// # Panics
 /// Panics with the case number and message when a case fails, so the
 /// failure is reproducible by rerunning the test.
-pub fn run_cases(
-    cases: u32,
-    name: &str,
-    mut case: impl FnMut(&mut StdRng) -> Result<(), String>,
-) {
+pub fn run_cases(cases: u32, name: &str, mut case: impl FnMut(&mut StdRng) -> Result<(), String>) {
     use rand::SeedableRng;
     // FNV-1a over the test name decorrelates the per-test streams.
     let mut name_hash: u64 = 0xcbf2_9ce4_8422_2325;

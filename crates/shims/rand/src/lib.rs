@@ -223,10 +223,7 @@ pub mod rngs {
 
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
-            let result = self.s[1]
-                .wrapping_mul(5)
-                .rotate_left(7)
-                .wrapping_mul(9);
+            let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
             let t = self.s[1] << 17;
             self.s[2] ^= self.s[0];
             self.s[3] ^= self.s[1];

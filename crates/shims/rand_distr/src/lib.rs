@@ -138,9 +138,7 @@ fn gamma<R: RngCore + ?Sized>(shape: f64, rng: &mut R) -> f64 {
         }
         let v3 = v * v * v;
         let u: f64 = rng.gen();
-        if u < 1.0 - 0.0331 * x * x * x * x
-            || u.ln() < 0.5 * x * x + d * (1.0 - v3 + v3.ln())
-        {
+        if u < 1.0 - 0.0331 * x * x * x * x || u.ln() < 0.5 * x * x + d * (1.0 - v3 + v3.ln()) {
             return d * v3;
         }
     }
@@ -240,12 +238,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let sparse = Dirichlet::new(&vec![0.05f32; 8]).unwrap();
         let max_share: f32 = (0..50)
-            .map(|_| {
-                sparse
-                    .sample(&mut rng)
-                    .into_iter()
-                    .fold(0.0f32, f32::max)
-            })
+            .map(|_| sparse.sample(&mut rng).into_iter().fold(0.0f32, f32::max))
             .sum::<f32>()
             / 50.0;
         assert!(max_share > 0.7, "sparse max share {max_share}");

@@ -198,7 +198,10 @@ impl Pool {
                 std::hint::spin_loop();
                 continue;
             }
-            let guard = self.park.lock().expect("park lock is never held across a panic");
+            let guard = self
+                .park
+                .lock()
+                .expect("park lock is never held across a panic");
             // SeqCst here and on the gate store/sleepers load in `run`:
             // either this worker sees OPEN below, or the caller sees the
             // sleeper and (after this worker waits) notifies.
@@ -223,7 +226,10 @@ impl Pool {
         // load of a zero gate; SeqCst pairs with `caller_parked`.
         let before = self.gate.fetch_sub(JOINER, Ordering::SeqCst);
         if before == JOINER && self.caller_parked.load(Ordering::SeqCst) {
-            let _guard = self.park.lock().expect("park lock is never held across a panic");
+            let _guard = self
+                .park
+                .lock()
+                .expect("park lock is never held across a panic");
             self.drained.notify_one();
         }
     }
@@ -235,7 +241,10 @@ impl Pool {
         self.region.store(erased, Ordering::Relaxed);
         self.gate.store(OPEN, Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.park.lock().expect("park lock is never held across a panic");
+            let _guard = self
+                .park
+                .lock()
+                .expect("park lock is never held across a panic");
             self.work_ready.notify_all();
         }
 
@@ -250,7 +259,10 @@ impl Pool {
                 std::hint::spin_loop();
                 continue;
             }
-            let guard = self.park.lock().expect("park lock is never held across a panic");
+            let guard = self
+                .park
+                .lock()
+                .expect("park lock is never held across a panic");
             self.caller_parked.store(true, Ordering::SeqCst);
             drop(
                 self.drained
@@ -596,13 +608,11 @@ mod tests {
     #[test]
     fn chunks_cover_the_slice() {
         let mut v = vec![1f32; 1000];
-        v.par_chunks_mut(16)
-            .enumerate()
-            .for_each(|(blk, chunk)| {
-                for x in chunk {
-                    *x = blk as f32;
-                }
-            });
+        v.par_chunks_mut(16).enumerate().for_each(|(blk, chunk)| {
+            for x in chunk {
+                *x = blk as f32;
+            }
+        });
         assert_eq!(v[0], 0.0);
         assert_eq!(v[999], (999 / 16) as f32);
     }

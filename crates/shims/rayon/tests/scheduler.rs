@@ -107,9 +107,7 @@ fn busy_pool_runs_the_second_caller_inline() {
             out
         });
         let b = s.spawn(|| {
-            wait_until("the first caller's region is open", || {
-                a_open.load(SeqCst)
-            });
+            wait_until("the first caller's region is open", || a_open.load(SeqCst));
             let items: Vec<usize> = (0..1000).collect();
             let out: Vec<usize> = items.par_iter().map(|&i| i + 1).collect();
             b_done.store(true, SeqCst);

@@ -17,13 +17,17 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    gen_serialize(&item).parse().expect("generated Serialize impl parses")
+    gen_serialize(&item)
+        .parse()
+        .expect("generated Serialize impl parses")
 }
 
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    gen_deserialize(&item).parse().expect("generated Deserialize impl parses")
+    gen_deserialize(&item)
+        .parse()
+        .expect("generated Deserialize impl parses")
 }
 
 // ---------------------------------------------------------------------
@@ -50,9 +54,18 @@ struct Variant {
 }
 
 enum Item {
-    Struct { name: String, fields: Vec<Field> },
-    Newtype { name: String },
-    Enum { name: String, lowercase: bool, variants: Vec<Variant> },
+    Struct {
+        name: String,
+        fields: Vec<Field>,
+    },
+    Newtype {
+        name: String,
+    },
+    Enum {
+        name: String,
+        lowercase: bool,
+        variants: Vec<Variant>,
+    },
 }
 
 fn is_ident(t: &TokenTree, s: &str) -> bool {
@@ -181,7 +194,11 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
         );
         i += 1;
         skip_type(&toks, &mut i);
-        fields.push(Field { name, default, skip_if });
+        fields.push(Field {
+            name,
+            default,
+            skip_if,
+        });
     }
     fields
 }
@@ -224,9 +241,9 @@ fn parse_item(input: TokenStream) -> Item {
     for (key, val) in container_attrs {
         match (key.as_str(), val.as_deref()) {
             ("rename_all", Some("lowercase")) => lowercase = true,
-            (other, v) => panic!(
-                "serde shim derive: unsupported container attribute `{other}` = {v:?}"
-            ),
+            (other, v) => {
+                panic!("serde shim derive: unsupported container attribute `{other}` = {v:?}")
+            }
         }
     }
     skip_visibility(&toks, &mut i);
@@ -247,10 +264,7 @@ fn parse_item(input: TokenStream) -> Item {
         },
         ("struct", Delimiter::Parenthesis) => {
             let inner: Vec<TokenTree> = body.stream().into_iter().collect();
-            let commas = inner
-                .iter()
-                .filter(|t| is_punct(t, ','))
-                .count();
+            let commas = inner.iter().filter(|t| is_punct(t, ',')).count();
             assert!(
                 commas == 0 || (commas == 1 && is_punct(inner.last().expect("non-empty"), ',')),
                 "serde shim derive: only one-field tuple structs are supported, `{name}` has more"
@@ -282,18 +296,15 @@ fn gen_serialize(item: &Item) -> String {
     let header = "#[automatically_derived]\n#[allow(clippy::all)]\n";
     match item {
         Item::Struct { name, fields } => {
-            let mut body = String::from(
-                "let mut fields: Vec<(String, serde::Value)> = Vec::new();\n",
-            );
+            let mut body =
+                String::from("let mut fields: Vec<(String, serde::Value)> = Vec::new();\n");
             for f in fields {
                 let n = &f.name;
                 let push = format!(
                     "fields.push((\"{n}\".to_string(), serde::Serialize::to_value(&self.{n})));"
                 );
                 match &f.skip_if {
-                    Some(path) => body.push_str(&format!(
-                        "if !{path}(&self.{n}) {{ {push} }}\n"
-                    )),
+                    Some(path) => body.push_str(&format!("if !{path}(&self.{n}) {{ {push} }}\n")),
                     None => {
                         body.push_str(&push);
                         body.push('\n');
@@ -310,7 +321,11 @@ fn gen_serialize(item: &Item) -> String {
             "{header}impl serde::Serialize for {name} {{\n\
              fn to_value(&self) -> serde::Value {{ serde::Serialize::to_value(&self.0) }}\n}}"
         ),
-        Item::Enum { name, lowercase, variants } => {
+        Item::Enum {
+            name,
+            lowercase,
+            variants,
+        } => {
             let mut arms = String::new();
             for v in variants {
                 let tag = variant_tag(v, *lowercase);
@@ -320,8 +335,7 @@ fn gen_serialize(item: &Item) -> String {
                         v = v.name
                     )),
                     Some(fs) => {
-                        let binds: Vec<&str> =
-                            fs.iter().map(|f| f.name.as_str()).collect();
+                        let binds: Vec<&str> = fs.iter().map(|f| f.name.as_str()).collect();
                         let pushes: Vec<String> = fs
                             .iter()
                             .map(|f| {
@@ -354,9 +368,7 @@ fn field_expr(owner: &str, f: &Field) -> String {
     let fallback = match &f.default {
         Some(DefaultKind::Std) => "Default::default()".to_string(),
         Some(DefaultKind::Path(p)) => format!("{p}()"),
-        None => format!(
-            "return Err(serde::Error::custom(\"{owner}: missing field `{n}`\"))"
-        ),
+        None => format!("return Err(serde::Error::custom(\"{owner}: missing field `{n}`\"))"),
     };
     format!(
         "{n}: match serde::map_get(m, \"{n}\") {{\n\
@@ -370,8 +382,7 @@ fn gen_deserialize(item: &Item) -> String {
     let header = "#[automatically_derived]\n#[allow(clippy::all)]\n";
     match item {
         Item::Struct { name, fields } => {
-            let inits: Vec<String> =
-                fields.iter().map(|f| field_expr(name, f)).collect();
+            let inits: Vec<String> = fields.iter().map(|f| field_expr(name, f)).collect();
             format!(
                 "{header}impl serde::Deserialize for {name} {{\n\
                  fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {{\n\
@@ -385,11 +396,13 @@ fn gen_deserialize(item: &Item) -> String {
              fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {{\n\
              Ok({name}(serde::Deserialize::from_value(v)?))\n}}\n}}"
         ),
-        Item::Enum { name, lowercase, variants } => {
-            let units: Vec<&Variant> =
-                variants.iter().filter(|v| v.fields.is_none()).collect();
-            let datas: Vec<&Variant> =
-                variants.iter().filter(|v| v.fields.is_some()).collect();
+        Item::Enum {
+            name,
+            lowercase,
+            variants,
+        } => {
+            let units: Vec<&Variant> = variants.iter().filter(|v| v.fields.is_none()).collect();
+            let datas: Vec<&Variant> = variants.iter().filter(|v| v.fields.is_some()).collect();
 
             let str_arm = {
                 let mut arms = String::new();
@@ -413,8 +426,7 @@ fn gen_deserialize(item: &Item) -> String {
                 for v in &datas {
                     let fs = v.fields.as_ref().expect("data variant has fields");
                     let owner = format!("{name}::{v}", v = v.name);
-                    let inits: Vec<String> =
-                        fs.iter().map(|f| field_expr(&owner, f)).collect();
+                    let inits: Vec<String> = fs.iter().map(|f| field_expr(&owner, f)).collect();
                     arms.push_str(&format!(
                         "\"{tag}\" => {{\n\
                          let m = inner.as_map().ok_or_else(|| serde::Error::custom(\"{owner}: expected map\"))?;\n\

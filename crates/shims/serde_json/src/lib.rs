@@ -59,10 +59,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let v = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(Error::new(format!(
-            "trailing characters at byte {}",
-            p.pos
-        )));
+        return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
     }
     Ok(T::from_value(&v)?)
 }
@@ -287,8 +284,7 @@ impl Parser<'_> {
             let start = self.pos;
             // Fast path over the unescaped run.
             let rest = &self.bytes[start..];
-            self.pos += find_byte(rest, |b| b == b'"' || b == b'\\')
-                .unwrap_or(rest.len());
+            self.pos += find_byte(rest, |b| b == b'"' || b == b'\\').unwrap_or(rest.len());
             out.push_str(
                 std::str::from_utf8(&self.bytes[start..self.pos])
                     .map_err(|_| Error::new("invalid UTF-8 in string"))?,
@@ -321,10 +317,7 @@ impl Parser<'_> {
                             out.push(c);
                         }
                         other => {
-                            return Err(Error::new(format!(
-                                "invalid escape `\\{}`",
-                                other as char
-                            )))
+                            return Err(Error::new(format!("invalid escape `\\{}`", other as char)))
                         }
                     }
                 }
@@ -361,8 +354,8 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)

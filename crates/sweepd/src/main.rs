@@ -2,10 +2,10 @@
 //!
 //! A fleet is one shared directory (the ledger + checkpoints + worker
 //! JSONL streams) plus one grid-spec JSON file that every process
-//! reads. Workers lease scenario shards from the ledger, heartbeat
-//! while they run, and stream completed records; the coordinator tails
-//! the streams, reclaims expired leases (a SIGKILL'd worker's
-//! scenarios re-run from their last checkpoint elsewhere), and writes
+//! reads. Workers lease one scenario at a time from the ledger,
+//! heartbeat while they run it, and stream completed records; the
+//! coordinator tails the streams, reclaims expired leases (a SIGKILL'd
+//! worker's scenario re-runs from its last checkpoint elsewhere), and writes
 //! the merged report. The merged report's deterministic form is
 //! byte-identical to a single-process run of the same grid — the
 //! `serial` subcommand exists so scripts can assert exactly that with
@@ -42,21 +42,22 @@ USAGE:
       oracle for fleet runs) and write the report.
 
   middle-sweepd worker --grid PATH --dir PATH --id ID
-      [--shard-size N] [--lease-ms N] [--heartbeat-ms N] [--poll-ms N]
-      [--checkpoint-every N] [--max-wall-ms N]
-      Run one fleet worker against the shared directory.
+      [--lease-ms N] [--checkpoint-every N] [--max-wall-ms N]
+      Run one fleet worker against the shared directory. A worker
+      renews its lease every lease-ms / 4 (default lease 5000 ms) and
+      snapshots a running scenario every N steps (default 8).
 
   middle-sweepd coordinator --grid PATH --dir PATH [--out PATH]
-      [--deterministic] [--spawn N] [--shard-size N] [--lease-ms N]
-      [--poll-ms N] [--max-wall-ms N]
+      [--deterministic] [--spawn N] [--lease-ms N] [--checkpoint-every N]
+      [--max-wall-ms N]
       Run the coordinator; --spawn N forks N child workers (ids w0..)
       with matching options. Writes the merged report on completion.
 
   middle-sweepd status --dir PATH
       Print ledger progress and the live lease table.
 
-Every fleet member must use the same grid spec and the same
---shard-size; the ledger rejects mismatches.";
+Every fleet member must use the same grid spec; the ledger rejects a
+mismatch.";
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("middle-sweepd: {message}\n\n{USAGE}");
@@ -103,10 +104,7 @@ struct Args {
     tiny: bool,
     threads: usize,
     spawn: usize,
-    shard_size: Option<usize>,
     lease_ms: Option<u64>,
-    heartbeat_ms: Option<u64>,
-    poll_ms: Option<u64>,
     checkpoint_every: Option<usize>,
     max_wall_ms: Option<u64>,
 }
@@ -128,14 +126,7 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
             "--tiny" => args.tiny = true,
             "--threads" => args.threads = parse_num(value("--threads")?, "--threads")?,
             "--spawn" => args.spawn = parse_num(value("--spawn")?, "--spawn")?,
-            "--shard-size" => {
-                args.shard_size = Some(parse_num(value("--shard-size")?, "--shard-size")?);
-            }
             "--lease-ms" => args.lease_ms = Some(parse_num(value("--lease-ms")?, "--lease-ms")?),
-            "--heartbeat-ms" => {
-                args.heartbeat_ms = Some(parse_num(value("--heartbeat-ms")?, "--heartbeat-ms")?);
-            }
-            "--poll-ms" => args.poll_ms = Some(parse_num(value("--poll-ms")?, "--poll-ms")?),
             "--checkpoint-every" => {
                 args.checkpoint_every = Some(parse_num(
                     value("--checkpoint-every")?,
@@ -159,13 +150,10 @@ fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> 
 fn fleet_options(args: &Args) -> FleetOptions {
     let defaults = FleetOptions::default();
     FleetOptions {
-        shard_size: args.shard_size.unwrap_or(defaults.shard_size),
         lease_ms: args.lease_ms.unwrap_or(defaults.lease_ms),
-        heartbeat_ms: args.heartbeat_ms.unwrap_or(defaults.heartbeat_ms),
-        poll_ms: args.poll_ms.unwrap_or(defaults.poll_ms),
-        checkpoint_every: args.checkpoint_every.unwrap_or(8),
+        checkpoint_every: args.checkpoint_every.unwrap_or(defaults.checkpoint_every),
         max_wall_ms: args.max_wall_ms,
-        kill_after_checkpoints: None,
+        ..defaults
     }
 }
 
@@ -258,14 +246,8 @@ fn cmd_coordinator(args: &Args) -> Result<(), String> {
             .arg(dir)
             .arg("--id")
             .arg(format!("w{i}"))
-            .arg("--shard-size")
-            .arg(opts.shard_size.to_string())
             .arg("--lease-ms")
             .arg(opts.lease_ms.to_string())
-            .arg("--heartbeat-ms")
-            .arg(opts.heartbeat_ms.to_string())
-            .arg("--poll-ms")
-            .arg(opts.poll_ms.to_string())
             .arg("--checkpoint-every")
             .arg(opts.checkpoint_every.to_string());
         if let Some(ms) = opts.max_wall_ms {
@@ -298,16 +280,15 @@ fn cmd_status(args: &Args) -> Result<(), String> {
         None => println!("no ledger in {}", dir.display()),
         Some(status) => {
             println!(
-                "{}/{} scenarios complete, shard size {}, {} lease(s)",
+                "{}/{} scenarios complete, {} lease(s)",
                 status.completed,
                 status.total,
-                status.shard_size,
                 status.leases.len()
             );
             for lease in &status.leases {
                 println!(
-                    "  shard {} leased by {} (heartbeat {} ms ago)",
-                    lease.shard,
+                    "  scenario {} leased by {} (heartbeat {} ms ago)",
+                    lease.scenario,
                     lease.worker,
                     now_ms().saturating_sub(lease.heartbeat_unix_ms)
                 );

@@ -4,7 +4,10 @@
 
 use middle::core::checkpoint::DeviceSlotCheckpoint;
 use middle::core::quadratic_sim::remark1_rows;
-use middle::core::{OnDevicePolicy, SelectionPolicy, StepMode};
+use middle::core::{
+    fleet_status, run_fleet_coordinator, run_fleet_worker, FleetOptions, OnDevicePolicy,
+    SelectionPolicy, StepMode,
+};
 use middle::data::partition::{partition, Scheme};
 use middle::data::synthetic::SyntheticSource;
 use middle::data::Confusion;
@@ -16,7 +19,8 @@ use middle::prelude::*;
 mod common;
 use common::Pin::Trajectory;
 use common::{
-    built, device_planes, lossy, migration_in_flight, real_latencies, stragglers, tick_n, wan, Cell,
+    built, device_planes, fleet_grid, fleet_opts, fleet_reference, lossy, migration_in_flight,
+    real_latencies, stragglers, tick_n, wan, Cell,
 };
 
 fn small_cfg(task: Task, algorithm: Algorithm) -> SimConfig {
@@ -521,4 +525,49 @@ fn inference_runs_only_where_read_and_changes_no_bit() {
         assert_eq!(chunked_loss.to_bits(), loss.to_bits(), "{what}: loss");
         assert_eq!(chunked_conf, conf, "{what}: confusion");
     }
+}
+
+/// The fleet's lease protocol (DESIGN §14): a worker killed mid-scenario
+/// leaves its lease and its checkpoint behind; once the lease expires
+/// another worker reclaims it, resumes from the snapshot and finishes
+/// the grid; and the coordinator's merged report equals the
+/// uninterrupted single-process sweep byte for byte.
+#[test]
+fn killed_worker_leaves_lease_and_checkpoint_for_reclamation() {
+    let dir = common::scratch_dir("kill_reclaim");
+    // Worker "victim" dies after its first mid-scenario checkpoint:
+    // the lease stays in the ledger and the snapshot stays on disk.
+    let killed = run_fleet_worker(
+        &fleet_grid(),
+        &dir,
+        "victim",
+        &FleetOptions {
+            kill_after_checkpoints: Some(1),
+            ..fleet_opts()
+        },
+    )
+    .unwrap();
+    assert!(killed.killed);
+    assert_eq!(killed.completed, 0);
+    let status = fleet_status(&dir).unwrap().expect("ledger must exist");
+    assert_eq!(status.total, 4);
+    assert_eq!(status.completed, 0);
+    assert_eq!(status.leases.len(), 1, "kill must not release the lease");
+    assert_eq!(status.leases[0].worker, "victim");
+    assert_eq!(status.leases[0].scenario, 0);
+    assert!(
+        dir.join("scenario_0.ckpt.json").exists(),
+        "mid-scenario checkpoint must survive the kill"
+    );
+    // A second worker reclaims the expired lease (lease_ms = 0) and
+    // finishes the grid; the merged report matches the uninterrupted
+    // single-process sweep bitwise.
+    let rescue = run_fleet_worker(&fleet_grid(), &dir, "rescue", &fleet_opts()).unwrap();
+    assert_eq!(rescue.completed, 4);
+    let status = fleet_status(&dir).unwrap().unwrap();
+    assert_eq!(status.completed, 4);
+    assert!(status.leases.is_empty(), "completion must release leases");
+    let report = run_fleet_coordinator(&fleet_grid(), &dir, &fleet_opts()).unwrap();
+    assert_eq!(report.deterministic_json(), fleet_reference());
+    let _ = std::fs::remove_dir_all(&dir);
 }
