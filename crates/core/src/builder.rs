@@ -35,6 +35,7 @@
 
 use crate::config::SimConfig;
 use crate::sim::Simulation;
+use crate::telemetry::Telemetry;
 use middle_data::partition::{partition, Partition};
 use middle_data::synthetic::SyntheticSource;
 use middle_data::Dataset;
@@ -257,7 +258,6 @@ pub struct SimulationBuilder {
     trace: Option<Trace>,
     cache: Option<Arc<InputCache>>,
     telemetry: Option<bool>,
-    telemetry_jsonl: Option<String>,
 }
 
 impl SimulationBuilder {
@@ -268,7 +268,6 @@ impl SimulationBuilder {
             trace: None,
             cache: None,
             telemetry: None,
-            telemetry_jsonl: None,
         }
     }
 
@@ -296,14 +295,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Streams one JSONL telemetry event per step to `path` (implies
-    /// [`SimulationBuilder::telemetry`]). First-class replacement for
-    /// the removed `MIDDLE_TELEMETRY_JSONL` environment variable.
-    pub fn telemetry_jsonl(mut self, path: impl Into<String>) -> Self {
-        self.telemetry_jsonl = Some(path.into());
-        self
-    }
-
     /// Validates the configuration (and trace, when supplied) and
     /// constructs the simulation.
     ///
@@ -311,14 +302,12 @@ impl SimulationBuilder {
     /// [`SimError::InvalidConfig`] when the config fails
     /// [`SimConfig::validate`]; [`SimError::TraceMismatch`] when a
     /// supplied trace disagrees with the config's device/edge counts or
-    /// is shorter than the configured horizon.
+    /// is shorter than the configured horizon; [`SimError::Io`] when
+    /// the config's `telemetry_jsonl` sink cannot be created.
     pub fn build(self) -> Result<Simulation, SimError> {
         let mut config = self.config;
         if let Some(on) = self.telemetry {
             config.telemetry = on;
-        }
-        if let Some(path) = self.telemetry_jsonl {
-            config.telemetry_jsonl = Some(path);
         }
         config
             .validate()
@@ -352,11 +341,12 @@ impl SimulationBuilder {
                 });
             }
         }
+        let telemetry = Telemetry::from_config(&config)?;
         let inputs = match &self.cache {
             Some(cache) => cache.get_or_build(&config),
             None => Arc::new(SharedInputs::build(&config)),
         };
-        let mut sim = Simulation::from_shared(config, &inputs);
+        let mut sim = Simulation::from_shared(config, &inputs, telemetry);
         if let Some(trace) = self.trace {
             sim.set_trace(trace);
         }

@@ -30,7 +30,7 @@
 //! parse; whoever finds one starts the run cold. The resume leg of every
 //! cut cell in `crates/core/tests/matrix.rs` gates the round trip.
 //!
-//! What is deliberately *not* captured: telemetry latency histograms
+//! What is deliberately *not* captured: telemetry phase timings
 //! (wall-clock measurements of the host that ran the first half —
 //! meaningless to splice into a resumed run; the event counters, which
 //! are deterministic, are captured), and per-step scratch buffers
@@ -223,7 +223,7 @@ pub struct SimCheckpoint {
     /// Evaluation points recorded so far.
     pub points: Vec<EvalPoint>,
     /// Telemetry event counters so far (`None` when telemetry is off;
-    /// latency histograms are host wall-clock and are not captured).
+    /// phase timings are host wall-clock and are not captured).
     pub telemetry_counters: Option<StepCounters>,
     /// Event-driven timeline state (pending event heap, per-edge wave
     /// state, in-flight upload snapshots, the simulated clock as raw

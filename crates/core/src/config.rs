@@ -116,15 +116,16 @@ pub struct SimConfig {
     /// identical to an uncompressed simulation (see [`crate::compress`]).
     #[serde(default)]
     pub compression: CompressionConfig,
-    /// Enable the telemetry plane: per-phase step timers, latency
-    /// histograms and event counters, surfaced as
+    /// Enable the telemetry plane: per-phase step timers and event
+    /// counters, surfaced as
     /// [`crate::telemetry::TelemetryReport`] on the run record. Off by
     /// default; the disabled recorder is a no-op (see
     /// [`crate::telemetry`] for the overhead contract).
     #[serde(default)]
     pub telemetry: bool,
     /// Optional path for a per-step JSONL event log (one line per step,
-    /// phase timings + counters). Setting a path implies `telemetry`.
+    /// phase timings + counters). Setting a path implies `telemetry`;
+    /// a path that cannot be created fails `SimulationBuilder::build`.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub telemetry_jsonl: Option<String>,
     /// Inert ([`PopulationMode`]): parsed and digested, never read.

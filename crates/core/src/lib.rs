@@ -47,8 +47,8 @@
 //!   upload loss, WAN outages) with retry/deadline/staleness recovery;
 //! * [`compress`] — uplink compression (QSGD-style quantization + top-K
 //!   sparsification with error feedback) and byte-accurate accounting;
-//! * [`telemetry`] — per-phase step timers, latency histograms and event
-//!   counters (no-op unless enabled in the config);
+//! * [`telemetry`] — per-phase step timers and event counters (no-op
+//!   unless enabled in the config);
 //! * [`timeline`] — the event-driven execution mode: a deterministic
 //!   timestamped event heap where straggler delays become real upload
 //!   latencies, edges aggregate on arrival thresholds and the cloud

@@ -31,7 +31,7 @@ use crate::metrics::{EvalPoint, RunRecord, RUN_RECORD_SCHEMA_VERSION};
 use crate::population::{DeviceRef, PendingInit, Population, Reached};
 use crate::selection::{select_devices_scored, CandidateScorers, SelectionScratch};
 use crate::similarity::{aggregation_weights, similarity_utility_cached};
-use crate::telemetry::{Phase, StepProbe, Telemetry};
+use crate::telemetry::{Phase, Telemetry};
 use crate::timeline::{ArrivalOutcome, Event, EventKind, ExecutionMode, LatencyModel, Timeline};
 use crate::{OnDevicePolicy, SelectionSignal};
 use middle_data::partition::Partition;
@@ -283,12 +283,8 @@ pub struct Simulation {
     points: Vec<EvalPoint>,
     elapsed_seconds: f64,
     // Event-driven execution state: the deterministic event heap plus
-    // wave/busy bookkeeping (untouched in lockstep mode), and the step
-    // probe carried across the events of the current step. The probe is
-    // host-timing scratch and is deliberately not checkpointed —
-    // checkpoints only happen between ticks, where it is `None`.
+    // wave/busy bookkeeping (untouched in lockstep mode).
     timeline: Timeline,
-    probe: Option<StepProbe>,
 }
 
 impl Simulation {
@@ -296,7 +292,11 @@ impl Simulation {
     /// cache-shared immutable inputs. Only [`SimulationBuilder`] calls
     /// this; per-run state is *cloned* out of the inputs, so a cache
     /// hit is bitwise identical to a cold construction.
-    pub(crate) fn from_shared(config: SimConfig, inputs: &std::sync::Arc<SharedInputs>) -> Self {
+    pub(crate) fn from_shared(
+        config: SimConfig,
+        inputs: &std::sync::Arc<SharedInputs>,
+        telemetry: Telemetry,
+    ) -> Self {
         let seed = config.seed;
         let init = inputs.init.clone();
         let population = Population::new(inputs.clone(), seed, config.num_devices);
@@ -307,7 +307,6 @@ impl Simulation {
         let selected_per_edge = (0..config.num_edges).map(|_| Vec::new()).collect();
         let delivered_per_edge = (0..config.num_edges).map(|_| Vec::new()).collect();
         let delivered_payloads = (0..config.num_edges).map(|_| Vec::new()).collect();
-        let telemetry = Telemetry::from_config(&config);
         let faults = FaultPlane::new(config.faults, config.num_devices, seed);
         let policy = config.algorithm.resolve(config.num_devices);
         let compression = CompressionPlane::new(
@@ -351,7 +350,6 @@ impl Simulation {
             points: Vec::new(),
             elapsed_seconds: 0.0,
             timeline: Timeline::new(config.num_edges, config.num_devices),
-            probe: None,
             config,
         }
     }
@@ -449,19 +447,18 @@ impl Simulation {
     /// edge keeps weight, a diverged one is discounted), then advance
     /// every device's dropout chain. Draws nothing while the plane is
     /// disabled: the queue is empty and the dropout chain is off.
-    fn fault_step_begin(&mut self, probe: &mut StepProbe) {
-        probe.start();
+    fn fault_step_begin(&mut self) {
+        let timer = self.telemetry.start();
         for p in self.faults.take_pending() {
             // The late upload is charged when it arrives, not when it
             // was scheduled — at the (possibly compressed) payload size
             // recorded when the deadline was missed.
             self.comm.device_to_edge += 1;
             self.comm.device_to_edge_bytes += p.payload_bytes;
-            probe.uploads(1);
-            self.blend_late_upload(p.edge, p.device, p.flat.0, p.norm_sq, probe);
+            self.blend_late_upload(p.edge, p.device, p.flat.0, p.norm_sq);
         }
         self.faults.advance_dropout();
-        probe.stop(Phase::FaultRecovery);
+        self.telemetry.stop(Phase::FaultRecovery, timer);
     }
 
     /// Blends a late upload into its edge with Eq. 9's
@@ -470,14 +467,7 @@ impl Simulation {
     /// the transfer is the caller's business (on arrival in lockstep,
     /// at send time in the event engine); only the staleness counter
     /// moves here.
-    fn blend_late_upload(
-        &mut self,
-        edge: usize,
-        device: usize,
-        mut flat: Vec<f32>,
-        norm_sq: f32,
-        probe: &mut StepProbe,
-    ) {
+    fn blend_late_upload(&mut self, edge: usize, device: usize, mut flat: Vec<f32>, norm_sq: f32) {
         let e = &mut self.edges[edge];
         let u = similarity_utility_cached(&flat, norm_sq, e.flat(), e.flat_norm_sq());
         let (edge_w, stale_w) = aggregation_weights(u);
@@ -487,7 +477,6 @@ impl Simulation {
         middle_nn::params::unflatten(&mut e.model, &flat);
         e.refresh_flat();
         self.comm.stale_uploads += 1;
-        probe.stale_merge();
         // A stale merge is still an edge aggregation of this device's
         // update, so stateful algorithms observe it.
         self.policy
@@ -501,14 +490,12 @@ impl Simulation {
     /// was still compressed and sent — the loss happens on the wire — so
     /// a lossy plane's caller queues it for the round's batch, where the
     /// sender's residual and the compression RNG advance.
-    fn attempt_upload(&mut self, probe: &mut StepProbe) -> bool {
+    fn attempt_upload(&mut self) -> bool {
         let o = self.faults.upload_attempts();
         self.comm.device_to_edge += u64::from(o.attempts);
         self.comm.device_to_edge_bytes += u64::from(o.attempts) * self.compression.payload_bytes();
         self.comm.upload_retransmissions += u64::from(o.attempts - 1);
         self.comm.retry_backoff_slots += o.backoff_slots;
-        probe.uploads(u64::from(o.attempts));
-        probe.upload_retries(u64::from(o.attempts - 1), !o.delivered);
         if !o.delivered {
             self.comm.lost_uploads += 1;
         }
@@ -525,8 +512,8 @@ impl Simulation {
     /// attempt. A lossy plane then compresses the round's uploads —
     /// misses, losses and the delivered cohorts — as one batch
     /// ([`Simulation::compress_round_uploads`]).
-    fn upload_pass(&mut self, probe: &mut StepProbe) {
-        probe.start();
+    fn upload_pass(&mut self) {
+        let timer = self.telemetry.start();
         let lossy = self.compression.lossy_active();
         let payload = self.compression.payload_bytes();
         self.pending_uploads.clear();
@@ -535,7 +522,7 @@ impl Simulation {
             self.delivered_per_edge[n].clear();
             for &m in selected {
                 if self.faults.misses_deadline() {
-                    probe.deadline_miss();
+                    self.telemetry.count(|c| c.deadline_misses += 1);
                     if lossy {
                         // The device compresses at miss time, against
                         // the edge model it saw; the stale merge next
@@ -553,7 +540,7 @@ impl Simulation {
                             payload,
                         );
                     }
-                } else if self.attempt_upload(probe) {
+                } else if self.attempt_upload() {
                     self.delivered_per_edge[n].push(m);
                 } else if lossy {
                     self.pending_uploads
@@ -563,13 +550,13 @@ impl Simulation {
             // Graceful degradation: an edge whose whole cohort failed
             // to deliver skips aggregation and carries w_n forward.
             if !selected.is_empty() && self.delivered_per_edge[n].is_empty() {
-                probe.empty_cohort();
+                self.telemetry.count(|c| c.empty_cohorts += 1);
             }
         }
         self.selected_per_edge = selected_per_edge;
-        probe.stop(Phase::FaultRecovery);
+        self.telemetry.stop(Phase::FaultRecovery, timer);
         if lossy {
-            self.compress_round_uploads(probe);
+            self.compress_round_uploads();
         }
     }
 
@@ -579,8 +566,8 @@ impl Simulation {
     /// model — the order the plane's stream is drawn in. Stale payloads
     /// join the fault plane's queue in miss order; delivered ones land in
     /// `delivered_payloads`, parallel to `delivered_per_edge`.
-    fn compress_round_uploads(&mut self, probe: &mut StepProbe) {
-        probe.start();
+    fn compress_round_uploads(&mut self) {
+        let timer = self.telemetry.start();
         for (n, cohort) in self.delivered_per_edge.iter().enumerate() {
             (self.pending_uploads).extend(
                 cohort
@@ -605,7 +592,8 @@ impl Simulation {
             &mut stale,
             delivered,
         );
-        probe.compressed_uploads(self.pending_uploads.len() as u64);
+        let compressed = self.pending_uploads.len() as u64;
+        self.telemetry.count(|c| c.compressed_uploads += compressed);
         let payload = self.compression.payload_bytes();
         let misses = self
             .pending_uploads
@@ -616,7 +604,7 @@ impl Simulation {
             self.faults
                 .push_stale(u.edge, u.device, flat, norm_sq, payload);
         }
-        probe.stop(Phase::Compress);
+        self.telemetry.stop(Phase::Compress, timer);
     }
 
     /// The serial tail of Eq. 6 at edge `n`, once `cohort` is folded in:
@@ -632,30 +620,24 @@ impl Simulation {
 
     /// One event wave's Eq. 6 at edge `n`: the per-edge body
     /// ([`aggregate_edge`]), then its tail.
-    fn aggregate_cohort(
-        &mut self,
-        n: usize,
-        cohort: &[usize],
-        payloads: &[Option<Vec<f32>>],
-        probe: &mut StepProbe,
-    ) {
+    fn aggregate_cohort(&mut self, n: usize, cohort: &[usize], payloads: &[Option<Vec<f32>>]) {
         if cohort.is_empty() {
             return;
         }
-        probe.start();
+        let timer = self.telemetry.start();
         let population = &self.population;
         aggregate_edge(&mut self.edges[n], cohort, payloads, &self.partition, |m| {
             member_of(population, m)
         });
         self.after_edge_aggregate(n, cohort);
-        probe.stop(Phase::EdgeAggregation);
+        self.telemetry.stop(Phase::EdgeAggregation, timer);
     }
 
     /// Lockstep Eq. 6: every edge's delivered cohort in one parallel
     /// region ([`aggregate_edges`]), then the serial tail edge by edge in
     /// ascending order — the hook order of every execution mode.
-    fn aggregate_delivered(&mut self, probe: &mut StepProbe) {
-        probe.start();
+    fn aggregate_delivered(&mut self) {
+        let timer = self.telemetry.start();
         let population = &self.population;
         aggregate_edges(
             &mut self.edges,
@@ -669,7 +651,7 @@ impl Simulation {
             self.after_edge_aggregate(n, cohort);
         }
         self.delivered_per_edge = cohorts;
-        probe.stop(Phase::EdgeAggregation);
+        self.telemetry.stop(Phase::EdgeAggregation, timer);
     }
 
     /// One lockstep round `t` of Algorithm 1 (0-based; syncs with the
@@ -684,23 +666,22 @@ impl Simulation {
     /// tensors, and the cloud broadcast copies parameters instead of
     /// cloning models.
     fn tick_lockstep(&mut self, t: usize) {
-        let mut probe = self.telemetry.begin_step();
-        self.begin_step(t, &mut probe);
-        let active = self.phase_select_train(t, &mut probe);
-        self.upload_pass(&mut probe);
-        self.aggregate_delivered(&mut probe);
-        let scheduled = (t + 1).is_multiple_of(self.config.cloud_interval);
-        let synced = scheduled && self.cloud_sync_now(&mut probe);
-        self.telemetry.end_step(t, active, synced, probe);
+        self.begin_step(t);
+        self.phase_select_train(t);
+        self.upload_pass();
+        self.aggregate_delivered();
+        if (t + 1).is_multiple_of(self.config.cloud_interval) {
+            self.cloud_sync_now();
+        }
     }
 
     /// Step-begin work shared by every execution mode: rebuild the step
     /// index for `t` and run the fault plane's begin-of-step recovery
     /// (stale merges + dropout chains).
-    fn begin_step(&mut self, t: usize, probe: &mut StepProbe) {
+    fn begin_step(&mut self, t: usize) {
         assert!(t < self.trace.steps(), "step beyond trace horizon");
         self.index.build(&self.trace, t, self.edges.len());
-        self.fault_step_begin(probe);
+        self.fault_step_begin();
     }
 
     /// Makes every selection score of the step a lookup
@@ -726,13 +707,13 @@ impl Simulation {
 
     /// Phases 1 + 2 — in-edge device selection, then one parallel region
     /// over the participants: device init and local training. Fills
-    /// `self.selected_per_edge` and returns whether any edge selected a
-    /// non-empty cohort (accruing `active_steps`). Shared by the
-    /// lockstep step and the event engine's step-boundary handler.
-    fn phase_select_train(&mut self, t: usize, probe: &mut StepProbe) -> bool {
-        probe.start();
+    /// `self.selected_per_edge` and accrues `active_steps` when any edge
+    /// selected a non-empty cohort. Shared by the lockstep step and the
+    /// event engine's step-boundary handler.
+    fn phase_select_train(&mut self, t: usize) {
+        let timer = self.telemetry.start();
         self.refresh_selection_scores();
-        probe.stop(Phase::Selection);
+        self.telemetry.stop(Phase::Selection, timer);
         // Phase 1 — in-edge device selection, edge by edge, deciding
         // each selected device's initial model (moved devices aggregate
         // on device, stationary ones download the edge model); the
@@ -741,7 +722,7 @@ impl Simulation {
         self.participants.clear();
         self.pending_inits.clear();
         for n in 0..self.edges.len() {
-            probe.start();
+            let timer = self.telemetry.start();
             self.candidates.clear();
             self.candidates.extend_from_slice(self.index.devices_at(n));
             let seen = self.candidates.len();
@@ -751,13 +732,17 @@ impl Simulation {
                 self.candidates
                     .retain(|_| self.availability_rng.gen::<f64>() < self.config.availability);
             }
-            probe.candidates(seen, seen - self.candidates.len());
+            let available = self.candidates.len();
             if self.faults.dropout_active() {
-                let before = self.candidates.len();
                 let faults = &self.faults;
                 self.candidates.retain(|&m| !faults.is_down(m));
-                probe.dropout_drops(before - self.candidates.len());
             }
+            let up = self.candidates.len();
+            self.telemetry.count(|c| {
+                c.candidates_seen += seen as u64;
+                c.availability_drops += (seen - available) as u64;
+                c.dropout_drops += (available - up) as u64;
+            });
             // A device whose async upload is still in flight cannot be
             // re-selected (at most one upload in flight per device).
             // Draw-free, so the filter is inert in lockstep mode and at
@@ -768,7 +753,7 @@ impl Simulation {
             }
             if self.candidates.is_empty() {
                 self.selected_per_edge[n].clear();
-                probe.stop(Phase::Selection);
+                self.telemetry.stop(Phase::Selection, timer);
                 continue;
             }
             {
@@ -792,16 +777,16 @@ impl Simulation {
                     &mut self.selected_per_edge[n],
                 );
             }
-            probe.stop(Phase::Selection);
+            self.telemetry.stop(Phase::Selection, timer);
 
-            probe.start();
+            let timer = self.telemetry.start();
             let selected = &self.selected_per_edge[n];
-            probe.selected(selected.len());
             // Downloads are counted only when the edge model is actually
             // consumed (a moved device under KeepLocal never downloads);
             // uploads are charged by the post-training upload pass.
             let mut downloads = 0u64;
             let mut migrations = 0u64;
+            let mut moved = 0u64;
             for &m in selected {
                 // A selected device needs a replica before its init
                 // touches the carried model; reserving one is the
@@ -812,7 +797,7 @@ impl Simulation {
                 // A stationary device downloads the edge model, which
                 // is exactly the `EdgeModel` init.
                 let init = if self.index.moved(m) {
-                    probe.moved_init();
+                    moved += 1;
                     match self.policy.on_move(m, self.index.prev[m], n) {
                         MoveAction::Blend(on_device) => Some(on_device),
                         // FedFly hand-off: the carried model continues
@@ -840,11 +825,14 @@ impl Simulation {
             self.comm.edge_to_device_bytes += downloads * self.compression.dense_payload_bytes();
             self.comm.edge_to_edge += migrations;
             self.comm.edge_to_edge_bytes += migrations * self.compression.dense_payload_bytes();
-            probe.downloads(downloads);
-            probe.stop(Phase::DeviceInit);
+            let selected = selected.len() as u64;
+            self.telemetry.count(|c| {
+                c.selected += selected;
+                c.moved_inits += moved;
+            });
+            self.telemetry.stop(Phase::DeviceInit, timer);
         }
-        let active = self.selected_per_edge.iter().any(|s| !s.is_empty());
-        if active {
+        if self.selected_per_edge.iter().any(|s| !s.is_empty()) {
             self.active_steps += 1;
         }
 
@@ -862,7 +850,7 @@ impl Simulation {
         // sits under exactly one edge per step), so deferring the writes
         // to here changes no value; each participant owns its slot and
         // its rng, so the split cannot affect numerics either.
-        probe.start();
+        let timer = self.telemetry.start();
         self.participants.sort_unstable();
         self.pending_inits.sort_unstable_by_key(|p| p.device);
         let (local_steps, batch_size, optimizer) = (
@@ -893,14 +881,11 @@ impl Simulation {
                     SelectionSignal::Nothing => {}
                 }
             });
-        probe.stop(Phase::LocalTraining);
-        {
-            let population = &self.population;
-            let utility = |m: usize| population.oort_utility(m);
-            self.policy
-                .observe_participants(&self.participants, &utility);
-        }
-        active
+        self.telemetry.stop(Phase::LocalTraining, timer);
+        let population = &self.population;
+        let utility = |m: usize| population.oort_utility(m);
+        self.policy
+            .observe_participants(&self.participants, &utility);
     }
 
     /// Cloud synchronisation *now* (Eq. 7 + broadcast) — phase 4 without
@@ -919,29 +904,24 @@ impl Simulation {
     /// otherwise `cloud_aggregate_into` aggregates the edge models in
     /// place. The broadcast copies the cloud's flat view. Returns whether
     /// a sync happened.
-    fn cloud_sync_now(&mut self, probe: &mut StepProbe) -> bool {
-        probe.start();
+    fn cloud_sync_now(&mut self) -> bool {
+        let mut timer = self.telemetry.start();
         let mut wan_up = std::mem::take(&mut self.wan_up);
         wan_up.clear();
         if self.faults.wan_active() {
-            for _ in 0..self.edges.len() {
-                let up = self.faults.wan_is_up();
-                if !up {
-                    probe.wan_outage();
-                }
-                wan_up.push(up);
-            }
+            wan_up.extend((0..self.edges.len()).map(|_| self.faults.wan_is_up()));
         }
         let mask = self.faults.wan_active().then_some(&wan_up[..]);
         let up = |n: usize| mask.is_none_or(|m| m[n]);
         let up_edges = (0..self.edges.len()).filter(|&n| up(n)).count() as u64;
+        let down = self.edges.len() as u64 - up_edges;
+        self.telemetry.count(|c| c.wan_outages += down);
         if up_edges == 0 {
-            probe.stop(Phase::CloudSync);
+            self.telemetry.stop(Phase::CloudSync, timer);
             self.wan_up = wan_up;
             return false;
         }
         self.syncs += 1;
-        probe.sync();
         let dense = self.compression.dense_payload_bytes();
         self.comm.edge_to_cloud += up_edges;
         self.comm.edge_to_cloud_bytes += up_edges * self.compression.payload_bytes();
@@ -949,8 +929,8 @@ impl Simulation {
         self.comm.cloud_to_edge_bytes += up_edges * dense;
 
         if self.compression.lossy_active() {
-            probe.stop(Phase::CloudSync);
-            probe.start();
+            self.telemetry.stop(Phase::CloudSync, timer);
+            let compress = self.telemetry.start();
             let mut payloads: Vec<Vec<f32>> = vec![Vec::new(); self.edges.len()];
             let (edges, cloud) = (&self.edges, self.cloud_flat.flat());
             let mut jobs: Vec<CompressJob> = (payloads.iter_mut().enumerate())
@@ -963,9 +943,9 @@ impl Simulation {
                 })
                 .collect();
             self.compression.compress_batch(&mut jobs);
-            probe.compressed_syncs(up_edges);
-            probe.stop(Phase::Compress);
-            probe.start();
+            self.telemetry.count(|c| c.compressed_syncs += up_edges);
+            self.telemetry.stop(Phase::Compress, compress);
+            timer = self.telemetry.start();
             let total: f64 = (0..self.edges.len())
                 .filter(|&n| up(n))
                 .map(|n| self.edges[n].window_samples)
@@ -1014,7 +994,7 @@ impl Simulation {
             .sum::<usize>() as u64;
         self.comm.charge_broadcast(receivers, dense);
         self.policy.after_cloud_sync(mask, &self.index.cur);
-        probe.stop(Phase::CloudSync);
+        self.telemetry.stop(Phase::CloudSync, timer);
         self.wan_up = wan_up;
         true
     }
@@ -1040,9 +1020,9 @@ impl Simulation {
             }
         }
         while let Some(ev) = self.timeline.pop() {
-            let start = self.telemetry.event_timer();
+            let timer = self.telemetry.start();
             let end_of_step = self.process_event(&ev);
-            self.telemetry.observe_event_since(ev.kind, start);
+            self.telemetry.stop_event(ev.kind, timer);
             if end_of_step {
                 if matches!(ev.kind, EventKind::EndOfStep { step } if step + 1 == self.config.steps)
                 {
@@ -1071,57 +1051,27 @@ impl Simulation {
                 continue;
             }
             let ev = self.timeline.pop().expect("peeked event still queued");
-            let start = self.telemetry.event_timer();
+            let timer = self.telemetry.start();
             self.process_event(&ev);
-            self.telemetry.observe_event_since(ev.kind, start);
+            self.telemetry.stop_event(ev.kind, timer);
         }
     }
 
     /// Dispatch one popped event. Returns true when the event was the
-    /// current round's `EndOfStep` (the tick is over). Events that land
-    /// between a round's `EndOfStep` and the next boundary (in-flight
-    /// arrivals, timer syncs) account their telemetry into a scratch
-    /// probe absorbed outside the per-step accounting.
+    /// current round's `EndOfStep` (the tick is over). Everything an
+    /// event records lands in the tick's open telemetry step, the
+    /// arrivals that pop before the round's boundary included.
     fn process_event(&mut self, ev: &Event) -> bool {
         match ev.kind {
-            EventKind::StepBoundary { step } => {
-                self.event_step_boundary(step);
-                false
-            }
+            EventKind::StepBoundary { step } => self.event_step_boundary(step),
             EventKind::DeviceUpload { edge, device, wave } => {
-                self.with_event_probe(|s, probe| s.event_upload_arrival(edge, device, wave, probe));
-                false
+                self.event_upload_arrival(edge, device, wave);
             }
-            EventKind::EdgeAggregate { edge, wave } => {
-                self.with_event_probe(|s, probe| s.event_edge_aggregate(edge, wave, probe));
-                false
-            }
-            EventKind::CloudSync { timer } => {
-                self.with_event_probe(|s, probe| s.event_cloud_sync(timer, probe));
-                false
-            }
-            EventKind::EndOfStep { step } => {
-                self.event_end_of_step(step);
-                true
-            }
+            EventKind::EdgeAggregate { edge, wave } => self.event_edge_aggregate(edge, wave),
+            EventKind::CloudSync { timer } => self.event_cloud_sync(timer),
+            EventKind::EndOfStep { .. } => return true,
         }
-    }
-
-    /// Runs `f` against the current step's probe; events that fire
-    /// between steps get a scratch probe whose counters are absorbed
-    /// into the telemetry without step accounting.
-    fn with_event_probe<R>(&mut self, f: impl FnOnce(&mut Self, &mut StepProbe) -> R) -> R {
-        let (mut probe, mid_step) = match self.probe.take() {
-            Some(p) => (p, true),
-            None => (self.telemetry.begin_step(), false),
-        };
-        let out = f(self, &mut probe);
-        if mid_step {
-            self.probe = Some(probe);
-        } else {
-            self.telemetry.absorb_probe(probe);
-        }
-        out
+        false
     }
 
     /// `StepBoundary { t }`: the synchronous front half of round `t` —
@@ -1129,10 +1079,8 @@ impl Simulation {
     /// schedules the round's uploads as events, the synchronous cloud
     /// sync (when no timer is configured) and the `EndOfStep` marker.
     fn event_step_boundary(&mut self, t: usize) {
-        let mut probe = self.telemetry.begin_step();
-        self.begin_step(t, &mut probe);
-        let active = self.phase_select_train(t, &mut probe);
-        self.timeline.step_active = active;
+        self.begin_step(t);
+        self.phase_select_train(t);
         let now = self.timeline.clock();
         let mut sync_at = now;
         match self.config.timeline.latency {
@@ -1145,7 +1093,7 @@ impl Simulation {
                 // before aggregates) makes any `edge_threshold` provably
                 // irrelevant here: every upload of the round pops before
                 // its wave's aggregate event.
-                self.upload_pass(&mut probe);
+                self.upload_pass();
                 for n in 0..self.edges.len() {
                     let cohort = self.delivered_per_edge[n].clone();
                     let trigger = self.config.timeline.edge_threshold.unwrap_or(cohort.len());
@@ -1172,7 +1120,7 @@ impl Simulation {
                     }
                 }
             }
-            LatencyModel::Faults => sync_at = self.event_upload_pass(&mut probe),
+            LatencyModel::Faults => sync_at = self.event_upload_pass(),
         }
         // The synchronous sync rides the round count when no timer is
         // configured. It fires when the round's last delivered upload
@@ -1193,7 +1141,6 @@ impl Simulation {
                 EventKind::StepBoundary { step: t + 1 },
             );
         }
-        self.probe = Some(probe);
     }
 
     /// Async-latency upload pass (`LatencyModel::Faults`): every
@@ -1208,10 +1155,10 @@ impl Simulation {
     /// arrival time of this round's delivered uploads (the boundary's
     /// own timestamp when nothing was delivered), which is where a
     /// round-cadence cloud sync belongs.
-    fn event_upload_pass(&mut self, probe: &mut StepProbe) -> f64 {
+    fn event_upload_pass(&mut self) -> f64 {
         let now = self.timeline.clock();
         let lossy = self.compression.lossy_active();
-        probe.start();
+        let mut timer = self.telemetry.start();
         self.pending_uploads.clear();
         // Every delivered upload of the round, in send order.
         let mut sends: Vec<(usize, usize, f64)> = Vec::new();
@@ -1223,7 +1170,7 @@ impl Simulation {
             let (lost_from, sent_from) = (self.pending_uploads.len(), sends.len());
             for &m in &selected {
                 let delay = self.faults.sample_upload_delay();
-                if self.attempt_upload(probe) {
+                if self.attempt_upload() {
                     sends.push((n, m, delay));
                 } else if lossy {
                     self.pending_uploads
@@ -1231,7 +1178,7 @@ impl Simulation {
                 }
             }
             if !selected.is_empty() && sends.len() == sent_from {
-                probe.empty_cohort();
+                self.telemetry.count(|c| c.empty_cohorts += 1);
             }
             // Open the round's wave with the delivered cohort; an
             // un-triggered remainder of the previous wave is flushed
@@ -1242,10 +1189,10 @@ impl Simulation {
                 if self.pending_uploads.len() > lost_from {
                     pre_flush.push((n, self.edges[n].flat().to_vec()));
                 }
-                probe.stop(Phase::FaultRecovery);
-                self.aggregate_cohort(n, &cohort, &snaps, probe);
+                self.telemetry.stop(Phase::FaultRecovery, timer);
+                self.aggregate_cohort(n, &cohort, &snaps);
                 self.timeline.aggs_since_sync += 1;
-                probe.start();
+                timer = self.telemetry.start();
             }
             if lossy {
                 (self.pending_uploads).extend(
@@ -1256,13 +1203,13 @@ impl Simulation {
             }
             self.selected_per_edge[n] = selected;
         }
-        probe.stop(Phase::FaultRecovery);
+        self.telemetry.stop(Phase::FaultRecovery, timer);
         // The in-flight payload is snapshotted at send time — lossy runs
         // ship the compressed reconstruction, compressed as one batch.
         let d = self.cloud_flat.flat().len();
         let mut payloads: Vec<Vec<f32>> = (0..sends.len()).map(|_| Vec::with_capacity(d)).collect();
         if lossy {
-            probe.start();
+            let timer = self.telemetry.start();
             compress_pending(
                 &mut self.compression,
                 &self.population,
@@ -1272,10 +1219,11 @@ impl Simulation {
                 &mut [],
                 payloads.iter_mut(),
             );
-            probe.compressed_uploads(self.pending_uploads.len() as u64);
-            probe.stop(Phase::Compress);
+            let compressed = self.pending_uploads.len() as u64;
+            self.telemetry.count(|c| c.compressed_uploads += compressed);
+            self.telemetry.stop(Phase::Compress, timer);
         }
-        probe.start();
+        let timer = self.telemetry.start();
         let mut last_arrival = now;
         for ((n, m, delay), mut payload) in sends.into_iter().zip(payloads) {
             if !lossy {
@@ -1293,7 +1241,7 @@ impl Simulation {
                 },
             );
         }
-        probe.stop(Phase::FaultRecovery);
+        self.telemetry.stop(Phase::FaultRecovery, timer);
         last_arrival
     }
 
@@ -1303,20 +1251,14 @@ impl Simulation {
     /// *late*: the update blends into the edge like a lockstep stale
     /// merge ([`Simulation::blend_late_upload`]) — its transfer was
     /// already charged at send time.
-    fn event_upload_arrival(
-        &mut self,
-        edge: usize,
-        device: usize,
-        wave: u64,
-        probe: &mut StepProbe,
-    ) {
+    fn event_upload_arrival(&mut self, edge: usize, device: usize, wave: u64) {
         let snapshot = self.timeline.take_in_flight(device);
         if !self.timeline.wave_accepts(edge, device, wave) {
             if let Some(flat) = snapshot {
-                probe.start();
+                let timer = self.telemetry.start();
                 let norm_sq = dot_slices(&flat, &flat);
-                self.blend_late_upload(edge, device, flat, norm_sq, probe);
-                probe.stop(Phase::FaultRecovery);
+                self.blend_late_upload(edge, device, flat, norm_sq);
+                self.telemetry.stop(Phase::FaultRecovery, timer);
             }
             return;
         }
@@ -1331,9 +1273,9 @@ impl Simulation {
     /// it into the edge (Eq. 6) — at zero delay (no snapshots) that is
     /// the lockstep phase-3 call verbatim. A stale wave id (superseded
     /// before the event popped) is a no-op.
-    fn event_edge_aggregate(&mut self, edge: usize, wave: u64, probe: &mut StepProbe) {
+    fn event_edge_aggregate(&mut self, edge: usize, wave: u64) {
         if let Some((cohort, snaps)) = self.timeline.take_ready(edge, wave) {
-            self.aggregate_cohort(edge, &cohort, &snaps, probe);
+            self.aggregate_cohort(edge, &cohort, &snaps);
             self.timeline.aggs_since_sync += 1;
         }
     }
@@ -1341,10 +1283,8 @@ impl Simulation {
     /// `CloudSync`: timer syncs reschedule themselves every
     /// `cloud_timer` simulated seconds and skip the sync entirely when
     /// no edge aggregation has landed since the last one; synchronous
-    /// (round-scheduled) syncs always run, like lockstep phase 4. A
-    /// successful sync raises the step's synced flag, attributed to the
-    /// next `EndOfStep`.
-    fn event_cloud_sync(&mut self, timer: bool, probe: &mut StepProbe) {
+    /// (round-scheduled) syncs always run, like lockstep phase 4.
+    fn event_cloud_sync(&mut self, timer: bool) {
         if timer {
             let period = self
                 .config
@@ -1358,22 +1298,9 @@ impl Simulation {
                 return;
             }
         }
-        if self.cloud_sync_now(probe) {
-            self.timeline.step_synced = true;
+        if self.cloud_sync_now() {
             self.timeline.aggs_since_sync = 0;
         }
-    }
-
-    /// `EndOfStep`: close the round's telemetry with the active/synced
-    /// flags accumulated since its boundary.
-    fn event_end_of_step(&mut self, t: usize) {
-        let active = std::mem::take(&mut self.timeline.step_active);
-        let synced = std::mem::take(&mut self.timeline.step_synced);
-        let probe = match self.probe.take() {
-            Some(p) => p,
-            None => self.telemetry.begin_step(),
-        };
-        self.telemetry.end_step(t, active, synced, probe);
     }
 
     /// Evaluates a model on the held-out test set, returning
@@ -1429,18 +1356,21 @@ impl Simulation {
         assert!(!self.is_finished(), "simulation already finished");
         let start = Instant::now();
         let t = self.next_step;
+        self.telemetry.open_step();
         match self.config.timeline.mode {
             ExecutionMode::Lockstep => self.tick_lockstep(t),
             ExecutionMode::EventDriven => self.tick_event(),
         }
+        self.telemetry
+            .close_step(t, &self.comm, self.syncs, self.active_steps);
         self.next_step = t + 1;
         let is_eval =
             (t + 1).is_multiple_of(self.config.eval_interval) || t + 1 == self.config.steps;
         if is_eval {
-            let es = self.telemetry.phase_timer();
+            let timer = self.telemetry.start();
             let point = self.eval_point(t);
             self.points.push(point);
-            self.telemetry.observe_since(Phase::Evaluation, es);
+            self.telemetry.stop(Phase::Evaluation, timer);
         }
         self.elapsed_seconds += start.elapsed().as_secs_f64();
     }

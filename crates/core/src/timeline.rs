@@ -167,7 +167,7 @@ pub enum EventKind {
     /// Cloud sync; `timer` distinguishes self-rescheduling timer syncs
     /// from round-scheduled synchronous syncs.
     CloudSync { timer: bool },
-    /// End of round `step`: telemetry accounting and evaluation.
+    /// End of round `step`: the tick that popped it is over.
     EndOfStep { step: usize },
 }
 
@@ -199,27 +199,16 @@ impl EventKind {
         }
     }
 
-    /// Short label for telemetry histograms.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EventKind::StepBoundary { .. } => "step_boundary",
-            EventKind::DeviceUpload { .. } => "device_upload",
-            EventKind::EdgeAggregate { .. } => "edge_aggregate",
-            EventKind::CloudSync { .. } => "cloud_sync",
-            EventKind::EndOfStep { .. } => "end_of_step",
-        }
-    }
-
-    /// Index into the per-event-kind telemetry histogram array.
+    /// Index into the per-event-kind telemetry summaries.
     pub fn index(&self) -> usize {
         self.rank() as usize
     }
 }
 
-/// Number of distinct event kinds (telemetry histogram slots).
+/// Number of distinct event kinds (telemetry summary slots).
 pub const EVENT_KIND_COUNT: usize = 5;
 
-/// Labels for the per-event-kind telemetry histograms, rank order.
+/// The event kinds' telemetry labels, rank order.
 pub const EVENT_KIND_LABELS: [&str; EVENT_KIND_COUNT] = [
     "step_boundary",
     "device_upload",
@@ -336,10 +325,6 @@ pub struct Timeline {
     /// Edge aggregations since the last cloud sync (timer syncs with
     /// nothing new to fold in are skipped but still rescheduled).
     pub aggs_since_sync: usize,
-    /// Whether any device trained in the current step.
-    pub step_active: bool,
-    /// Whether a cloud sync ran since the last `EndOfStep`.
-    pub step_synced: bool,
     /// Whether the initial events have been seeded.
     pub started: bool,
 }
@@ -355,8 +340,6 @@ impl Timeline {
             busy_count: 0,
             in_flight: (0..num_devices).map(|_| None).collect(),
             aggs_since_sync: 0,
-            step_active: false,
-            step_synced: false,
             started: false,
         }
     }

@@ -542,14 +542,16 @@ impl Cell {
 ///   lossy, dense `4d` otherwise — and every other transfer dense `4d`.
 /// * The last evaluation point is the final step; an event-driven clock
 ///   reads at least the last round's boundary.
-/// * With telemetry on, its counters equal the ledger: uploads,
-///   downloads, retransmissions, lost uploads, stale merges, syncs and
-///   active steps. In lockstep, every
-///   selected upload is charged when it lands — on time, or as the
-///   stale merge one step after a deadline miss — so `device_to_edge =
-///   selected − deadline misses + retransmissions + stale merges`, and
-///   the misses not yet merged are the queue. Under the round cadence,
-///   every scheduled sync accounts each edge as an upload or an outage.
+/// * With telemetry on, the report carries the final ledger: its
+///   uploads, downloads, retransmissions, lost uploads, stale merges,
+///   syncs and active steps are the ledger's, copied at every step
+///   close. The counts only the recorder keeps must then agree with it.
+///   In lockstep, every selected upload is charged when it lands — on
+///   time, or as the stale merge one step after a deadline miss — so
+///   `device_to_edge = selected − deadline misses + retransmissions +
+///   stale merges`, and the misses not yet merged are the queue. Under
+///   the round cadence, every scheduled sync accounts each edge as an
+///   upload or an outage.
 pub fn assert_ledger(sim: &Simulation, record: &RunRecord, what: &str) {
     let (cfg, c) = (sim.config(), &record.comm);
     let d = flatten(sim.cloud_model()).len();

@@ -1,13 +1,17 @@
 //! Gates for the telemetry plane: the instrumented run must account for
-//! its own time (phase totals ≈ step wall-clock), its counters must
-//! agree exactly with the simulation's communication accounting, and
-//! enabling the recorder must not perturb the simulation itself.
+//! its own time (phase totals ≈ step wall-clock), its per-step JSONL
+//! lines must sum to its report, its counters must agree with the
+//! simulation's communication accounting, and enabling the recorder
+//! must not perturb the simulation itself.
 
-use middle_core::{Algorithm, OnDevicePolicy, SelectionPolicy, SimConfig};
+use middle_core::{
+    Algorithm, OnDevicePolicy, SelectionPolicy, SimConfig, SimError, SimulationBuilder,
+    StepCounters, TelemetryReport, TimelineConfig,
+};
 use middle_data::Task as DataTask;
 
 mod common;
-use common::{assert_same_run, built, finished, Cell};
+use common::{assert_same_run, built, finished, hostile, lossy, real_latencies, shape, Cell};
 
 /// A config that exercises every counter: availability dropout (so some
 /// candidates are filtered and steps can go inactive) plus `KeepLocal`
@@ -26,6 +30,48 @@ fn instrumented_config() -> SimConfig {
     cfg
 }
 
+/// The event engine with real latencies on Speech under hostile faults,
+/// 8-bit top-50 % compression and an edge threshold of one: uploads
+/// land between steps, late ones blend as stale merges, and a tick
+/// holds several waves per edge.
+fn event_config() -> SimConfig {
+    SimConfig {
+        faults: hostile(),
+        compression: lossy(8, 0.5),
+        timeline: TimelineConfig {
+            edge_threshold: Some(1),
+            ..real_latencies()
+        },
+        telemetry: true,
+        ..shape(DataTask::Speech, 12, 3, 4)
+    }
+}
+
+/// [`instrumented_config`] under the event engine with real latencies.
+fn event_mnist_config() -> SimConfig {
+    SimConfig {
+        faults: hostile(),
+        timeline: real_latencies(),
+        ..instrumented_config()
+    }
+}
+
+fn report(cfg: SimConfig) -> TelemetryReport {
+    built(cfg).run().telemetry.expect("telemetry enabled")
+}
+
+/// A counters struct as its serialised fields, in declaration order.
+fn fields(c: &StepCounters) -> Vec<(String, i128)> {
+    let value = serde::Serialize::to_value(c);
+    let entries = value.as_map().expect("counters serialise as a map");
+    (entries.iter())
+        .map(|(k, v)| match v {
+            serde::Value::Int(n) => (k.clone(), *n),
+            other => panic!("counter {k} is {other:?}"),
+        })
+        .collect()
+}
+
 #[test]
 fn report_absent_when_disabled() {
     let cfg = SimConfig::tiny(DataTask::Mnist, Algorithm::middle());
@@ -36,29 +82,49 @@ fn report_absent_when_disabled() {
     assert!(record.active_steps > 0);
 }
 
+/// The in-step segments are disjoint subintervals of a step, so their
+/// sum can never exceed the step total (plus timer noise), and each
+/// phase is observed at most once a step. In lockstep they must also
+/// cover the overwhelming majority of the step — the step body is
+/// nothing but the instrumented phases; the event engine's step also
+/// holds the heap's own work.
 #[test]
 fn phase_totals_account_for_step_time() {
-    let record = built(instrumented_config()).run();
-    let report = record.telemetry.expect("telemetry enabled");
-    let step_total = report.step.total_ns;
-    let phase_total = report.step_phase_total_ns();
-    assert!(step_total > 0, "step histogram empty");
-    // The six in-step segments are disjoint subintervals of each step,
-    // so their sum can never exceed the step total (plus timer noise)
-    // and must cover the overwhelming majority of it — the step body is
-    // nothing but the instrumented phases.
-    assert!(
-        (phase_total as f64) <= step_total as f64 * 1.02,
-        "phase sum {phase_total} exceeds step total {step_total}"
-    );
-    assert!(
-        (phase_total as f64) >= step_total as f64 * 0.90,
-        "phase sum {phase_total} covers <90% of step total {step_total}"
-    );
+    for (what, cfg, covered) in [
+        ("lockstep", instrumented_config(), Some(0.90)),
+        ("event-driven Mnist", event_mnist_config(), None),
+        ("event-driven Speech", event_config(), None),
+    ] {
+        let steps = cfg.steps as u64;
+        let report = report(cfg);
+        let step_total = report.step.total_ns;
+        let phase_total = report.step_phase_total_ns();
+        assert_eq!(report.step.count, steps, "{what}: steps observed");
+        assert!(step_total > 0, "{what}: step summary empty");
+        assert!(
+            (phase_total as f64) <= step_total as f64 * 1.02,
+            "{what}: phase sum {phase_total} exceeds step total {step_total}"
+        );
+        if let Some(floor) = covered {
+            assert!(
+                (phase_total as f64) >= step_total as f64 * floor,
+                "{what}: phase sum {phase_total} covers <{floor} of step total {step_total}"
+            );
+        }
+        for p in &report.phases {
+            assert!(
+                p.count <= steps,
+                "{what}: {} observed {} times",
+                p.phase,
+                p.count
+            );
+        }
+    }
 }
 
-/// Uploads, downloads, syncs and active steps equal the ledger's: the
-/// harness's ledger identities (`common::assert_ledger`).
+/// Uploads equal selections without faults, syncs account for the WAN
+/// and broadcast counters, and the harness's ledger identities
+/// (`common::assert_ledger`) hold.
 #[test]
 fn counters_match_comm_stats_exactly() {
     let cfg = instrumented_config();
@@ -93,59 +159,78 @@ fn telemetry_does_not_perturb_the_run() {
     assert_same_run(&instrumented, &finished(plain), "telemetry on and off");
 }
 
+/// One line per step, each reporting everything recorded since the
+/// previous one: in both execution modes every counter of the lines
+/// sums to the report's.
 #[test]
 fn jsonl_sink_writes_one_line_per_step() {
-    let path = std::env::temp_dir().join(format!(
-        "middle_telemetry_{}_{}.jsonl",
-        std::process::id(),
-        line!()
-    ));
-    let mut cfg = SimConfig::tiny(DataTask::Mnist, Algorithm::middle());
-    cfg.steps = 6;
-    cfg.telemetry_jsonl = Some(path.to_string_lossy().into_owned());
-    assert!(cfg.telemetry_enabled(), "jsonl path implies telemetry");
-    let record = built(cfg.clone()).run();
-    assert!(record.telemetry.is_some());
-
     #[derive(serde::Deserialize)]
-    struct Event {
+    struct Line {
         step: u64,
-        active: bool,
         step_ns: u64,
         local_training_ns: u64,
-        uploads: u64,
+        counters: StepCounters,
     }
 
-    let text = std::fs::read_to_string(&path).expect("sink file written");
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), cfg.steps);
-    let mut uploads = 0;
-    for (t, line) in lines.iter().enumerate() {
-        let e: Event = serde_json::from_str(line).expect("parseable JSONL line");
-        assert_eq!(e.step, t as u64);
-        assert!(e.active, "tiny config at full availability is never idle");
-        assert!(e.step_ns > 0);
-        assert!(e.step_ns >= e.local_training_ns);
-        uploads += e.uploads;
+    let lockstep = SimConfig {
+        steps: 6,
+        ..SimConfig::tiny(DataTask::Mnist, Algorithm::middle())
+    };
+    for (what, mut cfg) in [("lockstep", lockstep), ("event-driven", event_config())] {
+        let path = std::env::temp_dir().join(format!(
+            "middle_telemetry_{}_{what}.jsonl",
+            std::process::id()
+        ));
+        cfg.telemetry = false;
+        cfg.telemetry_jsonl = Some(path.to_string_lossy().into_owned());
+        assert!(cfg.telemetry_enabled(), "jsonl path implies telemetry");
+        let record = built(cfg.clone()).run();
+        let report = record.telemetry.expect("telemetry enabled");
+
+        let text = std::fs::read_to_string(&path).expect("sink file written");
+        std::fs::remove_file(&path).ok();
+        let lines: Vec<Line> = (text.lines())
+            .map(|l| serde_json::from_str(l).expect("parseable JSONL line"))
+            .collect();
+        assert_eq!(lines.len(), cfg.steps, "{what}: lines");
+        let mut sums = fields(&StepCounters::default());
+        for (t, line) in lines.iter().enumerate() {
+            assert_eq!(line.step, t as u64, "{what}: step index");
+            assert!(line.step_ns >= line.local_training_ns, "{what}: step {t}");
+            for (sum, (_, n)) in sums.iter_mut().zip(fields(&line.counters)) {
+                sum.1 += n;
+            }
+        }
+        assert_eq!(
+            sums,
+            fields(&report.counters),
+            "{what}: lines against the report"
+        );
+        assert_eq!(
+            report.counters.uploads, record.comm.device_to_edge,
+            "{what}"
+        );
+        let c = &report.counters;
+        if what == "event-driven" {
+            assert!(
+                c.stale_merges > 0 && c.wan_outages > 0 && c.compressed_syncs > 0,
+                "{what}: the config exercises late arrivals, outages and lossy syncs: {c:?}"
+            );
+        }
     }
-    assert_eq!(uploads, record.comm.device_to_edge);
-    std::fs::remove_file(&path).ok();
 }
 
+/// A sink that cannot be created fails the build with a typed error.
 #[test]
-fn report_summary_table_names_every_phase() {
-    let record = built(instrumented_config()).run();
-    let report = record.telemetry.expect("telemetry enabled");
-    let table = report.summary_table();
-    for phase in [
-        "selection",
-        "device_init",
-        "local_training",
-        "edge_aggregation",
-        "cloud_sync",
-        "evaluation",
-        "step",
-    ] {
-        assert!(table.contains(phase), "summary missing {phase}:\n{table}");
+fn unopenable_jsonl_sink_is_a_typed_error() {
+    let path = std::env::temp_dir()
+        .join(format!("middle_no_such_dir_{}", std::process::id()))
+        .join("events.jsonl");
+    let mut cfg = SimConfig::tiny(DataTask::Mnist, Algorithm::middle());
+    cfg.telemetry_jsonl = Some(path.to_string_lossy().into_owned());
+    match SimulationBuilder::new(cfg).build() {
+        Err(SimError::Io { path: p, .. }) => assert_eq!(p, path.to_string_lossy()),
+        Err(other) => panic!("expected an io error, got {other}"),
+        Ok(_) => panic!("a sink under a missing directory must not build"),
     }
 }
