@@ -196,7 +196,14 @@ fn jsonl_sink_writes_one_line_per_step() {
         let mut sums = fields(&StepCounters::default());
         for (t, line) in lines.iter().enumerate() {
             assert_eq!(line.step, t as u64, "{what}: step index");
+            assert!(line.step_ns > 0, "{what}: step {t} is timed");
             assert!(line.step_ns >= line.local_training_ns, "{what}: step {t}");
+            if what == "lockstep" {
+                assert_eq!(
+                    line.counters.active_steps, 1,
+                    "{what}: step {t}: tiny config at full availability is never idle"
+                );
+            }
             for (sum, (_, n)) in sums.iter_mut().zip(fields(&line.counters)) {
                 sum.1 += n;
             }
