@@ -1,7 +1,7 @@
 //! Training algorithms behind a first-class policy API: MIDDLE, the
 //! paper's §6.1.3 baselines, and the post-paper zoo (FedFly migration,
 //! FedLECC cluster-guided selection), all expressed as a serde-nameable
-//! [`AlgorithmConfig`] that resolves to an [`AlgorithmPolicy`] object
+//! [`Algorithm`] that resolves to an [`AlgorithmPolicy`] object
 //! the simulation step loop drives through explicit hooks.
 //!
 //! | Algorithm | Selection | On-move device aggregation |
@@ -18,8 +18,8 @@
 //!
 //! ## The policy API
 //!
-//! [`AlgorithmConfig`] is plain data (what rides [`crate::SimConfig`],
-//! sweeps and JSON); [`AlgorithmConfig::resolve`] turns it into a boxed
+//! [`Algorithm`] is plain data (what rides [`crate::SimConfig`],
+//! sweeps and JSON); [`Algorithm::resolve`] turns it into a boxed
 //! [`AlgorithmPolicy`] carrying any cross-round state. The simulation
 //! calls the hooks at fixed points of Algorithm 1, identically under
 //! lockstep and event-driven execution:
@@ -132,12 +132,9 @@ pub enum OnDevicePolicy {
 
 /// A complete, serde-nameable algorithm: what rides [`crate::SimConfig`]
 /// and sweep scenario labels, resolved into a stateful policy object by
-/// [`AlgorithmConfig::resolve`].
-///
-/// The historical name [`Algorithm`] remains as an alias; every
-/// constructor below builds a zoo member.
+/// [`Algorithm::resolve`]. Every constructor below builds a zoo member.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AlgorithmConfig {
+pub struct Algorithm {
     /// Display name (baseline names follow the paper).
     pub name: String,
     /// In-edge device selection.
@@ -156,11 +153,7 @@ pub struct AlgorithmConfig {
     pub migrate_in_flight: bool,
 }
 
-/// Historical alias: the config type was simply called `Algorithm`
-/// before the policy API existed.
-pub type Algorithm = AlgorithmConfig;
-
-impl AlgorithmConfig {
+impl Algorithm {
     /// Builds a custom algorithm from its two components.
     pub fn custom(
         name: impl Into<String>,
@@ -757,7 +750,7 @@ mod tests {
         // API existed — must keep parsing, and must re-serialize
         // byte-identically so config digests are stable.
         let legacy = r#"{"name":"MIDDLE","selection":"LeastSimilarUpdate","on_device":"SimilarityWeighted"}"#;
-        let parsed: AlgorithmConfig = serde_json::from_str(legacy).unwrap();
+        let parsed: Algorithm = serde_json::from_str(legacy).unwrap();
         assert_eq!(parsed, Algorithm::middle());
         assert_eq!(serde_json::to_string(&parsed).unwrap(), legacy);
     }

@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Reference seconds for one model transfer on a device↔edge wireless
-/// link, shared by the examples and `middle-bench`'s `sweeps` presets
+/// link, shared by the examples and the `middle-sweepd run` presets
 /// so the two wall-clock models cannot drift.
 pub const WIRELESS_SECS_PER_TRANSFER: f64 = 1.0;
 

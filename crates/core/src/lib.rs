@@ -34,7 +34,7 @@
 //! * [`selection`] — in-edge device selection (Eqs. 10–12) + baselines;
 //! * [`algorithms`] — the algorithm zoo (MIDDLE / OORT / FedMes / Greedy
 //!   / Ensemble / HierFAVG / FedFly / FedLECC / Random) behind the
-//!   [`AlgorithmConfig`] → [`algorithms::AlgorithmPolicy`] policy API;
+//!   [`Algorithm`] → [`algorithms::AlgorithmPolicy`] policy API;
 //! * [`device`], [`sim`] — mobile devices and the Algorithm 1 loop,
 //!   Rayon-parallel across devices;
 //! * [`config`], [`metrics`] — experiment configs and run records
@@ -78,8 +78,8 @@ pub mod theory;
 pub mod timeline;
 
 pub use algorithms::{
-    Algorithm, AlgorithmConfig, AlgorithmPolicy, AlgorithmState, MoveAction, OnDevicePolicy,
-    SelectionPolicy, SelectionSignal,
+    Algorithm, AlgorithmPolicy, AlgorithmState, MoveAction, OnDevicePolicy, SelectionPolicy,
+    SelectionSignal,
 };
 pub use builder::{input_key, InputCache, SharedInputs, SimError, SimulationBuilder};
 pub use checkpoint::{config_digest, SimCheckpoint, SIM_CHECKPOINT_SCHEMA_VERSION};

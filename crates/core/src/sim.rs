@@ -232,7 +232,7 @@ pub struct Simulation {
     telemetry: Telemetry,
     faults: FaultPlane,
     // The resolved algorithm-policy object ([`SimConfig::algorithm`]
-    // via `AlgorithmConfig::resolve`): selection source, on-move
+    // via `Algorithm::resolve`): selection source, on-move
     // verdicts and any cross-round state. The one round skeleton fires
     // its hooks, so stateful algorithms evolve identically lockstep and
     // event-driven.

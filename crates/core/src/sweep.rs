@@ -9,7 +9,7 @@
 //!
 //! * [`ScenarioGrid`] describes a cartesian product over `P`, `K`,
 //!   `T_c`, seeds, named [`FaultPreset`]s, named
-//!   [`CompressionPreset`]s, named [`AlgorithmConfig`]s (the algorithm
+//!   [`CompressionPreset`]s, named [`Algorithm`]s (the algorithm
 //!   zoo) and execution modes on top of a base [`SimConfig`];
 //!   [`ScenarioGrid::scenarios`] expands and validates it up front, so
 //!   a bad axis fails before any work starts.
@@ -30,9 +30,9 @@
 //! [`SweepReport`]: one [`ScenarioRecord`] per scenario plus cross-seed
 //! mean/std/95%-CI [`AggregatePoint`]s per grid cell. The committed
 //! `BENCH_{faults,algos,compress,async}.json` are the
-//! [`SweepReport::deterministic_json`] of `middle-bench`'s
-//! `sweeps <preset>` grids; what caching and checkpointing cost and
-//! save is `perf`'s `sweep_grid` workload.
+//! [`SweepReport::deterministic_json`] of `middle-sweepd run <preset>`'s
+//! grids; what caching and checkpointing cost and save is `perf`'s
+//! `sweep_grid` workload.
 //!
 //! # Multi-process fleets (`middle-sweepd`)
 //!
@@ -46,16 +46,19 @@
 //! ledger. A lease whose heartbeat is older than
 //! [`FleetOptions::lease_ms`] is reclaimed — a SIGKILL'd worker's
 //! scenario re-runs from its last checkpoint on whichever worker claims
-//! it next. The coordinator tails the worker streams, merges them with
-//! the ledger both ways, and returns a final [`SweepReport`] whose
+//! it next. The coordinator tails its grid's worker streams (a stream
+//! is named by the grid digest and the worker id), merges them with the
+//! ledger both ways, and returns a final [`SweepReport`] whose
 //! [`SweepReport::deterministic_json`] is byte-identical to a
 //! single-process [`run_sweep`] of the same grid, kills or no kills —
 //! every scenario result is a pure function of its config, so *who*
-//! computed it can never show in the report. The `middle-sweepd` binary
-//! wraps these entry points as `worker` / `coordinator` subcommands;
-//! DESIGN.md §14 specifies the protocol.
+//! computed it can never show in the report. `middle-sweepd run
+//! --spawn N` runs the coordinator in its own process over N forked
+//! `middle-sweepd worker` processes, and at `--spawn 0` runs the same
+//! grid through [`run_sweep`] on the same ledger, so either driver
+//! resumes what the other left; DESIGN.md §14 specifies the protocol.
 
-use crate::algorithms::AlgorithmConfig;
+use crate::algorithms::Algorithm;
 use crate::builder::{InputCache, SimError, SimulationBuilder};
 use crate::checkpoint::{fnv1a, seal_json, unseal_json, SimCheckpoint};
 use crate::compress::CompressionConfig;
@@ -135,7 +138,7 @@ pub struct ScenarioGrid {
     fault_presets: Vec<FaultPreset>,
     compression_presets: Vec<CompressionPreset>,
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    algorithms: Vec<AlgorithmConfig>,
+    algorithms: Vec<Algorithm>,
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     execution: Vec<TimelineConfig>,
 }
@@ -200,13 +203,13 @@ impl ScenarioGrid {
         self
     }
 
-    /// Sweeps named algorithms (e.g. [`AlgorithmConfig::zoo`]). An
+    /// Sweeps named algorithms (e.g. [`Algorithm::zoo`]). An
     /// unset axis inherits the base config's algorithm and leaves
     /// scenario labels unchanged; swept scenarios gain an
     /// `-a<algorithm>` label segment. Algorithms share cached inputs
     /// across the axis — the algorithm is deliberately not part of the
     /// input cache key.
-    pub fn with_algorithms(mut self, algorithms: impl Into<Vec<AlgorithmConfig>>) -> Self {
+    pub fn with_algorithms(mut self, algorithms: impl Into<Vec<Algorithm>>) -> Self {
         self.algorithms = algorithms.into();
         self
     }
@@ -268,7 +271,7 @@ impl ScenarioGrid {
         } else {
             self.compression_presets.iter().map(Some).collect()
         };
-        let algos: Vec<Option<&AlgorithmConfig>> = if self.algorithms.is_empty() {
+        let algos: Vec<Option<&Algorithm>> = if self.algorithms.is_empty() {
             vec![None]
         } else {
             self.algorithms.iter().map(Some).collect()
@@ -1252,6 +1255,14 @@ fn claim(
     })
 }
 
+/// The file-name prefix of every JSONL stream of the grid `digest`:
+/// a stream is `worker_<digest, 16 hex>_<id>.jsonl`, so the coordinator
+/// of one grid never merges the streams another grid left in its
+/// directory.
+fn stream_prefix(digest: u64) -> String {
+    format!("worker_{digest:016x}_")
+}
+
 /// A worker id reduced to filesystem-safe characters for its JSONL
 /// stream filename.
 fn safe_id(worker_id: &str) -> String {
@@ -1370,10 +1381,10 @@ fn run_leased_scenario(
 /// (`claim` rejects duplicate claims on live leases and reclaims
 /// expired ones), run it with heartbeat renewal and periodic
 /// checkpoints, stream the completed [`ScenarioRecord`] to
-/// `worker_<id>.jsonl`, record it and release the lease in one ledger
-/// write, repeat. When every pending scenario is leased by someone
-/// else it polls until work frees up (a lease expiring counts) or the
-/// grid completes; [`FleetOptions::max_wall_ms`] bounds the wait.
+/// `worker_<digest>_<id>.jsonl`, record it and release the lease in one
+/// ledger write, repeat. When every pending scenario is leased by
+/// someone else it polls until work frees up (a lease expiring counts)
+/// or the grid completes; [`FleetOptions::max_wall_ms`] bounds the wait.
 ///
 /// # Errors
 /// Grid expansion errors, ledger/grid mismatches
@@ -1385,16 +1396,18 @@ pub fn run_fleet_worker(
     opts: &FleetOptions,
 ) -> Result<FleetWorkerReport, SimError> {
     let scenarios = grid.scenarios()?;
+    let digest = scenarios_digest(&scenarios);
+    let jsonl = format!("{}{}.jsonl", stream_prefix(digest), safe_id(worker_id));
     fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
     let mut ctx = WorkerCtx {
         ledger: Ledger::in_dir(dir),
         dir,
-        digest: scenarios_digest(&scenarios),
+        digest,
         n: scenarios.len(),
         worker_id,
         opts,
         cache: InputCache::new(),
-        jsonl: dir.join(format!("worker_{}.jsonl", safe_id(worker_id))),
+        jsonl: dir.join(jsonl),
         checkpoints_written: 0,
     };
     let started = Instant::now();
@@ -1420,17 +1433,19 @@ pub fn run_fleet_worker(
     Ok(report)
 }
 
-/// Tails every `worker_*.jsonl` stream in `dir`, merging newly
+/// Tails every JSONL stream of the grid `digest` in `dir`, merging newly
 /// completed lines into `records` (first record per scenario wins;
 /// duplicates from reclaimed leases are bitwise-identical modulo wall
 /// clock). Only whole lines are consumed — a partial last line from a
 /// killed worker stays unread until the scenario re-runs elsewhere.
 fn tail_worker_streams(
     dir: &Path,
+    digest: u64,
     offsets: &mut HashMap<PathBuf, usize>,
     records: &mut [Option<ScenarioRecord>],
     workers_seen: &mut Vec<String>,
 ) -> Result<(), SimError> {
+    let prefix = stream_prefix(digest);
     let entries = fs::read_dir(dir).map_err(|e| io_err(dir, e))?;
     let mut paths: Vec<PathBuf> = entries
         .filter_map(Result::ok)
@@ -1438,7 +1453,7 @@ fn tail_worker_streams(
         .filter(|p| {
             p.file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("worker_") && n.ends_with(".jsonl"))
+                .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".jsonl"))
         })
         .collect();
     paths.sort();
@@ -1507,7 +1522,7 @@ pub fn run_fleet_coordinator(
     let mut offsets: HashMap<PathBuf, usize> = HashMap::new();
     let mut workers_seen: Vec<String> = Vec::new();
     loop {
-        tail_worker_streams(dir, &mut offsets, &mut records, &mut workers_seen)?;
+        tail_worker_streams(dir, digest, &mut offsets, &mut records, &mut workers_seen)?;
         ledger.update(digest, n, |state| {
             for (ours, theirs) in records.iter_mut().zip(state.records.iter_mut()) {
                 match (&ours, &theirs) {
@@ -1544,7 +1559,6 @@ pub fn run_fleet_coordinator(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::Algorithm;
     use crate::comm::CommStats;
     use crate::metrics::RUN_RECORD_SCHEMA_VERSION;
     use middle_data::Task;

@@ -322,7 +322,7 @@ pub fn wan(p: f64) -> FaultConfig {
 
 /// Every failure model at once: sticky Markov dropout, exponential
 /// stragglers against a deadline, lossy uploads with retry, WAN outages
-/// — the shape of the `sweeps algos` preset's hostile regime.
+/// — the shape of the `algos` preset's hostile regime.
 pub fn hostile() -> FaultConfig {
     FaultConfig {
         dropout: DropoutModel::Markov {

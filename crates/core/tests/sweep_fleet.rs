@@ -1,9 +1,9 @@
 //! Gates for the multi-process fleet layer behind `middle-sweepd`:
 //! duplicate-claim rejection, a worker killed mid-scenario resuming
 //! from its checkpoint, N-worker fleets matching the single-process
-//! sweep bitwise, coordinator rebuilds from the JSONL streams alone,
-//! and corrupt-ledger quarantine. Lease expiry and reclamation after a
-//! kill is tier-1's
+//! sweep bitwise, coordinator rebuilds from the JSONL streams alone
+//! (its own grid's streams only), and corrupt-ledger quarantine. Lease
+//! expiry and reclamation after a kill is tier-1's
 //! `killed_worker_leaves_lease_and_checkpoint_for_reclamation` in root
 //! `tests/integration.rs`, which shares this suite's grid and options
 //! through `common`.
@@ -17,12 +17,19 @@
 //! `scripts/fleet_smoke.sh` / the CI `fleet-smoke` job.
 
 use middle_core::{
-    fleet_status, run_fleet_coordinator, run_fleet_worker, FleetOptions, SimCheckpoint,
+    fleet_status, run_fleet_coordinator, run_fleet_worker, run_sweep, FleetOptions, ScenarioGrid,
+    SimCheckpoint, SweepOptions,
 };
 use std::thread;
 
 mod common;
 use common::{fleet_grid, fleet_opts, fleet_reference, scratch_dir};
+
+/// The JSONL stream worker `id` writes for `grid`: keyed by the grid's
+/// digest, so two grids' streams never share a file name.
+fn stream_name(grid: &ScenarioGrid, id: &str) -> String {
+    format!("worker_{:016x}_{id}.jsonl", grid.digest().unwrap())
+}
 
 /// Realistic lease window for concurrent live workers: long enough
 /// that no live lease ever expires inside a test, so every scenario
@@ -185,6 +192,7 @@ fn coordinator_rebuilds_the_ledger_from_worker_streams() {
     let reference = fleet_reference();
     let done = run_fleet_worker(&fleet_grid(), &dir, "solo", &fleet_opts()).unwrap();
     assert_eq!(done.completed, 4);
+    assert!(dir.join(stream_name(&fleet_grid(), "solo")).exists());
     // Deleting the ledger loses no completions: every record is also
     // in the worker's JSONL stream, and the coordinator's two-way
     // merge writes the healed ledger back.
@@ -193,6 +201,29 @@ fn coordinator_rebuilds_the_ledger_from_worker_streams() {
     assert_eq!(report.deterministic_json(), reference);
     let status = fleet_status(&dir).unwrap().unwrap();
     assert_eq!(status.completed, 4, "coordinator must heal the ledger");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn coordinator_merges_only_its_own_grids_streams() {
+    let dir = scratch_dir("two_grids");
+    // Grid A finishes and its ledger goes (deleted here; quarantined or
+    // overwritten by another grid's sweep in the wild): only A's stream
+    // is left. Grid B — A under other seeds, so the same four indices —
+    // then runs in the same directory. A's records must not fill B's
+    // slots: B's report is B's reference, byte for byte. (A's worker id
+    // sorts first, so a merge by index alone would take A's records.)
+    let grid_b = fleet_grid().with_seeds([17u64, 18]);
+    let reference_b = run_sweep(&grid_b, &SweepOptions::default())
+        .unwrap()
+        .deterministic_json();
+    let a = run_fleet_worker(&fleet_grid(), &dir, "a", &fleet_opts()).unwrap();
+    assert_eq!(a.completed, 4);
+    std::fs::remove_file(dir.join("sweep_state.json")).unwrap();
+    let b = run_fleet_worker(&grid_b, &dir, "b", &fleet_opts()).unwrap();
+    assert_eq!(b.completed, 4, "B's worker runs every scenario of B");
+    let report = run_fleet_coordinator(&grid_b, &dir, &fleet_opts()).unwrap();
+    assert_eq!(report.deterministic_json(), reference_b);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -237,6 +268,7 @@ fn bit_flipped_ledger_is_quarantined_not_trusted() {
     let reference = fleet_reference();
     let done = run_fleet_worker(&fleet_grid(), &dir, "solo", &fleet_opts()).unwrap();
     assert_eq!(done.completed, 4);
+    assert!(dir.join(stream_name(&fleet_grid(), "solo")).exists());
     // Flip one payload byte, leaving the file well-formed JSON-wise
     // wherever possible: only the checksum can catch this.
     let path = dir.join("sweep_state.json");

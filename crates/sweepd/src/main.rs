@@ -1,95 +1,79 @@
-//! `middle-sweepd` — multi-process sweep orchestration.
+//! `middle-sweepd` — the one experiment CLI: every preset and every
+//! grid runs through `run`, in this process or on a fleet of worker
+//! processes.
 //!
-//! A fleet is one shared directory (the ledger + checkpoints + worker
-//! JSONL streams) plus one grid-spec JSON file that every process
-//! reads. Workers lease one scenario at a time from the ledger,
-//! heartbeat while they run it, and stream completed records; the
-//! coordinator tails the streams, reclaims expired leases (a SIGKILL'd
-//! worker's scenario re-runs from its last checkpoint elsewhere), and writes
-//! the merged report. The merged report's deterministic form is
-//! byte-identical to a single-process run of the same grid — the
-//! `serial` subcommand exists so scripts can assert exactly that with
-//! `cmp`. See DESIGN.md §14 for the protocol.
+//! `run` takes a preset ([`presets::PRESETS`]: the paper's figures, the
+//! four scientific sweeps and the fleet's `smoke` grid) or a grid file
+//! (a serialised `ScenarioGrid`). With `--dir D` each grid runs in its
+//! own directory `D/<grid digest, 16 hex>/`, so a rerun resumes there
+//! and two grids never share a ledger, a checkpoint or a stream. At
+//! `--spawn 0` (the default) a grid runs in-process through
+//! `run_sweep`; at `--spawn N` it is written to `grid.json` in its
+//! directory, N `worker` children lease its scenarios one at a time
+//! from the shared ledger, and the coordinator in this process merges
+//! their streams. Both drivers keep one ledger and checkpoint format,
+//! and the merged report's deterministic form is byte-identical to the
+//! in-process one (DESIGN.md §14), so a run cut short under either
+//! resumes under the other. A preset then runs its check and writes its
+//! artefacts; a grid run writes the report's deterministic JSON.
 //!
 //! ```text
-//! middle-sweepd gen-grid --smoke --out grid.json
-//! middle-sweepd serial      --grid grid.json --deterministic --out serial.json
-//! middle-sweepd worker      --grid grid.json --dir fleet/ --id w0 &
-//! middle-sweepd coordinator --grid grid.json --dir fleet/ --spawn 2 \
-//!     --deterministic --out fleet.json
-//! cmp serial.json fleet.json
+//! middle-sweepd run fig6                        # results/fig6_*.csv
+//! middle-sweepd run smoke --out oracle.json
+//! middle-sweepd run smoke --spawn 3 --dir fleet/ --out fleet.json
+//! cmp oracle.json fleet.json
+//! middle-sweepd status --dir fleet/
 //! ```
 
+mod presets;
+
 use middle_core::{
-    fleet_status, run_fleet_coordinator, run_fleet_worker, run_sweep, Algorithm, FleetOptions,
-    ScenarioGrid, SimConfig, SweepOptions,
+    fleet_status, run_fleet_coordinator, run_fleet_worker, run_sweep, FleetOptions, ScenarioGrid,
+    SweepOptions, SweepReport,
 };
-use middle_data::Task;
+use presets::{Preset, PRESETS};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
-const USAGE: &str = "\
-middle-sweepd — multi-process sweep orchestration (see DESIGN.md §14)
+fn usage() -> String {
+    let presets: Vec<&str> = PRESETS.iter().map(|p| p.0).collect();
+    format!(
+        "\
+middle-sweepd — the experiment CLI (see DESIGN.md §14)
 
 USAGE:
-  middle-sweepd gen-grid [--smoke | --tiny] [--out PATH]
-      Write a built-in grid spec (default: the fleet-smoke grid) as
-      JSON to PATH (default stdout). Grid specs are serialised
-      ScenarioGrids; hand-authored specs work the same way.
-
-  middle-sweepd serial --grid PATH [--out PATH] [--deterministic] [--threads N]
-      Run the grid single-process through run_sweep (the bitwise
-      oracle for fleet runs) and write the report.
+  middle-sweepd run (<preset> | --grid PATH) [--spawn N] [--dir D] [--out PATH]
+      [--lease-ms N] [--checkpoint-every N] [--max-wall-ms N]
+      Run every grid of a preset, or the grid of a grid file (a
+      serialised ScenarioGrid). With --dir D each grid runs in
+      D/<grid digest>/, where a rerun resumes. --spawn 0 (the default)
+      runs in this process; --spawn N (needs --dir) writes grid.json
+      there, forks N workers (ids w0..) and merges their results. A
+      preset then checks its claims and writes its artefacts to --out
+      (default BENCH_<preset>.json, or the directory results/); a grid
+      run writes the report's deterministic JSON to --out (default
+      stdout). --lease-ms and --max-wall-ms are the fleet's.
+      Presets: {}
 
   middle-sweepd worker --grid PATH --dir PATH --id ID
       [--lease-ms N] [--checkpoint-every N] [--max-wall-ms N]
-      Run one fleet worker against the shared directory. A worker
-      renews its lease every lease-ms / 4 (default lease 5000 ms) and
-      snapshots a running scenario every N steps (default 8).
-
-  middle-sweepd coordinator --grid PATH --dir PATH [--out PATH]
-      [--deterministic] [--spawn N] [--lease-ms N] [--checkpoint-every N]
-      [--max-wall-ms N]
-      Run the coordinator; --spawn N forks N child workers (ids w0..)
-      with matching options. Writes the merged report on completion.
+      Run one fleet worker in a grid directory. A worker renews its
+      lease every lease-ms / 4 (default lease 5000 ms) and snapshots a
+      running scenario every N steps (default 8).
 
   middle-sweepd status --dir PATH
-      Print ledger progress and the live lease table.
+      Print ledger progress and the live lease table of a grid
+      directory, or of every grid directory of a run directory.
 
 Every fleet member must use the same grid spec; the ledger rejects a
-mismatch.";
+mismatch.",
+        presets.join(" ")
+    )
+}
 
 fn fail(message: &str) -> ExitCode {
-    eprintln!("middle-sweepd: {message}\n\n{USAGE}");
+    eprintln!("middle-sweepd: {message}\n\n{}", usage());
     ExitCode::from(2)
-}
-
-/// The built-in fleet-smoke grid: long enough on one core that CI can
-/// SIGKILL a worker mid-run, small enough to finish in seconds.
-fn smoke_grid() -> ScenarioGrid {
-    let mut cfg = SimConfig::tiny(Task::Speech, Algorithm::middle());
-    cfg.num_edges = 3;
-    cfg.num_devices = 120;
-    cfg.samples_per_device = 100;
-    cfg.test_samples = 100;
-    cfg.local_steps = 2;
-    cfg.batch_size = 8;
-    cfg.steps = 64;
-    cfg.eval_interval = 8;
-    ScenarioGrid::new(cfg)
-        .with_selection_sizes([4usize, 6])
-        .with_sync_periods([2usize, 4])
-        .with_seeds([7u64, 8, 9])
-}
-
-/// A seconds-long four-scenario grid for local experimentation.
-fn tiny_grid() -> ScenarioGrid {
-    let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::middle());
-    cfg.steps = 6;
-    cfg.eval_interval = 2;
-    ScenarioGrid::new(cfg)
-        .with_selection_sizes([2usize, 3])
-        .with_seeds([7u64, 8])
 }
 
 /// One parsed `--flag value` vocabulary shared by the subcommands.
@@ -99,10 +83,6 @@ struct Args {
     dir: Option<PathBuf>,
     out: Option<PathBuf>,
     id: Option<String>,
-    deterministic: bool,
-    smoke: bool,
-    tiny: bool,
-    threads: usize,
     spawn: usize,
     lease_ms: Option<u64>,
     checkpoint_every: Option<usize>,
@@ -121,10 +101,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
             "--dir" => args.dir = Some(PathBuf::from(value("--dir")?)),
             "--out" => args.out = Some(PathBuf::from(value("--out")?)),
             "--id" => args.id = Some(value("--id")?.clone()),
-            "--deterministic" => args.deterministic = true,
-            "--smoke" => args.smoke = true,
-            "--tiny" => args.tiny = true,
-            "--threads" => args.threads = parse_num(value("--threads")?, "--threads")?,
             "--spawn" => args.spawn = parse_num(value("--spawn")?, "--spawn")?,
             "--lease-ms" => args.lease_ms = Some(parse_num(value("--lease-ms")?, "--lease-ms")?),
             "--checkpoint-every" => {
@@ -176,42 +152,110 @@ fn write_out(out: Option<&Path>, contents: &str) -> Result<(), String> {
     }
 }
 
-fn report_json(report: &middle_core::SweepReport, deterministic: bool) -> String {
-    if deterministic {
-        report.deterministic_json()
-    } else {
-        report.to_json()
+/// What `run` runs — `Some` preset, or `None` for the `--grid` file —
+/// once its words and flags are known to fit together.
+fn run_target(preset: Option<&str>, args: &Args) -> Result<Option<&'static Preset>, String> {
+    if args.spawn == 0 && (args.lease_ms.is_some() || args.max_wall_ms.is_some()) {
+        return Err("--lease-ms and --max-wall-ms need --spawn N > 0".to_string());
+    }
+    if args.dir.is_none() && (args.spawn > 0 || args.checkpoint_every.is_some()) {
+        return Err("--spawn and --checkpoint-every need --dir".to_string());
+    }
+    match (preset, &args.grid) {
+        (Some(name), None) => match PRESETS.iter().find(|p| p.0 == name) {
+            Some(preset) => Ok(Some(preset)),
+            None => Err(format!("unknown preset {name}")),
+        },
+        (None, Some(_)) => Ok(None),
+        _ => Err("run takes a preset or --grid PATH".to_string()),
     }
 }
 
-fn cmd_gen_grid(args: &Args) -> Result<(), String> {
-    let grid = if args.tiny { tiny_grid() } else { smoke_grid() };
-    let json = serde_json::to_string(&grid).expect("grid serialisation cannot fail");
-    let n = grid.scenarios().map_err(|e| e.to_string())?.len();
-    write_out(args.out.as_deref(), &json)?;
-    eprintln!("[gen-grid] {n} scenarios");
-    Ok(())
+fn cmd_run(preset: Option<&Preset>, args: &Args) -> Result<(), String> {
+    let grids = match preset {
+        Some((_, grids, _)) => grids(),
+        None => vec![load_grid(args)?],
+    };
+    let reports: Vec<SweepReport> = grids
+        .iter()
+        .map(|grid| run_grid(grid, args))
+        .collect::<Result<_, _>>()?;
+    match preset {
+        Some(preset) => {
+            presets::check_and_write(preset, &reports, args.out.as_deref());
+            Ok(())
+        }
+        None => write_out(args.out.as_deref(), &reports[0].deterministic_json()),
+    }
 }
 
-fn cmd_serial(args: &Args) -> Result<(), String> {
-    let grid = load_grid(args)?;
-    let report = run_sweep(
-        &grid,
-        &SweepOptions {
-            threads: args.threads.max(1),
-            ..SweepOptions::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
+/// Runs one grid — in its directory under `--dir` when one is given —
+/// in-process or, at `--spawn N`, on N worker processes.
+fn run_grid(grid: &ScenarioGrid, args: &Args) -> Result<SweepReport, String> {
+    let fleet = fleet_options(args);
+    let digest = grid.digest().map_err(|e| e.to_string())?;
+    let dir = args.dir.as_ref().map(|d| d.join(format!("{digest:016x}")));
+    let report = match dir {
+        Some(dir) if args.spawn > 0 => run_fleet(grid, &dir, args.spawn, &fleet)?,
+        dir => {
+            let opts = SweepOptions {
+                checkpoint_dir: dir,
+                checkpoint_every: fleet.checkpoint_every,
+                ..SweepOptions::default()
+            };
+            run_sweep(grid, &opts).map_err(|e| e.to_string())?
+        }
+    };
     eprintln!(
-        "[serial] {} scenarios in {:.2}s",
+        "[run] grid {digest:016x}: {} scenarios in {:.2}s, {} workers, input cache {} hits / {} misses",
         report.scenarios.len(),
-        report.wall_seconds
+        report.wall_seconds,
+        report.threads,
+        report.cache_hits,
+        report.cache_misses
     );
-    write_out(
-        args.out.as_deref(),
-        &report_json(&report, args.deterministic),
-    )
+    Ok(report)
+}
+
+/// The fleet in `dir`: `grid.json` there, `n` forked `worker` children
+/// with this invocation's fleet options, and the coordinator in this
+/// process.
+fn run_fleet(
+    grid: &ScenarioGrid,
+    dir: &Path,
+    n: usize,
+    opts: &FleetOptions,
+) -> Result<SweepReport, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let grid_path = dir.join("grid.json");
+    let json = serde_json::to_string(grid).expect("grid serialisation cannot fail");
+    write_out(Some(&grid_path), &json)?;
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let mut children = Vec::new();
+    for i in 0..n {
+        let mut cmd = Command::new(&exe);
+        cmd.arg("worker")
+            .arg("--grid")
+            .arg(&grid_path)
+            .arg("--dir")
+            .arg(dir)
+            .arg("--id")
+            .arg(format!("w{i}"))
+            .arg("--lease-ms")
+            .arg(opts.lease_ms.to_string())
+            .arg("--checkpoint-every")
+            .arg(opts.checkpoint_every.to_string());
+        if let Some(ms) = opts.max_wall_ms {
+            cmd.arg("--max-wall-ms").arg(ms.to_string());
+        }
+        let child = cmd.spawn().map_err(|e| format!("spawn worker w{i}: {e}"))?;
+        children.push(child);
+    }
+    let result = run_fleet_coordinator(grid, dir, opts).map_err(|e| e.to_string());
+    for mut child in children {
+        let _ = child.wait();
+    }
+    result
 }
 
 fn cmd_worker(args: &Args) -> Result<(), String> {
@@ -227,72 +271,40 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_coordinator(args: &Args) -> Result<(), String> {
-    let grid = load_grid(args)?;
-    let dir = args.dir.as_ref().ok_or("--dir is required")?;
-    let opts = fleet_options(args);
-
-    // Optionally fork child workers that inherit this invocation's
-    // grid and fleet options.
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let grid_path = args.grid.as_ref().expect("checked by load_grid");
-    let mut children = Vec::new();
-    for i in 0..args.spawn {
-        let mut cmd = Command::new(&exe);
-        cmd.arg("worker")
-            .arg("--grid")
-            .arg(grid_path)
-            .arg("--dir")
-            .arg(dir)
-            .arg("--id")
-            .arg(format!("w{i}"))
-            .arg("--lease-ms")
-            .arg(opts.lease_ms.to_string())
-            .arg("--checkpoint-every")
-            .arg(opts.checkpoint_every.to_string());
-        if let Some(ms) = opts.max_wall_ms {
-            cmd.arg("--max-wall-ms").arg(ms.to_string());
-        }
-        let child = cmd.spawn().map_err(|e| format!("spawn worker w{i}: {e}"))?;
-        children.push(child);
-    }
-
-    let result = run_fleet_coordinator(&grid, dir, &opts).map_err(|e| e.to_string());
-    for mut child in children {
-        let _ = child.wait();
-    }
-    let report = result?;
-    eprintln!(
-        "[coordinator] {} scenarios complete, {} worker streams, {:.2}s",
-        report.scenarios.len(),
-        report.threads,
-        report.wall_seconds
-    );
-    write_out(
-        args.out.as_deref(),
-        &report_json(&report, args.deterministic),
-    )
-}
-
 fn cmd_status(args: &Args) -> Result<(), String> {
     let dir = args.dir.as_ref().ok_or("--dir is required")?;
-    match fleet_status(dir).map_err(|e| e.to_string())? {
-        None => println!("no ledger in {}", dir.display()),
-        Some(status) => {
+    // A run directory holds one grid directory per digest; a directory
+    // with none is read as a grid directory itself.
+    let mut grid_dirs: Vec<PathBuf> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .filter_map(Result::ok)
+        .map(|entry| entry.path())
+        .filter(|path| path.join("sweep_state.json").exists())
+        .collect();
+    grid_dirs.sort();
+    if grid_dirs.is_empty() {
+        grid_dirs.push(dir.clone());
+    }
+    for dir in grid_dirs {
+        let Some(status) = fleet_status(&dir).map_err(|e| e.to_string())? else {
+            println!("no ledger in {}", dir.display());
+            continue;
+        };
+        println!(
+            "{}/{} scenarios complete, {} lease(s) in {}",
+            status.completed,
+            status.total,
+            status.leases.len(),
+            dir.display()
+        );
+        for lease in &status.leases {
             println!(
-                "{}/{} scenarios complete, {} lease(s)",
-                status.completed,
-                status.total,
-                status.leases.len()
+                "  scenario {} leased by {} (heartbeat {} ms ago)",
+                lease.scenario,
+                lease.worker,
+                now_ms().saturating_sub(lease.heartbeat_unix_ms)
             );
-            for lease in &status.leases {
-                println!(
-                    "  scenario {} leased by {} (heartbeat {} ms ago)",
-                    lease.scenario,
-                    lease.worker,
-                    now_ms().saturating_sub(lease.heartbeat_unix_ms)
-                );
-            }
         }
     }
     Ok(())
@@ -310,18 +322,26 @@ fn main() -> ExitCode {
         return fail("missing subcommand");
     };
     if matches!(cmd.as_str(), "-h" | "--help" | "help") {
-        println!("{USAGE}");
+        println!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    let args = match parse_args(rest) {
+    // `run` names its preset in the first word; every other word is a flag.
+    let (preset, flags) = match rest.split_first() {
+        Some((word, flags)) if cmd == "run" && !word.starts_with("--") => {
+            (Some(word.as_str()), flags)
+        }
+        _ => (None, rest),
+    };
+    let args = match parse_args(flags) {
         Ok(args) => args,
         Err(message) => return fail(&message),
     };
     let result = match cmd.as_str() {
-        "gen-grid" => cmd_gen_grid(&args),
-        "serial" => cmd_serial(&args),
+        "run" => match run_target(preset, &args) {
+            Ok(preset) => cmd_run(preset, &args),
+            Err(message) => return fail(&message),
+        },
         "worker" => cmd_worker(&args),
-        "coordinator" => cmd_coordinator(&args),
         "status" => cmd_status(&args),
         other => return fail(&format!("unknown subcommand {other}")),
     };

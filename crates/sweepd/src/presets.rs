@@ -1,23 +1,23 @@
-//! The one driver of every experiment in this repository.
-//!
-//! ```sh
-//! cargo run -p middle-bench --release --bin sweeps -- <preset> [out]
-//! ```
+//! The experiments: every preset `middle-sweepd run <preset>` runs.
 //!
 //! * `faults`, `algos`, `compress`, `async` — robustness to faults, the
 //!   algorithm zoo, uplink compression and async-vs-lockstep execution:
-//!   one [`ScenarioGrid`] each through [`run_sweep`], committed as the
-//!   [`SweepReport::deterministic_json`] of that run (`out` defaults to
+//!   one [`ScenarioGrid`] each, committed as the
+//!   [`SweepReport::deterministic_json`] of that run (`--out` defaults to
 //!   `BENCH_<preset>.json`).
 //! * `fig1`, `fig2`, `fig3`, `fig6`, `fig7`, `fig8`, `ablation`,
 //!   `theorem1` — the paper's figures at harness scale, three seeds a
-//!   cell, committed as CSV tables in the directory `out` (default
+//!   cell, committed as CSV tables in the directory `--out` (default
 //!   `results`).
+//! * `smoke` — the fleet smoke grid: long enough on one core that a
+//!   worker can be killed mid-run, small enough to finish in seconds.
+//!   Nothing to claim; its report is compared byte for byte
+//!   (`scripts/fleet_smoke.sh`).
 //!
 //! Every scenario result is a pure function of its config, so the
-//! artefacts are byte-reproducible on any host and thread count, and
-//! `scripts/check.sh --ci` regenerates them and fails on any `git diff`.
-//! Host time is not measured here — that is `perf`'s job.
+//! artefacts are byte-reproducible on any host, thread count and worker
+//! count, and `scripts/check.sh --ci` regenerates them and fails on any
+//! `git diff`. Host time is not measured here — that is `perf`'s job.
 //!
 //! Each preset is its grids plus a check over the finished reports,
 //! which decides the preset's claims. A scientific check prints its
@@ -37,30 +37,30 @@ use middle_core::quadratic_sim::{
 };
 use middle_core::theory::QuadraticProblem;
 use middle_core::{
-    run_sweep, speedup, AggregatePoint, Algorithm, CompressionConfig, CompressionPreset,
-    DelayModel, DropoutModel, EvalPoint, ExecutionMode, FaultConfig, FaultPreset, LatencyModel,
-    MobilitySource, OnDevicePolicy, RunRecord, ScenarioGrid, ScenarioRecord, SelectionPolicy,
-    SimConfig, SimulationBuilder, SweepOptions, SweepReport, TimelineConfig,
+    speedup, AggregatePoint, Algorithm, CompressionConfig, CompressionPreset, DelayModel,
+    DropoutModel, EvalPoint, ExecutionMode, FaultConfig, FaultPreset, LatencyModel, MobilitySource,
+    OnDevicePolicy, RunRecord, ScenarioGrid, ScenarioRecord, SelectionPolicy, SimConfig,
+    SimulationBuilder, SweepReport, TimelineConfig,
 };
 use middle_data::{Scheme, Task};
 use middle_mobility::Trace;
 use std::path::Path;
 
-/// One named experiment: its name, its grids — one [`run_sweep`] report
-/// each; none for the presets on scripted traces and closed forms, whose
-/// check does the running, a trace not being a grid axis — and its check.
-type Preset = (&'static str, fn() -> Vec<ScenarioGrid>, Check);
+/// One named experiment: its name, its grids — one report each; none for
+/// the presets on scripted traces and closed forms, whose check does the
+/// running, a trace not being a grid axis — and its check.
+pub type Preset = (&'static str, fn() -> Vec<ScenarioGrid>, Check);
 
-enum Check {
+pub enum Check {
     /// Prints the table and asserts over the one report, which is the
-    /// artefact: `[out]` defaults to `BENCH_<preset>.json`.
+    /// artefact: `--out` defaults to `BENCH_<preset>.json`.
     Report(fn(&SweepReport)),
     /// Decides the claims over the reports and returns the CSV tables to
-    /// write into the directory `[out]`, `results` by default.
+    /// write into the directory `--out`, `results` by default.
     Tables(fn(&[SweepReport]) -> Vec<Table>),
 }
 
-const PRESETS: [Preset; 12] = [
+pub const PRESETS: [Preset; 13] = [
     (
         "faults",
         || vec![faults_grid()],
@@ -85,7 +85,43 @@ const PRESETS: [Preset; 12] = [
         Check::Tables(ablation_check),
     ),
     ("theorem1", Vec::new, Check::Tables(theorem1_check)),
+    ("smoke", || vec![smoke_grid()], Check::Report(|_| {})),
 ];
+
+/// Runs `preset`'s check over the `reports` of its grids and writes its
+/// artefacts: the one report's deterministic JSON to `out` (default
+/// `BENCH_<preset>.json`), or the check's tables into the directory
+/// `out` (default `results`).
+pub fn check_and_write(preset: &Preset, reports: &[SweepReport], out: Option<&Path>) {
+    let (name, _, check) = preset;
+    let path = |default: &str| out.unwrap_or(Path::new(default)).to_path_buf();
+    let artefacts = match check {
+        Check::Report(check) => {
+            check(&reports[0]);
+            let json = reports[0].deterministic_json();
+            vec![(path(&format!("BENCH_{name}.json")), json)]
+        }
+        Check::Tables(check) => {
+            let tables = check(reports);
+            for (file, csv) in &tables {
+                println!("== {file}\n{csv}");
+            }
+            let dir = path("results");
+            tables
+                .into_iter()
+                .map(|(file, csv)| (dir.join(file), csv))
+                .collect()
+        }
+    };
+    // A stale artefact would pass the byte-compare gate: every write is fatal.
+    for (path, content) in artefacts {
+        let dir = path.parent().map_or(Ok(()), std::fs::create_dir_all);
+        if let Err(e) = dir.and_then(|()| std::fs::write(&path, content)) {
+            panic!("cannot write {}: {e}", path.display());
+        }
+        println!("wrote {}", path.display());
+    }
+}
 
 /// The one MIDDLE configuration every scientific preset varies: the
 /// paper's MNIST setting cut to 4 edges / 24 devices / K = 3 / 30 steps.
@@ -519,7 +555,7 @@ fn async_check(report: &SweepReport) {
 // --------------------------------------------------------------------
 
 /// A CSV table a figure preset commits: (file name, content).
-type Table = (String, String);
+pub type Table = (String, String);
 
 /// Every figure cell runs these master seeds (`2023 + 31·s`). The seed
 /// redraws data, models and trace, so algorithms and axis values are
@@ -1310,50 +1346,27 @@ fn theorem1_check(_: &[SweepReport]) -> Vec<Table> {
     ]
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let preset = args
-        .first()
-        .and_then(|name| PRESETS.iter().find(|p| p.0 == name));
-    let Some((name, grids, check)) = preset else {
-        let names: Vec<&str> = PRESETS.iter().map(|p| p.0).collect();
-        eprintln!("usage: sweeps <{}> [out]", names.join("|"));
-        std::process::exit(2);
-    };
-    let run = |grid: &ScenarioGrid| {
-        let report = run_sweep(grid, &SweepOptions::default());
-        let report = report.unwrap_or_else(|e| panic!("sweep {name} failed: {e}"));
-        assert!(report.complete, "an unlimited sweep runs every scenario");
-        report
-    };
-    let reports: Vec<SweepReport> = grids().iter().map(run).collect();
-    let out = |default: &str| Path::new(args.get(1).map_or(default, String::as_str)).to_path_buf();
-    let artefacts = match check {
-        Check::Report(check) => {
-            check(&reports[0]);
-            let json = reports[0].deterministic_json();
-            vec![(out(&format!("BENCH_{name}.json")), json)]
-        }
-        Check::Tables(check) => {
-            let tables = check(&reports);
-            for (file, csv) in &tables {
-                println!("== {file}\n{csv}");
-            }
-            let dir = out("results");
-            tables
-                .into_iter()
-                .map(|(file, csv)| (dir.join(file), csv))
-                .collect()
-        }
-    };
-    // A stale artefact would pass the byte-compare gate: every write is fatal.
-    for (path, content) in artefacts {
-        let dir = path.parent().map_or(Ok(()), std::fs::create_dir_all);
-        if let Err(e) = dir.and_then(|()| std::fs::write(&path, content)) {
-            panic!("cannot write {}: {e}", path.display());
-        }
-        println!("wrote {}", path.display());
-    }
+// --------------------------------------------------------------------
+// smoke: the fleet smoke grid
+// --------------------------------------------------------------------
+
+/// Twelve 64-step Speech scenarios on 3 edges / 120 devices: long enough
+/// on one core that a worker can be SIGKILLed mid-run, small enough to
+/// finish in seconds.
+fn smoke_grid() -> ScenarioGrid {
+    let mut cfg = SimConfig::tiny(Task::Speech, Algorithm::middle());
+    cfg.num_edges = 3;
+    cfg.num_devices = 120;
+    cfg.samples_per_device = 100;
+    cfg.test_samples = 100;
+    cfg.local_steps = 2;
+    cfg.batch_size = 8;
+    cfg.steps = 64;
+    cfg.eval_interval = 8;
+    ScenarioGrid::new(cfg)
+        .with_selection_sizes([4usize, 6])
+        .with_sync_periods([2usize, 4])
+        .with_seeds([7u64, 8, 9])
 }
 
 #[cfg(test)]
@@ -1388,6 +1401,7 @@ mod tests {
                 "k3-tc10-base-afixed a=0.25-s2023",
             ),
             ("theorem1", 0, ""),
+            ("smoke", 2 * 2 * 3, "k6-tc4-base-s9"),
         ] {
             let preset = PRESETS.iter().find(|p| p.0 == name).expect("preset");
             let preset_grids = (preset.1)();
@@ -1400,13 +1414,15 @@ mod tests {
                 cells == 0 || scenarios.iter().any(|s| s.label == sample),
                 "{name}: no scenario labelled {sample}"
             );
-            // Figure 7 hops unbiased; Figures 6 and 8 keep the home bias.
+            // Figure 7 (and the smoke grid) hop unbiased; Figures 6 and 8
+            // keep the home bias.
             for grid in &preset_grids {
                 let homed = matches!(grid.base().mobility, MobilitySource::HomedMarkovHop { .. });
                 let unbiased = matches!(grid.base().mobility, MobilitySource::MarkovHop { .. });
-                assert!(if name == "fig7" { unbiased } else { homed }, "{name}");
+                let hops_unbiased = matches!(name, "fig7" | "smoke");
+                assert!(if hops_unbiased { unbiased } else { homed }, "{name}");
             }
         }
-        assert_eq!(PRESETS.len(), 12, "every preset has a row above");
+        assert_eq!(PRESETS.len(), 13, "every preset has a row above");
     }
 }

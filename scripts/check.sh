@@ -11,8 +11,9 @@
 #                              # trace_tooling and edge_skew_casestudy
 #                              # (1 s together on two cores), shim tests,
 #                              # one-thread FNV pins, doc lints, the
-#                              # benchmark's own suite, every `sweeps`
-#                              # preset (BENCH_*.json and results/
+#                              # benchmark's own suite, the twelve
+#                              # experiment presets through `middle-sweepd
+#                              # run` (BENCH_*.json and results/
 #                              # regenerated and byte-compared; the eight
 #                              # figure presets take 16 min on two cores,
 #                              # 7 + 8 + 0 + 1 + 69 + 230 + 427 + 239 s)
@@ -142,7 +143,7 @@ if [[ "$CI" -eq 1 ]]; then
     # zoo cell present), then any byte of drift in an artefact fails.
     echo "==> scientific sweeps (faults, algos, compress, async): regenerate and byte-compare"
     for preset in faults algos compress async; do
-        cargo run -q -p middle-bench --release --bin sweeps -- "$preset"
+        cargo run -q -p middle-sweepd --release -- run "$preset"
     done
     git diff --exit-code -- BENCH_faults.json BENCH_algos.json BENCH_compress.json BENCH_async.json
 
@@ -151,7 +152,7 @@ if [[ "$CI" -eq 1 ]]; then
     # their measured values, in the tables compared here.
     echo "==> figure presets (fig1-3, fig6-8, ablation, theorem1): regenerate results/ and byte-compare"
     for preset in fig1 fig2 fig3 theorem1 ablation fig6 fig7 fig8; do
-        cargo run -q -p middle-bench --release --bin sweeps -- "$preset"
+        cargo run -q -p middle-sweepd --release -- run "$preset"
     done
     git diff --exit-code -- results/
 

@@ -2,12 +2,12 @@
 # Fleet-smoke gate: the multi-process acceptance check for the
 # `middle-sweepd` lease protocol.
 #
-# Runs the smoke grid once single-process (the oracle), then with three
-# worker processes sharing the lease ledger, SIGKILLs one worker
-# mid-sweep, lets the survivors reclaim its expired lease, merges the
-# worker streams through the coordinator, and asserts the merged
-# deterministic report is byte-identical to the uninterrupted
-# single-process run.
+# Runs the `smoke` preset once in one process (the oracle), then with
+# three worker processes sharing the lease ledger (`run smoke --spawn
+# 3`), SIGKILLs one worker mid-sweep, lets the survivors reclaim its
+# expired lease while the coordinator merges the worker streams, and
+# asserts the merged deterministic report is byte-identical to the
+# uninterrupted in-process run.
 #
 #   scripts/fleet_smoke.sh
 #
@@ -25,30 +25,26 @@ fi
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/middle_fleet_smoke.XXXXXX")"
 cleanup() {
-    # Don't leave orphan workers behind on any exit path.
-    [[ -n "${WORKER_PIDS:-}" ]] && kill -9 ${WORKER_PIDS} 2>/dev/null || true
+    # Don't leave the run or its workers behind on any exit path.
+    if [[ -n "${RUN_PID:-}" ]]; then
+        pkill -9 -P "$RUN_PID" 2>/dev/null || true
+        kill -9 "$RUN_PID" 2>/dev/null || true
+    fi
     rm -rf "$WORK"
 }
 trap cleanup EXIT
 
-echo "==> gen-grid --smoke"
-"$BIN" gen-grid --smoke >"$WORK/grid.json"
+echo "==> oracle: run smoke in one process"
+"$BIN" run smoke --out "$WORK/oracle.json" >/dev/null
 
-echo "==> serial oracle (single process, no fleet)"
-"$BIN" serial --grid "$WORK/grid.json" --deterministic --out "$WORK/serial.json"
-
-echo "==> 3 workers over the shared ledger"
-mkdir -p "$WORK/fleet"
-WORKER_PIDS=""
-for i in 0 1 2; do
-    "$BIN" worker --grid "$WORK/grid.json" --dir "$WORK/fleet" --id "w$i" \
-        --lease-ms 2000 --max-wall-ms 300000 >/dev/null 2>&1 &
-    WORKER_PIDS="$WORKER_PIDS $!"
-done
-read -r VICTIM _SURVIVORS <<<"${WORKER_PIDS# }"
+echo "==> run smoke --spawn 3: 3 workers over the shared ledger"
+"$BIN" run smoke --spawn 3 --dir "$WORK/fleet" --lease-ms 2000 --max-wall-ms 300000 \
+    --out "$WORK/fleet.json" >/dev/null &
+RUN_PID=$!
 
 # Wait until the fleet has made real progress (so the kill lands
 # mid-sweep, not before the first lease), then SIGKILL one worker.
+completed=0
 for _ in $(seq 1 600); do
     completed="$("$BIN" status --dir "$WORK/fleet" 2>/dev/null | head -n1 | cut -d/ -f1 || echo 0)"
     [[ "${completed:-0}" =~ ^[0-9]+$ ]] || completed=0
@@ -61,22 +57,23 @@ if [[ "$completed" -lt 2 ]]; then
     echo "fleet_smoke: fleet made no progress (completed=$completed)" >&2
     exit 1
 fi
-echo "==> SIGKILL worker w0 (pid $VICTIM) at $completed completed"
-if ! kill -9 "$VICTIM" 2>/dev/null; then
+read -r VICTIM _SURVIVORS <<<"$(pgrep -P "$RUN_PID" | tr '\n' ' ')"
+echo "==> SIGKILL one worker (pid ${VICTIM:-none}) at $completed completed"
+if [[ -z "${VICTIM:-}" ]] || ! kill -9 "$VICTIM" 2>/dev/null; then
     echo "fleet_smoke: worker exited before the kill — grid too small to land a mid-run SIGKILL" >&2
     exit 1
 fi
 
-echo "==> coordinator merge (reclaims the dead worker's lease)"
-"$BIN" coordinator --grid "$WORK/grid.json" --dir "$WORK/fleet" \
-    --lease-ms 2000 --max-wall-ms 300000 --deterministic --out "$WORK/fleet.json"
-
-wait 2>/dev/null || true
-WORKER_PIDS=""
-
-echo "==> bitwise compare: fleet report vs serial oracle"
-if ! cmp "$WORK/serial.json" "$WORK/fleet.json"; then
-    echo "fleet_smoke: merged fleet report is NOT byte-identical to the serial run" >&2
+echo "==> the coordinator merges (the survivors reclaim the dead worker's lease)"
+if ! wait "$RUN_PID"; then
+    echo "fleet_smoke: the fleet run failed" >&2
     exit 1
 fi
-echo "fleet_smoke: merged report is byte-identical to the serial oracle."
+RUN_PID=""
+
+echo "==> bitwise compare: fleet report vs the in-process oracle"
+if ! cmp "$WORK/oracle.json" "$WORK/fleet.json"; then
+    echo "fleet_smoke: merged fleet report is NOT byte-identical to the in-process run" >&2
+    exit 1
+fi
+echo "fleet_smoke: merged report is byte-identical to the in-process oracle."

@@ -29,10 +29,10 @@ pub use middle_tensor as tensor;
 /// The most common imports in one place.
 pub mod prelude {
     pub use middle_core::{
-        Algorithm, AlgorithmConfig, AlgorithmPolicy, AlgorithmState, CompressionConfig, DelayModel,
-        DropoutModel, ExecutionMode, FaultConfig, LatencyModel, MobilitySource, MoveAction,
-        OnDevicePolicy, PopulationMode, RunRecord, SelectionPolicy, SimConfig, SimError,
-        Simulation, SimulationBuilder, TimelineConfig,
+        Algorithm, AlgorithmPolicy, AlgorithmState, CompressionConfig, DelayModel, DropoutModel,
+        ExecutionMode, FaultConfig, LatencyModel, MobilitySource, MoveAction, OnDevicePolicy,
+        PopulationMode, RunRecord, SelectionPolicy, SimConfig, SimError, Simulation,
+        SimulationBuilder, TimelineConfig,
     };
     pub use middle_data::{Scheme, Task};
     pub use middle_mobility::Trace;
