@@ -1,7 +1,7 @@
 //! Gates for the multi-process fleet layer behind `middle-sweepd`:
 //! duplicate-claim rejection, a worker killed mid-scenario resuming
-//! from its checkpoint, N-worker fleets matching the single-process
-//! sweep bitwise, coordinator rebuilds from the JSONL streams alone
+//! from its checkpoint (under the fleet or under `run_sweep`), N-worker
+//! fleets matching the single-process sweep bitwise, coordinator rebuilds from the JSONL streams alone
 //! (its own grid's streams only), and corrupt-ledger quarantine. Lease
 //! expiry and reclamation after a kill is tier-1's
 //! `killed_worker_leaves_lease_and_checkpoint_for_reclamation` in root
@@ -183,6 +183,40 @@ fn kill_mid_scenario_then_fleet_matches_serial_bitwise() {
     }
     let report = run_fleet_coordinator(&fleet_grid(), &dir, &fleet_opts()).unwrap();
     assert_eq!(report.deterministic_json(), reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_sweep_resumes_a_killed_fleet_workers_ledger_and_snapshot() {
+    let dir = scratch_dir("fleet_then_sweep");
+    let reference = fleet_reference();
+    // Each scenario snapshots at steps 2 and 4, so the fourth snapshot
+    // kills the worker inside scenario 1 with scenario 0 in the ledger.
+    let victim = run_fleet_worker(
+        &fleet_grid(),
+        &dir,
+        "victim",
+        &FleetOptions {
+            kill_after_checkpoints: Some(4),
+            ..fleet_opts()
+        },
+    )
+    .unwrap();
+    assert!(victim.killed);
+    assert_eq!(victim.completed, 1);
+    let snapshot = dir.join("scenario_1.ckpt.json");
+    let text = std::fs::read_to_string(&snapshot).unwrap();
+    assert_eq!(SimCheckpoint::from_json(&text).unwrap().next_step, 4);
+    // The in-process driver reads the fleet's ledger and snapshot as its
+    // own and finishes the grid to the uninterrupted bytes.
+    let opts = SweepOptions {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: fleet_opts().checkpoint_every,
+        ..SweepOptions::default()
+    };
+    let report = run_sweep(&fleet_grid(), &opts).unwrap();
+    assert_eq!(report.deterministic_json(), reference);
+    assert!(!snapshot.exists(), "the resumed scenario ran to its end");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

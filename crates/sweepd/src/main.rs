@@ -43,7 +43,7 @@ middle-sweepd — the experiment CLI (see DESIGN.md §14)
 
 USAGE:
   middle-sweepd run (<preset> | --grid PATH) [--spawn N] [--dir D] [--out PATH]
-      [--lease-ms N] [--checkpoint-every N] [--max-wall-ms N]
+      [--lease-ms N] [--max-wall-ms N]
       Run every grid of a preset, or the grid of a grid file (a
       serialised ScenarioGrid). With --dir D each grid runs in
       D/<grid digest>/, where a rerun resumes. --spawn 0 (the default)
@@ -56,10 +56,12 @@ USAGE:
       Presets: {}
 
   middle-sweepd worker --grid PATH --dir PATH --id ID
-      [--lease-ms N] [--checkpoint-every N] [--max-wall-ms N]
+      [--lease-ms N] [--max-wall-ms N]
       Run one fleet worker in a grid directory. A worker renews its
-      lease every lease-ms / 4 (default lease 5000 ms) and snapshots a
-      running scenario every N steps (default 8).
+      lease every lease-ms / 4 (default lease 5000 ms).
+
+Either driver snapshots a running scenario every 8 steps in its grid
+directory, so a run cut short under one resumes under the other.
 
   middle-sweepd status --dir PATH
       Print ledger progress and the live lease table of a grid
@@ -85,7 +87,6 @@ struct Args {
     id: Option<String>,
     spawn: usize,
     lease_ms: Option<u64>,
-    checkpoint_every: Option<usize>,
     max_wall_ms: Option<u64>,
 }
 
@@ -103,12 +104,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
             "--id" => args.id = Some(value("--id")?.clone()),
             "--spawn" => args.spawn = parse_num(value("--spawn")?, "--spawn")?,
             "--lease-ms" => args.lease_ms = Some(parse_num(value("--lease-ms")?, "--lease-ms")?),
-            "--checkpoint-every" => {
-                args.checkpoint_every = Some(parse_num(
-                    value("--checkpoint-every")?,
-                    "--checkpoint-every",
-                )?);
-            }
             "--max-wall-ms" => {
                 args.max_wall_ms = Some(parse_num(value("--max-wall-ms")?, "--max-wall-ms")?);
             }
@@ -127,7 +122,6 @@ fn fleet_options(args: &Args) -> FleetOptions {
     let defaults = FleetOptions::default();
     FleetOptions {
         lease_ms: args.lease_ms.unwrap_or(defaults.lease_ms),
-        checkpoint_every: args.checkpoint_every.unwrap_or(defaults.checkpoint_every),
         max_wall_ms: args.max_wall_ms,
         ..defaults
     }
@@ -158,8 +152,8 @@ fn run_target(preset: Option<&str>, args: &Args) -> Result<Option<&'static Prese
     if args.spawn == 0 && (args.lease_ms.is_some() || args.max_wall_ms.is_some()) {
         return Err("--lease-ms and --max-wall-ms need --spawn N > 0".to_string());
     }
-    if args.dir.is_none() && (args.spawn > 0 || args.checkpoint_every.is_some()) {
-        return Err("--spawn and --checkpoint-every need --dir".to_string());
+    if args.dir.is_none() && args.spawn > 0 {
+        return Err("--spawn needs --dir".to_string());
     }
     match (preset, &args.grid) {
         (Some(name), None) => match PRESETS.iter().find(|p| p.0 == name) {
@@ -180,6 +174,10 @@ fn cmd_run(preset: Option<&Preset>, args: &Args) -> Result<(), String> {
         .iter()
         .map(|grid| run_grid(grid, args))
         .collect::<Result<_, _>>()?;
+    // Artefacts are written from whole grids only.
+    if reports.iter().any(|report| !report.complete) {
+        return Err("a grid finished with scenarios missing".to_string());
+    }
     match preset {
         Some(preset) => {
             presets::check_and_write(preset, &reports, args.out.as_deref());
@@ -242,9 +240,7 @@ fn run_fleet(
             .arg("--id")
             .arg(format!("w{i}"))
             .arg("--lease-ms")
-            .arg(opts.lease_ms.to_string())
-            .arg("--checkpoint-every")
-            .arg(opts.checkpoint_every.to_string());
+            .arg(opts.lease_ms.to_string());
         if let Some(ms) = opts.max_wall_ms {
             cmd.arg("--max-wall-ms").arg(ms.to_string());
         }

@@ -1,8 +1,9 @@
 //! The `middle-sweepd` binary end to end, on a small grid file: the
 //! in-process and the two-worker drivers write the same bytes, a fleet
 //! run cut short resumes in-process from the same directory to those
-//! bytes (the two drivers share one ledger and checkpoint format), and
-//! a bad preset or subcommand is a usage error.
+//! bytes (the two drivers share one ledger), and a bad preset or
+//! subcommand is a usage error. That `run_sweep` also resumes a fleet
+//! worker's mid-scenario snapshot is `sweep_fleet.rs`'s concern.
 
 use middle_core::{Algorithm, ScenarioGrid, SimConfig};
 use middle_data::Task;
@@ -69,7 +70,8 @@ fn a_fleet_run_cut_short_resumes_in_process_to_the_same_bytes() {
     // Past the 1 ms wall cap a worker claims nothing more: each finishes
     // the one scenario it leased at its start, whatever the host's speed,
     // and the coordinator gives up with the grid unfinished. The ledger
-    // keeps what finished.
+    // keeps what finished; no snapshot is left (the eight-step scenarios
+    // end before one is due), so the resume reads the ledger alone.
     let fleet_dir = dir.join("fleet");
     let fleet_dir = fleet_dir.to_str().unwrap();
     let cut = ["--spawn", "2", "--dir", fleet_dir, "--max-wall-ms", "1"];

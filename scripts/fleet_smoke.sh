@@ -12,16 +12,15 @@
 #   scripts/fleet_smoke.sh
 #
 # Run from anywhere; the script cd's to the repo root. Builds
-# middle-sweepd (release) if the binary is missing.
+# middle-sweepd (release) first; cargo leaves a current binary alone,
+# and a stale one (say, from a restored build cache) is never tested.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> building middle-sweepd (release)"
+cargo build --release -p middle-sweepd
 BIN=target/release/middle-sweepd
-if [[ ! -x "$BIN" ]]; then
-    echo "==> building middle-sweepd (release)"
-    cargo build --release -p middle-sweepd
-fi
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/middle_fleet_smoke.XXXXXX")"
 cleanup() {
