@@ -1,7 +1,7 @@
 //! Result-based simulation construction: [`SimulationBuilder`], the
 //! typed [`SimError`], and the shared-input cache that lets a sweep pay
-//! dataset/partition/trace construction once per unique input key
-//! instead of once per scenario.
+//! data synthesis, partition and model initialisation once per device
+//! population instead of once per scenario.
 //!
 //! The builder is the only construction path — every example, test and
 //! bench bin in-tree goes through it — and an invalid configuration is
@@ -21,17 +21,25 @@
 //!
 //! ## Input sharing
 //!
-//! Simulation construction splits into two stages: the *shared inputs*
-//! (synthetic base data, device partition, test set, initial model,
-//! home-edge assignment, mobility trace — everything immutable during a
-//! run) and the per-run mutable state built from them. [`SharedInputs`]
-//! captures the first stage; [`InputCache`] memoises it behind an `Arc`
-//! keyed by the config fields the inputs actually depend on
-//! ([`input_key`]), so a scenario grid that varies `K`, `T_c` or fault
-//! presets over a fixed population reuses one entry. A cache-hit build
-//! is bitwise identical to a cold build: the inputs are deterministic
-//! functions of the key fields, and per-run state is cloned from them
-//! either way.
+//! Simulation construction splits into the immutable *shared inputs*
+//! and the per-run mutable state built from them. The shared inputs are
+//! two layers, [`SharedInputs`]:
+//!
+//! - the *population* — synthetic base data, device partition, test
+//!   set and initial model — a function of task, devices, samples per
+//!   device, scheme, test size and seed ([`population_key`]), held
+//!   behind an `Arc`;
+//! - the *placement* built on it — the home-edge assignment (which adds
+//!   `num_edges`) and the mobility trace (which adds mobility and
+//!   steps).
+//!
+//! [`InputCache`] memoises the population under its key and places it
+//! afresh for every build, so a scenario grid over one population —
+//! whatever its mobility `P`, edge count, horizon, `K`, `T_c` or fault
+//! preset — synthesises one dataset. A cache-hit build is bitwise
+//! identical to a cold build: both layers are deterministic functions
+//! of their key fields, and per-run state reads the population through
+//! its `Arc` and clones only what it mutates.
 
 use crate::config::SimConfig;
 use crate::sim::Simulation;
@@ -92,37 +100,30 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// The immutable inputs of a simulation: everything that depends only
-/// on [`input_key`] fields and never mutates during a run.
-///
-/// Built once (directly or through an [`InputCache`]) and cloned into
-/// per-run state by the builder.
-pub struct SharedInputs {
+/// The population a simulation runs over: the data and model every
+/// scenario of one device population shares, whatever its placement.
+/// A function of the [`population_key`] fields alone.
+pub(crate) struct PopulationData {
+    /// The base dataset the partition indexes: a device's dataset is
+    /// gathered from it whenever the device materialises, so no run
+    /// holds a dataset per idle device.
+    pub(crate) base: Dataset,
     pub(crate) partition: Partition,
     pub(crate) test: Dataset,
     pub(crate) init: Sequential,
-    pub(crate) homes: Vec<usize>,
-    pub(crate) trace: Trace,
-    /// The shared base dataset the partition indexes: a device's dataset
-    /// is gathered from it whenever the device materialises, so no run
-    /// holds a dataset per idle device.
-    pub(crate) base: Dataset,
 }
 
-impl SharedInputs {
-    /// Constructs the shared inputs for a *validated* configuration:
-    /// synthesises the base and test data (streams 1–4), partitions the
-    /// base into per-device datasets, initialises the model (stream 5),
-    /// assigns home edges from the partition's major classes, and
-    /// generates the mobility trace (stream 7).
-    pub fn build(config: &SimConfig) -> Self {
+impl PopulationData {
+    /// Synthesises the base and test data (streams 1–4), partitions the
+    /// base over the devices and initialises the model (stream 5).
+    fn build(config: &SimConfig) -> Self {
         let seed = config.seed;
         let source = SyntheticSource::new(config.task, derive_seed(seed, 1));
         let base = source.generate_balanced(
             config.num_devices * config.samples_per_device,
             derive_seed(seed, 2),
         );
-        let part = partition(
+        let partition = partition(
             &base,
             config.num_devices,
             config.samples_per_device,
@@ -132,24 +133,48 @@ impl SharedInputs {
         let test = source.generate_balanced(config.test_samples, derive_seed(seed, 4));
         let spec = config.task.spec();
         let init = zoo::model_for_task(config.task.name(), &spec, &mut rng(derive_seed(seed, 5)));
+        PopulationData {
+            base,
+            partition,
+            test,
+            init,
+        }
+    }
+}
 
+/// The immutable inputs of a simulation: the shared population and the
+/// placement built on it (home edges and mobility trace). Nothing in
+/// them mutates during a run.
+pub struct SharedInputs {
+    pub(crate) population: Arc<PopulationData>,
+    pub(crate) homes: Vec<usize>,
+    pub(crate) trace: Trace,
+}
+
+impl SharedInputs {
+    /// Constructs the shared inputs for a *validated* configuration:
+    /// the population (streams 1–5), then its placement.
+    pub fn build(config: &SimConfig) -> Self {
+        SharedInputs::place(Arc::new(PopulationData::build(config)), config)
+    }
+
+    /// Places `population` for `config`: home edges from the
+    /// partition's major classes, and the mobility trace (stream 7).
+    fn place(population: Arc<PopulationData>, config: &SimConfig) -> Self {
         // Home edges: cluster devices by major class so edge-level data
         // distributions are Non-IID (paper §3.2); devices without a
         // defined major class get round-robin homes.
         let homes: Vec<usize> = (0..config.num_devices)
-            .map(|m| match part.major_class[m] {
+            .map(|m| match population.partition.major_class[m] {
                 Some(c) => c % config.num_edges,
                 None => m % config.num_edges,
             })
             .collect();
         let trace = crate::sim::build_trace(config, &homes);
         SharedInputs {
-            partition: part,
-            test,
-            init,
+            population,
             homes,
             trace,
-            base,
         }
     }
 
@@ -164,34 +189,49 @@ impl SharedInputs {
     }
 }
 
-/// The cache key for [`SharedInputs`]: exactly the config fields the
-/// inputs are a function of. Two configs with equal keys produce
-/// bitwise-identical inputs; fields like `devices_per_edge`,
-/// `cloud_interval`, `faults` or `telemetry` never enter the key, so a
-/// grid over them shares one entry.
-pub fn input_key(config: &SimConfig) -> String {
+/// The [`InputCache`] key: exactly the config fields the population
+/// (base and test data, partition, initial model) is a function of. Two
+/// configs with equal keys share one population; the placement fields
+/// (`num_edges`, `steps`, `mobility`) and run-only fields like
+/// `devices_per_edge`, `cloud_interval`, `faults` or `telemetry` never
+/// enter it.
+pub fn population_key(config: &SimConfig) -> String {
     format!(
-        "task={};edges={};devices={};spd={};scheme={};test={};steps={};mobility={};seed={}",
+        "task={};devices={};spd={};scheme={};test={};seed={}",
         config.task.name(),
-        config.num_edges,
         config.num_devices,
         config.samples_per_device,
         serde_json::to_string(&config.scheme).unwrap_or_default(),
         config.test_samples,
-        config.steps,
-        serde_json::to_string(&config.mobility).unwrap_or_default(),
         config.seed,
     )
 }
 
-/// A thread-safe memo of [`SharedInputs`] keyed by [`input_key`].
+/// The key of a whole [`SharedInputs`]: the [`population_key`] plus the
+/// placement fields (`num_edges`, `steps`, `mobility`). Two configs with
+/// equal keys build bitwise-identical inputs; run-only fields never
+/// enter it. The cache keys on the population alone and places it per
+/// build.
+pub fn input_key(config: &SimConfig) -> String {
+    format!(
+        "{};edges={};steps={};mobility={}",
+        population_key(config),
+        config.num_edges,
+        config.steps,
+        serde_json::to_string(&config.mobility).unwrap_or_default(),
+    )
+}
+
+/// A thread-safe memo of populations keyed by [`population_key`]; every
+/// [`InputCache::get_or_build`] places its population afresh.
 ///
-/// Concurrent builders of *different* keys construct in parallel;
-/// concurrent builders of the *same* key block on one construction (a
-/// per-key [`OnceLock`]) so a 50-scenario grid never duplicates work.
+/// Concurrent builders of *different* populations construct in
+/// parallel; concurrent builders of the *same* population block on one
+/// construction (a per-key [`OnceLock`]) so a 50-scenario grid never
+/// duplicates work.
 #[derive(Default)]
 pub struct InputCache {
-    entries: Mutex<HashMap<String, Arc<OnceLock<Arc<SharedInputs>>>>>,
+    populations: Mutex<HashMap<String, Arc<OnceLock<Arc<PopulationData>>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -202,19 +242,21 @@ impl InputCache {
         Arc::new(InputCache::default())
     }
 
-    /// Returns the shared inputs for `config`, constructing them on the
-    /// first request for the key.
+    /// Returns the shared inputs for `config`: its population, built on
+    /// the first request for the [`population_key`], placed for
+    /// `config`.
     pub fn get_or_build(&self, config: &SimConfig) -> Arc<SharedInputs> {
-        let key = input_key(config);
+        let key = population_key(config);
         let cell = {
-            let mut entries = self.entries.lock().expect("input cache poisoned");
-            entries.entry(key).or_default().clone()
+            // Never poisoned: nothing panics while the map is locked.
+            let mut populations = self.populations.lock().expect("input cache poisoned");
+            populations.entry(key).or_default().clone()
         };
         let mut built = false;
-        let inputs = cell
+        let population = cell
             .get_or_init(|| {
                 built = true;
-                Arc::new(SharedInputs::build(config))
+                Arc::new(PopulationData::build(config))
             })
             .clone();
         if built {
@@ -222,22 +264,23 @@ impl InputCache {
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        inputs
+        Arc::new(SharedInputs::place(population, config))
     }
 
-    /// Requests served from an existing entry.
+    /// Requests served from an existing population.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Requests that constructed a new entry.
+    /// Requests that constructed a new population.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct input keys currently cached.
+    /// Number of distinct populations currently cached.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("input cache poisoned").len()
+        // Never poisoned: nothing panics while the map is locked.
+        self.populations.lock().expect("input cache poisoned").len()
     }
 
     /// Whether the cache holds no entries.
@@ -279,9 +322,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Shares immutable inputs through `cache`: the build consults the
-    /// cache (keyed by [`input_key`]) instead of constructing datasets,
-    /// partition and trace from scratch.
+    /// Shares immutable inputs through `cache`: the build takes its
+    /// population from the cache (keyed by [`population_key`]) instead
+    /// of synthesising data, partition and initial model from scratch.
     pub fn with_shared_inputs(mut self, cache: Arc<InputCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -415,9 +458,69 @@ mod tests {
         let cfg = tiny();
         let first = cache.get_or_build(&cfg);
         let second = cache.get_or_build(&cfg);
-        assert!(Arc::ptr_eq(&first, &second));
+        assert!(Arc::ptr_eq(&first.population, &second.population));
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Every row of `trace`, device by device.
+    fn rows(trace: &Trace) -> Vec<Vec<usize>> {
+        (0..trace.steps())
+            .map(|t| (0..trace.devices()).map(|m| trace.edge_of(t, m)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn placement_fields_share_one_population() {
+        let base = tiny();
+        let mut p = tiny();
+        p.mobility = crate::config::MobilitySource::MarkovHop { p: 0.9 };
+        let mut edges = tiny();
+        edges.num_edges = 3;
+        let mut steps = tiny();
+        steps.steps = 12;
+        let cache = InputCache::new();
+        let first = cache.get_or_build(&base);
+        for (what, cfg) in [("mobility P", p), ("num_edges", edges), ("steps", steps)] {
+            assert_ne!(input_key(&base), input_key(&cfg), "{what}");
+            assert_eq!(population_key(&base), population_key(&cfg), "{what}");
+            let placed = cache.get_or_build(&cfg);
+            assert!(Arc::ptr_eq(&first.population, &placed.population), "{what}");
+            assert!(
+                first.homes() != placed.homes() || rows(first.trace()) != rows(placed.trace()),
+                "{what}: the placement must follow the config"
+            );
+        }
+        assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 3, 1));
+    }
+
+    #[test]
+    fn population_fields_key_their_own_population() {
+        let base = tiny();
+        let with = |vary: fn(&mut SimConfig)| {
+            let mut cfg = tiny();
+            vary(&mut cfg);
+            cfg
+        };
+        let variants = [
+            ("seed", with(|c| c.seed = 99)),
+            ("task", with(|c| c.task = Task::Speech)),
+            ("devices", with(|c| c.num_devices = 10)),
+            ("samples per device", with(|c| c.samples_per_device = 14)),
+            (
+                "scheme",
+                with(|c| c.scheme = middle_data::partition::Scheme::Iid),
+            ),
+            ("test size", with(|c| c.test_samples = 40)),
+        ];
+        let cache = InputCache::new();
+        let first = cache.get_or_build(&base);
+        for (what, cfg) in variants {
+            assert_ne!(population_key(&base), population_key(&cfg), "{what}");
+            let other = cache.get_or_build(&cfg);
+            assert!(!Arc::ptr_eq(&first.population, &other.population), "{what}");
+        }
+        assert_eq!((cache.misses(), cache.hits(), cache.len()), (7, 0, 7));
     }
 }

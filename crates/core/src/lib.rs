@@ -81,7 +81,9 @@ pub use algorithms::{
     Algorithm, AlgorithmPolicy, AlgorithmState, MoveAction, OnDevicePolicy, SelectionPolicy,
     SelectionSignal,
 };
-pub use builder::{input_key, InputCache, SharedInputs, SimError, SimulationBuilder};
+pub use builder::{
+    input_key, population_key, InputCache, SharedInputs, SimError, SimulationBuilder,
+};
 pub use checkpoint::{config_digest, SimCheckpoint, SIM_CHECKPOINT_SCHEMA_VERSION};
 pub use checkpoint::{seal_json, unseal_json};
 pub use comm::CommStats;

@@ -28,7 +28,7 @@
 //! when every device still had a replica of its own.
 
 use crate::algorithms::OnDevicePolicy;
-use crate::builder::SharedInputs;
+use crate::builder::PopulationData;
 use crate::checkpoint::{
     DeviceCheckpoint, DeviceSlotCheckpoint, PopulationCheckpoint, RngStateCheckpoint,
     VersionCheckpoint,
@@ -150,7 +150,7 @@ impl VersionSlot {
 /// one `u32` each; a broadcast walks `residents`, not the population; a
 /// demoted replica waits in `pool` for the next materialisation.
 pub struct Population {
-    inputs: Arc<SharedInputs>,
+    data: Arc<PopulationData>,
     seed: u64,
     /// Per device: the broadcast version its stub carries, or
     /// [`RESIDENT`]. The one authority on residency.
@@ -195,15 +195,15 @@ impl Population {
     /// shared initial model. The slot's norm is computed by the same
     /// `FlatView::of` a [`Device::new`] runs, so a virgin stub is bitwise
     /// a freshly built device.
-    pub(crate) fn new(inputs: Arc<SharedInputs>, seed: u64, num_devices: usize) -> Self {
-        let init = FlatView::of(&inputs.init);
+    pub(crate) fn new(data: Arc<PopulationData>, seed: u64, num_devices: usize) -> Self {
+        let init = FlatView::of(&data.init);
         let versions = vec![VersionSlot {
             flat: init.flat().to_vec(),
             norm_sq: init.norm_sq(),
             refs: num_devices,
         }];
         Population {
-            inputs,
+            data,
             seed,
             slot: vec![0; num_devices],
             residents: Vec::new(),
@@ -309,14 +309,14 @@ impl Population {
 
     /// Device `m`'s rows of the shared base dataset.
     fn rows(&self, m: usize) -> &[usize] {
-        &self.inputs.partition.assignments[m]
+        &self.data.partition.assignments[m]
     }
 
     /// A replica of device `m` as [`Device::new`] builds it: its rows
     /// gathered from the base, the initial model, the seeded RNG.
     fn build_replica(&self, m: usize) -> Device {
-        let data = self.inputs.base.subset(self.rows(m));
-        Device::new(m, data, self.inputs.init.clone(), self.seed)
+        let data = self.data.base.subset(self.rows(m));
+        Device::new(m, data, self.data.init.clone(), self.seed)
     }
 
     fn unref(&mut self, version: u32) {
@@ -644,7 +644,7 @@ impl Population {
     /// the wrong architecture.
     pub(crate) fn decode(&self, ck: &PopulationCheckpoint) -> Result<PopulationTables, String> {
         let devices = self.len();
-        let mut versions = decode_versions(ck, devices, self.inputs.init.param_count())?;
+        let mut versions = decode_versions(ck, devices, self.data.init.param_count())?;
         let mut resident: Vec<Option<Box<Device>>> = (0..devices).map(|_| None).collect();
         let mut slots: Vec<u32> = Vec::with_capacity(devices);
         let mut residents: Vec<usize> = Vec::new();
@@ -790,7 +790,7 @@ fn finish_replica(population: &Population, dev: &mut Device, p: &PendingInit, re
     if reserved.recycle {
         dev.recycle(
             m,
-            &population.inputs.base,
+            &population.data.base,
             population.rows(m),
             population.seed,
         );

@@ -17,7 +17,7 @@ use crate::aggregation::{
     cloud_aggregate, cloud_aggregate_into, edge_aggregate_into, on_device_init_into,
 };
 use crate::algorithms::{AlgorithmPolicy, MoveAction};
-use crate::builder::{SharedInputs, SimError};
+use crate::builder::{PopulationData, SharedInputs, SimError};
 use crate::checkpoint::{
     config_digest, EdgeCheckpoint, FaultPlaneCheckpoint, RngStateCheckpoint, SimCheckpoint,
     SIM_CHECKPOINT_SCHEMA_VERSION,
@@ -48,6 +48,7 @@ use middle_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rayon::prelude::*;
+use std::sync::Arc;
 use std::time::Instant;
 
 #[cfg(test)]
@@ -222,8 +223,9 @@ pub struct Simulation {
     edges: Vec<EdgeState>,
     cloud: Sequential,
     trace: Trace,
-    test: Dataset,
-    partition: Partition,
+    // The population's data and initial model, shared read-only with
+    // every scenario of the population (and with `population`).
+    data: Arc<PopulationData>,
     rng: StdRng,
     availability_rng: StdRng,
     comm: CommStats,
@@ -290,16 +292,18 @@ pub struct Simulation {
 impl Simulation {
     /// Assembles the per-run mutable state from validated, possibly
     /// cache-shared immutable inputs. Only [`SimulationBuilder`] calls
-    /// this; per-run state is *cloned* out of the inputs, so a cache
-    /// hit is bitwise identical to a cold construction.
+    /// this; the population is read through its `Arc` and per-run
+    /// state is *cloned* out of the inputs, so a cache hit is bitwise
+    /// identical to a cold construction.
     pub(crate) fn from_shared(
         config: SimConfig,
-        inputs: &std::sync::Arc<SharedInputs>,
+        inputs: &SharedInputs,
         telemetry: Telemetry,
     ) -> Self {
         let seed = config.seed;
-        let init = inputs.init.clone();
-        let population = Population::new(inputs.clone(), seed, config.num_devices);
+        let data = Arc::clone(&inputs.population);
+        let init = data.init.clone();
+        let population = Population::new(Arc::clone(&data), seed, config.num_devices);
         let edges: Vec<EdgeState> = (0..config.num_edges)
             .map(|_| EdgeState::new(init.clone()))
             .collect();
@@ -321,8 +325,7 @@ impl Simulation {
             population,
             edges,
             trace: inputs.trace.clone(),
-            test: inputs.test.clone(),
-            partition: inputs.partition.clone(),
+            data,
             rng: rng(derive_seed(seed, 6)),
             availability_rng: rng(derive_seed(seed, 8)),
             comm: CommStats::default(),
@@ -372,12 +375,12 @@ impl Simulation {
 
     /// The device-level data partition.
     pub fn partition(&self) -> &Partition {
-        &self.partition
+        &self.data.partition
     }
 
     /// The held-out test set.
     pub fn test_set(&self) -> &Dataset {
-        &self.test
+        &self.data.test
     }
 
     /// Current cloud model.
@@ -614,7 +617,7 @@ impl Simulation {
         if cohort.is_empty() {
             return;
         }
-        self.edges[n].window_samples += cohort_samples(&self.partition, cohort) as f64;
+        self.edges[n].window_samples += cohort_samples(&self.data.partition, cohort) as f64;
         self.policy.after_edge_aggregate(n, cohort);
     }
 
@@ -626,9 +629,13 @@ impl Simulation {
         }
         let timer = self.telemetry.start();
         let population = &self.population;
-        aggregate_edge(&mut self.edges[n], cohort, payloads, &self.partition, |m| {
-            member_of(population, m)
-        });
+        aggregate_edge(
+            &mut self.edges[n],
+            cohort,
+            payloads,
+            &self.data.partition,
+            |m| member_of(population, m),
+        );
         self.after_edge_aggregate(n, cohort);
         self.telemetry.stop(Phase::EdgeAggregation, timer);
     }
@@ -643,7 +650,7 @@ impl Simulation {
             &mut self.edges,
             &self.delivered_per_edge,
             &self.delivered_payloads,
-            &self.partition,
+            &self.data.partition,
             |m| member_of(population, m),
         );
         let cohorts = std::mem::take(&mut self.delivered_per_edge);
@@ -1313,8 +1320,9 @@ impl Simulation {
     /// `infer` over the whole set; argmax, loss and confusion then read
     /// it whole, as one forward pass feeds all three.
     pub fn evaluate(&self, model: &Sequential) -> (f32, f32, Confusion) {
-        let (inputs, classes) = (self.test.inputs(), self.test.classes());
-        let mut logits = Tensor::zeros([self.test.len(), classes]);
+        let test = &self.data.test;
+        let (inputs, classes) = (test.inputs(), test.classes());
+        let mut logits = Tensor::zeros([test.len(), classes]);
         (logits.data_mut().par_chunks_mut(EVAL_CHUNK * classes))
             .enumerate()
             .for_each(|(c, out)| {
@@ -1322,8 +1330,8 @@ impl Simulation {
                 infer_chunk(model, inputs, first..first + out.len() / classes, out);
             });
         let preds = argmax_rows(&logits);
-        let loss = softmax_cross_entropy(&logits, self.test.labels()).0;
-        let conf = Confusion::from_predictions(self.test.labels(), &preds, self.test.classes());
+        let loss = softmax_cross_entropy(&logits, test.labels()).0;
+        let conf = Confusion::from_predictions(test.labels(), &preds, classes);
         (conf.accuracy(), loss, conf)
     }
 

@@ -285,7 +285,7 @@ fn edge_pair(
     let mut fast: Vec<EdgeState> = (sim.edges.iter())
         .map(|e| EdgeState::new(e.model.clone()))
         .collect();
-    aggregate_edges(&mut fast, cohorts, payloads, &sim.partition, |m| {
+    aggregate_edges(&mut fast, cohorts, payloads, &sim.data.partition, |m| {
         let (model, flat) = &members[&m];
         (model, &flat[..])
     });
@@ -311,7 +311,7 @@ fn edge_pair(
         let models: Vec<&Sequential> = models.iter().collect();
         let counts: Vec<usize> = cohort
             .iter()
-            .map(|&m| sim.partition.device_len(m))
+            .map(|&m| sim.data.partition.device_len(m))
             .collect();
         let oracle = edge_aggregate(&models, &counts);
         let edge = &fast[n];

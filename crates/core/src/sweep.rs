@@ -424,6 +424,8 @@ fn scenarios_digest(scenarios: &[Scenario]) -> u64 {
     for s in scenarios {
         bytes.extend_from_slice(s.label.as_bytes());
         bytes.push(b'\n');
+        // Cannot fire: serialising a derived `Serialize` type whose maps
+        // all have string keys never errs.
         bytes.extend_from_slice(
             serde_json::to_string(&s.config)
                 .expect("config serialisation cannot fail")
@@ -655,11 +657,14 @@ impl SweepReport {
             s.record.wall_seconds = 0.0;
             s.record.telemetry = None;
         }
+        // Cannot fire: serialising a derived `Serialize` type whose maps
+        // all have string keys never errs.
         serde_json::to_string(&clean).expect("report serialisation cannot fail")
     }
 
     /// Serialises the full report.
     pub fn to_json(&self) -> String {
+        // Cannot fire: as in `deterministic_json`.
         serde_json::to_string(self).expect("report serialisation cannot fail")
     }
 }
@@ -801,6 +806,8 @@ impl Ledger {
 
     /// Atomically replaces the ledger with `state`, sealed.
     fn write(&self, state: &SweepState) -> Result<(), SimError> {
+        // Cannot fire: serialising a derived `Serialize` type whose maps
+        // all have string keys never errs.
         let json = serde_json::to_string(state).expect("state serialisation cannot fail");
         write_atomic(&self.path, &seal_json(&json), false)
     }
@@ -965,6 +972,9 @@ pub fn run_sweep(grid: &ScenarioGrid, opts: &SweepOptions) -> Result<SweepReport
 
     let cache = InputCache::new();
     let cursor = AtomicUsize::new(0);
+    // Neither slot is ever poisoned: no code that holds one panics (the
+    // ledger write under `results` returns its errors), so every
+    // `expect` on them below cannot fire.
     let results = Mutex::new(records);
     let first_error: Mutex<Option<SimError>> = Mutex::new(None);
 
@@ -979,6 +989,7 @@ pub fn run_sweep(grid: &ScenarioGrid, opts: &SweepOptions) -> Result<SweepReport
     let workers: Vec<usize> = (0..threads).collect();
     workers.par_iter().for_each(|_| loop {
         let claim = cursor.fetch_add(1, Ordering::Relaxed);
+        // Cannot fire: the slots are never poisoned (see above).
         if claim >= todo.len() || first_error.lock().expect("error slot poisoned").is_some() {
             return;
         }
@@ -993,6 +1004,7 @@ pub fn run_sweep(grid: &ScenarioGrid, opts: &SweepOptions) -> Result<SweepReport
             |_| Ok(true),
         )
         .and_then(|record| {
+            // Cannot fire: the slots are never poisoned (see above).
             let mut recs = results.lock().expect("result slot poisoned");
             recs[scenario.index] = record;
             ledger.as_ref().map_or(Ok(()), |ledger| {
@@ -1005,15 +1017,18 @@ pub fn run_sweep(grid: &ScenarioGrid, opts: &SweepOptions) -> Result<SweepReport
             })
         });
         if let Err(e) = done {
+            // Cannot fire: the slots are never poisoned (see above).
             let mut slot = first_error.lock().expect("error slot poisoned");
             slot.get_or_insert(e);
             return;
         }
     });
 
+    // Cannot fire: the slots are never poisoned (see above).
     if let Some(e) = first_error.into_inner().expect("error slot poisoned") {
         return Err(e);
     }
+    // Cannot fire: the slots are never poisoned (see above).
     let records = results.into_inner().expect("result slot poisoned");
     let cache = (cache.hits(), cache.misses());
     Ok(sweep_report(digest, records, start, threads, cache))
@@ -1050,7 +1065,8 @@ fn sweep_report(
 /// builds through the shared cache, resumes from the scenario's snapshot
 /// in `dir` when one applies, ticks to the end snapshotting every
 /// `checkpoint_every` steps (`0` = never), and removes the snapshot.
-/// `after_tick` is told whether the tick wrote a snapshot; when it
+/// `after_tick` runs after every tick that leaves the scenario
+/// unfinished and is told whether the tick wrote a snapshot; when it
 /// returns `false` the scenario stops where it stands, snapshot kept,
 /// and the result is `None`.
 fn drive_scenario(
@@ -1086,9 +1102,12 @@ fn drive_scenario(
     }
     while !sim.is_finished() {
         sim.tick(StepMode::Fast);
-        let due = ckpt.as_ref().filter(|_| {
-            checkpoint_every > 0 && sim.next_step() % checkpoint_every == 0 && !sim.is_finished()
-        });
+        if sim.is_finished() {
+            break;
+        }
+        let due = ckpt
+            .as_ref()
+            .filter(|_| checkpoint_every > 0 && sim.next_step() % checkpoint_every == 0);
         if let Some(path) = due {
             write_atomic(path, &sim.checkpoint().to_json(), true)?;
         }
@@ -1137,8 +1156,9 @@ pub struct FleetOptions {
     /// scenario boundaries).
     pub checkpoint_every: usize,
     /// Give-up horizon in milliseconds; `None` waits for grid
-    /// completion indefinitely. A worker that hits it returns what it
-    /// finished; the coordinator errors (the grid is incomplete).
+    /// completion indefinitely. A worker that hits it stops within one
+    /// tick, releases the lease it holds and returns what it finished;
+    /// the coordinator errors (the grid is incomplete).
     pub max_wall_ms: Option<u64>,
     /// Deterministic kill switch for tests: abandon the worker loop
     /// abruptly — lease unreleased, checkpoint files left behind,
@@ -1276,6 +1296,8 @@ fn safe_id(worker_id: &str) -> String {
 /// coordinator tails these files and merges them into the incremental
 /// report).
 fn append_jsonl(path: &Path, record: &ScenarioRecord) -> Result<(), SimError> {
+    // Cannot fire: serialising a derived `Serialize` type whose maps all
+    // have string keys never errs.
     let json = serde_json::to_string(record).expect("record serialisation cannot fail");
     let mut file = fs::OpenOptions::new()
         .create(true)
@@ -1296,6 +1318,7 @@ struct WorkerCtx<'a> {
     cache: Arc<InputCache>,
     jsonl: PathBuf,
     checkpoints_written: usize,
+    started: Instant,
 }
 
 /// How one leased scenario ended.
@@ -1305,16 +1328,22 @@ enum ScenarioOutcome {
     /// The lease was lost mid-run (reclaimed after expiry); the
     /// scenario belongs to someone else now.
     Abandoned,
+    /// [`FleetOptions::max_wall_ms`] passed mid-run: the lease is
+    /// released and the scenario resumes from its last snapshot.
+    OutOfTime,
     /// The deterministic kill switch fired.
     Killed,
 }
 
 /// Runs one leased scenario: [`drive_scenario`] with the fleet's
-/// per-tick duties — count snapshots for the kill switch, renew the
-/// heartbeat every `lease_ms / 4` — and on completion streams the
-/// record (JSONL first, then the ledger — a kill between the two only
-/// costs a duplicate line the coordinator deduplicates). Recording the
-/// scenario and releasing its lease are one ledger write.
+/// per-tick duties — count snapshots for the kill switch, stop at the
+/// first tick past [`FleetOptions::max_wall_ms`], renew the heartbeat
+/// every `lease_ms / 4` — and on completion streams the record (JSONL
+/// first, then the ledger — a kill between the two only costs a
+/// duplicate line the coordinator deduplicates). Recording the scenario
+/// and releasing its lease are one ledger write; a scenario stopped by
+/// the cap releases its lease unrecorded, so the next run claims it at
+/// once.
 fn run_leased_scenario(
     ctx: &mut WorkerCtx<'_>,
     scenario: &Scenario,
@@ -1339,6 +1368,10 @@ fn run_leased_scenario(
                     return Ok(false);
                 }
             }
+            if out_of_time(ctx.started, opts.max_wall_ms) {
+                stopped = ScenarioOutcome::OutOfTime;
+                return Ok(false);
+            }
             if opts.lease_ms > 0 && last_beat.elapsed() >= beat {
                 // A renewal that finds the lease gone (it expired and was
                 // reclaimed, or the ledger was reset) abandons the
@@ -1360,7 +1393,15 @@ fn run_leased_scenario(
             Ok(true)
         },
     )?;
+    let release = |state: &mut SweepState| {
+        state
+            .leases
+            .retain(|l| !(l.scenario == index && l.worker == ctx.worker_id));
+    };
     let Some(record) = record else {
+        if matches!(stopped, ScenarioOutcome::OutOfTime) {
+            ctx.ledger.update(ctx.digest, ctx.n, release)?;
+        }
         return Ok(stopped);
     };
     append_jsonl(&ctx.jsonl, &record)?;
@@ -1368,9 +1409,7 @@ fn run_leased_scenario(
     // a bitwise-identical result, so keeping the first is sound.
     ctx.ledger.update(ctx.digest, ctx.n, |state| {
         state.records[index].get_or_insert(record);
-        state
-            .leases
-            .retain(|l| !(l.scenario == index && l.worker == ctx.worker_id));
+        release(state);
     })?;
     Ok(ScenarioOutcome::Done)
 }
@@ -1384,7 +1423,9 @@ fn run_leased_scenario(
 /// `worker_<digest>_<id>.jsonl`, record it and release the lease in one
 /// ledger write, repeat. When every pending scenario is leased by
 /// someone else it polls until work frees up (a lease expiring counts)
-/// or the grid completes; [`FleetOptions::max_wall_ms`] bounds the wait.
+/// or the grid completes. Past [`FleetOptions::max_wall_ms`] the worker
+/// stops within one tick: it claims nothing more, and a scenario it
+/// holds stops, its lease released and its last snapshot kept.
 ///
 /// # Errors
 /// Grid expansion errors, ledger/grid mismatches
@@ -1409,20 +1450,20 @@ pub fn run_fleet_worker(
         cache: InputCache::new(),
         jsonl: dir.join(jsonl),
         checkpoints_written: 0,
+        started: Instant::now(),
     };
-    let started = Instant::now();
     let mut report = FleetWorkerReport {
         worker_id: worker_id.to_string(),
         completed: 0,
         killed: false,
     };
-    while !out_of_time(started, opts.max_wall_ms) {
+    while !out_of_time(ctx.started, opts.max_wall_ms) {
         match claim(&ctx.ledger, ctx.digest, ctx.n, worker_id, opts.lease_ms)? {
             Claim::Done => break,
             Claim::Busy => thread::sleep(POLL),
             Claim::Leased(index) => match run_leased_scenario(&mut ctx, &scenarios[index])? {
                 ScenarioOutcome::Done => report.completed += 1,
-                ScenarioOutcome::Abandoned => {}
+                ScenarioOutcome::Abandoned | ScenarioOutcome::OutOfTime => {}
                 ScenarioOutcome::Killed => {
                     report.killed = true;
                     break;

@@ -1,20 +1,22 @@
 //! Gates for the Result-based construction path and the sweep engine:
 //! typed builder errors, checkpoint bytes and restores, sweep
 //! determinism across thread counts, cache-hit/cold-build bitwise
-//! identity, and killed-then-resumed sweeps reproducing the
+//! identity (one population shared across a mobility axis), and
+//! killed-then-resumed sweeps reproducing the
 //! uninterrupted report. A run resumed at a sweep snapshot's cut, with
 //! and without the fault plane, is a cell of the differential matrix
 //! (`matrix.rs`).
 
 use middle_core::{
-    run_sweep, ScenarioGrid, SimCheckpoint, SimError, SimulationBuilder, StepMode, SweepOptions,
+    run_sweep, MobilitySource, ScenarioGrid, SimCheckpoint, SimError, SimulationBuilder, StepMode,
+    SweepOptions,
 };
 use middle_mobility::Trace;
 
 mod common;
 use common::{
-    assert_rejected, assert_same_run, built, faulty, finished, run_to_end, scratch_dir, sim_bits,
-    sweep_shape, tick_n,
+    assert_records_equal, assert_rejected, assert_same_run, built, faulty, finished, run_to_end,
+    scratch_dir, sim_bits, sweep_shape, tick_n,
 };
 
 // ---------------------------------------------------------------- errors
@@ -218,9 +220,14 @@ fn sweep_results_are_independent_of_thread_count() {
 fn cache_hit_builds_bitwise_identical_to_cold_builds() {
     let cfg = sweep_shape();
     let cache = middle_core::InputCache::new();
-    // Warm the cache with a config differing only in run-only fields.
+    // Warm the cache with a config differing in run-only fields and in
+    // every placement field: it shares the population, not the
+    // placement.
     let mut warm = cfg.clone();
     warm.devices_per_edge = 3;
+    warm.mobility = MobilitySource::MarkovHop { p: 0.9 };
+    warm.num_edges += 1;
+    warm.steps += 2;
     let _ = SimulationBuilder::new(warm)
         .with_shared_inputs(std::sync::Arc::clone(&cache))
         .build()
@@ -235,6 +242,30 @@ fn cache_hit_builds_bitwise_identical_to_cold_builds() {
     let cold = built(cfg);
     assert_eq!(sim_bits(&cached), sim_bits(&cold));
     assert_same_run(&run_to_end(cached), &run_to_end(cold), "cache hit");
+}
+
+#[test]
+fn a_mobility_axis_builds_one_population_per_seed() {
+    let seeds = [7u64, 8];
+    let grid = ScenarioGrid::new(sweep_shape())
+        .with_mobility_ps([0.1, 0.5, 0.9])
+        .with_seeds(seeds);
+    let shared = run_sweep(&grid, &SweepOptions::default()).unwrap();
+    assert!(shared.complete);
+    assert_eq!(shared.cache_misses, seeds.len() as u64);
+    assert_eq!(shared.cache_hits, 4);
+    let one = SweepOptions {
+        threads: 1,
+        ..Default::default()
+    };
+    let serial = run_sweep(&grid, &one).unwrap();
+    assert_eq!(serial.cache_misses, seeds.len() as u64);
+    assert_eq!(shared.deterministic_json(), serial.deterministic_json());
+    // And every scenario is what a build without the cache runs.
+    for (done, scenario) in shared.scenarios.iter().zip(grid.scenarios().unwrap()) {
+        let (_, cold) = finished(scenario.config);
+        assert_records_equal(&done.record, &cold, &done.label);
+    }
 }
 
 // --------------------------------------------------- killed-then-resumed

@@ -1,5 +1,6 @@
 //! Gates for the multi-process fleet layer behind `middle-sweepd`:
-//! duplicate-claim rejection, a worker killed mid-scenario resuming
+//! duplicate-claim rejection, a worker past its wall cap releasing its
+//! scenario mid-run, a worker killed mid-scenario resuming
 //! from its checkpoint (under the fleet or under `run_sweep`), N-worker
 //! fleets matching the single-process sweep bitwise, coordinator rebuilds from the JSONL streams alone
 //! (its own grid's streams only), and corrupt-ledger quarantine. Lease
@@ -217,6 +218,35 @@ fn run_sweep_resumes_a_killed_fleet_workers_ledger_and_snapshot() {
     let report = run_sweep(&fleet_grid(), &opts).unwrap();
     assert_eq!(report.deterministic_json(), reference);
     assert!(!snapshot.exists(), "the resumed scenario ran to its end");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_worker_past_its_wall_cap_releases_its_scenario_mid_run() {
+    let dir = scratch_dir("wall_cap");
+    // One millisecond is over before the first tick of the scenario the
+    // worker leases ends: it stops there, lease released, snapshot kept.
+    let capped = FleetOptions {
+        lease_ms: 600_000,
+        checkpoint_every: 1,
+        max_wall_ms: Some(1),
+        ..fleet_opts()
+    };
+    let report = run_fleet_worker(&fleet_grid(), &dir, "capped", &capped).unwrap();
+    assert_eq!((report.completed, report.killed), (0, false));
+    // (No ledger at all if the cap passed before the first claim.)
+    let status = fleet_status(&dir).unwrap();
+    let left = status.map_or((0, 0), |s| (s.completed, s.leases.len()));
+    assert_eq!(left, (0, 0), "completed scenarios and leases left");
+    // A live lease would keep the next worker off the scenario for ten
+    // minutes; released, it is claimed at once and resumed to the bytes.
+    let rest = FleetOptions {
+        checkpoint_every: 1,
+        ..live_opts()
+    };
+    run_fleet_worker(&fleet_grid(), &dir, "next", &rest).unwrap();
+    let merged = run_fleet_coordinator(&fleet_grid(), &dir, &rest).unwrap();
+    assert_eq!(merged.deterministic_json(), fleet_reference());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -67,11 +67,12 @@ fn a_fleet_run_cut_short_resumes_in_process_to_the_same_bytes() {
     let (reference, resumed) = (dir.join("reference.json"), dir.join("resumed.json"));
     let run = run_grid(&grid, &reference, &[]);
     assert!(run.status.success(), "{}", stderr(&run));
-    // Past the 1 ms wall cap a worker claims nothing more: each finishes
-    // the one scenario it leased at its start, whatever the host's speed,
-    // and the coordinator gives up with the grid unfinished. The ledger
-    // keeps what finished; no snapshot is left (the eight-step scenarios
-    // end before one is due), so the resume reads the ledger alone.
+    // Past the 1 ms wall cap a worker claims nothing more, and the
+    // scenario it leased at its start stops at its first tick, its lease
+    // released: no scenario completes, whatever the host's speed, and
+    // the coordinator gives up. No snapshot was due yet (the eight-step
+    // scenarios snapshot every eight steps), so the resume runs every
+    // scenario from its start.
     let fleet_dir = dir.join("fleet");
     let fleet_dir = fleet_dir.to_str().unwrap();
     let cut = ["--spawn", "2", "--dir", fleet_dir, "--max-wall-ms", "1"];
@@ -81,8 +82,8 @@ fn a_fleet_run_cut_short_resumes_in_process_to_the_same_bytes() {
     let status = sweepd(&["status", "--dir", fleet_dir]);
     let status = String::from_utf8_lossy(&status.stdout).into_owned();
     assert!(
-        !status.starts_with("6/6"),
-        "the cut left work undone: {status}"
+        status.starts_with("0/6 scenarios complete, 0 lease(s)"),
+        "no scenario may finish or stay leased past the cap: {status}"
     );
     let run = run_grid(&grid, &resumed, &["--dir", fleet_dir]);
     assert!(run.status.success(), "{}", stderr(&run));

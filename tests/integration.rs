@@ -5,8 +5,8 @@
 use middle::core::checkpoint::DeviceSlotCheckpoint;
 use middle::core::quadratic_sim::remark1_rows;
 use middle::core::{
-    fleet_status, run_fleet_coordinator, run_fleet_worker, FleetOptions, OnDevicePolicy,
-    SelectionPolicy, StepMode,
+    fleet_status, run_fleet_coordinator, run_fleet_worker, FleetOptions, InputCache,
+    OnDevicePolicy, SelectionPolicy, StepMode,
 };
 use middle::data::partition::{partition, Scheme};
 use middle::data::synthetic::SyntheticSource;
@@ -19,8 +19,8 @@ use middle::prelude::*;
 mod common;
 use common::Pin::Trajectory;
 use common::{
-    built, device_planes, fleet_grid, fleet_opts, fleet_reference, lossy, migration_in_flight,
-    real_latencies, stragglers, tick_n, wan, Cell,
+    assert_same_run, built, device_planes, fleet_grid, fleet_opts, fleet_reference, lossy,
+    migration_in_flight, real_latencies, run_to_end, stragglers, tick_n, wan, Cell,
 };
 
 fn small_cfg(task: Task, algorithm: Algorithm) -> SimConfig {
@@ -376,6 +376,28 @@ fn mobility_probability_flows_through_config() {
         let sim = built(cfg.clone());
         let emp = sim.trace().empirical_mobility();
         assert!((emp - p).abs() < 0.12, "requested P={p}, trace has {emp}");
+    }
+}
+
+/// A mobility sweep varies P over one population: two configs that
+/// differ only in P share one synthesised dataset through the input
+/// cache, and each still runs bitwise as its own cold build.
+#[test]
+fn configs_differing_only_in_p_share_one_population() {
+    let cache = InputCache::new();
+    for (i, p) in [0.2f64, 0.8].into_iter().enumerate() {
+        let mut cfg = small_cfg(Task::Speech, Algorithm::middle());
+        cfg.mobility = MobilitySource::MarkovHop { p };
+        let shared = SimulationBuilder::new(cfg.clone())
+            .with_shared_inputs(cache.clone())
+            .build()
+            .expect("valid config");
+        assert_eq!((cache.misses(), cache.hits()), (1, i as u64), "P = {p}");
+        assert_same_run(
+            &run_to_end(shared),
+            &run_to_end(built(cfg)),
+            &format!("P = {p}: cache-shared against cold"),
+        );
     }
 }
 
