@@ -67,15 +67,15 @@ pub fn on_device_init(
 }
 
 /// In-place form of [`on_device_init`]: rewrites the device's carried
-/// model into `ŵ_m^t` directly, using the device's and edge's cached
-/// flat views for the similarity so no per-device flatten or model
-/// allocation happens.
+/// model into `ŵ_m^t` directly, reading the device's and the edge's
+/// parameter planes and cached norms for the similarity, so no
+/// per-device flatten or model allocation happens.
 ///
-/// The device's flat cache is left *stale* for every policy that changes
-/// the model (all but `KeepLocal`): in the simulation step each
-/// initialised device immediately trains, and training refreshes the
-/// cache. Callers that need the flat view before a train must call
-/// [`Device::refresh_flat`] themselves.
+/// A blend (every policy but `KeepLocal` and `EdgeModel`, whose load
+/// sets the norm it copies) leaves the device without a cached norm: in
+/// the simulation step each initialised device immediately trains, and
+/// training recomputes it. Callers that need the norm before a train
+/// must call [`Device::refresh_flat`] themselves.
 pub fn on_device_init_into(
     policy: OnDevicePolicy,
     device: &mut Device,
@@ -120,15 +120,9 @@ pub fn on_device_init_into(
             .max(-0.5);
             let edge_w = (1.0 / (1.0 + c)).min(2.0);
             let local_w = 1.0 - edge_w;
-            for (d, e) in device
-                .model
-                .params_mut()
-                .into_iter()
-                .zip(edge_model.params())
-            {
-                for (dv, &ev) in d.value.data_mut().iter_mut().zip(e.value.data()) {
-                    *dv = edge_w * ev + local_w * *dv;
-                }
+            let edge = edge_model.params();
+            for (dv, &ev) in device.model.params_mut().iter_mut().zip(edge) {
+                *dv = edge_w * ev + local_w * *dv;
             }
             device.invalidate_flat();
         }

@@ -176,8 +176,9 @@ impl Algorithm {
     ///
     /// let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::middle());
     /// cfg.steps = 2;
-    /// let record = SimulationBuilder::new(cfg).build().expect("valid config").run();
+    /// let record = SimulationBuilder::new(cfg).build()?.run();
     /// assert!(record.final_accuracy() >= 0.0);
+    /// # Ok::<(), middle_core::SimError>(())
     /// ```
     pub fn middle() -> Algorithm {
         Algorithm::custom(
@@ -195,8 +196,9 @@ impl Algorithm {
     ///
     /// let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::oort());
     /// cfg.steps = 2;
-    /// let record = SimulationBuilder::new(cfg).build().expect("valid config").run();
+    /// let record = SimulationBuilder::new(cfg).build()?.run();
     /// assert!(record.final_accuracy() >= 0.0);
+    /// # Ok::<(), middle_core::SimError>(())
     /// ```
     pub fn oort() -> Algorithm {
         Algorithm::custom(
@@ -214,8 +216,9 @@ impl Algorithm {
     ///
     /// let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::fedmes());
     /// cfg.steps = 2;
-    /// let record = SimulationBuilder::new(cfg).build().expect("valid config").run();
+    /// let record = SimulationBuilder::new(cfg).build()?.run();
     /// assert!(record.final_accuracy() >= 0.0);
+    /// # Ok::<(), middle_core::SimError>(())
     /// ```
     pub fn fedmes() -> Algorithm {
         Algorithm::custom("FedMes", SelectionPolicy::Random, OnDevicePolicy::Average)
@@ -229,8 +232,9 @@ impl Algorithm {
     ///
     /// let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::greedy());
     /// cfg.steps = 2;
-    /// let record = SimulationBuilder::new(cfg).build().expect("valid config").run();
+    /// let record = SimulationBuilder::new(cfg).build()?.run();
     /// assert!(record.final_accuracy() >= 0.0);
+    /// # Ok::<(), middle_core::SimError>(())
     /// ```
     pub fn greedy() -> Algorithm {
         Algorithm::custom(
@@ -248,8 +252,9 @@ impl Algorithm {
     ///
     /// let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::ensemble());
     /// cfg.steps = 2;
-    /// let record = SimulationBuilder::new(cfg).build().expect("valid config").run();
+    /// let record = SimulationBuilder::new(cfg).build()?.run();
     /// assert!(record.final_accuracy() >= 0.0);
+    /// # Ok::<(), middle_core::SimError>(())
     /// ```
     pub fn ensemble() -> Algorithm {
         Algorithm::custom(
@@ -268,8 +273,9 @@ impl Algorithm {
     ///
     /// let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::hierfavg());
     /// cfg.steps = 2;
-    /// let record = SimulationBuilder::new(cfg).build().expect("valid config").run();
+    /// let record = SimulationBuilder::new(cfg).build()?.run();
     /// assert!(record.final_accuracy() >= 0.0);
+    /// # Ok::<(), middle_core::SimError>(())
     /// ```
     pub fn hierfavg() -> Algorithm {
         Algorithm::custom(
@@ -292,8 +298,9 @@ impl Algorithm {
     ///
     /// let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::fedfly());
     /// cfg.steps = 2;
-    /// let record = SimulationBuilder::new(cfg).build().expect("valid config").run();
+    /// let record = SimulationBuilder::new(cfg).build()?.run();
     /// assert!(record.final_accuracy() >= 0.0);
+    /// # Ok::<(), middle_core::SimError>(())
     /// ```
     pub fn fedfly() -> Algorithm {
         let mut a = Algorithm::custom("FedFly", SelectionPolicy::Random, OnDevicePolicy::EdgeModel);
@@ -313,8 +320,9 @@ impl Algorithm {
     ///
     /// let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::fedlecc());
     /// cfg.steps = 2;
-    /// let record = SimulationBuilder::new(cfg).build().expect("valid config").run();
+    /// let record = SimulationBuilder::new(cfg).build()?.run();
     /// assert!(record.final_accuracy() >= 0.0);
+    /// # Ok::<(), middle_core::SimError>(())
     /// ```
     pub fn fedlecc() -> Algorithm {
         Algorithm::custom(
@@ -334,8 +342,9 @@ impl Algorithm {
     ///
     /// let mut cfg = SimConfig::tiny(Task::Mnist, Algorithm::random_control());
     /// cfg.steps = 2;
-    /// let record = SimulationBuilder::new(cfg).build().expect("valid config").run();
+    /// let record = SimulationBuilder::new(cfg).build()?.run();
     /// assert!(record.final_accuracy() >= 0.0);
+    /// # Ok::<(), middle_core::SimError>(())
     /// ```
     pub fn random_control() -> Algorithm {
         Algorithm::custom(

@@ -10,8 +10,9 @@ use middle_data::Dataset;
 use middle_nn::loss::per_sample_cross_entropy;
 use middle_nn::loss::per_sample_cross_entropy_into;
 use middle_nn::optim::Optimizer;
-use middle_nn::params::{unflatten, FlatView};
+use middle_nn::params::unflatten;
 use middle_nn::{NetScratch, OptimizerKind, Sequential};
+use middle_tensor::ops::dot_slices;
 use middle_tensor::random::{derive_seed, rng};
 use middle_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -20,8 +21,9 @@ use std::ops::Range;
 
 /// Training workspace: batch-gather buffers, the network scratch for the
 /// train and inference passes (the Oort pass and the test-set chunks of
-/// [`infer_chunk`]), the per-sample loss buffer, and a cached
-/// optimizer. Owned by the *thread* that trains ([`SCRATCH`]), not by the
+/// [`infer_chunk`]) — the train scratch holds the gradient plane — the
+/// per-sample loss buffer, and a cached optimizer with its momentum or
+/// moment planes. Owned by the *thread* that trains ([`SCRATCH`]), not by the
 /// device: memory is threads × scratch, and in steady state a device's
 /// local training allocates nothing, first participation included.
 ///
@@ -62,17 +64,19 @@ thread_local! {
 /// steps — the crux of MIDDLE: after moving to a new edge, this carried
 /// model transports the previous edge's "knowledge".
 ///
-/// Alongside the structured model the device maintains a [`FlatView`]
-/// cache (flat parameter vector + squared norm) so the selection and
-/// on-device aggregation hot paths never flatten per candidate. Code
-/// that mutates `model` directly must call [`Device::invalidate_flat`]
-/// (or [`Device::refresh_flat`]); the built-in mutators do so already.
+/// The flat parameter vector the selection and on-device aggregation
+/// hot paths read ([`Device::flat`]) is the model's own plane, so it
+/// cannot go stale. Two values derived from it are cached beside it and
+/// never checkpointed:
 ///
-/// The selection score `U(w_c, Δw_m)` is cached where the flat is
-/// ([`Device::cloud_score`]): it is a function of this flat and the
-/// cloud's, so it is tagged with the cloud epoch it was computed against
-/// and dropped by every mutator of the flat. Neither cache is ever
-/// checkpointed.
+/// * its squared norm ([`Device::flat_norm_sq`]), set by every mutator
+///   that writes the whole plane and dropped by
+///   [`Device::invalidate_flat`] — which a blend in place calls, and code
+///   that mutates `model` directly must call — until
+///   [`Device::refresh_flat`] recomputes it;
+/// * the selection score `U(w_c, Δw_m)` ([`Device::cloud_score`]), a
+///   function of this plane and the cloud's, tagged with the cloud epoch
+///   it was computed against and dropped with the norm.
 pub struct Device {
     /// Stable device identifier (index into the simulation's device set).
     pub id: usize,
@@ -88,7 +92,9 @@ pub struct Device {
     pub last_participation: Option<usize>,
     data: Dataset,
     rng: StdRng,
-    flat: FlatView,
+    /// `dot_slices` of the plane with itself; `None` from an in-place
+    /// blend until the next refresh.
+    norm_sq: Option<f32>,
     cloud_score: Option<(u64, f32)>,
 }
 
@@ -136,17 +142,18 @@ impl Device {
     /// Creates a device with its local dataset and initial model.
     pub fn new(id: usize, data: Dataset, initial_model: Sequential, seed: u64) -> Self {
         assert!(!data.is_empty(), "device {id} has no data");
-        let flat = FlatView::of(&initial_model);
-        Device {
+        let mut device = Device {
             id,
             model: initial_model,
             oort_utility: None,
             last_participation: None,
             data,
             rng: device_rng(id, seed),
-            flat,
+            norm_sq: None,
             cloud_score: None,
-        }
+        };
+        device.refresh_flat();
+        device
     }
 
     /// Re-purposes this replica as a never-trained device `id` whose
@@ -157,8 +164,7 @@ impl Device {
     /// rng, no utility, no participation, layer state reset
     /// (`recycled_replica_is_a_fresh_one` below). The rows are gathered
     /// into the replica's own dataset buffers. The previous owner's
-    /// parameters stay in place until then, behind a dirty flat cache;
-    /// gradients are zero, as every optimizer step leaves them. The
+    /// parameters stay in the plane until then, with no cached norm. The
     /// model must have the architecture `id` trains.
     pub fn recycle(&mut self, id: usize, base: &Dataset, rows: &[usize], seed: u64) {
         assert!(!rows.is_empty(), "device {id} has no data");
@@ -181,37 +187,51 @@ impl Device {
         &self.data
     }
 
-    /// Cached flat parameter vector of the carried model.
-    ///
-    /// # Panics
-    /// Panics when the cache is dirty (model mutated without a refresh).
+    /// Heap bytes of the values the replica holds: its model's
+    /// ([`Sequential::held_bytes`]) and its dataset's inputs and labels.
+    #[doc(hidden)]
+    pub fn held_bytes(&self) -> usize {
+        self.model.held_bytes()
+            + size_of_val(self.data.inputs().data())
+            + size_of_val(self.data.labels())
+    }
+
+    /// The carried model's flat parameter vector: its parameter plane.
     pub fn flat(&self) -> &[f32] {
-        self.flat.flat()
+        self.model.params()
     }
 
     /// Cached squared L2 norm of the carried model's parameters.
+    ///
+    /// # Panics
+    /// Panics when the norm was dropped ([`Device::invalidate_flat`]) and
+    /// not recomputed since.
     pub fn flat_norm_sq(&self) -> f32 {
-        self.flat.norm_sq()
+        self.norm_sq
+            .expect("device norm read after a mutation without `refresh_flat`")
     }
 
-    /// Marks the flat cache stale after a direct mutation of `model`.
+    /// Drops the cached norm and selection score after a direct mutation
+    /// of `model`; [`Device::refresh_flat`] restores them.
     pub fn invalidate_flat(&mut self) {
-        self.flat.invalidate();
+        self.norm_sq = None;
         self.cloud_score = None;
     }
 
-    /// Recomputes the flat cache from the current carried model.
+    /// Recomputes the cached norm from the current carried model and
+    /// drops the selection score.
     pub fn refresh_flat(&mut self) {
-        self.flat.refresh(&self.model);
+        let flat = self.model.params();
+        self.norm_sq = Some(dot_slices(flat, flat));
         self.cloud_score = None;
     }
 
     /// Overwrites the carried model's parameters from a flat vector whose
-    /// squared norm is already known (the broadcast fast path: the cache
-    /// is filled by copying, with no re-flatten and no re-norm).
+    /// squared norm is already known (the broadcast fast path: one copy
+    /// into the plane, no re-norm).
     pub fn load_flat(&mut self, flat: &[f32], norm_sq: f32) {
         unflatten(&mut self.model, flat);
-        self.flat.set_from_slice(flat, norm_sq);
+        self.norm_sq = Some(norm_sq);
         self.cloud_score = None;
     }
 
@@ -233,7 +253,7 @@ impl Device {
 
     /// Runs `I` local SGD steps (Eq. 5) on the carried model in place
     /// (the caller positions `w_m` first, e.g. via [`Device::load_flat`]
-    /// or on-device aggregation), and refreshes the flat cache. Returns
+    /// or on-device aggregation), and refreshes the cached norm. Returns
     /// the final mini-batch training loss. The Oort utility is left as
     /// it was: [`Device::refresh_oort_utility`] computes it, for the
     /// policies that read it.
@@ -284,7 +304,7 @@ impl Device {
     /// The Oort pass: one inference of the carried model over every
     /// local sample, through the thread's evaluation workspace, sets the
     /// statistical utility `|B_m| · sqrt(mean(loss_i²))`. Reads the
-    /// model only, so the flat and score caches stay valid.
+    /// model only, so the norm and score caches stay valid.
     pub fn refresh_oort_utility(&mut self) {
         let utility = SCRATCH.with_borrow_mut(|scratch| {
             let logits = self.model.infer_ws(self.data.inputs(), &mut scratch.eval);
@@ -438,11 +458,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dirty")]
-    fn direct_mutation_without_refresh_is_caught() {
+    fn the_flat_is_the_plane_and_only_the_norm_waits_for_a_refresh() {
         let mut d = mk_device(5, 47);
+        let before = d.flat_norm_sq();
+        for v in d.model.params_mut() {
+            *v *= 0.5;
+        }
+        assert_eq!(d.flat(), flatten(&d.model).as_slice(), "no refresh needed");
         d.invalidate_flat();
-        d.flat();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.flat_norm_sq()));
+        assert!(caught.is_err(), "a dropped norm is not read");
+        d.refresh_flat();
+        let f = flatten(&d.model);
+        assert_eq!(d.flat_norm_sq().to_bits(), dot_slices(&f, &f).to_bits());
+        assert_ne!(d.flat_norm_sq(), before);
     }
 
     #[test]
@@ -513,21 +542,18 @@ mod tests {
         (task, build(task))
     }
 
-    /// Everything about a device that a later step can observe.
+    /// Everything about a device that a later step can observe. A model
+    /// holds no gradients (the trainer's scratch does), so there are none
+    /// to compare; what the replica holds besides its plane and data is
+    /// compared through its byte count.
     fn device_state(d: &Device) -> impl PartialEq + std::fmt::Debug {
-        let grads: Vec<u32> = d
-            .model
-            .params()
-            .iter()
-            .flat_map(|p| p.grad.data().iter().map(|g| g.to_bits()))
-            .collect();
         (
             (d.id, d.data().clone(), d.last_participation),
             d.flat().iter().map(|v| v.to_bits()).collect::<Vec<u32>>(),
             d.flat_norm_sq().to_bits(),
             d.oort_utility.map(f32::to_bits),
             d.rng_ref().state(),
-            grads,
+            d.held_bytes(),
         )
     }
 

@@ -37,8 +37,8 @@ use crate::device::Device;
 use crate::selection::{
     update_similarity_flat, update_similarity_reference, update_similarity_tolerance,
 };
-use middle_nn::params::FlatView;
 use middle_nn::serialize::{Checkpoint, Packed};
+use middle_tensor::ops::dot_slices;
 use rand::rngs::StdRng;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -192,14 +192,14 @@ pub(crate) struct PopulationTables {
 
 impl Population {
     /// Builds the population: every device a stub of version 0, the
-    /// shared initial model. The slot's norm is computed by the same
-    /// `FlatView::of` a [`Device::new`] runs, so a virgin stub is bitwise
+    /// shared initial model. The slot's norm is the same `dot_slices` of
+    /// the plane a [`Device::new`] computes, so a virgin stub is bitwise
     /// a freshly built device.
     pub(crate) fn new(data: Arc<PopulationData>, seed: u64, num_devices: usize) -> Self {
-        let init = FlatView::of(&data.init);
+        let init = data.init.params();
         let versions = vec![VersionSlot {
-            flat: init.flat().to_vec(),
-            norm_sq: init.norm_sq(),
+            flat: init.to_vec(),
+            norm_sq: dot_slices(init, init),
             refs: num_devices,
         }];
         Population {
@@ -254,6 +254,11 @@ impl Population {
     /// version id when virtualized.
     pub fn view(&self, m: usize) -> DeviceRef<'_> {
         match self.slot[m] {
+            // Cannot fire: `reserve` sets `slot[m] = RESIDENT` in the same
+            // call that stores the replica, `demote` takes the replica in
+            // the call that writes a version id, and `install` takes both
+            // tables from one `decode` that pairs them
+            // (`check_invariants` holds every run to this).
             RESIDENT => DeviceRef::Resident(
                 self.resident[m]
                     .as_deref()
@@ -400,6 +405,9 @@ impl Population {
             .par_iter_mut()
             .zip(pending.par_iter())
             .for_each(|(slot, p)| {
+                // Cannot fire: phase 1 reserved every participant (or
+                // found it resident), and nothing demotes between phase 1
+                // and this region.
                 let dev = slot.as_deref_mut().expect("participant not resident");
                 if let Some(reserved) = p.reserved {
                     finish_replica(population, dev, p, reserved);
@@ -427,6 +435,8 @@ impl Population {
     ) {
         stale.clear();
         stale.extend(self.residents.iter().copied().filter(|&m| {
+            // Cannot fire: `residents` lists exactly the devices whose
+            // replica is present (see `view`).
             let dev = self.resident[m].as_deref().expect("listed resident");
             dev.cloud_score(epoch).is_none()
         }));
@@ -445,6 +455,9 @@ impl Population {
     /// Panics when `m` is virtualized (callers touch only selected
     /// devices, which phase 1 materialises).
     pub fn get(&self, m: usize) -> &Device {
+        // Fires only on a caller's error, the precondition above: the
+        // simulation asks for devices of the current step's cohorts,
+        // which phase 1 made resident.
         self.resident[m].as_deref().expect("device not resident")
     }
 
@@ -455,6 +468,9 @@ impl Population {
     pub fn gather_mut(&mut self, ids: &[usize]) -> Vec<&mut Device> {
         disjoint_mut(&mut self.resident, ids)
             .into_iter()
+            // Cannot fire for the simulation's calls, which pass the
+            // stale residents `refresh_cloud_scores` just listed; any
+            // other caller must pass resident ids, as documented.
             .map(|slot| slot.as_deref_mut().expect("participant not resident"))
             .collect()
     }
@@ -523,6 +539,8 @@ impl Population {
     /// to the pool. The caller owns `residents` and the version's
     /// reference count.
     fn demote(&mut self, m: usize, version: u32) {
+        // Cannot fire: callers demote only ids taken from `residents`,
+        // which lists exactly the present replicas (see `view`).
         let dev = self.resident[m]
             .take()
             .expect("residents lists a virtualized device");
@@ -784,7 +802,7 @@ fn check_version(versions: &[VersionSlot], m: usize, version: u32) -> Result<(),
 /// re-purposes a pooled replica for it (re-gathering its rows into the
 /// replica's own buffers), then restores the stub's carried state and
 /// loads the reserved version — unless the verdict is `EdgeModel`, whose
-/// init overwrites every parameter and the flat cache anyway.
+/// init overwrites every parameter and the cached norm anyway.
 fn finish_replica(population: &Population, dev: &mut Device, p: &PendingInit, reserved: Reserved) {
     let m = p.device;
     if reserved.recycle {

@@ -8,9 +8,9 @@
 //! device ([`crate::device::Device::cloud_score`]) and per broadcast
 //! version ([`crate::population::Population::version_scores`]); the
 //! fused identity-based kernel behind those caches
-//! ([`update_similarity`], over the cached flat views) runs in the
-//! training job and in the step's refresh pre-pass, which is where the
-//! parallelism lives. The `*_reference` functions keep the original
+//! ([`update_similarity`], over the parameter planes and cached norms)
+//! runs in the training job and in the step's refresh pre-pass, which is
+//! where the parallelism lives. The `*_reference` functions keep the original
 //! allocating implementations, rescoring from scratch, as crate-private
 //! oracles: `Simulation::check_invariants` holds the caches to the
 //! reference scorer, and the simulation's kernel-pair harness holds
@@ -131,7 +131,7 @@ pub fn update_similarity(device: &Device, cloud_flat: &[f32], cloud_norm_sq: f32
 /// [`update_similarity`] on raw flat parameters: the population plane
 /// scores stubs straight off their shared version flats through this
 /// entry point, bitwise-identically to a materialised device whose
-/// cached flat holds the same values.
+/// plane holds the same values.
 pub fn update_similarity_flat(
     local: &[f32],
     local_norm_sq: f32,

@@ -38,7 +38,7 @@ use middle_data::partition::Partition;
 use middle_data::{Confusion, Dataset};
 use middle_mobility::Trace;
 use middle_nn::loss::softmax_cross_entropy;
-use middle_nn::params::{flatten, FlatView};
+use middle_nn::params::flatten;
 use middle_nn::serialize::Checkpoint;
 use middle_nn::Sequential;
 use middle_tensor::ops::dot_slices;
@@ -72,11 +72,10 @@ pub enum StepMode {
 
 /// State of one edge server.
 ///
-/// Alongside the model the edge carries a [`FlatView`] cache mirroring
-/// the device-side cache: selection and on-device aggregation read the
-/// edge's flat parameters every step, and recomputing them per candidate
-/// would dominate the hot path. Code that mutates `model` directly must
-/// call [`EdgeState::refresh_flat`] afterwards.
+/// Selection and on-device aggregation read the edge's flat parameters
+/// every step: that flat is the model's own plane ([`EdgeState::flat`]),
+/// and its squared norm is cached beside it. Code that mutates `model`
+/// directly must call [`EdgeState::refresh_flat`] afterwards.
 pub struct EdgeState {
     /// The edge model `w_n^t`.
     pub model: Sequential,
@@ -87,73 +86,69 @@ pub struct EdgeState {
     /// counting past 2^24 participating samples. The value is cast to
     /// `f32` only after normalisation, inside the cloud aggregation.
     pub window_samples: f64,
-    flat: FlatView,
+    norm_sq: f32,
 }
 
 impl EdgeState {
-    /// Creates an edge state with a fresh flat cache.
+    /// Creates an edge state, its norm computed from the model.
     pub fn new(model: Sequential) -> Self {
-        let flat = FlatView::of(&model);
-        EdgeState {
+        let mut edge = EdgeState {
             model,
             window_samples: 0.0,
-            flat,
-        }
+            norm_sq: 0.0,
+        };
+        edge.refresh_flat();
+        edge
     }
 
-    /// Cached flat parameter vector of the edge model.
+    /// The edge model's flat parameter vector: its parameter plane.
     pub fn flat(&self) -> &[f32] {
-        self.flat.flat()
+        self.model.params()
     }
 
     /// Cached squared L2 norm of the edge model's parameters.
     pub fn flat_norm_sq(&self) -> f32 {
-        self.flat.norm_sq()
+        self.norm_sq
     }
 
-    /// Recomputes the flat cache from the current edge model.
+    /// Recomputes the cached norm from the current edge model.
     pub fn refresh_flat(&mut self) {
-        self.flat.refresh(&self.model);
+        self.norm_sq = dot_slices(self.flat(), self.flat());
     }
 
     /// Overwrites the edge model from a flat vector with known squared
     /// norm (the cloud-broadcast fast path).
     pub fn load_flat(&mut self, flat: &[f32], norm_sq: f32) {
         middle_nn::params::unflatten(&mut self.model, flat);
-        self.flat.set_from_slice(flat, norm_sq);
+        self.norm_sq = norm_sq;
     }
 }
 
-/// The cloud model's cached flat view, and an epoch that counts its
+/// The cloud model's cached squared norm, and an epoch that counts its
 /// refreshes: a device's cached selection score
 /// ([`Device::cloud_score`](crate::device::Device::cloud_score)) is
 /// valid only against the epoch it was computed in, so the two move
 /// together here and nowhere else. The epoch is derived state — a
-/// restore starts a new one — and is never checkpointed.
+/// restore starts a new one — and is never checkpointed. The cloud's
+/// flat is its model's plane.
 struct CloudView {
-    flat: FlatView,
+    norm_sq: f32,
     epoch: u64,
 }
 
 impl CloudView {
     fn of(cloud: &Sequential) -> Self {
+        let flat = cloud.params();
         CloudView {
-            flat: FlatView::of(cloud),
+            norm_sq: dot_slices(flat, flat),
             epoch: 0,
         }
     }
 
     fn refresh(&mut self, cloud: &Sequential) {
-        self.flat.refresh(cloud);
+        let flat = cloud.params();
+        self.norm_sq = dot_slices(flat, flat);
         self.epoch += 1;
-    }
-
-    fn flat(&self) -> &[f32] {
-        self.flat.flat()
-    }
-
-    fn norm_sq(&self) -> f32 {
-        self.flat.norm_sq()
     }
 }
 
@@ -251,10 +246,10 @@ pub struct Simulation {
     // inert).
     pending_uploads: Vec<PendingUpload>,
     delivered_payloads: Vec<Vec<Option<Vec<f32>>>>,
-    // Hot-path state: the cloud's cached flat view (refreshed only when
-    // the cloud model actually changes) and per-step scratch buffers that
+    // Hot-path state: the cloud's cached norm and epoch (refreshed only
+    // when the cloud model actually changes) and per-step scratch buffers that
     // persist across steps so the steady-state loop never allocates.
-    cloud_flat: CloudView,
+    cloud_view: CloudView,
     selection_scratch: SelectionScratch,
     candidates: Vec<usize>,
     selected_per_edge: Vec<Vec<usize>>,
@@ -307,7 +302,7 @@ impl Simulation {
         let edges: Vec<EdgeState> = (0..config.num_edges)
             .map(|_| EdgeState::new(init.clone()))
             .collect();
-        let cloud_flat = CloudView::of(&init);
+        let cloud_view = CloudView::of(&init);
         let selected_per_edge = (0..config.num_edges).map(|_| Vec::new()).collect();
         let delivered_per_edge = (0..config.num_edges).map(|_| Vec::new()).collect();
         let delivered_payloads = (0..config.num_edges).map(|_| Vec::new()).collect();
@@ -317,7 +312,7 @@ impl Simulation {
             config.compression.clone(),
             config.num_devices,
             config.num_edges,
-            cloud_flat.flat().len(),
+            init.param_count(),
             seed,
         );
         Simulation {
@@ -338,7 +333,7 @@ impl Simulation {
             agg_scratch: Vec::new(),
             pending_uploads: Vec::new(),
             delivered_payloads,
-            cloud_flat,
+            cloud_view,
             selection_scratch: SelectionScratch::new(),
             candidates: Vec::new(),
             selected_per_edge,
@@ -458,7 +453,7 @@ impl Simulation {
             // recorded when the deadline was missed.
             self.comm.device_to_edge += 1;
             self.comm.device_to_edge_bytes += p.payload_bytes;
-            self.blend_late_upload(p.edge, p.device, p.flat.0, p.norm_sq);
+            self.blend_late_upload(p.edge, p.device, &p.flat, p.norm_sq);
         }
         self.faults.advance_dropout();
         self.telemetry.stop(Phase::FaultRecovery, timer);
@@ -470,14 +465,14 @@ impl Simulation {
     /// the transfer is the caller's business (on arrival in lockstep,
     /// at send time in the event engine); only the staleness counter
     /// moves here.
-    fn blend_late_upload(&mut self, edge: usize, device: usize, mut flat: Vec<f32>, norm_sq: f32) {
+    fn blend_late_upload(&mut self, edge: usize, device: usize, flat: &[f32], norm_sq: f32) {
         let e = &mut self.edges[edge];
-        let u = similarity_utility_cached(&flat, norm_sq, e.flat(), e.flat_norm_sq());
+        let u = similarity_utility_cached(flat, norm_sq, e.flat(), e.flat_norm_sq());
         let (edge_w, stale_w) = aggregation_weights(u);
-        for (v, &ew) in flat.iter_mut().zip(e.flat()) {
-            *v = edge_w * ew + stale_w * *v;
+        assert_eq!(flat.len(), e.model.param_count(), "late upload length");
+        for (ew, &v) in e.model.params_mut().iter_mut().zip(flat) {
+            *ew = edge_w * *ew + stale_w * v;
         }
-        middle_nn::params::unflatten(&mut e.model, &flat);
         e.refresh_flat();
         self.comm.stale_uploads += 1;
         // A stale merge is still an edge aggregation of this device's
@@ -582,7 +577,7 @@ impl Simulation {
         let misses = (self.pending_uploads.iter())
             .filter(|u| u.owed == Owed::Stale)
             .count();
-        let d = self.cloud_flat.flat().len();
+        let d = self.cloud.param_count();
         let mut stale: Vec<Vec<f32>> = (0..misses).map(|_| Vec::with_capacity(d)).collect();
         let delivered = (self.delivered_payloads.iter_mut().flatten())
             .map(|p| p.get_or_insert_with(|| Vec::with_capacity(d)));
@@ -700,11 +695,11 @@ impl Simulation {
     /// pre-pass here scores whatever is stale regardless.
     fn refresh_selection_scores(&mut self) {
         if self.policy.selection().signal() == SelectionSignal::Similarity {
-            let (flat, norm_sq) = (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
+            let (flat, norm_sq) = (self.cloud.params(), self.cloud_view.norm_sq);
             self.population
                 .version_scores(flat, norm_sq, &mut self.version_scores);
             self.population.refresh_cloud_scores(
-                self.cloud_flat.epoch,
+                self.cloud_view.epoch,
                 flat,
                 norm_sq,
                 &mut self.stale_scores,
@@ -766,7 +761,7 @@ impl Simulation {
             {
                 let population = &self.population;
                 let similarity =
-                    cached_similarity(population, &self.version_scores, self.cloud_flat.epoch);
+                    cached_similarity(population, &self.version_scores, self.cloud_view.epoch);
                 let oort = |m: usize| population.oort_utility(m).unwrap_or(f32::INFINITY);
                 let policy = &self.policy;
                 let cluster = |m: usize| policy.cluster_of(m);
@@ -866,7 +861,7 @@ impl Simulation {
             self.config.optimizer,
         );
         let signal = self.policy.selection().signal();
-        let (edges, cloud) = (&self.edges, &self.cloud_flat);
+        let (edges, cloud, cloud_flat) = (&self.edges, &self.cloud_view, self.cloud.params());
         self.population
             .run_participants(&self.participants, &self.pending_inits, |dev, p| {
                 if let Some(on_device) = p.init {
@@ -882,7 +877,7 @@ impl Simulation {
                 dev.local_train(local_steps, batch_size, &optimizer, t);
                 match signal {
                     SelectionSignal::Similarity => {
-                        dev.refresh_cloud_score(cloud.epoch, cloud.flat(), cloud.norm_sq());
+                        dev.refresh_cloud_score(cloud.epoch, cloud_flat, cloud.norm_sq);
                     }
                     SelectionSignal::Utility => dev.refresh_oort_utility(),
                     SelectionSignal::Nothing => {}
@@ -909,7 +904,7 @@ impl Simulation {
     /// lossy compression plane compresses each edge's sync upload against
     /// the current cloud model and aggregates the reconstructions,
     /// otherwise `cloud_aggregate_into` aggregates the edge models in
-    /// place. The broadcast copies the cloud's flat view. Returns whether
+    /// place. The broadcast copies the cloud's plane. Returns whether
     /// a sync happened.
     fn cloud_sync_now(&mut self) -> bool {
         let mut timer = self.telemetry.start();
@@ -939,7 +934,7 @@ impl Simulation {
             self.telemetry.stop(Phase::CloudSync, timer);
             let compress = self.telemetry.start();
             let mut payloads: Vec<Vec<f32>> = vec![Vec::new(); self.edges.len()];
-            let (edges, cloud) = (&self.edges, self.cloud_flat.flat());
+            let (edges, cloud) = (&self.edges, self.cloud.params());
             let mut jobs: Vec<CompressJob> = (payloads.iter_mut().enumerate())
                 .filter(|&(n, _)| up(n))
                 .map(|(n, payload)| CompressJob {
@@ -958,7 +953,7 @@ impl Simulation {
                 .map(|n| self.edges[n].window_samples)
                 .sum();
             self.agg_scratch.clear();
-            self.agg_scratch.resize(self.cloud_flat.flat().len(), 0.0);
+            self.agg_scratch.resize(self.cloud.param_count(), 0.0);
             for n in (0..self.edges.len()).filter(|&n| up(n)) {
                 let w = if total > 0.0 {
                     (self.edges[n].window_samples / total) as f32
@@ -976,7 +971,7 @@ impl Simulation {
                 .map(|(_, e)| (&e.model, e.window_samples));
             cloud_aggregate_into(&mut self.cloud, parts);
         }
-        self.cloud_flat.refresh(&self.cloud);
+        self.cloud_view.refresh(&self.cloud);
 
         let reached = match mask {
             Some(up) => Reached::Mask {
@@ -985,7 +980,7 @@ impl Simulation {
             },
             None => Reached::All,
         };
-        let (flat, norm_sq) = (self.cloud_flat.flat(), self.cloud_flat.norm_sq());
+        let (flat, norm_sq) = (self.cloud.params(), self.cloud_view.norm_sq);
         for (n, edge) in self.edges.iter_mut().enumerate() {
             if up(n) {
                 edge.load_flat(flat, norm_sq);
@@ -1213,7 +1208,7 @@ impl Simulation {
         self.telemetry.stop(Phase::FaultRecovery, timer);
         // The in-flight payload is snapshotted at send time — lossy runs
         // ship the compressed reconstruction, compressed as one batch.
-        let d = self.cloud_flat.flat().len();
+        let d = self.cloud.param_count();
         let mut payloads: Vec<Vec<f32>> = (0..sends.len()).map(|_| Vec::with_capacity(d)).collect();
         if lossy {
             let timer = self.telemetry.start();
@@ -1264,7 +1259,7 @@ impl Simulation {
             if let Some(flat) = snapshot {
                 let timer = self.telemetry.start();
                 let norm_sq = dot_slices(&flat, &flat);
-                self.blend_late_upload(edge, device, flat, norm_sq);
+                self.blend_late_upload(edge, device, &flat, norm_sq);
                 self.telemetry.stop(Phase::FaultRecovery, timer);
             }
             return;
@@ -1407,7 +1402,7 @@ impl Simulation {
             comm: self.comm,
             syncs: self.syncs,
             active_steps: self.active_steps,
-            param_count: self.cloud_flat.flat().len() as u64,
+            param_count: self.cloud.param_count() as u64,
             telemetry: self.telemetry.report(),
             event_seconds: if self.config.timeline.event_mode() {
                 Some(self.timeline.clock())
@@ -1502,7 +1497,7 @@ impl Simulation {
         if ck.faults.device_down.len() != self.population.len() {
             return Err(mismatch("fault-plane device count".into()));
         }
-        let params = self.cloud_flat.flat().len();
+        let params = self.cloud.param_count();
         if let Some(p) = ck.faults.pending.iter().find(|p| {
             p.edge >= self.edges.len()
                 || p.device >= self.population.len()
@@ -1583,7 +1578,7 @@ impl Simulation {
 
         // Everything fits: from here on nothing can fail.
         ck.cloud.restore(&mut self.cloud).map_err(&mismatch)?;
-        self.cloud_flat.refresh(&self.cloud);
+        self.cloud_view.refresh(&self.cloud);
         for (edge, eck) in self.edges.iter_mut().zip(&ck.edges) {
             eck.params.restore(&mut edge.model).map_err(&mismatch)?;
             edge.window_samples = eck.window_samples;
@@ -1636,7 +1631,7 @@ impl Simulation {
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         self.population
-            .check_invariants(self.cloud_flat.epoch, &flatten(&self.cloud));
+            .check_invariants(self.cloud_view.epoch, &flatten(&self.cloud));
     }
 
     /// Builds the evaluation point for time step `t`.
@@ -1737,7 +1732,7 @@ fn cohort_samples(partition: &Partition, cohort: &[usize]) -> usize {
     cohort.iter().map(|&m| partition.device_len(m)).sum()
 }
 
-/// A cohort member's live parameters: its model and their flat view.
+/// A cohort member's live parameters: its model and its plane.
 fn member_of(population: &Population, m: usize) -> (&Sequential, &[f32]) {
     let dev = population.get(m);
     (&dev.model, dev.flat())
@@ -1750,9 +1745,9 @@ fn member_of(population: &Population, m: usize) -> (&Sequential, &[f32]) {
 /// arms:
 ///
 /// * given payloads — an async wave's send-time snapshots, or any
-///   round's reconstructions under a lossy plane — are averaged into the
-///   edge's own flat buffer (a member without one contributes its live
-///   flat), which then overwrites the model;
+///   round's reconstructions under a lossy plane — are averaged straight
+///   into the edge model's plane (a member without one contributes its
+///   live flat);
 /// * otherwise `edge_aggregate_into` aggregates the live models in
 ///   place.
 fn aggregate_edge<'a>(
@@ -1767,30 +1762,27 @@ fn aggregate_edge<'a>(
     }
     let total = cohort_samples(partition, cohort);
     if payloads.iter().any(Option::is_some) {
-        let (total, len) = (total as f32, edge.flat.len());
-        edge.flat.fill_with(|acc| {
-            acc.clear();
-            acc.resize(len, 0.0);
-            for (i, &m) in cohort.iter().enumerate() {
-                let w = partition.device_len(m) as f32 / total;
-                let flat = match payloads.get(i).and_then(Option::as_ref) {
-                    Some(p) => p,
-                    None => member(m).1,
-                };
-                for (a, &r) in acc.iter_mut().zip(flat) {
-                    *a += w * r;
-                }
+        let total = total as f32;
+        let acc = edge.model.params_mut();
+        acc.fill(0.0);
+        for (i, &m) in cohort.iter().enumerate() {
+            let w = partition.device_len(m) as f32 / total;
+            let flat = match payloads.get(i).and_then(Option::as_ref) {
+                Some(p) => p,
+                None => member(m).1,
+            };
+            for (a, &r) in acc.iter_mut().zip(flat) {
+                *a += w * r;
             }
-        });
-        middle_nn::params::unflatten(&mut edge.model, edge.flat.flat());
+        }
     } else {
         let member = &member;
         edge_aggregate_into(
             &mut edge.model,
             (cohort.iter()).map(|&m| (member(m).0, partition.device_len(m))),
         );
-        edge.refresh_flat();
     }
+    edge.refresh_flat();
 }
 
 /// Eq. 6 across edges: [`aggregate_edge`] for every edge, over its

@@ -109,7 +109,7 @@ fn selection_pair(sim: &mut Simulation, what: &str, hits: &mut Hits) {
     let sim = &*sim;
     let population = &sim.population;
     let cloud = flatten(&sim.cloud);
-    let cached = cached_similarity(population, &sim.version_scores, sim.cloud_flat.epoch);
+    let cached = cached_similarity(population, &sim.version_scores, sim.cloud_view.epoch);
     let fresh = |m: usize| match population.view(m) {
         DeviceRef::Resident(dev) => update_similarity_reference(dev, &cloud),
         DeviceRef::Stub(v) => update_similarity_reference_flat(population.version_flat(v), &cloud),
@@ -359,7 +359,7 @@ fn cloud_pair(sim: &Simulation, what: &str, hits: &mut Hits) {
     }
 
     let up = |n: usize| sim.wan_up.get(n).is_none_or(|&up| up);
-    let (flat, norm_sq) = (sim.cloud_flat.flat(), sim.cloud_flat.norm_sq());
+    let (flat, norm_sq) = (sim.cloud.params(), sim.cloud_view.norm_sq);
     let edge_bits = |e: &EdgeState| {
         (
             bits(&e.model),
@@ -415,7 +415,7 @@ fn compress_pair(sim: &Simulation, what: &str, hits: &mut Hits) {
             )
         })
         .collect();
-    let cloud = sim.cloud_flat.flat();
+    let cloud = sim.cloud.params();
     uploads.extend(
         (sim.edges.iter().enumerate()).map(|(n, e)| (Sender::Edge(n), e.flat(), cloud, true)),
     );

@@ -1,40 +1,14 @@
-//! The [`Layer`] trait and trainable [`Param`] storage.
+//! The [`Layer`] trait.
+//!
+//! A layer holds its shapes and, between a forward and its backward,
+//! whatever that pair caches; its parameters live in the owning
+//! [`crate::model::Sequential`]'s one parameter plane, and every pass is
+//! handed the layer's slice of it. Gradients live in a plane of the
+//! trainer's ([`crate::scratch::NetScratch`] on the workspace path), of
+//! which a backward pass is handed the same slice.
 
 use middle_tensor::conv::ConvScratch;
 use middle_tensor::Tensor;
-use serde::{Deserialize, Serialize};
-
-/// A trainable parameter tensor paired with its gradient accumulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Param {
-    /// Current parameter values.
-    pub value: Tensor,
-    /// Gradient of the loss w.r.t. `value`, accumulated by `backward`.
-    pub grad: Tensor,
-}
-
-impl Param {
-    /// Wraps an initial value with a zeroed gradient of the same shape.
-    pub fn new(value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.shape().clone());
-        Param { value, grad }
-    }
-
-    /// Number of scalar parameters.
-    pub fn len(&self) -> usize {
-        self.value.len()
-    }
-
-    /// True when the parameter holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.value.is_empty()
-    }
-
-    /// Clears the accumulated gradient.
-    pub fn zero_grad(&mut self) {
-        self.grad.data_mut().fill(0.0);
-    }
-}
 
 /// Per-layer reusable workspace for the zero-allocation train path.
 ///
@@ -53,7 +27,8 @@ pub enum LayerWs {
         /// The padded batch the forward leaves for the backward, and the
         /// backward's own staging buffers.
         scratch: ConvScratch,
-        /// Weight-gradient staging, added into [`Param::grad`] per batch.
+        /// Weight-gradient staging, added into the gradient plane per
+        /// batch.
         dw: Tensor,
         /// Bias-gradient staging.
         db: Tensor,
@@ -74,41 +49,59 @@ pub enum LayerWs {
 
 /// One differentiable stage of a [`crate::model::Sequential`] network.
 ///
+/// Every pass takes `params`, the layer's slice of the model's parameter
+/// plane: its parameter tensors back to back in the order of
+/// [`Layer::param_lens`] (a parameterless layer gets an empty slice).
 /// The forward pass may cache whatever it needs for the backward pass
 /// (inputs, masks, argmax tables); `backward` must be called after the
 /// matching `forward`, with the upstream gradient of the forward output,
-/// and returns the gradient w.r.t. the forward input while accumulating
-/// parameter gradients into [`Param::grad`].
+/// and returns the gradient w.r.t. the forward input while adding the
+/// parameter gradients into `grads`, the layer's slice of a gradient
+/// plane laid out like `params`.
 pub trait Layer: Send + Sync {
     /// Human-readable layer name for summaries and error messages.
     fn name(&self) -> &'static str;
 
     /// Forward pass. `train` enables training-only behaviour (dropout).
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    fn forward(&mut self, params: &[f32], input: &Tensor, train: bool) -> Tensor;
 
-    /// Backward pass: upstream gradient in, input gradient out.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// Backward pass: upstream gradient in, input gradient out; the
+    /// parameter gradients are added into `grads`.
+    fn backward(&mut self, params: &[f32], grads: &mut [f32], grad_out: &Tensor) -> Tensor;
 
     /// Cache-free evaluation-mode forward pass.
     ///
-    /// Semantically equivalent to `forward(input, false)` but takes
-    /// `&self`: no backward caches are written, so shared references to a
-    /// model can run inference concurrently. The default falls back to
-    /// cloning the layer; every concrete layer overrides it with a
-    /// direct computation.
-    fn infer(&self, input: &Tensor) -> Tensor {
+    /// Semantically equivalent to `forward(params, input, false)` but
+    /// takes `&self`: no backward caches are written, so shared
+    /// references to a model can run inference concurrently. The default
+    /// falls back to cloning the layer; every concrete layer overrides
+    /// it with a direct computation.
+    fn infer(&self, params: &[f32], input: &Tensor) -> Tensor {
         let mut scratch = self.clone_box();
-        scratch.forward(input, false)
+        scratch.forward(params, input, false)
     }
 
-    /// Mutable access to this layer's trainable parameters (possibly none).
-    fn params_mut(&mut self) -> &mut [Param] {
-        &mut []
-    }
-
-    /// Shared access to this layer's trainable parameters (possibly none).
-    fn params(&self) -> &[Param] {
+    /// Lengths of the layer's parameter tensors, in canonical order (a
+    /// dense layer's weight, then its bias); empty for a parameterless
+    /// layer. Their sum is the length of the layer's slice of the plane.
+    fn param_lens(&self) -> &[usize] {
         &[]
+    }
+
+    /// Moves out the layer's initial parameter values, laid out as
+    /// [`Layer::param_lens`] says. [`crate::model::Sequential::push`]
+    /// appends them to the model's plane, after which the layer holds
+    /// shapes only and this returns an empty vector.
+    fn take_params(&mut self) -> Vec<f32> {
+        Vec::new()
+    }
+
+    /// Heap bytes of the values the layer holds: backward caches, and
+    /// initial parameters not yet taken. Zero for a layer of a model
+    /// that trains through the workspace path.
+    #[doc(hidden)]
+    fn held_bytes(&self) -> usize {
+        0
     }
 
     /// Clones the layer behind the trait object (models are cloned per
@@ -117,10 +110,9 @@ pub trait Layer: Send + Sync {
 
     /// Returns the layer's non-parameter state to what
     /// [`Layer::clone_box`] hands out: backward caches dropped, a
-    /// layer-owned rng re-seeded. Parameters and gradients are left
-    /// alone. A pooled model is re-purposed for another device through
-    /// this, so whatever a layer carries between batches besides its
-    /// parameters must be reset here.
+    /// layer-owned rng re-seeded. A pooled model is re-purposed for
+    /// another device through this, so whatever a layer carries between
+    /// batches besides its parameters must be reset here.
     fn reset_state(&mut self) {}
 
     /// Workspace-backed forward pass writing into caller-owned `out`.
@@ -133,22 +125,31 @@ pub trait Layer: Send + Sync {
     /// tensors explicitly. The default falls back to the allocating
     /// [`Layer::forward`] (which caches), so unoverridden layers keep
     /// working through their cache-based [`Layer::backward`].
-    fn forward_into(&mut self, input: &Tensor, train: bool, ws: &mut LayerWs, out: &mut Tensor) {
+    fn forward_into(
+        &mut self,
+        params: &[f32],
+        input: &Tensor,
+        train: bool,
+        ws: &mut LayerWs,
+        out: &mut Tensor,
+    ) {
         let _ = ws;
-        *out = self.forward(input, train);
+        *out = self.forward(params, input, train);
     }
 
     /// Workspace-backed backward pass writing into caller-owned `grad_in`.
     ///
     /// `input`/`output` are the exact tensors seen/produced by the
-    /// matching [`Layer::forward_into`]. Parameter gradients accumulate
-    /// into [`Param::grad`] exactly like [`Layer::backward`]. When
+    /// matching [`Layer::forward_into`]. Parameter gradients are added
+    /// into `grads` exactly like [`Layer::backward`] adds them. When
     /// `need_grad_in` is false the input gradient may be skipped entirely
     /// (the first layer of a network never needs one) and `grad_in` is
     /// left unspecified.
     #[allow(clippy::too_many_arguments)]
     fn backward_into(
         &mut self,
+        params: &[f32],
+        grads: &mut [f32],
         input: &Tensor,
         output: &Tensor,
         grad_out: &Tensor,
@@ -157,7 +158,7 @@ pub trait Layer: Send + Sync {
         need_grad_in: bool,
     ) {
         let _ = (input, output, ws);
-        let g = self.backward(grad_out);
+        let g = self.backward(params, grads, grad_out);
         if need_grad_in {
             *grad_in = g;
         }
@@ -165,9 +166,20 @@ pub trait Layer: Send + Sync {
 
     /// Workspace-backed evaluation-mode forward pass into caller-owned
     /// `out`. Bitwise-identical to [`Layer::infer`].
-    fn infer_into(&self, input: &Tensor, ws: &mut LayerWs, out: &mut Tensor) {
+    fn infer_into(&self, params: &[f32], input: &Tensor, ws: &mut LayerWs, out: &mut Tensor) {
         let _ = ws;
-        *out = self.infer(input);
+        *out = self.infer(params, input);
+    }
+}
+
+/// `grads += staged`, elementwise: a backward pass's compute-then-add of
+/// one parameter tensor's gradient. Adding into the zeroed plane, rather
+/// than storing, keeps a `-0.0` gradient `+0.0`, as a fresh accumulator
+/// always made it.
+pub(crate) fn add_grad(grads: &mut [f32], staged: &[f32]) {
+    assert_eq!(grads.len(), staged.len(), "gradient slice length");
+    for (g, &d) in grads.iter_mut().zip(staged) {
+        *g += d;
     }
 }
 
@@ -182,17 +194,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn param_starts_with_zero_grad() {
-        let p = Param::new(Tensor::ones([3]));
-        assert_eq!(p.grad.data(), &[0., 0., 0.]);
-        assert_eq!(p.len(), 3);
-    }
-
-    #[test]
-    fn zero_grad_clears() {
-        let mut p = Param::new(Tensor::ones([2]));
-        p.grad.data_mut().copy_from_slice(&[5., 6.]);
-        p.zero_grad();
-        assert_eq!(p.grad.data(), &[0., 0.]);
+    fn add_grad_keeps_a_negative_zero_positive() {
+        let mut plane = [0.0f32, 1.0];
+        add_grad(&mut plane, &[-0.0, 2.0]);
+        assert_eq!(plane[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(plane[1], 3.0);
     }
 }

@@ -21,7 +21,7 @@ impl Layer for Relu {
         "relu"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Tensor {
         let mut out = input.clone();
         let mask: Vec<bool> = out
             .data_mut()
@@ -38,11 +38,11 @@ impl Layer for Relu {
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
+    fn infer(&self, _params: &[f32], input: &Tensor) -> Tensor {
         input.map(|x| if x > 0.0 { x } else { 0.0 })
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad_out: &Tensor) -> Tensor {
         let mask = self.mask.as_ref().expect("backward called before forward");
         assert_eq!(
             mask.len(),
@@ -58,6 +58,10 @@ impl Layer for Relu {
         out
     }
 
+    fn held_bytes(&self) -> usize {
+        self.mask.as_ref().map_or(0, Vec::len)
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(Relu { mask: None })
     }
@@ -66,12 +70,21 @@ impl Layer for Relu {
         self.mask = None;
     }
 
-    fn forward_into(&mut self, input: &Tensor, _train: bool, _ws: &mut LayerWs, out: &mut Tensor) {
+    fn forward_into(
+        &mut self,
+        _params: &[f32],
+        input: &Tensor,
+        _train: bool,
+        _ws: &mut LayerWs,
+        out: &mut Tensor,
+    ) {
         relu_into(input, out);
     }
 
     fn backward_into(
         &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
         _input: &Tensor,
         output: &Tensor,
         grad_out: &Tensor,
@@ -97,7 +110,7 @@ impl Layer for Relu {
         }
     }
 
-    fn infer_into(&self, input: &Tensor, _ws: &mut LayerWs, out: &mut Tensor) {
+    fn infer_into(&self, _params: &[f32], input: &Tensor, _ws: &mut LayerWs, out: &mut Tensor) {
         relu_into(input, out);
     }
 }
@@ -131,17 +144,17 @@ impl Layer for Tanh {
         "tanh"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Tensor {
         let out = input.map(|x| x.tanh());
         self.cached_output = Some(out.clone());
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
+    fn infer(&self, _params: &[f32], input: &Tensor) -> Tensor {
         input.map(|x| x.tanh())
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad_out: &Tensor) -> Tensor {
         let y = self
             .cached_output
             .as_ref()
@@ -151,6 +164,10 @@ impl Layer for Tanh {
             *g *= 1.0 - yv * yv;
         }
         out
+    }
+
+    fn held_bytes(&self) -> usize {
+        size_of::<f32>() * self.cached_output.as_ref().map_or(0, Tensor::len)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -171,15 +188,19 @@ mod tests {
     #[test]
     fn relu_forward_clamps_negatives() {
         let mut r = Relu::new();
-        let y = r.forward(&Tensor::from_vec([4], vec![-1., 0., 2., -3.]), true);
+        let y = r.forward(&[], &Tensor::from_vec([4], vec![-1., 0., 2., -3.]), true);
         assert_eq!(y.data(), &[0., 0., 2., 0.]);
     }
 
     #[test]
     fn relu_backward_masks_gradient() {
         let mut r = Relu::new();
-        r.forward(&Tensor::from_vec([4], vec![-1., 0.5, 2., -3.]), true);
-        let dx = r.backward(&Tensor::from_vec([4], vec![10., 10., 10., 10.]));
+        r.forward(&[], &Tensor::from_vec([4], vec![-1., 0.5, 2., -3.]), true);
+        let dx = r.backward(
+            &[],
+            &mut [],
+            &Tensor::from_vec([4], vec![10., 10., 10., 10.]),
+        );
         assert_eq!(dx.data(), &[0., 10., 10., 0.]);
     }
 
@@ -187,8 +208,8 @@ mod tests {
     fn relu_gradient_at_zero_is_zero() {
         // Subgradient convention: x == 0 blocks the gradient.
         let mut r = Relu::new();
-        r.forward(&Tensor::from_vec([1], vec![0.0]), true);
-        let dx = r.backward(&Tensor::from_vec([1], vec![5.0]));
+        r.forward(&[], &Tensor::from_vec([1], vec![0.0]), true);
+        let dx = r.backward(&[], &mut [], &Tensor::from_vec([1], vec![5.0]));
         assert_eq!(dx.data(), &[0.0]);
     }
 
@@ -196,8 +217,8 @@ mod tests {
     fn tanh_matches_finite_difference() {
         let mut t = Tanh::new();
         let x = Tensor::from_vec([3], vec![-0.7, 0.0, 1.3]);
-        t.forward(&x, true);
-        let dx = t.backward(&Tensor::ones([3]));
+        t.forward(&[], &x, true);
+        let dx = t.backward(&[], &mut [], &Tensor::ones([3]));
         let eps = 1e-3;
         for i in 0..3 {
             let fd = ((x.data()[i] + eps).tanh() - (x.data()[i] - eps).tanh()) / (2.0 * eps);

@@ -1,10 +1,13 @@
 //! Fully connected (affine) layer.
 
-use crate::layer::{Layer, LayerWs, Param};
-use middle_tensor::matmul::{matmul_at, matmul_at_into, matmul_bt, matmul_bt_into, matmul_into};
+use crate::layer::{add_grad, Layer, LayerWs};
+use middle_tensor::matmul::{
+    matmul_at, matmul_at_into, matmul_bt_into, matmul_bt_into_reference, matmul_into,
+    matmul_into_reference,
+};
 use middle_tensor::random::xavier_uniform;
 use middle_tensor::reduce::sum_axis0;
-use middle_tensor::{ops, Tensor};
+use middle_tensor::Tensor;
 use rand::rngs::StdRng;
 
 /// Coerces a workspace slot to the dense variant, initialising it lazily.
@@ -24,12 +27,16 @@ fn dense_ws(ws: &mut LayerWs) -> (&mut Tensor, &mut Tensor) {
 /// Affine layer `y = x · Wᵀ + b` over `[N, in]` activations.
 ///
 /// Weights are stored `[out, in]` so the forward pass is a fused
-/// `matmul_bt` and the backward weight gradient is `dyᵀ · x`.
+/// `matmul_bt` and the backward weight gradient is `dyᵀ · x`. The
+/// layer's slice of the parameter plane is the weight, then the bias.
 pub struct Dense {
-    /// `[weight [out, in], bias [out]]`, in canonical parameter order.
-    params: [Param; 2],
     in_features: usize,
     out_features: usize,
+    /// `[out · in, out]`: the weight's and the bias's lengths.
+    lens: [usize; 2],
+    /// Initial weight and bias until [`Layer::take_params`] moves them
+    /// into a model's plane.
+    init: Vec<f32>,
     cached_input: Option<Tensor>,
 }
 
@@ -37,13 +44,13 @@ impl Dense {
     /// Creates a dense layer with Xavier-uniform weights and zero bias.
     pub fn new(in_features: usize, out_features: usize, rng: &mut StdRng) -> Self {
         let weight = xavier_uniform([out_features, in_features], in_features, out_features, rng);
+        let mut init = weight.into_vec();
+        init.resize(init.len() + out_features, 0.0);
         Dense {
-            params: [
-                Param::new(weight),
-                Param::new(Tensor::zeros([out_features])),
-            ],
             in_features,
             out_features,
+            lens: [out_features * in_features, out_features],
+            init,
             cached_input: None,
         }
     }
@@ -58,21 +65,76 @@ impl Dense {
         self.out_features
     }
 
-    fn weight(&self) -> &Tensor {
-        &self.params[0].value
+    /// The weight and the bias, the layer's slice `params` split.
+    fn split<'p>(&self, params: &'p [f32]) -> (&'p [f32], &'p [f32]) {
+        assert_eq!(params.len(), self.lens[0] + self.lens[1], "dense params");
+        params.split_at(self.lens[0])
     }
 
-    fn bias(&self) -> &Tensor {
-        &self.params[1].value
+    fn check_input(&self, input: &Tensor) {
+        assert_eq!(input.shape().rank(), 2, "dense input must be [N, in]");
+        assert_eq!(
+            input.shape().dim(1),
+            self.in_features,
+            "dense input features mismatch"
+        );
+    }
+
+    /// The allocating forward: the reference `a · bᵀ` kernel, then the
+    /// broadcast bias add.
+    fn affine(&self, params: &[f32], input: &Tensor) -> Tensor {
+        self.check_input(input);
+        let (weight, bias) = self.split(params);
+        let n = input.shape().dim(0);
+        let mut out = Tensor::zeros([n, self.out_features]);
+        matmul_bt_into_reference(
+            input.data(),
+            weight,
+            out.data_mut(),
+            n,
+            self.in_features,
+            self.out_features,
+        );
+        add_bias_rows(out.data_mut(), bias);
+        out
+    }
+
+    /// `out = input · Wᵀ + b` into caller-owned storage — the shared core
+    /// of `forward_into`/`infer_into`, bitwise-identical to the
+    /// allocating path's reference kernel and bias add.
+    fn affine_into(&self, params: &[f32], input: &Tensor, out: &mut Tensor) {
+        self.check_input(input);
+        let (weight, bias) = self.split(params);
+        let n = input.shape().dim(0);
+        out.resize([n, self.out_features]);
+        matmul_bt_into(
+            input.data(),
+            weight,
+            out.data_mut(),
+            n,
+            self.in_features,
+            self.out_features,
+        );
+        add_bias_rows(out.data_mut(), bias);
+    }
+}
+
+/// Adds `bias` to every row of `out` (rows of `bias.len()` values).
+fn add_bias_rows(out: &mut [f32], bias: &[f32]) {
+    for row in out.chunks_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v += b;
+        }
     }
 }
 
 impl Clone for Dense {
     fn clone(&self) -> Self {
         Dense {
-            params: self.params.clone(),
             in_features: self.in_features,
             out_features: self.out_features,
+            lens: self.lens,
+            init: self.init.clone(),
             cached_input: None,
         }
     }
@@ -83,51 +145,51 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(input.shape().rank(), 2, "dense input must be [N, in]");
-        assert_eq!(
-            input.shape().dim(1),
-            self.in_features,
-            "dense input features mismatch"
-        );
+    fn forward(&mut self, params: &[f32], input: &Tensor, _train: bool) -> Tensor {
+        let out = self.affine(params, input);
         self.cached_input = Some(input.clone());
-        let mut out = matmul_bt(input, self.weight());
-        ops::add_inplace(&mut out, self.bias());
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        assert_eq!(input.shape().rank(), 2, "dense input must be [N, in]");
-        assert_eq!(
-            input.shape().dim(1),
-            self.in_features,
-            "dense input features mismatch"
-        );
-        let mut out = matmul_bt(input, self.weight());
-        ops::add_inplace(&mut out, self.bias());
-        out
+    fn infer(&self, params: &[f32], input: &Tensor) -> Tensor {
+        self.affine(params, input)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, params: &[f32], grads: &mut [f32], grad_out: &Tensor) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
             .expect("backward called before forward");
-        let [weight, bias] = &mut self.params;
+        let (weight, _) = self.split(params);
+        let (gw, gb) = grads.split_at_mut(self.lens[0]);
         // dW = dyᵀ · x  ([out, N]·[N, in] = [out, in]), via matmul_at(dy, x).
-        let dw = matmul_at(grad_out, input);
-        ops::add_inplace(&mut weight.grad, &dw);
-        ops::add_inplace(&mut bias.grad, &sum_axis0(grad_out));
+        add_grad(gw, matmul_at(grad_out, input).data());
+        add_grad(gb, sum_axis0(grad_out).data());
         // dx = dy · W  ([N, out]·[out, in]).
-        middle_tensor::matmul::matmul(grad_out, &weight.value)
+        let n = grad_out.shape().dim(0);
+        let mut dx = Tensor::zeros([n, self.in_features]);
+        matmul_into_reference(
+            grad_out.data(),
+            weight,
+            dx.data_mut(),
+            n,
+            self.out_features,
+            self.in_features,
+        );
+        dx
     }
 
-    fn params_mut(&mut self) -> &mut [Param] {
-        &mut self.params
+    fn param_lens(&self) -> &[usize] {
+        &self.lens
     }
 
-    fn params(&self) -> &[Param] {
-        &self.params
+    fn take_params(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.init)
+    }
+
+    fn held_bytes(&self) -> usize {
+        let cached = self.cached_input.as_ref().map_or(0, Tensor::len);
+        size_of::<f32>() * (self.init.capacity() + cached)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -138,12 +200,21 @@ impl Layer for Dense {
         self.cached_input = None;
     }
 
-    fn forward_into(&mut self, input: &Tensor, _train: bool, _ws: &mut LayerWs, out: &mut Tensor) {
-        self.affine_into(input, out);
+    fn forward_into(
+        &mut self,
+        params: &[f32],
+        input: &Tensor,
+        _train: bool,
+        _ws: &mut LayerWs,
+        out: &mut Tensor,
+    ) {
+        self.affine_into(params, input, out);
     }
 
     fn backward_into(
         &mut self,
+        params: &[f32],
+        grads: &mut [f32],
         input: &Tensor,
         _output: &Tensor,
         grad_out: &Tensor,
@@ -154,13 +225,14 @@ impl Layer for Dense {
         let (dw, db) = dense_ws(ws);
         let n = grad_out.shape().dim(0);
         let (out_f, in_f) = (self.out_features, self.in_features);
-        let [weight, bias] = &mut self.params;
+        let (weight, _) = self.split(params);
+        let (gw, gb) = grads.split_at_mut(self.lens[0]);
 
-        // dW = dyᵀ · x, staged into ws then accumulated — the same
-        // compute-then-add sequence as the allocating path.
+        // dW = dyᵀ · x, staged into ws then added into the plane — the
+        // same compute-then-add sequence as the allocating path.
         dw.resize([out_f, in_f]);
         matmul_at_into(grad_out.data(), input.data(), dw.data_mut(), out_f, n, in_f);
-        ops::add_inplace(&mut weight.grad, dw);
+        add_grad(gw, dw.data());
 
         // dbias = column sums of dy, with `sum_axis0`'s row-ascending order.
         db.resize([out_f]);
@@ -170,54 +242,17 @@ impl Layer for Dense {
                 *o += v;
             }
         }
-        ops::add_inplace(&mut bias.grad, db);
+        add_grad(gb, db.data());
 
         if need_grad_in {
             // dx = dy · W.
             grad_in.resize([n, in_f]);
-            matmul_into(
-                grad_out.data(),
-                weight.value.data(),
-                grad_in.data_mut(),
-                n,
-                out_f,
-                in_f,
-            );
+            matmul_into(grad_out.data(), weight, grad_in.data_mut(), n, out_f, in_f);
         }
     }
 
-    fn infer_into(&self, input: &Tensor, _ws: &mut LayerWs, out: &mut Tensor) {
-        self.affine_into(input, out);
-    }
-}
-
-impl Dense {
-    /// `out = input · Wᵀ + b` into caller-owned storage — the shared core
-    /// of `forward_into`/`infer_into`, bitwise-identical to the
-    /// `matmul_bt` + broadcast-add of the allocating path.
-    fn affine_into(&self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(input.shape().rank(), 2, "dense input must be [N, in]");
-        assert_eq!(
-            input.shape().dim(1),
-            self.in_features,
-            "dense input features mismatch"
-        );
-        let n = input.shape().dim(0);
-        out.resize([n, self.out_features]);
-        matmul_bt_into(
-            input.data(),
-            self.weight().data(),
-            out.data_mut(),
-            n,
-            self.in_features,
-            self.out_features,
-        );
-        let bias = self.bias().data();
-        for row in out.data_mut().chunks_mut(self.out_features) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
+    fn infer_into(&self, params: &[f32], input: &Tensor, _ws: &mut LayerWs, out: &mut Tensor) {
+        self.affine_into(params, input, out);
     }
 }
 
@@ -229,24 +264,25 @@ mod tests {
     #[test]
     fn forward_matches_manual_affine() {
         let mut d = Dense::new(2, 3, &mut rng(1));
-        // Overwrite with known weights.
-        d.params[0].value = Tensor::from_vec([3, 2], vec![1., 0., 0., 1., 1., 1.]);
-        d.params[1].value = Tensor::from_vec([3], vec![0.5, -0.5, 0.0]);
+        // Known weights [3, 2], then the bias.
+        let params = [1., 0., 0., 1., 1., 1., 0.5, -0.5, 0.0];
         let x = Tensor::from_vec([1, 2], vec![2., 3.]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&params, &x, true);
         assert_eq!(y.data(), &[2.5, 2.5, 5.0]);
     }
 
     #[test]
     fn gradients_match_finite_differences() {
         let mut d = Dense::new(3, 2, &mut rng(7));
+        let mut params = d.take_params();
+        let mut grads = vec![0.0; params.len()];
         let x = Tensor::from_vec([2, 3], vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&params, &x, true);
         let dout = Tensor::ones(y.shape().clone());
-        let dx = d.backward(&dout);
+        let dx = d.backward(&params, &mut grads, &dout);
 
         let eps = 1e-3;
-        let loss = |d: &mut Dense, x: &Tensor| d.forward(x, true).sum();
+        let loss = |d: &mut Dense, p: &[f32], x: &Tensor| d.forward(p, x, true).sum();
 
         // Input gradient.
         for i in 0..x.len() {
@@ -254,37 +290,43 @@ mod tests {
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let fd = (loss(&mut d, &xp) - loss(&mut d, &xm)) / (2.0 * eps);
+            let fd = (loss(&mut d, &params, &xp) - loss(&mut d, &params, &xm)) / (2.0 * eps);
             assert!((fd - dx.data()[i]).abs() < 1e-2, "dx[{i}]");
         }
         // Weight gradient (spot check).
-        let wg = d.params()[0].grad.clone();
         for i in [0usize, 3, 5] {
-            let orig = d.params[0].value.data()[i];
-            d.params[0].value.data_mut()[i] = orig + eps;
-            let lp = loss(&mut d, &x);
-            d.params[0].value.data_mut()[i] = orig - eps;
-            let lm = loss(&mut d, &x);
-            d.params[0].value.data_mut()[i] = orig;
+            let orig = params[i];
+            params[i] = orig + eps;
+            let lp = loss(&mut d, &params, &x);
+            params[i] = orig - eps;
+            let lm = loss(&mut d, &params, &x);
+            params[i] = orig;
             let fd = (lp - lm) / (2.0 * eps);
-            assert!((fd - wg.data()[i]).abs() < 1e-2, "dw[{i}]");
+            assert!((fd - grads[i]).abs() < 1e-2, "dw[{i}]");
         }
     }
 
     #[test]
-    fn clone_resets_cache_but_keeps_params() {
+    fn clone_resets_cache_and_take_params_leaves_shapes_only() {
         let mut d = Dense::new(2, 2, &mut rng(3));
-        let x = Tensor::from_vec([1, 2], vec![1., 2.]);
-        d.forward(&x, true);
         let c = d.clone();
-        assert_eq!(c.params()[0].value, d.params()[0].value);
-        assert!(c.cached_input.is_none());
+        let params = d.take_params();
+        assert_eq!(params.len(), 6);
+        assert_eq!(d.param_lens(), &[4, 2]);
+        assert_eq!(d.held_bytes(), 0);
+        assert!(d.take_params().is_empty());
+        let x = Tensor::from_vec([1, 2], vec![1., 2.]);
+        d.forward(&params, &x, true);
+        assert_eq!(d.held_bytes(), 8);
+        assert!(d.clone().cached_input.is_none());
+        assert_eq!(c.init, params);
     }
 
     #[test]
     #[should_panic(expected = "features mismatch")]
     fn wrong_input_width_panics() {
         let mut d = Dense::new(4, 2, &mut rng(1));
-        d.forward(&Tensor::zeros([1, 3]), true);
+        let params = d.take_params();
+        d.forward(&params, &Tensor::zeros([1, 3]), true);
     }
 }

@@ -38,7 +38,7 @@ impl Layer for Dropout {
         "dropout"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], input: &Tensor, train: bool) -> Tensor {
         if !train || self.p == 0.0 {
             self.mask = None;
             return input.clone();
@@ -62,12 +62,12 @@ impl Layer for Dropout {
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
+    fn infer(&self, _params: &[f32], input: &Tensor) -> Tensor {
         // Inverted dropout is the identity at evaluation time.
         input.clone()
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad_out: &Tensor) -> Tensor {
         match &self.mask {
             None => grad_out.clone(),
             Some(mask) => {
@@ -78,6 +78,10 @@ impl Layer for Dropout {
                 out
             }
         }
+    }
+
+    fn held_bytes(&self) -> usize {
+        size_of::<f32>() * self.mask.as_ref().map_or(0, Vec::len)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -98,14 +102,14 @@ mod tests {
     fn eval_mode_is_identity() {
         let mut d = Dropout::new(0.5, 1);
         let x = Tensor::from_vec([4], vec![1., 2., 3., 4.]);
-        assert_eq!(d.forward(&x, false), x);
+        assert_eq!(d.forward(&[], &x, false), x);
     }
 
     #[test]
     fn train_mode_preserves_expectation_roughly() {
         let mut d = Dropout::new(0.3, 42);
         let x = Tensor::ones([10_000]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&[], &x, true);
         assert!((y.mean() - 1.0).abs() < 0.05, "mean {}", y.mean());
     }
 
@@ -113,8 +117,8 @@ mod tests {
     fn backward_uses_same_mask() {
         let mut d = Dropout::new(0.5, 7);
         let x = Tensor::ones([100]);
-        let y = d.forward(&x, true);
-        let dx = d.backward(&Tensor::ones([100]));
+        let y = d.forward(&[], &x, true);
+        let dx = d.backward(&[], &mut [], &Tensor::ones([100]));
         // Gradient passes exactly where the forward passed.
         for (yv, dv) in y.data().iter().zip(dx.data()) {
             assert_eq!(yv, dv);
@@ -125,6 +129,6 @@ mod tests {
     fn zero_probability_never_drops() {
         let mut d = Dropout::new(0.0, 9);
         let x = Tensor::from_vec([5], vec![1., 2., 3., 4., 5.]);
-        assert_eq!(d.forward(&x, true), x);
+        assert_eq!(d.forward(&[], &x, true), x);
     }
 }

@@ -22,7 +22,7 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Tensor {
         assert!(input.shape().rank() >= 1, "flatten needs a batch dimension");
         self.cached_shape = Some(input.shape().clone());
         let n = input.shape().dim(0);
@@ -30,14 +30,14 @@ impl Layer for Flatten {
         input.reshaped([n, rest])
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
+    fn infer(&self, _params: &[f32], input: &Tensor) -> Tensor {
         assert!(input.shape().rank() >= 1, "flatten needs a batch dimension");
         let n = input.shape().dim(0);
         let rest = input.len() / n.max(1);
         input.reshaped([n, rest])
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad_out: &Tensor) -> Tensor {
         let shape = self
             .cached_shape
             .as_ref()
@@ -53,12 +53,21 @@ impl Layer for Flatten {
         self.cached_shape = None;
     }
 
-    fn forward_into(&mut self, input: &Tensor, _train: bool, _ws: &mut LayerWs, out: &mut Tensor) {
+    fn forward_into(
+        &mut self,
+        _params: &[f32],
+        input: &Tensor,
+        _train: bool,
+        _ws: &mut LayerWs,
+        out: &mut Tensor,
+    ) {
         flatten_into(input, out);
     }
 
     fn backward_into(
         &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
         input: &Tensor,
         _output: &Tensor,
         grad_out: &Tensor,
@@ -73,7 +82,7 @@ impl Layer for Flatten {
         grad_in.data_mut().copy_from_slice(grad_out.data());
     }
 
-    fn infer_into(&self, input: &Tensor, _ws: &mut LayerWs, out: &mut Tensor) {
+    fn infer_into(&self, _params: &[f32], input: &Tensor, _ws: &mut LayerWs, out: &mut Tensor) {
         flatten_into(input, out);
     }
 }
@@ -96,9 +105,9 @@ mod tests {
     fn forward_flattens_and_backward_restores() {
         let mut f = Flatten::new();
         let x = Tensor::from_vec([2, 1, 2, 2], (0..8).map(|i| i as f32).collect());
-        let y = f.forward(&x, true);
+        let y = f.forward(&[], &x, true);
         assert_eq!(y.shape().dims(), &[2, 4]);
-        let dx = f.backward(&y);
+        let dx = f.backward(&[], &mut [], &y);
         assert_eq!(dx.shape().dims(), &[2, 1, 2, 2]);
         assert_eq!(dx.data(), x.data());
     }

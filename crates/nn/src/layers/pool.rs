@@ -43,23 +43,27 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Tensor {
         let (out, arg) = maxpool2d_forward(input, self.window);
         self.cached = Some((input.shape().clone(), arg));
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
+    fn infer(&self, _params: &[f32], input: &Tensor) -> Tensor {
         let (out, _) = maxpool2d_forward(input, self.window);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad_out: &Tensor) -> Tensor {
         let (shape, arg) = self
             .cached
             .as_ref()
             .expect("backward called before forward");
         maxpool2d_backward(shape, grad_out, arg)
+    }
+
+    fn held_bytes(&self) -> usize {
+        size_of::<u32>() * self.cached.as_ref().map_or(0, |(_, arg)| arg.len())
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -73,12 +77,21 @@ impl Layer for MaxPool2d {
         self.cached = None;
     }
 
-    fn forward_into(&mut self, input: &Tensor, _train: bool, ws: &mut LayerWs, out: &mut Tensor) {
+    fn forward_into(
+        &mut self,
+        _params: &[f32],
+        input: &Tensor,
+        _train: bool,
+        ws: &mut LayerWs,
+        out: &mut Tensor,
+    ) {
         maxpool2d_forward_into(input, self.window, out, pool_ws(ws));
     }
 
     fn backward_into(
         &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
         input: &Tensor,
         _output: &Tensor,
         grad_out: &Tensor,
@@ -92,7 +105,7 @@ impl Layer for MaxPool2d {
         maxpool2d_backward_into(input.shape(), grad_out, pool_ws(ws), grad_in);
     }
 
-    fn infer_into(&self, input: &Tensor, ws: &mut LayerWs, out: &mut Tensor) {
+    fn infer_into(&self, _params: &[f32], input: &Tensor, ws: &mut LayerWs, out: &mut Tensor) {
         maxpool2d_forward_into(input, self.window, out, pool_ws(ws));
     }
 }
@@ -105,16 +118,16 @@ mod tests {
     fn forward_backward_roundtrip() {
         let mut p = MaxPool2d::new(2);
         let x = Tensor::from_vec([1, 1, 2, 2], vec![1., 4., 2., 3.]);
-        let y = p.forward(&x, true);
+        let y = p.forward(&[], &x, true);
         assert_eq!(y.data(), &[4.]);
-        let dx = p.backward(&Tensor::from_vec([1, 1, 1, 1], vec![2.0]));
+        let dx = p.backward(&[], &mut [], &Tensor::from_vec([1, 1, 1, 1], vec![2.0]));
         assert_eq!(dx.data(), &[0., 2., 0., 0.]);
     }
 
     #[test]
     fn shape_halves_with_window_two() {
         let mut p = MaxPool2d::new(2);
-        let y = p.forward(&Tensor::zeros([2, 3, 8, 8]), true);
+        let y = p.forward(&[], &Tensor::zeros([2, 3, 8, 8]), true);
         assert_eq!(y.shape().dims(), &[2, 3, 4, 4]);
     }
 }

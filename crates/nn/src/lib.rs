@@ -14,8 +14,9 @@
 //!   MSE;
 //! * optimizers ([`optim`]): SGD, momentum SGD (paper: lr 0.01, μ 0.9) and
 //!   Adam (paper: lr 0.001 for speech);
-//! * the [`model::Sequential`] container and the flat parameter view
-//!   ([`params`]) that federated aggregation operates on;
+//! * the [`model::Sequential`] container, which owns its parameters as
+//!   one plane, and the plane primitives ([`params`]) that federated
+//!   aggregation operates on;
 //! * paper model builders ([`zoo`]): 2-conv and 3-conv CNNs, an MLP and a
 //!   strongly-convex logistic model for the theory experiments;
 //! * parameter checkpoints ([`serialize`]).
@@ -31,9 +32,9 @@ pub mod scratch;
 pub mod serialize;
 pub mod zoo;
 
-pub use layer::{Layer, LayerWs, Param};
+pub use layer::{Layer, LayerWs};
 pub use model::Sequential;
-pub use optim::{Optimizer, OptimizerKind, ParamSet};
+pub use optim::{Optimizer, OptimizerKind};
 pub use schedule::Schedule;
 pub use scratch::NetScratch;
 pub use zoo::InputSpec;

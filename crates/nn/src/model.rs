@@ -1,8 +1,8 @@
 //! Sequential model container.
 
-use crate::layer::{Layer, Param};
+use crate::layer::Layer;
 use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_into};
-use crate::optim::{Optimizer, ParamSet};
+use crate::optim::Optimizer;
 use crate::scratch::NetScratch;
 use middle_tensor::reduce::argmax_rows;
 use middle_tensor::Tensor;
@@ -10,21 +10,51 @@ use middle_tensor::Tensor;
 /// A feed-forward stack of layers trained with softmax cross-entropy.
 ///
 /// `Sequential` is the unit of federated exchange: devices, edges and the
-/// cloud all hold `Sequential` models and blend them through the flat
-/// parameter view in [`crate::params`].
+/// cloud all hold `Sequential` models and blend them through their
+/// parameter planes ([`crate::params`]). The model owns every parameter
+/// in one contiguous plane — layer after layer, each layer's tensors in
+/// its [`Layer::param_lens`] order, the canonical order checkpoints and
+/// aggregation use — and its layers hold shapes only. Gradients are not
+/// the model's: a training step adds them into a plane of the trainer's
+/// ([`NetScratch`] on the workspace path).
 #[derive(Clone, Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// The parameter plane.
+    params: Vec<f32>,
+    /// Lengths of the parameter tensors the plane is cut into, in order.
+    layout: Vec<usize>,
+}
+
+/// Length of `layer`'s slice of the plane.
+fn width(layer: &dyn Layer) -> usize {
+    layer.param_lens().iter().sum()
 }
 
 impl Sequential {
     /// An empty model; add layers with [`Sequential::push`].
     pub fn new() -> Self {
-        Sequential { layers: Vec::new() }
+        Sequential::default()
     }
 
-    /// Appends a layer, returning `self` for builder-style chaining.
-    pub fn push(mut self, layer: impl Layer + 'static) -> Self {
+    /// Appends a layer, moving its initial parameters to the end of the
+    /// plane ([`Layer::take_params`]); returns `self` for builder-style
+    /// chaining. The plane is grown to exactly its new length.
+    ///
+    /// # Panics
+    /// Panics when the layer's initial values do not fill its
+    /// [`Layer::param_lens`].
+    pub fn push(mut self, mut layer: impl Layer + 'static) -> Self {
+        let init = layer.take_params();
+        assert_eq!(
+            init.len(),
+            width(&layer),
+            "{} hands over parameters its layout does not describe",
+            layer.name()
+        );
+        self.params.reserve_exact(init.len());
+        self.params.extend_from_slice(&init);
+        self.layout.extend_from_slice(layer.param_lens());
         self.layers.push(Box::new(layer));
         self
     }
@@ -39,45 +69,35 @@ impl Sequential {
         self.layers.iter().map(|l| l.name()).collect()
     }
 
-    /// Forward pass through all layers.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-        }
-        x
+    /// The parameter plane: every parameter in canonical order.
+    pub fn params(&self) -> &[f32] {
+        &self.params
     }
 
-    /// Backward pass through all layers (after a matching `forward`).
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+    /// Mutable access to the parameter plane. A holder that caches
+    /// something derived from it (a device's norm) must refresh that
+    /// cache after writing here.
+    pub fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.params
     }
 
-    /// All trainable parameters in canonical (layer, param) order.
-    pub fn params(&self) -> Vec<&Param> {
-        self.layers.iter().flat_map(|l| l.params()).collect()
-    }
-
-    /// Mutable view of all trainable parameters in canonical order.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
+    /// Lengths of the parameter tensors, in plane order — the
+    /// architecture fingerprint checkpoints carry.
+    pub fn layout(&self) -> &[usize] {
+        &self.layout
     }
 
     /// Total scalar parameter count.
     pub fn param_count(&self) -> usize {
-        self.params().iter().map(|p| p.len()).sum()
+        self.params.len()
     }
 
-    /// Clears all accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.visit(&mut |_, p| p.zero_grad());
+    /// Heap bytes of the values the model holds: the plane's allocation
+    /// and whatever its layers hold ([`Layer::held_bytes`]).
+    #[doc(hidden)]
+    pub fn held_bytes(&self) -> usize {
+        let layers: usize = self.layers.iter().map(|l| l.held_bytes()).sum();
+        size_of::<f32>() * self.params.capacity() + layers
     }
 
     /// Resets every layer's non-parameter state ([`Layer::reset_state`]):
@@ -89,8 +109,39 @@ impl Sequential {
         }
     }
 
+    /// Forward pass through all layers.
+    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let mut x = input.clone();
+        let mut rest = &self.params[..];
+        for layer in &mut self.layers {
+            let (p, tail) = rest.split_at(width(&**layer));
+            x = layer.forward(p, &x, train);
+            rest = tail;
+        }
+        x
+    }
+
+    /// Backward pass through all layers (after a matching `forward`):
+    /// returns the input gradient and adds every parameter gradient into
+    /// `grads`, a plane laid out like [`Sequential::params`].
+    ///
+    /// # Panics
+    /// Panics when `grads` is not the plane's length.
+    pub fn backward(&mut self, grad_out: &Tensor, grads: &mut [f32]) -> Tensor {
+        assert_eq!(grads.len(), self.params.len(), "gradient plane length");
+        let mut g = grad_out.clone();
+        let mut end = self.params.len();
+        for layer in self.layers.iter_mut().rev() {
+            let start = end - width(&**layer);
+            g = layer.backward(&self.params[start..end], &mut grads[start..end], &g);
+            end = start;
+        }
+        g
+    }
+
     /// One supervised training step on a classification batch:
-    /// forward, cross-entropy, backward, optimizer step.
+    /// forward, cross-entropy, backward into a fresh gradient plane,
+    /// optimizer step.
     ///
     /// Returns the batch loss.
     pub fn train_batch(
@@ -101,8 +152,9 @@ impl Sequential {
     ) -> f32 {
         let logits = self.forward(inputs, true);
         let (loss, dlogits) = softmax_cross_entropy(&logits, labels);
-        self.backward(&dlogits);
-        optimizer.step(self);
+        let mut grads = vec![0.0; self.params.len()];
+        self.backward(&dlogits, &mut grads);
+        optimizer.step(&mut self.params, &mut grads, &self.layout);
         loss
     }
 
@@ -112,7 +164,9 @@ impl Sequential {
     /// All intermediates live in `scratch`, which is grown on first use
     /// and reused across calls; layers with workspace kernels (conv,
     /// dense, relu, pool, flatten) run their batched `_into` paths and the
-    /// rest fall back to the allocating trait defaults.
+    /// rest fall back to the allocating trait defaults. The gradients go
+    /// into the scratch's gradient plane ([`NetScratch::grad_plane`]),
+    /// which the optimizer step leaves all `+0.0` for the next call.
     ///
     /// The backward pass stops at the lowest layer with parameters, which
     /// computes no input gradient: nothing below it has a gradient to
@@ -129,20 +183,30 @@ impl Sequential {
         let depth = self.layers.len();
         assert!(depth > 0, "cannot train an empty model");
         scratch.ensure(depth);
+        scratch.ensure_grad_plane(self.params.len());
+        let Sequential {
+            layers,
+            params,
+            layout,
+        } = self;
 
+        let mut rest = &params[..];
         for i in 0..depth {
-            let (prev, rest) = scratch.acts.split_at_mut(i);
+            let (p, tail) = rest.split_at(width(&*layers[i]));
+            rest = tail;
+            let (prev, out) = scratch.acts.split_at_mut(i);
             let input = if i == 0 { inputs } else { &prev[i - 1] };
-            self.layers[i].forward_into(input, true, &mut scratch.ws[i], &mut rest[0]);
+            layers[i].forward_into(p, input, true, &mut scratch.ws[i], &mut out[0]);
         }
         let loss =
             softmax_cross_entropy_into(&scratch.acts[depth - 1], labels, &mut scratch.dlogits);
-        let lowest = self
-            .layers
+        let lowest = layers
             .iter()
-            .position(|l| !l.params().is_empty())
+            .position(|l| !l.param_lens().is_empty())
             .unwrap_or(depth);
+        let mut end = params.len();
         for i in (lowest..depth).rev() {
+            let start = end - width(&*layers[i]);
             let input = if i == 0 { inputs } else { &scratch.acts[i - 1] };
             let output = &scratch.acts[i];
             let (lo, hi) = scratch.grads.split_at_mut(i + 1);
@@ -151,7 +215,9 @@ impl Sequential {
             } else {
                 &hi[0]
             };
-            self.layers[i].backward_into(
+            layers[i].backward_into(
+                &params[start..end],
+                &mut scratch.grad_plane[start..end],
                 input,
                 output,
                 grad_out,
@@ -159,8 +225,9 @@ impl Sequential {
                 &mut lo[i],
                 i > lowest,
             );
+            end = start;
         }
-        optimizer.step(self);
+        optimizer.step(params, &mut scratch.grad_plane, layout);
         loss
     }
 
@@ -171,10 +238,13 @@ impl Sequential {
         let depth = self.layers.len();
         assert!(depth > 0, "cannot infer with an empty model");
         scratch.ensure(depth);
+        let mut rest = &self.params[..];
         for i in 0..depth {
-            let (prev, rest) = scratch.acts.split_at_mut(i);
+            let (p, tail) = rest.split_at(width(&*self.layers[i]));
+            rest = tail;
+            let (prev, out) = scratch.acts.split_at_mut(i);
             let x = if i == 0 { input } else { &prev[i - 1] };
-            self.layers[i].infer_into(x, &mut scratch.ws[i], &mut rest[0]);
+            self.layers[i].infer_into(p, x, &mut scratch.ws[i], &mut out[0]);
         }
         &scratch.acts[depth - 1]
     }
@@ -185,8 +255,11 @@ impl Sequential {
     /// so evaluation never needs a model clone or exclusive access.
     pub fn infer(&self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
+        let mut rest = &self.params[..];
         for layer in &self.layers {
-            x = layer.infer(&x);
+            let (p, tail) = rest.split_at(width(&**layer));
+            x = layer.infer(p, &x);
+            rest = tail;
         }
         x
     }
@@ -201,19 +274,6 @@ impl Sequential {
     pub fn eval_loss(&self, inputs: &Tensor, labels: &[usize]) -> f32 {
         let logits = self.infer(inputs);
         softmax_cross_entropy(&logits, labels).0
-    }
-}
-
-impl ParamSet for Sequential {
-    fn count(&self) -> usize {
-        self.layers.iter().map(|l| l.params().len()).sum()
-    }
-
-    fn visit(&mut self, f: &mut dyn FnMut(usize, &mut Param)) {
-        let params = self.layers.iter_mut().flat_map(|l| l.params_mut());
-        for (i, p) in params.enumerate() {
-            f(i, p);
-        }
     }
 }
 
@@ -316,24 +376,33 @@ mod tests {
         let mut opt = Sgd::new(0.1);
         a.train_batch(&Tensor::ones([1, 2]), &[0], &mut opt);
         // b unchanged.
-        let pa = a.params();
-        let pb = b.params();
-        assert_ne!(pa[0].value, pb[0].value);
+        assert_ne!(a.params(), b.params());
     }
 
     #[test]
-    fn zero_grad_clears_all() {
+    fn push_builds_one_exact_plane_in_layer_order() {
+        let m = tiny_model(5);
+        assert_eq!(m.layout(), &[16, 8, 16, 2]);
+        assert_eq!(m.params().len(), 42);
+        // The plane is the whole of what the model holds.
+        assert_eq!(m.held_bytes(), 4 * 42);
+        assert_eq!(m.clone().held_bytes(), 4 * 42);
+        // Biases start at zero: the slots after each weight.
+        assert!(m.params()[16..24].iter().all(|&b| b == 0.0));
+        assert!(m.params()[40..].iter().all(|&b| b == 0.0));
+    }
+
+    #[test]
+    fn backward_adds_into_the_callers_gradient_plane() {
         let mut m = tiny_model(5);
         let y = m.forward(&Tensor::ones([2, 2]), true);
-        m.backward(&Tensor::ones(y.shape().clone()));
-        assert!(m
-            .params()
-            .iter()
-            .any(|p| p.grad.data().iter().any(|&g| g != 0.0)));
-        m.zero_grad();
-        assert!(m
-            .params()
-            .iter()
-            .all(|p| p.grad.data().iter().all(|&g| g == 0.0)));
+        let mut once = vec![0.0; m.param_count()];
+        m.backward(&Tensor::ones(y.shape().clone()), &mut once);
+        assert!(once.iter().any(|&g| g != 0.0));
+        let mut twice = once.clone();
+        m.backward(&Tensor::ones(y.shape().clone()), &mut twice);
+        for (a, b) in once.iter().zip(&twice) {
+            assert_eq!((a + a).to_bits(), b.to_bits());
+        }
     }
 }

@@ -1,42 +1,24 @@
 //! First-order optimizers: SGD, SGD with momentum, and Adam.
 //!
-//! Optimizer state (momentum buffers, Adam moments) is keyed by parameter
-//! position in the model's canonical parameter order, matching
-//! [`crate::model::Sequential::params_mut`]. State is lazily initialised on
-//! the first step, so an optimizer can be constructed before the model.
+//! An optimizer steps a model's parameter plane from a gradient plane of
+//! the same layout ([`crate::model::Sequential::params`]). Its state
+//! (momentum, Adam moments) is one plane of that length too, lazily
+//! zero-filled on the first step, so an optimizer can be constructed
+//! before the model.
 
-use crate::layer::Param;
 use serde::{Deserialize, Serialize};
 
-/// The parameters one optimizer step updates, visited in canonical model
-/// order without being collected — a step allocates nothing.
-/// [`crate::model::Sequential`] is one; a lone [`Param`] is another.
-pub trait ParamSet {
-    /// Number of parameter tensors.
-    fn count(&self) -> usize;
-
-    /// Calls `f` on every parameter tensor, in canonical order, with its
-    /// index in that order.
-    fn visit(&mut self, f: &mut dyn FnMut(usize, &mut Param));
-}
-
-impl ParamSet for Param {
-    fn count(&self) -> usize {
-        1
-    }
-
-    fn visit(&mut self, f: &mut dyn FnMut(usize, &mut Param)) {
-        f(0, self);
-    }
-}
-
-/// A first-order optimizer updating parameters from accumulated gradients.
+/// A first-order optimizer updating a parameter plane from a gradient
+/// plane.
 ///
 /// `Send + Sync` so a device can cache its optimizer while remaining
 /// shareable across threads during read-only phases (selection scoring).
 pub trait Optimizer: Send + Sync {
-    /// Applies one update step to `params` and clears their gradients.
-    fn step(&mut self, params: &mut dyn ParamSet);
+    /// Applies one update step to `params` from `grads` — two planes of
+    /// one length, cut into the model's parameter tensors as `layout`
+    /// says (their lengths, in canonical order) — and zeroes `grads`
+    /// (`+0.0` everywhere, ready for the next backward pass to add into).
+    fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]);
 
     /// Current learning rate.
     fn learning_rate(&self) -> f32;
@@ -45,17 +27,17 @@ pub trait Optimizer: Send + Sync {
     /// `η_t = 2/(μ(γ+t))` schedule of Theorem 1).
     fn set_learning_rate(&mut self, lr: f32);
 
-    /// Restores the freshly-built state (no momentum/moment buffers, step
+    /// Restores the freshly-built state (no momentum/moment plane, step
     /// counter 0) while keeping their allocations.
     ///
     /// After `reset()` an optimizer behaves bitwise-identically to a new
     /// [`OptimizerKind::build`] of the same kind — including for a model
-    /// of a different shape than the one it last stepped: the state
-    /// vectors are emptied here and zero-filled to the parameters' sizes
-    /// on the next step either way. This is what lets the zero-alloc
-    /// train path keep one optimizer per training thread across devices
-    /// and participations while matching the
-    /// fresh-optimizer-per-participation semantics.
+    /// of a different size than the one it last stepped: the state planes
+    /// are emptied here and zero-filled to the plane's length on the next
+    /// step either way. This is what lets the zero-alloc train path keep
+    /// one optimizer per training thread across devices and
+    /// participations while matching the fresh-optimizer-per-participation
+    /// semantics.
     fn reset(&mut self) {}
 }
 
@@ -92,25 +74,22 @@ impl OptimizerKind {
     }
 }
 
-/// Sizes lazily-initialised optimizer `state` for `count` parameters: one
-/// vector per parameter, each zero-filled by [`param_state`] when its
-/// parameter is stepped. A different parameter count restarts all of
-/// them. Capacity is kept, so steady state allocates nothing.
-fn size_state(state: &mut Vec<Vec<f32>>, count: usize) {
-    if state.len() != count {
-        state.iter_mut().for_each(Vec::clear);
-        state.resize_with(count, Vec::new);
+/// The optimizer state plane `s` for a parameter plane of `len`
+/// values: zero-filled first when it is empty (fresh, or emptied by
+/// `reset`) or sized for another model. Capacity is kept, so steady
+/// state allocates nothing.
+fn state_plane(s: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if s.len() != len {
+        s.clear();
+        s.resize(len, 0.0);
     }
+    s
 }
 
-/// `p`'s state vector, an empty one (fresh, or emptied by `reset`)
-/// zero-filled to `p`'s length first.
-fn param_state<'s>(s: &'s mut Vec<f32>, p: &Param) -> &'s mut [f32] {
-    if s.is_empty() {
-        s.resize(p.len(), 0.0);
-    }
-    assert_eq!(s.len(), p.len(), "parameter shape changed under optimizer");
-    s
+/// Panics unless the two planes and the layout agree on the length.
+fn check_planes(params: &[f32], grads: &[f32], layout: &[usize]) {
+    assert_eq!(params.len(), grads.len(), "gradient plane length");
+    debug_assert_eq!(layout.iter().sum::<usize>(), params.len(), "layout");
 }
 
 /// Plain SGD: `w ← w − lr · g`.
@@ -128,14 +107,13 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut dyn ParamSet) {
+    fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]) {
+        check_planes(params, grads, layout);
         let lr = self.lr;
-        params.visit(&mut |_, p| {
-            for (w, g) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
-                *w -= lr * g;
-            }
-            p.zero_grad();
-        });
+        for (w, g) in params.iter_mut().zip(grads.iter()) {
+            *w -= lr * g;
+        }
+        grads.fill(0.0);
     }
 
     fn learning_rate(&self) -> f32 {
@@ -152,7 +130,7 @@ impl Optimizer for Sgd {
 pub struct MomentumSgd {
     lr: f32,
     momentum: f32,
-    velocity: Vec<Vec<f32>>,
+    velocity: Vec<f32>,
 }
 
 impl MomentumSgd {
@@ -169,24 +147,15 @@ impl MomentumSgd {
 }
 
 impl Optimizer for MomentumSgd {
-    fn step(&mut self, params: &mut dyn ParamSet) {
-        size_state(&mut self.velocity, params.count());
+    fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]) {
+        check_planes(params, grads, layout);
         let (lr, mu) = (self.lr, self.momentum);
-        let velocity = &mut self.velocity;
-        params.visit(&mut |i, p| {
-            let v = param_state(&mut velocity[i], p);
-            for ((w, g), vel) in p
-                .value
-                .data_mut()
-                .iter_mut()
-                .zip(p.grad.data())
-                .zip(v.iter_mut())
-            {
-                *vel = mu * *vel + g;
-                *w -= lr * *vel;
-            }
-            p.zero_grad();
-        });
+        let v = state_plane(&mut self.velocity, params.len());
+        for ((w, g), vel) in params.iter_mut().zip(grads.iter()).zip(v.iter_mut()) {
+            *vel = mu * *vel + g;
+            *w -= lr * *vel;
+        }
+        grads.fill(0.0);
     }
 
     fn learning_rate(&self) -> f32 {
@@ -198,7 +167,7 @@ impl Optimizer for MomentumSgd {
     }
 
     fn reset(&mut self) {
-        self.velocity.iter_mut().for_each(Vec::clear);
+        self.velocity.clear();
     }
 }
 
@@ -210,8 +179,8 @@ pub struct Adam {
     beta2: f32,
     eps: f32,
     t: u64,
-    m: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
+    m: Vec<f32>,
+    v: Vec<f32>,
 }
 
 impl Adam {
@@ -231,37 +200,31 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, params: &mut dyn ParamSet) {
-        let count = params.count();
-        if self.m.len() != count {
+    fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]) {
+        check_planes(params, grads, layout);
+        // Moments for another model (or none yet) restart the count.
+        if self.m.len() != params.len() {
             self.t = 0;
         }
-        size_state(&mut self.m, count);
-        size_state(&mut self.v, count);
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-        let (ms, vs) = (&mut self.m, &mut self.v);
-        params.visit(&mut |i, p| {
-            let m = param_state(&mut ms[i], p);
-            let v = param_state(&mut vs[i], p);
-            for (((w, g), mi), vi) in p
-                .value
-                .data_mut()
-                .iter_mut()
-                .zip(p.grad.data())
-                .zip(m.iter_mut())
-                .zip(v.iter_mut())
-            {
-                *mi = b1 * *mi + (1.0 - b1) * g;
-                *vi = b2 * *vi + (1.0 - b2) * g * g;
-                let mhat = *mi / bc1;
-                let vhat = *vi / bc2;
-                *w -= lr * mhat / (vhat.sqrt() + eps);
-            }
-            p.zero_grad();
-        });
+        let m = state_plane(&mut self.m, params.len());
+        let v = state_plane(&mut self.v, params.len());
+        for (((w, g), mi), vi) in params
+            .iter_mut()
+            .zip(grads.iter())
+            .zip(m.iter_mut())
+            .zip(v.iter_mut())
+        {
+            *mi = b1 * *mi + (1.0 - b1) * g;
+            *vi = b2 * *vi + (1.0 - b2) * g * g;
+            let mhat = *mi / bc1;
+            let vhat = *vi / bc2;
+            *w -= lr * mhat / (vhat.sqrt() + eps);
+        }
+        grads.fill(0.0);
     }
 
     fn learning_rate(&self) -> f32 {
@@ -273,8 +236,8 @@ impl Optimizer for Adam {
     }
 
     fn reset(&mut self) {
-        self.m.iter_mut().for_each(Vec::clear);
-        self.v.iter_mut().for_each(Vec::clear);
+        self.m.clear();
+        self.v.clear();
         self.t = 0;
     }
 }
@@ -301,14 +264,12 @@ impl WeightDecay {
 }
 
 impl Optimizer for WeightDecay {
-    fn step(&mut self, params: &mut dyn ParamSet) {
+    fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]) {
         let shrink = 1.0 - self.inner.learning_rate() * self.decay;
-        params.visit(&mut |_, p| {
-            for w in p.value.data_mut() {
-                *w *= shrink;
-            }
-        });
-        self.inner.step(params);
+        for w in params.iter_mut() {
+            *w *= shrink;
+        }
+        self.inner.step(params, grads, layout);
     }
 
     fn learning_rate(&self) -> f32 {
@@ -345,20 +306,26 @@ impl GradClip {
 }
 
 impl Optimizer for GradClip {
-    fn step(&mut self, params: &mut dyn ParamSet) {
-        // `Iterator::sum` over the per-parameter sums, from its own start.
+    fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]) {
+        check_planes(params, grads, layout);
+        // One partial sum per parameter tensor, then `Iterator::sum` over
+        // the partials from its own start: the norm's rounding follows
+        // the model's tensors, not the plane.
         let mut total: f32 = std::iter::empty::<f32>().sum();
-        params.visit(&mut |_, p| total += p.grad.data().iter().map(|g| g * g).sum::<f32>());
+        let mut rest = &grads[..];
+        for &len in layout {
+            let (tensor, tail) = rest.split_at(len);
+            total += tensor.iter().map(|g| g * g).sum::<f32>();
+            rest = tail;
+        }
         let norm = total.sqrt();
         if norm > self.max_norm {
             let scale = self.max_norm / norm;
-            params.visit(&mut |_, p| {
-                for g in p.grad.data_mut() {
-                    *g *= scale;
-                }
-            });
+            for g in grads.iter_mut() {
+                *g *= scale;
+            }
         }
-        self.inner.step(params);
+        self.inner.step(params, grads, layout);
     }
 
     fn learning_rate(&self) -> f32 {
@@ -377,33 +344,33 @@ impl Optimizer for GradClip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use middle_tensor::Tensor;
 
-    fn param(vals: &[f32], grads: &[f32]) -> Param {
-        let mut p = Param::new(Tensor::from_vec([vals.len()], vals.to_vec()));
-        p.grad.data_mut().copy_from_slice(grads);
-        p
+    /// One step of `opt` on a lone parameter tensor `w` with gradient
+    /// `g`, which must come back zeroed.
+    fn step(opt: &mut dyn Optimizer, w: &mut [f32], g: &[f32]) {
+        let mut grads = g.to_vec();
+        opt.step(w, &mut grads, &[w.len()]);
+        assert!(grads.iter().all(|v| v.to_bits() == 0), "grads zeroed");
     }
 
     #[test]
     fn sgd_takes_gradient_step_and_clears() {
-        let mut p = param(&[1.0, 2.0], &[0.5, -0.5]);
-        let mut opt = Sgd::new(0.1);
-        opt.step(&mut p);
-        assert_eq!(p.value.data(), &[0.95, 2.05]);
-        assert_eq!(p.grad.data(), &[0.0, 0.0]);
+        let mut w = [1.0, 2.0];
+        let mut g = [0.5, -0.5];
+        Sgd::new(0.1).step(&mut w, &mut g, &[2]);
+        assert_eq!(w, [0.95, 2.05]);
+        assert_eq!(g, [0.0, 0.0]);
     }
 
     #[test]
     fn momentum_accelerates_constant_gradient() {
-        let mut p = param(&[0.0], &[1.0]);
+        let mut w = [0.0];
         let mut opt = MomentumSgd::new(0.1, 0.9);
-        opt.step(&mut p);
-        let step1 = -p.value.data()[0];
-        p.grad.data_mut()[0] = 1.0;
-        let before = p.value.data()[0];
-        opt.step(&mut p);
-        let step2 = before - p.value.data()[0];
+        step(&mut opt, &mut w, &[1.0]);
+        let step1 = -w[0];
+        let before = w[0];
+        step(&mut opt, &mut w, &[1.0]);
+        let step2 = before - w[0];
         assert!(
             step2 > step1,
             "momentum must grow the step: {step1} vs {step2}"
@@ -416,14 +383,9 @@ mod tests {
         // With bias correction the first Adam step is ~lr regardless of
         // gradient scale.
         for scale in [0.001f32, 1.0, 1000.0] {
-            let mut p = param(&[0.0], &[scale]);
-            let mut opt = Adam::new(0.01);
-            opt.step(&mut p);
-            assert!(
-                (p.value.data()[0] + 0.01).abs() < 1e-4,
-                "scale {scale}: {}",
-                p.value.data()[0]
-            );
+            let mut w = [0.0];
+            step(&mut Adam::new(0.01), &mut w, &[scale]);
+            assert!((w[0] + 0.01).abs() < 1e-4, "scale {scale}: {}", w[0]);
         }
     }
 
@@ -439,14 +401,12 @@ mod tests {
             OptimizerKind::Adam { lr: 0.2 },
         ] {
             let mut opt = kind.build();
-            let mut p = Param::new(Tensor::from_vec([1], vec![0.0]));
+            let mut w = [0.0];
             for _ in 0..200 {
-                let w = p.value.data()[0];
-                p.grad.data_mut()[0] = 2.0 * (w - 3.0);
-                opt.step(&mut p);
+                let g = 2.0 * (w[0] - 3.0);
+                step(opt.as_mut(), &mut w, &[g]);
             }
-            let w = p.value.data()[0];
-            assert!((w - 3.0).abs() < 0.05, "{kind:?} ended at {w}");
+            assert!((w[0] - 3.0).abs() < 0.05, "{kind:?} ended at {}", w[0]);
         }
     }
 
@@ -454,9 +414,9 @@ mod tests {
     fn set_learning_rate_applies() {
         let mut opt = Sgd::new(0.1);
         opt.set_learning_rate(0.5);
-        let mut p = param(&[1.0], &[1.0]);
-        opt.step(&mut p);
-        assert_eq!(p.value.data(), &[0.5]);
+        let mut w = [1.0];
+        step(&mut opt, &mut w, &[1.0]);
+        assert_eq!(w, [0.5]);
     }
 
     #[test]
@@ -468,40 +428,65 @@ mod tests {
     #[test]
     fn weight_decay_shrinks_before_stepping() {
         // Zero gradient: only the decay acts.
-        let mut p = param(&[2.0], &[0.0]);
-        let mut opt = WeightDecay::new(Box::new(Sgd::new(0.1)), 0.5);
-        opt.step(&mut p);
-        assert!((p.value.data()[0] - 2.0 * (1.0 - 0.05)).abs() < 1e-6);
+        let mut w = [2.0];
+        step(
+            &mut WeightDecay::new(Box::new(Sgd::new(0.1)), 0.5),
+            &mut w,
+            &[0.0],
+        );
+        assert!((w[0] - 2.0 * (1.0 - 0.05)).abs() < 1e-6);
     }
 
     #[test]
     fn weight_decay_pulls_toward_origin_at_stationarity() {
         // Minimise 0 loss with decay: w -> 0.
-        let mut p = param(&[1.0], &[0.0]);
+        let mut w = [1.0];
         let mut opt = WeightDecay::new(Box::new(Sgd::new(0.1)), 1.0);
         for _ in 0..200 {
-            p.grad.data_mut()[0] = 0.0;
-            opt.step(&mut p);
+            step(&mut opt, &mut w, &[0.0]);
         }
-        assert!(p.value.data()[0].abs() < 1e-4);
+        assert!(w[0].abs() < 1e-4);
     }
 
     #[test]
     fn grad_clip_caps_global_norm() {
-        let mut p = param(&[0.0, 0.0], &[30.0, 40.0]); // norm 50
-        let mut opt = GradClip::new(Box::new(Sgd::new(1.0)), 5.0);
-        opt.step(&mut p);
+        let mut w = [0.0, 0.0];
+        // norm 50
+        step(
+            &mut GradClip::new(Box::new(Sgd::new(1.0)), 5.0),
+            &mut w,
+            &[30.0, 40.0],
+        );
         // Clipped gradient = (3, 4); step of lr 1 moves to (-3, -4).
-        assert!((p.value.data()[0] + 3.0).abs() < 1e-5);
-        assert!((p.value.data()[1] + 4.0).abs() < 1e-5);
+        assert!((w[0] + 3.0).abs() < 1e-5);
+        assert!((w[1] + 4.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn grad_clip_norm_sums_per_tensor() {
+        // The partial sums follow the layout: 2^24 + 1 + 1 + 1 + 1 stays
+        // 2^24 summed in one chain, but is 2^24 + 4 as [2^24] + [4].
+        let big = 4096.0f32; // big² = 2^24
+        let grads = [big, 1.0, 1.0, 1.0, 1.0];
+        let clip_at = |layout: &[usize]| {
+            let mut w = [0.0f32; 5];
+            let mut g = grads;
+            // max_norm just under 2^12: the clip scale reveals the norm.
+            GradClip::new(Box::new(Sgd::new(1.0)), 4095.0).step(&mut w, &mut g, layout);
+            w[0].to_bits()
+        };
+        assert_ne!(clip_at(&[5]), clip_at(&[1, 4]));
     }
 
     #[test]
     fn grad_clip_passes_small_gradients_through() {
-        let mut p = param(&[0.0], &[0.5]);
-        let mut opt = GradClip::new(Box::new(Sgd::new(1.0)), 5.0);
-        opt.step(&mut p);
-        assert!((p.value.data()[0] + 0.5).abs() < 1e-6);
+        let mut w = [0.0];
+        step(
+            &mut GradClip::new(Box::new(Sgd::new(1.0)), 5.0),
+            &mut w,
+            &[0.5],
+        );
+        assert!((w[0] + 0.5).abs() < 1e-6);
     }
 
     #[test]

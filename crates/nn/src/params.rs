@@ -3,8 +3,9 @@
 //! Federated aggregation treats a whole model as one vector `w ∈ R^d`:
 //! cosine similarity (paper Eq. 8), convex blends (Eq. 9), accumulated
 //! updates `Δw = w_m − w_c` (Eq. 10) and FedAvg means (Eqs. 6–7) all
-//! operate on this view. Functions here copy between a [`Sequential`] and
-//! a `Vec<f32>` in canonical parameter order.
+//! operate on this view. A [`Sequential`] holds its parameters as one
+//! plane in canonical order ([`Sequential::params`]), so the view is the
+//! model's own storage: reading it copies nothing.
 //!
 //! Two families of primitives coexist:
 //!
@@ -12,134 +13,71 @@
 //!   [`weighted_average`], [`delta`]) — one fresh vector / model clone
 //!   per call, kept as the numerical oracle for equivalence tests;
 //! * *in-place* hot-path primitives ([`copy_params_from`],
-//!   [`zero_params`], [`axpy`], [`blend_into`],
-//!   [`weighted_average_into`]) plus the cached [`FlatView`] — zero
+//!   [`zero_params`], [`axpy`], [`axpy2`], [`blend_into`],
+//!   [`weighted_average_into`]) — one loop over the planes, zero
 //!   allocations per call, element-for-element bit-identical to the
-//!   reference family (same accumulation order).
+//!   reference family (same per-element arithmetic and accumulation
+//!   order).
 
 use crate::model::Sequential;
 use middle_tensor::ops::{cosine_similarity_slices, dot_slices};
 
-/// A cached flat view of a model's parameters: the flattened vector plus
-/// its squared L2 norm, with dirty tracking.
+/// A standalone copy of a model's parameters with its squared L2 norm.
 ///
-/// Devices, edges and the cloud each own one of these so hot paths
-/// (selection scoring, on-device aggregation, broadcast) read parameter
-/// vectors without re-flattening. The owner must call
-/// [`FlatView::invalidate`] whenever the underlying model's parameters
-/// change and [`FlatView::refresh`] (or [`FlatView::set_from_slice`])
-/// before the view is next read; [`FlatView::flat`] /
-/// [`FlatView::norm_sq`] panic on a dirty view so a missed invalidation
-/// fails loudly instead of silently scoring stale parameters.
+/// No model, device, edge or cloud holds one: each reads its own plane
+/// ([`Sequential::params`]) and caches the norm beside it. The copy
+/// stays for callers outside the workspace that time a flatten-and-norm
+/// pass.
 #[derive(Clone, Debug, Default)]
 pub struct FlatView {
     buf: Vec<f32>,
     norm_sq: f32,
-    dirty: bool,
 }
 
 impl FlatView {
-    /// An empty, dirty view; call [`FlatView::refresh`] before use.
-    pub fn new() -> Self {
-        FlatView {
-            buf: Vec::new(),
-            norm_sq: 0.0,
-            dirty: true,
-        }
-    }
-
-    /// A fresh view of `model`'s current parameters.
+    /// A copy of `model`'s current parameters and their squared norm.
     pub fn of(model: &Sequential) -> Self {
-        let mut v = FlatView::new();
+        let mut v = FlatView::default();
         v.refresh(model);
         v
     }
 
-    /// Marks the view stale (the model changed under it).
-    pub fn invalidate(&mut self) {
-        self.dirty = true;
-    }
+    /// Kept for callers that mark a copy stale before refreshing it. A
+    /// copy has no state to mark: this does nothing, and the copy keeps
+    /// the values of its last [`FlatView::refresh`].
+    pub fn invalidate(&mut self) {}
 
-    /// True when the view no longer reflects the model.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// Recomputes the view from `model`, reusing the buffer allocation.
+    /// Re-copies `model`'s parameters and recomputes the norm, reusing
+    /// the buffer's allocation.
     pub fn refresh(&mut self, model: &Sequential) {
         flatten_into(model, &mut self.buf);
         self.norm_sq = dot_slices(&self.buf, &self.buf);
-        self.dirty = false;
     }
 
-    /// Overwrites the view with an already-flat vector and its known
-    /// squared norm (broadcast fast path: the sender's cached view is
-    /// copied verbatim, no recompute).
-    pub fn set_from_slice(&mut self, flat: &[f32], norm_sq: f32) {
-        self.buf.clear();
-        self.buf.extend_from_slice(flat);
-        self.norm_sq = norm_sq;
-        self.dirty = false;
-    }
-
-    /// Overwrites the view in place: `fill` writes the new flat vector
-    /// into the view's own buffer (reusing its allocation), and the
-    /// squared norm is recomputed from it. The owner writes the same
-    /// values into its model.
-    pub fn fill_with(&mut self, fill: impl FnOnce(&mut Vec<f32>)) {
-        fill(&mut self.buf);
-        self.norm_sq = dot_slices(&self.buf, &self.buf);
-        self.dirty = false;
-    }
-
-    /// The cached flat parameter vector.
-    ///
-    /// # Panics
-    /// Panics when the view is dirty.
+    /// The copied parameter vector.
     pub fn flat(&self) -> &[f32] {
-        assert!(!self.dirty, "FlatView read while dirty");
         &self.buf
     }
 
-    /// The cached squared L2 norm `‖w‖²`.
-    ///
-    /// # Panics
-    /// Panics when the view is dirty.
+    /// Its squared L2 norm `‖w‖²` ([`dot_slices`] of the vector with
+    /// itself).
     pub fn norm_sq(&self) -> f32 {
-        assert!(!self.dirty, "FlatView read while dirty");
         self.norm_sq
-    }
-
-    /// Cached vector length (valid even while dirty).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no parameters have been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 
 /// Copies all parameters of `model` into a new flat vector.
 pub fn flatten(model: &Sequential) -> Vec<f32> {
-    let mut out = Vec::with_capacity(model.param_count());
-    for p in model.params() {
-        out.extend_from_slice(p.value.data());
-    }
-    out
+    model.params().to_vec()
 }
 
 /// Copies all parameters of `model` into `buf`, reusing its allocation.
 pub fn flatten_into(model: &Sequential, buf: &mut Vec<f32>) {
     buf.clear();
-    buf.reserve(model.param_count());
-    for p in model.params() {
-        buf.extend_from_slice(p.value.data());
-    }
+    buf.extend_from_slice(model.params());
 }
 
-/// Writes a flat vector back into `model`'s parameters.
+/// Writes a flat vector into `model`'s parameter plane.
 ///
 /// # Panics
 /// Panics when `flat.len() != model.param_count()`.
@@ -149,12 +87,7 @@ pub fn unflatten(model: &mut Sequential, flat: &[f32]) {
         model.param_count(),
         "flat parameter vector length mismatch"
     );
-    let mut off = 0usize;
-    for p in model.params_mut() {
-        let n = p.len();
-        p.value.data_mut().copy_from_slice(&flat[off..off + n]);
-        off += n;
-    }
+    model.params_mut().copy_from_slice(flat);
 }
 
 /// Cosine similarity between two models' flat parameter vectors.
@@ -229,82 +162,59 @@ pub fn weighted_average(models: &[&Sequential], weights: &[f32]) -> Sequential {
     out
 }
 
-/// Copies `src`'s parameter values into `dst` tensor-by-tensor — the
-/// clone-free counterpart of `dst = src.clone()` for model broadcast
-/// (gradients and layer caches are left untouched; every optimizer step
-/// zeroes gradients, so they are zero at the only points this is used).
+/// Copies `src`'s parameter plane into `dst`'s — the clone-free
+/// counterpart of `dst = src.clone()` for model broadcast (layer caches
+/// are left untouched).
 ///
 /// # Panics
 /// Panics when the architectures differ.
 pub fn copy_params_from(dst: &mut Sequential, src: &Sequential) {
-    let mut dst_params = dst.params_mut();
-    let src_params = src.params();
-    assert_eq!(
-        dst_params.len(),
-        src_params.len(),
-        "model architecture mismatch"
-    );
-    for (d, s) in dst_params.iter_mut().zip(src_params) {
-        d.value.data_mut().copy_from_slice(s.value.data());
-    }
+    check_same(dst, src);
+    dst.params_mut().copy_from_slice(src.params());
+}
+
+/// Panics unless `a` and `b` cut their planes alike.
+fn check_same(a: &Sequential, b: &Sequential) {
+    assert_eq!(a.layout(), b.layout(), "model architecture mismatch");
 }
 
 /// Zeroes all parameter values of `dst` (accumulator reset for in-place
 /// FedAvg).
 pub fn zero_params(dst: &mut Sequential) {
-    for p in dst.params_mut() {
-        p.value.data_mut().fill(0.0);
-    }
+    dst.params_mut().fill(0.0);
 }
 
-/// `dst += s · src` over all parameter tensors — the in-place FedAvg
-/// accumulation step.
+/// `dst += s · src` over the planes — the in-place FedAvg accumulation
+/// step.
 ///
 /// # Panics
 /// Panics when the architectures differ.
 pub fn axpy(dst: &mut Sequential, s: f32, src: &Sequential) {
-    let mut dst_params = dst.params_mut();
-    let src_params = src.params();
-    assert_eq!(
-        dst_params.len(),
-        src_params.len(),
-        "model architecture mismatch"
-    );
-    for (d, p) in dst_params.iter_mut().zip(src_params) {
-        debug_assert_eq!(d.len(), p.len(), "parameter tensor size mismatch");
-        for (a, &x) in d.value.data_mut().iter_mut().zip(p.value.data()) {
-            *a += s * x;
-        }
+    check_same(dst, src);
+    for (a, &x) in dst.params_mut().iter_mut().zip(src.params()) {
+        *a += s * x;
     }
 }
 
-/// `dst += s0 · m0` then `dst += s1 · m1`, fused over all parameter
-/// tensors. The per-element accumulation stays two sequential adds in
-/// model order, so the result is bit-identical to two [`axpy`] calls —
-/// but `dst` is read and written once per pair instead of once per
-/// model, which matters on the memory-bound FedAvg accumulation.
+/// `dst += s0 · m0` then `dst += s1 · m1`, fused over the planes. The
+/// per-element accumulation stays two sequential adds in model order, so
+/// the result is bit-identical to two [`axpy`] calls — but `dst` is read
+/// and written once per pair instead of once per model, which matters on
+/// the memory-bound FedAvg accumulation.
 ///
 /// # Panics
 /// Panics when the architectures differ.
 pub fn axpy2(dst: &mut Sequential, s0: f32, m0: &Sequential, s1: f32, m1: &Sequential) {
-    let mut dst_params = dst.params_mut();
-    let p0 = m0.params();
-    let p1 = m1.params();
-    assert_eq!(dst_params.len(), p0.len(), "model architecture mismatch");
-    assert_eq!(dst_params.len(), p1.len(), "model architecture mismatch");
-    for ((d, a), b) in dst_params.iter_mut().zip(p0).zip(p1) {
-        debug_assert_eq!(d.len(), a.len(), "parameter tensor size mismatch");
-        debug_assert_eq!(d.len(), b.len(), "parameter tensor size mismatch");
-        for ((y, &x0), &x1) in d
-            .value
-            .data_mut()
-            .iter_mut()
-            .zip(a.value.data())
-            .zip(b.value.data())
-        {
-            *y += s0 * x0;
-            *y += s1 * x1;
-        }
+    check_same(dst, m0);
+    check_same(dst, m1);
+    for ((y, &x0), &x1) in dst
+        .params_mut()
+        .iter_mut()
+        .zip(m0.params())
+        .zip(m1.params())
+    {
+        *y += s0 * x0;
+        *y += s1 * x1;
     }
 }
 
@@ -316,18 +226,9 @@ pub fn axpy2(dst: &mut Sequential, s0: f32, m0: &Sequential, s1: f32, m1: &Seque
 /// Panics when the architectures differ or `alpha` is outside `[0, 1]`.
 pub fn blend_into(dst: &mut Sequential, a: &Sequential, alpha: f32) {
     assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
-    let mut dst_params = dst.params_mut();
-    let a_params = a.params();
-    assert_eq!(
-        dst_params.len(),
-        a_params.len(),
-        "model architecture mismatch"
-    );
-    for (d, p) in dst_params.iter_mut().zip(a_params) {
-        debug_assert_eq!(d.len(), p.len(), "parameter tensor size mismatch");
-        for (y, &x) in d.value.data_mut().iter_mut().zip(p.value.data()) {
-            *y = alpha * x + (1.0 - alpha) * *y;
-        }
+    check_same(dst, a);
+    for (y, &x) in dst.params_mut().iter_mut().zip(a.params()) {
+        *y = alpha * x + (1.0 - alpha) * *y;
     }
 }
 
@@ -461,39 +362,28 @@ mod tests {
     }
 
     #[test]
-    fn flat_view_tracks_dirtiness() {
+    fn flat_view_is_a_copy_with_its_norm() {
         let mut m = model(12);
         let mut v = FlatView::of(&m);
-        assert!(!v.is_dirty());
-        assert_eq!(v.flat(), flatten(&m).as_slice());
-        assert_eq!(v.norm_sq().to_bits(), {
-            let f = flatten(&m);
-            dot_slices(&f, &f).to_bits()
-        });
+        assert_eq!(v.flat(), m.params());
+        let f = flatten(&m);
+        assert_eq!(v.norm_sq().to_bits(), dot_slices(&f, &f).to_bits());
         let d = m.param_count();
         unflatten(&mut m, &vec![2.0; d]);
         v.invalidate();
-        assert!(v.is_dirty());
+        assert_eq!(v.flat(), f.as_slice(), "a copy keeps its values");
         v.refresh(&m);
         assert_eq!(v.flat(), vec![2.0; d].as_slice());
+        assert_eq!(v.norm_sq(), 4.0 * d as f32);
     }
 
     #[test]
-    #[should_panic(expected = "dirty")]
-    fn dirty_flat_view_read_panics() {
-        let mut v = FlatView::of(&model(13));
-        v.invalidate();
-        v.flat();
-    }
-
-    #[test]
-    fn flat_view_set_from_slice_copies_verbatim() {
+    fn flatten_reads_the_plane() {
         let m = model(14);
-        let src = FlatView::of(&m);
-        let mut dst = FlatView::new();
-        dst.set_from_slice(src.flat(), src.norm_sq());
-        assert_eq!(dst.flat(), src.flat());
-        assert_eq!(dst.norm_sq().to_bits(), src.norm_sq().to_bits());
+        assert_eq!(flatten(&m), m.params());
+        let mut buf = vec![9.0; 3];
+        flatten_into(&m, &mut buf);
+        assert_eq!(buf, m.params());
     }
 
     #[test]

@@ -138,10 +138,11 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Captures the current parameters of `model`.
+    /// Captures the current parameters of `model`: its layout and a
+    /// copy of its parameter plane.
     pub fn capture(model: &Sequential) -> Self {
         Checkpoint {
-            layout: model.params().iter().map(|p| p.len()).collect(),
+            layout: model.layout().to_vec(),
             values: Packed(flatten(model)),
         }
     }
@@ -152,7 +153,7 @@ impl Checkpoint {
     /// # Errors
     /// Returns an error when the architecture fingerprint does not match.
     pub fn fits(&self, model: &Sequential) -> Result<(), String> {
-        let layout: Vec<usize> = model.params().iter().map(|p| p.len()).collect();
+        let layout = model.layout();
         if layout != self.layout {
             return Err(format!(
                 "checkpoint layout {:?} does not match model layout {:?}",

@@ -1,11 +1,11 @@
 //! Property-based tests for the NN stack: gradient correctness on random
 //! inputs, algebraic invariants of the parameter-vector view, and bitwise
-//! equivalence of the workspace (zero-alloc) train path against the
-//! allocating oracle path.
+//! equivalence of the workspace (zero-alloc) train path — with its one
+//! gradient plane per scratch — against the allocating oracle path.
 
 use middle_nn::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu, Tanh};
 use middle_nn::loss::softmax_cross_entropy;
-use middle_nn::optim::OptimizerKind;
+use middle_nn::optim::{Adam, GradClip, OptimizerKind, WeightDecay};
 use middle_nn::params::{blend, delta, flatten, model_cosine, unflatten, weighted_average};
 use middle_nn::serialize::{Checkpoint, Packed};
 use middle_nn::{zoo, InputSpec, Layer, NetScratch, Optimizer, Sequential};
@@ -96,6 +96,51 @@ fn ws_matches_allocating(
     Ok(())
 }
 
+/// The zoo's four models, each at its task's input (MNIST and CIFAR at
+/// the synthetic tasks' 16×16).
+fn zoo_model(which: usize, seed: u64) -> (Sequential, InputSpec) {
+    let mnist = InputSpec {
+        channels: 1,
+        height: 16,
+        width: 16,
+        classes: 10,
+    };
+    let cifar = InputSpec {
+        channels: 3,
+        ..mnist
+    };
+    let mut r = rng(seed);
+    match which {
+        0 => (zoo::cnn2(&mnist, &mut r), mnist),
+        1 => (zoo::cnn3(&cifar, &mut r), cifar),
+        2 => (zoo::mlp(&SPEECH, 64, &mut r), SPEECH),
+        _ => (zoo::logistic(&mnist, &mut r), mnist),
+    }
+}
+
+/// SGD, momentum, Adam, and Adam under gradient clipping (at a norm the
+/// first steps exceed) and weight decay.
+fn optimizer(which: usize) -> Box<dyn Optimizer> {
+    match which {
+        0 => OptimizerKind::Sgd { lr: 0.05 }.build(),
+        1 => OptimizerKind::Momentum {
+            lr: 0.05,
+            momentum: 0.9,
+        }
+        .build(),
+        2 => OptimizerKind::Adam { lr: 0.01 }.build(),
+        _ => Box::new(WeightDecay::new(
+            Box::new(GradClip::new(Box::new(Adam::new(0.01)), 0.5)),
+            0.01,
+        )),
+    }
+}
+
+/// Whether every value of `plane` is `+0.0`.
+fn all_positive_zero(plane: &[f32]) -> bool {
+    plane.iter().all(|v| v.to_bits() == 0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -113,7 +158,8 @@ proptest! {
         let labels = [l0, l1];
         let logits = m.forward(&x, true);
         let (_, dlogits) = softmax_cross_entropy(&logits, &labels);
-        let dx = m.backward(&dlogits);
+        let mut grads = vec![0.0; m.param_count()];
+        let dx = m.backward(&dlogits, &mut grads);
 
         let eps = 1e-2;
         let mut loss_at = |x: &Tensor| {
@@ -256,9 +302,9 @@ proptest! {
     fn relu_backward_is_contraction(vals in prop::collection::vec(-2.0f32..2.0, 16)) {
         let mut relu = Relu::new();
         let x = Tensor::from_vec([16], vals);
-        relu.forward(&x, true);
+        relu.forward(&[], &x, true);
         let g = Tensor::ones([16]);
-        let dx = relu.backward(&g);
+        let dx = relu.backward(&[], &mut [], &g);
         for (d, u) in dx.data().iter().zip(g.data()) {
             prop_assert!(d.abs() <= u.abs() + 1e-6);
         }
@@ -318,5 +364,58 @@ proptest! {
         prop_assert_eq!(json.len(), 2 + 16 * bits.len());
         let back: Packed<f64> = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits);
+    }
+}
+
+proptest! {
+    // Sixteen model × optimizer pairs a case, three paths each.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The gradient plane a scratch lends every model it trains is
+    /// exact: for every zoo model under every optimizer, one scratch
+    /// shared by the four architectures in turn (so its plane is resized
+    /// between models of different sizes) trains each model bit for bit
+    /// as a scratch of its own does and as the allocating oracle
+    /// `train_batch` does, and after every `train_batch_ws` the plane is
+    /// all `+0.0`.
+    #[test]
+    fn shared_gradient_plane_is_exact(
+        seed in 0u64..500,
+        data_seed in 0u64..1000,
+        first in 0usize..4,
+        bs in 1usize..4,
+    ) {
+        let mut shared = NetScratch::new();
+        let mut r = rng(data_seed);
+        for opt in 0..4 {
+            for k in 0..4 {
+                let (model, spec) = zoo_model((first + k) % 4, seed);
+                let (mut via_shared, mut via_own, mut via_oracle) =
+                    (model.clone(), model.clone(), model);
+                let mut own = NetScratch::new();
+                let (mut o_shared, mut o_own, mut o_oracle) =
+                    (optimizer(opt), optimizer(opt), optimizer(opt));
+                for step in 0..2 {
+                    let b = bs + step;
+                    let x = middle_tensor::random::uniform(
+                        [b, spec.channels, spec.height, spec.width],
+                        -1.0,
+                        1.0,
+                        &mut r,
+                    );
+                    let labels: Vec<usize> = (0..b).map(|i| (i * 7 + step) % spec.classes).collect();
+                    let l_shared = via_shared.train_batch_ws(&x, &labels, o_shared.as_mut(), &mut shared);
+                    prop_assert!(all_positive_zero(shared.grad_plane()));
+                    prop_assert_eq!(shared.grad_plane().len(), via_shared.param_count());
+                    let l_own = via_own.train_batch_ws(&x, &labels, o_own.as_mut(), &mut own);
+                    prop_assert!(all_positive_zero(own.grad_plane()));
+                    let l_oracle = via_oracle.train_batch(&x, &labels, o_oracle.as_mut());
+                    prop_assert_eq!(l_shared.to_bits(), l_own.to_bits());
+                    prop_assert_eq!(l_shared.to_bits(), l_oracle.to_bits());
+                    prop_assert_eq!(param_bits(&via_shared), param_bits(&via_own));
+                    prop_assert_eq!(param_bits(&via_shared), param_bits(&via_oracle));
+                }
+            }
+        }
     }
 }

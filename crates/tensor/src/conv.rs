@@ -641,13 +641,23 @@ pub fn conv2d_forward_into(
     scratch: &mut ConvScratch,
     out: &mut Tensor,
 ) {
+    check_filters(weight, bias, g);
+    conv2d_forward_slices_into(input, weight.data(), bias.data(), g, scratch, out);
+}
+
+/// [`conv2d_forward_into`] with the filters (`[out_c, patch_len]`, row
+/// major) and bias (`[out_c]`) as slices, read in place from a
+/// parameter plane.
+pub fn conv2d_forward_slices_into(
+    input: &Tensor,
+    weight: &[f32],
+    bias: &[f32],
+    g: &ConvGeometry,
+    scratch: &mut ConvScratch,
+    out: &mut Tensor,
+) {
     g.check_input(input);
-    assert_eq!(
-        weight.shape().dims(),
-        &[g.out_c, g.patch_len()],
-        "weight shape"
-    );
-    assert_eq!(bias.shape().dims(), &[g.out_c], "bias shape");
+    check_filter_slices(weight, bias, g);
 
     let n = input.shape().dim(0);
     let (oh, ow) = (g.out_h(), g.out_w());
@@ -673,10 +683,27 @@ pub fn conv2d_forward_into(
         n,
         &scratch.xpad,
         &scratch.out_off,
-        weight.data(),
-        bias.data(),
+        weight,
+        bias,
         out.data_mut(),
     );
+}
+
+/// Panics unless `weight` is `[out_c, patch_len]` and `bias` `[out_c]`.
+fn check_filters(weight: &Tensor, bias: &Tensor, g: &ConvGeometry) {
+    assert_eq!(
+        weight.shape().dims(),
+        &[g.out_c, g.patch_len()],
+        "weight shape"
+    );
+    assert_eq!(bias.shape().dims(), &[g.out_c], "bias shape");
+}
+
+/// Panics unless `weight` holds `out_c · patch_len` values and `bias`
+/// `out_c`.
+fn check_filter_slices(weight: &[f32], bias: &[f32], g: &ConvGeometry) {
+    assert_eq!(weight.len(), g.out_c * g.patch_len(), "weight shape");
+    assert_eq!(bias.len(), g.out_c, "bias shape");
 }
 
 /// `G` adjacent `kx` taps of one `(c, ky)` against one channel tile: for
@@ -987,6 +1014,38 @@ pub fn conv2d_backward_into(
     dbias: &mut Tensor,
     dinput: Option<&mut Tensor>,
 ) {
+    assert_eq!(
+        weight.shape().dims(),
+        &[g.out_c, g.patch_len()],
+        "weight shape"
+    );
+    conv2d_backward_slices_into(
+        input,
+        weight.data(),
+        dout,
+        g,
+        scratch,
+        dweight,
+        dbias,
+        dinput,
+    );
+}
+
+/// [`conv2d_backward_into`] with the filters as a slice
+/// (`[out_c, patch_len]`, row major), read in place from a parameter
+/// plane.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_backward_slices_into(
+    input: &Tensor,
+    weight: &[f32],
+    dout: &Tensor,
+    g: &ConvGeometry,
+    scratch: &mut ConvScratch,
+    dweight: &mut Tensor,
+    dbias: &mut Tensor,
+    dinput: Option<&mut Tensor>,
+) {
+    assert_eq!(weight.len(), g.out_c * g.patch_len(), "weight shape");
     g.check_input(input);
     let n = input.shape().dim(0);
     let (oh, ow) = (g.out_h(), g.out_w());
@@ -1019,7 +1078,7 @@ pub fn conv2d_backward_into(
         &mut scratch.dyt,
         &mut scratch.dwt,
     );
-    dweight.resize(weight.shape());
+    dweight.resize([g.out_c, plen]);
     dbias.resize([g.out_c]);
     untile_gradients(&scratch.dwt, t, plen, dweight.data_mut(), dbias.data_mut());
 
@@ -1044,7 +1103,7 @@ pub fn conv2d_backward_into(
             n,
             &scratch.dypad,
             &scratch.in_off,
-            weight.data(),
+            weight,
             dinput.data_mut(),
         );
     }
@@ -1058,13 +1117,20 @@ pub fn conv2d_backward_into(
 ///
 /// Returns `[N, out_c, out_h, out_w]`.
 pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, g: &ConvGeometry) -> Tensor {
+    check_filters(weight, bias, g);
+    conv2d_forward_slices(input, weight.data(), bias.data(), g)
+}
+
+/// [`conv2d_forward`] with the filters and bias as slices, read in place
+/// from a parameter plane.
+pub fn conv2d_forward_slices(
+    input: &Tensor,
+    weight: &[f32],
+    bias: &[f32],
+    g: &ConvGeometry,
+) -> Tensor {
     g.check_input(input);
-    assert_eq!(
-        weight.shape().dims(),
-        &[g.out_c, g.patch_len()],
-        "weight shape"
-    );
-    assert_eq!(bias.shape().dims(), &[g.out_c], "bias shape");
+    check_filter_slices(weight, bias, g);
 
     let n = input.shape().dim(0);
     let (oh, ow) = (g.out_h(), g.out_w());
@@ -1078,9 +1144,9 @@ pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, g: &ConvGe
         let img = &input.data()[b * img_len..(b + 1) * img_len];
         im2col_reference(img, g, &mut cols);
         let dst = &mut out.data_mut()[b * out_img_len..(b + 1) * out_img_len];
-        matmul_into_reference(weight.data(), &cols, dst, g.out_c, g.patch_len(), n_pos);
+        matmul_into_reference(weight, &cols, dst, g.out_c, g.patch_len(), n_pos);
         for (oc, chunk) in dst.chunks_mut(n_pos).enumerate() {
-            let bv = bias.data()[oc];
+            let bv = bias[oc];
             for v in chunk {
                 *v += bv;
             }
@@ -1099,6 +1165,23 @@ pub fn conv2d_backward(
     dout: &Tensor,
     g: &ConvGeometry,
 ) -> (Tensor, Tensor, Tensor) {
+    assert_eq!(
+        weight.shape().dims(),
+        &[g.out_c, g.patch_len()],
+        "weight shape"
+    );
+    conv2d_backward_slices(input, weight.data(), dout, g)
+}
+
+/// [`conv2d_backward`] with the filters as a slice, read in place from a
+/// parameter plane.
+pub fn conv2d_backward_slices(
+    input: &Tensor,
+    weight: &[f32],
+    dout: &Tensor,
+    g: &ConvGeometry,
+) -> (Tensor, Tensor, Tensor) {
+    assert_eq!(weight.len(), g.out_c * g.patch_len(), "weight shape");
     g.check_input(input);
     let n = input.shape().dim(0);
     let (oh, ow) = (g.out_h(), g.out_w());
@@ -1113,7 +1196,7 @@ pub fn conv2d_backward(
     let plen = g.patch_len();
 
     let mut dinput = Tensor::zeros(input.shape().clone());
-    let mut dweight = Tensor::zeros(weight.shape().clone());
+    let mut dweight = Tensor::zeros([g.out_c, plen]);
     let mut dbias = Tensor::zeros([g.out_c]);
 
     let mut cols = vec![0.0f32; plen * n_pos];
@@ -1145,7 +1228,7 @@ pub fn conv2d_backward(
         // dcols = weightᵀ (plen×out_c) · dy (out_c×n_pos)
         dcols.fill(0.0);
         for oc in 0..g.out_c {
-            let wrow = &weight.data()[oc * plen..(oc + 1) * plen];
+            let wrow = &weight[oc * plen..(oc + 1) * plen];
             let dyrow = &dy[oc * n_pos..(oc + 1) * n_pos];
             for (r, &wv) in wrow.iter().enumerate() {
                 if wv != 0.0 {

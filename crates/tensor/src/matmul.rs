@@ -58,8 +58,8 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// `a · bᵀ` without materialising the transpose (used by dense backward).
 ///
-/// Pre-overhaul path: one `dot_slices` per element, no cross-column
-/// interleaving — the bitwise oracle for [`matmul_bt_into`].
+/// Pre-overhaul path: runs [`matmul_bt_into_reference`], the bitwise
+/// oracle for [`matmul_bt_into`].
 pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.shape().rank(), 2, "matmul_bt lhs must be rank 2");
     assert_eq!(b.shape().rank(), 2, "matmul_bt rhs must be rank 2");
@@ -68,26 +68,34 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(k, k2, "matmul_bt inner dimension mismatch: {k} vs {k2}");
 
     let mut out = Tensor::zeros([m, n]);
-    {
-        let (ad, bd, c) = (a.data(), b.data(), out.data_mut());
-        let run = |rows: &mut [f32], row0: usize| {
-            for (ri, out_row) in rows.chunks_mut(n).enumerate() {
-                let i = row0 + ri;
-                let arow = &ad[i * k..(i + 1) * k];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    *o = crate::ops::dot_slices_reference(arow, &bd[j * k..(j + 1) * k]);
-                }
-            }
-        };
-        if m * n * k >= PAR_THRESHOLD {
-            c.par_chunks_mut(ROW_BLOCK * n)
-                .enumerate()
-                .for_each(|(blk, rows)| run(rows, blk * ROW_BLOCK));
-        } else {
-            run(c, 0);
-        }
-    }
+    matmul_bt_into_reference(a.data(), b.data(), out.data_mut(), m, k, n);
     out
+}
+
+/// The pre-tiling [`matmul_bt_into`] kernel (and [`matmul_bt`]'s): one
+/// `dot_slices_reference` per element, no cross-column interleaving —
+/// the bitwise oracle, over raw slices so a weight matrix can be read in
+/// place from a parameter plane.
+pub fn matmul_bt_into_reference(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "lhs buffer size");
+    assert_eq!(b.len(), n * k, "rhs buffer size");
+    assert_eq!(c.len(), m * n, "out buffer size");
+    let run = |rows: &mut [f32], row0: usize| {
+        for (ri, out_row) in rows.chunks_mut(n).enumerate() {
+            let i = row0 + ri;
+            let arow = &a[i * k..(i + 1) * k];
+            for (j, o) in out_row.iter_mut().enumerate() {
+                *o = crate::ops::dot_slices_reference(arow, &b[j * k..(j + 1) * k]);
+            }
+        }
+    };
+    if m * n * k >= PAR_THRESHOLD {
+        c.par_chunks_mut(ROW_BLOCK * n)
+            .enumerate()
+            .for_each(|(blk, rows)| run(rows, blk * ROW_BLOCK));
+    } else {
+        run(c, 0);
+    }
 }
 
 /// `aᵀ · b` without materialising the transpose (used by dense backward

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, lints, and the tier-1 build + test suite.
-# Every mode runs the workspace tests in debug and then the tensor and
-# nn suites again in release: the convolution's vector tiles exist only
-# in optimised builds (debug never vectorises, and `debug_assert`s vanish
-# in release), so only there do the kernels that ship meet their oracles.
+# Every mode checks that the benchmark package under perf/ still builds
+# against the workspace's API, runs the workspace tests in debug and then
+# the tensor and nn suites again in release: the convolution's vector
+# tiles exist only in optimised builds (debug never vectorises, and
+# `debug_assert`s vanish in release), so only there do the kernels that
+# ship meet their oracles.
 #
 #   scripts/check.sh           # everything
 #   scripts/check.sh --fast    # skip the release build of the workspace
@@ -84,6 +86,12 @@ fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# perf/ is a package of its own (its own lock file and target
+# directory) whose probes call the tensor, nn and core APIs directly, so
+# an API change that breaks it must fail every mode, not only --ci.
+echo "==> cargo check --manifest-path perf/Cargo.toml (the benchmark builds)"
+cargo check --offline --locked --manifest-path perf/Cargo.toml
 
 if [[ "$FAST" -eq 0 ]]; then
     echo "==> cargo build --release"

@@ -5,7 +5,7 @@
 use middle::core::checkpoint::DeviceSlotCheckpoint;
 use middle::core::quadratic_sim::remark1_rows;
 use middle::core::{
-    fleet_status, run_fleet_coordinator, run_fleet_worker, FleetOptions, InputCache,
+    fleet_status, run_fleet_coordinator, run_fleet_worker, DeviceRef, FleetOptions, InputCache,
     OnDevicePolicy, SelectionPolicy, StepMode,
 };
 use middle::data::partition::{partition, Scheme};
@@ -14,6 +14,7 @@ use middle::data::Confusion;
 use middle::mobility::{generate_markov_hop, Trace};
 use middle::nn::params::flatten;
 use middle::prelude::*;
+use middle::tensor::ops::dot_slices;
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
@@ -268,6 +269,57 @@ fn lazy_pool_and_score_caches_change_no_bit_across_syncs_and_resume() {
     );
 }
 
+/// A replica holds its parameters once. After every tick of a Speech
+/// run whose partial syncs pool and recycle replicas, every resident
+/// holds exactly its `param_count` parameter floats besides its data —
+/// no gradient buffer, no flat copy, no layer cache — its flat is its
+/// model's plane itself, read with no refresh in between, and its cached
+/// norm is `dot_slices` of that plane bit for bit.
+#[test]
+fn every_resident_holds_its_parameters_once() {
+    let cfg = SimConfig {
+        num_edges: 3,
+        num_devices: 45,
+        cloud_interval: 2,
+        steps: 10,
+        faults: wan(0.3),
+        ..small_cfg(Task::Speech, Algorithm::middle())
+    };
+    let mut sim = built(cfg);
+    let mut checked = 0;
+    while !sim.is_finished() {
+        sim.tick(StepMode::Fast);
+        let population = sim.population();
+        for m in 0..population.len() {
+            let DeviceRef::Resident(dev) = population.view(m) else {
+                continue;
+            };
+            let params = dev.model.param_count();
+            let data = size_of_val(dev.data().inputs().data()) + size_of_val(dev.data().labels());
+            assert_eq!(
+                dev.held_bytes(),
+                4 * params + data,
+                "device {m}: bytes held"
+            );
+            let flat = dev.flat();
+            assert!(
+                std::ptr::eq(flat, dev.model.params()),
+                "device {m}: the flat is the model's plane"
+            );
+            assert_eq!(
+                dev.flat_norm_sq().to_bits(),
+                dot_slices(flat, flat).to_bits(),
+                "device {m}: cached norm"
+            );
+            checked += 1;
+        }
+    }
+    // Each sync pools the replicas it demotes, and later materialisations
+    // re-use them.
+    assert!(sim.syncs() >= 3, "{} syncs", sim.syncs());
+    assert!(checked > 0);
+}
+
 /// Tier-1's cell for each zoo member no pin here holds: a Speech run
 /// resumed mid-run through JSON — FedFly's with an update in flight, so
 /// a move would migrate it — and matched by its zero-delay twin.
@@ -442,10 +494,8 @@ fn moved_devices_actually_blend_models_under_middle() {
     let edge = zoo::logistic(&spec, &mut rng(1));
     // A local model positively correlated with the edge model: blend ≠ edge.
     let mut local = edge.clone();
-    for p in local.params_mut() {
-        for v in p.value.data_mut() {
-            *v *= 1.5;
-        }
+    for v in local.params_mut() {
+        *v *= 1.5;
     }
     let middle_init = on_device_init(OnDevicePolicy::SimilarityWeighted, &edge, &local);
     let general_init = on_device_init(OnDevicePolicy::EdgeModel, &edge, &local);
