@@ -45,6 +45,12 @@ pub enum LayerWs {
         /// Flat argmax indices from the forward pass.
         arg: Vec<u32>,
     },
+    /// Dropout mask.
+    Dropout {
+        /// Per-activation factor of the last training forward (`0` or
+        /// `1/(1-p)`); empty after a forward that dropped nothing.
+        mask: Vec<f32>,
+    },
 }
 
 /// One differentiable stage of a [`crate::model::Sequential`] network.

@@ -1,10 +1,35 @@
 //! Inverted dropout with a layer-owned deterministic RNG.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, LayerWs};
 use middle_tensor::random::rng;
 use middle_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
+
+/// The mask of `ws`, coercing the slot to [`LayerWs::Dropout`].
+fn ws_mask(ws: &mut LayerWs) -> &mut Vec<f32> {
+    if !matches!(ws, LayerWs::Dropout { .. }) {
+        *ws = LayerWs::Dropout { mask: Vec::new() };
+    }
+    match ws {
+        LayerWs::Dropout { mask } => mask,
+        _ => unreachable!(),
+    }
+}
+
+/// `out = input`, into caller-owned storage.
+fn copy_into(input: &Tensor, out: &mut Tensor) {
+    out.resize(input.shape());
+    out.data_mut().copy_from_slice(input.data());
+}
+
+/// `out = input ⊙ mask`, elementwise, into caller-owned storage.
+fn mask_into(input: &Tensor, mask: &[f32], out: &mut Tensor) {
+    out.resize(input.shape());
+    for ((o, &x), &m) in out.data_mut().iter_mut().zip(input.data()).zip(mask) {
+        *o = x * m;
+    }
+}
 
 /// Inverted dropout: at train time each activation is zeroed with
 /// probability `p` and survivors are scaled by `1/(1-p)`, so evaluation
@@ -31,6 +56,21 @@ impl Dropout {
             mask: None,
         }
     }
+
+    /// Draws a fresh mask of `len` factors into `mask`: one `f32` from
+    /// the layer's rng per activation, kept (`1/(1-p)`) below `1 − p`.
+    fn draw_mask(&mut self, len: usize, mask: &mut Vec<f32>) {
+        let keep = 1.0 - self.p;
+        let scale = 1.0 / keep;
+        mask.clear();
+        mask.extend((0..len).map(|_| {
+            if self.rng.gen::<f32>() < keep {
+                scale
+            } else {
+                0.0
+            }
+        }));
+    }
 }
 
 impl Layer for Dropout {
@@ -43,21 +83,10 @@ impl Layer for Dropout {
             self.mask = None;
             return input.clone();
         }
-        let keep = 1.0 - self.p;
-        let scale = 1.0 / keep;
-        let mask: Vec<f32> = (0..input.len())
-            .map(|_| {
-                if self.rng.gen::<f32>() < keep {
-                    scale
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let mut out = input.clone();
-        for (x, &m) in out.data_mut().iter_mut().zip(&mask) {
-            *x *= m;
-        }
+        let mut mask = Vec::new();
+        self.draw_mask(input.len(), &mut mask);
+        let mut out = Tensor::zeros([0]);
+        mask_into(input, &mask, &mut out);
         self.mask = Some(mask);
         out
     }
@@ -91,6 +120,51 @@ impl Layer for Dropout {
     fn reset_state(&mut self) {
         self.rng = rng(self.seed);
         self.mask = None;
+    }
+
+    fn forward_into(
+        &mut self,
+        _params: &[f32],
+        input: &Tensor,
+        train: bool,
+        ws: &mut LayerWs,
+        out: &mut Tensor,
+    ) {
+        let mask = ws_mask(ws);
+        if !train || self.p == 0.0 {
+            mask.clear();
+            copy_into(input, out);
+        } else {
+            self.draw_mask(input.len(), mask);
+            mask_into(input, mask, out);
+        }
+    }
+
+    fn backward_into(
+        &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
+        _input: &Tensor,
+        _output: &Tensor,
+        grad_out: &Tensor,
+        ws: &mut LayerWs,
+        grad_in: &mut Tensor,
+        need_grad_in: bool,
+    ) {
+        if !need_grad_in {
+            return;
+        }
+        let mask = ws_mask(ws);
+        if mask.is_empty() {
+            copy_into(grad_out, grad_in);
+        } else {
+            assert_eq!(mask.len(), grad_out.len(), "grad shape changed");
+            mask_into(grad_out, mask, grad_in);
+        }
+    }
+
+    fn infer_into(&self, _params: &[f32], input: &Tensor, _ws: &mut LayerWs, out: &mut Tensor) {
+        copy_into(input, out);
     }
 }
 

@@ -5,7 +5,13 @@
 //! (momentum, Adam moments) is one plane of that length too, lazily
 //! zero-filled on the first step, so an optimizer can be constructed
 //! before the model.
+//!
+//! `Sgd`, `MomentumSgd` and `Adam` each step in one pass over the planes
+//! that also zeroes the gradient, compiled per vector width
+//! ([`middle_tensor::simd_dispatch!`]): every lane is a parameter of its
+//! own, so the width moves no bit.
 
+use middle_tensor::simd_dispatch;
 use serde::{Deserialize, Serialize};
 
 /// A first-order optimizer updating a parameter plane from a gradient
@@ -109,11 +115,7 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]) {
         check_planes(params, grads, layout);
-        let lr = self.lr;
-        for (w, g) in params.iter_mut().zip(grads.iter()) {
-            *w -= lr * g;
-        }
-        grads.fill(0.0);
+        sgd_pass_dispatch(params, grads, self.lr);
     }
 
     fn learning_rate(&self) -> f32 {
@@ -149,13 +151,8 @@ impl MomentumSgd {
 impl Optimizer for MomentumSgd {
     fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]) {
         check_planes(params, grads, layout);
-        let (lr, mu) = (self.lr, self.momentum);
         let v = state_plane(&mut self.velocity, params.len());
-        for ((w, g), vel) in params.iter_mut().zip(grads.iter()).zip(v.iter_mut()) {
-            *vel = mu * *vel + g;
-            *w -= lr * *vel;
-        }
-        grads.fill(0.0);
+        momentum_pass_dispatch(params, grads, v, self.lr, self.momentum);
     }
 
     fn learning_rate(&self) -> f32 {
@@ -197,6 +194,18 @@ impl Adam {
             v: Vec::new(),
         }
     }
+
+    /// The scalars of step `t`.
+    fn scalars(&self, t: u64) -> AdamStep {
+        AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            inv_bc1: reciprocal(bias_correction(self.beta1, t)),
+            inv_bc2: reciprocal(bias_correction(self.beta2, t)),
+        }
+    }
 }
 
 impl Optimizer for Adam {
@@ -207,24 +216,10 @@ impl Optimizer for Adam {
             self.t = 0;
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let scalars = self.scalars(self.t);
         let m = state_plane(&mut self.m, params.len());
         let v = state_plane(&mut self.v, params.len());
-        for (((w, g), mi), vi) in params
-            .iter_mut()
-            .zip(grads.iter())
-            .zip(m.iter_mut())
-            .zip(v.iter_mut())
-        {
-            *mi = b1 * *mi + (1.0 - b1) * g;
-            *vi = b2 * *vi + (1.0 - b2) * g * g;
-            let mhat = *mi / bc1;
-            let vhat = *vi / bc2;
-            *w -= lr * mhat / (vhat.sqrt() + eps);
-        }
-        grads.fill(0.0);
+        adam_pass_dispatch(params, grads, m, v, scalars);
     }
 
     fn learning_rate(&self) -> f32 {
@@ -241,6 +236,95 @@ impl Optimizer for Adam {
         self.t = 0;
     }
 }
+
+/// `1 − βᵗ`, Adam's bias correction after `t` steps, in `f32`.
+fn bias_correction(beta: f32, t: u64) -> f32 {
+    1.0 - beta.powi(t as i32)
+}
+
+/// `1 / bc` in `f64`, so that [`times`]`(x, reciprocal(bc))` is `x / bc`
+/// for every `f32` `x`, bit for bit. The true quotient `x / bc` of two
+/// `f32`s is an `f32` or lies at least 2⁻⁴⁹ (relative) from every `f32`
+/// rounding midpoint: its distance to one is a nonzero multiple of
+/// `ulp / 2B`, `B < 2²⁴` the divisor's integer significand. The `f64`
+/// reciprocal and product are off by at most 2⁻⁵² (relative), so the
+/// product rounds to the `f32` the quotient rounds to — infinities,
+/// signed zeros, subnormals and NaN payloads included (the tests check
+/// every `t` up to 64 on sampled bit patterns, and every `f32` for
+/// `t ≤ 3` when run with `--ignored`). A vector multiply has several
+/// times a vector division's throughput.
+fn reciprocal(bc: f32) -> f64 {
+    1.0 / f64::from(bc)
+}
+
+/// `x · r` rounded once to `f32`: `x / bc` when `r` is
+/// `reciprocal(bc)`.
+#[inline(always)]
+fn times(x: f32, r: f64) -> f32 {
+    (f64::from(x) * r) as f32
+}
+
+/// One Adam step's scalars: the learning rate, the betas, `eps` and the
+/// two bias corrections' [`reciprocal`]s.
+#[derive(Debug, Clone, Copy)]
+struct AdamStep {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    inv_bc1: f64,
+    inv_bc2: f64,
+}
+
+/// `w ← w − lr · g; g ← +0.0`.
+#[inline(always)]
+fn sgd_pass(params: &mut [f32], grads: &mut [f32], lr: f32) {
+    for (w, g) in params.iter_mut().zip(grads.iter_mut()) {
+        *w -= lr * *g;
+        *g = 0.0;
+    }
+}
+
+simd_dispatch!(sgd_pass_dispatch, sgd_pass, (params: &mut [f32], grads: &mut [f32], lr: f32));
+
+/// `v ← μ v + g; w ← w − lr · v; g ← +0.0`.
+#[inline(always)]
+fn momentum_pass(params: &mut [f32], grads: &mut [f32], velocity: &mut [f32], lr: f32, mu: f32) {
+    for ((w, g), vel) in params.iter_mut().zip(grads.iter_mut()).zip(velocity) {
+        *vel = mu * *vel + *g;
+        *w -= lr * *vel;
+        *g = 0.0;
+    }
+}
+
+simd_dispatch!(
+    momentum_pass_dispatch,
+    momentum_pass,
+    (params: &mut [f32], grads: &mut [f32], velocity: &mut [f32], lr: f32, mu: f32)
+);
+
+/// Adam's update of every parameter, its moments `m` and `v`, and the
+/// gradient's `+0.0`. The two bias corrections are `f64` multiplies by
+/// their reciprocals, which round as the divisions do ([`reciprocal`]);
+/// the third division and the square root are as written.
+#[inline(always)]
+fn adam_pass(params: &mut [f32], grads: &mut [f32], m: &mut [f32], v: &mut [f32], h: AdamStep) {
+    let (b1, b2) = (h.beta1, h.beta2);
+    for (((w, g), mi), vi) in params.iter_mut().zip(grads.iter_mut()).zip(m).zip(v) {
+        *mi = b1 * *mi + (1.0 - b1) * *g;
+        *vi = b2 * *vi + (1.0 - b2) * *g * *g;
+        let mhat = times(*mi, h.inv_bc1);
+        let vhat = times(*vi, h.inv_bc2);
+        *w -= h.lr * mhat / (vhat.sqrt() + h.eps);
+        *g = 0.0;
+    }
+}
+
+simd_dispatch!(
+    adam_pass_dispatch,
+    adam_pass,
+    (params: &mut [f32], grads: &mut [f32], m: &mut [f32], v: &mut [f32], h: AdamStep)
+);
 
 /// Decoupled weight decay (AdamW-style): shrinks parameters by
 /// `lr · decay` before delegating to the inner optimizer. With plain SGD
@@ -344,6 +428,198 @@ impl Optimizer for GradClip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use middle_tensor::call_clone;
+    use middle_tensor::matmul::host_clones;
+
+    /// The steps as the textbook writes them — the oracles of the
+    /// dispatched passes: Adam divides by its bias corrections.
+    fn textbook(kind: OptimizerKind, planes: &mut Planes, t: u64) {
+        let Planes { w, g, s1, s2 } = planes;
+        match kind {
+            OptimizerKind::Sgd { lr } => {
+                for (w, g) in w.iter_mut().zip(g.iter()) {
+                    *w -= lr * g;
+                }
+            }
+            OptimizerKind::Momentum { lr, momentum } => {
+                for ((w, g), vel) in w.iter_mut().zip(g.iter()).zip(s1.iter_mut()) {
+                    *vel = momentum * *vel + g;
+                    *w -= lr * *vel;
+                }
+            }
+            OptimizerKind::Adam { lr } => {
+                let (b1, b2, eps) = (0.9f32, 0.999f32, 1e-8f32);
+                let bc1 = 1.0 - b1.powi(t as i32);
+                let bc2 = 1.0 - b2.powi(t as i32);
+                for (((w, g), mi), vi) in w.iter_mut().zip(g.iter()).zip(s1).zip(s2) {
+                    *mi = b1 * *mi + (1.0 - b1) * g;
+                    *vi = b2 * *vi + (1.0 - b2) * g * g;
+                    let mhat = *mi / bc1;
+                    let vhat = *vi / bc2;
+                    *w -= lr * mhat / (vhat.sqrt() + eps);
+                }
+            }
+        }
+        g.fill(0.0);
+    }
+
+    /// A parameter plane, its gradient and up to two state planes.
+    #[derive(Clone)]
+    struct Planes {
+        w: Vec<f32>,
+        g: Vec<f32>,
+        s1: Vec<f32>,
+        s2: Vec<f32>,
+    }
+
+    impl Planes {
+        fn bits(&self) -> [Vec<u32>; 4] {
+            [&self.w, &self.g, &self.s1, &self.s2].map(|p| p.iter().map(|x| x.to_bits()).collect())
+        }
+    }
+
+    /// `len` values of every kind a step can meet: `±0.0`, subnormals,
+    /// magnitudes near `f32::MAX` and from 2⁻⁶⁰ to 2⁶⁰, and, where
+    /// `nan`, NaNs of either sign and several payloads; nonnegative
+    /// where `abs` (a second moment).
+    fn mixed(len: usize, seed: u64, nan: bool, abs: bool) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let r = (state >> 32) as u32;
+                let sign = if abs { 0 } else { r & 0x8000_0000 };
+                f32::from_bits(match i % 12 {
+                    0 => sign,
+                    1 => sign | (r & 0x007f_ffff),
+                    2 => sign | (0x7f7f_ff00 + (r & 0xff)),
+                    3 if nan => sign | 0x7fc0_0000 | (r & 0x3f_ffff),
+                    3 => sign | 0x3f80_0000,
+                    _ => sign | (127 - 60 + (r >> 8) % 121) << 23 | (r & 0x007f_ffff),
+                })
+            })
+            .collect()
+    }
+
+    fn planes(len: usize, seed: u64) -> Planes {
+        Planes {
+            w: mixed(len, seed, false, false),
+            g: mixed(len, seed ^ 1, true, false),
+            s1: mixed(len, seed ^ 2, false, false),
+            s2: mixed(len, seed ^ 3, false, true),
+        }
+    }
+
+    /// Every host clone of each optimizer's pass leaves the parameters,
+    /// the state planes and the zeroed gradient bit-equal to the
+    /// textbook step's, at every step count Adam's bias corrections take
+    /// up to 64 and at 10³ and 10⁴, on planes of every kind of value.
+    #[test]
+    fn every_clone_of_every_optimizer_pass_matches_the_textbook_bitwise() {
+        let (lr, mu) = (0.01f32, 0.9f32);
+        let kinds = [
+            OptimizerKind::Sgd { lr },
+            OptimizerKind::Momentum { lr, momentum: mu },
+            OptimizerKind::Adam { lr },
+        ];
+        for t in (1..=64).chain([1_000, 10_000]) {
+            let start = planes(203, t);
+            for kind in kinds {
+                let mut want = start.clone();
+                textbook(kind, &mut want, t);
+                for clone in host_clones() {
+                    let mut got = start.clone();
+                    let Planes { w, g, s1, s2 } = &mut got;
+                    match kind {
+                        OptimizerKind::Sgd { .. } => call_clone!(sgd_pass, clone, (w, g, lr)),
+                        OptimizerKind::Momentum { .. } => {
+                            call_clone!(momentum_pass, clone, (w, g, s1, lr, mu))
+                        }
+                        OptimizerKind::Adam { .. } => {
+                            let h = Adam::new(lr).scalars(t);
+                            call_clone!(adam_pass, clone, (w, g, s1, s2, h))
+                        }
+                    }
+                    assert_eq!(got.bits(), want.bits(), "{kind:?} {clone} t = {t}");
+                }
+            }
+        }
+    }
+
+    /// The optimizers as a trainer holds them: 64 steps on one plane,
+    /// each against the textbook's, the state carried between steps.
+    #[test]
+    fn optimizer_steps_match_the_textbook_over_a_run() {
+        for kind in [
+            OptimizerKind::Sgd { lr: 0.05 },
+            OptimizerKind::Momentum {
+                lr: 0.05,
+                momentum: 0.9,
+            },
+            OptimizerKind::Adam { lr: 0.05 },
+        ] {
+            let mut opt = kind.build();
+            let start = planes(77, 9);
+            let (mut got, mut want) = (start.clone(), start);
+            want.s1.fill(0.0);
+            want.s2.fill(0.0);
+            for t in 1..=64 {
+                let g = mixed(77, 100 + t, true, false);
+                got.g.clone_from(&g);
+                want.g.clone_from(&g);
+                opt.step(&mut got.w, &mut got.g, &[70, 7]);
+                textbook(kind, &mut want, t);
+                assert_eq!(got.bits()[..2], want.bits()[..2], "{kind:?} t = {t}");
+            }
+        }
+    }
+
+    /// Every bias correction Adam takes up to `t = 64`, of both betas.
+    fn corrections() -> Vec<f32> {
+        let adam = Adam::new(0.1);
+        (1..=64)
+            .flat_map(|t| [adam.beta1, adam.beta2].map(|b| bias_correction(b, t)))
+            .collect()
+    }
+
+    /// `x / bc` and `times(x, reciprocal(bc))` differ in a bit.
+    fn differs(x: f32, bc: f32) -> bool {
+        (x / bc).to_bits() != times(x, reciprocal(bc)).to_bits()
+    }
+
+    /// The reciprocal lemma on 2²⁰ bit patterns — every exponent of
+    /// either sign with 2¹¹ significands each — plus `±inf` and NaNs, for
+    /// every bias correction up to `t = 64`.
+    #[test]
+    fn reciprocal_multiply_rounds_as_the_division() {
+        let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN]
+            .into_iter()
+            .chain([0x7f80_0001, 0xffbf_ffff, 0x7fc0_1234].map(f32::from_bits));
+        let xs: Vec<f32> = (0u32..1 << 20)
+            .map(|i| f32::from_bits(i << 12 | (i.wrapping_mul(0x9E37_79B9) >> 20)))
+            .chain(specials)
+            .collect();
+        for bc in corrections() {
+            let bad = xs.iter().filter(|&&x| differs(x, bc)).count();
+            assert_eq!(bad, 0, "bc = {bc}");
+        }
+    }
+
+    /// The lemma over every `f32`, for the bias corrections of the first
+    /// three steps (the largest reciprocals): 25 s in release, so run
+    /// with `--ignored` (`scripts/check.sh --ci` does).
+    #[test]
+    #[ignore]
+    fn reciprocal_multiply_rounds_as_the_division_on_every_f32() {
+        for bc in corrections().into_iter().take(6) {
+            let bad = (0..=u32::MAX)
+                .filter(|&b| differs(f32::from_bits(b), bc))
+                .count();
+            assert_eq!(bad, 0, "bc = {bc}");
+        }
+    }
 
     /// One step of `opt` on a lone parameter tensor `w` with gradient
     /// `g`, which must come back zeroed.

@@ -3,7 +3,7 @@
 //! equivalence of the workspace (zero-alloc) train path — with its one
 //! gradient plane per scratch — against the allocating oracle path.
 
-use middle_nn::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu, Tanh};
+use middle_nn::layers::{Conv2d, Dense, Dropout, Flatten, MaxPool2d, Relu, Tanh};
 use middle_nn::loss::softmax_cross_entropy;
 use middle_nn::optim::{Adam, GradClip, OptimizerKind, WeightDecay};
 use middle_nn::params::{blend, delta, flatten, model_cosine, unflatten, weighted_average};
@@ -264,6 +264,32 @@ proptest! {
         let (mut oa, mut ob) = (kind.build(), kind.build());
         let bs: Vec<usize> = (0..steps + 1).map(|s| [2, 16][(bs0 + s) % 2]).collect();
         ws_matches_allocating(&mut ma, &mut mb, (oa.as_mut(), ob.as_mut()), [1, 1, 64], 10, &bs, data_seed)?;
+    }
+
+    /// A model with a dropout layer trains through the workspace path bit
+    /// for bit as through the allocating one: the two replicas draw the
+    /// same rng stream, the mask lives in the scratch, and the layer
+    /// holds nothing after a batch.
+    #[test]
+    fn ws_train_path_matches_allocating_path_through_dropout(
+        seed in 0u64..500,
+        data_seed in 0u64..1000,
+        p in 0usize..3,
+        bs0 in 1usize..5,
+    ) {
+        let r = &mut rng(seed);
+        let mut ma = Sequential::new()
+            .push(Flatten::new())
+            .push(Dense::new(64, 32, r))
+            .push(Relu::new())
+            .push(Dropout::new([0.0, 0.25, 0.5][p], seed ^ 0xD0))
+            .push(Dense::new(32, 10, r));
+        let mut mb = ma.clone();
+        let kind = OptimizerKind::Adam { lr: 0.01 };
+        let (mut oa, mut ob) = (kind.build(), kind.build());
+        let bs: Vec<usize> = (0..3).map(|s| bs0 + 7 * s).collect();
+        ws_matches_allocating(&mut ma, &mut mb, (oa.as_mut(), ob.as_mut()), [1, 1, 64], 10, &bs, data_seed)?;
+        prop_assert_eq!(mb.held_bytes(), size_of::<f32>() * mb.param_count());
     }
 
     /// `Optimizer::reset` restores fresh-build semantics bitwise: training

@@ -10,7 +10,8 @@
 //! im2col into the reference GEMM; they are the bitwise oracles the
 //! direct kernels are held to, reduction chain by reduction chain.
 
-use crate::matmul::{matmul_into_reference, mul_add_vectors, simd_dispatch, Vectors, LANES};
+use crate::matmul::{matmul_into_reference, mul_add_vectors, Vectors, LANES};
+use crate::simd_dispatch;
 use crate::tensor::Tensor;
 
 /// Static geometry of a convolution: shapes, stride and padding.
@@ -1378,7 +1379,9 @@ pub fn maxpool2d_backward_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul::tests::{bits, call_clone, host_clones, vals};
+    use crate::call_clone;
+    use crate::matmul::host_clones;
+    use crate::matmul::tests::{bits, vals};
 
     fn geom(
         in_c: usize,

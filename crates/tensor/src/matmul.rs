@@ -129,7 +129,10 @@ const COL_TILE: usize = 16;
 /// independent accumulator slots of `dot_slices`' fixed four-lane split),
 /// so no per-element reduction chain is ever reassociated. The preserved
 /// `*_reference` kernels are deliberately NOT dispatched — they model the
-/// seed build, which was plain baseline codegen.
+/// seed build, which was plain baseline codegen. Exported for the
+/// optimizer steps of `middle-nn`, whose lanes are parameters.
+#[doc(hidden)]
+#[macro_export]
 macro_rules! simd_dispatch {
     ($dispatch:ident, $body:ident, ($($arg:ident : $ty:ty),*)) => {
         #[cfg(target_arch = "x86_64")]
@@ -168,7 +171,43 @@ macro_rules! simd_dispatch {
         }
     };
 }
-pub(crate) use simd_dispatch;
+
+/// Every compiled clone of a [`simd_dispatch!`]ed kernel the host can
+/// run, by the names [`call_clone!`] takes: the dispatcher runs one clone
+/// per host, so tests walk these to hold every clone to its oracle.
+#[doc(hidden)]
+pub fn host_clones() -> Vec<&'static str> {
+    let mut clones = vec!["baseline"];
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            clones.push("avx2");
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            clones.push("avx512");
+        }
+    }
+    clones
+}
+
+/// Calls the clone of the [`simd_dispatch!`]ed `$body` that
+/// [`host_clones`] named.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! call_clone {
+    ($body:ident, $clone:expr, ($($arg:expr),*)) => {
+        match $clone {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `host_clones` lists a clone only after probing the
+            // feature it was compiled for.
+            "avx2" => unsafe { $body::avx2($($arg),*) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            "avx512" => unsafe { $body::avx512($($arg),*) },
+            _ => $body($($arg),*),
+        }
+    };
+}
 
 /// Raw kernel: `c (m×n) = a (m×k) · b (k×n)`, all row-major slices.
 ///
@@ -374,10 +413,10 @@ pub fn matmul_into_reference(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: u
 /// Every element is [`crate::ops::dot_slices`]' chain: product `j` goes
 /// to accumulator `j mod 4`, the last `k mod 4` products to a tail, the
 /// reduce is `((a0 + a1) + a2) + a3 + tail` — bitwise the per-element
-/// oracle [`matmul_bt`]. Row blocks of four or more rows run on
-/// sample-lane register tiles (`bt_lanes`); shorter blocks, which such a
-/// tile would mostly leave empty, run row by row and transpose nothing
-/// (`bt_rows`). Which path a block takes is a function of its row count
+/// oracle [`matmul_bt`]. Full groups of `LANES` rows run on sample-lane
+/// register tiles (`bt_lanes`); the rows that fill no group — every row
+/// of a batch under 16 — run on row-quad tiles (`bt_quads`), which read
+/// `b` in place. Which path a row takes is a function of the row count
 /// alone (DESIGN §12).
 pub fn matmul_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "lhs buffer size");
@@ -401,27 +440,33 @@ pub fn matmul_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
 }
 
 /// One row block of [`matmul_bt_into`] (`c` holds its rows, `a` starts
-/// at its first row; `n, k > 0`).
+/// at its first row; `n, k > 0`): its full `LANES`-row groups on the
+/// sample-lane tile, the rows left over on the row-quad tile.
 fn bt_block(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
-    if c.len() < 4 * n {
-        bt_rows_dispatch(a, b, c, k, n);
-    } else {
-        LANE_TILES.with_borrow_mut(|tiles| {
-            let (xt, yt) = tiles.sized(k, n);
-            bt_lanes_dispatch(a, b, c, k, n, xt, yt);
-        });
-    }
+    let lane_rows = c.len() / n / LANES * LANES;
+    let (c_lanes, c_quads) = c.split_at_mut(lane_rows * n);
+    LANE_TILES.with_borrow_mut(|tiles| {
+        let (xt, yt) = tiles.sized(k, n);
+        if !c_lanes.is_empty() {
+            bt_lanes_dispatch(a, b, c_lanes, k, n, xt, yt);
+        }
+        if !c_quads.is_empty() {
+            bt_quads_dispatch(&a[lane_rows * k..], b, c_quads, k, n, xt, yt);
+        }
+    });
 }
 
-/// Staging for [`bt_lanes`]: a row group's activations and outputs
-/// transposed so that one vector holds one value of `LANES` rows. Owned
-/// by the thread (the parallel row blocks each run on their own), grown
-/// on demand, kept, and fully overwritten before it is read — so a
+/// Staging for [`bt_lanes`] and [`bt_quads`]: a row group's activations
+/// packed, and its outputs or accumulators, one vector each. Owned by
+/// the thread (the parallel row blocks each run on their own), grown on
+/// demand, kept, and fully overwritten before it is read — so a
 /// steady-state forward allocates nothing and zeroes nothing.
 struct LaneTiles {
-    /// `[k]` vectors: element `j` of each row of the group.
+    /// `[k]` vectors: element `j` of each row of a lane group, or a row
+    /// quad's `k / 4` chunks and `k mod 4` tail elements.
     xt: Vec<[f32; LANES]>,
-    /// `[n rounded up to 4]` vectors: output `j` of each row.
+    /// `[n rounded up to 4]` vectors: output `j` of each row of a lane
+    /// group, or the accumulators of output `j` of a row quad.
     yt: Vec<[f32; LANES]>,
 }
 
@@ -448,14 +493,14 @@ thread_local! {
     };
 }
 
-/// Sample-lane body of [`matmul_bt_into`]: the block's rows in groups of
-/// `LANES`, each group's activations transposed into `xt` (`xt[j][s]` =
-/// `a[s][j]`) so that a vector lane is one sample, then register tiles of
-/// 4 outputs × `LANES` samples ([`lane_dots`]) staged in `yt` and
-/// transposed back into `c`. The transpositions cost `(k + n)` moves a
-/// row — not `n · k` a call, as transposing the weights would. Lanes past
-/// a group's last row repeat that row, and a last output tile past `n`
-/// repeats output `n − 1`; neither is stored.
+/// Sample-lane body of [`matmul_bt_into`]: rows in full groups of
+/// `LANES` (`c` holds whole groups), each group's activations transposed
+/// into `xt` (`xt[j][s]` = `a[s][j]`) so that a vector lane is one
+/// sample, then register tiles of 4 outputs × `LANES` samples
+/// ([`lane_dots`]) staged in `yt` and transposed back into `c`. The
+/// transpositions cost `(k + n)` moves a row — not `n · k` a call, as
+/// transposing the weights would. A last output tile past `n` repeats
+/// output `n − 1`, which is not stored.
 #[inline(always)]
 fn bt_lanes(
     a: &[f32],
@@ -467,11 +512,10 @@ fn bt_lanes(
     yt: &mut [[f32; LANES]],
 ) {
     let xt = &mut xt[..k];
-    for (g, cg) in c.chunks_mut(LANES * n).enumerate() {
-        let h = cg.len() / n;
+    for (g, cg) in c.chunks_exact_mut(LANES * n).enumerate() {
         // Gather form (`x[s] = rows[s][j]`), as in conv's `dweight_tiles`.
         let rows: [&[f32]; LANES] = std::array::from_fn(|s| {
-            let i = g * LANES + s.min(h - 1);
+            let i = g * LANES + s;
             &a[i * k..(i + 1) * k]
         });
         for (j, x) in xt.iter_mut().enumerate() {
@@ -554,6 +598,21 @@ fn lane_dots(
     ]
 }
 
+/// `q` in each of a vector's four row slots (a 128-bit broadcast).
+#[inline(always)]
+fn per_row(q: &[f32; 4]) -> [f32; LANES] {
+    let [a, b, c, d] = *q;
+    [a, b, c, d, a, b, c, d, a, b, c, d, a, b, c, d]
+}
+
+/// `acc[s] += x[s] · y[s]`, lane by lane.
+#[inline(always)]
+fn mul_add_lanes(acc: &mut [f32; LANES], x: &[f32; LANES], y: &[f32; LANES]) {
+    for s in 0..LANES {
+        acc[s] += x[s] * y[s];
+    }
+}
+
 /// `((a0 + a1) + a2) + a3 + tail`, lane by lane — `dot_slices`' reduce.
 #[inline(always)]
 fn reduce_quad(acc: &[[f32; LANES]; 4], tail: &[f32; LANES]) -> [f32; LANES] {
@@ -564,29 +623,139 @@ fn reduce_quad(acc: &[[f32; LANES]; 4], tail: &[f32; LANES]) -> [f32; LANES] {
     out
 }
 
-/// Row-by-row body of [`matmul_bt_into`] for blocks of fewer than four
-/// rows: eight outputs at a time through [`crate::ops::dot_slices_many`],
-/// reading `b` in place. A last tile past `n` repeats output `n − 1` and
-/// stores only what exists.
+/// Row-quad body of [`matmul_bt_into`], for the rows that fill no
+/// sample-lane group: four rows at a time, one 16-lane vector holding
+/// the four rows × `dot_slices`' four `j mod 4` accumulators of one
+/// output (lane `4r + l`). Each quad's activations are packed once into
+/// `xq` — its `k / 4` chunks (`xq[c][4r + l] = a[r][4c + l]`), then one
+/// vector per tail element (`xq[k/4 + t][4r + o] = a[r][4(k/4) + t]`):
+/// `4k` moves a quad, and `b` is never transposed. The accumulators go
+/// to `yt` and are reduced in a second pass: reduced in the same pass,
+/// LLVM vectorises the accumulation in the reduce's lane order, which
+/// costs a shuffle per product. Lanes past the block's last row repeat
+/// that row, and a last output tile past `n` repeats output `n − 1`;
+/// neither is stored.
 #[inline(always)]
-fn bt_rows(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
-    for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
-        for (t, out) in crow.chunks_mut(8).enumerate() {
-            let w: [&[f32]; 8] = std::array::from_fn(|o| {
-                let j = (8 * t + o).min(n - 1);
-                &b[j * k..(j + 1) * k]
-            });
-            let dots = crate::ops::dot_slices_many(arow, w);
-            out.copy_from_slice(&dots[..out.len()]);
+fn bt_quads(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    k: usize,
+    n: usize,
+    xq: &mut [[f32; LANES]],
+    yt: &mut [[f32; LANES]],
+) {
+    let kq = k / 4;
+    let xq = &mut xq[..kq + k % 4];
+    let w = |j: usize| {
+        let j = j.min(n - 1);
+        &b[j * k..(j + 1) * k]
+    };
+    for (g, cg) in c.chunks_mut(4 * n).enumerate() {
+        let h = cg.len() / n;
+        let row = |r: usize| {
+            let i = 4 * g + r.min(h - 1);
+            &a[i * k..(i + 1) * k]
+        };
+        // Array literals, not `array::from_fn`, which stays an
+        // out-of-line call inside the `#[target_feature]` clones.
+        let rows = [row(0), row(1), row(2), row(3)];
+        let (quads, tails) = xq.split_at_mut(kq);
+        for (q, x) in quads.iter_mut().enumerate() {
+            for r in 0..4 {
+                x[4 * r..4 * r + 4].copy_from_slice(&rows[r][4 * q..4 * q + 4]);
+            }
+        }
+        for (t, x) in tails.iter_mut().enumerate() {
+            for r in 0..4 {
+                x[4 * r..4 * r + 4].fill(rows[r][4 * kq + t]);
+            }
+        }
+        let (quads, tails) = (&*quads, &*tails);
+        for (t, y) in yt.as_chunks_mut::<4>().0.iter_mut().enumerate() {
+            *y = quad_dots(quads, [w(4 * t), w(4 * t + 1), w(4 * t + 2), w(4 * t + 3)]);
+        }
+        for (t, y) in yt.as_chunks::<4>().0.iter().enumerate() {
+            let j0 = 4 * t;
+            let out = reduce_quads(y, tails, [w(j0), w(j0 + 1), w(j0 + 2), w(j0 + 3)]);
+            for (r, crow) in cg.chunks_exact_mut(n).enumerate() {
+                let yr = &out[4 * r..4 * r + 4];
+                if let Some(dst) = crow.get_mut(j0..j0 + 4) {
+                    dst.copy_from_slice(yr);
+                } else {
+                    // Element by element: a copy of variable length
+                    // would be a `memcpy` call.
+                    for (v, &x) in crow[j0..].iter_mut().zip(yr) {
+                        *v = x;
+                    }
+                }
+            }
         }
     }
 }
 
 simd_dispatch!(
-    bt_rows_dispatch,
-    bt_rows,
-    (a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize)
+    bt_quads_dispatch,
+    bt_quads,
+    (
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        k: usize,
+        n: usize,
+        xq: &mut [[f32; LANES]],
+        yt: &mut [[f32; LANES]]
+    )
 );
+
+/// One row quad × four outputs: `w[o]` is output `o`'s weight row, `xq`
+/// the quad's packed chunks ([`bt_quads`]). Vector `o` holds, in lane
+/// `4r + l`, row `r`'s accumulator `l` of `dot_slices(a[r], w[o])`:
+/// each chunk of `w[o]` is broadcast to the four rows.
+#[inline(always)]
+fn quad_dots(xq: &[[f32; LANES]], w: [&[f32]; 4]) -> [[f32; LANES]; 4] {
+    let (w0, w1, w2, w3) = (
+        w[0].as_chunks::<4>().0,
+        w[1].as_chunks::<4>().0,
+        w[2].as_chunks::<4>().0,
+        w[3].as_chunks::<4>().0,
+    );
+    // One named accumulator vector per output, as in `lane_dots`.
+    let [mut s0, mut s1, mut s2, mut s3] = [[0.0f32; LANES]; 4];
+    for ((((x, y0), y1), y2), y3) in xq.iter().zip(w0).zip(w1).zip(w2).zip(w3) {
+        mul_add_lanes(&mut s0, x, &per_row(y0));
+        mul_add_lanes(&mut s1, x, &per_row(y1));
+        mul_add_lanes(&mut s2, x, &per_row(y2));
+        mul_add_lanes(&mut s3, x, &per_row(y3));
+    }
+    [s0, s1, s2, s3]
+}
+
+/// The four outputs of [`quad_dots`] finished: lane `4r + o` of the
+/// result is `((a0 + a1) + a2) + a3 + tail` of row `r` and output `o` —
+/// `dot_slices`' reduce — where the tail is the chain of the quad's
+/// packed tail elements `xtail` against the last `k mod 4` weights of
+/// `w[o]`.
+#[inline(always)]
+fn reduce_quads(acc: &[[f32; LANES]; 4], xtail: &[[f32; LANES]], w: [&[f32]; 4]) -> [f32; LANES] {
+    let tail_of = |o: usize| w[o].as_chunks::<4>().1;
+    let wt = [tail_of(0), tail_of(1), tail_of(2), tail_of(3)];
+    let mut tail = [0.0f32; LANES];
+    for (t, x) in xtail.iter().enumerate() {
+        mul_add_lanes(
+            &mut tail,
+            x,
+            &per_row(&[wt[0][t], wt[1][t], wt[2][t], wt[3][t]]),
+        );
+    }
+    let mut out = [0.0f32; LANES];
+    for s in 0..LANES {
+        let (r, o) = (s / 4, s % 4);
+        let v = &acc[o][4 * r..4 * r + 4];
+        out[s] = v[0] + v[1] + v[2] + v[3] + tail[s];
+    }
+    out
+}
 
 /// Raw kernel: `c (m×n) = aᵀ · b` where `a` is stored `k×m` row-major —
 /// the dense weight gradient `dyᵀ · x`.
@@ -755,48 +924,28 @@ pub(crate) mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Every compiled clone of a dispatched kernel the host can run.
-    pub(crate) fn host_clones() -> Vec<&'static str> {
-        let mut clones = vec!["baseline"];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                clones.push("avx2");
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                clones.push("avx512");
-            }
-        }
-        clones
-    }
-
-    /// Calls the clone of `$body` that `host_clones` named.
-    macro_rules! call_clone {
-        ($body:ident, $clone:expr, ($($arg:expr),*)) => {
-            match $clone {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `host_clones` lists a clone only after probing
-                // the feature it was compiled for.
-                "avx2" => unsafe { $body::avx2($($arg),*) },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: as above.
-                "avx512" => unsafe { $body::avx512($($arg),*) },
-                _ => $body($($arg),*),
-            }
-        };
-    }
-    pub(crate) use call_clone;
-
-    /// The dispatcher runs one clone per host and one path per block, so
+    /// The dispatcher runs one clone per host and one path per row, so
     /// on an AVX-512 machine the narrower clones would otherwise never
-    /// execute: every clone of both forward paths and of the weight
+    /// execute: every clone of both forward tiles and of the weight
     /// gradient must produce the oracle's bits on the zoo's dense layers
-    /// (`in → out`), at batches that fill no lane group, exactly one,
-    /// and two and a half.
+    /// (`in → out`) and on widths with a `k mod 4` tail, at batches that
+    /// fill a row quad partly and exactly, a lane group partly and
+    /// exactly, and two and a half groups — the row-quad tile over every
+    /// row of the batch, the sample-lane tile over its whole groups, and
+    /// the dispatcher's split between them.
     #[test]
     fn every_clone_of_every_dense_kernel_matches_the_oracle_bitwise() {
-        for (k, n) in [(256, 64), (64, 64), (64, 32), (32, 10), (64, 10)] {
-            for m in [2, 4, 16, 40] {
+        let shapes = [
+            (256, 64),
+            (64, 64),
+            (64, 32),
+            (32, 10),
+            (64, 10),
+            (66, 5),
+            (7, 3),
+        ];
+        for (k, n) in shapes {
+            for m in [1, 2, 3, 4, 5, 7, 8, 12, 15, 16, 17, 20, 40] {
                 let x = Tensor::from_vec([m, k], vals(m * k, 1));
                 let w = Tensor::from_vec([n, k], vals(n * k, 2));
                 // ReLU-masked, as the gradient reaching a hidden layer is.
@@ -808,20 +957,42 @@ pub(crate) mod tests {
                 let mut want_dw = vec![0.0; n * k];
                 matmul_at_into_reference(&dy, x.data(), &mut want_dw, n, m, k);
 
+                let shape = format!("{m} x {k} -> {n}");
+                let mut y = vec![f32::NAN; m * n];
+                matmul_bt_into(x.data(), w.data(), &mut y, m, k, n);
+                assert_eq!(bits(&y), bits(want_y.data()), "dispatched {shape}");
+                // The sample-lane tile takes whole groups only.
+                let grouped = m / LANES * LANES * n;
                 let mut xt = vec![[f32::NAN; LANES]; k];
                 let mut yt = vec![[f32::NAN; LANES]; n.next_multiple_of(4)];
                 for clone in host_clones() {
-                    let shape = format!("{clone} {m} x {k} -> {n}");
-                    let mut y = vec![f32::NAN; m * n];
+                    let shape = format!("{clone} {shape}");
+                    y.fill(f32::NAN);
                     call_clone!(
                         bt_lanes,
                         clone,
+                        (
+                            x.data(),
+                            w.data(),
+                            &mut y[..grouped],
+                            k,
+                            n,
+                            &mut xt,
+                            &mut yt
+                        )
+                    );
+                    assert_eq!(
+                        bits(&y[..grouped]),
+                        bits(&want_y.data()[..grouped]),
+                        "lanes {shape}"
+                    );
+                    y.fill(f32::NAN);
+                    call_clone!(
+                        bt_quads,
+                        clone,
                         (x.data(), w.data(), &mut y, k, n, &mut xt, &mut yt)
                     );
-                    assert_eq!(bits(&y), bits(want_y.data()), "lanes {shape}");
-                    y.fill(f32::NAN);
-                    call_clone!(bt_rows, clone, (x.data(), w.data(), &mut y, k, n));
-                    assert_eq!(bits(&y), bits(want_y.data()), "rows {shape}");
+                    assert_eq!(bits(&y), bits(want_y.data()), "quads {shape}");
                     let mut dw = vec![f32::NAN; n * k];
                     call_clone!(at_body, clone, (&dy, x.data(), &mut dw, n, k));
                     assert_eq!(bits(&dw), bits(&want_dw), "dweight {shape}");

@@ -146,45 +146,6 @@ pub fn dot_slices_reference(a: &[f32], b: &[f32]) -> f32 {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
-/// `T` inner products sharing the left operand, each bitwise-identical
-/// to a separate [`dot_slices`] call.
-///
-/// A single `dot_slices` is latency-bound: its four accumulator chains
-/// serialise on float-add latency for short vectors. Interleaving `T`
-/// independent dots (4·T chains in flight) makes the reduction
-/// throughput-bound while leaving every per-output accumulation order
-/// untouched — the dense forward's kernel for blocks of fewer than four
-/// rows, and the pattern the tiled conv and dense kernels widen.
-#[inline(always)]
-pub fn dot_slices_many<const T: usize>(a: &[f32], rows: [&[f32]; T]) -> [f32; T] {
-    let len = a.len();
-    // Pre-chunking every row (instead of slicing `[j..j + 4]` inside the
-    // loop) removes the per-iteration bounds checks that otherwise keep
-    // the body scalar; each accumulator quad then compiles to one packed
-    // multiply-add with the indexed loop's exact arithmetic order.
-    let (ac, atail) = a.as_chunks::<4>();
-    let rc: [&[[f32; 4]]; T] = std::array::from_fn(|t| rows[t][..len].as_chunks::<4>().0);
-    let mut acc = [[0.0f32; 4]; T];
-    for (i, av) in ac.iter().enumerate() {
-        for t in 0..T {
-            let rv = &rc[t][i];
-            acc[t][0] += av[0] * rv[0];
-            acc[t][1] += av[1] * rv[1];
-            acc[t][2] += av[2] * rv[2];
-            acc[t][3] += av[3] * rv[3];
-        }
-    }
-    let mut out = [0.0f32; T];
-    for t in 0..T {
-        let mut tail = 0.0f32;
-        for (j, &av) in atail.iter().enumerate() {
-            tail += av * rows[t][ac.len() * 4 + j];
-        }
-        out[t] = acc[t][0] + acc[t][1] + acc[t][2] + acc[t][3] + tail;
-    }
-    out
-}
-
 /// Fused single-pass `(dot(a, b), ‖a‖², ‖b‖²)` over two equal-length
 /// slices.
 ///

@@ -57,6 +57,10 @@ fn slice_bits(v: &[f32]) -> Vec<u32> {
 /// `(in, out)` of the model zoo's dense layers.
 const DENSE_SHAPES: [(usize, usize); 5] = [(256, 64), (64, 64), (64, 32), (32, 10), (64, 10)];
 
+/// Batches that fill a row quad partly and exactly, a lane group partly
+/// and exactly, a group and a part, and two and a half groups.
+const DENSE_BATCHES: [usize; 13] = [1, 2, 3, 4, 5, 7, 8, 12, 15, 16, 17, 20, 40];
+
 /// A gradient after a ReLU: the entries whose unit did not fire are
 /// exactly `+0.0` (about half), the rest `mixed_vals`.
 fn relu_masked(len: usize, seed: u64) -> Vec<f32> {
@@ -282,12 +286,13 @@ proptest! {
     /// The dense forward and weight gradient are bitwise-identical to
     /// their oracles (`matmul_bt`'s per-element `dot_slices_reference`,
     /// the pre-tiling `matmul_at_into_reference`) at every batch from 1
-    /// to 20 and 40 — blocks that take the row-by-row path, sample groups
-    /// the batch fills partly, one and two and a half groups — every
-    /// width from 1 to 70 and 256 (tails of every length mod 4, lane
-    /// slabs of every width) and every output count from 1 to 70, on
-    /// `±0.0`, subnormals and a ReLU-masked `dy`; and at the same batch,
-    /// on one of the zoo's dense layers.
+    /// to 20 and 40 — row quads and sample groups the batch fills partly
+    /// or wholly, one and two and a half groups — every width from 1 to
+    /// 70 and 256 (tails of every length mod 4, lane slabs of every
+    /// width) and every output count from 1 to 70, on `±0.0`,
+    /// subnormals and a ReLU-masked `dy`; and on one of the zoo's dense
+    /// layers at every batch of `DENSE_BATCHES`, then with a `k mod 4`
+    /// tail at one of them.
     #[test]
     fn dense_kernels_match_their_oracles_bitwise(
         m in 1usize..=21,
@@ -300,7 +305,11 @@ proptest! {
         let k = if k == 71 { 256 } else { k };
         dense_kernels_match_oracles(m, k, n, seed)?;
         let (zk, zn) = DENSE_SHAPES[zoo];
-        dense_kernels_match_oracles(m, zk, zn, seed ^ 0x200)?;
+        for zm in DENSE_BATCHES {
+            dense_kernels_match_oracles(zm, zk, zn, seed ^ 0x200)?;
+        }
+        let zm = DENSE_BATCHES[seed as usize % DENSE_BATCHES.len()];
+        dense_kernels_match_oracles(zm, zk + 1 + seed as usize % 3, zn, seed ^ 0x300)?;
     }
 
     /// The direct convolution forward and backward are bitwise-identical

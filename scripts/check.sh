@@ -12,7 +12,8 @@
 #   scripts/check.sh --ci      # everything + example builds, runs of
 #                              # trace_tooling and edge_skew_casestudy
 #                              # (1 s together on two cores), shim tests,
-#                              # one-thread FNV pins, doc lints, the
+#                              # Adam's reciprocal lemma over every f32
+#                              # (25 s), one-thread FNV pins, doc lints, the
 #                              # benchmark's own suite, the twelve
 #                              # experiment presets through `middle-sweepd
 #                              # run` (BENCH_*.json and results/
@@ -32,9 +33,10 @@ usage() {
     echo "usage: scripts/check.sh [--fast] [--ci]" >&2
     echo "  --fast  skip the release build of the workspace" >&2
     echo "  --ci    add example builds and two example runs, shim tests," >&2
-    echo "          one-thread FNV pins, doc lints, the perf suite, the sweep" >&2
-    echo "          artefact gates (BENCH_*.json, then results/: 16 min on two" >&2
-    echo "          cores) and the fleet smoke" >&2
+    echo "          the exhaustive reciprocal lemma, one-thread FNV pins, doc" >&2
+    echo "          lints, the perf suite, the sweep artefact gates" >&2
+    echo "          (BENCH_*.json, then results/: 16 min on two cores) and the" >&2
+    echo "          fleet smoke" >&2
 }
 
 FAST=0
@@ -124,6 +126,14 @@ if [[ "$CI" -eq 1 ]]; then
     # never reaches their tests.
     echo "==> shim tests (scheduler rules, two-stage sampling, Value round trips, JSON bytes)"
     cargo test -q -p rayon -p rand_distr -p serde -p serde_json
+
+    # Adam's bias corrections multiply by an f64 reciprocal instead of
+    # dividing; the lemma that this rounds as the division is sampled in
+    # every mode and checked here over all 2^32 inputs for the corrections
+    # of the first three steps (25 s in release on two cores).
+    echo "==> Adam's reciprocal lemma over every f32 (release, ignored test)"
+    cargo test --release -q -p middle-nn --lib -- --ignored \
+        reciprocal_multiply_rounds_as_the_division_on_every_f32
 
     # One CPU is the pool's no-worker path: every FNV pin and every
     # kernel pair of the harness must hold there exactly as they just did
