@@ -369,7 +369,7 @@ impl Device {
 mod tests {
     use super::*;
     use middle_data::synthetic::{SyntheticSource, Task};
-    use middle_nn::layers::{Dense, Dropout, Flatten, Relu};
+    use middle_nn::layers::{Dense, Flatten, Relu};
     use middle_nn::params::flatten;
     use middle_nn::zoo;
     use middle_tensor::ops::dot_slices;
@@ -519,9 +519,8 @@ mod tests {
         }
     }
 
-    /// Every architecture a replica pool can hold: the four zoo models and
-    /// an MLP with a `Dropout` layer — the one layer whose state between
-    /// batches (its rng) changes what training computes.
+    /// Five architectures a replica pool can hold: the four zoo models and
+    /// a one-hidden-layer MLP of another width.
     fn pooled_architecture(which: usize) -> (Task, Sequential) {
         let (task, build): (Task, fn(Task) -> Sequential) = match which {
             0 => (Task::Mnist, |t| zoo::cnn2(&t.spec(), &mut seed_rng(1))),
@@ -535,7 +534,6 @@ mod tests {
                     .push(Flatten::new())
                     .push(Dense::new(spec.features(), 12, &mut r))
                     .push(Relu::new())
-                    .push(Dropout::new(0.4, 99))
                     .push(Dense::new(12, spec.classes, &mut r))
             }),
         };

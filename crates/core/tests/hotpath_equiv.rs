@@ -7,7 +7,7 @@
 use middle_core::aggregation::{
     cloud_aggregate, cloud_aggregate_into, edge_aggregate, edge_aggregate_into,
 };
-use middle_nn::params::{flatten, weighted_average, weighted_average_into};
+use middle_nn::params::flatten;
 use middle_nn::Sequential;
 use middle_tensor::ops::{dot3_slices, dot_slices};
 use proptest::prelude::*;
@@ -30,24 +30,6 @@ proptest! {
         prop_assert_eq!(ab.to_bits(), dot_slices(&a, &b).to_bits());
         prop_assert_eq!(aa.to_bits(), dot_slices(&a, &a).to_bits());
         prop_assert_eq!(bb.to_bits(), dot_slices(&b, &b).to_bits());
-    }
-
-    /// In-place weighted averaging is bit-identical to the allocating
-    /// reference for arbitrary positive weights.
-    #[test]
-    fn weighted_average_into_matches_reference(
-        v1 in vals(8), v2 in vals(8), v3 in vals(8),
-        w in prop::collection::vec(0.1f32..20.0, 3),
-    ) {
-        let (m1, m2, m3) = (model_from(&v1), model_from(&v2), model_from(&v3));
-        let models = [&m1, &m2, &m3];
-        let reference = weighted_average(&models, &w);
-        let mut dst = model_from(&[0.0; 8]);
-        weighted_average_into(&mut dst, &models, &w);
-        let (fr, fd) = (flatten(&reference), flatten(&dst));
-        for (x, y) in fr.iter().zip(&fd) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 }
 

@@ -1,54 +1,9 @@
-//! Mini-batch sampling over a [`Dataset`].
+//! Uniform mini-batch sampling over a [`Dataset`].
 
 use crate::dataset::Dataset;
-use middle_tensor::random::permutation;
 use middle_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
-
-/// Epoch-style batch iterator: shuffles once, then yields contiguous
-/// batches (final partial batch included).
-pub struct BatchIter<'a> {
-    dataset: &'a Dataset,
-    order: Vec<usize>,
-    cursor: usize,
-    batch: usize,
-}
-
-impl<'a> BatchIter<'a> {
-    /// Creates a shuffled batch iterator.
-    ///
-    /// # Panics
-    /// Panics when `batch == 0`.
-    pub fn new(dataset: &'a Dataset, batch: usize, rng: &mut StdRng) -> Self {
-        assert!(batch > 0, "batch size must be positive");
-        BatchIter {
-            dataset,
-            order: permutation(dataset.len(), rng),
-            cursor: 0,
-            batch,
-        }
-    }
-
-    /// Number of batches this iterator will yield.
-    pub fn num_batches(&self) -> usize {
-        self.dataset.len().div_ceil(self.batch)
-    }
-}
-
-impl Iterator for BatchIter<'_> {
-    type Item = (Tensor, Vec<usize>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cursor >= self.order.len() {
-            return None;
-        }
-        let end = (self.cursor + self.batch).min(self.order.len());
-        let idxs = &self.order[self.cursor..end];
-        self.cursor = end;
-        Some(self.dataset.gather(idxs))
-    }
-}
 
 /// Draws one uniform random batch (with replacement) — the `ξ_m^t`
 /// stochastic mini-batch of the paper's local update (Eq. 1).
@@ -91,35 +46,6 @@ mod tests {
             (0..n).map(|i| i % 3).collect(),
             3,
         )
-    }
-
-    #[test]
-    fn epoch_covers_every_sample_once() {
-        let d = ds(10);
-        let mut seen = [0usize; 10];
-        for (inputs, _) in BatchIter::new(&d, 3, &mut rng(1)) {
-            for &v in inputs.data() {
-                seen[v as usize] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn num_batches_includes_partial() {
-        let d = ds(10);
-        let it = BatchIter::new(&d, 4, &mut rng(2));
-        assert_eq!(it.num_batches(), 3);
-        assert_eq!(it.count(), 3);
-    }
-
-    #[test]
-    fn batches_match_batch_size() {
-        let d = ds(9);
-        let sizes: Vec<usize> = BatchIter::new(&d, 4, &mut rng(3))
-            .map(|(_, l)| l.len())
-            .collect();
-        assert_eq!(sizes, vec![4, 4, 1]);
     }
 
     #[test]

@@ -176,14 +176,6 @@ impl Dataset {
             classes: self.classes,
         }
     }
-
-    /// Splits into `(first_n, rest)` by sample position.
-    pub fn split_at(&self, n: usize) -> (Dataset, Dataset) {
-        assert!(n <= self.len(), "split point beyond dataset");
-        let head: Vec<usize> = (0..n).collect();
-        let tail: Vec<usize> = (n..self.len()).collect();
-        (self.subset(&head), self.subset(&tail))
-    }
 }
 
 #[cfg(test)]
@@ -241,15 +233,6 @@ mod tests {
         let c = d.concat(&d);
         assert_eq!(c.len(), 8);
         assert_eq!(c.labels()[4..], d.labels()[..]);
-    }
-
-    #[test]
-    fn split_at_partitions() {
-        let d = ds();
-        let (a, b) = d.split_at(1);
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.labels(), &[1, 2, 3]);
     }
 
     #[test]

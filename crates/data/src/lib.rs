@@ -21,4 +21,4 @@ pub mod synthetic;
 pub use dataset::Dataset;
 pub use metrics::{accuracy, Confusion};
 pub use partition::{partition, Partition, Scheme};
-pub use synthetic::{train_test, SyntheticSource, Task};
+pub use synthetic::{SyntheticSource, Task};

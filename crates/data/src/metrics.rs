@@ -78,26 +78,6 @@ impl Confusion {
             })
             .collect()
     }
-
-    /// Mean accuracy over a subset of classes (ignoring empty ones) —
-    /// the "major classes" / "minor classes" series of Figure 1(b).
-    pub fn subset_accuracy(&self, classes: &[usize]) -> Option<f32> {
-        let per = self.per_class_accuracy();
-        let vals: Vec<f32> = classes.iter().filter_map(|&c| per[c]).collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f32>() / vals.len() as f32)
-        }
-    }
-
-    /// Merges another confusion matrix into this one.
-    pub fn merge(&mut self, other: &Confusion) {
-        assert_eq!(self.classes, other.classes, "class count mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
 }
 
 /// Plain accuracy of predictions against truth.
@@ -137,24 +117,6 @@ mod tests {
         assert_eq!(per[0], Some(0.5));
         assert_eq!(per[1], None);
         assert_eq!(per[2], None);
-    }
-
-    #[test]
-    fn subset_accuracy_mirrors_figure1() {
-        // Classes 0-1 "major" (perfect), 2-3 "minor" (wrong).
-        let m = Confusion::from_predictions(&[0, 1, 2, 3], &[0, 1, 0, 0], 4);
-        assert_eq!(m.subset_accuracy(&[0, 1]), Some(1.0));
-        assert_eq!(m.subset_accuracy(&[2, 3]), Some(0.0));
-        assert_eq!(m.subset_accuracy(&[]), None);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Confusion::from_predictions(&[0], &[0], 2);
-        let b = Confusion::from_predictions(&[1], &[0], 2);
-        a.merge(&b);
-        assert_eq!(a.total(), 2);
-        assert_eq!(a.at(1, 0), 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! same generated corpus can be re-partitioned without re-sampling.
 
 use crate::dataset::Dataset;
-use middle_tensor::random::{derive_seed, permutation, rng};
+use middle_tensor::random::{derive_seed, rng};
 use rand::Rng;
 use rand_distr::{Dirichlet, Distribution};
 use serde::{Deserialize, Serialize};
@@ -231,21 +231,6 @@ fn spread(total: usize, parts: usize, slot: usize) -> usize {
     total / parts + usize::from(slot < total % parts)
 }
 
-/// Fisher–Yates shuffle of a partition's device order (keeps
-/// device→samples mapping, permutes device identity).
-pub fn shuffle_devices(p: &mut Partition, seed: u64) {
-    let n = p.assignments.len();
-    let perm = permutation(n, &mut rng(derive_seed(seed, 0x51F7)));
-    let mut new_assign = Vec::with_capacity(n);
-    let mut new_major = Vec::with_capacity(n);
-    for &i in &perm {
-        new_assign.push(std::mem::take(&mut p.assignments[i]));
-        new_major.push(p.major_class[i]);
-    }
-    p.assignments = new_assign;
-    p.major_class = new_major;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,18 +328,6 @@ mod tests {
         let [e0, e1] = edge_skew_counts(10, 200, 0.7);
         let flipped: Vec<usize> = e1[5..].iter().chain(&e1[..5]).copied().collect();
         assert_eq!(e0, flipped);
-    }
-
-    #[test]
-    fn shuffle_preserves_multiset() {
-        let b = base();
-        let mut p = partition(&b, 8, 10, Scheme::SingleClass, 9);
-        let mut before: Vec<Vec<usize>> = p.assignments.clone();
-        shuffle_devices(&mut p, 42);
-        let mut after = p.assignments.clone();
-        before.sort();
-        after.sort();
-        assert_eq!(before, after);
     }
 
     #[test]

@@ -56,17 +56,6 @@ impl Task {
         }
     }
 
-    /// Parses a task name.
-    pub fn parse(s: &str) -> Option<Task> {
-        match s {
-            "mnist" => Some(Task::Mnist),
-            "emnist" => Some(Task::Emnist),
-            "cifar10" => Some(Task::Cifar10),
-            "speech" => Some(Task::Speech),
-            _ => None,
-        }
-    }
-
     /// Input signature of the stand-in dataset.
     pub fn spec(&self) -> InputSpec {
         match self {
@@ -167,11 +156,6 @@ impl SyntheticSource {
         }
     }
 
-    /// The generated task.
-    pub fn task(&self) -> Task {
-        self.task
-    }
-
     /// The class prototype vectors.
     pub fn prototypes(&self) -> &[Vec<f32>] {
         &self.prototypes
@@ -258,14 +242,6 @@ fn smooth_field(spec: &InputSpec, sep: f32, density: f32, r: &mut StdRng) -> Vec
     field
 }
 
-/// Convenience: a `(train, test)` pair for a task, class-balanced.
-pub fn train_test(task: Task, train_n: usize, test_n: usize, seed: u64) -> (Dataset, Dataset) {
-    let src = SyntheticSource::new(task, seed);
-    let train = src.generate_balanced(train_n, 1);
-    let test = src.generate_balanced(test_n, 2);
-    (train, test)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,14 +252,6 @@ mod tests {
         assert_eq!(Task::Emnist.spec().classes, 26);
         assert_eq!(Task::Cifar10.spec().channels, 3);
         assert_eq!(Task::Speech.spec().width, 64);
-    }
-
-    #[test]
-    fn parse_roundtrips() {
-        for t in Task::ALL {
-            assert_eq!(Task::parse(t.name()), Some(t));
-        }
-        assert_eq!(Task::parse("imagenet"), None);
     }
 
     #[test]
@@ -416,12 +384,5 @@ mod tests {
             correct as f32 / d.len() as f32
         };
         assert!(acc(Task::Mnist) > acc(Task::Cifar10) + 0.05);
-    }
-
-    #[test]
-    fn train_test_are_distinct_draws() {
-        let (tr, te) = train_test(Task::Mnist, 30, 30, 17);
-        assert_ne!(tr.inputs().data(), te.inputs().data());
-        assert_eq!(tr.classes(), te.classes());
     }
 }

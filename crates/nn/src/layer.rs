@@ -15,11 +15,10 @@ use middle_tensor::Tensor;
 /// One `LayerWs` accompanies each layer inside a
 /// [`crate::scratch::NetScratch`]. Layers lazily coerce the slot to their
 /// own variant on first use, so a fresh `NetScratch` starts as all
-/// [`LayerWs::None`]; layers without a workspace override simply leave it
-/// there and run the allocating fallback path.
+/// [`LayerWs::None`]; layers that need no workspace leave it there.
 #[derive(Debug, Default, Clone)]
 pub enum LayerWs {
-    /// No workspace (allocating fallback path).
+    /// No workspace.
     #[default]
     None,
     /// Batched convolution workspace.
@@ -45,12 +44,6 @@ pub enum LayerWs {
         /// Flat argmax indices from the forward pass.
         arg: Vec<u32>,
     },
-    /// Dropout mask.
-    Dropout {
-        /// Per-activation factor of the last training forward (`0` or
-        /// `1/(1-p)`); empty after a forward that dropped nothing.
-        mask: Vec<f32>,
-    },
 }
 
 /// One differentiable stage of a [`crate::model::Sequential`] network.
@@ -58,34 +51,32 @@ pub enum LayerWs {
 /// Every pass takes `params`, the layer's slice of the model's parameter
 /// plane: its parameter tensors back to back in the order of
 /// [`Layer::param_lens`] (a parameterless layer gets an empty slice).
-/// The forward pass may cache whatever it needs for the backward pass
-/// (inputs, masks, argmax tables); `backward` must be called after the
-/// matching `forward`, with the upstream gradient of the forward output,
-/// and returns the gradient w.r.t. the forward input while adding the
-/// parameter gradients into `grads`, the layer's slice of a gradient
-/// plane laid out like `params`.
+/// A layer computes the same function in training and evaluation and
+/// carries nothing from one batch to the next. Every pass comes in two
+/// forms. The allocating oracle pair ([`Layer::forward`] /
+/// [`Layer::backward`], and [`Layer::infer`]) caches what the backward
+/// needs (inputs, masks, argmax tables) in the layer; `backward` must be
+/// called after the matching `forward`, with the upstream gradient of
+/// the forward output, and returns the gradient w.r.t. the forward input
+/// while adding the parameter gradients into `grads`, the layer's slice
+/// of a gradient plane laid out like `params`. The workspace passes
+/// (`*_into`) keep that state in a [`LayerWs`] instead and are bitwise
+/// identical to the oracle pair.
 pub trait Layer: Send + Sync {
-    /// Human-readable layer name for summaries and error messages.
+    /// Human-readable layer name for error messages.
     fn name(&self) -> &'static str;
 
-    /// Forward pass. `train` enables training-only behaviour (dropout).
-    fn forward(&mut self, params: &[f32], input: &Tensor, train: bool) -> Tensor;
+    /// Forward pass.
+    fn forward(&mut self, params: &[f32], input: &Tensor) -> Tensor;
 
     /// Backward pass: upstream gradient in, input gradient out; the
     /// parameter gradients are added into `grads`.
     fn backward(&mut self, params: &[f32], grads: &mut [f32], grad_out: &Tensor) -> Tensor;
 
-    /// Cache-free evaluation-mode forward pass.
-    ///
-    /// Semantically equivalent to `forward(params, input, false)` but
-    /// takes `&self`: no backward caches are written, so shared
-    /// references to a model can run inference concurrently. The default
-    /// falls back to cloning the layer; every concrete layer overrides
-    /// it with a direct computation.
-    fn infer(&self, params: &[f32], input: &Tensor) -> Tensor {
-        let mut scratch = self.clone_box();
-        scratch.forward(params, input, false)
-    }
+    /// Cache-free forward pass: equal to [`Layer::forward`] but takes
+    /// `&self`, so no backward caches are written and shared references
+    /// to a model can run inference concurrently.
+    fn infer(&self, params: &[f32], input: &Tensor) -> Tensor;
 
     /// Lengths of the layer's parameter tensors, in canonical order (a
     /// dense layer's weight, then its bias); empty for a parameterless
@@ -114,34 +105,19 @@ pub trait Layer: Send + Sync {
     /// federated device).
     fn clone_box(&self) -> Box<dyn Layer>;
 
-    /// Returns the layer's non-parameter state to what
-    /// [`Layer::clone_box`] hands out: backward caches dropped, a
-    /// layer-owned rng re-seeded. A pooled model is re-purposed for
-    /// another device through this, so whatever a layer carries between
-    /// batches besides its parameters must be reset here.
+    /// Returns the layer to what [`Layer::clone_box`] hands out: the
+    /// allocating forward's backward cache dropped. A pooled model is
+    /// re-purposed for another device through this.
     fn reset_state(&mut self) {}
 
     /// Workspace-backed forward pass writing into caller-owned `out`.
     ///
-    /// Bitwise-identical to [`Layer::forward`] but allocation-free when
-    /// overridden: `out` is resized and fully overwritten, and whatever
-    /// the backward pass needs lands in `ws` instead of internal caches.
-    /// Overriding layers must not rely on internal caches —
+    /// Bitwise-identical to [`Layer::forward`] and allocation-free in
+    /// steady state: `out` is resized and fully overwritten, and whatever
+    /// the backward pass needs lands in `ws`, never in the layer —
     /// [`Layer::backward_into`] receives the forward `input`/`output`
-    /// tensors explicitly. The default falls back to the allocating
-    /// [`Layer::forward`] (which caches), so unoverridden layers keep
-    /// working through their cache-based [`Layer::backward`].
-    fn forward_into(
-        &mut self,
-        params: &[f32],
-        input: &Tensor,
-        train: bool,
-        ws: &mut LayerWs,
-        out: &mut Tensor,
-    ) {
-        let _ = ws;
-        *out = self.forward(params, input, train);
-    }
+    /// tensors explicitly.
+    fn forward_into(&mut self, params: &[f32], input: &Tensor, ws: &mut LayerWs, out: &mut Tensor);
 
     /// Workspace-backed backward pass writing into caller-owned `grad_in`.
     ///
@@ -162,20 +138,11 @@ pub trait Layer: Send + Sync {
         ws: &mut LayerWs,
         grad_in: &mut Tensor,
         need_grad_in: bool,
-    ) {
-        let _ = (input, output, ws);
-        let g = self.backward(params, grads, grad_out);
-        if need_grad_in {
-            *grad_in = g;
-        }
-    }
+    );
 
-    /// Workspace-backed evaluation-mode forward pass into caller-owned
-    /// `out`. Bitwise-identical to [`Layer::infer`].
-    fn infer_into(&self, params: &[f32], input: &Tensor, ws: &mut LayerWs, out: &mut Tensor) {
-        let _ = ws;
-        *out = self.infer(params, input);
-    }
+    /// Workspace-backed cache-free forward pass into caller-owned `out`.
+    /// Bitwise-identical to [`Layer::infer`].
+    fn infer_into(&self, params: &[f32], input: &Tensor, ws: &mut LayerWs, out: &mut Tensor);
 }
 
 /// `grads += staged`, elementwise: a backward pass's compute-then-add of

@@ -1,4 +1,4 @@
-//! Elementwise activation layers.
+//! The ReLU activation layer.
 
 use crate::layer::{Layer, LayerWs};
 use middle_tensor::Tensor;
@@ -21,7 +21,7 @@ impl Layer for Relu {
         "relu"
     }
 
-    fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], input: &Tensor) -> Tensor {
         let mut out = input.clone();
         let mask: Vec<bool> = out
             .data_mut()
@@ -74,7 +74,6 @@ impl Layer for Relu {
         &mut self,
         _params: &[f32],
         input: &Tensor,
-        _train: bool,
         _ws: &mut LayerWs,
         out: &mut Tensor,
     ) {
@@ -124,63 +123,6 @@ fn relu_into(input: &Tensor, out: &mut Tensor) {
     }
 }
 
-/// Hyperbolic tangent activation.
-#[derive(Clone, Default)]
-pub struct Tanh {
-    cached_output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh activation.
-    pub fn new() -> Self {
-        Tanh {
-            cached_output: None,
-        }
-    }
-}
-
-impl Layer for Tanh {
-    fn name(&self) -> &'static str {
-        "tanh"
-    }
-
-    fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Tensor {
-        let out = input.map(|x| x.tanh());
-        self.cached_output = Some(out.clone());
-        out
-    }
-
-    fn infer(&self, _params: &[f32], input: &Tensor) -> Tensor {
-        input.map(|x| x.tanh())
-    }
-
-    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad_out: &Tensor) -> Tensor {
-        let y = self
-            .cached_output
-            .as_ref()
-            .expect("backward called before forward");
-        let mut out = grad_out.clone();
-        for (g, &yv) in out.data_mut().iter_mut().zip(y.data()) {
-            *g *= 1.0 - yv * yv;
-        }
-        out
-    }
-
-    fn held_bytes(&self) -> usize {
-        size_of::<f32>() * self.cached_output.as_ref().map_or(0, Tensor::len)
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(Tanh {
-            cached_output: None,
-        })
-    }
-
-    fn reset_state(&mut self) {
-        self.cached_output = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,14 +130,14 @@ mod tests {
     #[test]
     fn relu_forward_clamps_negatives() {
         let mut r = Relu::new();
-        let y = r.forward(&[], &Tensor::from_vec([4], vec![-1., 0., 2., -3.]), true);
+        let y = r.forward(&[], &Tensor::from_vec([4], vec![-1., 0., 2., -3.]));
         assert_eq!(y.data(), &[0., 0., 2., 0.]);
     }
 
     #[test]
     fn relu_backward_masks_gradient() {
         let mut r = Relu::new();
-        r.forward(&[], &Tensor::from_vec([4], vec![-1., 0.5, 2., -3.]), true);
+        r.forward(&[], &Tensor::from_vec([4], vec![-1., 0.5, 2., -3.]));
         let dx = r.backward(
             &[],
             &mut [],
@@ -208,21 +150,8 @@ mod tests {
     fn relu_gradient_at_zero_is_zero() {
         // Subgradient convention: x == 0 blocks the gradient.
         let mut r = Relu::new();
-        r.forward(&[], &Tensor::from_vec([1], vec![0.0]), true);
+        r.forward(&[], &Tensor::from_vec([1], vec![0.0]));
         let dx = r.backward(&[], &mut [], &Tensor::from_vec([1], vec![5.0]));
         assert_eq!(dx.data(), &[0.0]);
-    }
-
-    #[test]
-    fn tanh_matches_finite_difference() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_vec([3], vec![-0.7, 0.0, 1.3]);
-        t.forward(&[], &x, true);
-        let dx = t.backward(&[], &mut [], &Tensor::ones([3]));
-        let eps = 1e-3;
-        for i in 0..3 {
-            let fd = ((x.data()[i] + eps).tanh() - (x.data()[i] - eps).tanh()) / (2.0 * eps);
-            assert!((fd - dx.data()[i]).abs() < 1e-4);
-        }
     }
 }

@@ -52,11 +52,6 @@ impl Conv2d {
         }
     }
 
-    /// The layer's static geometry.
-    pub fn geometry(&self) -> &ConvGeometry {
-        &self.geometry
-    }
-
     /// The weight and the bias, the layer's slice `params` split.
     fn split<'p>(&self, params: &'p [f32]) -> (&'p [f32], &'p [f32]) {
         assert_eq!(params.len(), self.lens[0] + self.lens[1], "conv2d params");
@@ -80,7 +75,7 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, params: &[f32], input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, params: &[f32], input: &Tensor) -> Tensor {
         self.cached_input = Some(input.clone());
         self.infer(params, input)
     }
@@ -124,14 +119,7 @@ impl Layer for Conv2d {
         self.cached_input = None;
     }
 
-    fn forward_into(
-        &mut self,
-        params: &[f32],
-        input: &Tensor,
-        _train: bool,
-        ws: &mut LayerWs,
-        out: &mut Tensor,
-    ) {
+    fn forward_into(&mut self, params: &[f32], input: &Tensor, ws: &mut LayerWs, out: &mut Tensor) {
         self.infer_into(params, input, ws, out);
     }
 
@@ -192,7 +180,7 @@ mod tests {
         let mut c = Conv2d::new(geom(), &mut rng(1));
         let params = c.take_params();
         let x = Tensor::zeros([3, 1, 4, 4]);
-        let y = c.forward(&params, &x, true);
+        let y = c.forward(&params, &x);
         assert_eq!(y.shape().dims(), &[3, 2, 4, 4]);
     }
 
@@ -202,7 +190,7 @@ mod tests {
         let params = c.take_params();
         let mut grads = vec![0.0; params.len()];
         let x = Tensor::ones([1, 1, 4, 4]);
-        let y = c.forward(&params, &x, true);
+        let y = c.forward(&params, &x);
         let dx = c.backward(&params, &mut grads, &Tensor::ones(y.shape().clone()));
         assert_eq!(dx.shape(), x.shape());
         // dL/db for sum loss is out_h*out_w per channel: the bias is the
@@ -217,8 +205,8 @@ mod tests {
         let mut grads = vec![0.0; params.len()];
         let x1 = Tensor::zeros([1, 1, 4, 4]);
         let x2 = Tensor::ones([1, 1, 4, 4]);
-        c.forward(&params, &x1, true);
-        let y = c.forward(&params, &x2, true);
+        c.forward(&params, &x1);
+        let y = c.forward(&params, &x2);
         // Backward with the cached x2: weight grads equal sum of windows of x2,
         // which is nonzero — would be all zero if x1 were cached.
         c.backward(&params, &mut grads, &Tensor::ones(y.shape().clone()));

@@ -55,16 +55,6 @@ impl Dense {
         }
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
     /// The weight and the bias, the layer's slice `params` split.
     fn split<'p>(&self, params: &'p [f32]) -> (&'p [f32], &'p [f32]) {
         assert_eq!(params.len(), self.lens[0] + self.lens[1], "dense params");
@@ -145,7 +135,7 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, params: &[f32], input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, params: &[f32], input: &Tensor) -> Tensor {
         let out = self.affine(params, input);
         self.cached_input = Some(input.clone());
         out
@@ -204,7 +194,6 @@ impl Layer for Dense {
         &mut self,
         params: &[f32],
         input: &Tensor,
-        _train: bool,
         _ws: &mut LayerWs,
         out: &mut Tensor,
     ) {
@@ -267,7 +256,7 @@ mod tests {
         // Known weights [3, 2], then the bias.
         let params = [1., 0., 0., 1., 1., 1., 0.5, -0.5, 0.0];
         let x = Tensor::from_vec([1, 2], vec![2., 3.]);
-        let y = d.forward(&params, &x, true);
+        let y = d.forward(&params, &x);
         assert_eq!(y.data(), &[2.5, 2.5, 5.0]);
     }
 
@@ -277,12 +266,12 @@ mod tests {
         let mut params = d.take_params();
         let mut grads = vec![0.0; params.len()];
         let x = Tensor::from_vec([2, 3], vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6]);
-        let y = d.forward(&params, &x, true);
+        let y = d.forward(&params, &x);
         let dout = Tensor::ones(y.shape().clone());
         let dx = d.backward(&params, &mut grads, &dout);
 
         let eps = 1e-3;
-        let loss = |d: &mut Dense, p: &[f32], x: &Tensor| d.forward(p, x, true).sum();
+        let loss = |d: &mut Dense, p: &[f32], x: &Tensor| d.forward(p, x).sum();
 
         // Input gradient.
         for i in 0..x.len() {
@@ -316,7 +305,7 @@ mod tests {
         assert_eq!(d.held_bytes(), 0);
         assert!(d.take_params().is_empty());
         let x = Tensor::from_vec([1, 2], vec![1., 2.]);
-        d.forward(&params, &x, true);
+        d.forward(&params, &x);
         assert_eq!(d.held_bytes(), 8);
         assert!(d.clone().cached_input.is_none());
         assert_eq!(c.init, params);
@@ -327,6 +316,6 @@ mod tests {
     fn wrong_input_width_panics() {
         let mut d = Dense::new(4, 2, &mut rng(1));
         let params = d.take_params();
-        d.forward(&params, &Tensor::zeros([1, 3]), true);
+        d.forward(&params, &Tensor::zeros([1, 3]));
     }
 }

@@ -22,7 +22,7 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], input: &Tensor) -> Tensor {
         assert!(input.shape().rank() >= 1, "flatten needs a batch dimension");
         self.cached_shape = Some(input.shape().clone());
         let n = input.shape().dim(0);
@@ -57,7 +57,6 @@ impl Layer for Flatten {
         &mut self,
         _params: &[f32],
         input: &Tensor,
-        _train: bool,
         _ws: &mut LayerWs,
         out: &mut Tensor,
     ) {
@@ -105,7 +104,7 @@ mod tests {
     fn forward_flattens_and_backward_restores() {
         let mut f = Flatten::new();
         let x = Tensor::from_vec([2, 1, 2, 2], (0..8).map(|i| i as f32).collect());
-        let y = f.forward(&[], &x, true);
+        let y = f.forward(&[], &x);
         assert_eq!(y.shape().dims(), &[2, 4]);
         let dx = f.backward(&[], &mut [], &y);
         assert_eq!(dx.shape().dims(), &[2, 1, 2, 2]);

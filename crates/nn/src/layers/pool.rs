@@ -43,7 +43,7 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], input: &Tensor) -> Tensor {
         let (out, arg) = maxpool2d_forward(input, self.window);
         self.cached = Some((input.shape().clone(), arg));
         out
@@ -81,7 +81,6 @@ impl Layer for MaxPool2d {
         &mut self,
         _params: &[f32],
         input: &Tensor,
-        _train: bool,
         ws: &mut LayerWs,
         out: &mut Tensor,
     ) {
@@ -118,7 +117,7 @@ mod tests {
     fn forward_backward_roundtrip() {
         let mut p = MaxPool2d::new(2);
         let x = Tensor::from_vec([1, 1, 2, 2], vec![1., 4., 2., 3.]);
-        let y = p.forward(&[], &x, true);
+        let y = p.forward(&[], &x);
         assert_eq!(y.data(), &[4.]);
         let dx = p.backward(&[], &mut [], &Tensor::from_vec([1, 1, 1, 1], vec![2.0]));
         assert_eq!(dx.data(), &[0., 2., 0., 0.]);
@@ -127,7 +126,7 @@ mod tests {
     #[test]
     fn shape_halves_with_window_two() {
         let mut p = MaxPool2d::new(2);
-        let y = p.forward(&[], &Tensor::zeros([2, 3, 8, 8]), true);
+        let y = p.forward(&[], &Tensor::zeros([2, 3, 8, 8]));
         assert_eq!(y.shape().dims(), &[2, 3, 4, 4]);
     }
 }

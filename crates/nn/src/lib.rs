@@ -7,11 +7,10 @@
 //! equivalent, so this crate implements exactly the training machinery the
 //! evaluation needs:
 //!
-//! * layers ([`layers`]): dense, conv2d, max-pool, ReLU/tanh, dropout,
-//!   flatten — each with hand-derived backward passes validated against
-//!   finite differences;
-//! * losses ([`loss`]): softmax cross-entropy (batch and per-sample) and
-//!   MSE;
+//! * layers ([`layers`]): dense, conv2d, max-pool, ReLU and flatten —
+//!   each with hand-derived backward passes validated against finite
+//!   differences;
+//! * losses ([`loss`]): softmax cross-entropy (batch and per-sample);
 //! * optimizers ([`optim`]): SGD, momentum SGD (paper: lr 0.01, μ 0.9) and
 //!   Adam (paper: lr 0.001 for speech);
 //! * the [`model::Sequential`] container, which owns its parameters as
@@ -27,7 +26,6 @@ pub mod loss;
 pub mod model;
 pub mod optim;
 pub mod params;
-pub mod schedule;
 pub mod scratch;
 pub mod serialize;
 pub mod zoo;
@@ -35,6 +33,5 @@ pub mod zoo;
 pub use layer::{Layer, LayerWs};
 pub use model::Sequential;
 pub use optim::{Optimizer, OptimizerKind};
-pub use schedule::Schedule;
 pub use scratch::NetScratch;
 pub use zoo::InputSpec;

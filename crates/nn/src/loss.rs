@@ -1,4 +1,4 @@
-//! Loss functions: softmax cross-entropy and mean squared error.
+//! Softmax cross-entropy, batch and per sample.
 
 use middle_tensor::reduce::{logsumexp_rows, softmax_rows};
 use middle_tensor::Tensor;
@@ -108,22 +108,6 @@ pub fn per_sample_cross_entropy_into(logits: &Tensor, labels: &[usize], out: &mu
     }));
 }
 
-/// Mean squared error `mean((pred - target)^2)` with gradient
-/// `2 (pred - target) / N_elements`.
-pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    assert!(!pred.is_empty(), "mse of empty tensors");
-    let n = pred.len() as f32;
-    let mut grad = pred.clone();
-    let mut loss = 0.0f32;
-    for (g, &t) in grad.data_mut().iter_mut().zip(target.data()) {
-        let d = *g - t;
-        loss += d * d;
-        *g = 2.0 * d / n;
-    }
-    (loss / n, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,22 +171,5 @@ mod tests {
     #[should_panic(expected = "label out of range")]
     fn bad_label_panics() {
         softmax_cross_entropy(&Tensor::zeros([1, 3]), &[3]);
-    }
-
-    #[test]
-    fn mse_basics() {
-        let pred = Tensor::from_vec([2], vec![1., 3.]);
-        let target = Tensor::from_vec([2], vec![0., 1.]);
-        let (loss, grad) = mse(&pred, &target);
-        assert!((loss - 2.5).abs() < 1e-6);
-        assert_eq!(grad.data(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn mse_zero_at_target() {
-        let t = Tensor::from_vec([3], vec![1., 2., 3.]);
-        let (loss, grad) = mse(&t, &t);
-        assert_eq!(loss, 0.0);
-        assert_eq!(grad.data(), &[0., 0., 0.]);
     }
 }

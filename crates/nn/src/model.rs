@@ -4,7 +4,6 @@ use crate::layer::Layer;
 use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_into};
 use crate::optim::Optimizer;
 use crate::scratch::NetScratch;
-use middle_tensor::reduce::argmax_rows;
 use middle_tensor::Tensor;
 
 /// A feed-forward stack of layers trained with softmax cross-entropy.
@@ -64,11 +63,6 @@ impl Sequential {
         self.layers.len()
     }
 
-    /// Layer names in order, for summaries.
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
-    }
-
     /// The parameter plane: every parameter in canonical order.
     pub fn params(&self) -> &[f32] {
         &self.params
@@ -109,13 +103,14 @@ impl Sequential {
         }
     }
 
-    /// Forward pass through all layers.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    /// Forward pass through all layers, caching what
+    /// [`Sequential::backward`] needs in them.
+    pub fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
         let mut rest = &self.params[..];
         for layer in &mut self.layers {
             let (p, tail) = rest.split_at(width(&**layer));
-            x = layer.forward(p, &x, train);
+            x = layer.forward(p, &x);
             rest = tail;
         }
         x
@@ -150,11 +145,11 @@ impl Sequential {
         labels: &[usize],
         optimizer: &mut dyn Optimizer,
     ) -> f32 {
-        let logits = self.forward(inputs, true);
+        let logits = self.forward(inputs);
         let (loss, dlogits) = softmax_cross_entropy(&logits, labels);
         let mut grads = vec![0.0; self.params.len()];
         self.backward(&dlogits, &mut grads);
-        optimizer.step(&mut self.params, &mut grads, &self.layout);
+        optimizer.step(&mut self.params, &mut grads);
         loss
     }
 
@@ -162,9 +157,8 @@ impl Sequential {
     /// [`Sequential::train_batch`] but allocation-free in steady state.
     ///
     /// All intermediates live in `scratch`, which is grown on first use
-    /// and reused across calls; layers with workspace kernels (conv,
-    /// dense, relu, pool, flatten) run their batched `_into` paths and the
-    /// rest fall back to the allocating trait defaults. The gradients go
+    /// and reused across calls; every layer runs its batched `_into`
+    /// passes, which keep their state there. The gradients go
     /// into the scratch's gradient plane ([`NetScratch::grad_plane`]),
     /// which the optimizer step leaves all `+0.0` for the next call.
     ///
@@ -184,11 +178,7 @@ impl Sequential {
         assert!(depth > 0, "cannot train an empty model");
         scratch.ensure(depth);
         scratch.ensure_grad_plane(self.params.len());
-        let Sequential {
-            layers,
-            params,
-            layout,
-        } = self;
+        let Sequential { layers, params, .. } = self;
 
         let mut rest = &params[..];
         for i in 0..depth {
@@ -196,7 +186,7 @@ impl Sequential {
             rest = tail;
             let (prev, out) = scratch.acts.split_at_mut(i);
             let input = if i == 0 { inputs } else { &prev[i - 1] };
-            layers[i].forward_into(p, input, true, &mut scratch.ws[i], &mut out[0]);
+            layers[i].forward_into(p, input, &mut scratch.ws[i], &mut out[0]);
         }
         let loss =
             softmax_cross_entropy_into(&scratch.acts[depth - 1], labels, &mut scratch.dlogits);
@@ -227,11 +217,11 @@ impl Sequential {
             );
             end = start;
         }
-        optimizer.step(params, &mut scratch.grad_plane, layout);
+        optimizer.step(params, &mut scratch.grad_plane);
         loss
     }
 
-    /// Workspace-backed evaluation-mode forward pass: bitwise-identical to
+    /// Workspace-backed cache-free forward pass: bitwise-identical to
     /// [`Sequential::infer`] but allocation-free in steady state. Returns
     /// the logits held inside `scratch`.
     pub fn infer_ws<'s>(&self, input: &Tensor, scratch: &'s mut NetScratch) -> &'s Tensor {
@@ -249,9 +239,9 @@ impl Sequential {
         &scratch.acts[depth - 1]
     }
 
-    /// Cache-free evaluation-mode forward pass through all layers.
+    /// Cache-free forward pass through all layers.
     ///
-    /// Numerically identical to `forward(input, false)` but takes `&self`,
+    /// Numerically identical to [`Sequential::forward`] but takes `&self`,
     /// so evaluation never needs a model clone or exclusive access.
     pub fn infer(&self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
@@ -262,12 +252,6 @@ impl Sequential {
             rest = tail;
         }
         x
-    }
-
-    /// Predicted class labels for a batch (evaluation mode).
-    pub fn predict(&self, inputs: &Tensor) -> Vec<usize> {
-        let logits = self.infer(inputs);
-        argmax_rows(&logits)
     }
 
     /// Mean cross-entropy loss on a batch without updating parameters.
@@ -283,6 +267,7 @@ mod tests {
     use crate::layers::{Dense, Relu};
     use crate::optim::Sgd;
     use middle_tensor::random::rng;
+    use middle_tensor::reduce::argmax_rows;
 
     fn tiny_model(seed: u64) -> Sequential {
         let mut r = rng(seed);
@@ -295,10 +280,9 @@ mod tests {
     #[test]
     fn forward_shapes_flow_through() {
         let mut m = tiny_model(1);
-        let y = m.forward(&Tensor::zeros([5, 2]), false);
+        let y = m.forward(&Tensor::zeros([5, 2]));
         assert_eq!(y.shape().dims(), &[5, 2]);
         assert_eq!(m.depth(), 3);
-        assert_eq!(m.layer_names(), vec!["dense", "relu", "dense"]);
     }
 
     #[test]
@@ -328,14 +312,14 @@ mod tests {
             last = m.train_batch(&x, &ys, &mut opt);
         }
         assert!(last < 0.05, "loss {last}");
-        let preds = m.predict(&x);
+        let preds = argmax_rows(&m.infer(&x));
         let correct = preds.iter().zip(&ys).filter(|(a, b)| a == b).count();
         assert_eq!(correct, 40);
     }
 
     #[test]
     fn infer_matches_eval_forward_bitwise() {
-        use crate::layers::{Conv2d, Dropout, Flatten, MaxPool2d, Tanh};
+        use crate::layers::{Conv2d, Flatten, MaxPool2d};
         use middle_tensor::conv::ConvGeometry;
         let mut r = rng(6);
         let mut m = Sequential::new()
@@ -354,14 +338,13 @@ mod tests {
             .push(Relu::new())
             .push(MaxPool2d::new(2))
             .push(Flatten::new())
-            .push(Dropout::new(0.3, 11))
             .push(Dense::new(8, 3, &mut r))
-            .push(Tanh::new());
+            .push(Relu::new());
         let x = Tensor::from_vec(
             [2, 1, 4, 4],
             (0..32).map(|i| (i as f32) * 0.17 - 2.0).collect(),
         );
-        let via_forward = m.forward(&x, false);
+        let via_forward = m.forward(&x);
         let via_infer = m.infer(&x);
         assert_eq!(via_forward.shape(), via_infer.shape());
         for (a, b) in via_forward.data().iter().zip(via_infer.data()) {
@@ -395,7 +378,7 @@ mod tests {
     #[test]
     fn backward_adds_into_the_callers_gradient_plane() {
         let mut m = tiny_model(5);
-        let y = m.forward(&Tensor::ones([2, 2]), true);
+        let y = m.forward(&Tensor::ones([2, 2]));
         let mut once = vec![0.0; m.param_count()];
         m.backward(&Tensor::ones(y.shape().clone()), &mut once);
         assert!(once.iter().any(|&g| g != 0.0));

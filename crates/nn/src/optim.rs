@@ -20,18 +20,10 @@ use serde::{Deserialize, Serialize};
 /// `Send + Sync` so a device can cache its optimizer while remaining
 /// shareable across threads during read-only phases (selection scoring).
 pub trait Optimizer: Send + Sync {
-    /// Applies one update step to `params` from `grads` — two planes of
-    /// one length, cut into the model's parameter tensors as `layout`
-    /// says (their lengths, in canonical order) — and zeroes `grads`
-    /// (`+0.0` everywhere, ready for the next backward pass to add into).
-    fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (used for decay schedules such as the
-    /// `η_t = 2/(μ(γ+t))` schedule of Theorem 1).
-    fn set_learning_rate(&mut self, lr: f32);
+    /// Applies one update step to `params` from `grads`, two planes of
+    /// one length, and zeroes `grads` (`+0.0` everywhere, ready for the
+    /// next backward pass to add into).
+    fn step(&mut self, params: &mut [f32], grads: &mut [f32]);
 
     /// Restores the freshly-built state (no momentum/moment plane, step
     /// counter 0) while keeping their allocations.
@@ -92,10 +84,9 @@ fn state_plane(s: &mut Vec<f32>, len: usize) -> &mut [f32] {
     s
 }
 
-/// Panics unless the two planes and the layout agree on the length.
-fn check_planes(params: &[f32], grads: &[f32], layout: &[usize]) {
+/// Panics unless the two planes agree on the length.
+fn check_planes(params: &[f32], grads: &[f32]) {
     assert_eq!(params.len(), grads.len(), "gradient plane length");
-    debug_assert_eq!(layout.iter().sum::<usize>(), params.len(), "layout");
 }
 
 /// Plain SGD: `w ← w − lr · g`.
@@ -113,17 +104,9 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]) {
-        check_planes(params, grads, layout);
+    fn step(&mut self, params: &mut [f32], grads: &mut [f32]) {
+        check_planes(params, grads);
         sgd_pass_dispatch(params, grads, self.lr);
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -149,18 +132,10 @@ impl MomentumSgd {
 }
 
 impl Optimizer for MomentumSgd {
-    fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]) {
-        check_planes(params, grads, layout);
+    fn step(&mut self, params: &mut [f32], grads: &mut [f32]) {
+        check_planes(params, grads);
         let v = state_plane(&mut self.velocity, params.len());
         momentum_pass_dispatch(params, grads, v, self.lr, self.momentum);
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 
     fn reset(&mut self) {
@@ -209,8 +184,8 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]) {
-        check_planes(params, grads, layout);
+    fn step(&mut self, params: &mut [f32], grads: &mut [f32]) {
+        check_planes(params, grads);
         // Moments for another model (or none yet) restart the count.
         if self.m.len() != params.len() {
             self.t = 0;
@@ -220,14 +195,6 @@ impl Optimizer for Adam {
         let m = state_plane(&mut self.m, params.len());
         let v = state_plane(&mut self.v, params.len());
         adam_pass_dispatch(params, grads, m, v, scalars);
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 
     fn reset(&mut self) {
@@ -325,105 +292,6 @@ simd_dispatch!(
     adam_pass,
     (params: &mut [f32], grads: &mut [f32], m: &mut [f32], v: &mut [f32], h: AdamStep)
 );
-
-/// Decoupled weight decay (AdamW-style): shrinks parameters by
-/// `lr · decay` before delegating to the inner optimizer. With plain SGD
-/// this equals adding an L2 penalty `decay/2 · ‖w‖²` to the loss — the
-/// regulariser that makes logistic regression strongly convex
-/// (Assumption 2 of the paper's Theorem 1).
-pub struct WeightDecay {
-    inner: Box<dyn Optimizer>,
-    decay: f32,
-}
-
-impl WeightDecay {
-    /// Wraps `inner` with decay coefficient `decay ≥ 0`.
-    pub fn new(inner: Box<dyn Optimizer>, decay: f32) -> Self {
-        assert!(
-            decay >= 0.0 && decay.is_finite(),
-            "decay must be non-negative"
-        );
-        WeightDecay { inner, decay }
-    }
-}
-
-impl Optimizer for WeightDecay {
-    fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]) {
-        let shrink = 1.0 - self.inner.learning_rate() * self.decay;
-        for w in params.iter_mut() {
-            *w *= shrink;
-        }
-        self.inner.step(params, grads, layout);
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.inner.learning_rate()
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.inner.set_learning_rate(lr);
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
-
-/// Global-norm gradient clipping: rescales all gradients so their joint
-/// L2 norm is at most `max_norm` before delegating to the inner
-/// optimizer — the standard guard against the gradient spikes that
-/// Non-IID local training produces.
-pub struct GradClip {
-    inner: Box<dyn Optimizer>,
-    max_norm: f32,
-}
-
-impl GradClip {
-    /// Wraps `inner` with the given global-norm ceiling.
-    pub fn new(inner: Box<dyn Optimizer>, max_norm: f32) -> Self {
-        assert!(
-            max_norm > 0.0 && max_norm.is_finite(),
-            "max_norm must be positive"
-        );
-        GradClip { inner, max_norm }
-    }
-}
-
-impl Optimizer for GradClip {
-    fn step(&mut self, params: &mut [f32], grads: &mut [f32], layout: &[usize]) {
-        check_planes(params, grads, layout);
-        // One partial sum per parameter tensor, then `Iterator::sum` over
-        // the partials from its own start: the norm's rounding follows
-        // the model's tensors, not the plane.
-        let mut total: f32 = std::iter::empty::<f32>().sum();
-        let mut rest = &grads[..];
-        for &len in layout {
-            let (tensor, tail) = rest.split_at(len);
-            total += tensor.iter().map(|g| g * g).sum::<f32>();
-            rest = tail;
-        }
-        let norm = total.sqrt();
-        if norm > self.max_norm {
-            let scale = self.max_norm / norm;
-            for g in grads.iter_mut() {
-                *g *= scale;
-            }
-        }
-        self.inner.step(params, grads, layout);
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.inner.learning_rate()
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.inner.set_learning_rate(lr);
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -569,7 +437,7 @@ mod tests {
                 let g = mixed(77, 100 + t, true, false);
                 got.g.clone_from(&g);
                 want.g.clone_from(&g);
-                opt.step(&mut got.w, &mut got.g, &[70, 7]);
+                opt.step(&mut got.w, &mut got.g);
                 textbook(kind, &mut want, t);
                 assert_eq!(got.bits()[..2], want.bits()[..2], "{kind:?} t = {t}");
             }
@@ -621,11 +489,11 @@ mod tests {
         }
     }
 
-    /// One step of `opt` on a lone parameter tensor `w` with gradient
-    /// `g`, which must come back zeroed.
+    /// One step of `opt` on a parameter plane `w` with gradient `g`,
+    /// which must come back zeroed.
     fn step(opt: &mut dyn Optimizer, w: &mut [f32], g: &[f32]) {
         let mut grads = g.to_vec();
-        opt.step(w, &mut grads, &[w.len()]);
+        opt.step(w, &mut grads);
         assert!(grads.iter().all(|v| v.to_bits() == 0), "grads zeroed");
     }
 
@@ -633,7 +501,7 @@ mod tests {
     fn sgd_takes_gradient_step_and_clears() {
         let mut w = [1.0, 2.0];
         let mut g = [0.5, -0.5];
-        Sgd::new(0.1).step(&mut w, &mut g, &[2]);
+        Sgd::new(0.1).step(&mut w, &mut g);
         assert_eq!(w, [0.95, 2.05]);
         assert_eq!(g, [0.0, 0.0]);
     }
@@ -687,89 +555,8 @@ mod tests {
     }
 
     #[test]
-    fn set_learning_rate_applies() {
-        let mut opt = Sgd::new(0.1);
-        opt.set_learning_rate(0.5);
-        let mut w = [1.0];
-        step(&mut opt, &mut w, &[1.0]);
-        assert_eq!(w, [0.5]);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn non_positive_lr_panics() {
         Sgd::new(0.0);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_before_stepping() {
-        // Zero gradient: only the decay acts.
-        let mut w = [2.0];
-        step(
-            &mut WeightDecay::new(Box::new(Sgd::new(0.1)), 0.5),
-            &mut w,
-            &[0.0],
-        );
-        assert!((w[0] - 2.0 * (1.0 - 0.05)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weight_decay_pulls_toward_origin_at_stationarity() {
-        // Minimise 0 loss with decay: w -> 0.
-        let mut w = [1.0];
-        let mut opt = WeightDecay::new(Box::new(Sgd::new(0.1)), 1.0);
-        for _ in 0..200 {
-            step(&mut opt, &mut w, &[0.0]);
-        }
-        assert!(w[0].abs() < 1e-4);
-    }
-
-    #[test]
-    fn grad_clip_caps_global_norm() {
-        let mut w = [0.0, 0.0];
-        // norm 50
-        step(
-            &mut GradClip::new(Box::new(Sgd::new(1.0)), 5.0),
-            &mut w,
-            &[30.0, 40.0],
-        );
-        // Clipped gradient = (3, 4); step of lr 1 moves to (-3, -4).
-        assert!((w[0] + 3.0).abs() < 1e-5);
-        assert!((w[1] + 4.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn grad_clip_norm_sums_per_tensor() {
-        // The partial sums follow the layout: 2^24 + 1 + 1 + 1 + 1 stays
-        // 2^24 summed in one chain, but is 2^24 + 4 as [2^24] + [4].
-        let big = 4096.0f32; // big² = 2^24
-        let grads = [big, 1.0, 1.0, 1.0, 1.0];
-        let clip_at = |layout: &[usize]| {
-            let mut w = [0.0f32; 5];
-            let mut g = grads;
-            // max_norm just under 2^12: the clip scale reveals the norm.
-            GradClip::new(Box::new(Sgd::new(1.0)), 4095.0).step(&mut w, &mut g, layout);
-            w[0].to_bits()
-        };
-        assert_ne!(clip_at(&[5]), clip_at(&[1, 4]));
-    }
-
-    #[test]
-    fn grad_clip_passes_small_gradients_through() {
-        let mut w = [0.0];
-        step(
-            &mut GradClip::new(Box::new(Sgd::new(1.0)), 5.0),
-            &mut w,
-            &[0.5],
-        );
-        assert!((w[0] + 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn wrappers_forward_learning_rate() {
-        let mut opt = WeightDecay::new(Box::new(Sgd::new(0.3)), 0.1);
-        assert!((opt.learning_rate() - 0.3).abs() < 1e-7);
-        opt.set_learning_rate(0.7);
-        assert!((opt.learning_rate() - 0.7).abs() < 1e-7);
     }
 }

@@ -12,15 +12,14 @@
 //! * *allocating* reference functions ([`flatten`], [`blend`],
 //!   [`weighted_average`], [`delta`]) — one fresh vector / model clone
 //!   per call, kept as the numerical oracle for equivalence tests;
-//! * *in-place* hot-path primitives ([`copy_params_from`],
-//!   [`zero_params`], [`axpy`], [`axpy2`], [`blend_into`],
-//!   [`weighted_average_into`]) — one loop over the planes, zero
+//! * *in-place* hot-path primitives ([`zero_params`], [`axpy`],
+//!   [`axpy2`], [`blend_into`]) — one loop over the planes, zero
 //!   allocations per call, element-for-element bit-identical to the
 //!   reference family (same per-element arithmetic and accumulation
 //!   order).
 
 use crate::model::Sequential;
-use middle_tensor::ops::{cosine_similarity_slices, dot_slices};
+use middle_tensor::ops::dot_slices;
 
 /// A standalone copy of a model's parameters with its squared L2 norm.
 ///
@@ -90,29 +89,6 @@ pub fn unflatten(model: &mut Sequential, flat: &[f32]) {
     model.params_mut().copy_from_slice(flat);
 }
 
-/// Cosine similarity between two models' flat parameter vectors.
-///
-/// # Panics
-/// Panics when the models have different parameter counts.
-pub fn model_cosine(a: &Sequential, b: &Sequential) -> f32 {
-    let (fa, fb) = (flatten(a), flatten(b));
-    assert_eq!(fa.len(), fb.len(), "model architecture mismatch");
-    cosine_similarity_slices(&fa, &fb)
-}
-
-/// Squared L2 distance between two models' parameters.
-pub fn model_distance2(a: &Sequential, b: &Sequential) -> f32 {
-    let (fa, fb) = (flatten(a), flatten(b));
-    assert_eq!(fa.len(), fb.len(), "model architecture mismatch");
-    fa.iter().zip(&fb).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// L2 norm of the model's flat parameter vector.
-pub fn model_norm(model: &Sequential) -> f32 {
-    let f = flatten(model);
-    dot_slices(&f, &f).sqrt()
-}
-
 /// Convex blend `alpha * a + (1 - alpha) * b` written into a fresh clone
 /// of `a` (on-device model aggregation's arithmetic core).
 ///
@@ -160,17 +136,6 @@ pub fn weighted_average(models: &[&Sequential], weights: &[f32]) -> Sequential {
     let mut out = models[0].clone();
     unflatten(&mut out, &acc);
     out
-}
-
-/// Copies `src`'s parameter plane into `dst`'s — the clone-free
-/// counterpart of `dst = src.clone()` for model broadcast (layer caches
-/// are left untouched).
-///
-/// # Panics
-/// Panics when the architectures differ.
-pub fn copy_params_from(dst: &mut Sequential, src: &Sequential) {
-    check_same(dst, src);
-    dst.params_mut().copy_from_slice(src.params());
 }
 
 /// Panics unless `a` and `b` cut their planes alike.
@@ -232,32 +197,6 @@ pub fn blend_into(dst: &mut Sequential, a: &Sequential, alpha: f32) {
     }
 }
 
-/// Weighted FedAvg of several models written directly into `dst`'s
-/// parameter tensors — no flatten scratch, no model clone. Element-wise
-/// this performs exactly the accumulation of [`weighted_average`]
-/// (`acc += (w/total) · x` per model, in model order), so the two agree
-/// bit-for-bit.
-///
-/// `dst` must not be one of `models` (the borrow checker enforces this
-/// at every call site: `dst` is `&mut`).
-///
-/// # Panics
-/// Panics when `models` is empty, architectures differ, or weights are
-/// not positive-summing non-negative finite values.
-pub fn weighted_average_into(dst: &mut Sequential, models: &[&Sequential], weights: &[f32]) {
-    assert!(!models.is_empty(), "weighted_average of no models");
-    assert_eq!(models.len(), weights.len(), "weights length mismatch");
-    let total: f32 = weights.iter().sum();
-    assert!(
-        total > 0.0 && weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-        "weights must be non-negative with positive sum"
-    );
-    zero_params(dst);
-    for (m, &w) in models.iter().zip(weights) {
-        axpy(dst, w / total, m);
-    }
-}
-
 /// Elementwise difference `a − b` of two models' flat parameters
 /// (the accumulated update `Δw_m = w_m − w_c` of Eq. 10).
 pub fn delta(a: &Sequential, b: &Sequential) -> Vec<f32> {
@@ -291,12 +230,6 @@ mod tests {
         }
         unflatten(&mut m, &doubled);
         assert_eq!(flatten(&m), doubled);
-    }
-
-    #[test]
-    fn model_cosine_self_is_one() {
-        let m = model(2);
-        assert!((model_cosine(&m, &m) - 1.0).abs() < 1e-5);
     }
 
     #[test]
@@ -347,14 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn model_distance_zero_iff_same_params() {
-        let a = model(9);
-        assert_eq!(model_distance2(&a, &a), 0.0);
-        let b = model(10);
-        assert!(model_distance2(&a, &b) > 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn unflatten_wrong_length_panics() {
         let mut m = model(11);
@@ -387,14 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_params_matches_clone() {
-        let src = model(15);
-        let mut dst = model(16);
-        copy_params_from(&mut dst, &src);
-        assert_eq!(flatten(&dst), flatten(&src));
-    }
-
-    #[test]
     fn axpy_accumulates_in_place() {
         let mut dst = model(17);
         let src = model(18);
@@ -420,27 +337,5 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "alpha {alpha}");
             }
         }
-    }
-
-    #[test]
-    fn weighted_average_into_matches_reference_bitwise() {
-        let models: Vec<Sequential> = (21..25).map(model).collect();
-        let refs: Vec<&Sequential> = models.iter().collect();
-        let weights = [3.0f32, 0.5, 2.0, 1.25];
-        let reference = weighted_average(&refs, &weights);
-        let mut dst = model(26);
-        weighted_average_into(&mut dst, &refs, &weights);
-        let (fr, fd) = (flatten(&reference), flatten(&dst));
-        for (x, y) in fr.iter().zip(&fd) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn weighted_average_into_rejects_zero_weights() {
-        let a = model(27);
-        let mut dst = model(28);
-        weighted_average_into(&mut dst, &[&a], &[0.0]);
     }
 }

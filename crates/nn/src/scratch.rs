@@ -75,9 +75,4 @@ impl NetScratch {
     pub fn grad_plane(&self) -> &[f32] {
         &self.grad_plane
     }
-
-    /// The most recent final-layer output (logits), if any pass ran.
-    pub fn logits(&self) -> Option<&Tensor> {
-        self.acts.last()
-    }
 }

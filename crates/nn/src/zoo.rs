@@ -184,21 +184,21 @@ mod tests {
     #[test]
     fn cnn2_shapes() {
         let mut m = cnn2(&MNIST, &mut rng(1));
-        let y = m.forward(&Tensor::zeros([2, 1, 16, 16]), false);
+        let y = m.forward(&Tensor::zeros([2, 1, 16, 16]));
         assert_eq!(y.shape().dims(), &[2, 10]);
     }
 
     #[test]
     fn cnn3_shapes() {
         let mut m = cnn3(&CIFAR, &mut rng(2));
-        let y = m.forward(&Tensor::zeros([2, 3, 16, 16]), false);
+        let y = m.forward(&Tensor::zeros([2, 3, 16, 16]));
         assert_eq!(y.shape().dims(), &[2, 10]);
     }
 
     #[test]
     fn mlp_handles_flat_vectors() {
         let mut m = mlp(&SPEECH, 32, &mut rng(3));
-        let y = m.forward(&Tensor::zeros([4, 1, 1, 64]), false);
+        let y = m.forward(&Tensor::zeros([4, 1, 1, 64]));
         assert_eq!(y.shape().dims(), &[4, 10]);
     }
 

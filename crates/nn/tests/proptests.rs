@@ -3,26 +3,37 @@
 //! equivalence of the workspace (zero-alloc) train path — with its one
 //! gradient plane per scratch — against the allocating oracle path.
 
-use middle_nn::layers::{Conv2d, Dense, Dropout, Flatten, MaxPool2d, Relu, Tanh};
+use middle_nn::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
 use middle_nn::loss::softmax_cross_entropy;
-use middle_nn::optim::{Adam, GradClip, OptimizerKind, WeightDecay};
-use middle_nn::params::{blend, delta, flatten, model_cosine, unflatten, weighted_average};
+use middle_nn::optim::OptimizerKind;
+use middle_nn::params::{blend, delta, flatten, unflatten, weighted_average};
 use middle_nn::serialize::{Checkpoint, Packed};
 use middle_nn::{zoo, InputSpec, Layer, NetScratch, Optimizer, Sequential};
 use middle_tensor::conv::ConvGeometry;
+use middle_tensor::ops::cosine_similarity_slices;
 use middle_tensor::random::rng;
 use middle_tensor::Tensor;
 use proptest::prelude::*;
 
 fn mk_model(seed: u64) -> Sequential {
-    // Tanh, not ReLU: the finite-difference gradient check needs a smooth
-    // network (ReLU kinks make FD estimates invalid near zero
-    // pre-activations; ReLU itself is FD-checked in its unit tests).
     let mut r = rng(seed);
     Sequential::new()
         .push(Dense::new(4, 6, &mut r))
-        .push(Tanh::new())
+        .push(Relu::new())
         .push(Dense::new(6, 3, &mut r))
+}
+
+/// Whether some ReLU of [`mk_model`]`(seed)` fires on one of `xp`, `xm`
+/// and not on the other: a finite difference across a kink measures no
+/// derivative.
+fn straddles_a_kink(seed: u64, xp: &Tensor, xm: &Tensor) -> bool {
+    // The same first draws of the same rng: `mk_model`'s first layer.
+    let first = Sequential::new().push(Dense::new(4, 6, &mut rng(seed)));
+    let (hp, hm) = (first.infer(xp), first.infer(xm));
+    hp.data()
+        .iter()
+        .zip(hm.data())
+        .any(|(&a, &b)| (a > 0.0) != (b > 0.0))
 }
 
 /// A small CNN exercising every layer with a workspace kernel override:
@@ -118,8 +129,7 @@ fn zoo_model(which: usize, seed: u64) -> (Sequential, InputSpec) {
     }
 }
 
-/// SGD, momentum, Adam, and Adam under gradient clipping (at a norm the
-/// first steps exceed) and weight decay.
+/// SGD, momentum and Adam.
 fn optimizer(which: usize) -> Box<dyn Optimizer> {
     match which {
         0 => OptimizerKind::Sgd { lr: 0.05 }.build(),
@@ -128,11 +138,7 @@ fn optimizer(which: usize) -> Box<dyn Optimizer> {
             momentum: 0.9,
         }
         .build(),
-        2 => OptimizerKind::Adam { lr: 0.01 }.build(),
-        _ => Box::new(WeightDecay::new(
-            Box::new(GradClip::new(Box::new(Adam::new(0.01)), 0.5)),
-            0.01,
-        )),
+        _ => OptimizerKind::Adam { lr: 0.01 }.build(),
     }
 }
 
@@ -156,14 +162,14 @@ proptest! {
         let mut m = mk_model(seed);
         let x = Tensor::from_vec([2, 4], vals.clone());
         let labels = [l0, l1];
-        let logits = m.forward(&x, true);
+        let logits = m.forward(&x);
         let (_, dlogits) = softmax_cross_entropy(&logits, &labels);
         let mut grads = vec![0.0; m.param_count()];
         let dx = m.backward(&dlogits, &mut grads);
 
         let eps = 1e-2;
         let mut loss_at = |x: &Tensor| {
-            let logits = m.forward(x, true);
+            let logits = m.forward(x);
             softmax_cross_entropy(&logits, &labels).0
         };
         for i in [0usize, 3, 7] {
@@ -171,6 +177,9 @@ proptest! {
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
+            if straddles_a_kink(seed, &xp, &xm) {
+                continue;
+            }
             let fd = (loss_at(&xp) - loss_at(&xm)) / (2.0 * eps);
             prop_assert!(
                 (fd - dx.data()[i]).abs() < 2e-2 + 0.1 * fd.abs(),
@@ -186,8 +195,8 @@ proptest! {
         let mid = blend(&a, &b, 0.5);
         // The midpoint can't be *less* similar to a than b is (triangle-ish
         // sanity, holds for random init vectors with high probability).
-        let ca = model_cosine(&mid, &a);
-        let cb = model_cosine(&a, &b);
+        let ca = cosine_similarity_slices(mid.params(), a.params());
+        let cb = cosine_similarity_slices(a.params(), b.params());
         prop_assert!(ca >= cb - 1e-4, "cos(mid,a)={} cos(a,b)={}", ca, cb);
     }
 
@@ -266,32 +275,6 @@ proptest! {
         ws_matches_allocating(&mut ma, &mut mb, (oa.as_mut(), ob.as_mut()), [1, 1, 64], 10, &bs, data_seed)?;
     }
 
-    /// A model with a dropout layer trains through the workspace path bit
-    /// for bit as through the allocating one: the two replicas draw the
-    /// same rng stream, the mask lives in the scratch, and the layer
-    /// holds nothing after a batch.
-    #[test]
-    fn ws_train_path_matches_allocating_path_through_dropout(
-        seed in 0u64..500,
-        data_seed in 0u64..1000,
-        p in 0usize..3,
-        bs0 in 1usize..5,
-    ) {
-        let r = &mut rng(seed);
-        let mut ma = Sequential::new()
-            .push(Flatten::new())
-            .push(Dense::new(64, 32, r))
-            .push(Relu::new())
-            .push(Dropout::new([0.0, 0.25, 0.5][p], seed ^ 0xD0))
-            .push(Dense::new(32, 10, r));
-        let mut mb = ma.clone();
-        let kind = OptimizerKind::Adam { lr: 0.01 };
-        let (mut oa, mut ob) = (kind.build(), kind.build());
-        let bs: Vec<usize> = (0..3).map(|s| bs0 + 7 * s).collect();
-        ws_matches_allocating(&mut ma, &mut mb, (oa.as_mut(), ob.as_mut()), [1, 1, 64], 10, &bs, data_seed)?;
-        prop_assert_eq!(mb.held_bytes(), size_of::<f32>() * mb.param_count());
-    }
-
     /// `Optimizer::reset` restores fresh-build semantics bitwise: training
     /// with one long-lived, reset optimizer matches training with a fresh
     /// optimizer per round, for every optimizer kind.
@@ -328,7 +311,7 @@ proptest! {
     fn relu_backward_is_contraction(vals in prop::collection::vec(-2.0f32..2.0, 16)) {
         let mut relu = Relu::new();
         let x = Tensor::from_vec([16], vals);
-        relu.forward(&[], &x, true);
+        relu.forward(&[], &x);
         let g = Tensor::ones([16]);
         let dx = relu.backward(&[], &mut [], &g);
         for (d, u) in dx.data().iter().zip(g.data()) {
@@ -394,7 +377,7 @@ proptest! {
 }
 
 proptest! {
-    // Sixteen model × optimizer pairs a case, three paths each.
+    // Twelve model × optimizer pairs a case, three paths each.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The gradient plane a scratch lends every model it trains is
@@ -413,7 +396,7 @@ proptest! {
     ) {
         let mut shared = NetScratch::new();
         let mut r = rng(data_seed);
-        for opt in 0..4 {
+        for opt in 0..3 {
             for k in 0..4 {
                 let (model, spec) = zoo_model((first + k) % 4, seed);
                 let (mut via_shared, mut via_own, mut via_oracle) =

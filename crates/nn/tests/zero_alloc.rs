@@ -1,13 +1,11 @@
 //! The workspace train path allocates nothing in steady state: after a
 //! warm-up, `train_batch_ws` and `infer_ws` make no heap allocation at
-//! all, for the zoo's models at the batches the benchmark trains them at,
-//! and for an MLP with a dropout layer.
+//! all, for the zoo's models at the batches the benchmark trains them at.
 //!
 //! A counting global allocator sees every allocation of the process, so
 //! this file holds one test: no other test thread can allocate while it
 //! measures.
 
-use middle_nn::layers::{Dense, Dropout, Flatten, Relu};
 use middle_nn::{zoo, InputSpec, NetScratch, OptimizerKind, Sequential};
 use middle_tensor::random::{rng, uniform};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -99,15 +97,7 @@ fn steady_state_train_and_infer_allocate_nothing() {
     let sgd = OptimizerKind::Sgd { lr: 0.01 };
     let cnn2 = zoo::cnn2(&MNIST, &mut rng(1));
     let mlp = zoo::mlp(&SPEECH, 64, &mut rng(2));
-    let r = &mut rng(3);
-    let dropout = Sequential::new()
-        .push(Flatten::new())
-        .push(Dense::new(64, 32, r))
-        .push(Relu::new())
-        .push(Dropout::new(0.25, 4))
-        .push(Dense::new(32, 10, r));
     let cases = [
-        ("dropout mlp", dropout, SPEECH, 2, adam),
         ("cnn2", cnn2, MNIST, 16, momentum),
         ("mlp", mlp.clone(), SPEECH, 2, adam),
         ("mlp", mlp.clone(), SPEECH, 16, adam),

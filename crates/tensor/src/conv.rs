@@ -97,9 +97,8 @@ impl ConvGeometry {
 
 /// Lowers one image `[C, H, W]` into rows of a (possibly wider) patch
 /// matrix: row `r` of the patches lands at `cols[r * row_stride + offset..]`.
-/// This is the strided core shared by [`im2col`] (one image per matrix,
-/// `row_stride == out_positions`) and [`im2col_batch`] (whole batch side by
-/// side, `row_stride == n * out_positions`).
+/// [`im2col_batch`] lays a whole batch side by side this way
+/// (`row_stride == n * out_positions`).
 #[inline(always)]
 fn im2col_strided_body(
     img: &[f32],
@@ -153,7 +152,7 @@ simd_dispatch!(
     (img: &[f32], g: &ConvGeometry, cols: &mut [f32], row_stride: usize, offset: usize)
 );
 
-/// The pre-overhaul [`im2col`] body, kept verbatim (per-element bounds
+/// The pre-overhaul per-image im2col body, kept verbatim (per-element bounds
 /// checks and all) so the per-sample oracle kernels keep the seed's
 /// performance as well as its output — the benchmark's "before" side
 /// must not inherit the batched path's data-movement optimisations.
@@ -190,8 +189,8 @@ fn im2col_reference(img: &[f32], g: &ConvGeometry, cols: &mut [f32]) {
     }
 }
 
-/// The pre-overhaul [`col2im`] body, kept verbatim for the per-sample
-/// oracle (see [`im2col_reference`]).
+/// The pre-overhaul col2im body — the scatter-add adjoint of
+/// [`im2col_reference`] — kept verbatim for the per-sample oracle.
 fn col2im_reference(cols: &[f32], g: &ConvGeometry, img: &mut [f32]) {
     let (oh, ow) = (g.out_h(), g.out_w());
     debug_assert_eq!(img.len(), g.in_c * g.in_h * g.in_w);
@@ -237,13 +236,6 @@ fn valid_span(ow: usize, stride: usize, kx: usize, pad: usize, in_w: usize) -> (
     (lo.min(ow), hi.min(ow).max(lo.min(ow)))
 }
 
-/// Lowers one image `[C, H, W]` (a slice of `C*H*W` floats) into the patch
-/// matrix `cols` of shape `[patch_len, out_positions]` (row-major slice).
-pub fn im2col(img: &[f32], g: &ConvGeometry, cols: &mut [f32]) {
-    debug_assert_eq!(cols.len(), g.patch_len() * g.out_positions());
-    im2col_strided(img, g, cols, g.out_positions(), 0);
-}
-
 /// Lowers a whole NCHW batch into one patch matrix of shape
 /// `[patch_len, n * out_positions]`: sample `b`'s columns sit at offset
 /// `b * out_positions` within every row, so one GEMM covers the batch while
@@ -259,13 +251,6 @@ pub fn im2col_batch(input: &[f32], n: usize, g: &ConvGeometry, cols: &mut [f32])
         let img = &input[b * img_len..(b + 1) * img_len];
         im2col_strided(img, g, cols, row_stride, b * n_pos);
     }
-}
-
-/// Scatter-adds a patch matrix back into an image — the adjoint of
-/// [`im2col`], used for the input gradient.
-pub fn col2im(cols: &[f32], g: &ConvGeometry, img: &mut [f32]) {
-    debug_assert_eq!(cols.len(), g.patch_len() * g.out_positions());
-    col2im_reference(cols, g, img);
 }
 
 /// Reusable workspace for the direct convolution kernels. All buffers are
@@ -1445,23 +1430,6 @@ mod tests {
         assert_eq!(&y.data()[4..], &[-2.0; 4]);
     }
 
-    #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random-ish x, y.
-        let g = geom(2, 1, 3, 1, 1, 5, 5);
-        let x: Vec<f32> = (0..50).map(|i| ((i * 7 % 11) as f32) - 5.0).collect();
-        let ylen = g.patch_len() * g.out_positions();
-        let y: Vec<f32> = (0..ylen).map(|i| ((i * 5 % 13) as f32) - 6.0).collect();
-        let mut cols = vec![0.0; ylen];
-        im2col(&x, &g, &mut cols);
-        let lhs: f32 = cols.iter().zip(&y).map(|(a, b)| a * b).sum();
-        let mut back = vec![0.0; 50];
-        col2im(&y, &g, &mut back);
-        let rhs: f32 = x.iter().zip(&back).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
-    }
-
-    /// Finite-difference check of the full conv backward pass.
     #[test]
     fn conv_gradients_match_finite_differences() {
         let g = geom(1, 2, 3, 1, 1, 4, 4);

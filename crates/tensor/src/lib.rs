@@ -7,8 +7,8 @@
 //! but complete numerical kernel set the training stack needs:
 //!
 //! * [`Tensor`] — owned, contiguous, row-major storage ([`tensor`]);
-//! * elementwise / broadcast arithmetic, convex blends and cosine
-//!   similarity ([`ops`]) — the primitives of federated aggregation;
+//! * inner products and cosine similarity over slices ([`ops`]) — the
+//!   reductions behind model similarity and cached parameter norms;
 //! * blocked, Rayon-parallel matrix multiplication ([`matmul`]);
 //! * direct 2-D convolution (forward, weight and input gradients off
 //!   zero-bordered planes, no patch matrix) and max pooling, each held

@@ -886,19 +886,6 @@ pub fn matmul_at_into_reference(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k
     }
 }
 
-/// Matrix–vector product `a (m×k) · x (k)`.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Tensor {
-    assert_eq!(a.shape().rank(), 2, "matvec lhs must be rank 2");
-    assert_eq!(x.shape().rank(), 1, "matvec rhs must be rank 1");
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    assert_eq!(k, x.shape().dim(0), "matvec dimension mismatch");
-    let mut out = Tensor::zeros([m]);
-    for i in 0..m {
-        out.data_mut()[i] = crate::ops::dot_slices(a.row(i), x.data());
-    }
-    out
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -1069,15 +1056,6 @@ pub(crate) mod tests {
         let a = Tensor::from_vec([5, 4], (0..20).map(|i| i as f32 * 0.3).collect());
         let b = Tensor::from_vec([5, 6], (0..30).map(|i| (i as f32).sqrt()).collect());
         approx_eq(&matmul_at(&a, &b), &matmul(&a.transpose(), &b), 1e-4);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Tensor::from_vec([3, 4], (0..12).map(|i| i as f32).collect());
-        let x = Tensor::from_vec([4], vec![1., 0., -1., 2.]);
-        let via_mm = matmul(&a, &x.reshaped([4, 1]));
-        let mv = matvec(&a, &x);
-        assert_eq!(mv.data(), via_mm.data());
     }
 
     #[test]

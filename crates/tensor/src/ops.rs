@@ -1,101 +1,6 @@
-//! Elementwise and broadcast arithmetic on tensors.
-//!
-//! Binary operations require either identical shapes or the restricted
-//! suffix broadcast described in [`crate::shape::Shape::broadcasts_from`]
-//! (the only broadcast the NN stack needs: a `[C]` bias over `[N, C]`
-//! activations).
-
-use crate::tensor::Tensor;
-
-macro_rules! elementwise_binop {
-    ($name:ident, $name_inplace:ident, $assign:tt, $doc:literal) => {
-        #[doc = $doc]
-        ///
-        /// # Panics
-        /// Panics when the shapes are neither equal nor suffix-broadcastable.
-        pub fn $name(a: &Tensor, b: &Tensor) -> Tensor {
-            let mut out = a.clone();
-            $name_inplace(&mut out, b);
-            out
-        }
-
-        #[doc = $doc]
-        #[doc = " In place on `a`."]
-        pub fn $name_inplace(a: &mut Tensor, b: &Tensor) {
-            if a.shape() == b.shape() {
-                for (x, y) in a.data_mut().iter_mut().zip(b.data()) {
-                    *x $assign *y;
-                }
-            } else {
-                assert!(
-                    a.shape().broadcasts_from(b.shape()),
-                    "shape mismatch: {} vs {}",
-                    a.shape(),
-                    b.shape()
-                );
-                let n = b.len();
-                for chunk in a.data_mut().chunks_mut(n) {
-                    for (x, y) in chunk.iter_mut().zip(b.data()) {
-                        *x $assign *y;
-                    }
-                }
-            }
-        }
-    };
-}
-
-elementwise_binop!(add, add_inplace, +=, "Elementwise addition `a + b`.");
-elementwise_binop!(sub, sub_inplace, -=, "Elementwise subtraction `a - b`.");
-elementwise_binop!(mul, mul_inplace, *=, "Elementwise (Hadamard) product `a * b`.");
-elementwise_binop!(div, div_inplace, /=, "Elementwise division `a / b`.");
-
-/// Scales every element by `s`, returning a new tensor.
-pub fn scale(a: &Tensor, s: f32) -> Tensor {
-    a.map(|x| x * s)
-}
-
-/// Scales every element by `s` in place.
-pub fn scale_inplace(a: &mut Tensor, s: f32) {
-    for x in a.data_mut() {
-        *x *= s;
-    }
-}
-
-/// `a += s * b` (axpy), the workhorse of SGD updates and model blending.
-///
-/// # Panics
-/// Panics when shapes differ.
-pub fn axpy(a: &mut Tensor, s: f32, b: &Tensor) {
-    assert_eq!(a.shape(), b.shape(), "axpy shape mismatch");
-    for (x, y) in a.data_mut().iter_mut().zip(b.data()) {
-        *x += s * *y;
-    }
-}
-
-/// Convex blend `alpha * a + (1 - alpha) * b` — the on-device model
-/// aggregation primitive (paper Eq. 9 with similarity-derived weights).
-///
-/// # Panics
-/// Panics when shapes differ.
-pub fn lerp(a: &Tensor, b: &Tensor, alpha: f32) -> Tensor {
-    assert_eq!(a.shape(), b.shape(), "lerp shape mismatch");
-    let data = a
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| alpha * x + (1.0 - alpha) * y)
-        .collect();
-    Tensor::from_vec(a.shape().clone(), data)
-}
-
-/// Inner product of two equal-shaped tensors, flattened.
-///
-/// # Panics
-/// Panics when shapes differ.
-pub fn dot(a: &Tensor, b: &Tensor) -> f32 {
-    assert_eq!(a.shape(), b.shape(), "dot shape mismatch");
-    dot_slices(a.data(), b.data())
-}
+//! Inner products and cosine similarity over `f32` slices — the
+//! reductions behind model similarity (paper Eq. 8) and the parameter
+//! norms the round caches.
 
 /// Inner product of two equal-length slices.
 #[inline(always)]
@@ -182,15 +87,6 @@ pub fn dot3_slices(a: &[f32], b: &[f32]) -> (f32, f32, f32) {
     )
 }
 
-/// Cosine similarity between two equal-shaped tensors, in `[-1, 1]`.
-///
-/// Returns 0.0 when either operand has zero norm (the convention used by
-/// the similarity utility: a fresh all-zero model carries no information).
-pub fn cosine_similarity(a: &Tensor, b: &Tensor) -> f32 {
-    assert_eq!(a.shape(), b.shape(), "cosine shape mismatch");
-    cosine_similarity_slices(a.data(), b.data())
-}
-
 /// Cosine similarity between two equal-length slices (one fused pass via
 /// [`dot3_slices`]).
 pub fn cosine_similarity_slices(a: &[f32], b: &[f32]) -> f32 {
@@ -210,95 +106,9 @@ pub fn combine_cosine(ab: f32, aa: f32, bb: f32) -> f32 {
     (ab / (aa.sqrt() * bb.sqrt())).clamp(-1.0, 1.0)
 }
 
-/// Weighted mean of several equal-shaped tensors — the FedAvg primitive.
-///
-/// Weights are normalised internally, so callers can pass raw sample
-/// counts.
-///
-/// # Panics
-/// Panics when `tensors` is empty, lengths differ, weights are not all
-/// finite and non-negative, or the weight sum is zero.
-pub fn weighted_mean(tensors: &[&Tensor], weights: &[f32]) -> Tensor {
-    assert!(!tensors.is_empty(), "weighted_mean of no tensors");
-    assert_eq!(
-        tensors.len(),
-        weights.len(),
-        "weights/tensors length mismatch"
-    );
-    let total: f32 = weights.iter().sum();
-    assert!(
-        total > 0.0 && weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-        "weights must be non-negative with positive sum, got {weights:?}"
-    );
-    let mut out = Tensor::zeros(tensors[0].shape().clone());
-    for (t, &w) in tensors.iter().zip(weights) {
-        assert_eq!(
-            t.shape(),
-            tensors[0].shape(),
-            "weighted_mean shape mismatch"
-        );
-        axpy(&mut out, w / total, t);
-    }
-    out
-}
-
-/// Squared L2 distance between two equal-shaped tensors.
-pub fn squared_distance(a: &Tensor, b: &Tensor) -> f32 {
-    assert_eq!(a.shape(), b.shape(), "distance shape mismatch");
-    a.data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| (x - y) * (x - y))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn t(v: &[f32]) -> Tensor {
-        Tensor::from_vec([v.len()], v.to_vec())
-    }
-
-    #[test]
-    fn add_sub_mul_div() {
-        let a = t(&[1., 2., 3.]);
-        let b = t(&[4., 5., 6.]);
-        assert_eq!(add(&a, &b).data(), &[5., 7., 9.]);
-        assert_eq!(sub(&b, &a).data(), &[3., 3., 3.]);
-        assert_eq!(mul(&a, &b).data(), &[4., 10., 18.]);
-        assert_eq!(div(&b, &a).data(), &[4., 2.5, 2.]);
-    }
-
-    #[test]
-    fn suffix_broadcast_add() {
-        let mut m = Tensor::from_vec([2, 3], vec![0., 0., 0., 10., 10., 10.]);
-        let bias = t(&[1., 2., 3.]);
-        add_inplace(&mut m, &bias);
-        assert_eq!(m.data(), &[1., 2., 3., 11., 12., 13.]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn incompatible_shapes_panic() {
-        add(&t(&[1., 2.]), &t(&[1., 2., 3.]));
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = t(&[1., 1.]);
-        axpy(&mut a, 2.0, &t(&[3., 4.]));
-        assert_eq!(a.data(), &[7., 9.]);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = t(&[0., 10.]);
-        let b = t(&[10., 0.]);
-        assert_eq!(lerp(&a, &b, 1.0).data(), a.data());
-        assert_eq!(lerp(&a, &b, 0.0).data(), b.data());
-        assert_eq!(lerp(&a, &b, 0.5).data(), &[5., 5.]);
-    }
 
     #[test]
     fn dot_matches_naive() {
@@ -329,43 +139,23 @@ mod tests {
 
     #[test]
     fn cosine_basic_cases() {
-        let a = t(&[1., 0.]);
-        assert!((cosine_similarity(&a, &t(&[1., 0.])) - 1.0).abs() < 1e-6);
-        assert!((cosine_similarity(&a, &t(&[0., 1.]))).abs() < 1e-6);
-        assert!((cosine_similarity(&a, &t(&[-1., 0.])) + 1.0).abs() < 1e-6);
+        let a = [1., 0.];
+        assert!((cosine_similarity_slices(&a, &[1., 0.]) - 1.0).abs() < 1e-6);
+        assert!((cosine_similarity_slices(&a, &[0., 1.])).abs() < 1e-6);
+        assert!((cosine_similarity_slices(&a, &[-1., 0.]) + 1.0).abs() < 1e-6);
         // Zero vector convention.
-        assert_eq!(cosine_similarity(&a, &t(&[0., 0.])), 0.0);
+        assert_eq!(cosine_similarity_slices(&a, &[0., 0.]), 0.0);
     }
 
     #[test]
     fn cosine_is_scale_invariant() {
-        let a = t(&[3., -1., 2.]);
-        let b = t(&[1., 4., 0.5]);
-        let c = scale(&b, 17.0);
-        assert!((cosine_similarity(&a, &b) - cosine_similarity(&a, &c)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weighted_mean_normalises_weights() {
-        let a = t(&[0., 0.]);
-        let b = t(&[10., 20.]);
-        let m = weighted_mean(&[&a, &b], &[3.0, 1.0]);
-        assert_eq!(m.data(), &[2.5, 5.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn weighted_mean_rejects_zero_weights() {
-        let a = t(&[1.]);
-        weighted_mean(&[&a], &[0.0]);
-    }
-
-    #[test]
-    fn squared_distance_symmetric() {
-        let a = t(&[1., 2.]);
-        let b = t(&[4., 6.]);
-        assert_eq!(squared_distance(&a, &b), 25.0);
-        assert_eq!(squared_distance(&b, &a), 25.0);
-        assert_eq!(squared_distance(&a, &a), 0.0);
+        let a = [3., -1., 2.];
+        let b = [1., 4., 0.5];
+        let c = b.map(|x| x * 17.0);
+        let (ab, ac) = (
+            cosine_similarity_slices(&a, &b),
+            cosine_similarity_slices(&a, &c),
+        );
+        assert!((ab - ac).abs() < 1e-6);
     }
 }

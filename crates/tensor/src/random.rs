@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn normal_moments_roughly_match() {
         let t = normal([10_000], 1.0, 2.0, &mut rng(11));
-        let mean = t.mean();
+        let mean = t.sum() / t.len() as f32;
         let var = t
             .data()
             .iter()

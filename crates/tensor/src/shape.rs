@@ -21,11 +21,6 @@ impl Shape {
         Shape(dims.into())
     }
 
-    /// The scalar shape (rank 0, one element).
-    pub fn scalar() -> Self {
-        Shape(Vec::new())
-    }
-
     /// Number of dimensions.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -56,18 +51,6 @@ impl Shape {
         self.len() == 0
     }
 
-    /// Row-major strides for this shape.
-    ///
-    /// `strides()[i]` is the linear-index step for advancing one position
-    /// along dimension `i`.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.rank()];
-        for i in (0..self.rank().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
-    }
-
     /// Linear (row-major) offset of a multi-dimensional index.
     ///
     /// Panics in debug builds when the index is out of bounds or has the
@@ -89,17 +72,6 @@ impl Shape {
     pub(crate) fn set_dims(&mut self, dims: &[usize]) {
         self.0.clear();
         self.0.extend_from_slice(dims);
-    }
-
-    /// Whether two shapes are broadcast-compatible in the restricted sense
-    /// used by this crate: identical, or `other` is a suffix of `self`
-    /// (e.g. a bias vector `[C]` broadcast over `[N, C]`).
-    pub fn broadcasts_from(&self, other: &Shape) -> bool {
-        if self == other {
-            return true;
-        }
-        let r = other.rank();
-        r <= self.rank() && self.0[self.rank() - r..] == other.0[..]
     }
 }
 
@@ -144,25 +116,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_shape_has_one_element() {
-        let s = Shape::scalar();
-        assert_eq!(s.rank(), 0);
-        assert_eq!(s.len(), 1);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
     fn len_is_product_of_dims() {
         assert_eq!(Shape::from([2, 3, 4]).len(), 24);
         assert_eq!(Shape::from([7]).len(), 7);
         assert_eq!(Shape::from([5, 0, 2]).len(), 0);
-    }
-
-    #[test]
-    fn row_major_strides() {
-        assert_eq!(Shape::from([2, 3, 4]).strides(), vec![12, 4, 1]);
-        assert_eq!(Shape::from([6]).strides(), vec![1]);
-        assert_eq!(Shape::scalar().strides(), Vec::<usize>::new());
     }
 
     #[test]
@@ -171,15 +128,6 @@ mod tests {
         assert_eq!(s.offset(&[0, 0, 0]), 0);
         assert_eq!(s.offset(&[1, 2, 3]), 12 + 8 + 3);
         assert_eq!(s.offset(&[0, 1, 1]), 5);
-    }
-
-    #[test]
-    fn suffix_broadcast_detection() {
-        let m = Shape::from([8, 5]);
-        assert!(m.broadcasts_from(&Shape::from([5])));
-        assert!(m.broadcasts_from(&Shape::from([8, 5])));
-        assert!(!m.broadcasts_from(&Shape::from([8])));
-        assert!(!m.broadcasts_from(&Shape::from([2, 8, 5])));
     }
 
     #[test]

@@ -61,14 +61,6 @@ impl Tensor {
         }
     }
 
-    /// A rank-0 scalar tensor.
-    pub fn scalar(value: f32) -> Self {
-        Tensor {
-            shape: Shape::scalar(),
-            data: vec![value],
-        }
-    }
-
     /// The tensor's shape.
     #[inline]
     pub fn shape(&self) -> &Shape {
@@ -115,15 +107,6 @@ impl Tensor {
     pub fn set(&mut self, index: &[usize], value: f32) {
         let off = self.shape.offset(index);
         self.data[off] = value;
-    }
-
-    /// The single value of a scalar or one-element tensor.
-    ///
-    /// # Panics
-    /// Panics when the tensor holds more than one element.
-    pub fn item(&self) -> f32 {
-        assert_eq!(self.len(), 1, "item() requires a one-element tensor");
-        self.data[0]
     }
 
     /// Reinterprets the buffer under a new shape with the same element count.
@@ -200,46 +183,6 @@ impl Tensor {
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Mean of all elements (0.0 for empty tensors).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
-    /// Euclidean (L2) norm of the flattened tensor.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Index of the maximum element of a rank-1 tensor (ties: first wins).
-    pub fn argmax(&self) -> usize {
-        assert!(!self.data.is_empty(), "argmax of empty tensor");
-        let mut best = 0usize;
-        let mut best_v = self.data[0];
-        for (i, &v) in self.data.iter().enumerate().skip(1) {
-            if v > best_v {
-                best = i;
-                best_v = v;
-            }
-        }
-        best
-    }
-
-    /// True when every element is finite (no NaN/inf).
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
     }
 
     /// Returns a new tensor with `f` applied to every element.
@@ -321,27 +264,6 @@ mod tests {
     fn reductions() {
         let t = Tensor::from_vec([4], vec![1., -2., 3., -4.]);
         assert_eq!(t.sum(), -2.0);
-        assert_eq!(t.mean(), -0.5);
-        assert!((t.norm() - 30.0f32.sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn argmax_first_tie_wins() {
-        let t = Tensor::from_vec([5], vec![1., 5., 5., 2., 0.]);
-        assert_eq!(t.argmax(), 1);
-    }
-
-    #[test]
-    fn scalar_item() {
-        assert_eq!(Tensor::scalar(3.25).item(), 3.25);
-    }
-
-    #[test]
-    fn finite_check_catches_nan() {
-        let mut t = Tensor::ones([3]);
-        assert!(t.all_finite());
-        t.data_mut()[1] = f32::NAN;
-        assert!(!t.all_finite());
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! against their straightforward oracles.
 
 use middle_tensor::conv::{
-    col2im, conv2d_backward, conv2d_backward_into, conv2d_forward, conv2d_forward_into, im2col,
-    ConvGeometry, ConvScratch,
+    conv2d_backward, conv2d_backward_into, conv2d_forward, conv2d_forward_into, ConvGeometry,
+    ConvScratch,
 };
 use middle_tensor::matmul::{
     matmul, matmul_at, matmul_at_into, matmul_at_into_reference, matmul_bt, matmul_bt_into,
     matmul_into, matmul_into_reference,
 };
-use middle_tensor::ops;
+use middle_tensor::ops::cosine_similarity_slices;
 use middle_tensor::random::{rng, uniform};
 use middle_tensor::reduce;
 use middle_tensor::Tensor;
@@ -18,10 +18,6 @@ use proptest::prelude::*;
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-100.0f32..100.0, len)
-}
-
-fn tensor1(len: usize) -> impl Strategy<Value = Tensor> {
-    finite_vec(len).prop_map(move |v| Tensor::from_vec([len], v))
 }
 
 /// Deterministic values in [-1, 1] with exact `+0.0`, `-0.0` and
@@ -128,56 +124,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn add_commutes(a in tensor1(17), b in tensor1(17)) {
-        prop_assert_eq!(ops::add(&a, &b), ops::add(&b, &a));
-    }
-
-    #[test]
-    fn sub_then_add_roundtrips(a in tensor1(9), b in tensor1(9)) {
-        let c = ops::add(&ops::sub(&a, &b), &b);
-        for (x, y) in c.data().iter().zip(a.data()) {
-            prop_assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()));
-        }
-    }
-
-    #[test]
-    fn lerp_stays_within_envelope(a in tensor1(8), b in tensor1(8), alpha in 0.0f32..=1.0) {
-        let c = ops::lerp(&a, &b, alpha);
-        for ((&x, &y), &z) in a.data().iter().zip(b.data()).zip(c.data()) {
-            let (lo, hi) = if x < y { (x, y) } else { (y, x) };
-            prop_assert!(z >= lo - 1e-4 && z <= hi + 1e-4);
-        }
-    }
-
-    #[test]
-    fn cosine_bounded_and_symmetric(a in tensor1(12), b in tensor1(12)) {
-        let s = ops::cosine_similarity(&a, &b);
+    fn cosine_bounded_and_symmetric(a in finite_vec(12), b in finite_vec(12)) {
+        let s = cosine_similarity_slices(&a, &b);
         prop_assert!((-1.0..=1.0).contains(&s));
-        let s2 = ops::cosine_similarity(&b, &a);
+        let s2 = cosine_similarity_slices(&b, &a);
         prop_assert!((s - s2).abs() < 1e-5);
     }
 
     #[test]
-    fn cosine_self_is_one_for_nonzero(a in tensor1(6)) {
-        prop_assume!(a.norm() > 1e-3);
-        prop_assert!((ops::cosine_similarity(&a, &a) - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn weighted_mean_of_identical_is_identity(a in tensor1(10), w1 in 0.1f32..10.0, w2 in 0.1f32..10.0) {
-        let m = ops::weighted_mean(&[&a, &a], &[w1, w2]);
-        for (x, y) in m.data().iter().zip(a.data()) {
-            prop_assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()));
-        }
-    }
-
-    #[test]
-    fn weighted_mean_within_bounds(a in tensor1(7), b in tensor1(7), w in 0.01f32..0.99) {
-        let m = ops::weighted_mean(&[&a, &b], &[w, 1.0 - w]);
-        for ((&x, &y), &z) in a.data().iter().zip(b.data()).zip(m.data()) {
-            let (lo, hi) = if x < y { (x, y) } else { (y, x) };
-            prop_assert!(z >= lo - 1e-3 && z <= hi + 1e-3);
-        }
+    fn cosine_self_is_one_for_nonzero(a in finite_vec(6)) {
+        prop_assume!(a.iter().any(|x| x.abs() > 1e-3));
+        prop_assert!((cosine_similarity_slices(&a, &a) - 1.0).abs() < 1e-4);
     }
 
     #[test]
@@ -187,8 +144,12 @@ proptest! {
         let a = Tensor::from_vec([3, 2], a);
         let b = Tensor::from_vec([2, 4], b);
         let c = Tensor::from_vec([2, 4], c);
-        let lhs = matmul(&a, &ops::add(&b, &c));
-        let rhs = ops::add(&matmul(&a, &b), &matmul(&a, &c));
+        let add = |p: &Tensor, q: &Tensor| {
+            let sum = p.data().iter().zip(q.data()).map(|(x, y)| x + y).collect();
+            Tensor::from_vec(p.shape().clone(), sum)
+        };
+        let lhs = matmul(&a, &add(&b, &c));
+        let rhs = add(&matmul(&a, &b), &matmul(&a, &c));
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() <= 1e-2 * (1.0 + y.abs()));
         }
@@ -234,31 +195,6 @@ proptest! {
         let t = Tensor::from_vec([1, 5], v.clone());
         let s = reduce::softmax_rows(&t);
         prop_assert_eq!(reduce::argmax_rows(&t), reduce::argmax_rows(&s));
-    }
-
-    #[test]
-    fn im2col_col2im_adjoint(x in finite_vec(2 * 5 * 5), y_seed in 0u64..1000) {
-        let g = ConvGeometry {
-            in_c: 2, out_c: 1, kernel: 3, stride: 1, pad: 1, in_h: 5, in_w: 5,
-        };
-        let ylen = g.patch_len() * g.out_positions();
-        // Deterministic pseudo-random y from the seed.
-        let y: Vec<f32> = (0..ylen)
-            .map(|i| (((i as u64).wrapping_mul(y_seed + 1) % 97) as f32) - 48.0)
-            .collect();
-        let mut cols = vec![0.0; ylen];
-        im2col(&x, &g, &mut cols);
-        let lhs: f64 = cols.iter().zip(&y).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
-        let mut back = vec![0.0; x.len()];
-        col2im(&y, &g, &mut back);
-        let rhs: f64 = x.iter().zip(&back).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
-        prop_assert!((lhs - rhs).abs() <= 1e-2 * (1.0 + rhs.abs()));
-    }
-
-    #[test]
-    fn norm_triangle_inequality(a in tensor1(11), b in tensor1(11)) {
-        let sum = ops::add(&a, &b);
-        prop_assert!(sum.norm() <= a.norm() + b.norm() + 1e-3);
     }
 
     /// The cache-blocked GEMM microkernel is bitwise-identical to the
@@ -420,16 +356,6 @@ proptest! {
             prop_assert_eq!(bits(&dw_r), bits(&dw_f));
             prop_assert_eq!(bits(&db_r), bits(&db_f));
             prop_assert_eq!(bits(&di_r), bits(&di_f));
-        }
-    }
-
-    #[test]
-    fn axpy_matches_scale_add(a in tensor1(13), b in tensor1(13), s in -5.0f32..5.0) {
-        let mut via_axpy = a.clone();
-        ops::axpy(&mut via_axpy, s, &b);
-        let via_ops = ops::add(&a, &ops::scale(&b, s));
-        for (x, y) in via_axpy.data().iter().zip(via_ops.data()) {
-            prop_assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()));
         }
     }
 }

@@ -507,8 +507,10 @@ fn moved_devices_actually_blend_models_under_middle() {
 /// convolutions, the one-pass loss, the skipped input gradient, the
 /// optimizer hand-off — trains the zoo's models to the same parameter
 /// bits as the allocating path, which runs the per-element oracles:
-/// `cnn2` on mnist at the paper's batch under momentum, the speech MLP
-/// under Adam at the batches `lazy_100k` and `async_hostile` train it at.
+/// `cnn2` on mnist at the paper's batch under momentum, `cnn3` on cifar10
+/// under plain SGD, the speech MLP under Adam at the batches `lazy_100k`
+/// and `async_hostile` train it at — every optimizer and every zoo
+/// architecture the round trains.
 #[test]
 fn workspace_training_matches_the_oracle_kernels_bitwise() {
     use middle::nn::{zoo, NetScratch};
@@ -520,6 +522,7 @@ fn workspace_training_matches_the_oracle_kernels_bitwise() {
     let adam = OptimizerKind::Adam { lr: 0.001 };
     for (task, batch, kind) in [
         (Task::Mnist, 16, momentum),
+        (Task::Cifar10, 8, OptimizerKind::Sgd { lr: 0.01 }),
         (Task::Speech, 2, adam),
         (Task::Speech, 16, adam),
     ] {
