@@ -347,6 +347,57 @@ mod tests {
         assert_ne!(config_digest(&a), config_digest(&b));
     }
 
+    /// The digests a checkpoint and a sweep ledger are checked against.
+    /// A digest moves only when the serialised config deliberately
+    /// changes shape; then every old snapshot and ledger starts cold.
+    #[test]
+    fn config_and_grid_digests_are_pinned() {
+        use crate::compress::CompressionConfig;
+        use crate::sweep::{CompressionPreset, ScenarioGrid};
+        use crate::timeline::{ExecutionMode, LatencyModel, TimelineConfig};
+
+        let tiny = SimConfig::tiny(Task::Mnist, Algorithm::middle());
+        let paper = SimConfig::paper_default(Task::Cifar10, Algorithm::middle());
+        let mut lossy_event = tiny.clone();
+        lossy_event.compression = CompressionConfig {
+            enabled: true,
+            quantize_bits: 8,
+            top_frac: 0.5,
+            ..CompressionConfig::default()
+        };
+        lossy_event.timeline = TimelineConfig {
+            mode: ExecutionMode::EventDriven,
+            latency: LatencyModel::Faults,
+            ..TimelineConfig::default()
+        };
+        lossy_event.faults.upload_loss = 0.2;
+        let grid = ScenarioGrid::new(tiny.clone())
+            .with_seeds([1, 2])
+            .with_compression_presets([
+                CompressionPreset::dense(),
+                CompressionPreset {
+                    name: "q8k50".to_string(),
+                    compression: lossy_event.compression.clone(),
+                },
+            ]);
+        let got = [
+            config_digest(&tiny),
+            config_digest(&paper),
+            config_digest(&lossy_event),
+            grid.digest().unwrap(),
+        ];
+        assert_eq!(
+            got,
+            [
+                0x1d874c7cf1905e24,
+                0x8190591f7381ce0c,
+                0x45a15189929a656b,
+                0x2b6cddeef7653715,
+            ],
+            "{got:#018x?}"
+        );
+    }
+
     #[test]
     fn fnv1a_matches_reference_vector() {
         // FNV-1a("a") from the reference implementation.
