@@ -12,9 +12,9 @@
 //! ```
 //!
 //! This is the one host-time instrument outside `perf`: it stays until
-//! `perf` has a 1M-device workload (ROADMAP item 3(b) reads these
-//! numbers). The `peak_resident` bound at CI size is held by
-//! `crates/core/tests/population_plane.rs`.
+//! `perf` has a 1M-device workload (ROADMAP item 5(d); until then these
+//! are the only 1M-device numbers). The `peak_resident` bound at CI
+//! size is held by `crates/core/tests/population_plane.rs`.
 //!
 //! Dropout faults are deliberately absent here: the fault plane's
 //! dropout chain advances per device per step (O(N)) and would dominate

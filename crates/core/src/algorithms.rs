@@ -381,14 +381,6 @@ impl Algorithm {
         ]
     }
 
-    /// Looks an algorithm up by its display name (case-insensitive).
-    pub fn by_name(name: &str) -> Option<Algorithm> {
-        let lower = name.to_ascii_lowercase();
-        Algorithm::zoo()
-            .into_iter()
-            .find(|a| a.name.to_ascii_lowercase() == lower)
-    }
-
     /// Resolves the config into the policy object the step loop drives.
     ///
     /// Stateless combinations resolve to a composed policy (exactly the
@@ -717,19 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn by_name_is_case_insensitive() {
-        assert_eq!(Algorithm::by_name("middle"), Some(Algorithm::middle()));
-        assert_eq!(Algorithm::by_name("FEDMES"), Some(Algorithm::fedmes()));
-        assert_eq!(Algorithm::by_name("fedfly"), Some(Algorithm::fedfly()));
-        assert_eq!(Algorithm::by_name("FedLECC"), Some(Algorithm::fedlecc()));
-        assert_eq!(
-            Algorithm::by_name("random"),
-            Some(Algorithm::random_control())
-        );
-        assert_eq!(Algorithm::by_name("nope"), None);
-    }
-
-    #[test]
     fn figure6_has_five_distinct_algorithms() {
         let algos = Algorithm::figure6();
         let names: Vec<&str> = algos.iter().map(|a| a.name.as_str()).collect();
@@ -748,7 +727,6 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), zoo.len());
         for a in &zoo {
-            assert_eq!(Algorithm::by_name(&a.name), Some(a.clone()));
             let _ = a.resolve(8);
         }
     }

@@ -207,21 +207,6 @@ pub fn population_key(config: &SimConfig) -> String {
     )
 }
 
-/// The key of a whole [`SharedInputs`]: the [`population_key`] plus the
-/// placement fields (`num_edges`, `steps`, `mobility`). Two configs with
-/// equal keys build bitwise-identical inputs; run-only fields never
-/// enter it. The cache keys on the population alone and places it per
-/// build.
-pub fn input_key(config: &SimConfig) -> String {
-    format!(
-        "{};edges={};steps={};mobility={}",
-        population_key(config),
-        config.num_edges,
-        config.steps,
-        serde_json::to_string(&config.mobility).unwrap_or_default(),
-    )
-}
-
 /// A thread-safe memo of populations keyed by [`population_key`]; every
 /// [`InputCache::get_or_build`] places its population afresh.
 ///
@@ -436,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn input_key_ignores_run_only_fields() {
+    fn population_key_ignores_run_only_fields() {
         let a = tiny();
         let mut b = tiny();
         b.devices_per_edge = 4;
@@ -446,10 +431,10 @@ mod tests {
         b.compression.quantize_bits = 4;
         b.compression.top_frac = 0.1;
         b.population = crate::config::PopulationMode::Lazy;
-        assert_eq!(input_key(&a), input_key(&b));
+        assert_eq!(population_key(&a), population_key(&b));
         let mut c = tiny();
         c.seed = 99;
-        assert_ne!(input_key(&a), input_key(&c));
+        assert_ne!(population_key(&a), population_key(&c));
     }
 
     #[test]
@@ -483,7 +468,6 @@ mod tests {
         let cache = InputCache::new();
         let first = cache.get_or_build(&base);
         for (what, cfg) in [("mobility P", p), ("num_edges", edges), ("steps", steps)] {
-            assert_ne!(input_key(&base), input_key(&cfg), "{what}");
             assert_eq!(population_key(&base), population_key(&cfg), "{what}");
             let placed = cache.get_or_build(&cfg);
             assert!(Arc::ptr_eq(&first.population, &placed.population), "{what}");

@@ -8,7 +8,7 @@
 //! far, and the step cursor.
 //!
 //! The encoding is one self-describing JSON document (schema version
-//! 3). Every bulk float plane in it — the cloud and edge parameters,
+//! 4). Every bulk float plane in it — the cloud and edge parameters,
 //! the population's version table, pending stale uploads, the
 //! timeline's send-time snapshots, the compression residuals — is a
 //! [`middle_nn::serialize::Packed`] plane: a string of hex digits, the
@@ -25,10 +25,12 @@
 //! every device still had a replica of its own is the same schema: all
 //! stubs, each carrying its RNG state, ids `0..V` over the distinct
 //! planes. It restores as written (`population_plane`'s
-//! `replica_per_device_snapshot_resumes_bitwise`). A version-2 document
-//! (one plane per device) or a version-1 one (decimal arrays) does not
-//! parse; whoever finds one starts the run cold. The resume leg of every
-//! cut cell in `crates/core/tests/matrix.rs` gates the round trip.
+//! `replica_per_device_snapshot_resumes_bitwise`). A version-3 document
+//! (which still carried the retired availability stream) is rejected
+//! by its version, and a version-2 (one plane per device) or version-1
+//! one (decimal arrays) does not parse; whoever finds one starts the
+//! run cold. The resume leg of every cut cell in
+//! `crates/core/tests/matrix.rs` gates the round trip.
 //!
 //! What is deliberately *not* captured: telemetry phase timings
 //! (wall-clock measurements of the host that ran the first half —
@@ -52,7 +54,7 @@ use serde::{Deserialize, Serialize};
 
 /// Version of the [`SimCheckpoint`] JSON schema. Bump on any field
 /// change; restore rejects other versions.
-pub const SIM_CHECKPOINT_SCHEMA_VERSION: u32 = 3;
+pub const SIM_CHECKPOINT_SCHEMA_VERSION: u32 = 4;
 
 /// Captured xoshiro256** state of one RNG stream.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -201,8 +203,6 @@ pub struct SimCheckpoint {
     pub population: PopulationCheckpoint,
     /// The selection RNG stream (stream 6).
     pub selection_rng: RngStateCheckpoint,
-    /// The availability RNG stream (stream 8).
-    pub availability_rng: RngStateCheckpoint,
     /// The fault plane's state (stream 9 plus queues).
     pub faults: FaultPlaneCheckpoint,
     /// The compression plane's state (stream 10 plus error-feedback
@@ -350,6 +350,8 @@ mod tests {
     /// The digests a checkpoint and a sweep ledger are checked against.
     /// A digest moves only when the serialised config deliberately
     /// changes shape; then every old snapshot and ledger starts cold.
+    /// They last moved when `availability` and `error_feedback` left
+    /// the config.
     #[test]
     fn config_and_grid_digests_are_pinned() {
         use crate::compress::CompressionConfig;
@@ -389,10 +391,10 @@ mod tests {
         assert_eq!(
             got,
             [
-                0x1d874c7cf1905e24,
-                0x8190591f7381ce0c,
-                0x45a15189929a656b,
-                0x2b6cddeef7653715,
+                0xc7e2a6d23c7d4caa,
+                0xb20c01abe155658e,
+                0x2cb7883e2c7bfef1,
+                0xf705fad937dbee15,
             ],
             "{got:#018x?}"
         );

@@ -141,7 +141,7 @@ impl CommStats {
     /// `active_steps` must be the number of steps in which at least one
     /// device actually participated (`RunRecord::active_steps`, also
     /// `StepCounters::active_steps` when telemetry is on) — *not* the
-    /// raw step count. A step where availability filtering left every
+    /// raw step count. A step where dropout filtering left every
     /// edge with zero selected devices moves no models and therefore
     /// costs no wireless rounds. Syncs still charge their broadcast
     /// round unconditionally: the simulation broadcasts the cloud model
@@ -194,26 +194,6 @@ impl CommStats {
     /// separately rather than folded into [`Self::wall_clock`].
     pub fn retry_backoff_seconds(&self, slot_s: f64) -> f64 {
         self.retry_backoff_slots as f64 * slot_s
-    }
-
-    /// Adds another counter set into this one.
-    pub fn merge(&mut self, other: &CommStats) {
-        self.edge_to_device += other.edge_to_device;
-        self.device_to_edge += other.device_to_edge;
-        self.edge_to_cloud += other.edge_to_cloud;
-        self.cloud_to_edge += other.cloud_to_edge;
-        self.cloud_to_device += other.cloud_to_device;
-        self.upload_retransmissions += other.upload_retransmissions;
-        self.lost_uploads += other.lost_uploads;
-        self.stale_uploads += other.stale_uploads;
-        self.retry_backoff_slots += other.retry_backoff_slots;
-        self.edge_to_device_bytes += other.edge_to_device_bytes;
-        self.device_to_edge_bytes += other.device_to_edge_bytes;
-        self.edge_to_cloud_bytes += other.edge_to_cloud_bytes;
-        self.cloud_to_edge_bytes += other.cloud_to_edge_bytes;
-        self.cloud_to_device_bytes += other.cloud_to_device_bytes;
-        self.edge_to_edge += other.edge_to_edge;
-        self.edge_to_edge_bytes += other.edge_to_edge_bytes;
     }
 }
 
@@ -310,22 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_componentwise() {
-        let mut a = stats();
-        a.upload_retransmissions = 3;
-        a.lost_uploads = 1;
-        a.stale_uploads = 2;
-        a.retry_backoff_slots = 7;
-        a.merge(&a.clone());
-        assert_eq!(a.total(), 64);
-        assert_eq!(a.edge_to_cloud, 4);
-        assert_eq!(a.upload_retransmissions, 6);
-        assert_eq!(a.lost_uploads, 2);
-        assert_eq!(a.stale_uploads, 4);
-        assert_eq!(a.retry_backoff_slots, 14);
-    }
-
-    #[test]
     fn backoff_slots_convert_to_seconds() {
         let s = CommStats {
             retry_backoff_slots: 7,
@@ -354,33 +318,13 @@ mod tests {
 
     #[test]
     fn edge_to_edge_counts_toward_backhaul_totals() {
-        let mut a = CommStats {
+        let a = CommStats {
             edge_to_edge: 3,
             edge_to_edge_bytes: 12,
             ..stats()
         };
         assert_eq!(a.wan_total(), 7);
         assert_eq!(a.wan_bytes(), 12);
-        a.merge(&a.clone());
-        assert_eq!(a.edge_to_edge, 6);
-        assert_eq!(a.edge_to_edge_bytes, 24);
-    }
-
-    #[test]
-    fn merge_adds_byte_counters() {
-        let mut a = CommStats {
-            device_to_edge_bytes: 10,
-            edge_to_cloud_bytes: 3,
-            ..CommStats::default()
-        };
-        a.merge(&CommStats {
-            device_to_edge_bytes: 5,
-            cloud_to_device_bytes: 2,
-            ..CommStats::default()
-        });
-        assert_eq!(a.device_to_edge_bytes, 15);
-        assert_eq!(a.edge_to_cloud_bytes, 3);
-        assert_eq!(a.cloud_to_device_bytes, 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! * all stochastic rounding draws come from one dedicated RNG stream
 //!   (`derive_seed(seed, 10)`) owned by [`CompressionPlane`], never from
-//!   the selection / availability / fault streams;
+//!   the selection or fault streams;
 //! * a disabled or lossless configuration performs **no** draw, **no**
 //!   delta computation and **no** allocation — the simulation is bitwise
 //!   identical to one without the plane (gated by the lossless run and
@@ -46,7 +46,7 @@ use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// RNG stream index of the compression plane (see DESIGN.md §4).
+/// RNG stream index of the compression plane (see DESIGN.md §9.3).
 pub const COMPRESSION_STREAM: u64 = 10;
 
 /// Wire-format overhead of one compressed payload: the dequantization
@@ -63,10 +63,6 @@ fn default_top_frac() -> f64 {
 
 fn default_rounding() -> RoundingMode {
     RoundingMode::Stochastic
-}
-
-fn default_error_feedback() -> bool {
-    true
 }
 
 /// How a value between two quantization grid points is resolved.
@@ -103,12 +99,6 @@ pub struct CompressionConfig {
     /// unbiased QSGD estimator; nearest halves the worst-case error.
     #[serde(default = "default_rounding")]
     pub rounding: RoundingMode,
-    /// Keep the untransmitted mass (quantization error + dropped
-    /// coordinates) in a per-sender residual added to the next delta.
-    /// On by default; disabling it turns the plane into memoryless
-    /// lossy compression.
-    #[serde(default = "default_error_feedback")]
-    pub error_feedback: bool,
 }
 
 impl Default for CompressionConfig {
@@ -118,7 +108,6 @@ impl Default for CompressionConfig {
             quantize_bits: default_bits(),
             top_frac: default_top_frac(),
             rounding: default_rounding(),
-            error_feedback: default_error_feedback(),
         }
     }
 }
@@ -236,9 +225,9 @@ pub fn compress_delta(
 ) {
     residual.clear();
     residual.extend_from_slice(delta);
-    THREAD_SCRATCH.with(|s| top_k(delta, k, kept, &mut s.borrow_mut().select));
+    THREAD_SCRATCH.with(|s| top_k(delta, k, kept, &mut s.borrow_mut()));
     let grid = gather(delta, kept, sent, bits);
-    quantize(kept, sent, Some(residual), grid, mode, || rng.gen());
+    quantize(kept, sent, residual, grid, mode, || rng.gen());
 }
 
 /// `|v|` as an integer that orders exactly as `f64::total_cmp` orders
@@ -257,18 +246,9 @@ struct SelectScratch {
     sel: Vec<u32>,
 }
 
-/// What one thread needs while it runs a job's first stage: the
-/// selection scratch and, without error feedback (no residual buffer to
-/// form the delta in), a delta buffer.
-#[derive(Debug, Default)]
-struct ThreadScratch {
-    select: SelectScratch,
-    delta: Vec<f64>,
-}
-
 thread_local! {
-    static THREAD_SCRATCH: std::cell::RefCell<ThreadScratch> =
-        std::cell::RefCell::new(ThreadScratch::default());
+    static THREAD_SCRATCH: std::cell::RefCell<SelectScratch> =
+        std::cell::RefCell::new(SelectScratch::default());
 }
 
 /// Writes into `kept`, ascending, the indices of the `k` largest
@@ -375,14 +355,14 @@ fn gather(delta: &[f64], kept: &[u32], sent: &mut Vec<f64>, bits: u32) -> Option
     (levels >= 2 && step > 0.0 && step.is_finite()).then_some(Grid { lo, step, max_q })
 }
 
-/// Replaces each kept value in `sent` by its transmitted grid value and,
-/// when `residual` is given, stores what stays behind at the value's
-/// coordinate. `uniform` is called once per value, in order, exactly
-/// when the grid exists and rounding is stochastic.
+/// Replaces each kept value in `sent` by its transmitted grid value and
+/// stores what stays behind in `residual` at the value's coordinate.
+/// `uniform` is called once per value, in order, exactly when the grid
+/// exists and rounding is stochastic.
 fn quantize(
     kept: &[u32],
     sent: &mut [f64],
-    mut residual: Option<&mut Vec<f64>>,
+    residual: &mut [f64],
     grid: Option<Grid>,
     mode: RoundingMode,
     mut uniform: impl FnMut() -> f64,
@@ -412,9 +392,7 @@ fn quantize(
             }
         };
         *s = t;
-        if let Some(res) = residual.as_deref_mut() {
-            res[i as usize] = r;
-        }
+        residual[i as usize] = r;
     }
 }
 
@@ -469,46 +447,31 @@ struct JobState {
 }
 
 impl JobState {
-    /// Stage 1: forms the delta — in the sender's residual buffer under
-    /// error feedback, in thread scratch otherwise — then selects,
-    /// gathers and grids it. Draws nothing.
+    /// Stage 1: forms the delta in the sender's residual buffer, then
+    /// selects, gathers and grids it. Draws nothing.
     fn select(&mut self, cfg: &CompressionConfig, keep: usize, job: &CompressJob<'_>) {
         let (new, reference) = (job.new, job.reference);
         assert_eq!(new.len(), reference.len(), "upload dimension mismatch");
-        THREAD_SCRATCH.with(|s| {
-            let ThreadScratch { select, delta } = &mut *s.borrow_mut();
-            let delta: &[f64] = if cfg.error_feedback {
-                let r = &mut self.residual;
-                if r.is_empty() {
-                    r.extend(
-                        new.iter()
-                            .zip(reference)
-                            .map(|(&n, &c)| f64::from(n) - f64::from(c)),
-                    );
-                } else {
-                    assert_eq!(r.len(), new.len(), "residual dimension mismatch");
-                    for ((e, &n), &c) in r.iter_mut().zip(new).zip(reference) {
-                        // `(n − c) + e`, operands in this order: with two
-                        // NaNs the sum keeps the first one's payload.
-                        #[allow(clippy::assign_op_pattern)]
-                        {
-                            *e = f64::from(n) - f64::from(c) + *e;
-                        }
-                    }
+        let r = &mut self.residual;
+        if r.is_empty() {
+            r.extend(
+                new.iter()
+                    .zip(reference)
+                    .map(|(&n, &c)| f64::from(n) - f64::from(c)),
+            );
+        } else {
+            assert_eq!(r.len(), new.len(), "residual dimension mismatch");
+            for ((e, &n), &c) in r.iter_mut().zip(new).zip(reference) {
+                // `(n − c) + e`, operands in this order: with two NaNs
+                // the sum keeps the first one's payload.
+                #[allow(clippy::assign_op_pattern)]
+                {
+                    *e = f64::from(n) - f64::from(c) + *e;
                 }
-                r
-            } else {
-                delta.clear();
-                delta.extend(
-                    new.iter()
-                        .zip(reference)
-                        .map(|(&n, &c)| f64::from(n) - f64::from(c)),
-                );
-                delta
-            };
-            top_k(delta, keep, &mut self.kept, select);
-            self.grid = gather(delta, &self.kept, &mut self.sent, cfg.quantize_bits);
-        });
+            }
+        }
+        THREAD_SCRATCH.with(|s| top_k(r, keep, &mut self.kept, &mut s.borrow_mut()));
+        self.grid = gather(r, &self.kept, &mut self.sent, cfg.quantize_bits);
     }
 
     /// Uniforms this job consumes: one per kept value when it
@@ -524,11 +487,10 @@ impl JobState {
     /// residual and writes the reconstruction into the job's payload.
     fn finish(&mut self, cfg: &CompressionConfig, uniforms: &[f64], job: &mut CompressJob<'_>) {
         let mut u = uniforms[self.offset..].iter();
-        let residual = cfg.error_feedback.then_some(&mut self.residual);
         quantize(
             &self.kept,
             &mut self.sent,
-            residual,
+            &mut self.residual,
             self.grid,
             cfg.rounding,
             || *u.next().expect("the draw stage drew every uniform"),
@@ -551,8 +513,8 @@ pub struct CompressionPlane {
     payload: u64,
     rng: StdRng,
     /// Per-device residuals, lazily sized on first use; an empty vec
-    /// means all-zero. Unused (always empty) when error feedback is off
-    /// or the plane is not lossy-active.
+    /// means all-zero. Unused (always empty) when the plane is not
+    /// lossy-active.
     device_residuals: Vec<Vec<f64>>,
     /// Per-edge residuals for edge→cloud syncs, same convention.
     edge_residuals: Vec<Vec<f64>>,
@@ -659,12 +621,10 @@ impl CompressionPlane {
             state.kept.reserve_exact(*keep);
             state.sent.clear();
             state.sent.reserve_exact(*keep);
-            if cfg.error_feedback {
-                let slot = residual_slot(device_residuals, edge_residuals, job.sender);
-                state.residual = std::mem::take(slot);
-                let missing = *param_count - state.residual.len();
-                state.residual.reserve_exact(missing);
-            }
+            let slot = residual_slot(device_residuals, edge_residuals, job.sender);
+            state.residual = std::mem::take(slot);
+            let missing = *param_count - state.residual.len();
+            state.residual.reserve_exact(missing);
             if let Some(payload) = job.payload.as_deref_mut() {
                 payload.clear();
                 payload.reserve_exact(*param_count);
@@ -685,17 +645,10 @@ impl CompressionPlane {
         jobs.par_iter_mut()
             .zip(states.par_iter_mut())
             .for_each(|(job, state)| state.finish(cfg, uniforms, job));
-        if cfg.error_feedback {
-            for (job, state) in jobs.iter().zip(states.iter_mut()) {
-                let slot = residual_slot(device_residuals, edge_residuals, job.sender);
-                *slot = std::mem::take(&mut state.residual);
-            }
+        for (job, state) in jobs.iter().zip(states.iter_mut()) {
+            let slot = residual_slot(device_residuals, edge_residuals, job.sender);
+            *slot = std::mem::take(&mut state.residual);
         }
-    }
-
-    /// The plane's RNG stream, for checkpointing.
-    pub fn rng_ref(&self) -> &StdRng {
-        &self.rng
     }
 
     /// Captures the plane's mutable state (RNG + residuals) for a
@@ -789,7 +742,7 @@ impl CompressionPlane {
         reference: &[f32],
     ) -> Vec<f32> {
         let slot = residual_slot(&mut self.device_residuals, &mut self.edge_residuals, sender);
-        let delta: Vec<f64> = if self.cfg.error_feedback && !slot.is_empty() {
+        let delta: Vec<f64> = if !slot.is_empty() {
             (new.iter().zip(reference).zip(slot.iter()))
                 .map(|((&n, &r), &e)| f64::from(n) - f64::from(r) + e)
                 .collect()
@@ -809,9 +762,7 @@ impl CompressionPlane {
             &mut sent,
             &mut residual,
         );
-        if self.cfg.error_feedback {
-            *slot = residual;
-        }
+        *slot = residual;
         let mut out = Vec::new();
         apply_sparse_delta(reference, &kept, &sent, &mut out);
         out
@@ -903,7 +854,6 @@ mod tests {
             quantize_bits: 6,
             top_frac: 0.25,
             rounding: RoundingMode::Nearest,
-            error_feedback: false,
         };
         let json = serde_json::to_string(&cfg).unwrap();
         let back: CompressionConfig = serde_json::from_str(&json).unwrap();
@@ -1099,7 +1049,6 @@ mod tests {
                 quantize_bits: 2,
                 top_frac: 0.5,
                 rounding: RoundingMode::Nearest,
-                error_feedback: true,
             },
             1,
             1,
@@ -1126,7 +1075,6 @@ mod tests {
             quantize_bits: 6,
             top_frac: 0.5,
             rounding: RoundingMode::Stochastic,
-            error_feedback: true,
         };
         let d = 16;
         let mut plane = CompressionPlane::new(cfg.clone(), 3, 2, d, 7);
@@ -1153,7 +1101,6 @@ mod tests {
             quantize_bits: 4,
             top_frac: 0.5,
             rounding: RoundingMode::Nearest,
-            error_feedback: true,
         };
         let plane = CompressionPlane::new(cfg.clone(), 2, 1, 8, 1);
         let ck = plane.state_checkpoint().unwrap();

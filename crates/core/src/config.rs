@@ -50,10 +50,6 @@ pub enum PopulationMode {
     Lazy,
 }
 
-fn default_availability() -> f64 {
-    1.0
-}
-
 /// Full configuration of one hierarchical-FL simulation run.
 ///
 /// Paper defaults (§6.1.2): 10 edges, 100 devices, K = 5 selected per
@@ -97,15 +93,6 @@ pub struct SimConfig {
     /// Also record per-class accuracies at each evaluation (Figures 1–2).
     #[serde(default)]
     pub eval_per_class: bool,
-    /// Per-step probability that a device is reachable (straggler /
-    /// dropout injection). 1.0 = always available.
-    ///
-    /// This is the legacy blunt knob; the fault plane ([`Self::faults`])
-    /// supersedes it with structured failure processes. Both compose:
-    /// availability filters candidates before selection, faults act on
-    /// the selected cohort.
-    #[serde(default = "default_availability")]
-    pub availability: f64,
     /// Deterministic failure models (dropout, stragglers, upload loss,
     /// WAN outages). All off by default; a default config is bitwise
     /// identical to a fault-free simulation (see [`crate::faults`]).
@@ -175,7 +162,6 @@ impl SimConfig {
             eval_interval: 2,
             eval_edges: false,
             eval_per_class: false,
-            availability: 1.0,
             faults: FaultConfig::default(),
             compression: CompressionConfig::default(),
             telemetry: false,
@@ -207,7 +193,6 @@ impl SimConfig {
             eval_interval: 2,
             eval_edges: false,
             eval_per_class: false,
-            availability: 1.0,
             faults: FaultConfig::default(),
             compression: CompressionConfig::default(),
             telemetry: false,
@@ -264,12 +249,6 @@ impl SimConfig {
         }
         if self.test_samples == 0 {
             return Err("test_samples must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.availability) {
-            return Err(format!(
-                "availability = {} outside [0, 1]",
-                self.availability
-            ));
         }
         self.faults.validate()?;
         self.compression.validate()?;
@@ -380,7 +359,10 @@ mod tests {
         assert!(back.timeline.is_default());
 
         let mut c = SimConfig::tiny(Task::Mnist, Algorithm::middle());
-        c.timeline = crate::timeline::TimelineConfig::event_driven_zero_delay();
+        c.timeline = crate::timeline::TimelineConfig {
+            mode: crate::timeline::ExecutionMode::EventDriven,
+            ..Default::default()
+        };
         assert!(c.validate().is_ok());
         let json = serde_json::to_string(&c).unwrap();
         assert!(json.contains("EventDriven"));

@@ -177,11 +177,6 @@ impl Device {
         self.invalidate_flat();
     }
 
-    /// Number of local samples (`d_m`).
-    pub fn num_samples(&self) -> usize {
-        self.data.len()
-    }
-
     /// The device's local dataset.
     pub fn data(&self) -> &Dataset {
         &self.data
@@ -349,11 +344,6 @@ impl Device {
         self.oort_utility = Some(oort_utility(&losses));
     }
 
-    /// Steps since the device last participated (`None` if never).
-    pub fn staleness(&self, now: usize) -> Option<usize> {
-        self.last_participation.map(|t| now.saturating_sub(t))
-    }
-
     /// The device's private batch-sampling RNG, for checkpoint capture.
     pub fn rng_ref(&self) -> &StdRng {
         &self.rng
@@ -370,6 +360,7 @@ mod tests {
     use super::*;
     use middle_data::synthetic::{SyntheticSource, Task};
     use middle_nn::layers::{Dense, Flatten, Relu};
+    use middle_nn::loss::softmax_cross_entropy;
     use middle_nn::params::flatten;
     use middle_nn::zoo;
     use middle_tensor::ops::dot_slices;
@@ -388,10 +379,11 @@ mod tests {
     fn local_training_reduces_loss() {
         let mut d = mk_device(0, 42);
         let (inputs, labels) = (d.data().inputs().clone(), d.data().labels().to_vec());
-        let before = d.model.eval_loss(&inputs, &labels);
+        let loss = |m: &Sequential| softmax_cross_entropy(&m.infer(&inputs), &labels).0;
+        let before = loss(&d.model);
         let kind = OptimizerKind::Sgd { lr: 0.1 };
         d.local_train(20, 10, &kind, 3);
-        let after = d.model.eval_loss(&inputs, &labels);
+        let after = loss(&d.model);
         assert!(after < before, "{before} -> {after}");
         assert_eq!(d.last_participation, Some(3));
     }
@@ -419,14 +411,6 @@ mod tests {
         d.refresh_oort_utility();
         let late = d.oort_utility.unwrap();
         assert!(late < early, "{early} -> {late}");
-    }
-
-    #[test]
-    fn staleness_counts_from_last_participation() {
-        let mut d = mk_device(3, 45);
-        assert_eq!(d.staleness(10), None);
-        d.local_train(1, 5, &OptimizerKind::Sgd { lr: 0.01 }, 4);
-        assert_eq!(d.staleness(10), Some(6));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! uploads every step; real fleets lose devices mid-round (FedFly is
 //! built around devices migrating or vanishing during training, and the
 //! vehicular HFL analyses show convergence is governed by which updates
-//! *arrive*, not which were scheduled). This module replaces the blunt
-//! `SimConfig::availability` scalar with first-class failure processes:
+//! *arrive*, not which were scheduled). This module models those losses as
+//! first-class failure processes:
 //!
 //! * **Dropout** ([`DropoutModel`]) — per-device reachability as an
 //!   i.i.d. coin or a sticky two-state (Gilbert–Elliott) Markov chain
@@ -31,7 +31,7 @@
 //!
 //! All processes draw from one dedicated RNG stream
 //! (`derive_seed(seed, 9)`) owned by [`FaultPlane`], never from the
-//! selection or availability streams — so a config with every fault
+//! selection stream — so a config with every fault
 //! disabled is *bitwise identical* to a simulation without the plane.
 //! Every fault draw sits in the round around its kernels, never inside
 //! one. The round runs the same upload pass and cloud sync whatever the
@@ -299,11 +299,6 @@ impl FaultPlane {
         }
     }
 
-    /// A permanently-disabled plane (used by `Default`-free callers).
-    pub fn disabled(num_devices: usize) -> Self {
-        FaultPlane::new(FaultConfig::default(), num_devices, 0)
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &FaultConfig {
         &self.cfg
@@ -312,11 +307,6 @@ impl FaultPlane {
     /// Whether the dropout process is active.
     pub fn dropout_active(&self) -> bool {
         self.cfg.dropout_active()
-    }
-
-    /// Whether the straggler process is active.
-    pub fn straggler_active(&self) -> bool {
-        self.cfg.straggler_active()
     }
 
     /// Whether WAN outages are active.
@@ -680,7 +670,7 @@ mod tests {
 
     #[test]
     fn stale_queue_drains_in_fifo_order() {
-        let mut plane = FaultPlane::disabled(4);
+        let mut plane = FaultPlane::new(FaultConfig::default(), 4, 0);
         plane.push_stale(1, 2, vec![1.0], 1.0, 4);
         plane.push_stale(0, 3, vec![2.0], 4.0, 4);
         assert_eq!(plane.pending().len(), 2);

@@ -81,9 +81,7 @@ pub use algorithms::{
     Algorithm, AlgorithmPolicy, AlgorithmState, MoveAction, OnDevicePolicy, SelectionPolicy,
     SelectionSignal,
 };
-pub use builder::{
-    input_key, population_key, InputCache, SharedInputs, SimError, SimulationBuilder,
-};
+pub use builder::{population_key, InputCache, SharedInputs, SimError, SimulationBuilder};
 pub use checkpoint::{config_digest, SimCheckpoint, SIM_CHECKPOINT_SCHEMA_VERSION};
 pub use checkpoint::{seal_json, unseal_json};
 pub use comm::CommStats;
@@ -95,7 +93,7 @@ pub use metrics::{speedup, EvalPoint, RunRecord, RUN_RECORD_SCHEMA_VERSION};
 pub use population::{DeviceRef, Population, Reached};
 pub use selection::SelectionScratch;
 pub use sim::{EdgeState, Simulation, StepMode};
-pub use similarity::{model_similarity_utility, similarity_utility};
+pub use similarity::similarity_utility;
 pub use sweep::{
     fleet_status, run_fleet_coordinator, run_fleet_worker, run_sweep, AggregatePoint,
     CompressionPreset, FaultPreset, FleetOptions, FleetStatus, FleetWorkerReport, Lease, Scenario,

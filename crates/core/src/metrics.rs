@@ -56,7 +56,7 @@ pub struct RunRecord {
     #[serde(default)]
     pub syncs: u64,
     /// Steps in which at least one device participated (the wireless
-    /// round count of [`CommStats::wall_clock`]); availability
+    /// round count of [`CommStats::wall_clock`]); dropout
     /// filtering can leave steps fully inactive.
     #[serde(default)]
     pub active_steps: u64,

@@ -292,11 +292,6 @@ impl Population {
             .map(|(i, s)| (i as u32, s))
     }
 
-    /// Length of the version table, tombstones included.
-    pub fn version_table_len(&self) -> usize {
-        self.versions.len()
-    }
-
     /// Scores every live version against the cloud model with the fast
     /// fused similarity kernel, indexed by version id (`NaN` for
     /// tombstones). One O(V·P) pass replaces per-stub O(P) scoring:

@@ -46,7 +46,6 @@ use middle_tensor::random::{derive_seed, rng};
 use middle_tensor::reduce::argmax_rows;
 use middle_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::Rng;
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -161,7 +160,7 @@ impl CloudView {
 /// previous step's) device→edge rows, and `offsets`/`members` form a
 /// CSR edge→devices map whose per-edge slices list device ids in
 /// ascending order, exactly matching the order `devices_at_into`
-/// produced (so the availability rng stream is consumed identically).
+/// produced (so the selection draws see the same candidate order).
 #[derive(Default)]
 struct StepIndex {
     cur: Vec<usize>,
@@ -222,7 +221,6 @@ pub struct Simulation {
     // every scenario of the population (and with `population`).
     data: Arc<PopulationData>,
     rng: StdRng,
-    availability_rng: StdRng,
     comm: CommStats,
     syncs: u64,
     active_steps: u64,
@@ -322,7 +320,6 @@ impl Simulation {
             trace: inputs.trace.clone(),
             data,
             rng: rng(derive_seed(seed, 6)),
-            availability_rng: rng(derive_seed(seed, 8)),
             comm: CommStats::default(),
             syncs: 0,
             active_steps: 0,
@@ -415,18 +412,6 @@ impl Simulation {
     /// it).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// The run's fault plane (disabled unless the config enables a
-    /// failure model; see [`crate::faults`]).
-    pub fn fault_plane(&self) -> &FaultPlane {
-        &self.faults
-    }
-
-    /// The run's compression plane (inert unless the config enables a
-    /// lossy setting; see [`crate::compress`]).
-    pub fn compression_plane(&self) -> &CompressionPlane {
-        &self.compression
     }
 
     /// The *virtual* global model `w̄^t` (Eq. 13): the `d̂`-weighted
@@ -728,13 +713,6 @@ impl Simulation {
             self.candidates.clear();
             self.candidates.extend_from_slice(self.index.devices_at(n));
             let seen = self.candidates.len();
-            // Straggler injection: each device is reachable this step
-            // with the configured probability.
-            if self.config.availability < 1.0 {
-                self.candidates
-                    .retain(|_| self.availability_rng.gen::<f64>() < self.config.availability);
-            }
-            let available = self.candidates.len();
             if self.faults.dropout_active() {
                 let faults = &self.faults;
                 self.candidates.retain(|&m| !faults.is_down(m));
@@ -742,8 +720,7 @@ impl Simulation {
             let up = self.candidates.len();
             self.telemetry.count(|c| {
                 c.candidates_seen += seen as u64;
-                c.availability_drops += (seen - available) as u64;
-                c.dropout_drops += (available - up) as u64;
+                c.dropout_drops += (seen - up) as u64;
             });
             // A device whose async upload is still in flight cannot be
             // re-selected (at most one upload in flight per device).
@@ -1434,7 +1411,6 @@ impl Simulation {
                 .collect(),
             population: self.population.checkpoint(),
             selection_rng: RngStateCheckpoint::capture(&self.rng),
-            availability_rng: RngStateCheckpoint::capture(&self.availability_rng),
             faults: FaultPlaneCheckpoint {
                 rng: RngStateCheckpoint::capture(self.faults.rng_ref()),
                 device_down: self.faults.device_down_states().to_vec(),
@@ -1586,7 +1562,6 @@ impl Simulation {
         }
         self.population.install(population);
         self.rng = ck.selection_rng.restore();
-        self.availability_rng = ck.availability_rng.restore();
         self.faults.restore_state(
             ck.faults.rng.restore(),
             ck.faults.device_down.clone(),
@@ -1725,7 +1700,7 @@ fn compress_pending<'a>(
 }
 
 /// `d` of Eq. 6: the samples a cohort trained on, read from the partition
-/// (equal to `Device::num_samples` by construction) so it never depends
+/// (equal to each device's dataset length by construction) so it never depends
 /// on residency — a cloud broadcast may have demoted a sender whose
 /// upload was still in flight.
 fn cohort_samples(partition: &Partition, cohort: &[usize]) -> usize {

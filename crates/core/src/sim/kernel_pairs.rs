@@ -618,8 +618,8 @@ fn kernels_match_their_oracles_under_markov_dropout() {
     regime("dropout", base(faults), of("dropout"));
 }
 
-/// Stragglers and loss under a memoryless lossy plane (no error
-/// feedback), beside the `lossy` regime's error-feedback one.
+/// Stragglers and loss under a 4-bit top-20 % plane, beside the `lossy`
+/// regime's fault-free 8-bit one.
 #[test]
 fn kernels_match_their_oracles_under_stragglers_and_loss() {
     let faults = FaultConfig {
@@ -633,7 +633,6 @@ fn kernels_match_their_oracles_under_stragglers_and_loss() {
     cfg.compression.enabled = true;
     cfg.compression.quantize_bits = 4;
     cfg.compression.top_frac = 0.2;
-    cfg.compression.error_feedback = false;
     regime("stragglers", cfg, of("stragglers"));
 }
 

@@ -5,8 +5,6 @@
 //! model pointing away from the reference contributes nothing rather
 //! than a negative weight.
 
-use middle_nn::params::flatten;
-use middle_nn::Sequential;
 use middle_tensor::ops::{combine_cosine, cosine_similarity_slices, dot_slices};
 
 /// Similarity utility between two parameter vectors (Eq. 8).
@@ -29,11 +27,6 @@ pub fn similarity_utility_cached(a: &[f32], a_norm_sq: f32, b: &[f32], b_norm_sq
 /// [`raw_cosine`] with caller-supplied squared norms (one dot pass).
 pub fn raw_cosine_cached(a: &[f32], a_norm_sq: f32, b: &[f32], b_norm_sq: f32) -> f32 {
     combine_cosine(dot_slices(a, b), a_norm_sq, b_norm_sq)
-}
-
-/// Similarity utility between two models' parameters.
-pub fn model_similarity_utility(a: &Sequential, b: &Sequential) -> f32 {
-    similarity_utility(&flatten(a), &flatten(b))
 }
 
 /// On-device aggregation weight pair derived from the utility (Eq. 9):
@@ -112,19 +105,5 @@ mod tests {
             raw_cosine(&a, &b).to_bits(),
             raw_cosine_cached(&a, aa, &b, bb).to_bits()
         );
-    }
-
-    #[test]
-    fn model_level_wrapper_agrees_with_slice_level() {
-        use middle_nn::layers::Dense;
-        use middle_tensor::random::rng;
-        let a = Sequential::new().push(Dense::new(3, 2, &mut rng(1)));
-        let b = Sequential::new().push(Dense::new(3, 2, &mut rng(2)));
-        let via_model = model_similarity_utility(&a, &b);
-        let via_slices = similarity_utility(
-            &middle_nn::params::flatten(&a),
-            &middle_nn::params::flatten(&b),
-        );
-        assert_eq!(via_model, via_slices);
     }
 }

@@ -1746,7 +1746,10 @@ mod tests {
 
     #[test]
     fn execution_labels_derive_from_the_config() {
-        let event = TimelineConfig::event_driven_zero_delay();
+        let event = TimelineConfig {
+            mode: ExecutionMode::EventDriven,
+            ..TimelineConfig::default()
+        };
         let variant = |edge_threshold, cloud_timer| TimelineConfig {
             edge_threshold,
             cloud_timer,
@@ -1805,7 +1808,10 @@ mod tests {
         dup(ScenarioGrid::new(tiny()).with_algorithms([Algorithm::middle(), Algorithm::middle()]));
         // Event configs that differ only in a field the label does not
         // carry are one label, hence rejected rather than pooled.
-        let event = TimelineConfig::event_driven_zero_delay();
+        let event = TimelineConfig {
+            mode: ExecutionMode::EventDriven,
+            ..TimelineConfig::default()
+        };
         dup(ScenarioGrid::new(tiny()).with_execution_modes([
             event,
             TimelineConfig {

@@ -49,7 +49,7 @@ pub enum Phase {
     /// deadline-missed uploads from the previous step (see
     /// [`crate::faults`]).
     FaultRecovery,
-    /// In-edge candidate collection, availability filtering and device
+    /// In-edge candidate collection, dropout filtering and device
     /// selection (§4.3).
     Selection,
     /// Writing each selected device's initial model: edge-model download
@@ -145,11 +145,9 @@ pub struct StepCounters {
     /// Steps where at least one edge selected at least one device —
     /// the wireless-round count of [`crate::CommStats::wall_clock`].
     pub active_steps: u64,
-    /// Candidate devices seen across all edges before availability
+    /// Candidate devices seen across all edges before dropout
     /// filtering.
     pub candidates_seen: u64,
-    /// Candidates dropped by the availability (straggler) filter.
-    pub availability_drops: u64,
     /// Devices selected for participation.
     pub selected: u64,
     /// Selected devices that had just moved and ran on-device
@@ -163,8 +161,7 @@ pub struct StepCounters {
     pub uploads: u64,
     /// Cloud synchronisations.
     pub syncs: u64,
-    /// Candidates dropped by the fault-plane dropout process
-    /// (on top of `availability_drops`).
+    /// Candidates dropped by the fault-plane dropout process.
     #[serde(default)]
     pub dropout_drops: u64,
     /// Selected devices excluded from edge aggregation by the straggler
@@ -205,7 +202,6 @@ impl StepCounters {
             steps: self.steps - base.steps,
             active_steps: self.active_steps - base.active_steps,
             candidates_seen: self.candidates_seen - base.candidates_seen,
-            availability_drops: self.availability_drops - base.availability_drops,
             selected: self.selected - base.selected,
             moved_inits: self.moved_inits - base.moved_inits,
             downloads: self.downloads - base.downloads,
@@ -259,17 +255,6 @@ impl TelemetryReport {
     /// The summary for `phase`, when present.
     pub fn phase(&self, phase: Phase) -> Option<&PhaseSummary> {
         self.phases.iter().find(|p| p.phase == phase.name())
-    }
-
-    /// Total nanoseconds attributed to in-step phases (everything except
-    /// `evaluation`, which `Simulation::tick` runs after the step
-    /// closes). The telemetry tests pin this to the step wall-clock.
-    pub fn step_phase_total_ns(&self) -> u64 {
-        self.phases
-            .iter()
-            .filter(|p| p.phase != Phase::Evaluation.name())
-            .map(|p| p.total_ns)
-            .sum()
     }
 }
 

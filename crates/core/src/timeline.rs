@@ -101,15 +101,6 @@ impl TimelineConfig {
         *self == Self::default()
     }
 
-    /// Convenience constructor for the zero-delay event-driven corner
-    /// that must reproduce lockstep bitwise.
-    pub fn event_driven_zero_delay() -> Self {
-        Self {
-            mode: ExecutionMode::EventDriven,
-            ..Self::default()
-        }
-    }
-
     /// True when the run uses the event engine.
     pub fn event_mode(&self) -> bool {
         self.mode == ExecutionMode::EventDriven
@@ -347,10 +338,6 @@ impl Timeline {
     /// Current simulated time (timestamp of the last popped event).
     pub fn clock(&self) -> f64 {
         self.clock
-    }
-
-    pub fn pending_events(&self) -> usize {
-        self.heap.len()
     }
 
     /// Schedule an event; assigns the next sequence number.
@@ -1046,7 +1033,10 @@ mod tests {
         assert!(cfg.validate().is_ok());
         assert!(!cfg.event_mode());
 
-        let corner = TimelineConfig::event_driven_zero_delay();
+        let corner = TimelineConfig {
+            mode: ExecutionMode::EventDriven,
+            ..TimelineConfig::default()
+        };
         assert!(!corner.is_default());
         assert!(corner.validate().is_ok());
         assert!(corner.event_mode());
@@ -1066,7 +1056,10 @@ mod tests {
             "timer needs EventDriven"
         );
 
-        let mut async_cfg = TimelineConfig::event_driven_zero_delay();
+        let mut async_cfg = TimelineConfig {
+            mode: ExecutionMode::EventDriven,
+            ..TimelineConfig::default()
+        };
         async_cfg.latency = LatencyModel::Faults;
         async_cfg.edge_threshold = Some(2);
         async_cfg.cloud_timer = Some(4.0);

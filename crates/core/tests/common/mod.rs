@@ -289,7 +289,7 @@ pub fn fleet_reference() -> String {
         .deterministic_json()
 }
 
-/// Bursty Markov dropout: empty cohorts, availability-draw ordering.
+/// Bursty Markov dropout: empty cohorts, dropout-draw ordering.
 pub fn dropout() -> FaultConfig {
     FaultConfig {
         dropout: DropoutModel::Markov {
@@ -396,7 +396,7 @@ pub fn live_residuals(sim: &Simulation) -> bool {
 
 /// A deadline miss waits in the stale-upload queue.
 pub fn stale_upload_pending(sim: &Simulation) -> bool {
-    !sim.fault_plane().pending().is_empty()
+    !sim.checkpoint().faults.pending.is_empty()
 }
 
 /// FedFly has some device's update in flight (a migration pending).
@@ -525,7 +525,10 @@ impl Cell {
         if zero_delay_twin {
             assert!(!cfg.timeline.event_mode(), "{name}: a lockstep cell");
             let boundary = (cfg.steps - 1) as f64 * cfg.timeline.step_duration;
-            let timeline = TimelineConfig::event_driven_zero_delay();
+            let timeline = TimelineConfig {
+                mode: ExecutionMode::EventDriven,
+                ..TimelineConfig::default()
+            };
             let mut event = finished(SimConfig { timeline, ..cfg });
             let clock = event.1.event_seconds.take();
             assert_eq!(clock, Some(boundary), "{name}: the zero-delay twin's clock");
@@ -617,7 +620,7 @@ pub fn assert_ledger(sim: &Simulation, record: &RunRecord, what: &str) {
     if !cfg.timeline.event_mode() {
         let landed = t.selected - t.deadline_misses + t.upload_retransmissions + t.stale_merges;
         assert_eq!(c.device_to_edge, landed, "{what}: uploads charged");
-        let queued = sim.fault_plane().pending().len() as u64;
+        let queued = sim.checkpoint().faults.pending.len() as u64;
         assert_eq!(
             t.deadline_misses - t.stale_merges,
             queued,

@@ -390,37 +390,34 @@ fn compress_round(plane: &mut CompressionPlane, round: &Round, one_by_one: bool)
 /// residuals and the stream position — over mixed jobs whose draw
 /// counts differ (zero-draw jobs among them, so each job's offset into
 /// the batch's uniforms matters), for three rounds so residuals feed
-/// back, under every rounding × error-feedback × width setting.
+/// back, under every rounding × width setting.
 #[test]
 fn batch_equals_its_jobs_one_by_one() {
     let d = 700;
     for mode in [RoundingMode::Stochastic, RoundingMode::Nearest] {
-        for error_feedback in [true, false] {
-            for (bits, top_frac) in [(8, 0.1), (1, 0.5), (4, 1.0), (32, 0.3)] {
-                let cfg = CompressionConfig {
-                    enabled: true,
-                    quantize_bits: bits,
-                    top_frac,
-                    rounding: mode,
-                    error_feedback,
-                };
-                let what = format!("{cfg:?}");
-                let mut batch = CompressionPlane::new(cfg.clone(), 6, 2, d, 5);
-                let mut single = CompressionPlane::new(cfg, 6, 2, d, 5);
-                let mut r = rng(99);
-                for round in 0..3 {
-                    let jobs = mixed_round(d, &mut r);
-                    assert_eq!(
-                        compress_round(&mut batch, &jobs, false),
-                        compress_round(&mut single, &jobs, true),
-                        "{what}, round {round}: payloads"
-                    );
-                    assert_eq!(
-                        serde_json::to_string(&batch.state_checkpoint()).unwrap(),
-                        serde_json::to_string(&single.state_checkpoint()).unwrap(),
-                        "{what}, round {round}: residuals and RNG"
-                    );
-                }
+        for (bits, top_frac) in [(8, 0.1), (1, 0.5), (4, 1.0), (32, 0.3)] {
+            let cfg = CompressionConfig {
+                enabled: true,
+                quantize_bits: bits,
+                top_frac,
+                rounding: mode,
+            };
+            let what = format!("{cfg:?}");
+            let mut batch = CompressionPlane::new(cfg.clone(), 6, 2, d, 5);
+            let mut single = CompressionPlane::new(cfg, 6, 2, d, 5);
+            let mut r = rng(99);
+            for round in 0..3 {
+                let jobs = mixed_round(d, &mut r);
+                assert_eq!(
+                    compress_round(&mut batch, &jobs, false),
+                    compress_round(&mut single, &jobs, true),
+                    "{what}, round {round}: payloads"
+                );
+                assert_eq!(
+                    serde_json::to_string(&batch.state_checkpoint()).unwrap(),
+                    serde_json::to_string(&single.state_checkpoint()).unwrap(),
+                    "{what}, round {round}: residuals and RNG"
+                );
             }
         }
     }

@@ -5,7 +5,8 @@
 
 use middle_core::aggregation::{cloud_aggregate, on_device_init};
 use middle_core::{
-    Algorithm, MobilitySource, OnDevicePolicy, SimConfig, SimError, Simulation, SimulationBuilder,
+    Algorithm, DropoutModel, MobilitySource, OnDevicePolicy, SimConfig, SimError, Simulation,
+    SimulationBuilder,
 };
 use middle_data::Task;
 use middle_mobility::Trace;
@@ -239,7 +240,7 @@ fn larger_tc_reduces_wan_traffic() {
 #[test]
 fn zero_availability_blocks_all_training() {
     let mut cfg = tiny(Algorithm::middle());
-    cfg.availability = 0.0;
+    cfg.faults.dropout = DropoutModel::Iid { p: 1.0 };
     cfg.steps = 3;
     let mut sim = built(cfg);
     let before = flatten(&sim.edges()[0].model);
@@ -251,18 +252,11 @@ fn zero_availability_blocks_all_training() {
 #[test]
 fn partial_availability_still_converges_run() {
     let mut cfg = tiny(Algorithm::middle());
-    cfg.availability = 0.5;
+    cfg.faults.dropout = DropoutModel::Iid { p: 0.5 };
     cfg.steps = 6;
     let record = built(cfg).run();
     assert!(record.final_accuracy().is_finite());
     assert!(record.comm.total() > 0);
-}
-
-#[test]
-fn availability_outside_range_is_rejected() {
-    let mut cfg = tiny(Algorithm::middle());
-    cfg.availability = 1.5;
-    assert!(cfg.validate().is_err());
 }
 
 /// A sync fires while one edge has an empty cohort (every device pinned
@@ -297,8 +291,8 @@ fn empty_cohort_edge_at_sync_survives_policy_hooks() {
     }
 }
 
-/// The fully-degenerate corner: *no* device anywhere trains (zero
-/// availability) yet the sync cadence still fires. Every cohort is
+/// The fully-degenerate corner: *no* device anywhere trains (every
+/// device down every step) yet the sync cadence still fires. Every cohort is
 /// empty at sync time; the run and its policy hooks must complete with
 /// finite metrics for a stateful policy too.
 #[test]
@@ -306,7 +300,7 @@ fn all_cohorts_empty_at_sync_time_completes() {
     for algorithm in [Algorithm::middle(), Algorithm::fedfly()] {
         let name = algorithm.name.clone();
         let mut cfg = tiny(algorithm);
-        cfg.availability = 0.0;
+        cfg.faults.dropout = DropoutModel::Iid { p: 1.0 };
         cfg.steps = 4;
         cfg.cloud_interval = 2;
         let record = built(cfg).run();

@@ -158,7 +158,7 @@ fn deadline_misses_become_stale_merges_next_step() {
         );
     }
     assert_eq!(sim.comm_stats().device_to_edge, 0, "no upload landed yet");
-    let pending = sim.fault_plane().pending().len();
+    let pending = sim.checkpoint().faults.pending.len();
     assert!(pending > 0, "late uploads queued for stale merge");
 
     // Step 1: the stale merges land before selection and move the edges.

@@ -38,7 +38,7 @@ fn clean() {
         .run();
 }
 
-/// Empty cohorts and the availability draw order.
+/// Empty cohorts and the dropout draw order.
 #[test]
 fn dropout_markov() {
     let mut cfg = broadcasts();
@@ -175,17 +175,6 @@ fn event_driven_threshold_one() {
 }
 
 // ---- traces pinned at the round-level reference step ----------------
-
-/// Half the devices sit out each step: the availability draws.
-#[test]
-fn availability_half() {
-    let mut cfg = shape(Task::Mnist, 16, 4, 2);
-    cfg.availability = 0.5;
-    Cell::new("availability 0.5", cfg)
-        .pin(Trajectory(0xc25c739326cfe9b1))
-        .cut_at(12)
-        .run();
-}
 
 /// Moved devices keep their model and download nothing.
 #[test]

@@ -211,9 +211,13 @@ fn version_table_reuses_tombstoned_ids_across_200_syncs() {
     cfg.eval_interval = 100;
     cfg.faults.wan_outage = 0.4;
 
+    // The live count and the table's length, tombstones included:
+    // `version_scores` writes one score per slot.
     let table = |sim: &Simulation| {
         let p = sim.population();
-        (p.live_versions().count(), p.version_table_len())
+        let mut scores = Vec::new();
+        p.version_scores(&flatten(sim.cloud_model()), 1.0, &mut scores);
+        (p.live_versions().count(), scores.len())
     };
     let mut sim = built(cfg.clone());
     let (mut most_live, mut json) = (1, None);

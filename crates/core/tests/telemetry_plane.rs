@@ -5,15 +5,15 @@
 //! must not perturb the simulation itself.
 
 use middle_core::{
-    Algorithm, OnDevicePolicy, SelectionPolicy, SimConfig, SimError, SimulationBuilder,
-    StepCounters, TelemetryReport, TimelineConfig,
+    Algorithm, DropoutModel, OnDevicePolicy, Phase, SelectionPolicy, SimConfig, SimError,
+    SimulationBuilder, StepCounters, TelemetryReport, TimelineConfig,
 };
 use middle_data::Task as DataTask;
 
 mod common;
 use common::{assert_same_run, built, finished, hostile, lossy, real_latencies, shape, Cell};
 
-/// A config that exercises every counter: availability dropout (so some
+/// A config that exercises every counter: i.i.d. dropout (so some
 /// candidates are filtered and steps can go inactive) plus `KeepLocal`
 /// (so moved devices skip the edge download).
 fn instrumented_config() -> SimConfig {
@@ -25,7 +25,7 @@ fn instrumented_config() -> SimConfig {
     let mut cfg = SimConfig::tiny(DataTask::Mnist, algo);
     cfg.steps = 12;
     cfg.cloud_interval = 4;
-    cfg.availability = 0.7;
+    cfg.faults.dropout = DropoutModel::Iid { p: 0.3 };
     cfg.telemetry = true;
     cfg
 }
@@ -98,7 +98,12 @@ fn phase_totals_account_for_step_time() {
         let steps = cfg.steps as u64;
         let report = report(cfg);
         let step_total = report.step.total_ns;
-        let phase_total = report.step_phase_total_ns();
+        // Every in-step phase; `Simulation::tick` evaluates after the
+        // step closes.
+        let phase_total: u64 = (report.phases.iter())
+            .filter(|p| p.phase != Phase::Evaluation.name())
+            .map(|p| p.total_ns)
+            .sum();
         assert_eq!(report.step.count, steps, "{what}: steps observed");
         assert!(step_total > 0, "{what}: step summary empty");
         assert!(
@@ -145,10 +150,10 @@ fn counters_match_comm_stats_exactly() {
     // KeepLocal: every moved selected device skipped its download.
     assert_eq!(c.downloads + c.moved_inits, c.selected);
     assert_eq!(c.selected, c.uploads);
-    // Availability filtering really dropped candidates at 0.7.
-    assert!(c.availability_drops > 0, "no drops at availability 0.7");
+    // Dropout filtering really dropped candidates at p = 0.3.
+    assert!(c.dropout_drops > 0, "no drops at dropout p = 0.3");
     // Per edge, seen ≥ dropped + selected; summed over the run likewise.
-    assert!(c.candidates_seen >= c.selected + c.availability_drops);
+    assert!(c.candidates_seen >= c.selected + c.dropout_drops);
 }
 
 #[test]

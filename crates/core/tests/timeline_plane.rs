@@ -8,7 +8,7 @@
 //! the differential matrix (`matrix.rs`).
 
 use middle_core::timeline::{EventKind, Timeline, WaveCheckpoint};
-use middle_core::{SimCheckpoint, SimConfig, StepMode, TimelineConfig};
+use middle_core::{ExecutionMode, SimCheckpoint, SimConfig, StepMode, TimelineConfig};
 use middle_nn::serialize::Packed;
 use proptest::prelude::*;
 
@@ -26,7 +26,10 @@ use common::{
 fn zero_delay_edge_threshold_is_irrelevant() {
     let mut cfg = SimConfig {
         faults: stragglers(),
-        timeline: TimelineConfig::event_driven_zero_delay(),
+        timeline: TimelineConfig {
+            mode: ExecutionMode::EventDriven,
+            ..TimelineConfig::default()
+        },
         ..broadcasts()
     };
     let baseline = finished(cfg.clone());
@@ -115,7 +118,10 @@ fn hostile_timeline_checkpoint_is_rejected_before_any_write() {
 fn restore_rejects_execution_mode_mismatch_both_ways() {
     let lock_cfg = broadcasts();
     let event_cfg = SimConfig {
-        timeline: TimelineConfig::event_driven_zero_delay(),
+        timeline: TimelineConfig {
+            mode: ExecutionMode::EventDriven,
+            ..TimelineConfig::default()
+        },
         ..broadcasts()
     };
 

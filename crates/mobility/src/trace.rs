@@ -11,7 +11,7 @@
 //!   probability averages to the requested `P` (the controlled knob of
 //!   the paper's Figure 7), optionally biased towards a home edge; or
 //! * imported, from assignment rows ([`Trace::new`]), from an exported
-//!   trace ([`Trace::from_json`]) or from a ONE-simulator report
+//!   trace (its serde JSON form) or from a ONE-simulator report
 //!   ([`Trace::from_one_report`]) — the way real ONE output comes in.
 //!
 //! A trace is backed either **densely** (every row materialised, the
@@ -308,11 +308,6 @@ impl Trace {
         }
     }
 
-    /// True when rows are regenerated on demand instead of held densely.
-    pub fn is_streaming(&self) -> bool {
-        matches!(self.backend, Backend::Stream(_))
-    }
-
     /// Number of time steps.
     pub fn steps(&self) -> usize {
         match &self.backend {
@@ -478,21 +473,6 @@ impl Trace {
             }
         }
         counts
-    }
-
-    /// Serialises the trace to JSON. Dense traces keep their historical
-    /// row format; streaming traces serialise the generator spec.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serialisation cannot fail")
-    }
-
-    /// Parses a JSON trace (either the dense row format or a streaming
-    /// generator spec) through the validating [`Deserialize`] impl.
-    ///
-    /// # Errors
-    /// Returns the parse or validation error message.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| e.to_string())
     }
 
     /// Exports in a ONE-simulator-style report format: one
@@ -673,9 +653,10 @@ impl Serialize for Trace {
     }
 }
 
-/// The one JSON decoder: `Trace::from_json` and every serde field of
-/// type `Trace` go through it, so each checks what [`Trace::new`] and
-/// the stream generator would otherwise assert.
+/// The one JSON decoder: a parsed trace and every serde field of type
+/// `Trace` go through it, so each checks what [`Trace::new`] and the
+/// stream generator would otherwise assert. Dense traces keep their
+/// historical row format; streaming traces carry the generator spec.
 impl Deserialize for Trace {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let repr = TraceRepr::from_value(v)?;
@@ -798,7 +779,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let t = generate_markov_hop(3, 5, 8, 0.3, 9);
-        let t2 = Trace::from_json(&t.to_json()).unwrap();
+        let t2: Trace = serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
         assert_eq!(t, t2);
     }
 
@@ -828,11 +809,11 @@ mod tests {
         assert!(err.contains("duplicate"), "{err}");
     }
 
-    /// Both JSON entry points are the same validating decoder.
+    /// The JSON decoder validates what the constructors assert.
     #[test]
-    fn malformed_json_is_rejected_by_both_decoders() {
-        let stream = Trace::markov_hop_streaming(2, 4, 5, 0.5, 1).to_json();
-        assert!(Trace::from_json(&stream).is_ok());
+    fn malformed_json_is_rejected() {
+        let stream = serde_json::to_string(&Trace::markov_hop_streaming(2, 4, 5, 0.5, 1)).unwrap();
+        assert!(serde_json::from_str::<Trace>(&stream).is_ok());
         let foreign_stream = stream.replacen("\"num_edges\":2", "\"num_edges\":3", 1);
         for json in [
             r#"{"num_edges":2,"assignments":[]}"#,
@@ -840,7 +821,6 @@ mod tests {
             r#"{"num_edges":2,"assignments":[[0,2]]}"#,
             foreign_stream.as_str(),
         ] {
-            assert!(Trace::from_json(json).is_err(), "from_json accepted {json}");
             assert!(
                 serde_json::from_str::<Trace>(json).is_err(),
                 "serde accepted {json}"
@@ -928,7 +908,7 @@ mod tests {
     fn streaming_markov_hop_matches_dense_bitwise() {
         let dense = generate_markov_hop(7, 50, 40, 0.35, 99);
         let stream = Trace::markov_hop_streaming(7, 50, 40, 0.35, 99);
-        assert!(stream.is_streaming());
+        assert!(matches!(stream.backend, Backend::Stream(_)));
         assert_eq!(rows(&dense), rows(&stream));
         assert_eq!(dense.empirical_mobility(), stream.empirical_mobility());
     }
@@ -988,15 +968,15 @@ mod tests {
     #[test]
     fn streaming_json_roundtrip_is_spec_sized() {
         let stream = Trace::markov_hop_homed_streaming(3, &[0, 1, 2, 0], 1000, 0.3, 0.5, 77);
-        let json = stream.to_json();
+        let json = serde_json::to_string(&stream).unwrap();
         // 1000 steps of rows would dwarf this; the spec form stays tiny.
         assert!(
             json.len() < 400,
             "spec JSON unexpectedly large: {}",
             json.len()
         );
-        let back = Trace::from_json(&json).unwrap();
-        assert!(back.is_streaming());
+        let back: Trace = serde_json::from_str(&json).unwrap();
+        assert!(matches!(back.backend, Backend::Stream(_)));
         assert_eq!(back, stream);
         assert_eq!(rows(&back)[999], rows(&stream)[999]);
     }

@@ -52,7 +52,8 @@ proptest! {
     #[test]
     fn json_roundtrip_any_trace(seed in 0u64..200) {
         let t = generate_markov_hop(4, 7, 9, 0.4, seed);
-        prop_assert_eq!(Trace::from_json(&t.to_json()).unwrap(), t);
+        let json = serde_json::to_string(&t).unwrap();
+        prop_assert_eq!(serde_json::from_str::<Trace>(&json).unwrap(), t);
     }
 
     #[test]

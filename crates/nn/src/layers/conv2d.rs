@@ -189,9 +189,9 @@ mod tests {
         let mut c = Conv2d::new(geom(), &mut rng(2));
         let params = c.take_params();
         let mut grads = vec![0.0; params.len()];
-        let x = Tensor::ones([1, 1, 4, 4]);
+        let x = Tensor::full([1, 1, 4, 4], 1.0);
         let y = c.forward(&params, &x);
-        let dx = c.backward(&params, &mut grads, &Tensor::ones(y.shape().clone()));
+        let dx = c.backward(&params, &mut grads, &Tensor::full(y.shape().clone(), 1.0));
         assert_eq!(dx.shape(), x.shape());
         // dL/db for sum loss is out_h*out_w per channel: the bias is the
         // slice's last `out_c` values.
@@ -204,12 +204,12 @@ mod tests {
         let params = c.take_params();
         let mut grads = vec![0.0; params.len()];
         let x1 = Tensor::zeros([1, 1, 4, 4]);
-        let x2 = Tensor::ones([1, 1, 4, 4]);
+        let x2 = Tensor::full([1, 1, 4, 4], 1.0);
         c.forward(&params, &x1);
         let y = c.forward(&params, &x2);
         // Backward with the cached x2: weight grads equal sum of windows of x2,
         // which is nonzero — would be all zero if x1 were cached.
-        c.backward(&params, &mut grads, &Tensor::ones(y.shape().clone()));
+        c.backward(&params, &mut grads, &Tensor::full(y.shape().clone(), 1.0));
         assert!(grads[..c.param_lens()[0]].iter().any(|&g| g != 0.0));
     }
 }

@@ -267,7 +267,7 @@ mod tests {
         let mut grads = vec![0.0; params.len()];
         let x = Tensor::from_vec([2, 3], vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6]);
         let y = d.forward(&params, &x);
-        let dout = Tensor::ones(y.shape().clone());
+        let dout = Tensor::full(y.shape().clone(), 1.0);
         let dx = d.backward(&params, &mut grads, &dout);
 
         let eps = 1e-3;

@@ -253,12 +253,6 @@ impl Sequential {
         }
         x
     }
-
-    /// Mean cross-entropy loss on a batch without updating parameters.
-    pub fn eval_loss(&self, inputs: &Tensor, labels: &[usize]) -> f32 {
-        let logits = self.infer(inputs);
-        softmax_cross_entropy(&logits, labels).0
-    }
 }
 
 #[cfg(test)]
@@ -357,7 +351,7 @@ mod tests {
         let mut a = tiny_model(4);
         let b = a.clone();
         let mut opt = Sgd::new(0.1);
-        a.train_batch(&Tensor::ones([1, 2]), &[0], &mut opt);
+        a.train_batch(&Tensor::full([1, 2], 1.0), &[0], &mut opt);
         // b unchanged.
         assert_ne!(a.params(), b.params());
     }
@@ -378,12 +372,12 @@ mod tests {
     #[test]
     fn backward_adds_into_the_callers_gradient_plane() {
         let mut m = tiny_model(5);
-        let y = m.forward(&Tensor::ones([2, 2]));
+        let y = m.forward(&Tensor::full([2, 2], 1.0));
         let mut once = vec![0.0; m.param_count()];
-        m.backward(&Tensor::ones(y.shape().clone()), &mut once);
+        m.backward(&Tensor::full(y.shape().clone(), 1.0), &mut once);
         assert!(once.iter().any(|&g| g != 0.0));
         let mut twice = once.clone();
-        m.backward(&Tensor::ones(y.shape().clone()), &mut twice);
+        m.backward(&Tensor::full(y.shape().clone(), 1.0), &mut twice);
         for (a, b) in once.iter().zip(&twice) {
             assert_eq!((a + a).to_bits(), b.to_bits());
         }

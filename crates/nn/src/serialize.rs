@@ -176,19 +176,6 @@ impl Checkpoint {
         unflatten(model, &self.values);
         Ok(())
     }
-
-    /// Serialises to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("checkpoint serialisation cannot fail")
-    }
-
-    /// Deserialises from JSON.
-    ///
-    /// # Errors
-    /// Returns the JSON parse error message.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| e.to_string())
-    }
 }
 
 #[cfg(test)]
@@ -199,6 +186,14 @@ mod tests {
 
     fn model(seed: u64) -> Sequential {
         Sequential::new().push(Dense::new(3, 2, &mut rng(seed)))
+    }
+
+    fn to_json(ck: &Checkpoint) -> String {
+        serde_json::to_string(ck).unwrap()
+    }
+
+    fn from_json(s: &str) -> Result<Checkpoint, serde_json::Error> {
+        serde_json::from_str(s)
     }
 
     #[test]
@@ -215,7 +210,7 @@ mod tests {
     fn json_roundtrip() {
         let a = model(3);
         let ck = Checkpoint::capture(&a);
-        let ck2 = Checkpoint::from_json(&ck.to_json()).unwrap();
+        let ck2 = from_json(&to_json(&ck)).unwrap();
         assert_eq!(ck.values, ck2.values);
         assert_eq!(ck.layout, ck2.layout);
     }
@@ -230,7 +225,7 @@ mod tests {
 
     #[test]
     fn corrupt_json_is_rejected() {
-        assert!(Checkpoint::from_json("{not json").is_err());
+        assert!(from_json("{not json").is_err());
     }
 
     #[test]
@@ -241,7 +236,7 @@ mod tests {
             values: Packed(vec![1.0, -2.5]),
         };
         assert_eq!(
-            ck.to_json(),
+            to_json(&ck),
             r#"{"layout":[2],"values":"0000803f000020c0"}"#
         );
         assert_eq!(
@@ -279,7 +274,7 @@ mod tests {
     fn value_count_must_match_the_layout() {
         let mut ck = Checkpoint::capture(&model(6));
         ck.values.0.pop();
-        let short = Checkpoint::from_json(&ck.to_json()).unwrap();
+        let short = from_json(&to_json(&ck)).unwrap();
         assert!(short.restore(&mut model(6)).is_err());
     }
 }

@@ -235,10 +235,11 @@ proptest! {
         let mut r = rng(seed ^ 0xABCD);
         let x = middle_tensor::random::uniform([6, 4], -1.0, 1.0, &mut r);
         let labels = [0usize, 1, 2, 0, 1, 2];
-        let before = m.eval_loss(&x, &labels);
+        let loss = |m: &Sequential| softmax_cross_entropy(&m.infer(&x), &labels).0;
+        let before = loss(&m);
         let mut opt = middle_nn::optim::Sgd::new(0.01);
         m.train_batch(&x, &labels, &mut opt);
-        let after = m.eval_loss(&x, &labels);
+        let after = loss(&m);
         prop_assert!(after <= before + 1e-4, "loss rose: {} -> {}", before, after);
     }
 
@@ -312,7 +313,7 @@ proptest! {
         let mut relu = Relu::new();
         let x = Tensor::from_vec([16], vals);
         relu.forward(&[], &x);
-        let g = Tensor::ones([16]);
+        let g = Tensor::full([16], 1.0);
         let dx = relu.backward(&[], &mut [], &g);
         for (d, u) in dx.data().iter().zip(g.data()) {
             prop_assert!(d.abs() <= u.abs() + 1e-6);
@@ -342,7 +343,7 @@ proptest! {
     /// A packed `f32` plane is its values' bits: any pattern — NaN
     /// payloads, infinities, `-0.0`, subnormals, all of which the
     /// decimal writer lost or had to print digit by digit — survives
-    /// `to_json` → `from_json` exactly, at 8 hex digits per value.
+    /// a JSON round trip exactly, at 8 hex digits per value.
     #[test]
     fn packed_f32_planes_round_trip_every_bit_pattern(
         drawn in prop::collection::vec(0u32..=u32::MAX, 0..48),
@@ -352,8 +353,8 @@ proptest! {
             layout: vec![bits.len()],
             values: Packed(bits.iter().map(|&b| f32::from_bits(b)).collect()),
         };
-        let json = ck.to_json();
-        let back = Checkpoint::from_json(&json).unwrap();
+        let json = serde_json::to_string(&ck).unwrap();
+        let back: Checkpoint = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits.clone());
         prop_assert_eq!(back.layout, ck.layout.clone());
         prop_assert_eq!(json.len(), r#"{"layout":[],"values":""}"#.len()

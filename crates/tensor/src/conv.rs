@@ -1401,7 +1401,7 @@ mod tests {
         // 1x1 kernel with weight 1, bias 0 => output == input.
         let g = geom(1, 1, 1, 1, 0, 4, 4);
         let x = Tensor::from_vec([1, 1, 4, 4], (0..16).map(|i| i as f32).collect());
-        let w = Tensor::ones([1, 1]);
+        let w = Tensor::full([1, 1], 1.0);
         let b = Tensor::zeros([1]);
         let y = conv2d_forward(&x, &w, &b, &g);
         assert_eq!(y.data(), x.data());
@@ -1411,8 +1411,8 @@ mod tests {
     fn known_3x3_sum_kernel() {
         // All-ones 3x3 kernel on an all-ones 3x3 input without padding: 9.
         let g = geom(1, 1, 3, 1, 0, 3, 3);
-        let x = Tensor::ones([1, 1, 3, 3]);
-        let w = Tensor::ones([1, 9]);
+        let x = Tensor::full([1, 1, 3, 3], 1.0);
+        let w = Tensor::full([1, 9], 1.0);
         let b = Tensor::zeros([1]);
         let y = conv2d_forward(&x, &w, &b, &g);
         assert_eq!(y.shape().dims(), &[1, 1, 1, 1]);
@@ -1445,7 +1445,7 @@ mod tests {
 
         // Loss = sum(conv(x)) so dout = ones.
         let y = conv2d_forward(&x, &w, &b, &g);
-        let dout = Tensor::ones(y.shape().clone());
+        let dout = Tensor::full(y.shape().clone(), 1.0);
         let (dx, dw, db) = conv2d_backward(&x, &w, &dout, &g);
 
         let eps = 1e-3;

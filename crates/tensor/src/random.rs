@@ -116,16 +116,6 @@ pub fn he_normal(shape: impl Into<crate::shape::Shape>, fan_in: usize, rng: &mut
     normal(shape, 0.0, std, rng)
 }
 
-/// Fisher–Yates shuffled index permutation `0..n`.
-pub fn permutation(n: usize, rng: &mut StdRng) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
-        idx.swap(i, j);
-    }
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,16 +196,5 @@ mod tests {
         let std = (t.data().iter().map(|x| x * x).sum::<f32>() / t.len() as f32).sqrt();
         let expected = (2.0f32 / 50.0).sqrt();
         assert!((std - expected).abs() < 0.02, "std {std} vs {expected}");
-    }
-
-    #[test]
-    fn permutation_is_a_bijection() {
-        let p = permutation(100, &mut rng(9));
-        let mut seen = [false; 100];
-        for &i in &p {
-            assert!(!seen[i]);
-            seen[i] = true;
-        }
-        assert!(seen.iter().all(|&b| b));
     }
 }

@@ -46,11 +46,6 @@ impl Tensor {
         }
     }
 
-    /// A tensor of ones.
-    pub fn ones(shape: impl Into<Shape>) -> Self {
-        Self::full(shape, 1.0)
-    }
-
     /// A tensor filled with `value`.
     pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
@@ -230,9 +225,8 @@ mod tests {
     }
 
     #[test]
-    fn zeros_ones_full() {
+    fn zeros_and_full() {
         assert_eq!(Tensor::zeros([3]).data(), &[0., 0., 0.]);
-        assert_eq!(Tensor::ones([2]).data(), &[1., 1.]);
         assert_eq!(Tensor::full([2], 7.5).data(), &[7.5, 7.5]);
     }
 
