@@ -66,12 +66,18 @@ git ls-files -z 'crates/shims/**/*.rs' | xargs -0 rustfmt --check --edition 2021
 # A doc that names a file that is gone misleads its next reader. Every
 # backticked path-like token (first word, `:line` suffix dropped) must
 # exist or be a build output `.gitignore` lists; tokens holding a glob,
-# a brace list or a `<placeholder>` are patterns, not paths.
+# a brace list or a `<placeholder>` are patterns, not paths. The docs
+# read are the five below and every `//!` and `///` comment of the
+# code, so a file a doc comment names cannot be deleted silently.
 # perf/README.md stays out: it names three paths that are gone
 # (perf/.cargo/config.toml, perf/.gitignore, src/metrics.rs), and only a
 # change to the benchmark may edit perf/.
-echo "==> stale paths in README.md, DESIGN.md, ROADMAP.md, EXPERIMENTS.md and the verify skill"
-stale=$(grep -oh '`[^`]*`' README.md DESIGN.md ROADMAP.md EXPERIMENTS.md .claude/skills/verify/SKILL.md |
+echo "==> stale paths in README.md, DESIGN.md, ROADMAP.md, EXPERIMENTS.md, the verify skill and doc comments"
+stale=$({
+    grep -oh '`[^`]*`' README.md DESIGN.md ROADMAP.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
+    git grep -h -E '^\s*//[/!]' -- 'crates/**.rs' 'src/**.rs' 'tests/**.rs' 'examples/**.rs' |
+        grep -o '`[^`]*`' || true
+} |
     while IFS= read -r token; do
         token=${token//\`/}
         [[ "$token" == *[*{\<]* ]] && continue

@@ -2,8 +2,10 @@
 # Parent-vs-change measurement by choosing-metrics section 8: alternating
 # pairs of untraced `perf` runs, each side's median and quartiles per
 # end-to-end metric, and in how many pairs the change read higher or
-# lower. Which direction is better is in BENCHMARK.json; this script
-# does not know, and it has no tolerance: it fails only on what must be
+# lower, with the exact two-sided sign-test p-value of that split (ties
+# dropped; at 5 pairs even 5 / 0 reads p = 0.0625). Which direction is
+# better is in BENCHMARK.json; this script does not know, and it has no
+# tolerance: it fails only on what must be
 # exactly equal on both sides (the trajectory fingerprint, `sim_wall_s`,
 # `uplink_mb`) and on failed operations.
 #
@@ -74,6 +76,15 @@ function quartile(side, name, q,    n, i, j, v, tmp, pos, lo) {
     lo = int(pos)
     return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
 }
+# Exact two-sided sign test: the chance, were either side equally likely
+# to read higher, of a split among the untied pairs at least this uneven.
+function sign_p(a, b,    n, k, i, term, tail) {
+    n = a + b
+    k = a < b ? a : b
+    term = 0.5 ^ n
+    for (i = 0; i <= k; i++) { tail += term; term = term * (n - i) / (i + 1) }
+    return 2 * tail > 1 ? 1 : 2 * tail
+}
 function spread(side, name) {
     return sprintf("%.6g / %.6g / %.6g", quartile(side, name, 0.25), quartile(side, name, 0.5), quartile(side, name, 0.75))
 }
@@ -92,7 +103,7 @@ END {
         print "perf_pairs: a side printed no metrics" > "/dev/stderr"
         exit 1
     }
-    printf "\n%-26s %-6s %-34s %-34s %s\n", "metric", "unit", "parent q1 / median / q3", "change q1 / median / q3", "change higher / lower / tied"
+    printf "\n%-26s %-6s %-34s %-34s %-30s %s\n", "metric", "unit", "parent q1 / median / q3", "change q1 / median / q3", "change higher / lower / tied", "sign-test p"
     for (m = 1; m <= metrics; m++) {
         name = order[m]
         higher = lower = tied = 0
@@ -101,7 +112,7 @@ END {
             c = value["change", name, i] + 0
             if (c > p) higher++; else if (c < p) lower++; else tied++
         }
-        printf "%-26s %-6s %-34s %-34s %d / %d / %d\n", name, unit[name], spread("parent", name), spread("change", name), higher, lower, tied
+        printf "%-26s %-6s %-34s %-34s %-30s %.4g\n", name, unit[name], spread("parent", name), spread("change", name), higher " / " lower " / " tied, sign_p(higher, lower)
     }
     n = 0
     for (e in exact) n++
