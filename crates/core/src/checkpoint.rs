@@ -307,9 +307,10 @@ pub fn unseal_json(text: &str) -> Result<&str, String> {
     Ok(payload)
 }
 
-/// FNV-1a over raw bytes (sweep state files digest their scenario list
-/// with the same function).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over raw bytes, the repo's one fingerprint hash: sweep state
+/// files digest their scenario list with it, and a preset's table ends
+/// with it over its report's deterministic JSON.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);

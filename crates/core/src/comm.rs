@@ -10,8 +10,8 @@
 use serde::{Deserialize, Serialize};
 
 /// Reference seconds for one model transfer on a device↔edge wireless
-/// link, shared by the examples and the `middle-sweepd run` presets
-/// so the two wall-clock models cannot drift.
+/// link, shared by the `middle-sweepd run` presets and the benchmark so
+/// their wall-clock models cannot drift.
 pub const WIRELESS_SECS_PER_TRANSFER: f64 = 1.0;
 
 /// Reference seconds for one model transfer on the edge↔cloud WAN.
@@ -85,22 +85,6 @@ pub struct CommStats {
 }
 
 impl CommStats {
-    /// Total transmissions over device-edge wireless links.
-    pub fn wireless_total(&self) -> u64 {
-        self.edge_to_device + self.device_to_edge + self.cloud_to_device
-    }
-
-    /// Total transmissions over the edge-cloud WAN; edge → edge
-    /// hand-offs ride the same inter-edge backhaul and are grouped here.
-    pub fn wan_total(&self) -> u64 {
-        self.edge_to_cloud + self.cloud_to_edge + self.edge_to_edge
-    }
-
-    /// Total transmissions.
-    pub fn total(&self) -> u64 {
-        self.wireless_total() + self.wan_total()
-    }
-
     /// Charges one version-deduped cloud→device broadcast: `receivers`
     /// devices receive the same dense model version. The ledger counts
     /// per-receiver units/bytes — identical to charging each device
@@ -134,9 +118,15 @@ impl CommStats {
 
     /// Simulated communication wall-clock under a two-tier link model.
     ///
-    /// `wireless_s` / `wan_s` are the seconds one model transfer takes on
-    /// each tier; transfers within a tier and step are assumed parallel
-    /// across devices/edges, so the cost counts *rounds*.
+    /// `wireless_s` / `wan_s` are the seconds one dense model transfer
+    /// takes on each tier; transfers within a tier and step are assumed
+    /// parallel across devices/edges, so the cost counts *rounds*. Each
+    /// active step is a download and an upload round, each sync an
+    /// edge→cloud and a cloud→edge WAN round plus the broadcast to the
+    /// devices. A round's cost scales with the mean payload size of its
+    /// transfer class relative to a dense `4 × param_count`-byte model,
+    /// so compressed uplink rounds finish proportionally faster; classes
+    /// that never transferred contribute nothing.
     ///
     /// `active_steps` must be the number of steps in which at least one
     /// device actually participated (`RunRecord::active_steps`, also
@@ -147,21 +137,6 @@ impl CommStats {
     /// round unconditionally: the simulation broadcasts the cloud model
     /// to every device at each sync regardless of that step's
     /// participation.
-    pub fn wall_clock(&self, active_steps: u64, syncs: u64, wireless_s: f64, wan_s: f64) -> f64 {
-        // Each active time step: download + upload (2 wireless rounds).
-        // Each sync: edge→cloud + cloud→edge (2 WAN rounds) + broadcast
-        // to devices (1 wireless round).
-        let wireless_rounds = 2 * active_steps + syncs;
-        let wan_rounds = 2 * syncs;
-        wireless_rounds as f64 * wireless_s + wan_rounds as f64 * wan_s
-    }
-
-    /// Byte-accurate variant of [`Self::wall_clock`]: each round's cost
-    /// scales with the mean payload size of its transfer class relative
-    /// to a dense `4 × param_count`-byte model, so compressed uplink
-    /// rounds finish proportionally faster. With every class dense the
-    /// result equals [`Self::wall_clock`] exactly; classes that never
-    /// transferred contribute nothing.
     pub fn wall_clock_bytes(
         &self,
         active_steps: u64,
@@ -191,7 +166,7 @@ impl CommStats {
     /// Wall-clock seconds spent in retry backoff, given the length of
     /// one backoff slot in seconds. Backoff waits are per-device and
     /// overlap with other devices' transfers, so this is reported
-    /// separately rather than folded into [`Self::wall_clock`].
+    /// separately rather than folded into [`Self::wall_clock_bytes`].
     pub fn retry_backoff_seconds(&self, slot_s: f64) -> f64 {
         self.retry_backoff_slots as f64 * slot_s
     }
@@ -212,12 +187,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn totals_partition_by_tier() {
+    /// Dense payload size of the models in `dense_stats`: 1000 bytes.
+    const D: u64 = 250;
+
+    /// [`stats`] with every payload dense.
+    fn dense_stats() -> CommStats {
         let s = stats();
-        assert_eq!(s.wireless_total(), 28);
-        assert_eq!(s.wan_total(), 4);
-        assert_eq!(s.total(), 32);
+        CommStats {
+            edge_to_device_bytes: s.edge_to_device * 4 * D,
+            device_to_edge_bytes: s.device_to_edge * 4 * D,
+            edge_to_cloud_bytes: s.edge_to_cloud * 4 * D,
+            cloud_to_edge_bytes: s.cloud_to_edge * 4 * D,
+            cloud_to_device_bytes: s.cloud_to_device * 4 * D,
+            ..s
+        }
     }
 
     #[test]
@@ -237,56 +220,38 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_bytes_matches_rounds_model_when_dense() {
-        let mut s = stats();
-        let d = 250u64; // dense payload = 1000 bytes
-        s.edge_to_device_bytes = s.edge_to_device * 4 * d;
-        s.device_to_edge_bytes = s.device_to_edge * 4 * d;
-        s.edge_to_cloud_bytes = s.edge_to_cloud * 4 * d;
-        s.cloud_to_edge_bytes = s.cloud_to_edge * 4 * d;
-        s.cloud_to_device_bytes = s.cloud_to_device * 4 * d;
-        let rounds = s.wall_clock(10, 2, 1.0, 10.0);
-        let bytes = s.wall_clock_bytes(10, 2, 1.0, 10.0, d);
-        assert!((rounds - bytes).abs() < 1e-9, "{rounds} vs {bytes}");
-    }
-
-    #[test]
     fn wall_clock_bytes_scales_uplinks_with_compression() {
-        let mut s = stats();
-        let d = 250u64;
-        s.edge_to_device_bytes = s.edge_to_device * 4 * d;
+        let mut s = dense_stats();
         // Uplinks compressed 4×.
-        s.device_to_edge_bytes = s.device_to_edge * d;
-        s.edge_to_cloud_bytes = s.edge_to_cloud * d;
-        s.cloud_to_edge_bytes = s.cloud_to_edge * 4 * d;
-        s.cloud_to_device_bytes = s.cloud_to_device * 4 * d;
+        s.device_to_edge_bytes = s.device_to_edge * D;
+        s.edge_to_cloud_bytes = s.edge_to_cloud * D;
         // wireless = 10·(1 + 0.25) + 2·1 = 14.5; wan = 2·(0.25 + 1) = 2.5.
-        let t = s.wall_clock_bytes(10, 2, 1.0, 10.0, d);
+        let t = s.wall_clock_bytes(10, 2, 1.0, 10.0, D);
         assert!((t - (14.5 + 25.0)).abs() < 1e-9, "{t}");
         // Untransferred classes cost nothing.
         assert_eq!(
-            CommStats::default().wall_clock_bytes(5, 5, 1.0, 10.0, d),
+            CommStats::default().wall_clock_bytes(5, 5, 1.0, 10.0, D),
             0.0
         );
     }
 
     #[test]
     fn wall_clock_charges_wan_per_sync() {
-        let s = stats();
+        let s = dense_stats();
         // 10 steps, 1 sync, 1 s wireless, 10 s WAN:
         // wireless rounds = 21, wan rounds = 2 → 21 + 20 = 41 s.
-        assert!((s.wall_clock(10, 1, 1.0, 10.0) - 41.0).abs() < 1e-9);
+        assert!((s.wall_clock_bytes(10, 1, 1.0, 10.0, D) - 41.0).abs() < 1e-9);
         // No syncs: WAN free.
-        assert!((s.wall_clock(10, 0, 1.0, 10.0) - 20.0).abs() < 1e-9);
+        assert!((s.wall_clock_bytes(10, 0, 1.0, 10.0, D) - 20.0).abs() < 1e-9);
     }
 
     #[test]
     fn wall_clock_charges_nothing_for_inactive_steps() {
-        let s = stats();
+        let s = dense_stats();
         // A fully-straggled run (0 active steps, 0 syncs) moves nothing.
-        assert_eq!(s.wall_clock(0, 0, 1.0, 10.0), 0.0);
+        assert_eq!(s.wall_clock_bytes(0, 0, 1.0, 10.0, D), 0.0);
         // With syncs, only the sync rounds are charged.
-        assert!((s.wall_clock(0, 2, 1.0, 10.0) - (2.0 + 40.0)).abs() < 1e-9);
+        assert!((s.wall_clock_bytes(0, 2, 1.0, 10.0, D) - (2.0 + 40.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -323,12 +288,6 @@ mod tests {
             edge_to_edge_bytes: 12,
             ..stats()
         };
-        assert_eq!(a.wan_total(), 7);
         assert_eq!(a.wan_bytes(), 12);
-    }
-
-    #[test]
-    fn default_is_zero() {
-        assert_eq!(CommStats::default().total(), 0);
     }
 }

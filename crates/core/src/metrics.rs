@@ -56,7 +56,7 @@ pub struct RunRecord {
     #[serde(default)]
     pub syncs: u64,
     /// Steps in which at least one device participated (the wireless
-    /// round count of [`CommStats::wall_clock`]); dropout
+    /// round count of [`CommStats::wall_clock_bytes`]); dropout
     /// filtering can leave steps fully inactive.
     #[serde(default)]
     pub active_steps: u64,
@@ -114,26 +114,17 @@ impl RunRecord {
     }
 
     /// Simulated communication wall-clock of this run under the
-    /// two-tier link model, charging wireless rounds only for the steps
-    /// that actually moved models. When the record carries byte-exact
-    /// payload counters (every run since the compression plane), rounds
-    /// scale with the bytes actually moved
-    /// ([`CommStats::wall_clock_bytes`]); older records fall back to
-    /// the dense rounds model ([`CommStats::wall_clock`]), which the
-    /// byte model reproduces exactly for dense payloads.
+    /// two-tier link model ([`CommStats::wall_clock_bytes`]): wireless
+    /// rounds only for the steps that actually moved models, each round
+    /// scaled by the bytes its transfer class actually moved.
     pub fn comm_wall_clock(&self, wireless_s: f64, wan_s: f64) -> f64 {
-        if self.param_count > 0 && self.comm.payload_total_bytes() > 0 {
-            self.comm.wall_clock_bytes(
-                self.active_steps,
-                self.syncs,
-                wireless_s,
-                wan_s,
-                self.param_count,
-            )
-        } else {
-            self.comm
-                .wall_clock(self.active_steps, self.syncs, wireless_s, wan_s)
-        }
+        self.comm.wall_clock_bytes(
+            self.active_steps,
+            self.syncs,
+            wireless_s,
+            wan_s,
+            self.param_count,
+        )
     }
 
     /// First time step whose *smoothed* accuracy reaches `target`
@@ -262,21 +253,12 @@ mod tests {
     }
 
     #[test]
-    fn comm_wall_clock_uses_active_steps() {
-        let mut r = record(&[0.5]);
-        r.syncs = 1;
-        r.active_steps = 4;
-        // 2·4 + 1 wireless rounds, 2 WAN rounds.
-        assert!((r.comm_wall_clock(1.0, 10.0) - 29.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn comm_wall_clock_uses_byte_model_when_counters_present() {
+    fn comm_wall_clock_charges_active_rounds_by_bytes() {
         let mut r = record(&[0.5]);
         r.syncs = 1;
         r.active_steps = 4;
         r.param_count = 100;
-        // Dense byte counters must reproduce the rounds model exactly.
+        // Dense payloads: 2·4 + 1 wireless rounds, 2 WAN rounds.
         r.comm.edge_to_device = 8;
         r.comm.device_to_edge = 8;
         r.comm.edge_to_cloud = 2;

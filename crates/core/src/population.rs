@@ -439,9 +439,13 @@ impl Population {
             return;
         }
         stale.sort_unstable();
-        self.gather_mut(stale)
+        disjoint_mut(&mut self.resident, stale)
             .par_iter_mut()
-            .for_each(|dev| dev.refresh_cloud_score(epoch, cloud_flat, cloud_norm_sq));
+            .for_each(|slot| {
+                // Cannot fire: `stale` lists residents only (above).
+                let dev = slot.as_deref_mut().expect("listed resident");
+                dev.refresh_cloud_score(epoch, cloud_flat, cloud_norm_sq);
+            });
     }
 
     /// The materialised device `m`.
@@ -454,20 +458,6 @@ impl Population {
         // simulation asks for devices of the current step's cohorts,
         // which phase 1 made resident.
         self.resident[m].as_deref().expect("device not resident")
-    }
-
-    /// Gathers disjoint `&mut Device` references for a strictly
-    /// ascending id list of materialised devices, so a region
-    /// parallelises over exactly those devices without re-scanning the
-    /// population.
-    pub fn gather_mut(&mut self, ids: &[usize]) -> Vec<&mut Device> {
-        disjoint_mut(&mut self.resident, ids)
-            .into_iter()
-            // Cannot fire for the simulation's calls, which pass the
-            // stale residents `refresh_cloud_scores` just listed; any
-            // other caller must pass resident ids, as documented.
-            .map(|slot| slot.as_deref_mut().expect("participant not resident"))
-            .collect()
     }
 
     /// Panics unless the population's derived state is consistent:

@@ -152,15 +152,13 @@ impl CloudView {
 }
 
 /// Per-step inverted device↔edge index, rebuilt once at the top of each
-/// step from the mobility trace.
+/// step from the mobility trace by one O(N + E) counting sort.
 ///
-/// Cohort construction used to call `Trace::devices_at_into` once per
-/// edge — a full O(N·E) population scan every step. The index does one
-/// O(N + E) counting sort instead: `cur`/`prev` hold the step's (and
-/// previous step's) device→edge rows, and `offsets`/`members` form a
-/// CSR edge→devices map whose per-edge slices list device ids in
-/// ascending order, exactly matching the order `devices_at_into`
-/// produced (so the selection draws see the same candidate order).
+/// `cur`/`prev` hold the step's (and the previous step's) device→edge
+/// rows; `offsets`/`members` form a CSR edge→devices map whose per-edge
+/// slice lists the edge's candidate set in ascending device order, the
+/// order of `Trace::devices_at` (so the selection draws see the
+/// candidates in trace order).
 #[derive(Default)]
 struct StepIndex {
     cur: Vec<usize>,

@@ -143,7 +143,8 @@ pub struct StepCounters {
     /// Steps executed.
     pub steps: u64,
     /// Steps where at least one edge selected at least one device —
-    /// the wireless-round count of [`crate::CommStats::wall_clock`].
+    /// the wireless-round count of
+    /// [`crate::CommStats::wall_clock_bytes`].
     pub active_steps: u64,
     /// Candidate devices seen across all edges before dropout
     /// filtering.

@@ -201,36 +201,6 @@ fn sample_categorical(probs: &[f32], r: &mut rand::rngs::StdRng) -> usize {
     probs.len() - 1
 }
 
-/// The Figure-1 motivation split: two edge-level corpora where edge 0
-/// holds `major_frac` of its data in classes `[0, classes/2)` and edge 1
-/// the opposite. Returns per-class sample counts for each edge, to feed a
-/// [`crate::synthetic::SyntheticSource`].
-pub fn edge_skew_counts(classes: usize, per_edge: usize, major_frac: f32) -> [Vec<usize>; 2] {
-    assert!(classes >= 2, "need at least two classes");
-    assert!((0.0..=1.0).contains(&major_frac), "major_frac in [0, 1]");
-    let half = classes / 2;
-    let major_total = (per_edge as f32 * major_frac).round() as usize;
-    let minor_total = per_edge - major_total;
-    let mut edge0 = vec![0usize; classes];
-    let mut edge1 = vec![0usize; classes];
-    for c in 0..classes {
-        if c < half {
-            edge0[c] = spread(major_total, half, c);
-            edge1[c] = spread(minor_total, half, c);
-        } else {
-            edge0[c] = spread(minor_total, classes - half, c - half);
-            edge1[c] = spread(major_total, classes - half, c - half);
-        }
-    }
-    [edge0, edge1]
-}
-
-/// Evenly spreads `total` across `parts`, giving remainders to the first
-/// slots.
-fn spread(total: usize, parts: usize, slot: usize) -> usize {
-    total / parts + usize::from(slot < total % parts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,33 +280,5 @@ mod tests {
         let p1 = partition(&b, 5, 10, Scheme::MajorClass { major_frac: 0.8 }, 7);
         let p2 = partition(&b, 5, 10, Scheme::MajorClass { major_frac: 0.8 }, 7);
         assert_eq!(p1.assignments, p2.assignments);
-    }
-
-    #[test]
-    fn edge_skew_realises_70_30() {
-        let [e0, e1] = edge_skew_counts(10, 100, 0.7);
-        assert_eq!(e0.iter().sum::<usize>(), 100);
-        assert_eq!(e1.iter().sum::<usize>(), 100);
-        let e0_major: usize = e0[..5].iter().sum();
-        let e1_major: usize = e1[5..].iter().sum();
-        assert_eq!(e0_major, 70);
-        assert_eq!(e1_major, 70);
-    }
-
-    #[test]
-    fn edge_skew_is_mirrored() {
-        let [e0, e1] = edge_skew_counts(10, 200, 0.7);
-        let flipped: Vec<usize> = e1[5..].iter().chain(&e1[..5]).copied().collect();
-        assert_eq!(e0, flipped);
-    }
-
-    #[test]
-    fn spread_sums_to_total() {
-        for total in [0usize, 7, 100] {
-            for parts in [1usize, 3, 5] {
-                let s: usize = (0..parts).map(|i| spread(total, parts, i)).sum();
-                assert_eq!(s, total);
-            }
-        }
     }
 }

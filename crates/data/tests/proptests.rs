@@ -1,7 +1,7 @@
 //! Property-based tests for datasets, partitioners and metrics.
 
 use middle_data::metrics::Confusion;
-use middle_data::partition::{edge_skew_counts, partition, Scheme};
+use middle_data::partition::{partition, Scheme};
 use middle_data::synthetic::{SyntheticSource, Task};
 use proptest::prelude::*;
 
@@ -48,19 +48,6 @@ proptest! {
             let expect = (per_device as f32 * frac).round() as usize;
             prop_assert!(counts[major] >= expect, "{} < {}", counts[major], expect);
         }
-    }
-
-    /// Edge-skew counts always sum to the requested size on both edges
-    /// and realise the major fraction within rounding.
-    #[test]
-    fn edge_skew_sums(classes in 2usize..30, per_edge in 2usize..500, frac in 0.0f32..=1.0) {
-        let [e0, e1] = edge_skew_counts(classes, per_edge, frac);
-        prop_assert_eq!(e0.iter().sum::<usize>(), per_edge);
-        prop_assert_eq!(e1.iter().sum::<usize>(), per_edge);
-        let half = classes / 2;
-        let major0: usize = e0[..half].iter().sum();
-        let want = (per_edge as f32 * frac).round() as usize;
-        prop_assert_eq!(major0, want);
     }
 
     /// Generated datasets have the right shape signature and labels.

@@ -344,18 +344,6 @@ impl Trace {
         }
     }
 
-    /// All device→edge assignments at step `t`.
-    ///
-    /// # Panics
-    /// Panics on streaming traces, which have no stable row to borrow —
-    /// use [`Trace::fill_rows_into`] there.
-    pub fn at(&self, t: usize) -> &[usize] {
-        match &self.backend {
-            Backend::Dense(a) => &a[t],
-            Backend::Stream(_) => panic!("streaming traces cannot borrow rows; use fill_rows_into"),
-        }
-    }
-
     /// Copies row `t` into `cur` and, when `t > 0`, row `t − 1` into
     /// `prev`; returns whether `prev` was filled. This is the one-pass
     /// row access the simulation's per-step index uses — a single O(N)
@@ -385,31 +373,19 @@ impl Trace {
         }
     }
 
-    /// Devices attached to `edge` at step `t` (the candidate set `M_n^t`).
+    /// Devices attached to `edge` at step `t` (the candidate set
+    /// `M_n^t`), in ascending device order.
     pub fn devices_at(&self, t: usize, edge: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.devices_at_into(t, edge, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`Trace::devices_at`]: clears `out` and
-    /// fills it with the candidate set in ascending device order.
-    pub fn devices_at_into(&self, t: usize, edge: usize, out: &mut Vec<usize>) {
-        out.clear();
-        let fill = |row: &[usize], out: &mut Vec<usize>| {
-            out.extend(
-                row.iter()
-                    .enumerate()
-                    .filter(|(_, &e)| e == edge)
-                    .map(|(m, _)| m),
-            );
+        let fill = |row: &[usize]| -> Vec<usize> {
+            let on_edge = row.iter().enumerate().filter(|(_, &e)| e == edge);
+            on_edge.map(|(m, _)| m).collect()
         };
         match &self.backend {
-            Backend::Dense(a) => fill(&a[t], out),
+            Backend::Dense(a) => fill(&a[t]),
             Backend::Stream(s) => {
                 let mut cursor = s.lock();
                 s.seek(&mut cursor, t);
-                fill(&cursor.cur, out);
+                fill(&cursor.cur)
             }
         }
     }
@@ -875,7 +851,8 @@ mod tests {
     fn homed_hop_starts_at_home() {
         let homes = vec![2usize, 0, 1];
         let t = generate_markov_hop_homed(3, &homes, 5, 0.9, 0.5, 3);
-        assert_eq!(t.at(0), &homes[..]);
+        let start: Vec<usize> = (0..homes.len()).map(|m| t.edge_of(0, m)).collect();
+        assert_eq!(start, homes);
     }
 
     #[test]

@@ -15,14 +15,15 @@
 //! and the merged report's deterministic form is byte-identical to the
 //! in-process one (DESIGN.md §14), so a run cut short under either
 //! resumes under the other. A preset then runs its check and writes its
-//! artefacts; a grid run writes the report's deterministic JSON.
+//! tables into a directory; a grid run writes the report's deterministic
+//! JSON.
 //!
 //! ```text
 //! middle-sweepd run fig6                        # results/fig6_*.csv
-//! middle-sweepd run smoke --out oracle.json
-//! middle-sweepd run smoke --spawn 3 --dir fleet/ --out fleet.json
-//! cmp oracle.json fleet.json
-//! middle-sweepd status --dir fleet/
+//! middle-sweepd run smoke --out oracle/
+//! middle-sweepd run smoke --spawn 3 --dir ledger/ --out fleet/
+//! diff -r oracle/ fleet/
+//! middle-sweepd status --dir ledger/
 //! ```
 
 mod presets;
@@ -49,10 +50,10 @@ USAGE:
       D/<grid digest>/, where a rerun resumes. --spawn 0 (the default)
       runs in this process; --spawn N (needs --dir) writes grid.json
       there, forks N workers (ids w0..) and merges their results. A
-      preset then checks its claims and writes its artefacts to --out
-      (default BENCH_<preset>.json, or the directory results/); a grid
-      run writes the report's deterministic JSON to --out (default
-      stdout). --lease-ms and --max-wall-ms are the fleet's.
+      preset then checks its claims and writes its CSV tables into the
+      directory --out (default results/); a grid run writes the
+      report's deterministic JSON to the file --out (default stdout).
+      --lease-ms and --max-wall-ms are the fleet's.
       Presets: {}
 
   middle-sweepd worker --grid PATH --dir PATH --id ID
@@ -174,7 +175,7 @@ fn cmd_run(preset: Option<&Preset>, args: &Args) -> Result<(), String> {
         .iter()
         .map(|grid| run_grid(grid, args))
         .collect::<Result<_, _>>()?;
-    // Artefacts are written from whole grids only.
+    // Tables and reports are written from whole grids only.
     if reports.iter().any(|report| !report.complete) {
         return Err("a grid finished with scenarios missing".to_string());
     }

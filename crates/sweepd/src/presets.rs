@@ -2,35 +2,35 @@
 //!
 //! * `faults`, `algos`, `compress`, `async` — robustness to faults, the
 //!   algorithm zoo, uplink compression and async-vs-lockstep execution:
-//!   one [`ScenarioGrid`] each, committed as the
-//!   [`SweepReport::deterministic_json`] of that run (`--out` defaults to
-//!   `BENCH_<preset>.json`).
+//!   one [`ScenarioGrid`] each.
 //! * `fig1`, `fig2`, `fig3`, `fig6`, `fig7`, `fig8`, `ablation`,
 //!   `theorem1` — the paper's figures at harness scale, three seeds a
-//!   cell, committed as CSV tables in the directory `--out` (default
-//!   `results`).
+//!   cell.
 //! * `smoke` — the fleet smoke grid: long enough on one core that a
 //!   worker can be killed mid-run, small enough to finish in seconds.
-//!   Nothing to claim; its report is compared byte for byte
+//!   Nothing to claim; its table is compared byte for byte
 //!   (`scripts/fleet_smoke.sh`).
 //!
-//! Every scenario result is a pure function of its config, so the
-//! artefacts are byte-reproducible on any host, thread count and worker
-//! count, and `scripts/check.sh --ci` regenerates them and fails on any
-//! `git diff`. Host time is not measured here — that is `perf`'s job.
-//!
 //! Each preset is its grids plus a check over the finished reports,
-//! which decides the preset's claims. A scientific check prints its
-//! table; derived columns (communication wall-clock under the shared
-//! two-tier link model [`WIRELESS_SECS_PER_TRANSFER`] /
-//! [`WAN_SECS_PER_TRANSFER`], uplink ratio, async dominance) are
-//! functions of the records computed there, not stored. A figure check
-//! returns its tables, printed as they are written. A failed claim
-//! panics before any artefact is written. A paper claim that HEAD's
-//! numbers do not show is not asserted either way: the figure checks
-//! record it as `NOT REPRODUCED` with its measured value, in the table
-//! the gate byte-compares ([`Verdicts`]).
+//! which decides the preset's claims and returns CSV tables, printed and
+//! written into the directory `--out` (default `results`). Every
+//! scenario result is a pure function of its config, so the tables are
+//! byte-reproducible on any host, thread count and worker count, and
+//! `scripts/check.sh --ci` regenerates them and fails on any `git diff`.
+//! Host time is not measured here — that is `perf`'s job.
+//!
+//! A table over one report rounds its values, so it ends with the
+//! report's fingerprint ([`fingerprinted`]): a drift in any byte of any
+//! record still changes a committed line. Derived columns (communication
+//! wall-clock under the shared two-tier link model
+//! [`WIRELESS_SECS_PER_TRANSFER`] / [`WAN_SECS_PER_TRANSFER`], uplink
+//! ratio, async dominance) are functions of the records computed there,
+//! not stored. A failed claim panics before any table is written. A
+//! paper claim that HEAD's numbers do not show is not asserted either
+//! way: the figure checks record it as `NOT REPRODUCED` with its
+//! measured value, in the table the gate byte-compares ([`Verdicts`]).
 
+use middle_core::checkpoint::fnv1a;
 use middle_core::comm::{WAN_SECS_PER_TRANSFER, WIRELESS_SECS_PER_TRANSFER};
 use middle_core::quadratic_sim::{
     mean_ci95, remark1_rows, simulate_quadratic_hfl, theorem1_testbed, Remark1Row,
@@ -48,79 +48,55 @@ use std::path::Path;
 
 /// One named experiment: its name, its grids — one report each; none for
 /// the presets on scripted traces and closed forms, whose check does the
-/// running, a trace not being a grid axis — and its check.
-pub type Preset = (&'static str, fn() -> Vec<ScenarioGrid>, Check);
+/// running, a trace not being a grid axis — and its check, which decides
+/// the claims over the reports and returns the tables to write.
+pub type Preset = (
+    &'static str,
+    fn() -> Vec<ScenarioGrid>,
+    fn(&[SweepReport]) -> Vec<Table>,
+);
 
-pub enum Check {
-    /// Prints the table and asserts over the one report, which is the
-    /// artefact: `--out` defaults to `BENCH_<preset>.json`.
-    Report(fn(&SweepReport)),
-    /// Decides the claims over the reports and returns the CSV tables to
-    /// write into the directory `--out`, `results` by default.
-    Tables(fn(&[SweepReport]) -> Vec<Table>),
-}
+/// A CSV table a preset commits: (file name, content).
+pub type Table = (String, String);
 
 pub const PRESETS: [Preset; 13] = [
-    (
-        "faults",
-        || vec![faults_grid()],
-        Check::Report(faults_check),
-    ),
-    ("algos", || vec![algos_grid()], Check::Report(algos_check)),
-    (
-        "compress",
-        || vec![compress_grid()],
-        Check::Report(compress_check),
-    ),
-    ("async", || vec![async_grid()], Check::Report(async_check)),
-    ("fig1", Vec::new, Check::Tables(fig1_check)),
-    ("fig2", Vec::new, Check::Tables(fig2_check)),
-    ("fig3", Vec::new, Check::Tables(fig3_check)),
-    ("fig6", || per_task(fig6_grid), Check::Tables(fig6_check)),
-    ("fig7", || per_task(fig7_grid), Check::Tables(fig7_check)),
-    ("fig8", || per_task(fig8_grid), Check::Tables(fig8_check)),
-    (
-        "ablation",
-        || vec![ablation_grid()],
-        Check::Tables(ablation_check),
-    ),
-    ("theorem1", Vec::new, Check::Tables(theorem1_check)),
-    ("smoke", || vec![smoke_grid()], Check::Report(|_| {})),
+    ("faults", || vec![faults_grid()], faults_check),
+    ("algos", || vec![algos_grid()], algos_check),
+    ("compress", || vec![compress_grid()], compress_check),
+    ("async", || vec![async_grid()], async_check),
+    ("fig1", Vec::new, fig1_check),
+    ("fig2", Vec::new, fig2_check),
+    ("fig3", Vec::new, fig3_check),
+    ("fig6", || per_task(fig6_grid), fig6_check),
+    ("fig7", || per_task(fig7_grid), fig7_check),
+    ("fig8", || per_task(fig8_grid), fig8_check),
+    ("ablation", || vec![ablation_grid()], ablation_check),
+    ("theorem1", Vec::new, theorem1_check),
+    ("smoke", || vec![smoke_grid()], smoke_check),
 ];
 
-/// Runs `preset`'s check over the `reports` of its grids and writes its
-/// artefacts: the one report's deterministic JSON to `out` (default
-/// `BENCH_<preset>.json`), or the check's tables into the directory
-/// `out` (default `results`).
+/// Runs `preset`'s check over the `reports` of its grids, prints its
+/// tables and writes them into the directory `out` (default `results`).
 pub fn check_and_write(preset: &Preset, reports: &[SweepReport], out: Option<&Path>) {
-    let (name, _, check) = preset;
-    let path = |default: &str| out.unwrap_or(Path::new(default)).to_path_buf();
-    let artefacts = match check {
-        Check::Report(check) => {
-            check(&reports[0]);
-            let json = reports[0].deterministic_json();
-            vec![(path(&format!("BENCH_{name}.json")), json)]
-        }
-        Check::Tables(check) => {
-            let tables = check(reports);
-            for (file, csv) in &tables {
-                println!("== {file}\n{csv}");
-            }
-            let dir = path("results");
-            tables
-                .into_iter()
-                .map(|(file, csv)| (dir.join(file), csv))
-                .collect()
-        }
-    };
-    // A stale artefact would pass the byte-compare gate: every write is fatal.
-    for (path, content) in artefacts {
-        let dir = path.parent().map_or(Ok(()), std::fs::create_dir_all);
-        if let Err(e) = dir.and_then(|()| std::fs::write(&path, content)) {
+    let tables = (preset.2)(reports);
+    let dir = out.unwrap_or(Path::new("results"));
+    // A stale table would pass the byte-compare gate: every write is fatal.
+    for (file, csv) in tables {
+        println!("== {file}\n{csv}");
+        let path = dir.join(file);
+        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, csv)) {
             panic!("cannot write {}: {e}", path.display());
         }
         println!("wrote {}", path.display());
     }
+}
+
+/// Closes the table of one report with the FNV-1a of its deterministic
+/// JSON: the rows round their values, the last line holds every byte of
+/// every record.
+fn fingerprinted(csv: String, report: &SweepReport) -> String {
+    let digest = fnv1a(report.deterministic_json().as_bytes());
+    csv + &format!("# report fnv1a: {digest:016x}\n")
 }
 
 /// The one MIDDLE configuration every scientific preset varies: the
@@ -254,24 +230,14 @@ fn faults_grid() -> ScenarioGrid {
     ])
 }
 
-fn faults_check(report: &SweepReport) {
-    println!(
-        "{:<24} {:>7} {:>8} {:>8} {:>7} {:>6} {:>6} {:>7} {:>8} {:>9}",
-        "scenario",
-        "final",
-        "uploads",
-        "retx",
-        "lost",
-        "stale",
-        "syncs",
-        "active",
-        "comm s",
-        "backoff s"
-    );
+fn faults_check(reports: &[SweepReport]) -> Vec<Table> {
+    let report = &reports[0];
+    let mut csv =
+        String::from("scenario,final,uploads,retx,lost,stale,syncs,active,comm_s,backoff_s\n");
     for s in &report.scenarios {
         let (record, comm) = (&s.record, &s.record.comm);
-        println!(
-            "{:<24} {:>7.3} {:>8} {:>8} {:>7} {:>6} {:>6} {:>7} {:>8.1} {:>9.1}",
+        csv += &format!(
+            "{},{:.3},{},{},{},{},{},{},{:.1},{:.1}\n",
             s.preset,
             record.final_accuracy(),
             comm.device_to_edge,
@@ -284,6 +250,7 @@ fn faults_check(report: &SweepReport) {
             comm.retry_backoff_seconds(WIRELESS_SECS_PER_TRANSFER),
         );
     }
+    vec![("faults.csv".to_string(), fingerprinted(csv, report))]
 }
 
 // --------------------------------------------------------------------
@@ -300,18 +267,15 @@ fn algos_grid() -> ScenarioGrid {
 }
 
 /// Claim: every zoo algorithm × regime cell is present ([`cell`]).
-fn algos_check(report: &SweepReport) {
-    println!(
-        "{:<10} {:<8} {:>7} {:>8} {:>7} {:>6} {:>6} {:>7} {:>9}",
-        "algorithm", "regime", "final", "uploads", "e2e", "stale", "syncs", "active", "comm s"
-    );
+fn algos_check(reports: &[SweepReport]) -> Vec<Table> {
+    let report = &reports[0];
+    let mut csv = String::from("algorithm,regime,final,uploads,e2e,stale,syncs,active,comm_s\n");
     for algorithm in Algorithm::zoo() {
         for regime in REGIMES {
             let record = cell(report, regime, &algorithm.name);
-            println!(
-                "{:<10} {:<8} {:>7.3} {:>8} {:>7} {:>6} {:>6} {:>7} {:>9.1}",
+            csv += &format!(
+                "{},{regime},{:.3},{},{},{},{},{},{:.1}\n",
                 algorithm.name,
-                regime,
                 record.final_accuracy(),
                 record.comm.device_to_edge,
                 record.comm.edge_to_edge,
@@ -322,6 +286,7 @@ fn algos_check(report: &SweepReport) {
             );
         }
     }
+    vec![("algos.csv".to_string(), fingerprinted(csv, report))]
 }
 
 // --------------------------------------------------------------------
@@ -381,11 +346,9 @@ fn compress_grid() -> ScenarioGrid {
 /// Claims: the enabled-but-lossless plane is bitwise identical to the
 /// plane off (final accuracy and the whole comm ledger), under both link
 /// regimes; and at least one lossy cell cuts uplink bytes >= 4x.
-fn compress_check(report: &SweepReport) {
-    println!(
-        "{:<10} {:<8} {:>7} {:>8} {:>14} {:>7} {:>9}",
-        "cell", "faults", "final", "dacc", "uplink bytes", "ratio", "comm s"
-    );
+fn compress_check(reports: &[SweepReport]) -> Vec<Table> {
+    let report = &reports[0];
+    let mut csv = String::from("cell,faults,final,dacc,uplink_bytes,ratio,comm_s\n");
     let mut best_ratio = 0.0f64;
     for regime in REGIMES {
         let off = cell(report, regime, "off");
@@ -405,14 +368,12 @@ fn compress_check(report: &SweepReport) {
             } else if preset.compression.enabled {
                 best_ratio = best_ratio.max(ratio);
             }
-            println!(
-                "{:<10} {:<8} {:>7.3} {:>+8.3} {:>14} {:>6.2}x {:>9.1}",
+            csv += &format!(
+                "{},{regime},{:.3},{:+.3},{},{ratio:.2},{:.1}\n",
                 preset.name,
-                regime,
                 record.final_accuracy(),
                 record.final_accuracy() - off.final_accuracy(),
                 record.comm.uplink_bytes(),
-                ratio,
                 comm_wall_s(record),
             );
         }
@@ -421,7 +382,8 @@ fn compress_check(report: &SweepReport) {
         best_ratio >= 4.0,
         "no lossy cell reached a 4x uplink cut (best {best_ratio:.2}x)"
     );
-    println!("\nbest uplink ratio {best_ratio:.2}x");
+    csv += &format!("# best uplink ratio {best_ratio:.2}x\n");
+    vec![("compress.csv".to_string(), fingerprinted(csv, report))]
 }
 
 // --------------------------------------------------------------------
@@ -511,27 +473,25 @@ fn async_wall_s(record: &RunRecord, faults: &FaultConfig) -> f64 {
 /// Claim: under hostile stragglers every event-driven point beats the
 /// lockstep wall-clock, at no accuracy loss (the best async final
 /// accuracy is at least lockstep's).
-fn async_check(report: &SweepReport) {
-    println!(
-        "{:<18} {:<14} {:>9} {:>7} {:>7} {:>6} {:>7} {:>6}",
-        "regime", "point", "wall s", "final", "best", "syncs", "active", "stale"
-    );
+fn async_check(reports: &[SweepReport]) -> Vec<Table> {
+    let report = &reports[0];
+    let mut csv = String::from("regime,point,wall_s,final,best,syncs,active,stale\n");
+    let mut verdict = String::new();
     for regime in async_regimes() {
         let lock = cell(report, &regime.name, "lock");
         let lock_wall = async_wall_s(lock, &regime.faults);
-        let mut all_faster = true;
+        let (mut fastest, mut slowest) = (f64::INFINITY, f64::NEG_INFINITY);
         let mut best_async = f32::MIN;
         for s in report.scenarios.iter().filter(|s| s.preset == regime.name) {
             let wall = async_wall_s(&s.record, &regime.faults);
             if s.record.event_seconds.is_some() {
-                all_faster &= wall < lock_wall;
+                (fastest, slowest) = (fastest.min(wall), slowest.max(wall));
                 best_async = best_async.max(s.record.final_accuracy());
             }
-            println!(
-                "{:<18} {:<14} {:>9.1} {:>7.3} {:>7.3} {:>6} {:>7} {:>6}",
+            csv += &format!(
+                "{},{},{wall:.1},{:.3},{:.3},{},{},{}\n",
                 regime.name,
                 s.execution.as_deref().unwrap_or("-"),
-                wall,
                 s.record.final_accuracy(),
                 s.record.best_accuracy(),
                 s.record.syncs,
@@ -541,21 +501,25 @@ fn async_check(report: &SweepReport) {
         }
         if regime.name == HOSTILE_STRAGGLERS {
             assert!(
-                all_faster && best_async >= lock.final_accuracy(),
+                slowest < lock_wall && best_async >= lock.final_accuracy(),
                 "async failed to dominate the lockstep wall-clock ({lock_wall:.1} s) \
                  under hostile stragglers"
             );
-            println!("\nasync dominates lockstep under hostile stragglers");
+            verdict = format!(
+                "# async dominates lockstep under hostile stragglers: \
+                 lockstep {lock_wall:.1} s, event-driven {fastest:.1}-{slowest:.1} s\n"
+            );
         }
     }
+    vec![(
+        "async.csv".to_string(),
+        fingerprinted(csv + &verdict, report),
+    )]
 }
 
 // --------------------------------------------------------------------
 // The paper's figures: shared harness
 // --------------------------------------------------------------------
-
-/// A CSV table a figure preset commits: (file name, content).
-pub type Table = (String, String);
 
 /// Every figure cell runs these master seeds (`2023 + 31·s`). The seed
 /// redraws data, models and trace, so algorithms and axis values are
@@ -1369,9 +1333,28 @@ fn smoke_grid() -> ScenarioGrid {
         .with_seeds([7u64, 8, 9])
 }
 
+fn smoke_check(reports: &[SweepReport]) -> Vec<Table> {
+    let report = &reports[0];
+    let mut csv = String::from("scenario,final,best,syncs,active,uploads\n");
+    for s in &report.scenarios {
+        let record = &s.record;
+        csv += &format!(
+            "{},{:.3},{:.3},{},{},{}\n",
+            s.label,
+            record.final_accuracy(),
+            record.best_accuracy(),
+            record.syncs,
+            record.active_steps,
+            record.comm.device_to_edge,
+        );
+    }
+    vec![("smoke.csv".to_string(), fingerprinted(csv, report))]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use middle_core::{run_sweep, SweepOptions};
 
     /// Expansion only — no simulation runs, so `cargo test --workspace`
     /// guards every preset grid in milliseconds. `scenarios()` itself
@@ -1424,5 +1407,20 @@ mod tests {
             }
         }
         assert_eq!(PRESETS.len(), 13, "every preset has a row above");
+    }
+
+    /// The contract that keeps the byte-compare gate as strong as the
+    /// report: a one-report table ends with the fingerprint of the
+    /// report's deterministic JSON.
+    #[test]
+    fn a_report_table_ends_with_its_fingerprint() {
+        let report = run_sweep(&smoke_grid(), &SweepOptions::default()).expect("valid grid");
+        let digest = fnv1a(report.deterministic_json().as_bytes());
+        let tables = smoke_check(std::slice::from_ref(&report));
+        let (_, csv) = &tables[0];
+        assert_eq!(
+            csv.lines().last(),
+            Some(format!("# report fnv1a: {digest:016x}").as_str())
+        );
     }
 }

@@ -9,18 +9,16 @@
 #
 #   scripts/check.sh           # everything
 #   scripts/check.sh --fast    # skip the release build of the workspace
-#   scripts/check.sh --ci      # everything + example builds, runs of
-#                              # trace_tooling and edge_skew_casestudy
-#                              # (1 s together on two cores), shim tests,
-#                              # Adam's reciprocal lemma over every f32
-#                              # (25 s), one-thread FNV pins, doc lints, the
-#                              # benchmark's own suite, the twelve
-#                              # experiment presets through `middle-sweepd
-#                              # run` (BENCH_*.json and results/
-#                              # regenerated and byte-compared; the eight
-#                              # figure presets take 16 min on two cores,
-#                              # 7 + 8 + 0 + 1 + 69 + 230 + 427 + 239 s)
-#                              # and the fleet smoke
+#   scripts/check.sh --ci      # everything + example builds, a run of
+#                              # trace_tooling (1 s on two cores), shim
+#                              # tests, Adam's reciprocal lemma over every
+#                              # f32 (25 s), one-thread FNV pins, doc
+#                              # lints, the benchmark's own suite, every
+#                              # experiment preset through `middle-sweepd
+#                              # run` (results/ regenerated and
+#                              # byte-compared; 17 min on two cores, the
+#                              # figure presets 16 of them) and the fleet
+#                              # smoke
 #
 # Flags combine (e.g. `--fast --ci` runs the CI extras without the
 # release build); unknown flags are rejected. Run from anywhere; the
@@ -32,11 +30,10 @@ cd "$(dirname "$0")/.."
 usage() {
     echo "usage: scripts/check.sh [--fast] [--ci]" >&2
     echo "  --fast  skip the release build of the workspace" >&2
-    echo "  --ci    add example builds and two example runs, shim tests," >&2
-    echo "          the exhaustive reciprocal lemma, one-thread FNV pins, doc" >&2
-    echo "          lints, the perf suite, the sweep artefact gates" >&2
-    echo "          (BENCH_*.json, then results/: 16 min on two cores) and the" >&2
-    echo "          fleet smoke" >&2
+    echo "  --ci    add example builds and an example run, shim tests, the" >&2
+    echo "          exhaustive reciprocal lemma, one-thread FNV pins, doc lints," >&2
+    echo "          the perf suite, the preset gate (every preset regenerates" >&2
+    echo "          results/: 17 min on two cores) and the fleet smoke" >&2
 }
 
 FAST=0
@@ -113,18 +110,17 @@ if [[ "$CI" -eq 1 ]]; then
     echo "==> cargo build --release --examples"
     cargo build --release --examples
 
-    # Two examples run end to end: trace_tooling asserts the ONE-report
-    # round trip and trains on the imported trace; edge_skew_casestudy
-    # trains Figure 1's static case on a P = 0 Markov trace.
-    echo "==> examples trace_tooling, edge_skew_casestudy"
+    # trace_tooling runs end to end: it asserts the ONE-report round
+    # trip and trains on the imported trace.
+    echo "==> example trace_tooling"
     cargo run -q --release --example trace_tooling
-    cargo run -q --release --example edge_skew_casestudy
 fi
 
 # --workspace matters: a bare `cargo test` only runs the root facade
-# package, silently skipping every member crate's gate suite.
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+# package, silently skipping every member crate's gate suite. Without
+# --no-fail-fast the first failing test binary hides every suite after it.
+echo "==> cargo test --workspace -q --no-fail-fast"
+cargo test --workspace -q --no-fail-fast
 
 # The kernels as they ship: optimised, vectorised, `debug_assert`s gone.
 echo "==> cargo test --release -q -p middle-tensor -p middle-nn"
@@ -164,24 +160,27 @@ if [[ "$CI" -eq 1 ]]; then
     echo "==> cargo test --manifest-path perf/Cargo.toml (the benchmark's own suite)"
     cargo test -q --manifest-path perf/Cargo.toml
 
-    # Every scientific result is a pure function of its config, so the
-    # gate is exact: each preset asserts its claims (lossless == off and
-    # a >= 4x uplink cut, async dominance under hostile stragglers, every
-    # zoo cell present), then any byte of drift in an artefact fails.
-    echo "==> scientific sweeps (faults, algos, compress, async): regenerate and byte-compare"
-    for preset in faults algos compress async; do
-        cargo run -q -p middle-sweepd --release -- run "$preset"
-    done
-    git diff --exit-code -- BENCH_faults.json BENCH_algos.json BENCH_compress.json BENCH_async.json
-
-    # The paper's figures are what this commit computes: each preset
-    # asserts the claims that hold and records the ones that do not with
-    # their measured values, in the tables compared here.
-    echo "==> figure presets (fig1-3, fig6-8, ablation, theorem1): regenerate results/ and byte-compare"
-    for preset in fig1 fig2 fig3 theorem1 ablation fig6 fig7 fig8; do
+    # Every result is a pure function of its config, so the gate is
+    # exact. Each preset asserts its claims before it writes a table
+    # (lossless == off and a >= 4x uplink cut, async dominance under
+    # hostile stragglers, every zoo cell present, the figures' REPRODUCED
+    # lines) and records the paper's claims that do not hold with their
+    # measured values; a table over one report ends with the report's
+    # FNV-1a, so any byte of any record moves a committed line. A table
+    # that differs from the commit, or that no commit holds, fails.
+    presets=$(cargo run -q -p middle-sweepd --release -- help | sed -n 's/^ *Presets: //p')
+    [[ -n "$presets" ]] || { echo "middle-sweepd's usage names no presets" >&2; exit 1; }
+    echo "==> presets ($presets): regenerate results/ and byte-compare"
+    for preset in $presets; do
         cargo run -q -p middle-sweepd --release -- run "$preset"
     done
     git diff --exit-code -- results/
+    untracked=$(git status --porcelain -- results/)
+    if [[ -n "$untracked" ]]; then
+        echo "tables in results/ that no commit holds:" >&2
+        echo "$untracked" >&2
+        exit 1
+    fi
 
     echo "==> fleet smoke (3 workers, SIGKILL one, bitwise merge vs serial)"
     scripts/fleet_smoke.sh
